@@ -21,11 +21,22 @@
 //
 // # Probe path
 //
-// The cuckoo tables are probed with a vectorized, hash-once discipline.
-// Each operation hashes its key a single time into 64 bits (the
-// splitmix64 finaliser); every table of a chain derives its two bucket
-// indexes from that one value by remixing it with a per-table seed, so
-// a chain-wide probe costs one hash however many tables it touches.
+// A point operation walks L-CHT bucket → u's cell → (for a chained u)
+// chain header → S-CHT bucket, once. An S-CHT chain is one 128-byte
+// header that holds the shape its tables share and its first table by
+// value, so two dependent loads lead from the cell to a bucket; later
+// tables sit in one array of 40-byte records behind the header.
+//
+// Each operation hashes u once and, on a chained node, v once (the
+// splitmix64 finaliser, 64 bits); every table of a chain derives its
+// two bucket indexes from that one value by remixing it with a
+// per-table seed, so a chain-wide probe costs one hash however many
+// tables it touches. The mutation path reuses the probe of its
+// duplicate check: an insert places with the hash the check computed,
+// a delete clears the cell the check found, and the S-DL is walked
+// only for a node that has an entry in it, which a per-node count says
+// without looking at the list.
+//
 // Each cell carries a one-byte fingerprint tag derived from the same
 // hash (zero marks an empty cell), and a bucket's tags are packed into
 // a word stored immediately before the bucket's keys: a probe loads
@@ -36,8 +47,8 @@
 // wrong result; kicked cells carry their tag byte with them, and since
 // the tag is a pure function of the key's hash, merges re-derive the
 // identical tag when re-homing entries. The read path (HasEdge, Degree,
-// ForEachSuccessor, and the analytics iteration on top) performs zero
-// heap allocations per operation.
+// ForEachSuccessor, and the analytics iteration on top) and every
+// mutation that transforms no table perform zero heap allocations.
 //
 // # Quick start
 //

@@ -4,7 +4,8 @@ import "testing"
 
 // The engine read path — Contains/HasEdge, Degree, ForEachSuccessor —
 // must be allocation-free end to end, on inline cells and on S-CHT
-// chains alike. These regression tests pin it with AllocsPerRun.
+// chains alike, and so must a mutation that transforms nothing. These
+// regression tests pin it with AllocsPerRun.
 
 // buildReadGraph returns a graph with one inline node (degree 1), one
 // full-inline node (degree 2R) and one chained node (degree 64).
@@ -36,6 +37,34 @@ func TestHasEdgeZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("HasEdge allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestMutationZeroAlloc covers the point mutations that change no
+// table's shape: a duplicate insert, and a delete-then-reinsert of one
+// edge of an inline node (which keeps its cell) and of a chained node
+// (whose chain neither contracts nor grows in between).
+func TestMutationZeroAlloc(t *testing.T) {
+	g, _, inline2R, chained := buildReadGraph(t)
+	before := g.Stats()
+	if n := testing.AllocsPerRun(200, func() {
+		if g.InsertEdge(inline2R, 2) || g.InsertEdge(chained, 33) {
+			t.Fatal("duplicate insert reported a new edge")
+		}
+	}); n != 0 {
+		t.Fatalf("duplicate InsertEdge allocates %.1f/op, want 0", n)
+	}
+	for _, u := range [...]uint64{inline2R, chained} {
+		if n := testing.AllocsPerRun(200, func() {
+			if !g.DeleteEdge(u, 2) || !g.InsertEdge(u, 2) {
+				t.Fatal("toggle of a present edge failed")
+			}
+		}); n != 0 {
+			t.Fatalf("DeleteEdge+InsertEdge on node %d allocates %.1f/toggle, want 0", u, n)
+		}
+	}
+	if after := g.Stats(); after.Transformations != before.Transformations || after.Chains != 1 || after.SDLLen != 0 {
+		t.Fatalf("toggles restructured the graph: %+v → %+v", before, after)
 	}
 }
 

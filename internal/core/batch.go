@@ -136,7 +136,8 @@ func (e *engine[W]) applyBatch(b Batch, one W, onDup, onDel func(*W) bool, onApp
 		// path free of their ~4.5 KiB of stack zeroing (declared
 		// unconditionally here, the compiler zeroes them per call even
 		// on the size-1 path).
-		e.applyOp(b[0], e.findPart2(b[0].U), one, onDup, onDel, onApplied, &res)
+		hu := hashutil.Key64(b[0].U)
+		e.applyOp(b[0], hu, e.findPart2(hu, b[0].U), one, onDup, onDel, onApplied, &res)
 	default:
 		res = e.applyBatchCached(b, one, onDup, onDel, onApplied)
 	}
@@ -172,21 +173,24 @@ func (e *engine[W]) applyBatchCached(b Batch, one W, onDup, onDel func(*W) bool,
 		if cached[idx] && cacheU[idx] == op.U {
 			p = cacheP[idx]
 		} else {
-			p = e.findPart2Hashed(hu, op.U)
+			p = e.findPart2(hu, op.U)
 			cacheU[idx], cacheP[idx], cached[idx] = op.U, p, true
 		}
-		if e.applyOp(op, p, one, onDup, onDel, onApplied, &res) {
+		if e.applyOp(op, hu, p, one, onDup, onDel, onApplied, &res) {
 			cached = [batchCacheSize]bool{}
 		}
 	}
 	return res
 }
 
-// applyOp applies one op given u's already-resolved cell (nil for an
-// unknown u), reporting whether the L-CHT or L-DL was restructured —
-// which invalidates any cached cell pointers, including p itself.
-func (e *engine[W]) applyOp(op Op, p *part2[W], one W, onDup, onDel func(*W) bool, onApplied func(Op), res *BatchResult) bool {
-	w := e.lookupIn(p, op.U, op.V)
+// applyOp applies one op given u's hash and already-resolved cell (nil
+// for an unknown u), reporting whether the L-CHT or L-DL was
+// restructured — which invalidates any cached cell pointers, including
+// p itself. One probe serves the duplicate check and the mutation: the
+// insert places with the hash the probe computed, the delete clears the
+// cell the probe found.
+func (e *engine[W]) applyOp(op Op, hu uint64, p *part2[W], one W, onDup, onDel func(*W) bool, onApplied func(Op), res *BatchResult) bool {
+	w, at, hv := e.find(p, op.U, op.V)
 	switch op.Kind {
 	case OpInsert:
 		if w != nil {
@@ -195,7 +199,7 @@ func (e *engine[W]) applyOp(op Op, p *part2[W], one W, onDup, onDel func(*W) boo
 			}
 			return false
 		}
-		e.insertAt(p, op.U, op.V, one)
+		e.insertAt(hu, p, op.U, hv, slot[W]{v: op.V, w: one})
 		res.Inserted++
 		if onApplied != nil {
 			onApplied(op)
@@ -211,7 +215,7 @@ func (e *engine[W]) applyOp(op Op, p *part2[W], one W, onDup, onDel func(*W) boo
 			res.Updated++
 			return false
 		}
-		_, _, restructured := e.deleteAt(op.U, op.V, p)
+		restructured := e.deleteAt(hu, p, op.U, at)
 		res.Deleted++
 		if onApplied != nil {
 			onApplied(op)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"cuckoograph/internal/cuckoo"
 	"cuckoograph/internal/hashutil"
 )
@@ -46,13 +48,14 @@ type engine[W any] struct {
 	ldl  []ldlEntry[W]
 	sdl  []sdlEntry[W]
 
+	// parked counts, per u, the S-DL entries that carry it, so that
+	// whether a node has anything parked — and how much — is one lookup
+	// instead of a walk over every other node's entries. Only park and
+	// unpark touch it; it stays nil until something is parked.
+	parked map[uint64]int
+
 	nodes uint64
 	edges uint64
-
-	// drainBuf is the reusable scratch of chain collapses: dismantling
-	// an S-CHT back to inline slots drains into it instead of
-	// allocating a fresh []Entry per reverse transformation.
-	drainBuf []cuckoo.Entry[W]
 
 	// Retired statistics from collapsed chains (reverse transformation
 	// back to inline slots discards the chain object).
@@ -76,15 +79,10 @@ func (e *engine[W]) newChainSeed() uint64 {
 }
 
 // findPart2 locates u's cell in the L-CHT chain or the L-DL (query
-// Step 1 of §III-A3), hashing u once.
-func (e *engine[W]) findPart2(u uint64) *part2[W] {
-	return e.findPart2Hashed(hashutil.Key64(u), u)
-}
-
-// findPart2Hashed is findPart2 with u's hash already computed — the
-// batch path derives its cell-cache index from the same hash, so one
-// Key64 serves both the cache probe and the L-CHT probe.
-func (e *engine[W]) findPart2Hashed(hu, u uint64) *part2[W] {
+// Step 1 of §III-A3). hu is u's Key64: every caller computes it once
+// per op and hands the same value to whatever else needs it — the
+// batch path's cell cache, a new cell's placement, a node's removal.
+func (e *engine[W]) findPart2(hu, u uint64) *part2[W] {
 	if p := e.lcht.RefHashed(hu, u); p != nil {
 		return p
 	}
@@ -96,92 +94,163 @@ func (e *engine[W]) findPart2Hashed(hu, u uint64) *part2[W] {
 	return nil
 }
 
-// locate resolves ⟨u,v⟩ in one pass: it returns u's cell (nil for an
-// unknown u) and a mutable pointer to v's payload wherever the edge
-// lives — inline, in the S-CHT chain, or in the S-DL — or nil if the
-// edge is absent. This fuses query Steps 1 and 2 of §III-A3 so Insert
-// needs a single probe for its duplicate check.
-func (e *engine[W]) locate(u, v uint64) (*part2[W], *W) {
-	p := e.findPart2(u)
-	return p, e.lookupIn(p, u, v)
-}
-
-// lookupIn is the Step-2 half of locate: given u's cell (possibly nil),
-// it resolves v's payload in the cell or the S-DL. Splitting it out
-// lets applyBatch reuse a cached cell pointer across a batch.
-func (e *engine[W]) lookupIn(p *part2[W], u, v uint64) *W {
+// find is the one probe an op makes for ⟨u,v⟩ (query Step 2 of
+// §III-A3), given u's cell p (nil for an unknown u). It returns a
+// mutable pointer to the edge's payload wherever the edge lives, nil
+// when it is absent, and — because the mutation that follows must not
+// probe or hash again — where that is and v's hash:
+//
+//   - at is the inline slot of an inline u, the chain cell (a
+//     cuckoo.Pos) of a chained u, or ^i for entry i of the S-DL;
+//   - hv is Key64(v), computed only for a chained u; an absent edge is
+//     placed with it.
+func (e *engine[W]) find(p *part2[W], u, v uint64) (w *W, at int64, hv uint64) {
 	if p != nil {
 		if p.chain != nil {
-			if w := p.chain.Ref(v); w != nil {
-				return w
+			hv = hashutil.Key64(v)
+			if pos := p.chain.FindHashed(hv, v); pos.Found() {
+				return p.chain.At(pos), int64(pos), hv
 			}
 		} else {
 			for i := range p.inline {
 				if p.inline[i].v == v {
-					return &p.inline[i].w
+					return &p.inline[i].w, int64(i), 0
 				}
 			}
 		}
 	}
-	for i := range e.sdl {
-		if e.sdl[i].u == u && e.sdl[i].s.v == v {
-			return &e.sdl[i].s.w
+	if e.numParked(u) != 0 {
+		for i := range e.sdl {
+			if e.sdl[i].u == u && e.sdl[i].s.v == v {
+				return &e.sdl[i].s.w, ^int64(i), hv
+			}
 		}
 	}
-	return nil
+	return nil, 0, hv
 }
 
 // refSlot returns a mutable pointer to ⟨u,v⟩'s payload, or nil.
 func (e *engine[W]) refSlot(u, v uint64) *W {
-	_, w := e.locate(u, v)
+	hu := hashutil.Key64(u)
+	w, _, _ := e.find(e.findPart2(hu, u), u, v)
 	return w
 }
 
 func (e *engine[W]) hasEdge(u, v uint64) bool { return e.refSlot(u, v) != nil }
 
-// insertAt stores a verified-absent edge, reusing the cell pointer from
-// a preceding locate. It always succeeds: failures cascade into the
-// denylists, and full denylists force transformations.
-func (e *engine[W]) insertAt(p *part2[W], u, v uint64, w W) {
-	e.edges++
-	if p != nil {
-		e.insertIntoPart2(u, p, slot[W]{v: v, w: w})
+// numParked returns how many S-DL entries carry u.
+func (e *engine[W]) numParked(u uint64) int {
+	if len(e.parked) == 0 {
+		return 0
+	}
+	return e.parked[u]
+}
+
+// park appends ⟨u,s⟩ to the S-DL.
+func (e *engine[W]) park(u uint64, s slot[W]) {
+	if e.parked == nil {
+		e.parked = make(map[uint64]int)
+	}
+	e.parked[u]++
+	e.sdl = append(e.sdl, sdlEntry[W]{u: u, s: s})
+}
+
+// parkAll parks a chain's homeless entries under u.
+func (e *engine[W]) parkAll(u uint64, leftovers []cuckoo.Entry[W]) {
+	for _, lo := range leftovers {
+		e.park(u, slot[W]{v: lo.Key, w: lo.Val})
+	}
+}
+
+// unpark takes u's entries out of the S-DL, in order and for as long as
+// take accepts them, keeping the order of the rest. It walks the list
+// only when u has something parked.
+func (e *engine[W]) unpark(u uint64, take func(s slot[W]) bool) {
+	n := e.numParked(u)
+	if n == 0 {
 		return
 	}
-	// First neighbour of a brand-new u (insertion Step 2, case ①/②).
-	e.nodes++
-	inline := make([]slot[W], 1, e.inlineCap)
-	inline[0] = slot[W]{v: v, w: w}
-	e.insertCell(u, part2[W]{inline: inline})
+	kept := e.sdl[:0]
+	for _, entry := range e.sdl {
+		if entry.u == u && take(entry.s) {
+			n--
+		} else {
+			kept = append(kept, entry)
+		}
+	}
+	clear(e.sdl[len(kept):])
+	e.sdl = kept
+	e.setParked(u, n)
+}
+
+// setParked records that n S-DL entries carry u.
+func (e *engine[W]) setParked(u uint64, n int) {
+	if n == 0 {
+		delete(e.parked, u)
+	} else {
+		e.parked[u] = n
+	}
+}
+
+// insertAt stores a verified-absent edge, reusing u's hash, its cell
+// and v's hash from the find that reported the edge absent. It always
+// succeeds: failures cascade into the denylists, and full denylists
+// force transformations.
+func (e *engine[W]) insertAt(hu uint64, p *part2[W], u, hv uint64, s slot[W]) {
+	e.edges++
+	switch {
+	case p == nil:
+		// First neighbour of a brand-new u (insertion Step 2, case ①/②).
+		e.nodes++
+		inline := make([]slot[W], 1, e.inlineCap)
+		inline[0] = s
+		e.insertCell(hu, u, part2[W]{inline: inline})
+	case p.chain != nil:
+		e.chainInsert(u, p.chain, hv, s)
+	case len(p.inline) < e.inlineCap:
+		p.inline = append(p.inline, s)
+	default:
+		// 2R small slots full: merge them into R large slots, enable the
+		// 1st S-CHT and transfer every v into it (§III-A1 step ②).
+		cfg := e.cfg.chainConfig()
+		cfg.Seed = e.newChainSeed()
+		p.chain = cuckoo.NewChain[W](e.cfg.SCHTBase, cfg)
+		for _, old := range p.inline {
+			e.chainInsert(u, p.chain, hashutil.Key64(old.v), old)
+		}
+		p.inline = nil
+		e.chainInsert(u, p.chain, hashutil.Key64(s.v), s)
+	}
 }
 
 // insertCell places a whole cell (u + Part 2) into the L-CHT, spilling
 // to the L-DL on failure and forcing growth when the L-DL is full.
-func (e *engine[W]) insertCell(u uint64, p part2[W]) {
-	work := []cuckoo.Entry[part2[W]]{{Key: u, Val: p}}
-	for len(work) > 0 {
-		cell := work[len(work)-1]
-		work = work[:len(work)-1]
-		leftovers, grew := e.lcht.Insert(cell.Key, cell.Val)
+func (e *engine[W]) insertCell(hu, u uint64, p part2[W]) {
+	leftovers, grew := e.lcht.InsertHashed(hu, u, p)
+	var work []cuckoo.Entry[part2[W]]
+	for {
 		if grew {
 			e.drainLDL()
 		}
-		if len(leftovers) == 0 {
-			continue
-		}
-		if !e.cfg.DisableDenylist && len(e.ldl)+len(leftovers) <= e.cfg.LDLCap {
-			for _, lo := range leftovers {
-				e.ldl = append(e.ldl, ldlEntry[W]{u: lo.Key, p: lo.Val})
+		if len(leftovers) != 0 {
+			if !e.cfg.DisableDenylist && len(e.ldl)+len(leftovers) <= e.cfg.LDLCap {
+				for _, lo := range leftovers {
+					e.ldl = append(e.ldl, ldlEntry[W]{u: lo.Key, p: lo.Val})
+				}
+			} else {
+				// Denylist disabled or full: force an expansion and
+				// retry, the paper's fallback behaviour.
+				work = append(work, e.lcht.Grow()...)
+				e.drainLDL()
+				work = append(work, leftovers...)
 			}
-			continue
 		}
-		// Denylist disabled or full: force an expansion and retry, the
-		// paper's fallback behaviour.
-		for _, s := range e.lcht.Grow() {
-			work = append(work, s)
+		if len(work) == 0 {
+			return
 		}
-		e.drainLDL()
-		work = append(work, leftovers...)
+		cell := work[len(work)-1]
+		work = work[:len(work)-1]
+		leftovers, grew = e.lcht.Insert(cell.Key, cell.Val)
 	}
 }
 
@@ -206,54 +275,30 @@ func (e *engine[W]) drainLDL() {
 	}
 }
 
-// insertIntoPart2 adds a neighbour slot to an existing cell, applying
-// TRANSFORMATION when the inline slots overflow (§III-A1 step ②).
-func (e *engine[W]) insertIntoPart2(u uint64, p *part2[W], s slot[W]) {
-	if p.chain == nil {
-		if len(p.inline) < e.inlineCap {
-			p.inline = append(p.inline, s)
-			return
-		}
-		// 2R small slots full: merge them into R large slots, enable the
-		// 1st S-CHT and transfer every v into it.
-		cfg := e.cfg.chainConfig()
-		cfg.Seed = e.newChainSeed()
-		p.chain = cuckoo.NewChain[W](e.cfg.SCHTBase, cfg)
-		for _, old := range p.inline {
-			e.chainInsert(u, p.chain, old)
-		}
-		p.inline = nil
-	}
-	e.chainInsert(u, p.chain, s)
-}
-
-// chainInsert inserts one slot into u's S-CHT chain, handling denylist
-// spill and drain-on-expansion.
-func (e *engine[W]) chainInsert(u uint64, c *cuckoo.Chain[W], s slot[W]) {
-	work := []slot[W]{s}
-	for len(work) > 0 {
-		cur := work[len(work)-1]
-		work = work[:len(work)-1]
-		leftovers, grew := c.Insert(cur.v, cur.w)
+// chainInsert inserts one slot (hv is Key64 of its v) into u's S-CHT
+// chain, handling denylist spill and drain-on-expansion.
+func (e *engine[W]) chainInsert(u uint64, c *cuckoo.Chain[W], hv uint64, s slot[W]) {
+	leftovers, grew := c.InsertHashed(hv, s.v, s.w)
+	var work []cuckoo.Entry[W]
+	for {
 		if grew {
 			e.drainSDLInto(u, c)
 		}
-		if len(leftovers) == 0 {
-			continue
-		}
-		if !e.cfg.DisableDenylist && len(e.sdl)+len(leftovers) <= e.cfg.SDLCap {
-			for _, lo := range leftovers {
-				e.sdl = append(e.sdl, sdlEntry[W]{u: u, s: slot[W]{v: lo.Key, w: lo.Val}})
+		if len(leftovers) != 0 {
+			if !e.cfg.DisableDenylist && len(e.sdl)+len(leftovers) <= e.cfg.SDLCap {
+				e.parkAll(u, leftovers)
+			} else {
+				work = append(work, c.Grow()...)
+				e.drainSDLInto(u, c)
+				work = append(work, leftovers...)
 			}
-			continue
 		}
-		for _, spill := range c.Grow() {
-			work = append(work, slot[W]{v: spill.Key, w: spill.Val})
+		if len(work) == 0 {
+			return
 		}
-		e.drainSDLInto(u, c)
-		for _, lo := range leftovers {
-			work = append(work, slot[W]{v: lo.Key, w: lo.Val})
-		}
+		cur := work[len(work)-1]
+		work = work[:len(work)-1]
+		leftovers, grew = c.Insert(cur.Key, cur.Val)
 	}
 }
 
@@ -261,150 +306,111 @@ func (e *engine[W]) chainInsert(u uint64, c *cuckoo.Chain[W], s slot[W]) {
 // into it (§III-A2 step 3: "we insert those v′′ in S-DL whose u′′
 // exactly match ... into the new S-CHT").
 func (e *engine[W]) drainSDLInto(u uint64, c *cuckoo.Chain[W]) {
-	kept := e.sdl[:0]
 	var moved []slot[W]
-	for _, entry := range e.sdl {
-		if entry.u == u {
-			moved = append(moved, entry.s)
-		} else {
-			kept = append(kept, entry)
-		}
-	}
-	e.sdl = kept
+	e.unpark(u, func(s slot[W]) bool {
+		moved = append(moved, s)
+		return true
+	})
 	for _, s := range moved {
 		leftovers, _ := c.Insert(s.v, s.w)
-		for _, lo := range leftovers {
-			e.sdl = append(e.sdl, sdlEntry[W]{u: u, s: slot[W]{v: lo.Key, w: lo.Val}})
-		}
+		e.parkAll(u, leftovers)
 	}
 }
 
 // deleteEdge removes ⟨u,v⟩ wherever it lives, returning its payload.
-func (e *engine[W]) deleteEdge(u, v uint64) (W, bool) {
-	w, ok, _ := e.deleteAt(u, v, e.findPart2(u))
-	return w, ok
+func (e *engine[W]) deleteEdge(u, v uint64) (payload W, ok bool) {
+	hu := hashutil.Key64(u)
+	p := e.findPart2(hu, u)
+	w, at, _ := e.find(p, u, v)
+	if w == nil {
+		return payload, false
+	}
+	payload = *w
+	e.deleteAt(hu, p, u, at)
+	return payload, true
 }
 
-// deleteAt removes ⟨u,v⟩ given u's already-located cell (nil when u has
-// none). Reverse transformations may contract the chain or collapse it
-// back to inline slots; an empty cell removes u entirely. The third
-// result reports whether the L-CHT (or L-DL) was restructured — which
-// invalidates any cached cell pointers, including p itself.
-func (e *engine[W]) deleteAt(u, v uint64, p *part2[W]) (W, bool, bool) {
-	var zero W
-	// The pair may be parked in the S-DL.
-	for i := range e.sdl {
-		if e.sdl[i].u == u && e.sdl[i].s.v == v {
-			w := e.sdl[i].s.w
-			e.sdl = append(e.sdl[:i], e.sdl[i+1:]...)
-			e.edges--
-			return w, true, false
-		}
+// deleteAt removes the edge of u that find located at at, clearing the
+// very slot, cell or entry the probe found. Reverse transformations may
+// contract the chain or collapse it back to inline slots; an empty cell
+// removes u entirely. It reports whether the L-CHT (or L-DL) was
+// restructured — which invalidates any cached cell pointers, including
+// p itself.
+func (e *engine[W]) deleteAt(hu uint64, p *part2[W], u uint64, at int64) bool {
+	e.edges--
+	switch {
+	case at < 0:
+		e.sdl = slices.Delete(e.sdl, int(^at), int(^at)+1)
+		e.setParked(u, e.parked[u]-1)
+		return false
+	case p.chain != nil:
+		e.parkAll(u, p.chain.DeleteAt(cuckoo.Pos(at)))
+		return e.maybeCollapse(hu, u, p)
 	}
-	if p == nil {
-		return zero, false, false
-	}
-	if p.chain != nil {
-		hv := hashutil.Key64(v)
-		w, ok := p.chain.LookupHashed(hv, v)
-		if !ok {
-			return zero, false, false
-		}
-		leftovers, _ := p.chain.DeleteHashed(hv, v)
-		for _, lo := range leftovers {
-			e.sdl = append(e.sdl, sdlEntry[W]{u: u, s: slot[W]{v: lo.Key, w: lo.Val}})
-		}
-		e.edges--
-		return w, true, e.maybeCollapse(u, p)
-	}
-	for i := range p.inline {
-		if p.inline[i].v == v {
-			w := p.inline[i].w
-			p.inline[i] = p.inline[len(p.inline)-1]
-			p.inline = p.inline[:len(p.inline)-1]
-			e.edges--
-			e.fillInlineFromSDL(u, p)
-			if len(p.inline) == 0 {
-				e.removeNode(u)
-				return w, true, true
-			}
-			return w, true, false
-		}
-	}
-	return zero, false, false
+	p.inline[at] = p.inline[len(p.inline)-1]
+	p.inline = p.inline[:len(p.inline)-1]
+	return e.settleInline(hu, u, p)
 }
 
 // maybeCollapse applies the final step of reverse transformation: when a
 // chain's population fits back into the 2R inline small slots, the chain
 // is dismantled and the cell returns to inline form. It reports whether
 // the (now empty) cell was removed from the L-CHT.
-func (e *engine[W]) maybeCollapse(u uint64, p *part2[W]) bool {
-	if p.chain == nil || p.chain.Size() > e.inlineCap {
+func (e *engine[W]) maybeCollapse(hu, u uint64, p *part2[W]) bool {
+	if p.chain.Size() > e.inlineCap {
 		return false
 	}
 	e.schtKicksRetired += p.chain.Kicks()
 	e.schtPlacementsRetired += p.chain.Placements()
-	// Drain through the engine's reusable buffer: collapsing a chain
-	// back to inline slots allocates only the inline slice itself.
-	e.drainBuf = p.chain.DrainInto(e.drainBuf[:0])
-	p.chain = nil
-	p.inline = make([]slot[W], 0, e.inlineCap)
-	for _, en := range e.drainBuf {
-		p.inline = append(p.inline, slot[W]{v: en.Key, w: en.Val})
-	}
-	// Drop the drained payload copies so the buffer pins nothing
-	// between collapses (the tail beyond len is already zero: every
-	// release leaves the buffer zeroed and refills append from empty).
-	clear(e.drainBuf)
-	e.drainBuf = e.drainBuf[:0]
-	e.fillInlineFromSDL(u, p)
-	if len(p.inline) == 0 {
-		e.removeNode(u)
+	// The entries move straight from the chain's cells into the inline
+	// slots, so a collapse allocates the inline slice and nothing else.
+	inline := make([]slot[W], 0, e.inlineCap)
+	p.chain.ForEachRef(func(v uint64, w *W) bool {
+		inline = append(inline, slot[W]{v: v, w: *w})
 		return true
-	}
-	return false
+	})
+	p.inline, p.chain = inline, nil
+	return e.settleInline(hu, u, p)
 }
 
-// fillInlineFromSDL pulls parked ⟨u,·⟩ pairs back into freed inline
-// slots so no edge is stranded in the S-DL when its cell has room.
-func (e *engine[W]) fillInlineFromSDL(u uint64, p *part2[W]) {
-	if p.chain != nil {
-		return
-	}
-	kept := e.sdl[:0]
-	for _, entry := range e.sdl {
-		if entry.u == u && len(p.inline) < e.inlineCap {
-			p.inline = append(p.inline, entry.s)
-		} else {
-			kept = append(kept, entry)
+// settleInline finishes a removal from u's inline cell: parked ⟨u,·⟩
+// pairs move back into the freed slots, so no edge is stranded in the
+// S-DL when its cell has room, and a cell left empty removes u from the
+// L-CHT or L-DL — which it reports.
+func (e *engine[W]) settleInline(hu, u uint64, p *part2[W]) bool {
+	e.unpark(u, func(s slot[W]) bool {
+		if len(p.inline) == e.inlineCap {
+			return false
 		}
+		p.inline = append(p.inline, s)
+		return true
+	})
+	if len(p.inline) != 0 {
+		return false
 	}
-	e.sdl = kept
-}
-
-// removeNode deletes u's (empty) cell from the L-CHT or L-DL.
-func (e *engine[W]) removeNode(u uint64) {
 	for i := range e.ldl {
 		if e.ldl[i].u == u {
-			e.ldl = append(e.ldl[:i], e.ldl[i+1:]...)
+			e.ldl = slices.Delete(e.ldl, i, i+1)
 			e.nodes--
-			return
+			return true
 		}
 	}
-	leftovers, deleted := e.lcht.Delete(u)
-	for _, lo := range leftovers {
-		e.ldl = append(e.ldl, ldlEntry[W]{u: lo.Key, p: lo.Val})
-	}
-	if deleted {
+	// The one place an op probes a structure a second time: the cell's
+	// own bucket, with u's hash in hand.
+	if pos := e.lcht.FindHashed(hu, u); pos.Found() {
+		for _, lo := range e.lcht.DeleteAt(pos) {
+			e.ldl = append(e.ldl, ldlEntry[W]{u: lo.Key, p: lo.Val})
+		}
 		e.nodes--
 	}
+	return true
 }
 
 // forEachSuccessor visits every stored neighbour of u. The chain case
 // hands fn straight to ForEachRef — no per-entry payload copy, no
 // adapter closure — keeping the whole iteration allocation-free.
 func (e *engine[W]) forEachSuccessor(u uint64, fn func(v uint64, w *W) bool) {
-	if p := e.findPart2(u); p != nil {
+	if p := e.findPart2(hashutil.Key64(u), u); p != nil {
 		if p.chain != nil {
 			if !p.chain.ForEachRef(fn) {
 				return
@@ -417,6 +423,9 @@ func (e *engine[W]) forEachSuccessor(u uint64, fn func(v uint64, w *W) bool) {
 			}
 		}
 	}
+	if e.numParked(u) == 0 {
+		return
+	}
 	for i := range e.sdl {
 		if e.sdl[i].u == u {
 			if !fn(e.sdl[i].s.v, &e.sdl[i].s.w) {
@@ -426,21 +435,15 @@ func (e *engine[W]) forEachSuccessor(u uint64, fn func(v uint64, w *W) bool) {
 	}
 }
 
-// degree counts u's neighbours without iterating them: inline slots and
-// S-CHT chains both track their population, so only parked S-DL pairs
-// need a scan. O(R + |S-DL|) instead of O(degree).
+// degree counts u's neighbours without iterating them: inline slots,
+// S-CHT chains and the S-DL all track their population per node. O(R).
 func (e *engine[W]) degree(u uint64) int {
-	n := 0
-	if p := e.findPart2(u); p != nil {
+	n := e.numParked(u)
+	if p := e.findPart2(hashutil.Key64(u), u); p != nil {
 		if p.chain != nil {
-			n = p.chain.Size()
+			n += p.chain.Size()
 		} else {
-			n = len(p.inline)
-		}
-	}
-	for i := range e.sdl {
-		if e.sdl[i].u == u {
-			n++
+			n += len(p.inline)
 		}
 	}
 	return n
@@ -498,6 +501,7 @@ type Stats struct {
 	LCHTKicks       uint64
 	LCHTPlacements  uint64
 	Chains          int
+	SCHTTables      int // tables over all S-CHT chains
 	ChainCells      int
 	ChainEntries    int
 	SCHTKicks       uint64
@@ -526,6 +530,7 @@ func (e *engine[W]) stats() Stats {
 			return
 		}
 		st.Chains++
+		st.SCHTTables += p.chain.Tables()
 		st.ChainCells += p.chain.Cells()
 		st.ChainEntries += p.chain.Size()
 		st.SCHTKicks += p.chain.Kicks()

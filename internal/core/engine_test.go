@@ -20,11 +20,9 @@ func TestSDLDrainOnExpansion(t *testing.T) {
 	if g.Stats().Chains != 1 {
 		t.Fatal("no chain at degree 10")
 	}
-	g.e.sdl = append(g.e.sdl,
-		sdlEntry[struct{}]{u: u, s: slot[struct{}]{v: 1000}},
-		sdlEntry[struct{}]{u: u, s: slot[struct{}]{v: 1001}},
-		sdlEntry[struct{}]{u: 77, s: slot[struct{}]{v: 1002}}, // other u stays
-	)
+	g.e.park(u, slot[struct{}]{v: 1000})
+	g.e.park(u, slot[struct{}]{v: 1001})
+	g.e.park(77, slot[struct{}]{v: 1002}) // other u stays
 	g.e.edges += 3
 	// Edges in the S-DL are already visible to queries.
 	if !g.HasEdge(u, 1000) || !g.HasEdge(77, 1002) {
@@ -57,19 +55,18 @@ func TestLDLKeepsChainWithoutCopy(t *testing.T) {
 	for v := uint64(1); v <= 50; v++ {
 		g.InsertEdge(u, v)
 	}
-	p := g.e.findPart2(u)
+	p := g.e.findPart2(hashutil.Key64(u), u)
 	if p == nil || p.chain == nil {
 		t.Fatal("expected a chain")
 	}
 	chain := p.chain
 	// Evict the cell into the L-DL by hand.
-	val, _ := g.e.lcht.Lookup(u)
+	g.e.ldl = append(g.e.ldl, ldlEntry[struct{}]{u: u, p: *p})
 	g.e.lcht.Delete(u)
-	g.e.ldl = append(g.e.ldl, ldlEntry[struct{}]{u: u, p: val})
 
 	// The same chain object must be reachable (pointer equality = no
 	// copying) and all edges still answer.
-	p2 := g.e.findPart2(u)
+	p2 := g.e.findPart2(hashutil.Key64(u), u)
 	if p2 == nil || p2.chain != chain {
 		t.Fatal("chain pointer changed across L-DL eviction")
 	}

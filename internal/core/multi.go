@@ -1,5 +1,7 @@
 package core
 
+import "cuckoograph/internal/hashutil"
+
 // Multi is the multi-edge variant of CuckooGraph built for the Neo4j
 // integration (§V-G): several distinct edges may share the same node
 // pair ⟨u,v⟩, so the weight field of each S-CHT slot becomes a list of
@@ -19,12 +21,14 @@ func NewMulti(cfg Config) *Multi {
 // on the same ⟨u,v⟩ slot.
 func (m *Multi) InsertEdge(u, v, id uint64) {
 	m.edgeCount++
-	cell, existing := m.e.locate(u, v)
-	if existing != nil {
-		*existing = append(*existing, id)
+	hu := hashutil.Key64(u)
+	p := m.e.findPart2(hu, u)
+	ids, _, hv := m.e.find(p, u, v)
+	if ids != nil {
+		*ids = append(*ids, id)
 		return
 	}
-	m.e.insertAt(cell, u, v, []uint64{id})
+	m.e.insertAt(hu, p, u, hv, slot[[]uint64]{v: v, w: []uint64{id}})
 }
 
 // HasEdge reports whether any edge connects u to v.
@@ -45,18 +49,20 @@ func (m *Multi) Edges(u, v uint64) *EdgeIterator {
 // DeleteEdge removes the specific edge id between u and v, reporting
 // whether it was found. The node pair disappears once its list empties.
 func (m *Multi) DeleteEdge(u, v, id uint64) bool {
-	p := m.e.refSlot(u, v)
-	if p == nil {
+	hu := hashutil.Key64(u)
+	p := m.e.findPart2(hu, u)
+	w, at, _ := m.e.find(p, u, v)
+	if w == nil {
 		return false
 	}
-	ids := *p
+	ids := *w
 	for i, got := range ids {
 		if got == id {
 			ids[i] = ids[len(ids)-1]
-			*p = ids[:len(ids)-1]
+			*w = ids[:len(ids)-1]
 			m.edgeCount--
-			if len(*p) == 0 {
-				m.e.deleteEdge(u, v)
+			if len(*w) == 0 {
+				m.e.deleteAt(hu, p, u, at)
 			}
 			return true
 		}

@@ -11,7 +11,7 @@ import (
 // multi-table states alike.
 
 func TestTableLookupZeroAlloc(t *testing.T) {
-	tb := NewTable[uint64](64, Config{})
+	tb := newOneTable[uint64](64, Config{})
 	for k := uint64(1); k <= 300; k++ {
 		tb.Insert(k, k)
 	}
@@ -76,51 +76,40 @@ func TestChainForEachRefZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestScratchPinsNothingAfterRestructure pins the releaseScratch
-// invariant: after any sequence of merges (which refill the scratch
-// once per source table, largest first) and contractions, every slot
-// of the buffer's full capacity is zero — no drained payload stays
-// reachable between restructures.
-func TestScratchPinsNothingAfterRestructure(t *testing.T) {
+// TestRestructurePinsNoRemovedTable pins what a transformation leaves
+// behind the live tables: every record of the rest array past the live
+// ones is zero — so a table a contraction removed, or a merge replaced,
+// is garbage at once instead of staying reachable from the vacated
+// record until a later Grow overwrites it — and the array itself is
+// gone when the chain is back to one table.
+func TestRestructurePinsNoRemovedTable(t *testing.T) {
 	c := NewChain[uint64](2, Config{R: 3, Seed: 5})
-	for k := uint64(1); k <= 400; k++ {
-		c.Insert(k, k) // walks several Grow merges
+	contractions := 0 // 3 → 2 tables: the case that vacates a record
+	check := func(when string, k uint64) {
+		t.Helper()
+		slots := c.slots()
+		if (slots == nil) != (c.n == 1) {
+			t.Fatalf("%s %d: %d tables, rest array present: %v", when, k, c.n, slots != nil)
+		}
+		for i := int(c.n) - 1; i < len(slots); i++ {
+			if slots[i] != (table[uint64]{}) {
+				t.Fatalf("%s %d: %d tables, spare record %d still holds a table", when, k, c.n, i)
+			}
+		}
 	}
-	for k := uint64(1); k <= 395; k++ {
+	for k := uint64(1); k <= 300; k++ {
+		c.Insert(k, k) // walks several Grow merges, ends on three tables
+		check("insert", k)
+	}
+	for k := uint64(1); k <= 295; k++ {
+		before := c.n
 		c.Delete(k) // walks reverse transformations
-	}
-	if cap(c.scratch) == 0 {
-		t.Fatal("workload never used the scratch buffer")
-	}
-	for i, e := range c.scratch[:cap(c.scratch)] {
-		if e.Key != 0 || e.Val != 0 {
-			t.Fatalf("scratch slot %d pins entry {%d %d} after restructures", i, e.Key, e.Val)
+		if before == 3 && c.n == 2 {
+			contractions++
 		}
+		check("delete", k)
 	}
-}
-
-func TestChainDrainIntoReusesBuffer(t *testing.T) {
-	// After a warm-up drain sized the buffer, repeated drain/refill
-	// cycles through DrainInto must not allocate entry slices.
-	c := NewChain[uint64](8, Config{})
-	fill := func() {
-		for k := uint64(1); k <= 100; k++ {
-			c.Insert(k, k)
-		}
-	}
-	fill()
-	buf := make([]Entry[uint64], 0, 4096)
-	buf = c.DrainInto(buf[:0])
-	if len(buf) != 100 {
-		t.Fatalf("drained %d entries, want 100", len(buf))
-	}
-	fill()
-	// One warm cycle so the chain's internal scratch reaches steady
-	// state, then measure. DrainInto itself rebuilds the chain's base
-	// table (one fixed set of table allocations), so measure only the
-	// entry-buffer behaviour: buf must not grow.
-	buf = c.DrainInto(buf[:0])
-	if cap(buf) < 100 || len(buf) != 100 {
-		t.Fatalf("drain cycle: len %d cap %d", len(buf), cap(buf))
+	if contractions == 0 {
+		t.Fatal("workload never contracted a three-table chain")
 	}
 }

@@ -1,6 +1,10 @@
 package cuckoo
 
-import "cuckoograph/internal/hashutil"
+import (
+	"unsafe"
+
+	"cuckoograph/internal/hashutil"
+)
 
 // Chain is a sequence of cuckoo tables managed by the paper's
 // TRANSFORMATION technique (§III-A1, Table II). The first table ("1st
@@ -18,102 +22,129 @@ import "cuckoograph/internal/hashutil"
 // lookup costs one hash however many tables — at most R, two buckets
 // each — it has to touch (the bounded memory-access guarantee of §V-D's
 // analysis). The *Hashed variants let callers that already hold the
-// hash (the engine's batch path) skip even that one computation.
+// hash skip even that one computation.
+//
+// The field order is the layout contract of the package comment: what a
+// lookup reads — the shape, the first table, the pointer to the others —
+// fills the first 64 bytes; what only a mutation reads or writes
+// follows.
 type Chain[P any] struct {
-	cfg    Config
-	base   int // n: the length of the 1st S-CHT at state 0
-	tables []*Table[P]
-	seed   uint64
-	grows  int // number of Grow transformations applied (Table II row)
+	d, tw, stride uint16 // cells, tag words and words per bucket (stride = tw + d)
+	n, r          uint8  // tables in the chain, and the most it may hold
+	// growAt is the population of the active table at which the next
+	// insertion grows the chain first (its LR has reached G); keepAt,
+	// below, the chain population from which a deletion leaves the
+	// shape alone (overall LR ≥ Λ). setThresholds derives both.
+	growAt uint32
+	size   uint32 // entries stored in the whole chain
+	first  table[P]
+	// rest points at the records of tables 2..r, one array of r-1
+	// allocated by the Grow that enables the second table and dropped
+	// when the chain is back to one.
+	rest *table[P]
 
-	// scratch is the reusable drain buffer of the transformation loops:
-	// merges and contractions drain tables into it instead of
-	// allocating a fresh []Entry per restructure. Only valid inside one
-	// transformation; releaseScratch zeroes it afterwards so the
-	// retained Entry payloads (for the L-CHT: whole part2 values
-	// holding adjacency arrays and chain pointers) don't pin memory
-	// between restructures.
-	scratch []Entry[P]
-
-	kicksRetired  uint64 // kicks recorded in tables since merged or removed
-	placements    uint64 // successful cell placements, incl. re-homing moves
-	transformBeat uint64 // Grow + reverse transformations, for stats
+	seed       uint64 // LCG state the table seeds are drawn from
+	base       uint32 // n: the length of the 1st S-CHT at state 0
+	grows      uint32 // number of Grow transformations applied (Table II row)
+	maxKicks   uint32 // T
+	keepAt     uint32
+	transforms uint64 // Grow + reverse transformations, for stats
+	kicks      uint64 // relocation attempts, for the §IV measurement
+	placements uint64 // successful cell placements, incl. re-homing moves
+	g, lambda  float64
 }
 
 // NewChain returns a chain holding a single table of length base.
 func NewChain[P any](base int, cfg Config) *Chain[P] {
 	cfg = cfg.Defaults()
-	if base < 2 {
-		base = 2
+	if cfg.D < 1 || cfg.D > 1<<15 || cfg.R < 1 || cfg.R > 255 || cfg.MaxKicks < 0 || cfg.MaxKicks > 1<<32-1 {
+		panic("cuckoo: Config out of range")
 	}
-	if base%2 != 0 {
-		base++
+	tw := (cfg.D + 7) / 8
+	c := &Chain[P]{
+		d: uint16(cfg.D), tw: uint16(tw), stride: uint16(tw + cfg.D),
+		n: 1, r: uint8(cfg.R), maxKicks: uint32(cfg.MaxKicks),
+		seed: cfg.Seed, g: cfg.G, lambda: cfg.Lambda,
 	}
-	c := &Chain[P]{cfg: cfg, base: base, seed: cfg.Seed}
-	c.tables = []*Table[P]{c.newTable(base)}
+	c.first = c.newTable(base)
+	c.base = uint32(c.first.length())
+	c.setThresholds()
 	return c
 }
 
-func (c *Chain[P]) newTable(length int) *Table[P] {
-	// Give every table a distinct deterministic seed so merged tables
-	// re-randomise their hash functions, as cuckoo rebuilds require.
-	c.seed = c.seed*6364136223846793005 + 1442695040888963407
-	cfg := c.cfg
-	cfg.Seed = c.seed
-	return NewTable[P](length, cfg)
+// restLen is the length of the array behind rest. Table II's merge
+// leaves two tables whatever R is, so it is never less than one.
+func (c *Chain[P]) restLen() int { return max(int(c.r), 2) - 1 }
+
+// slots returns the whole array behind rest, live tables and spare
+// records alike.
+func (c *Chain[P]) slots() []table[P] {
+	if c.rest == nil {
+		return nil
+	}
+	return unsafe.Slice(c.rest, c.restLen())
+}
+
+// tail returns the live tables after the first.
+func (c *Chain[P]) tail() []table[P] { return unsafe.Slice(c.rest, int(c.n)-1) }
+
+// tab returns the i-th table of the chain, 0 ≤ i < n.
+func (c *Chain[P]) tab(i int) *table[P] {
+	if i == 0 {
+		return &c.first
+	}
+	return &c.tail()[i-1]
+}
+
+// active returns the newest table, the one insertions go to.
+func (c *Chain[P]) active() *table[P] { return c.tab(int(c.n) - 1) }
+
+// setThresholds recomputes growAt and keepAt; every change to the set
+// of tables ends with it.
+func (c *Chain[P]) setThresholds() {
+	c.growAt = atLeast(c.cellsOf(c.active()), c.g)
+	c.keepAt = atLeast(c.Cells(), c.lambda)
 }
 
 // Tables returns the number of tables currently in the chain.
-func (c *Chain[P]) Tables() int { return len(c.tables) }
+func (c *Chain[P]) Tables() int { return int(c.n) }
 
 // Lengths returns the lengths of the tables, first to last. The sequence
 // follows Table II of the paper, which the test suite verifies.
 func (c *Chain[P]) Lengths() []int {
-	out := make([]int, len(c.tables))
-	for i := range c.tables {
-		out[i] = c.tables[i].Len()
+	out := make([]int, c.n)
+	for i := range out {
+		out[i] = c.tab(i).length()
 	}
 	return out
 }
 
 // Grows returns how many Grow transformations have been applied; it is
 // the row index of Table II when R=3.
-func (c *Chain[P]) Grows() int { return c.grows }
+func (c *Chain[P]) Grows() int { return int(c.grows) }
 
 // Size returns the total number of stored entries.
-func (c *Chain[P]) Size() int {
-	n := 0
-	for i := range c.tables {
-		n += c.tables[i].Size()
-	}
-	return n
-}
+func (c *Chain[P]) Size() int { return int(c.size) }
 
 // Cells returns the total cells across the chain.
 func (c *Chain[P]) Cells() int {
 	n := 0
-	for i := range c.tables {
-		n += c.tables[i].Cells()
+	for i := 0; i < int(c.n); i++ {
+		n += c.cellsOf(c.tab(i))
 	}
 	return n
 }
 
 // OverallLoadRate is the chain-wide LR used by reverse transformation.
 func (c *Chain[P]) OverallLoadRate() float64 {
-	return float64(c.Size()) / float64(c.Cells())
+	return float64(c.size) / float64(c.Cells())
 }
 
 // Kicks returns cumulative relocation attempts over the chain's whole
 // lifetime, including tables that have since been merged away. Together
 // with Placements it yields the paper's "average number of insertions
 // per item" measurement (§IV-A).
-func (c *Chain[P]) Kicks() uint64 {
-	n := c.kicksRetired
-	for i := range c.tables {
-		n += c.tables[i].Kicks()
-	}
-	return n
-}
+func (c *Chain[P]) Kicks() uint64 { return c.kicks }
 
 // Placements returns the number of successful cell placements performed,
 // including the internal moves of merges and contractions.
@@ -121,23 +152,42 @@ func (c *Chain[P]) Placements() uint64 { return c.placements }
 
 // Transformations returns how many forward or reverse transformations
 // the chain has performed.
-func (c *Chain[P]) Transformations() uint64 { return c.transformBeat }
+func (c *Chain[P]) Transformations() uint64 { return c.transforms }
 
-// Lookup probes every table in the chain with one shared hash.
-func (c *Chain[P]) Lookup(key uint64) (P, bool) {
-	return c.LookupHashed(hashutil.Key64(key), key)
-}
+// Pos names one occupied cell of a chain — its table and the cell's
+// flat index there, in one word — or, negative, none. It is what
+// FindHashed returns and what At and DeleteAt act on without probing
+// again, and it is valid until the chain is next mutated.
+type Pos int64
 
-// LookupHashed is Lookup with the key's hash already computed.
-func (c *Chain[P]) LookupHashed(h, key uint64) (P, bool) {
-	for i := range c.tables {
-		t := c.tables[i]
-		if j := t.findHashed(h, key); j >= 0 {
-			return t.vals[j], true
+const posTableShift = 48
+
+// Found reports whether the probe that produced p found its key.
+func (p Pos) Found() bool { return p >= 0 }
+
+func (p Pos) table() int { return int(p >> posTableShift) }
+func (p Pos) cell() int  { return int(p & (1<<posTableShift - 1)) }
+
+// FindHashed probes every table in the chain with one shared hash (h is
+// key's Key64) and returns where key is stored.
+func (c *Chain[P]) FindHashed(h, key uint64) Pos {
+	if i := c.findIn(&c.first, h, key); i >= 0 {
+		return Pos(i)
+	}
+	tail := c.tail()
+	for j := range tail {
+		if i := c.findIn(&tail[j], h, key); i >= 0 {
+			return Pos(j+1)<<posTableShift | Pos(i)
 		}
 	}
-	var zero P
-	return zero, false
+	return -1
+}
+
+// At returns a mutable pointer to the payload of the cell at p (which
+// must be Found), so callers can update it in place — the weighted
+// version bumps w without a second probe.
+func (c *Chain[P]) At(p Pos) *P {
+	return &c.payloads(c.tab(p.table()))[p.cell()]
 }
 
 // Ref returns a mutable pointer to key's payload, or nil.
@@ -147,37 +197,22 @@ func (c *Chain[P]) Ref(key uint64) *P {
 
 // RefHashed is Ref with the key's hash already computed.
 func (c *Chain[P]) RefHashed(h, key uint64) *P {
-	for i := range c.tables {
-		t := c.tables[i]
-		if j := t.findHashed(h, key); j >= 0 {
-			return &t.vals[j]
-		}
+	if p := c.FindHashed(h, key); p.Found() {
+		return c.At(p)
 	}
 	return nil
 }
 
 // Contains reports whether key is stored anywhere in the chain.
 func (c *Chain[P]) Contains(key uint64) bool {
-	return c.ContainsHashed(hashutil.Key64(key), key)
-}
-
-// ContainsHashed is Contains with the key's hash already computed.
-func (c *Chain[P]) ContainsHashed(h, key uint64) bool {
-	for i := range c.tables {
-		if c.tables[i].findHashed(h, key) >= 0 {
-			return true
-		}
-	}
-	return false
+	return c.FindHashed(hashutil.Key64(key), key).Found()
 }
 
 // NeedsGrow reports whether the active table's LR has reached G, i.e. a
 // Grow transformation should run before the next insertion (§III-A1:
 // "if the growing l causes the LR of the S-CHT to reach the preset
 // threshold G before the current v arrives").
-func (c *Chain[P]) NeedsGrow() bool {
-	return c.tables[len(c.tables)-1].LoadRate() >= c.cfg.G
-}
+func (c *Chain[P]) NeedsGrow() bool { return c.active().size >= c.growAt }
 
 // Grow applies one step of the transformation rule:
 //
@@ -193,48 +228,43 @@ func (c *Chain[P]) NeedsGrow() bool {
 // leftovers for the caller's denylist.
 func (c *Chain[P]) Grow() (leftovers []Entry[P]) {
 	c.grows++
-	c.transformBeat++
-	if len(c.tables) < c.cfg.R {
-		var length int
-		if len(c.tables) == 1 {
-			length = c.tables[0].Len() / 2
-		} else {
-			length = c.tables[len(c.tables)-1].Len()
+	c.transforms++
+	defer c.setThresholds()
+	if c.n < c.r {
+		length := c.first.length() / 2
+		if c.n > 1 {
+			length = c.active().length()
 		}
-		c.tables = append(c.tables, c.newTable(length))
+		c.enable(length)
 		return nil
 	}
-	merged := c.newTable(c.tables[0].Len() * 2)
-	for i := range c.tables {
-		t := c.tables[i]
-		c.kicksRetired += t.Kicks()
-		// Drain into the chain's reusable scratch buffer — a merge no
-		// longer allocates a fresh slice per source table.
-		c.scratch = t.DrainInto(c.scratch[:0])
-		for _, e := range c.scratch {
-			if lo, ok := merged.Insert(e.Key, e.Val); !ok {
+	// The old tables are read in place while the merged one fills: they
+	// are garbage as soon as the loop ends, so nothing is drained into a
+	// buffer first.
+	merged := c.newTable(c.first.length() * 2)
+	c.size = 0
+	for i := 0; i < int(c.n); i++ {
+		c.forEachIn(c.tab(i), func(key uint64, val *P) bool {
+			if lo, ok := c.insertIn(&merged, hashutil.Key64(key), key, *val); !ok {
 				leftovers = append(leftovers, lo)
-			} else {
-				c.placements++
 			}
-		}
-		// Release per table, not once after the loop: the first table
-		// is the largest, so a later, shorter fill would otherwise
-		// strand its tail entries past the final release's len.
-		c.releaseScratch()
+			return true
+		})
 	}
-	c.tables = []*Table[P]{merged, c.newTable(merged.Len() / 2)}
+	c.first = merged
+	clear(c.slots())
+	c.n = 1
+	c.enable(merged.length() / 2)
 	return leftovers
 }
 
-// releaseScratch zeroes the drain buffer's live entries and resets its
-// length, keeping the allocation but dropping every payload it pinned.
-// The tail beyond len is already zero — every release leaves the whole
-// buffer zeroed and refills only append from an empty slice — so O(len)
-// suffices, not O(high-water capacity).
-func (c *Chain[P]) releaseScratch() {
-	clear(c.scratch)
-	c.scratch = c.scratch[:0]
+// enable appends a fresh table of the given length to the chain.
+func (c *Chain[P]) enable(length int) {
+	if c.rest == nil {
+		c.rest = unsafe.SliceData(make([]table[P], c.restLen()))
+	}
+	c.n++
+	*c.active() = c.newTable(length)
 }
 
 // Insert stores ⟨key,val⟩, hashing the key itself. See InsertHashed.
@@ -254,82 +284,74 @@ func (c *Chain[P]) InsertHashed(h, key uint64, val P) (leftovers []Entry[P], gre
 		leftovers = c.Grow()
 		grew = true
 	}
-	active := c.tables[len(c.tables)-1]
-	if lo, ok := active.InsertHashed(h, key, val); !ok {
+	if lo, ok := c.insertIn(c.active(), h, key, val); !ok {
 		leftovers = append(leftovers, lo)
-	} else {
-		c.placements++
 	}
 	return leftovers, grew
 }
 
-// Delete removes key, hashing the key itself. See DeleteHashed.
+// Delete removes key, hashing the key itself, and reports whether it
+// was stored. See DeleteAt for the reverse transformation it may apply.
 func (c *Chain[P]) Delete(key uint64) (leftovers []Entry[P], deleted bool) {
-	return c.DeleteHashed(hashutil.Key64(key), key)
-}
-
-// DeleteHashed removes key (h is its Key64 hash) and applies reverse
-// transformation (§III-A1) when the overall LR drops below Λ: with two
-// or more tables the table that held the key is removed and its
-// residents transferred to the others; with a single table longer than
-// the base length, the table is rebuilt at half length. Leftovers that
-// cannot be re-homed are returned for the caller's denylist.
-func (c *Chain[P]) DeleteHashed(h, key uint64) (leftovers []Entry[P], deleted bool) {
-	idx := -1
-	for i := range c.tables {
-		if c.tables[i].DeleteHashed(h, key) {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	p := c.FindHashed(hashutil.Key64(key), key)
+	if !p.Found() {
 		return nil, false
 	}
-	if c.OverallLoadRate() >= c.cfg.Lambda {
-		return nil, true
+	return c.DeleteAt(p), true
+}
+
+// DeleteAt removes the entry at p (which must be Found) and applies
+// reverse transformation (§III-A1) when the overall LR drops below Λ:
+// with two or more tables the table that held the entry is removed and
+// its residents transferred to the others; with a single table longer
+// than the base length, the table is rebuilt at half length. Leftovers
+// that cannot be re-homed are returned for the caller's denylist.
+func (c *Chain[P]) DeleteAt(p Pos) (leftovers []Entry[P]) {
+	held := p.table()
+	c.clearIn(c.tab(held), p.cell())
+	if c.size >= c.keepAt {
+		return nil
 	}
-	if len(c.tables) > 1 {
-		// The victim table value keeps its backing arrays alive after
-		// the element is shifted out of the tables slice.
-		victim := c.tables[idx]
+	var victim table[P]
+	if c.n > 1 {
 		// Contract only if the surviving tables can absorb the victim's
 		// residents below the expansion threshold; otherwise deleting the
 		// table would immediately re-trigger growth (thrash) and flood
 		// the caller's denylist.
-		otherCells := c.Cells() - victim.Cells()
-		if float64(c.Size()) > float64(otherCells)*c.cfg.G {
-			return nil, true
+		otherCells := c.Cells() - c.cellsOf(c.tab(held))
+		if float64(c.size) > float64(otherCells)*c.g {
+			return nil
 		}
-		c.transformBeat++
-		c.tables = append(c.tables[:idx], c.tables[idx+1:]...)
-		c.kicksRetired += victim.Kicks()
-		c.scratch = victim.DrainInto(c.scratch[:0])
-		for _, e := range c.scratch {
-			if lo, ok := c.rehome(e); !ok {
-				leftovers = append(leftovers, lo)
-			}
+		// Shift the later tables down and zero the vacated record, so
+		// the removed table's arrays are garbage once its residents have
+		// moved.
+		victim = *c.tab(held)
+		for i := held; i < int(c.n)-1; i++ {
+			*c.tab(i) = *c.tab(i + 1)
 		}
-		c.releaseScratch()
-		return leftovers, true
-	}
-	if c.tables[0].Len() > c.base {
-		old := c.tables[0]
+		*c.active() = table[P]{}
+		c.n--
+		if c.n == 1 {
+			c.rest = nil
+		}
+	} else {
 		// Same guard: the halved table must hold everything below G.
-		if float64(old.Size()) > float64(old.Cells())/2*c.cfg.G {
-			return nil, true
+		if c.first.length() <= int(c.base) || float64(c.size) > float64(c.cellsOf(&c.first))/2*c.g {
+			return nil
 		}
-		c.transformBeat++
-		c.tables[0] = c.newTable(old.Len() / 2)
-		c.kicksRetired += old.Kicks()
-		c.scratch = old.DrainInto(c.scratch[:0])
-		for _, e := range c.scratch {
-			if lo, ok := c.rehome(e); !ok {
-				leftovers = append(leftovers, lo)
-			}
-		}
-		c.releaseScratch()
+		victim = c.first
+		c.first = c.newTable(victim.length() / 2)
 	}
-	return leftovers, true
+	c.transforms++
+	c.size -= victim.size
+	c.forEachIn(&victim, func(key uint64, val *P) bool {
+		if lo, ok := c.rehome(Entry[P]{key, *val}); !ok {
+			leftovers = append(leftovers, lo)
+		}
+		return true
+	})
+	c.setThresholds()
+	return leftovers
 }
 
 // rehome tries to place e in any table of the chain, emptiest first.
@@ -337,23 +359,22 @@ func (c *Chain[P]) DeleteHashed(h, key uint64) (leftovers []Entry[P], deleted bo
 // out a different victim, so the victim becomes the entry to place next;
 // on total failure that final homeless entry is returned.
 func (c *Chain[P]) rehome(e Entry[P]) (Entry[P], bool) {
-	best := -1
-	for i := range c.tables {
-		if best < 0 || c.tables[i].LoadRate() < c.tables[best].LoadRate() {
-			best = i
+	n := int(c.n)
+	best, bestLR := 0, 2.0
+	for i := 0; i < n; i++ {
+		t := c.tab(i)
+		if lr := float64(t.size) / float64(c.cellsOf(t)); lr < bestLR {
+			best, bestLR = i, lr
 		}
 	}
-	cur := e
-	for off := 0; off < len(c.tables); off++ {
-		t := c.tables[(best+off)%len(c.tables)]
-		lo, ok := t.Insert(cur.Key, cur.Val)
+	for off := 0; off < n; off++ {
+		lo, ok := c.insertIn(c.tab((best+off)%n), hashutil.Key64(e.Key), e.Key, e.Val)
 		if ok {
-			c.placements++
 			return Entry[P]{}, true
 		}
-		cur = lo
+		e = lo
 	}
-	return cur, false
+	return e, false
 }
 
 // ForEach calls fn for every entry in the chain until fn returns false.
@@ -366,40 +387,20 @@ func (c *Chain[P]) ForEach(fn func(key uint64, val P) bool) {
 // returns false. It reports whether the scan ran to completion. The
 // pointers are valid only during the call.
 func (c *Chain[P]) ForEachRef(fn func(key uint64, val *P) bool) bool {
-	for i := range c.tables {
-		if !c.tables[i].ForEachRef(fn) {
+	for i := 0; i < int(c.n); i++ {
+		if !c.forEachIn(c.tab(i), fn) {
 			return false
 		}
 	}
 	return true
 }
 
-// Drain removes and returns every entry in the chain, resetting it to a
-// single base-length table.
-func (c *Chain[P]) Drain() []Entry[P] {
-	return c.DrainInto(nil)
-}
-
-// DrainInto removes every entry in the chain, appending them to buf,
-// and resets the chain to a single base-length table. Callers that
-// restructure repeatedly (the engine's chain collapse) pass a reusable
-// buffer to keep the transformation allocation-free.
-func (c *Chain[P]) DrainInto(buf []Entry[P]) []Entry[P] {
-	for i := range c.tables {
-		c.kicksRetired += c.tables[i].Kicks()
-		buf = c.tables[i].DrainInto(buf)
-	}
-	c.tables = []*Table[P]{c.newTable(c.base)}
-	c.grows = 0
-	return buf
-}
-
 // MemoryBytes sums the structural bytes of all tables in the chain.
 func (c *Chain[P]) MemoryBytes(payloadBytes int) uint64 {
 	var n uint64
-	for i := range c.tables {
-		n += c.tables[i].MemoryBytes(payloadBytes)
+	for i := 0; i < int(c.n); i++ {
+		n += c.memoryBytes(c.tab(i), payloadBytes)
 	}
 	// One header word per table for the chain's table array slot.
-	return n + uint64(len(c.tables))*8
+	return n + uint64(c.n)*8
 }

@@ -137,21 +137,6 @@ func TestChainDeleteAbsent(t *testing.T) {
 	}
 }
 
-func TestChainDrainResets(t *testing.T) {
-	c := NewChain[uint64](8, Config{R: 3})
-	for i := uint64(1); i <= 300; i++ {
-		c.Insert(i, i)
-	}
-	out := c.Drain()
-	if len(out) != 300 {
-		t.Fatalf("drained %d entries, want 300", len(out))
-	}
-	if c.Size() != 0 || c.Tables() != 1 || c.Lengths()[0] != 8 {
-		t.Fatalf("chain not reset: size %d tables %d lengths %v",
-			c.Size(), c.Tables(), c.Lengths())
-	}
-}
-
 // TestChainQuickModel drives the chain against a map model through mixed
 // insert/delete/lookup streams, covering growth and contraction.
 func TestChainQuickModel(t *testing.T) {

@@ -3,9 +3,24 @@
 // bucket-array ratio (§V-A), and the TRANSFORMATION chain that grows and
 // shrinks a sequence of such tables by the Table II rule (§III-A1).
 //
-// The table is generic over its payload so the same machinery backs both
+// The chain is generic over its payload so the same machinery backs both
 // the L-CHT (payload: a cell's Part 2) and the S-CHTs (payload: a weight
 // or edge list).
+//
+// # Layout
+//
+// A Chain is one 128-byte header. It holds, once per chain and as plain
+// words, everything its tables share — d, the tag-word count, the bucket
+// stride, T, the grow and contract thresholds as populations — and its
+// first table BY VALUE: a 40-byte record of cell storage, length, seed,
+// eviction-RNG state and population. Tables 2..R sit in one array of
+// such records that exists only while the chain has more than one
+// table. So a probe goes owner → chain header → bucket: two dependent
+// loads, with everything it reads of the header in the header's first
+// cache line (layout_test.go pins that). A table's cell storage is a
+// bare pointer; its length follows from the table's length and the
+// chain's shape, and the accessors words and payloads rebuild a
+// bounds-checked slice from the two.
 //
 // # Probe path
 //
@@ -23,16 +38,24 @@
 // so a tag collision costs one extra compare and can never produce a
 // wrong result. Tags travel with their cells through kick loops, so
 // relocations never recompute them.
+//
+// A probe that finds its key returns a Pos; At and DeleteAt act on the
+// cell it names, so a caller's duplicate check, payload update and
+// removal share one probe.
 package cuckoo
 
 import (
+	"math"
 	"math/bits"
+	"unsafe"
 
 	"cuckoograph/internal/hashutil"
 )
 
 // Config carries the tuning parameters shared by every table in a chain.
-// Zero fields are replaced by the paper's defaults (§V-B).
+// Zero fields are replaced by the paper's defaults (§V-B). NewChain
+// panics on values a chain header cannot hold: D outside [1, 32768],
+// R outside [1, 255], MaxKicks outside [0, 2³²).
 type Config struct {
 	D        int     // cells per bucket (paper default 8)
 	MaxKicks int     // T, maximum kick loops before an insertion fails (250)
@@ -71,77 +94,75 @@ type Entry[P any] struct {
 	Val P
 }
 
-// Table is one cuckoo hash table: two bucket arrays with a 2:1 bucket
-// count ratio, each bucket holding d cells. The table's "length" in the
-// paper's sense is the bucket count of the larger array.
-type Table[P any] struct {
-	d        int
-	maxKicks int
-
-	m1, m2 int // bucket counts of array 1 and array 2 (m1 = 2*m2)
-
-	tw     int // tag words per bucket: ⌈d/8⌉
-	stride int // words per bucket: tw + d
-
-	seed uint64 // per-table mix for deriving bucket indexes from Key64
-
+// table is the per-table record of a chain: two bucket arrays with a
+// 2:1 bucket count ratio, each bucket holding d cells. The table's
+// "length" in the paper's sense is the bucket count of the larger
+// array, 2·m2. Everything the tables of a chain share lives in the
+// Chain, so every operation on a table is a Chain method.
+type table[P any] struct {
 	// cells is the interleaved bucket storage, arrays 1 and 2
 	// concatenated: bucket b occupies words [b*stride, (b+1)*stride) —
 	// tw fingerprint-tag words (8 one-byte tags per word, 0 = empty
 	// cell, unused high lanes of a partial word stay 0) followed by d
 	// key words. vals is indexed by flat cell number b*d + c, the cell
-	// index every exported method speaks.
-	cells []uint64
-	vals  []P
+	// index a Pos carries. Both point at the first element of an array
+	// whose length words and payloads compute.
+	cells *uint64
+	vals  *P
 
-	size  int
-	rng   *hashutil.RNG
-	kicks uint64 // total relocation attempts, for the §IV measurement
+	seed uint64       // per-table mix for deriving bucket indexes from Key64
+	rng  hashutil.RNG // picks the resident a full bucket evicts
+	m2   uint32       // bucket count of array 2; array 1 has twice as many
+	size uint32       // occupied cells
 }
 
-// NewTable returns a table of the given length (buckets in the larger
-// array; minimum 2, rounded up to even so m2 = length/2 ≥ 1).
-func NewTable[P any](length int, cfg Config) *Table[P] {
-	cfg = cfg.Defaults()
-	if length < 2 {
-		length = 2
-	}
-	if length%2 != 0 {
-		length++
-	}
-	rng := hashutil.NewRNG(cfg.Seed)
-	t := &Table[P]{
-		d:        cfg.D,
-		maxKicks: cfg.MaxKicks,
-		m1:       length,
-		m2:       length / 2,
-		tw:       (cfg.D + 7) / 8,
-		seed:     rng.Next(),
-		rng:      rng,
-	}
-	t.stride = t.tw + t.d
-	buckets := t.m1 + t.m2
-	t.cells = make([]uint64, buckets*t.stride)
-	t.vals = make([]P, buckets*t.d)
+// length returns the paper's table length (buckets in the larger array).
+func (t *table[P]) length() int { return 2 * int(t.m2) }
+
+// words returns t's cell storage.
+func (c *Chain[P]) words(t *table[P]) []uint64 {
+	return unsafe.Slice(t.cells, 3*int(t.m2)*int(c.stride))
+}
+
+// payloads returns t's payload storage.
+func (c *Chain[P]) payloads(t *table[P]) []P {
+	return unsafe.Slice(t.vals, c.cellsOf(t))
+}
+
+// cellsOf returns the total number of cells of t.
+func (c *Chain[P]) cellsOf(t *table[P]) int { return 3 * int(t.m2) * int(c.d) }
+
+// newTable returns a table of the given length (minimum 2, rounded up
+// to even so array 2 has length/2 ≥ 1 buckets). Every table gets a
+// distinct deterministic seed so merged tables re-randomise their hash
+// functions, as cuckoo rebuilds require.
+func (c *Chain[P]) newTable(length int) table[P] {
+	length = max(length, 2)
+	length += length % 2
+	c.seed = c.seed*6364136223846793005 + 1442695040888963407
+	t := table[P]{m2: uint32(length / 2), rng: *hashutil.NewRNG(c.seed)}
+	t.seed = t.rng.Next()
+	buckets := 3 * (length / 2)
+	t.cells = unsafe.SliceData(make([]uint64, buckets*int(c.stride)))
+	t.vals = unsafe.SliceData(make([]P, buckets*int(c.d)))
 	return t
 }
 
-// Len returns the paper's table length (buckets in the larger array).
-func (t *Table[P]) Len() int { return t.m1 }
-
-// Cells returns the total number of cells.
-func (t *Table[P]) Cells() int { return (t.m1 + t.m2) * t.d }
-
-// Size returns the number of occupied cells.
-func (t *Table[P]) Size() int { return t.size }
-
-// LoadRate returns size/cells, the LR of §III-A1.
-func (t *Table[P]) LoadRate() float64 {
-	return float64(t.size) / float64(t.Cells())
+// atLeast returns the smallest population s with s/cells ≥ rate — by
+// the very float compare the paper's rule is stated in, so the per-op
+// grow and contract checks are integer compares that decide exactly as
+// the division did. cells+1 stands for "never".
+func atLeast(cells int, rate float64) uint32 {
+	s := int(math.Ceil(rate * float64(cells)))
+	s = max(0, min(s, cells+1))
+	for s > 0 && float64(s-1)/float64(cells) >= rate {
+		s--
+	}
+	for s <= cells && float64(s)/float64(cells) < rate {
+		s++
+	}
+	return uint32(s)
 }
-
-// Kicks returns the cumulative relocation attempts since creation.
-func (t *Table[P]) Kicks() uint64 { return t.kicks }
 
 // SWAR constants: the broadcast and per-lane high-bit masks of 8 byte
 // lanes in a tag word.
@@ -174,13 +195,13 @@ func laneMask(lanes int) uint64 {
 	return tagMSB >> (8 * (8 - lanes))
 }
 
-// remix folds the per-table seed into the chain-level hash, yielding
-// 64 fresh bits per table from one Key64 of the key. Its halves become
+// remix folds a table's seed into the chain-level hash, yielding 64
+// fresh bits per table from one Key64 of the key. Its halves become
 // the per-array bucket indexes after multiply-shift range reduction
 // (h·m >> 32 — cheaper than a modulo and equally uniform). No
 // per-table key re-hash happens anywhere on the probe path.
-func (t *Table[P]) remix(h uint64) uint64 {
-	x := h ^ t.seed
+func remix(h, seed uint64) uint64 {
+	x := h ^ seed
 	x ^= x >> 33
 	x *= 0xFF51AFD7ED558CCD
 	x ^= x >> 33
@@ -188,81 +209,80 @@ func (t *Table[P]) remix(h uint64) uint64 {
 }
 
 // bucketPair derives the key's two candidate buckets (as global bucket
-// indexes: array 2 starts at m1) from the remixed hash halves.
-func (t *Table[P]) bucketPair(x uint64) (b1, b2 int) {
-	b1 = int(uint64(uint32(x)) * uint64(t.m1) >> 32)
-	b2 = t.m1 + int(uint64(uint32(x>>32))*uint64(t.m2)>>32)
+// indexes: array 2 starts at 2·m2) from the remixed hash halves.
+func (t *table[P]) bucketPair(x uint64) (b1, b2 int) {
+	m2 := uint64(t.m2)
+	b1 = int(uint64(uint32(x)) * (2 * m2) >> 32)
+	b2 = int(2*m2 + uint64(uint32(x>>32))*m2>>32)
 	return b1, b2
 }
 
 // tagAt returns the fingerprint tag of cell c in bucket b.
-func (t *Table[P]) tagAt(b, c int) byte {
-	return byte(t.cells[b*t.stride+c>>3] >> ((c & 7) * 8))
+func (c *Chain[P]) tagAt(cells []uint64, b, cell int) byte {
+	return byte(cells[b*int(c.stride)+cell>>3] >> ((cell & 7) * 8))
 }
 
 // setTag writes cell c of bucket b's fingerprint tag.
-func (t *Table[P]) setTag(b, c int, tag byte) {
-	w := &t.cells[b*t.stride+c>>3]
-	shift := (c & 7) * 8
+func (c *Chain[P]) setTag(cells []uint64, b, cell int, tag byte) {
+	w := &cells[b*int(c.stride)+cell>>3]
+	shift := (cell & 7) * 8
 	*w = *w&^(0xFF<<shift) | uint64(tag)<<shift
 }
 
-// keyRef returns a pointer to the key word of cell c in bucket b.
-func (t *Table[P]) keyRef(b, c int) *uint64 {
-	return &t.cells[b*t.stride+t.tw+c]
-}
-
-// findHashed returns the flat cell index of key (whose chain-level
-// hash is h), or -1. Candidate cells are pre-filtered by fingerprint
-// tag; the full key compare decides, so a tag collision costs one
-// extra load — from the cache line right after the tag word. The d=8
-// default is fully unrolled: one tag word, eight adjacent keys, and
-// the second bucket is not derived unless the first rejects.
-func (t *Table[P]) findHashed(h, key uint64) int {
+// findIn returns the flat cell index of key (whose chain-level hash is
+// h) in t, or -1. Candidate cells are pre-filtered by fingerprint tag;
+// the full key compare decides, so a tag collision costs one extra
+// load — from the cache line right after the tag word. The d=8 default
+// is fully unrolled: one tag word, eight adjacent keys, and the second
+// bucket is not derived unless the first rejects.
+func (c *Chain[P]) findIn(t *table[P], h, key uint64) int {
 	pat := uint64(tagOf(h)) * tagLSB
-	x := t.remix(h)
-	if t.d == 8 {
-		b := int(uint64(uint32(x)) * uint64(t.m1) >> 32)
+	x := remix(h, t.seed)
+	cells := c.words(t)
+	if c.d == 8 {
+		m2 := uint64(t.m2)
+		b := int(uint64(uint32(x)) * (2 * m2) >> 32)
 		base := b * 9
-		m := zeroBytes(t.cells[base] ^ pat)
+		m := zeroBytes(cells[base] ^ pat)
 		for m != 0 {
-			c := bits.TrailingZeros64(m) >> 3
-			if t.cells[base+1+c] == key {
-				return b*8 + c
+			i := bits.TrailingZeros64(m) >> 3
+			if cells[base+1+i] == key {
+				return b*8 + i
 			}
 			m &= m - 1
 		}
-		b = t.m1 + int(uint64(uint32(x>>32))*uint64(t.m2)>>32)
+		b = int(2*m2 + uint64(uint32(x>>32))*m2>>32)
 		base = b * 9
-		m = zeroBytes(t.cells[base] ^ pat)
+		m = zeroBytes(cells[base] ^ pat)
 		for m != 0 {
-			c := bits.TrailingZeros64(m) >> 3
-			if t.cells[base+1+c] == key {
-				return b*8 + c
+			i := bits.TrailingZeros64(m) >> 3
+			if cells[base+1+i] == key {
+				return b*8 + i
 			}
 			m &= m - 1
 		}
 		return -1
 	}
 	b1, b2 := t.bucketPair(x)
-	if i := t.probeBucket(b1, pat, key); i >= 0 {
+	if i := c.probeBucket(cells, b1, pat, key); i >= 0 {
 		return i
 	}
-	return t.probeBucket(b2, pat, key)
+	return c.probeBucket(cells, b2, pat, key)
 }
 
 // probeBucket scans one bucket's tag word(s) for pat, verifying
 // candidates against the full key; it returns the flat cell index or
 // -1. Unused lanes of a partial tag word hold 0 and pat is never 0, so
 // they can't match and need no masking here.
-func (t *Table[P]) probeBucket(b int, pat, key uint64) int {
-	base := b * t.stride
-	for w := 0; w < t.tw; w++ {
-		m := zeroBytes(t.cells[base+w] ^ pat)
+func (c *Chain[P]) probeBucket(cells []uint64, b int, pat, key uint64) int {
+	tw, d := int(c.tw), int(c.d)
+	base := b * int(c.stride)
+	for w := 0; w < tw; w++ {
+		m := zeroBytes(cells[base+w] ^ pat)
 		for m != 0 {
-			c := w*8 + bits.TrailingZeros64(m)>>3
-			if t.cells[base+t.tw+c] == key {
-				return b*t.d + c
+			i := w*8 + bits.TrailingZeros64(m)>>3
+			if cells[base+tw+i] == key {
+				return b*d + i
 			}
 			m &= m - 1
 		}
@@ -273,11 +293,11 @@ func (t *Table[P]) probeBucket(b int, pat, key uint64) int {
 // emptyIn returns the in-bucket cell index of an empty cell in bucket
 // b, or -1. Unused lanes of a partial tag word would read as "empty",
 // so they are masked off.
-func (t *Table[P]) emptyIn(b int) int {
-	base := b * t.stride
-	for w := 0; w < t.tw; w++ {
-		m := zeroBytes(t.cells[base+w])
-		if rem := t.d - w*8; rem < 8 {
+func (c *Chain[P]) emptyIn(cells []uint64, b int) int {
+	base := b * int(c.stride)
+	for w := 0; w < int(c.tw); w++ {
+		m := zeroBytes(cells[base+w])
+		if rem := int(c.d) - w*8; rem < 8 {
 			m &= laneMask(rem)
 		}
 		if m != 0 {
@@ -287,159 +307,91 @@ func (t *Table[P]) emptyIn(b int) int {
 	return -1
 }
 
-// find returns the flat cell index of key, or -1, hashing the key.
-func (t *Table[P]) find(key uint64) int {
-	return t.findHashed(hashutil.Key64(key), key)
-}
-
-// Lookup returns the payload stored under key.
-func (t *Table[P]) Lookup(key uint64) (P, bool) {
-	return t.LookupHashed(hashutil.Key64(key), key)
-}
-
-// LookupHashed is Lookup with the key's hash already computed.
-func (t *Table[P]) LookupHashed(h, key uint64) (P, bool) {
-	if i := t.findHashed(h, key); i >= 0 {
-		return t.vals[i], true
-	}
-	var zero P
-	return zero, false
-}
-
-// Ref returns a pointer to key's payload so callers can mutate it in
-// place (used by the weighted version to bump w without a second probe).
-func (t *Table[P]) Ref(key uint64) *P {
-	return t.RefHashed(hashutil.Key64(key), key)
-}
-
-// RefHashed is Ref with the key's hash already computed.
-func (t *Table[P]) RefHashed(h, key uint64) *P {
-	if i := t.findHashed(h, key); i >= 0 {
-		return &t.vals[i]
-	}
-	return nil
-}
-
-// Contains reports whether key is stored.
-func (t *Table[P]) Contains(key uint64) bool { return t.find(key) >= 0 }
-
-// place writes ⟨key,val,tag⟩ into cell c of bucket b.
-func (t *Table[P]) place(b, c int, key uint64, val P, tag byte) {
-	*t.keyRef(b, c) = key
-	t.vals[b*t.d+c] = val
-	t.setTag(b, c, tag)
-	t.size++
-}
-
-// Insert stores ⟨key,val⟩, hashing the key itself. See InsertHashed.
-func (t *Table[P]) Insert(key uint64, val P) (leftover Entry[P], ok bool) {
-	return t.InsertHashed(hashutil.Key64(key), key, val)
-}
-
-// InsertHashed stores ⟨key,val⟩ (h is the key's chain-level hash),
-// kicking residents per the cuckoo discipline for at most MaxKicks
-// rounds. On success ok is true. On failure ok is false and the
-// returned entry is the item left without a home (which, after kicking,
-// is generally NOT the argument pair); the caller is expected to park
-// it in a denylist (§III-A2). The caller must ensure key is not already
-// present. A kicked victim keeps its tag byte — only its buckets are
-// re-derived, from one Key64 of the victim key.
-func (t *Table[P]) InsertHashed(h, key uint64, val P) (leftover Entry[P], ok bool) {
+// insertIn stores ⟨key,val⟩ (h is the key's chain-level hash) in t,
+// kicking residents per the cuckoo discipline for at most T rounds. On
+// success ok is true. On failure ok is false and the returned entry is
+// the item left without a home (which, after kicking, is generally NOT
+// the argument pair); the caller is expected to park it in a denylist
+// (§III-A2). The caller must ensure key is not already present. A
+// kicked victim keeps its tag byte — only its buckets are re-derived,
+// from one Key64 of the victim key.
+func (c *Chain[P]) insertIn(t *table[P], h, key uint64, val P) (leftover Entry[P], ok bool) {
+	cells, vals := c.words(t), c.payloads(t)
+	d, tw, stride := int(c.d), int(c.tw), int(c.stride)
 	curH, curKey, curVal := h, key, val
 	curTag := tagOf(h)
 	array := 1
-	for kick := 0; kick <= t.maxKicks; kick++ {
+	for kick := uint32(0); ; kick++ {
 		// Try both candidate buckets for an empty cell first.
-		b1, b2 := t.bucketPair(t.remix(curH))
-		if c := t.emptyIn(b1); c >= 0 {
-			t.place(b1, c, curKey, curVal, curTag)
+		b1, b2 := t.bucketPair(remix(curH, t.seed))
+		b, cell := b1, c.emptyIn(cells, b1)
+		if cell < 0 {
+			b, cell = b2, c.emptyIn(cells, b2)
+		}
+		if cell >= 0 {
+			cells[b*stride+tw+cell] = curKey
+			vals[b*d+cell] = curVal
+			c.setTag(cells, b, cell, curTag)
+			t.size++
+			c.size++
+			c.placements++
 			return Entry[P]{}, true
 		}
-		if c := t.emptyIn(b2); c >= 0 {
-			t.place(b2, c, curKey, curVal, curTag)
-			return Entry[P]{}, true
-		}
-		if kick == t.maxKicks {
-			break
+		if kick == c.maxKicks {
+			return Entry[P]{Key: curKey, Val: curVal}, false
 		}
 		// Both buckets full: evict a random resident from the bucket in
 		// the current array and continue with the victim in the other.
-		b := b1
+		b = b1
 		if array == 2 {
 			b = b2
 		}
-		c := t.rng.Intn(t.d)
-		kr := t.keyRef(b, c)
+		cell = t.rng.Intn(d)
+		kr := &cells[b*stride+tw+cell]
 		*kr, curKey = curKey, *kr
-		vr := &t.vals[b*t.d+c]
+		vr := &vals[b*d+cell]
 		*vr, curVal = curVal, *vr
-		oldTag := t.tagAt(b, c)
-		t.setTag(b, c, curTag)
+		oldTag := c.tagAt(cells, b, cell)
+		c.setTag(cells, b, cell, curTag)
 		curTag = oldTag
 		curH = hashutil.Key64(curKey)
-		t.kicks++
+		c.kicks++
 		array = 3 - array
 	}
-	return Entry[P]{Key: curKey, Val: curVal}, false
 }
 
-// clearCell empties the flat cell index i.
-func (t *Table[P]) clearCell(i int) {
-	b := i / t.d
-	c := i - b*t.d
+// clearIn empties the flat cell index i of t.
+func (c *Chain[P]) clearIn(t *table[P], i int) {
+	d := int(c.d)
+	b := i / d
+	cell := i - b*d
+	cells := c.words(t)
 	var zero P
-	*t.keyRef(b, c) = 0
-	t.vals[i] = zero
-	t.setTag(b, c, 0)
+	cells[b*int(c.stride)+int(c.tw)+cell] = 0
+	c.payloads(t)[i] = zero
+	c.setTag(cells, b, cell, 0)
 	t.size--
+	c.size--
 }
 
-// Delete removes key, reporting whether it was present.
-func (t *Table[P]) Delete(key uint64) bool {
-	return t.DeleteHashed(hashutil.Key64(key), key)
-}
-
-// DeleteHashed is Delete with the key's hash already computed.
-func (t *Table[P]) DeleteHashed(h, key uint64) bool {
-	if i := t.findHashed(h, key); i >= 0 {
-		t.clearCell(i)
-		return true
-	}
-	return false
-}
-
-// ForEach calls fn for every stored entry until fn returns false.
-func (t *Table[P]) ForEach(fn func(key uint64, val P) bool) {
-	t.ForEachRef(func(key uint64, val *P) bool { return fn(key, *val) })
-}
-
-// occupiedLanes returns the occupied-lane markers (high bit per byte
-// lane) of tag word w of the bucket starting at word base: lanes whose
-// tag is non-zero, with the unused lanes of a partial word masked off.
-// It is THE shared decoder of the iteration paths, so the subtle
-// partial-word masking lives in exactly one place.
-func (t *Table[P]) occupiedLanes(base, w int) uint64 {
-	occ := tagMSB &^ zeroBytes(t.cells[base+w])
-	if rem := t.d - w*8; rem < 8 {
-		occ &= laneMask(rem)
-	}
-	return occ
-}
-
-// ForEachRef calls fn for every stored entry with a pointer to its
-// payload in place — the allocation-free iteration of the read path —
-// until fn returns false. It reports whether the scan ran to
-// completion (false = fn stopped it). The pointer is valid only during
-// the call.
-func (t *Table[P]) ForEachRef(fn func(key uint64, val *P) bool) bool {
-	buckets := t.m1 + t.m2
-	for b := 0; b < buckets; b++ {
-		base := b * t.stride
-		for w := 0; w < t.tw; w++ {
-			occ := t.occupiedLanes(base, w)
+// forEachIn calls fn for every entry stored in t, in bucket order, with
+// a pointer to its payload in place, until fn returns false. It reports
+// whether the scan ran to completion. It is THE decoder of occupied
+// lanes — lanes whose tag is non-zero, with the unused lanes of a
+// partial tag word masked off — so that masking lives in one place.
+func (c *Chain[P]) forEachIn(t *table[P], fn func(key uint64, val *P) bool) bool {
+	cells, vals := c.words(t), c.payloads(t)
+	d, tw, stride := int(c.d), int(c.tw), int(c.stride)
+	for b, buckets := 0, 3*int(t.m2); b < buckets; b++ {
+		base := b * stride
+		for w := 0; w < tw; w++ {
+			occ := tagMSB &^ zeroBytes(cells[base+w])
+			if rem := d - w*8; rem < 8 {
+				occ &= laneMask(rem)
+			}
 			for occ != 0 {
-				c := w*8 + bits.TrailingZeros64(occ)>>3
-				if !fn(t.cells[base+t.tw+c], &t.vals[b*t.d+c]) {
+				i := w*8 + bits.TrailingZeros64(occ)>>3
+				if !fn(cells[base+tw+i], &vals[b*d+i]) {
 					return false
 				}
 				occ &= occ - 1
@@ -449,42 +401,14 @@ func (t *Table[P]) ForEachRef(fn func(key uint64, val *P) bool) bool {
 	return true
 }
 
-// Drain removes and returns every stored entry.
-func (t *Table[P]) Drain() []Entry[P] {
-	return t.DrainInto(make([]Entry[P], 0, t.size))
-}
-
-// DrainInto removes every stored entry, appending them to buf —
-// letting transformation loops reuse one scratch buffer instead of
-// allocating a fresh slice per restructure.
-func (t *Table[P]) DrainInto(buf []Entry[P]) []Entry[P] {
-	buckets := t.m1 + t.m2
-	for b := 0; b < buckets; b++ {
-		base := b * t.stride
-		for w := 0; w < t.tw; w++ {
-			occ := t.occupiedLanes(base, w)
-			for occ != 0 {
-				c := w*8 + bits.TrailingZeros64(occ)>>3
-				buf = append(buf, Entry[P]{Key: t.cells[base+t.tw+c], Val: t.vals[b*t.d+c]})
-				occ &= occ - 1
-			}
-		}
-	}
-	clear(t.cells)
-	clear(t.vals)
-	t.size = 0
-	return buf
-}
-
-// MemoryBytes returns the structural bytes of the table assuming
-// payloadBytes per payload: 8 B key + payload + 1 B fingerprint tag per
-// cell, plus the fixed header words. The tag byte replaces the retired
-// 1 B/cell occupancy flag — tags mark occupancy (0 = empty) AND
-// pre-filter probes, so the layout change is space-neutral. (For d not
-// a multiple of 8 the physical tag word carries unused padding lanes;
-// the model counts the information content, 1 B per cell, matching the
-// paper's cell-layout accounting.)
-func (t *Table[P]) MemoryBytes(payloadBytes int) uint64 {
-	perCell := uint64(8 + payloadBytes + 1)
-	return uint64(t.Cells())*perCell + 64
+// memoryBytes returns the structural bytes of t assuming payloadBytes
+// per payload: 8 B key + payload + 1 B fingerprint tag per cell, plus
+// the paper's fixed 64 B of header words per table. The tag byte
+// replaces the retired 1 B/cell occupancy flag — tags mark occupancy
+// (0 = empty) AND pre-filter probes, so the layout change is
+// space-neutral. (For d not a multiple of 8 the physical tag word
+// carries unused padding lanes; the model counts the information
+// content, 1 B per cell, matching the paper's cell-layout accounting.)
+func (c *Chain[P]) memoryBytes(t *table[P], payloadBytes int) uint64 {
+	return uint64(c.cellsOf(t))*uint64(8+payloadBytes+1) + 64
 }

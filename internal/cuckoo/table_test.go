@@ -7,8 +7,53 @@ import (
 	"cuckoograph/internal/hashutil"
 )
 
+// oneTable drives the single table of a fresh chain directly — no
+// growth, no contraction — through the per-table operations the chain's
+// own methods are built from.
+type oneTable[P any] struct{ c *Chain[P] }
+
+func newOneTable[P any](length int, cfg Config) oneTable[P] {
+	return oneTable[P]{NewChain[P](length, cfg)}
+}
+
+func (t oneTable[P]) Insert(key uint64, val P) (Entry[P], bool) {
+	return t.c.insertIn(&t.c.first, hashutil.Key64(key), key, val)
+}
+
+func (t oneTable[P]) find(key uint64) int {
+	return t.c.findIn(&t.c.first, hashutil.Key64(key), key)
+}
+
+func (t oneTable[P]) Ref(key uint64) *P {
+	if i := t.find(key); i >= 0 {
+		return &t.c.payloads(&t.c.first)[i]
+	}
+	return nil
+}
+
+func (t oneTable[P]) Lookup(key uint64) (val P, ok bool) {
+	if p := t.Ref(key); p != nil {
+		return *p, true
+	}
+	return val, false
+}
+
+func (t oneTable[P]) Contains(key uint64) bool { return t.find(key) >= 0 }
+
+func (t oneTable[P]) Delete(key uint64) bool {
+	i := t.find(key)
+	if i >= 0 {
+		t.c.clearIn(&t.c.first, i)
+	}
+	return i >= 0
+}
+
+func (t oneTable[P]) Size() int         { return int(t.c.first.size) }
+func (t oneTable[P]) Cells() int        { return t.c.cellsOf(&t.c.first) }
+func (t oneTable[P]) LoadRate() float64 { return float64(t.Size()) / float64(t.Cells()) }
+
 func TestTableInsertLookup(t *testing.T) {
-	tb := NewTable[uint64](64, Config{})
+	tb := newOneTable[uint64](64, Config{})
 	for i := uint64(1); i <= 100; i++ {
 		if _, ok := tb.Insert(i, i*10); !ok {
 			t.Fatalf("insert %d failed", i)
@@ -30,7 +75,7 @@ func TestTableInsertLookup(t *testing.T) {
 
 func TestTableZeroKey(t *testing.T) {
 	// Node id 0 must be a legal key; occupancy is tracked separately.
-	tb := NewTable[uint64](8, Config{})
+	tb := newOneTable[uint64](8, Config{})
 	if _, ok := tb.Insert(0, 42); !ok {
 		t.Fatal("insert key 0 failed")
 	}
@@ -47,7 +92,7 @@ func TestTableZeroKey(t *testing.T) {
 }
 
 func TestTableDelete(t *testing.T) {
-	tb := NewTable[int](32, Config{})
+	tb := newOneTable[int](32, Config{})
 	for i := uint64(1); i <= 50; i++ {
 		tb.Insert(i, int(i))
 	}
@@ -71,7 +116,7 @@ func TestTableDelete(t *testing.T) {
 }
 
 func TestTableRef(t *testing.T) {
-	tb := NewTable[uint64](8, Config{})
+	tb := newOneTable[uint64](8, Config{})
 	tb.Insert(7, 1)
 	p := tb.Ref(7)
 	if p == nil {
@@ -89,7 +134,7 @@ func TestTableRef(t *testing.T) {
 func TestTableKicksAndFailure(t *testing.T) {
 	// A tiny table with a tiny kick budget must eventually fail and hand
 	// back a leftover entry rather than loop forever or drop data.
-	tb := NewTable[uint64](2, Config{D: 1, MaxKicks: 4})
+	tb := newOneTable[uint64](2, Config{D: 1, MaxKicks: 4})
 	inserted := map[uint64]uint64{}
 	var leftovers []Entry[uint64]
 	for i := uint64(1); i <= 50; i++ {
@@ -121,7 +166,7 @@ func TestTableKicksAndFailure(t *testing.T) {
 func TestTableLoadRateReaches(t *testing.T) {
 	// With d=8 and the 2:1 ratio, a cuckoo table should comfortably reach
 	// a 90% load rate (the paper sets G=0.9).
-	tb := NewTable[struct{}](128, Config{})
+	tb := newOneTable[struct{}](128, Config{})
 	target := int(float64(tb.Cells()) * 0.9)
 	for i := 0; i < target; i++ {
 		if _, ok := tb.Insert(uint64(i+1), struct{}{}); !ok {
@@ -133,15 +178,15 @@ func TestTableLoadRateReaches(t *testing.T) {
 	}
 }
 
-func TestTableForEachDrain(t *testing.T) {
-	tb := NewTable[uint64](16, Config{})
+func TestTableForEach(t *testing.T) {
+	tb := newOneTable[uint64](16, Config{})
 	want := map[uint64]uint64{}
 	for i := uint64(1); i <= 30; i++ {
 		tb.Insert(i, i*i)
 		want[i] = i * i
 	}
 	got := map[uint64]uint64{}
-	tb.ForEach(func(k, v uint64) bool {
+	tb.c.ForEach(func(k, v uint64) bool {
 		got[k] = v
 		return true
 	})
@@ -155,32 +200,26 @@ func TestTableForEachDrain(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	tb.ForEach(func(uint64, uint64) bool { n++; return n < 5 })
+	tb.c.ForEach(func(uint64, uint64) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Fatalf("ForEach early stop visited %d, want 5", n)
-	}
-	drained := tb.Drain()
-	if len(drained) != 30 || tb.Size() != 0 {
-		t.Fatalf("Drain returned %d entries, size now %d", len(drained), tb.Size())
 	}
 }
 
 func TestTableMinimumLength(t *testing.T) {
-	tb := NewTable[uint64](0, Config{})
-	if tb.Len() < 2 || tb.Len()%2 != 0 {
-		t.Fatalf("length %d, want even ≥ 2", tb.Len())
+	if got := NewChain[uint64](0, Config{}).first.length(); got < 2 || got%2 != 0 {
+		t.Fatalf("length %d, want even ≥ 2", got)
 	}
-	tb3 := NewTable[uint64](3, Config{})
-	if tb3.Len()%2 != 0 {
-		t.Fatalf("odd requested length not rounded: %d", tb3.Len())
+	if got := NewChain[uint64](3, Config{}).first.length(); got%2 != 0 {
+		t.Fatalf("odd requested length not rounded: %d", got)
 	}
 }
 
 func TestTableMemoryBytes(t *testing.T) {
-	tb := NewTable[uint64](16, Config{D: 4})
+	tb := newOneTable[uint64](16, Config{D: 4})
 	// 16 + 8 buckets, 4 cells each, 8 key + 8 payload + 1 occ per cell.
 	want := uint64((16+8)*4)*(8+8+1) + 64
-	if got := tb.MemoryBytes(8); got != want {
+	if got := tb.c.memoryBytes(&tb.c.first, 8); got != want {
 		t.Fatalf("MemoryBytes = %d, want %d", got, want)
 	}
 }
@@ -189,7 +228,7 @@ func TestTableMemoryBytes(t *testing.T) {
 // random operations.
 func TestTableQuickSetSemantics(t *testing.T) {
 	f := func(seed uint64, ops []uint16) bool {
-		tb := NewTable[uint64](256, Config{Seed: seed | 1})
+		tb := newOneTable[uint64](256, Config{Seed: seed | 1})
 		model := map[uint64]uint64{}
 		rng := hashutil.NewRNG(seed | 1)
 		for _, op := range ops {

@@ -51,11 +51,12 @@ func TestTagOfNeverZero(t *testing.T) {
 // slowFind is the straightforward full-key scan the tag-indexed probe
 // must agree with: walk every cell of every bucket, match on occupancy
 // (tag != 0) and the stored key.
-func slowFind[P any](t *Table[P], key uint64) int {
-	for b := 0; b < t.m1+t.m2; b++ {
-		for c := 0; c < t.d; c++ {
-			if t.tagAt(b, c) != 0 && *t.keyRef(b, c) == key {
-				return b*t.d + c
+func slowFind[P any](c *Chain[P], t *table[P], key uint64) int {
+	cells, d := c.words(t), int(c.d)
+	for b := 0; b < 3*int(t.m2); b++ {
+		for i := 0; i < d; i++ {
+			if c.tagAt(cells, b, i) != 0 && cells[b*int(c.stride)+int(c.tw)+i] == key {
+				return b*d + i
 			}
 		}
 	}
@@ -106,8 +107,8 @@ func TestTagFindAgreesWithFullScan(t *testing.T) {
 			// both present and absent probes.
 			for _, probe := range []uint64{key, key + 1000} {
 				h := hashutil.Key64(probe)
-				for _, tb := range c.tables {
-					if tb.findHashed(h, probe) != slowFind(tb, probe) {
+				for i := 0; i < c.Tables(); i++ {
+					if c.findIn(c.tab(i), h, probe) != slowFind(c, c.tab(i), probe) {
 						return false
 					}
 				}
@@ -117,8 +118,8 @@ func TestTagFindAgreesWithFullScan(t *testing.T) {
 		// the stream drove the chain into).
 		for key := uint64(1); key <= 252; key++ {
 			h := hashutil.Key64(key)
-			for _, tb := range c.tables {
-				if tb.findHashed(h, key) != slowFind(tb, key) {
+			for i := 0; i < c.Tables(); i++ {
+				if c.findIn(c.tab(i), h, key) != slowFind(c, c.tab(i), key) {
 					return false
 				}
 			}
@@ -150,10 +151,10 @@ func TestTagFindAgreesAcrossTableIIStates(t *testing.T) {
 		for key := uint64(1); key < next+8; key++ {
 			h := hashutil.Key64(key)
 			found := false
-			for _, tb := range c.tables {
-				got := tb.findHashed(h, key)
-				if got != slowFind(tb, key) {
-					t.Fatalf("state %d: find(%d) = %d, scan = %d", state, key, got, slowFind(tb, key))
+			for i := 0; i < c.Tables(); i++ {
+				got := c.findIn(c.tab(i), h, key)
+				if want := slowFind(c, c.tab(i), key); got != want {
+					t.Fatalf("state %d: find(%d) = %d, scan = %d", state, key, got, want)
 				}
 				if got >= 0 {
 					found = true
@@ -171,18 +172,19 @@ func TestTagFindAgreesAcrossTableIIStates(t *testing.T) {
 // key's hash (the invariant that makes probes correct after
 // relocations without recomputing tags).
 func TestKickPreservesTags(t *testing.T) {
-	tb := NewTable[uint64](4, Config{D: 2, MaxKicks: 50, Seed: 7})
+	tb := newOneTable[uint64](4, Config{D: 2, MaxKicks: 50, Seed: 7})
 	for k := uint64(1); k <= 200; k++ {
 		tb.Insert(k, k) // most fail once full; each failure kicks first
 	}
-	if tb.Kicks() == 0 {
+	if tb.c.Kicks() == 0 {
 		t.Fatal("workload produced no kicks; invariant not exercised")
 	}
 	checked := 0
-	for b := 0; b < tb.m1+tb.m2; b++ {
-		for c := 0; c < tb.d; c++ {
-			if tag := tb.tagAt(b, c); tag != 0 {
-				key := *tb.keyRef(b, c)
+	cells := tb.c.words(&tb.c.first)
+	for b := 0; b < 3*int(tb.c.first.m2); b++ {
+		for c := 0; c < int(tb.c.d); c++ {
+			if tag := tb.c.tagAt(cells, b, c); tag != 0 {
+				key := cells[b*int(tb.c.stride)+int(tb.c.tw)+c]
 				if want := tagOf(hashutil.Key64(key)); tag != want {
 					t.Fatalf("cell (%d,%d): tag %#x, want %#x for key %d", b, c, tag, want, key)
 				}
@@ -200,21 +202,21 @@ func TestKickPreservesTags(t *testing.T) {
 // word — through the same set-semantics workload.
 func TestOddBucketWidths(t *testing.T) {
 	for _, d := range []int{1, 3, 4, 8, 16, 32} {
-		tb := NewTable[int](32, Config{D: d, Seed: uint64(d) + 1})
+		tb := newOneTable[int](32, Config{D: d, Seed: uint64(d) + 1})
 		for k := uint64(1); k <= 100; k++ {
 			tb.Insert(k, int(k))
 		}
 		for k := uint64(1); k <= 100; k++ {
-			if got := tb.find(k); got != slowFind(tb, k) {
-				t.Fatalf("d=%d: find(%d) = %d, scan = %d", d, k, got, slowFind(tb, k))
+			if got := tb.find(k); got != slowFind(tb.c, &tb.c.first, k) {
+				t.Fatalf("d=%d: find(%d) = %d, scan = %d", d, k, got, slowFind(tb.c, &tb.c.first, k))
 			}
 		}
 		for k := uint64(1); k <= 100; k += 3 {
 			tb.Delete(k)
 		}
 		for k := uint64(1); k <= 110; k++ {
-			if got := tb.find(k); got != slowFind(tb, k) {
-				t.Fatalf("d=%d after deletes: find(%d) = %d, scan = %d", d, k, got, slowFind(tb, k))
+			if got := tb.find(k); got != slowFind(tb.c, &tb.c.first, k) {
+				t.Fatalf("d=%d after deletes: find(%d) = %d, scan = %d", d, k, got, slowFind(tb.c, &tb.c.first, k))
 			}
 		}
 	}

@@ -112,10 +112,13 @@ func (gm *GraphModule) infoGraph(b *strings.Builder) {
 	fmt.Fprintf(b, "lcht_kicks:%d\n", st.LCHTKicks)
 	fmt.Fprintf(b, "lcht_placements:%d\n", st.LCHTPlacements)
 	fmt.Fprintf(b, "chains:%d\n", st.Chains)
+	fmt.Fprintf(b, "scht_tables:%d\n", st.SCHTTables)
 	fmt.Fprintf(b, "chain_entries:%d\n", st.ChainEntries)
 	fmt.Fprintf(b, "scht_kicks:%d\n", st.SCHTKicks)
 	fmt.Fprintf(b, "scht_placements:%d\n", st.SCHTPlacements)
 	fmt.Fprintf(b, "transformations:%d\n", st.Transformations)
+	fmt.Fprintf(b, "ldl_len:%d\n", st.LDLLen)
+	fmt.Fprintf(b, "sdl_len:%d\n", st.SDLLen)
 }
 
 func (gm *GraphModule) infoSnapshots(b *strings.Builder) {
@@ -208,6 +211,9 @@ func (gm *GraphModule) collectMetrics(mw *MetricsWriter) {
 	mw.Gauge("cg_graph_lcht_load_rate", "Overall LCHT load rate.", st.LCHTLoadRate)
 	mw.Counter("cg_graph_lcht_kicks_total", "Cuckoo kicks in the large-degree tables.", float64(st.LCHTKicks))
 	mw.Counter("cg_graph_transformations_total", "LDL/SDL/LCHT structure transformations.", float64(st.Transformations))
+	mw.Gauge("cg_graph_scht_tables", "Tables over all S-CHT chains.", float64(st.SCHTTables))
+	mw.Gauge("cg_graph_ldl_len", "Cells parked in the L-DL, summed over shards (cap 64 per shard by default).", float64(st.LDLLen))
+	mw.Gauge("cg_graph_sdl_len", "Edges parked in the S-DL, summed over shards (cap 256 per shard by default).", float64(st.SDLLen))
 
 	vs := g.ViewStats()
 	gm.viewMu.Lock()

@@ -201,6 +201,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cg_uptime_seconds",
 		"cg_graph_edges 2",
 		"cg_graph_nodes 2",
+		"cg_graph_scht_tables 0",
+		"cg_graph_ldl_len 0",
+		"cg_graph_sdl_len 0",
 		"cg_snapshot_live_views 1",
 		"cg_wal_enabled 1",
 		"cg_wal_ops_total 2",

@@ -1,6 +1,7 @@
 package redislike
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -160,6 +161,17 @@ func TestInfoCommand(t *testing.T) {
 	one := dispatch("G.INFO", "graph")
 	if !strings.Contains(one.Str, "edges:2") || strings.Contains(one.Str, "# wal") {
 		t.Fatalf("G.INFO graph = %q", one.Str)
+	}
+	// Denylist occupancy and chain depth: one node past its inline
+	// slots owns a one-table chain, and nothing is parked.
+	for v := 1; v <= 20; v++ {
+		dispatch("g.insert", "7", strconv.Itoa(v))
+	}
+	one = dispatch("G.INFO", "graph")
+	for _, want := range []string{"chains:1\n", "scht_tables:1\n", "ldl_len:0\n", "sdl_len:0\n"} {
+		if !strings.Contains(one.Str, want) {
+			t.Fatalf("G.INFO graph missing %q in:\n%s", want, one.Str)
+		}
 	}
 	if got := dispatch("G.INFO", "bogus"); got.Type != '-' || !strings.HasPrefix(got.Str, "ERR ") {
 		t.Fatalf("G.INFO bogus = %+v", got)

@@ -550,6 +550,7 @@ func (g *Graph) Stats() core.Stats {
 		merged.LCHTKicks += st.LCHTKicks
 		merged.LCHTPlacements += st.LCHTPlacements
 		merged.Chains += st.Chains
+		merged.SCHTTables += st.SCHTTables
 		merged.ChainCells += st.ChainCells
 		merged.ChainEntries += st.ChainEntries
 		merged.SCHTKicks += st.SCHTKicks

@@ -73,6 +73,9 @@ func TestModelConformance(t *testing.T) {
 			t.Fatalf("shards=%d: merged stats %d/%d disagree with counters %d/%d",
 				shards, st.Edges, st.Nodes, g.NumEdges(), g.NumNodes())
 		}
+		if st.Chains == 0 || st.SCHTTables < st.Chains {
+			t.Fatalf("shards=%d: merged stats report %d S-CHT tables over %d chains", shards, st.SCHTTables, st.Chains)
+		}
 		if g.MemoryUsage() == 0 {
 			t.Fatalf("shards=%d: MemoryUsage reported zero", shards)
 		}
