@@ -1,10 +1,13 @@
 package redislike
 
 import (
+	"bytes"
+	"strconv"
 	"testing"
 	"time"
 
 	"cuckoograph/internal/resp"
+	"cuckoograph/internal/wal"
 )
 
 // TestMetricsHandlesPreResolved is the satellite pin for the metrics
@@ -102,6 +105,59 @@ func TestCommandCycleAllocs(t *testing.T) {
 				t.Fatalf("%s cycle allocates %.1f/run, want 0", tc.name, allocs)
 			}
 		})
+	}
+}
+
+// TestPipelineDrainAllocsWithWAL extends the pin to the durable serving
+// path: with a WAL attached, a warm drain of sixteen pipelined commands
+// — g.insert / g.del toggles staged in the log, g.query and g.degree
+// between them — followed by the drain's one commit (frame, CRC,
+// write(2)) allocates nothing per command.
+func TestPipelineDrainAllocsWithWAL(t *testing.T) {
+	s := NewServer()
+	gm, mod := NewGraphModule()
+	if err := s.LoadModule(mod); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := gm.EnableWAL(t.TempDir(), wal.Options{Sync: wal.SyncNone}); err != nil {
+		t.Fatal(err)
+	}
+
+	gm.Graph().InsertEdge(7, 1) // the toggles below never empty the node
+	var drain [][][]byte
+	var want []byte
+	for i := 0; i < 4; i++ {
+		v := strconv.Itoa(100 + i)
+		drain = append(drain,
+			byteArgs("g.insert", "7", v), byteArgs("g.query", "7", v),
+			byteArgs("g.degree", "7"), byteArgs("g.del", "7", v))
+		want = append(want, ":1\r\n:1\r\n:2\r\n:1\r\n"...)
+	}
+	var w resp.Writer
+	ctx := &Ctx{srv: s, w: &w}
+	run := func() {
+		for _, args := range drain {
+			s.serveRequest(ctx, args)
+		}
+		s.commit(ctx)
+		if !bytes.Equal(w.Bytes(), want) {
+			t.Fatalf("drain replies = %q, want %q", w.Bytes(), want)
+		}
+		w.Reset()
+	}
+	run()
+	run() // both halves of the WAL's buffer swap have now grown
+	before := gm.walPtr.Load().Stats()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("pipelined drain of %d commands allocates %.1f/run, want 0", len(drain), allocs)
+	}
+	after := gm.walPtr.Load().Stats()
+	if drains, commits := uint64(101), after.GroupCommits-before.GroupCommits; commits != drains {
+		t.Fatalf("%d group commits for %d drains, want one per drain", commits, drains)
+	}
+	if ops := after.Ops - before.Ops; ops != 101*8 {
+		t.Fatalf("%d ops logged, want %d", ops, 101*8)
 	}
 }
 

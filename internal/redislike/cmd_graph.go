@@ -35,18 +35,16 @@ func parseEdgeArgs(ctx *Ctx) (u, v uint64, err error) {
 	return u, v, nil
 }
 
-// walCheck surfaces a durability failure after a write: the mutation is
-// in memory but not durably logged, and a client that sees this error
-// must not assume the write survives a crash. Observing the failure
-// also triggers the configured storage-failure policy (degrade to
-// read-only serving, or panic) — so the -WALERR the triggering client
-// sees is the last write ack the server hands out until wal_resume.
-func (gm *GraphModule) walCheck(ctx *Ctx) error {
-	if err := ctx.Graph.LogErr(); err != nil {
-		gm.walFailed(err)
-		return &WALError{Cmd: ctx.Name, Err: err}
-	}
-	return nil
+// The four write handlers apply their mutation and stage it in the log
+// — Graph.Stage, no I/O — and answer with ReplyStaged: the serve loop
+// commits the whole drain at once before the reply leaves (see
+// Server.commit), which is where a log failure surfaces.
+
+// stageOne applies one single-edge op through the connection's batch
+// scratch.
+func stageOne(ctx *Ctx, op core.Op) core.BatchResult {
+	ctx.batch = append(ctx.batch[:0], op)
+	return ctx.Graph.Stage(ctx.batch)
 }
 
 func (gm *GraphModule) insert(ctx *Ctx) error {
@@ -54,11 +52,7 @@ func (gm *GraphModule) insert(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	added := ctx.Graph.InsertEdge(u, v)
-	if err := gm.walCheck(ctx); err != nil {
-		return err
-	}
-	ctx.ReplyBool(added)
+	ctx.ReplyStaged(int64(stageOne(ctx, core.InsertOp(u, v)).Inserted))
 	return nil
 }
 
@@ -67,11 +61,7 @@ func (gm *GraphModule) del(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	deleted := ctx.Graph.DeleteEdge(u, v)
-	if err := gm.walCheck(ctx); err != nil {
-		return err
-	}
-	ctx.ReplyBool(deleted)
+	ctx.ReplyStaged(int64(stageOne(ctx, core.DeleteOp(u, v)).Deleted))
 	return nil
 }
 
@@ -106,11 +96,7 @@ func (gm *GraphModule) minsert(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	res := ctx.Graph.ApplyBatch(b)
-	if err := gm.walCheck(ctx); err != nil {
-		return err
-	}
-	ctx.ReplyInt(int64(res.Inserted))
+	ctx.ReplyStaged(int64(ctx.Graph.Stage(b).Inserted))
 	return nil
 }
 
@@ -121,11 +107,7 @@ func (gm *GraphModule) mdel(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	res := ctx.Graph.ApplyBatch(b)
-	if err := gm.walCheck(ctx); err != nil {
-		return err
-	}
-	ctx.ReplyInt(int64(res.Deleted))
+	ctx.ReplyStaged(int64(ctx.Graph.Stage(b).Deleted))
 	return nil
 }
 

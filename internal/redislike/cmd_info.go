@@ -234,15 +234,15 @@ func (gm *GraphModule) collectMetrics(mw *MetricsWriter) {
 		// either interleaving reports consistently.
 		ws := w.Stats()
 		mw.Gauge("cg_wal_enabled", "1 while a write-ahead log is attached.", 1)
-		mw.Counter("cg_wal_appends_total", "Acknowledged append calls.", float64(ws.Appends))
-		mw.Counter("cg_wal_records_total", "Framed records written or queued.", float64(ws.Records))
+		mw.Counter("cg_wal_appends_total", "Accepted stage calls (one per logged command or shard partition).", float64(ws.Appends))
+		mw.Counter("cg_wal_records_total", "Framed records handed to write(2).", float64(ws.Records))
 		mw.Counter("cg_wal_ops_total", "Edge mutations logged.", float64(ws.Ops))
 		mw.Counter("cg_wal_bytes_total", "Frame bytes handed to write(2).", float64(ws.Bytes))
 		mw.Counter("cg_wal_group_commits_total", "Group commits (write(2) batches).", float64(ws.GroupCommits))
 		mw.Counter("cg_wal_syncs_total", "fsyncs of segment data.", float64(ws.Syncs))
 		mw.Counter("cg_wal_rotations_total", "Segment rotations.", float64(ws.Rotations))
 		mw.Gauge("cg_wal_segment", "Segment currently appended to.", float64(ws.Segment))
-		mw.Gauge("cg_wal_pending_bytes", "Queued frame bytes not yet written.", float64(ws.PendingBytes))
+		mw.Gauge("cg_wal_pending_bytes", "In-memory bytes of staged ops no group commit has taken yet.", float64(ws.PendingBytes))
 		mw.Gauge("cg_wal_failed", "1 once the WAL's sticky error is set.", boolGauge(ws.Failed))
 	}
 

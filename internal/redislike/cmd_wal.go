@@ -53,17 +53,31 @@ func (gm *GraphModule) WALErrorPolicyValue() WALErrorPolicy {
 	return WALErrorPolicy(gm.walPolicy.Load())
 }
 
+// commit is the module's Commit hook, run by the serve loop before every
+// reply flush: it waits out the log's group commit for everything
+// staged so far — two atomic loads when that is nothing — and reads the
+// graph's sticky log error, once per drain. A failure means mutations
+// are in memory that the log cannot back: the configured storage-
+// failure policy fires, and the caller takes back the drain's write
+// acknowledgements.
+func (gm *GraphModule) commit() error {
+	err := gm.Graph().Commit()
+	if err != nil {
+		gm.walFailed(err)
+	}
+	return err
+}
+
 // walFailed reacts to an observed WAL failure per the configured
 // policy: panic, or degrade the host server to read-only serving. It is
-// called from the data plane on every write that observes the sticky
-// log error, so the degrade edge (log line included) fires exactly
-// once.
+// called by every drain whose commit observes the sticky log error, so
+// the degrade edge (log line included) fires exactly once.
 func (gm *GraphModule) walFailed(err error) {
 	if WALErrorPolicy(gm.walPolicy.Load()) == WALOnErrorPanic {
 		gm.log.Error("wal failure with -wal-on-error=panic", "err", err)
 		panic(fmt.Sprintf("wal failure (-wal-on-error=panic): %v", err))
 	}
-	if s := gm.host.Load(); s != nil {
+	if s := gm.host.Load(); s != nil && !s.Degraded() {
 		if s.SetDegraded("wal: " + err.Error()) {
 			gm.log.Error("wal failure; degrading to read-only serving (run wal_resume after fixing storage)",
 				"err", err)

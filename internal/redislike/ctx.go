@@ -2,6 +2,7 @@ package redislike
 
 import (
 	"math"
+	"time"
 
 	"cuckoograph/internal/core"
 	"cuckoograph/internal/resp"
@@ -42,10 +43,28 @@ type Ctx struct {
 	rc       *resp.Conn
 	hijacked bool
 
+	// stamp is when the previous command on this connection ended, the
+	// start of the next while its input was already buffered; zero
+	// means read the clock (see serveRequest).
+	stamp time.Time
+
+	// staged is set by ReplyStaged for the command being served;
+	// uncommitted lists the staged replies buffered since the last
+	// commit (see Server.commit), reused across drains.
+	staged      bool
+	uncommitted []stagedReply
+
 	// Per-connection scratch, reused across commands:
 	nameBuf []byte     // lowercased command name
 	batch   core.Batch // decoded G.MINSERT/G.MDEL pairs
 	ids     []uint64   // collected node ids (G.GETNEIGHBORS, G.NODES)
+}
+
+// stagedReply locates one buffered write reply whose mutation is
+// applied and staged in the log but not yet committed.
+type stagedReply struct {
+	cmd      *Command
+	from, to resp.Mark
 }
 
 // Server returns the server dispatching the command.
@@ -90,6 +109,16 @@ func (c *Ctx) ReplyBool(b bool) {
 	} else {
 		c.w.AppendInt(0)
 	}
+}
+
+// ReplyStaged writes the ":" integer reply of a mutation that has been
+// applied and staged with the module's log but not committed. The
+// serve loop commits before the reply leaves the server, and rewrites
+// it to -WALERR if that commit fails: the handler need not wait for the
+// disk, and the client still never sees an answer the log cannot back.
+func (c *Ctx) ReplyStaged(n int64) {
+	c.staged = true
+	c.w.AppendInt(n)
 }
 
 // ReplyBulk writes a "$" bulk reply from bytes.

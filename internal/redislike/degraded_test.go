@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cuckoograph/internal/core"
 	"cuckoograph/internal/resp"
 	"cuckoograph/internal/sharded"
 	"cuckoograph/internal/vfs"
@@ -39,11 +40,29 @@ func httpGet(t *testing.T, url string) (int, string) {
 	return res.StatusCode, string(body)
 }
 
-// TestDegradedModeENOSPCPipelined is the acceptance pin: FaultFS forces
-// ENOSPC under a pipelined workload; the in-flight write errors with
-// -WALERR, later writes answer -MISCONF, reads keep serving, state is
-// visible everywhere it should be, and wal_resume restores write
-// service with a recovery directory that describes the whole graph.
+// expectClass reads one reply and requires an error of the given class.
+func expectClass(t *testing.T, p *pipeClient, class, what string) {
+	t.Helper()
+	if v := p.read(); v.Type != '-' || !strings.HasPrefix(v.Str, class+" ") {
+		t.Fatalf("%s: want -%s, got %+v", what, class, v)
+	}
+}
+
+// expectInt reads one reply and requires the integer n.
+func expectInt(t *testing.T, p *pipeClient, n int64, what string) {
+	t.Helper()
+	if v := p.read(); v.Type != ':' || v.Int != n {
+		t.Fatalf("%s: want :%d, got %+v", what, n, v)
+	}
+}
+
+// TestDegradedModeENOSPCPipelined is the acceptance pin for the
+// drain-level rule: FaultFS forces ENOSPC under a pipelined workload;
+// in the drain whose commit fails EVERY write answers -WALERR (applied
+// in memory, not durable) while the reads in it keep their answers, the
+// next drain's writes answer -MISCONF, state is visible everywhere it
+// should be, and wal_resume restores write service with a recovery
+// directory that describes the whole graph.
 func TestDegradedModeENOSPCPipelined(t *testing.T) {
 	srv, gm, addr := startGraphServer(t, Config{})
 	dir := t.TempDir()
@@ -64,10 +83,10 @@ func TestDegradedModeENOSPCPipelined(t *testing.T) {
 	}
 
 	// The disk fills. The whole burst is pipelined before any reply is
-	// read: the first write observes the append failure (-WALERR, its
-	// mutation is in memory but not durable), every later write in the
-	// burst is rejected up front (-MISCONF), and the reads in between
-	// keep answering.
+	// read, so it is one drain: all three writes apply and stage, the one
+	// commit ahead of the flush fails, and every write reply of the drain
+	// is taken back — no :0/:1/:N for an uncommitted write reaches the
+	// socket. The reads in between keep their answers.
 	ffs.SetFault(vfs.Fault{Kinds: vfs.OpWrite.Mask() | vfs.OpSync.Mask(), Err: syscall.ENOSPC})
 	p.push("g.insert", "3", "4")
 	p.push("g.query", "1", "2")
@@ -75,25 +94,24 @@ func TestDegradedModeENOSPCPipelined(t *testing.T) {
 	p.push("g.minsert", "7", "8", "9", "10")
 	p.push("g.query", "3", "4")
 	p.flush()
-	if v := p.read(); v.Type != '-' || !strings.HasPrefix(v.Str, ClassWALErr+" ") {
-		t.Fatalf("write on full disk: want -WALERR, got %+v", v)
-	}
-	if v := p.read(); v.Type != ':' || v.Int != 1 {
-		t.Fatalf("read while degraded: got %+v", v)
-	}
-	for i := 0; i < 2; i++ {
-		if v := p.read(); v.Type != '-' || !strings.HasPrefix(v.Str, ClassMisconf+" ") {
-			t.Fatalf("write %d while degraded: want -MISCONF, got %+v", i, v)
-		}
-	}
-	// The -WALERR'd mutation was applied in memory; reads serve it even
-	// though it is not yet durable.
-	if v := p.read(); v.Type != ':' || v.Int != 1 {
-		t.Fatalf("read of non-durable edge: got %+v", v)
-	}
+	expectClass(t, p, ClassWALErr, "1st write of the failed drain")
+	expectInt(t, p, 1, "read inside the failed drain")
+	expectClass(t, p, ClassWALErr, "2nd write of the failed drain")
+	expectClass(t, p, ClassWALErr, "3rd write of the failed drain")
+	// The -WALERR'd mutations were applied in memory; reads serve them
+	// even though they are not durable.
+	expectInt(t, p, 1, "read of a non-durable edge")
 	if !srv.Degraded() {
 		t.Fatal("server not degraded after WAL failure")
 	}
+	// From the next drain on, writes are refused up front and reads serve.
+	p.push("g.insert", "13", "14")
+	p.push("g.mdel", "3", "4")
+	p.push("g.query", "5", "6")
+	p.flush()
+	expectClass(t, p, ClassMisconf, "insert in the next drain")
+	expectClass(t, p, ClassMisconf, "mdel in the next drain")
+	expectInt(t, p, 1, "read while degraded")
 
 	// Surfacing: G.INFO, /metrics, /healthz (alive), /readyz (not ready).
 	p.push("g.info", "server")
@@ -155,7 +173,7 @@ func TestDegradedModeENOSPCPipelined(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	for _, e := range [][2]uint64{{1, 2}, {3, 4}, {11, 12}} {
+	for _, e := range [][2]uint64{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}, {11, 12}} {
 		if !g.HasEdge(e[0], e[1]) {
 			t.Fatalf("edge %v lost from recovery directory", e)
 		}
@@ -163,6 +181,106 @@ func TestDegradedModeENOSPCPipelined(t *testing.T) {
 	if g.NumEdges() != live.NumEdges() {
 		t.Fatalf("recovered %d edges, live graph had %d", g.NumEdges(), live.NumEdges())
 	}
+}
+
+// TestDegradedModeDepthOne: the drain-level rule at pipeline depth 1 is
+// the old per-command rule — the write whose commit fails answers
+// -WALERR, the next one -MISCONF.
+func TestDegradedModeDepthOne(t *testing.T) {
+	srv, gm, addr := startGraphServer(t, Config{})
+	ffs := vfs.NewFaultFS(nil)
+	if err := gm.EnableWAL(t.TempDir(), wal.Options{Sync: wal.SyncNone, FS: ffs}); err != nil {
+		t.Fatal(err)
+	}
+	p := dialPipe(t, addr)
+	roundTrip := func(args ...string) {
+		p.push(args...)
+		p.flush()
+	}
+	roundTrip("g.insert", "1", "2")
+	expectInt(t, p, 1, "healthy insert")
+	ffs.SetFault(vfs.Fault{Kinds: vfs.OpWrite.Mask(), Err: syscall.EIO})
+	roundTrip("g.insert", "3", "4")
+	expectClass(t, p, ClassWALErr, "write on a failing disk")
+	roundTrip("g.del", "1", "2")
+	expectClass(t, p, ClassMisconf, "write after the failure")
+	roundTrip("g.query", "3", "4")
+	expectInt(t, p, 1, "read while degraded")
+	if !srv.Degraded() {
+		t.Fatal("server not degraded")
+	}
+	if n := srv.Metrics().handle("g.insert").errs.Load(); n != 1 {
+		t.Fatalf("g.insert error count = %d, want 1 (the taken-back reply is metered as an error)", n)
+	}
+	ffs.ClearFault()
+}
+
+// TestDegradedModeHighWaterCommit: the commit ahead of an intermediate
+// flush (reply buffer past flushHighWater with input still queued) is
+// held to the same rule. The write before the big reply is taken back,
+// the big read goes out whole, and the write after it — same burst,
+// but past the failed commit — is already refused.
+func TestDegradedModeHighWaterCommit(t *testing.T) {
+	srv, gm, addr := startGraphServer(t, Config{})
+	ffs := vfs.NewFaultFS(nil)
+	if err := gm.EnableWAL(t.TempDir(), wal.Options{Sync: wal.SyncNone, FS: ffs}); err != nil {
+		t.Fatal(err)
+	}
+	// A node whose neighbour list alone overflows the reply high-water mark.
+	const fanout = 12000
+	b := make(core.Batch, 0, fanout)
+	for v := uint64(0); v < fanout; v++ {
+		b = b.Insert(9, 1_000_000+v)
+	}
+	gm.Graph().ApplyBatch(b)
+
+	ffs.SetFault(vfs.Fault{Kinds: vfs.OpWrite.Mask(), Err: syscall.ENOSPC})
+	p := dialPipe(t, addr)
+	p.push("g.insert", "1", "2")
+	p.push("g.getneighbors", "9")
+	p.push("g.insert", "3", "4")
+	p.push("g.query", "1", "2")
+	p.flush()
+	expectClass(t, p, ClassWALErr, "write ahead of the intermediate flush")
+	if v := p.read(); v.Type != '*' || len(v.Array) != fanout {
+		t.Fatalf("big read: type %q with %d elements, want %d", v.Type, len(v.Array), fanout)
+	}
+	expectClass(t, p, ClassMisconf, "write after the failed intermediate commit")
+	expectInt(t, p, 1, "read of the non-durable edge")
+	if !srv.Degraded() {
+		t.Fatal("server not degraded")
+	}
+	ffs.ClearFault()
+}
+
+// TestWALOnErrorPanicFiresAtCommit: under -wal-on-error=panic the write
+// handlers of a drain return normally — they only stage — and the panic
+// comes from the drain's commit, before any reply could be flushed.
+func TestWALOnErrorPanicFiresAtCommit(t *testing.T) {
+	srv, gm, _ := startGraphServer(t, Config{})
+	gm.SetWALErrorPolicy(WALOnErrorPanic)
+	ffs := vfs.NewFaultFS(nil)
+	if err := gm.EnableWAL(t.TempDir(), wal.Options{Sync: wal.SyncAlways, FS: ffs}); err != nil {
+		t.Fatal(err)
+	}
+	ffs.SetFault(vfs.Fault{Kinds: vfs.OpWrite.Mask() | vfs.OpSync.Mask(), Err: syscall.EIO})
+	var w resp.Writer
+	ctx := &Ctx{srv: srv, w: &w}
+	srv.serveRequest(ctx, byteArgs("g.insert", "1", "2"))
+	srv.serveRequest(ctx, byteArgs("g.minsert", "3", "4", "5", "6"))
+	if string(w.Bytes()) != ":1\r\n:2\r\n" || len(ctx.uncommitted) != 2 {
+		t.Fatalf("staged replies = %q, %d tracked", w.Bytes(), len(ctx.uncommitted))
+	}
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "-wal-on-error=panic") {
+			t.Fatalf("commit on a failed WAL: recovered %v, want the policy's panic", r)
+		}
+		ffs.ClearFault()
+		gm.Graph().SetWAL(nil)
+		srv.Close()
+	}()
+	srv.commit(ctx)
 }
 
 // TestWALOnErrorPanicPolicy: with -wal-on-error=panic a WAL failure

@@ -113,6 +113,7 @@ func NewGraphModule() (*GraphModule, *Module) {
 		LoadRDB:  gm.loadRDB,
 		OnLoad:   gm.onLoad,
 		Metrics:  gm.collectMetrics,
+		Commit:   gm.commit,
 		Close:    gm.Close,
 	}
 	return gm, m

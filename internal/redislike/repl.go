@@ -110,7 +110,9 @@ func (gm *GraphModule) replicate(ctx *Ctx) error {
 		gm.log.Warn("replication rejected: pipelined bytes after g.replicate", "remote", rc.RemoteAddr())
 		return nil
 	}
-	if err := rc.Flush(); err != nil {
+	// Replies to commands pipelined ahead of this one leave here, so
+	// they are committed here.
+	if err := ctx.Server().flush(ctx); err != nil {
 		return nil
 	}
 	gm.streamTo(ctx.Server(), rc, w, wal.Position{Seg: seg, Off: int64(off)})

@@ -29,11 +29,17 @@
 // Shutdown drains: in-flight commands finish and flush, then modules
 // tear down in order.
 //
-// When the WAL fails under a write the server degrades rather than
-// lies: the triggering write errors with -WALERR, later writes answer
-// -MISCONF while reads keep serving, and wal_resume restores write
-// service once the storage is fixed. See README.md § Failure modes &
-// degraded operation for the policy knobs and runbook.
+// Durability follows the same rhythm. A write command applies its
+// mutation and stages it in the log's memory; the serve loop commits —
+// one log write for everything staged, by this connection and any
+// other — before every reply flush, on every connection, so no reply,
+// read or write, leaves the server reflecting a mutation that is not
+// yet durable per the sync policy. When that commit fails the server
+// degrades rather than lies: every write reply buffered since the last
+// good commit is rewritten to -WALERR (reads keep their answers), later
+// writes answer -MISCONF while reads keep serving, and wal_resume
+// restores write service once the storage is fixed. See README.md
+// § Failure modes & degraded operation for the policy knobs and runbook.
 package redislike
 
 import (
@@ -96,6 +102,12 @@ type Module struct {
 	// Metrics, if set, contributes module samples to every /metrics
 	// scrape.
 	Metrics func(*MetricsWriter)
+	// Commit, if set, is called before every reply flush, on every
+	// connection: it returns once everything the module has staged so
+	// far is durable (for the graph module: the WAL's group commit), or
+	// the error that says it is not. With nothing staged it must cost
+	// next to nothing — it runs once per pipeline drain.
+	Commit func() error
 	// Close, if set, is called by Shutdown after connections have
 	// drained — the module's ordered teardown (release retained views,
 	// close the WAL).
@@ -117,6 +129,9 @@ type Server struct {
 	mu      sync.RWMutex
 	strings map[string]string
 	modules []*Module
+	// commits are the loaded modules' Commit hooks: replaced, never
+	// mutated, under mu, so the serve loops read them with one load.
+	commits atomic.Pointer[[]func() error]
 
 	// loading is set while a recovery (wal_replay) rebuilds and swaps
 	// the graph; dispatch rejects write-flagged commands with -LOADING
@@ -292,6 +307,14 @@ func (s *Server) LoadModule(m *Module) error {
 	}
 	s.mu.Lock()
 	s.modules = append(s.modules, m)
+	if m.Commit != nil {
+		var hooks []func() error
+		if p := s.commits.Load(); p != nil {
+			hooks = *p
+		}
+		hooks = append(hooks[:len(hooks):len(hooks)], m.Commit)
+		s.commits.Store(&hooks)
+	}
 	s.mu.Unlock()
 	if m.OnLoad != nil {
 		m.OnLoad(s)
@@ -511,28 +534,38 @@ func (s *Server) serve(nc net.Conn) {
 				// typed error so the client knows why, then drop it.
 				perr := &BadArgError{Cmd: "protocol", Detail: err.Error()}
 				c.W.AppendError(errorClass(perr) + " " + perr.Error())
-				c.Flush()
+				s.flush(ctx)
 				s.log.Debug("protocol error", "remote", cs.RemoteAddr, "err", err)
 			} else if !errors.Is(err, io.EOF) && !errors.Is(err, resp.ErrAborted) {
 				s.log.Debug("read failed", "remote", cs.RemoteAddr, "err", err)
 			}
+			// A client that went away mid-pipeline may have staged writes
+			// whose replies it will never read; commit them all the same,
+			// so nothing sits in the log's memory behind a dead connection.
+			s.commit(ctx)
 			return
 		}
 		cs.Commands++
+		if c.Filled() {
+			// The read may have waited on the client: the previous
+			// command's end stamp is not this one's start.
+			ctx.stamp = time.Time{}
+		}
 		s.serveRequest(ctx, req.Args)
 		if ctx.hijacked {
 			// The handler took the connection over (replication stream)
 			// and owned it until its stream ended; nothing more can be
 			// served on it.
+			s.commit(ctx)
 			return
 		}
 		// Pipelining: while the client has already sent more commands,
 		// keep replies buffered and dispatch straight into the backlog —
-		// one syscall then answers the whole burst. Flush when the input
-		// drains (the next read would block) or the reply buffer passes
-		// the high-water mark.
+		// one log commit and one syscall then answer the whole burst.
+		// Flush when the input drains (the next read would block) or the
+		// reply buffer passes the high-water mark.
 		if c.Buffered() == 0 || c.W.Len() >= flushHighWater {
-			if err := c.Flush(); err != nil {
+			if err := s.flush(ctx); err != nil {
 				s.log.Debug("flush failed", "remote", cs.RemoteAddr, "err", err)
 				return
 			}
@@ -540,17 +573,67 @@ func (s *Server) serve(nc net.Conn) {
 		if s.draining() {
 			// The in-flight command was served and flushed; no new work
 			// starts on a draining server.
-			c.Flush()
+			s.flush(ctx)
 			return
 		}
 	}
+}
+
+// flush is the one way replies leave a connection: commit, then write.
+// The time it takes belongs to no command, so the next one reads the
+// clock afresh.
+func (s *Server) flush(ctx *Ctx) error {
+	s.commit(ctx)
+	ctx.stamp = time.Time{}
+	return ctx.rc.Flush()
+}
+
+// commit makes everything staged so far durable — the mutations behind
+// this connection's buffered write replies, and any other connection's
+// that its reads may have observed — by running the modules' Commit
+// hooks. It must precede every flush. If a hook fails, the write
+// replies buffered since the last commit acknowledge mutations that are
+// applied but not durable: each is rewritten to -WALERR, and the reads
+// between them keep their answers.
+func (s *Server) commit(ctx *Ctx) {
+	var err error
+	if hooks := s.commits.Load(); hooks != nil {
+		for _, h := range *hooks {
+			if e := h(); e != nil && err == nil {
+				err = e
+			}
+		}
+	}
+	if err != nil {
+		// Last to first, so the marks of the replies still to rewrite
+		// stay valid.
+		for i := len(ctx.uncommitted) - 1; i >= 0; i-- {
+			r := ctx.uncommitted[i]
+			e := &WALError{Cmd: r.cmd.Name, Err: err}
+			ctx.w.SpliceError(r.from, r.to, errorClass(e)+" "+e.Error())
+			s.meter(r.cmd).errs.Add(1)
+		}
+	}
+	ctx.uncommitted = ctx.uncommitted[:0]
+}
+
+// meter resolves a command's metrics handle.
+func (s *Server) meter(cmd *Command) *cmdMetrics {
+	if cmd.metrics != nil {
+		return cmd.metrics
+	}
+	// Registered on a bare registry (no owning server): resolve by
+	// name, off the precomputed path.
+	return s.metrics.handle(cmd.Name)
 }
 
 // serveRequest is the registry-driven command path: resolve, enforce
 // arity, apply flag policy, run the handler, map typed errors to RESP
 // classes, meter everything. Exactly one well-formed reply lands in the
 // ctx's writer — a handler error rewinds any partial output first, so
-// pipelined replies never desync.
+// pipelined replies never desync. The clock is read once per command:
+// ctx.stamp, when set, is the end of the previous command and this
+// one's start, and is left as this one's end.
 func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 	w := ctx.w
 	if len(args) == 0 {
@@ -559,19 +642,17 @@ func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 		return
 	}
 	ctx.nameBuf = appendLower(ctx.nameBuf[:0], args[0])
-	start := time.Now()
+	start := ctx.stamp
+	if start.IsZero() {
+		start = time.Now()
+	}
 	cmd, ok := s.reg.LookupBytes(ctx.nameBuf)
 	if !ok {
 		e := &UnknownCommandError{Cmd: string(ctx.nameBuf)}
 		w.AppendError(errorClass(e) + " " + e.Error())
-		s.metrics.unknown.observe(time.Since(start), true)
+		ctx.stamp = time.Now()
+		s.metrics.unknown.observe(ctx.stamp.Sub(start), true)
 		return
-	}
-	m := cmd.metrics
-	if m == nil {
-		// Registered on a bare registry (no owning server): resolve by
-		// name, off the precomputed path.
-		m = s.metrics.handle(cmd.Name)
 	}
 	var err error
 	switch {
@@ -587,11 +668,13 @@ func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 		ctx.Name = cmd.Name
 		ctx.Args = args[1:]
 		ctx.Graph = nil
-		ctx.hijacked = false
+		ctx.hijacked, ctx.staged = false, false
 		mark := w.Mark()
 		before := w.Len()
 		if err = cmd.Handler(ctx); err != nil {
 			w.Rewind(mark)
+		} else if ctx.staged {
+			ctx.uncommitted = append(ctx.uncommitted, stagedReply{cmd: cmd, from: mark, to: w.Mark()})
 		} else if !ctx.hijacked && w.Len() == before {
 			err = fmt.Errorf("command %q produced no reply", cmd.Name)
 		}
@@ -599,7 +682,8 @@ func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 	if err != nil {
 		w.AppendError(errorClass(err) + " " + err.Error())
 	}
-	m.observe(time.Since(start), err != nil)
+	ctx.stamp = time.Now()
+	s.meter(cmd).observe(ctx.stamp.Sub(start), err != nil)
 }
 
 // dispatcher is the pooled state behind Dispatch: one in-process
@@ -615,7 +699,8 @@ var dispatcherPool = sync.Pool{New: func() any { return new(dispatcher) }}
 
 // Dispatch executes one already-decoded command; exported so tests,
 // benchmarks and replay can measure command cost without socket
-// overhead. It runs the same serveRequest path as the TCP loop and
+// overhead. It runs the same serveRequest path as the TCP loop — a
+// drain of one command, committed before its reply is handed back — and
 // decodes the streamed reply back into a boxed Value.
 func (s *Server) Dispatch(req resp.Value) resp.Value {
 	if req.Type != '*' || len(req.Array) == 0 {
@@ -629,7 +714,9 @@ func (s *Server) Dispatch(req resp.Value) resp.Value {
 	d.ctx.srv, d.ctx.w = s, &d.w
 	d.ctx.Conn, d.ctx.Graph = nil, nil
 	d.ctx.rc, d.ctx.hijacked = nil, false
+	d.ctx.stamp = time.Time{}
 	s.serveRequest(&d.ctx, d.args)
+	s.commit(&d.ctx)
 	reply, err := resp.Read(bufio.NewReader(bytes.NewReader(d.w.Bytes())))
 	d.w.Reset()
 	dispatcherPool.Put(d)

@@ -46,10 +46,11 @@ type Conn struct {
 	// W buffers encoded replies until Flush.
 	W Writer
 
-	rbuf []byte
-	rpos int
-	req  Request
-	vecs net.Buffers
+	rbuf   []byte
+	rpos   int
+	req    Request
+	vecs   net.Buffers
+	filled bool
 
 	// ReadTimeout bounds how long the rest of a command may take to
 	// arrive after its first byte. Zero disables the bound.
@@ -97,6 +98,11 @@ func (c *Conn) Aborted() bool { return c.aborted.Load() }
 // zero and the next read would block.
 func (c *Conn) Buffered() int { return len(c.rbuf) - c.rpos }
 
+// Filled reports whether the last ReadRequest had to read the socket,
+// and so may have waited on the peer, rather than finding its whole
+// command already buffered.
+func (c *Conn) Filled() bool { return c.filled }
+
 // ReadRequest decodes the next client command. The returned Request
 // (and its argument views) is owned by the Conn and valid until the
 // next ReadRequest. The wait for the first byte of a command is
@@ -106,6 +112,7 @@ func (c *Conn) ReadRequest() (*Request, error) {
 	if c.aborted.Load() {
 		return nil, ErrAborted
 	}
+	c.filled = false
 	for {
 		if c.rpos < len(c.rbuf) {
 			args, n, err := parseRequest(c.rbuf[c.rpos:], c.req.Args[:0])
@@ -131,6 +138,7 @@ func (c *Conn) ReadRequest() (*Request, error) {
 				c.rbuf = c.rbuf[:0]
 			}
 		}
+		c.filled = true
 		if err := c.fill(); err != nil {
 			return nil, err
 		}

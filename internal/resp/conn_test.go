@@ -181,6 +181,10 @@ func TestPipelinedRequestsOneRead(t *testing.T) {
 		if i < len(want)-1 && c.Buffered() == 0 {
 			t.Fatalf("request %d: backlog not visible in Buffered", i)
 		}
+		// Only the first request had to read the socket.
+		if c.Filled() != (i == 0) {
+			t.Fatalf("request %d: Filled = %v", i, c.Filled())
+		}
 	}
 	if c.Buffered() != 0 {
 		t.Fatalf("Buffered = %d after burst drained", c.Buffered())

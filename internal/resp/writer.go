@@ -1,6 +1,9 @@
 package resp
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+)
 
 // Writer is a streaming RESP reply encoder: replies are appended
 // directly into a reusable buffer instead of being built as boxed Value
@@ -172,6 +175,21 @@ func (w *Writer) Rewind(m Mark) {
 	}
 	w.refs = w.refs[:m.refs]
 	w.refBytes = m.refBytes
+}
+
+// SpliceError replaces everything appended between from and to — two
+// marks taken in that order — with one error reply, shifting the output
+// after it. The serving plane uses it to take back a reply it had
+// already buffered; it copies the tail, so it is for cold paths.
+func (w *Writer) SpliceError(from, to Mark, msg string) {
+	repl := make([]byte, 0, len(msg)+3)
+	repl = append(append(append(repl, '-'), msg...), '\r', '\n')
+	w.buf = slices.Replace(w.buf, from.buf, to.buf, repl...)
+	w.refs = slices.Delete(w.refs, from.refs, to.refs)
+	for i := from.refs; i < len(w.refs); i++ {
+		w.refs[i].end += len(repl) - (to.buf - from.buf)
+	}
+	w.refBytes -= to.refBytes - from.refBytes
 }
 
 // Reset discards pending output, keeping the buffer for reuse unless it

@@ -138,6 +138,38 @@ func TestWriterMarkRewind(t *testing.T) {
 	}
 }
 
+// TestWriterSpliceError: a reply in the middle of the pending output is
+// replaced by an error reply; what precedes and follows it — zero-copy
+// payloads included — still decodes, in order.
+func TestWriterSpliceError(t *testing.T) {
+	var w Writer
+	big := bytes.Repeat([]byte("z"), zeroCopyBulk)
+	w.AppendInt(1)
+	from := w.Mark()
+	w.AppendInt(2)
+	to := w.Mark()
+	w.AppendBulk(big)
+	w.AppendInt(3)
+	w.SpliceError(from, to, "WALERR taken back")
+
+	got := decodeAll(t, &w)
+	if len(got) != 4 || got[0].Int != 1 || got[1].Type != '-' || got[1].Str != "WALERR taken back" ||
+		got[2].Str != string(big) || got[3].Int != 3 {
+		t.Fatalf("decoded %+v", got)
+	}
+
+	// A spliced-out region takes its refs with it.
+	w.Reset()
+	from = w.Mark()
+	w.AppendBulk(big)
+	to = w.Mark()
+	w.AppendInt(4)
+	w.SpliceError(from, to, "ERR gone")
+	if w.HasRefs() || w.Len() != len("-ERR gone\r\n:4\r\n") {
+		t.Fatalf("after splicing out a ref: HasRefs=%v Len=%d", w.HasRefs(), w.Len())
+	}
+}
+
 // TestWriterVectorsInterleave: zero-copy payloads splice between buffer
 // runs in stream order, and Bytes assembles the same stream.
 func TestWriterVectorsInterleave(t *testing.T) {

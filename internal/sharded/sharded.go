@@ -31,15 +31,49 @@ import (
 // write lock is held, immediately after the in-memory mutations, so for
 // any one shard (and hence for any one source node) the log order
 // equals the application order — which is what makes replay
-// deterministic. The mutations are only acknowledged to the caller once
-// the Logger returns, so a group-committing implementation gives
-// synchronous durability, and a batch-framing implementation (the WAL)
-// persists the whole partition as one record in one commit slot.
+// deterministic. The batch is valid only for the duration of the call
+// (it is a per-shard scratch): a Logger that keeps the ops must copy
+// them, as the WAL does.
+//
+// A plain Logger does all its work in that one call, under the lock:
+// the mutating method returns once LogBatch has, so a Logger that
+// writes and syncs before returning gives synchronous durability at the
+// price of holding the shard — readers included — for the length of the
+// I/O. A StagedLogger splits the work so that none of it is I/O.
 //
 // A Logger is only invoked for mutations that changed the graph:
 // duplicate inserts and deletes of absent edges are not logged.
 type Logger interface {
 	LogBatch(b core.Batch) error
+}
+
+// StagedLogger is a Logger whose append has two halves (the WAL is
+// one). Under the shard lock only Stage runs: it records the ops, in
+// order, in memory and returns. After the lock is released the mutating
+// method calls Commit, which returns once everything staged so far is
+// durable — so disk latency is never spent under a shard lock, and one
+// commit covers whatever other writers staged meanwhile. ApplyBatch,
+// InsertEdge and DeleteEdge still return only after the commit; Stage
+// and Commit on the Graph let a caller apply a run of mutations now and
+// wait once, later.
+//
+// What changes for readers: between a mutation's unlock and its commit
+// it is already visible, so a concurrent HasEdge can observe an edge
+// whose commit is still in flight — and will be lost if the process
+// dies before it lands. A reader that must not act on such state calls
+// Commit itself before it does (the RESP server does, before every
+// reply flush).
+type StagedLogger interface {
+	Logger
+	Stage(b core.Batch) error
+	Commit() error
+}
+
+// logHook is the attached Logger with its two-phase form, if it has
+// one, resolved once at SetWAL rather than per mutation.
+type logHook struct {
+	log    Logger
+	staged StagedLogger // nil: stage = LogBatch, commit = nothing
 }
 
 // Config tunes a sharded graph.
@@ -51,7 +85,8 @@ type Config struct {
 	// of two; zero or negative defaults to runtime.GOMAXPROCS(0).
 	Shards int
 	// WAL, when non-nil, is invoked under the shard lock for every
-	// mutation (see Logger). It can also be attached later with SetWAL.
+	// mutation (see Logger and StagedLogger). It can also be attached
+	// later with SetWAL.
 	WAL Logger
 }
 
@@ -73,12 +108,15 @@ type shard struct {
 	// All three are guarded by mu held for writing.
 	//
 	// one is the single-op scratch the edge-at-a-time methods apply
-	// through (under mu held for writing; see applyOne).
+	// through, applied the scratch a multi-op partition's applied ops are
+	// collected into for the Logger (both under mu held for writing; see
+	// applyOne and applyLocked). With applied the fields fill the two
+	// cache lines exactly: 24 + 8 + 24 + 24 + 24 + 24 = 128.
 	viewGen uint64
 	cowU    uint64
 	cowGen  uint64
 	one     [1]core.Op
-	_       [128 - 24 - 8 - 24 - 24 - 24]byte
+	applied core.Batch
 }
 
 // Graph is a concurrency-safe CuckooGraph partitioned by source node.
@@ -96,10 +134,10 @@ type Graph struct {
 
 	// wal is the attached durability hook; nil disables logging. It is
 	// swapped atomically so SetWAL is safe against in-flight mutations.
-	wal atomic.Pointer[Logger]
+	wal atomic.Pointer[logHook]
 
-	logErrMu sync.Mutex
-	logErr   error
+	// logErr is the first error the Logger reported, sticky until SetWAL.
+	logErr atomic.Pointer[error]
 
 	// snapMu fences snapshots against multi-shard batches. A batch that
 	// spans shards applies its partitions under separate shard-lock
@@ -161,27 +199,54 @@ func (g *Graph) SetWAL(l Logger) {
 	if l == nil {
 		g.wal.Store(nil)
 	} else {
-		g.wal.Store(&l)
+		h := &logHook{log: l}
+		h.staged, _ = l.(StagedLogger)
+		g.wal.Store(h)
 	}
-	g.logErrMu.Lock()
-	g.logErr = nil
-	g.logErrMu.Unlock()
+	g.logErr.Store(nil)
 }
 
-// logBatch feeds the applied sub-batch of one shard partition to the
-// attached Logger, if any. It runs under the owning shard's write lock.
-func (g *Graph) logBatch(b core.Batch) {
-	p := g.wal.Load()
-	if p == nil || len(b) == 0 {
-		return
+// stage hands the applied sub-batch of one shard partition to the
+// attached Logger's first half. It runs under the owning shard's write
+// lock.
+func (g *Graph) stage(h *logHook, b core.Batch) {
+	var err error
+	if h.staged != nil {
+		err = h.staged.Stage(b)
+	} else {
+		err = h.log.LogBatch(b)
 	}
-	if err := (*p).LogBatch(b); err != nil {
-		g.logErrMu.Lock()
-		if g.logErr == nil {
-			g.logErr = err
+	if err != nil {
+		g.setLogErr(err)
+	}
+}
+
+// setLogErr makes err sticky unless an earlier one already is. Its own
+// function so that the boxed copy is allocated on the error path only.
+func (g *Graph) setLogErr(err error) { g.logErr.CompareAndSwap(nil, &err) }
+
+// commit waits out the Logger's second half, if it has one, and
+// reports the sticky error. Once an error is sticky nothing further
+// can be made durable, so there is nothing to wait for.
+func (g *Graph) commit(h *logHook) error {
+	if h.staged != nil && g.logErr.Load() == nil {
+		if err := h.staged.Commit(); err != nil {
+			g.setLogErr(err)
 		}
-		g.logErrMu.Unlock()
 	}
+	return g.LogErr()
+}
+
+// Commit returns once every mutation staged so far — by Stage, or by a
+// concurrent writer that has released its shard lock — is durable per
+// the attached Logger's policy, and reports the first error the Logger
+// has returned, if any. With no Logger, or a plain one-method Logger
+// (which did everything at stage time), there is nothing to wait for.
+func (g *Graph) Commit() error {
+	if h := g.wal.Load(); h != nil {
+		return g.commit(h)
+	}
+	return nil
 }
 
 // LogErr returns the first error the attached Logger reported, if any.
@@ -189,9 +254,10 @@ func (g *Graph) logBatch(b core.Batch) {
 // serving but its durability guarantee is void; servers should surface
 // this to clients.
 func (g *Graph) LogErr() error {
-	g.logErrMu.Lock()
-	defer g.logErrMu.Unlock()
-	return g.logErr
+	if p := g.logErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Load reads a basic-variant snapshot (the format of core.Graph.Save)
@@ -233,59 +299,82 @@ func (g *Graph) shardOf(u uint64) *shard { return &g.shards[g.shardIndex(u)] }
 
 // applyToShard is the one mutation path of the sharded engine: it
 // applies a batch whose ops all hash to shard si under a single
-// write-lock acquisition, logs the applied sub-batch as one Logger
-// call, and settles the aggregate counters once for the whole
+// write-lock acquisition, stages the applied sub-batch with the Logger
+// as one call, and settles the aggregate counters once for the whole
 // partition. When live snapshot views exist, the pre-images of the
 // cells the partition touches are preserved first (see preserve) —
-// that, and nothing else, is the copy-on-write cost of a view.
+// that, and nothing else, is the copy-on-write cost of a view. The
+// Logger's commit is the caller's business, after the unlock.
 func (g *Graph) applyToShard(si int, part core.Batch) core.BatchResult {
 	sh := &g.shards[si]
 	sh.mu.Lock()
-	res := g.applyLocked(si, sh, part)
+	res, _ := g.applyLocked(si, sh, part)
 	sh.mu.Unlock()
 	return res
 }
 
 // applyOne applies a single op through the shard's scratch slot, so the
 // single-edge methods need no per-call batch allocation: a stack-built
-// one-op slice would escape through the WAL logging path, but the
-// shard-owned slot (written only under the write lock) does not.
+// one-op slice would escape through the logging path, but the
+// shard-owned slot (written only under the write lock) does not. The
+// Logger's commit, if one is attached, happens after the unlock.
 func (g *Graph) applyOne(si int, op core.Op) core.BatchResult {
 	sh := &g.shards[si]
 	sh.mu.Lock()
 	sh.one[0] = op
-	res := g.applyLocked(si, sh, sh.one[:])
+	res, h := g.applyLocked(si, sh, sh.one[:])
 	sh.mu.Unlock()
+	if h != nil {
+		g.commit(h)
+	}
 	return res
 }
 
-func (g *Graph) applyLocked(si int, sh *shard, part core.Batch) core.BatchResult {
+// maxAppliedScratch caps, in ops, the per-shard applied-ops scratch a
+// partition leaves behind: it is there for the small batches of the
+// serving path (a G.MINSERT's pairs), and a bulk partition that outgrows
+// it allocates its own, as it always did, rather than pin 24 bytes an op
+// on every shard.
+const maxAppliedScratch = 64
+
+func (g *Graph) applyLocked(si int, sh *shard, part core.Batch) (core.BatchResult, *logHook) {
 	if len(sh.views) > 0 {
 		g.preserve(si, sh, part)
 	}
 	n0 := sh.g.NumNodes()
 	var res core.BatchResult
+	h := g.wal.Load()
 	switch {
-	case g.wal.Load() == nil:
+	case h == nil:
 		res = sh.g.ApplyBatchFunc(part, nil)
 	case len(part) == 1:
 		// A size-1 partition that applied IS its applied sub-batch; skip
-		// the collection allocation on the hot single-edge path.
+		// the collection on the hot single-edge path.
 		res = sh.g.ApplyBatchFunc(part, nil)
 		if res.Inserted+res.Deleted == 1 {
-			g.logBatch(part)
+			g.stage(h, part)
 		}
 	default:
-		// Collect lazily: partitions full of duplicate inserts apply
-		// nothing and should not pay an allocation to learn that.
+		// Collect into the shard's scratch; a partition too big for it
+		// gets a buffer of its own, lazily — partitions full of duplicate
+		// inserts apply nothing and should not pay for one.
+		small := len(part) <= maxAppliedScratch
 		var applied core.Batch
+		if small {
+			applied = sh.applied[:0]
+		}
 		res = sh.g.ApplyBatchFunc(part, func(op core.Op) {
 			if applied == nil {
 				applied = make(core.Batch, 0, len(part))
 			}
 			applied = append(applied, op)
 		})
-		g.logBatch(applied)
+		if len(applied) > 0 {
+			g.stage(h, applied)
+		}
+		if small {
+			sh.applied = applied
+		}
 	}
 	// Both deltas may be negative; unsigned wraparound plus the modular
 	// atomic Add nets out correctly.
@@ -294,7 +383,7 @@ func (g *Graph) applyLocked(si int, sh *shard, part core.Batch) core.BatchResult
 	if applied := res.Applied(); applied > 0 {
 		g.muts.Add(applied)
 	}
-	return res
+	return res, h
 }
 
 // Mutations returns the number of applied mutations over the graph's
@@ -308,8 +397,20 @@ func (g *Graph) Mutations() uint64 { return g.muts.Load() }
 // record. Ops for the same source node always share a shard, so their
 // relative order — the order that determines the outcome of interleaved
 // inserts and deletes — is preserved; the result is logically identical
-// to applying the ops one by one.
+// to applying the ops one by one. It returns once the batch is durable
+// per the Logger's policy: ApplyBatch is Stage followed by Commit.
 func (g *Graph) ApplyBatch(b core.Batch) core.BatchResult {
+	res := g.Stage(b)
+	g.Commit()
+	return res
+}
+
+// Stage is ApplyBatch without the wait: the batch is applied, visible
+// to readers and, with a StagedLogger attached, recorded in the log's
+// memory in apply order — but not yet durable. The caller owes a Commit
+// before it acknowledges the batch to anyone. With a plain Logger (or
+// none) Stage is all of ApplyBatch.
+func (g *Graph) Stage(b core.Batch) core.BatchResult {
 	if len(b) == 0 {
 		return core.BatchResult{}
 	}
@@ -575,12 +676,14 @@ func (g *Graph) Save(w io.Writer) error {
 
 // Checkpoint writes a Save-format snapshot, invoking cut (if non-nil)
 // inside the freeze window — every shard's write lock held, multi-shard
-// batches excluded — before any edge is emitted. Because mutations log
-// to the WAL under a shard's write lock, which cannot be held while the
-// freeze is, a cut that rotates the WAL partitions the log exactly:
-// every record logged before the freeze lands in segments older than
-// the rotation, every record after in newer ones, and the snapshot
-// reflects precisely the old segments. That is the contract
+// batches excluded — before any edge is emitted. Because mutations are
+// staged with the WAL under a shard's write lock, which cannot be held
+// while the freeze is, and the rotation writes out everything staged
+// before it seals the segment, a cut that rotates the WAL partitions
+// the log exactly: every record staged before the freeze lands in
+// segments older than the rotation — committed by its writer yet or not
+// — every record after in newer ones, and the snapshot reflects
+// precisely the old segments. That is the contract
 // snapshot-plus-log-tail recovery depends on. Unlike the freeze, the
 // serialization itself holds no shard locks: it streams from a frozen
 // view (released on return), so an arbitrarily large snapshot write no

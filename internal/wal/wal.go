@@ -8,12 +8,18 @@
 //	uvarint payloadLen | payload | crc32c(payload)
 //	payload = op byte | uvarint u | uvarint v
 //
-// Writers call Append, which group-commits: the first waiter becomes
-// the leader, writes every pending record with one write(2) and (under
-// SyncAlways) one fsync, then wakes the followers. Concurrent writers —
-// e.g. the sharded engine's per-shard mutators — therefore amortize
-// fsync latency across the whole batch while still getting synchronous
-// durability: Append does not return until the record is on disk.
+// Appending has two halves. Stage copies a batch's ops into the open
+// group under the WAL lock and returns — no encoding, no CRC, no I/O —
+// so a caller may stage while holding a lock of its own (the sharded
+// engine stages under the shard lock, which is what makes log order
+// equal apply order per shard). Commit returns once everything staged
+// before the call is durable per the sync policy: the first committer
+// becomes the leader, frames the whole accumulated group as one record
+// (one CRC), writes it with one write(2) and, under SyncAlways, one
+// fsync, then wakes the followers. A group therefore grows with every
+// stager that arrives while the device is busy, and fsync latency is
+// amortized across all of them. Append, AppendBatch and LogBatch are
+// the synchronous form, Stage followed by Commit.
 //
 // Recovery tolerates a torn tail (a crash mid-write leaves a partial or
 // CRC-failing final record, which is dropped) but treats damage
@@ -48,6 +54,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"cuckoograph/internal/core"
 	"cuckoograph/internal/vfs"
@@ -117,7 +124,7 @@ const (
 	// process crash (they are in the page cache) but a machine crash can
 	// lose the un-synced suffix. Rotation and Close still fsync.
 	SyncNone
-	// SyncAsync acknowledges appends as soon as they are queued and
+	// SyncAsync acknowledges appends as soon as they are staged and
 	// lets a background flusher write them — the Redis "everysec"
 	// trade: near-in-memory append throughput, but a crash can lose the
 	// not-yet-written suffix. Replay treats that suffix exactly like a
@@ -169,12 +176,21 @@ const (
 	crcSize       = 4
 
 	// maxBatchOps caps the ops framed into one OpBatch record; larger
-	// batches are chunked into several records (still queued as one
-	// group-commit slot). The cap bounds maxBatchPayload, the
+	// batches are chunked into several records (still written by one
+	// group commit). The cap bounds maxBatchPayload, the
 	// plausibility limit for any record's length prefix — anything
 	// larger is damage, not a record.
 	maxBatchOps     = 32768
 	maxBatchPayload = 1 + core.MaxVarintLen64 + maxBatchOps*(1+2*core.MaxVarintLen64)
+
+	// retainedBufBytes caps what each reused buffer — the two of the
+	// group swap and the frame — keeps between commits. A page apiece
+	// holds a pipeline drain of up to 170 ops; bulk batches allocate
+	// theirs per commit, as they always did, rather than pin them for
+	// the WAL's lifetime.
+	retainedBufBytes = 4 << 10
+	// opBytes is the in-memory size of one staged op.
+	opBytes = int(unsafe.Sizeof(core.Op{}))
 
 	segSuffix        = ".seg"
 	segPrefix        = "wal-"
@@ -200,11 +216,21 @@ type WAL struct {
 	seg  uint64   // current segment index
 	size int64    // bytes written to the current segment
 
-	pending  []byte // encoded frames awaiting the next group commit
-	nextSeq  uint64 // sequence number of the most recently queued record
-	flushed  uint64 // highest sequence durably written
-	flushing bool   // a leader is writing outside mu
-	err      error  // sticky: first write/sync failure poisons the WAL
+	// staged is the open group: the ops of every Stage call since the
+	// last group was taken, in stage order, not yet encoded. cuts are
+	// the record boundaries inside it that a batch must not straddle
+	// (see Stage); almost always empty. Whoever writes the group swaps
+	// staged with spare and encodes into frame, so neither buffer is
+	// allocated once warm. Stage calls are numbered by cAppends;
+	// flushed is the highest number durable per the sync policy, an
+	// atomic so Commit can see "nothing to wait for" without mu.
+	staged   core.Batch
+	cuts     []int
+	spare    core.Batch
+	frame    []byte // encode buffer; owned by whoever writes the group
+	flushed  atomic.Uint64
+	flushing bool  // a leader is writing outside mu
+	err      error // sticky: first write/sync failure poisons the WAL
 	closed   bool
 
 	// pins holds the live retention pins (see Pin): compaction via
@@ -222,9 +248,9 @@ type WAL struct {
 	// commit leader bumps bytes/commits/syncs with mu released, and the
 	// /metrics scraper must be able to read without queueing behind an
 	// fsync.
-	cAppends atomic.Uint64 // acknowledged Append/AppendBatch calls
-	cRecords atomic.Uint64 // framed records (a chunked batch counts per chunk)
-	cOps     atomic.Uint64 // edge mutations logged
+	cAppends atomic.Uint64 // accepted Stage calls; doubles as the stage sequence
+	cRecords atomic.Uint64 // framed records (a chunked group counts per chunk)
+	cOps     atomic.Uint64 // edge mutations staged
 	cBytes   atomic.Uint64 // frame bytes handed to write(2)
 	cCommits atomic.Uint64 // group commits (write(2) batches)
 	cSyncs   atomic.Uint64 // fsyncs of segment data
@@ -234,15 +260,15 @@ type WAL struct {
 // Stats is a point-in-time snapshot of the WAL's observability
 // counters — the export hook behind the server's /metrics endpoint.
 type Stats struct {
-	Appends      uint64 // acknowledged Append/AppendBatch calls
-	Records      uint64 // framed records written or queued
-	Ops          uint64 // edge mutations logged
+	Appends      uint64 // accepted Stage calls (Append, AppendBatch and LogBatch are one each)
+	Records      uint64 // framed records handed to write(2)
+	Ops          uint64 // edge mutations staged
 	Bytes        uint64 // frame bytes handed to write(2)
 	GroupCommits uint64 // write(2) batches (group commits)
 	Syncs        uint64 // fsyncs of segment data
 	Rotations    uint64 // segment rotations
 	Segment      uint64 // segment currently appended to
-	PendingBytes uint64 // queued frame bytes not yet written
+	PendingBytes uint64 // in-memory bytes of staged ops not yet taken by a group commit
 	Failed       bool   // the sticky error has poisoned the WAL
 	Closed       bool   // Close has run; the counters are final
 }
@@ -266,7 +292,7 @@ func (w *WAL) Stats() Stats {
 		w.cond.Wait()
 	}
 	st.Segment = w.seg
-	st.PendingBytes = uint64(len(w.pending))
+	st.PendingBytes = uint64(len(w.staged) * opBytes)
 	st.Failed = w.err != nil
 	st.Closed = w.closed
 	return st
@@ -372,8 +398,8 @@ func (w *WAL) unlockDir() {
 }
 
 // startFlusher spawns the background writer behind SyncAsync appends.
-// It drains pending whenever woken and exits once the WAL closes or
-// poisons itself.
+// It writes the staged group whenever woken and exits once the WAL
+// closes or poisons itself.
 func (w *WAL) startFlusher() {
 	if w.opts.Sync != SyncAsync {
 		return
@@ -384,28 +410,13 @@ func (w *WAL) startFlusher() {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		for {
-			for len(w.pending) == 0 && !w.closed && w.err == nil {
+			for len(w.staged) == 0 && !w.closed && w.err == nil {
 				w.cond.Wait()
 			}
 			if w.closed || w.err != nil {
 				return
 			}
-			batch := w.pending
-			w.pending = nil
-			hi := w.nextSeq
-			w.flushing = true
-			w.mu.Unlock()
-			err := w.writeBatch(batch)
-			w.mu.Lock()
-			w.flushing = false
-			if err != nil {
-				if w.err == nil {
-					w.err = err
-				}
-			} else {
-				w.flushed = hi
-			}
-			w.cond.Broadcast()
+			w.flushStaged(true)
 		}
 	}()
 }
@@ -441,9 +452,7 @@ func (w *WAL) Err() error {
 	return w.err
 }
 
-// LogBatch implements sharded.Logger: the applied sub-batch of one
-// shard partition becomes one batch record (chunked past maxBatchOps)
-// in one group-commit slot.
+// LogBatch implements sharded.Logger: Stage followed by Commit.
 func (w *WAL) LogBatch(b core.Batch) error { return w.AppendBatch(b) }
 
 // LogInsert logs a single insert — a size-1 batch in record terms.
@@ -452,129 +461,174 @@ func (w *WAL) LogInsert(u, v uint64) error { return w.Append(OpInsert, u, v) }
 // LogDelete logs a single delete.
 func (w *WAL) LogDelete(u, v uint64) error { return w.Append(OpDelete, u, v) }
 
-// Append durably logs one record and returns once it (and, for free,
-// every record queued alongside it) is written — the group commit.
+// Append durably logs one op and returns once it (and, for free, every
+// op staged alongside it) is written — the group commit.
 func (w *WAL) Append(op Op, u, v uint64) error {
-	var frame [maxPayload + frameOverhead]byte
-	return w.enqueue(encodeFrame(frame[:0], op, u, v), 1, 1)
+	b := [1]core.Op{{Kind: core.OpKind(op), U: u, V: v}}
+	return w.AppendBatch(b[:])
 }
 
-// AppendBatch durably logs a whole mutation batch as one record —
-// one length prefix, one CRC32C, one group-commit slot — so the
-// per-record framing and fsync cost is amortized across the batch. A
-// size-1 batch is encoded in the plain single-op format (the formats
-// coexist in one log); batches beyond maxBatchOps are chunked into
-// several records but still commit as one slot. Replay delivers the ops
-// back in order. An empty batch is a no-op.
+// AppendBatch durably logs a whole mutation batch: Stage, then Commit.
+// Alone in its group the batch becomes one record — one length prefix,
+// one CRC32C — in the plain single-op format when it has one op (the
+// formats coexist in one log); with concurrent appenders the group's
+// batches share a record. Either way a batch of at most maxBatchOps ops
+// never straddles two records, so replay applies it whole or not at
+// all; larger batches are chunked. Replay delivers the ops back in
+// order. An empty batch is a no-op.
 func (w *WAL) AppendBatch(b core.Batch) error {
-	switch len(b) {
-	case 0:
-		return nil
-	case 1:
-		op, err := opOf(b[0].Kind)
-		if err != nil {
-			return err
-		}
-		return w.Append(op, b[0].U, b[0].V)
+	if err := w.Stage(b); err != nil {
+		return err
 	}
-	var buf []byte
-	ops := uint64(len(b))
-	records := uint64(0)
-	for len(b) > 0 {
-		chunk := b
-		if len(chunk) > maxBatchOps {
-			chunk = chunk[:maxBatchOps]
-		}
-		b = b[len(chunk):]
-		var err error
-		buf, err = encodeBatchFrame(buf, chunk)
-		if err != nil {
-			return err
-		}
-		records++
-	}
-	return w.enqueue(buf, records, ops)
+	return w.Commit()
 }
 
-// enqueue queues already-framed records for the next group commit and
-// blocks until they are durable per the sync policy. records and ops
-// feed the observability counters once the frames are accepted.
-func (w *WAL) enqueue(rec []byte, records, ops uint64) error {
+// Stage copies b's ops onto the end of the open group and returns: no
+// encoding, no checksum, no I/O, so it is safe under a caller's own
+// lock, and b is not retained. The ops are durable once a Commit that
+// starts after Stage returns has returned nil (under SyncAsync: once the
+// background flusher has written them). Stage fails, staging nothing,
+// on a poisoned or closed WAL and on an op that is neither an insert
+// nor a delete.
+func (w *WAL) Stage(b core.Batch) error {
+	if len(b) == 0 {
+		return nil
+	}
+	for _, o := range b {
+		if _, err := opOf(o.Kind); err != nil {
+			return err
+		}
+	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.err != nil {
-		w.mu.Unlock()
 		return w.err
 	}
 	if w.closed {
-		w.mu.Unlock()
 		return ErrClosed
 	}
-	wasEmpty := len(w.pending) == 0
-	w.pending = append(w.pending, rec...)
-	w.nextSeq++
-	seq := w.nextSeq
+	// A record holds at most maxBatchOps ops. When b would push the
+	// group's last record past that, the record is cut before b, so b
+	// (unless oversized itself) still lands whole in the next one.
+	recStart := 0
+	if n := len(w.cuts); n > 0 {
+		recStart = w.cuts[n-1]
+	}
+	if len(w.staged) > recStart && len(w.staged)-recStart+len(b) > maxBatchOps {
+		w.cuts = append(w.cuts, len(w.staged))
+	}
+	wasEmpty := len(w.staged) == 0
+	w.staged = append(w.staged, b...)
 	w.cAppends.Add(1)
-	w.cRecords.Add(records)
-	w.cOps.Add(ops)
+	w.cOps.Add(uint64(len(b)))
+	// The background flusher only ever parks on an empty group, so just
+	// the empty→non-empty transition needs to wake it — ops staged while
+	// it is writing are picked up when it loops.
+	if wasEmpty && w.opts.Sync == SyncAsync {
+		w.cond.Broadcast()
+	}
+	return nil
+}
+
+// Commit returns once every op staged before the call is durable per
+// the sync policy — SyncNone: written; SyncAlways: written and fsynced;
+// SyncAsync: nothing to wait for, the background flusher owns the
+// write. The first committer to find the file free leads: it takes the
+// whole staged group, its own ops and everyone else's, frames and
+// writes it outside the lock, and wakes the rest. With nothing
+// uncommitted Commit is two atomic loads.
+func (w *WAL) Commit() error {
 	if w.opts.Sync == SyncAsync {
-		// Acknowledge immediately; the background flusher owns the
-		// write. The flusher only ever parks on an empty queue, so just
-		// the empty→non-empty transition needs to wake it — appends that
-		// land while it is writing are picked up when it loops.
-		if wasEmpty {
-			w.cond.Broadcast()
-		}
-		w.mu.Unlock()
 		return nil
 	}
-	for {
-		if w.flushed >= seq {
-			w.mu.Unlock()
-			return nil
-		}
+	seq := w.cAppends.Load()
+	if w.flushed.Load() >= seq {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.flushed.Load() < seq {
 		if w.err != nil {
-			err := w.err
-			w.mu.Unlock()
+			return w.err
+		}
+		if w.flushing {
+			w.cond.Wait()
+			continue
+		}
+		if err := w.flushStaged(true); err != nil {
 			return err
 		}
-		if !w.flushing {
-			break
-		}
-		w.cond.Wait()
 	}
-	// This writer is the leader: it owns the file until flushing clears.
-	w.flushing = true
-	batch := w.pending
-	w.pending = nil
-	hi := w.nextSeq
-	w.mu.Unlock()
+	return nil
+}
 
-	err := w.writeBatch(batch)
-
-	w.mu.Lock()
-	w.flushing = false
+// flushStaged frames and writes the staged group, if any. It requires
+// mu held, no leader in flight and a healthy WAL. With unlock set it
+// becomes the leader — mu is released for the encode and the I/O, and
+// the flushing flag owns the file and the frame buffer meanwhile;
+// otherwise mu stays held throughout (the Sync/Rotate/Close path).
+// Either way it records the outcome — flushed advanced, or the sticky
+// error set — and wakes every waiter.
+func (w *WAL) flushStaged(unlock bool) error {
+	if len(w.staged) == 0 {
+		return nil
+	}
+	group, cuts, hi := w.staged, w.cuts, w.cAppends.Load()
+	w.staged, w.spare, w.cuts = w.spare[:0], nil, nil
+	if unlock {
+		w.flushing = true
+		w.mu.Unlock()
+	}
+	err := w.writeGroup(group, cuts)
+	if unlock {
+		w.mu.Lock()
+		w.flushing = false
+	}
+	if cap(group)*opBytes <= retainedBufBytes {
+		w.spare = group
+	}
 	if err != nil {
-		if w.err == nil {
-			w.err = err
-		}
+		w.err = err
 	} else {
-		w.flushed = hi
+		w.flushed.Store(hi)
 	}
 	w.cond.Broadcast()
-	w.mu.Unlock()
 	return err
 }
 
-// writeBatch writes one group-commit batch to the current segment,
-// fsyncs per policy, and rotates if the segment is full. Only the
-// leader (flushing set) or a holder of mu with flushing clear may call
-// it — either way access to the file is exclusive.
-func (w *WAL) writeBatch(batch []byte) error {
-	if _, err := w.f.Write(batch); err != nil {
+// writeGroup frames one group — a record per cut, chunked at
+// maxBatchOps — into the reused frame buffer and writes it to the
+// current segment with one write(2), fsyncs per policy, and rotates if
+// the segment is full. Only the leader (flushing set) or a holder of mu
+// with flushing clear may call it — either way access to the file and
+// the buffer is exclusive.
+func (w *WAL) writeGroup(group core.Batch, cuts []int) error {
+	var err error
+	buf, records := w.frame[:0], uint64(0)
+	for start := 0; start < len(group); {
+		end := len(group)
+		if len(cuts) > 0 {
+			end, cuts = cuts[0], cuts[1:]
+		}
+		for ; start < end; records++ {
+			// A size-1 record keeps the plain single-op format.
+			rec := group[start:min(end, start+maxBatchOps)]
+			if start += len(rec); len(rec) == 1 {
+				buf = encodeFrame(buf, Op(rec[0].Kind), rec[0].U, rec[0].V)
+			} else if buf, err = encodeBatchFrame(buf, rec); err != nil {
+				return err // unreachable: Stage checked every kind
+			}
+		}
+	}
+	if cap(buf) <= retainedBufBytes {
+		w.frame = buf
+	}
+	w.cRecords.Add(records)
+	if _, err := w.f.Write(buf); err != nil {
 		return fmt.Errorf("wal: append segment %d: %w", w.seg, err)
 	}
-	w.size += int64(len(batch))
-	w.cBytes.Add(uint64(len(batch)))
+	w.size += int64(len(buf))
+	w.cBytes.Add(uint64(len(buf)))
 	w.cCommits.Add(1)
 	if w.opts.Sync == SyncAlways {
 		if err := w.f.Sync(); err != nil {
@@ -653,24 +707,6 @@ func (w *WAL) exclusive() error {
 	return nil
 }
 
-// flushPendingLocked writes any queued-but-unwritten records. Requires
-// mu held with flushing clear.
-func (w *WAL) flushPendingLocked() error {
-	if len(w.pending) == 0 {
-		return nil
-	}
-	batch := w.pending
-	w.pending = nil
-	if err := w.writeBatch(batch); err != nil {
-		w.err = err
-		w.cond.Broadcast()
-		return err
-	}
-	w.flushed = w.nextSeq
-	w.cond.Broadcast()
-	return nil
-}
-
 // Sync forces everything appended so far onto disk, regardless of the
 // sync policy.
 func (w *WAL) Sync() error {
@@ -678,7 +714,7 @@ func (w *WAL) Sync() error {
 		return err
 	}
 	defer w.mu.Unlock()
-	if err := w.flushPendingLocked(); err != nil {
+	if err := w.flushStaged(false); err != nil {
 		return err
 	}
 	if err := w.f.Sync(); err != nil {
@@ -698,7 +734,7 @@ func (w *WAL) Rotate() (uint64, error) {
 		return 0, err
 	}
 	defer w.mu.Unlock()
-	if err := w.flushPendingLocked(); err != nil {
+	if err := w.flushStaged(false); err != nil {
 		return 0, err
 	}
 	if err := w.rotate(); err != nil {
@@ -769,7 +805,7 @@ func (w *WAL) Close() error {
 	w.closed = true
 	var err error
 	if w.err == nil && w.f != nil {
-		err = w.flushPendingLocked()
+		err = w.flushStaged(false)
 		if err == nil {
 			if serr := w.f.Sync(); serr != nil {
 				err = fmt.Errorf("wal: fsync segment %d: %w", w.seg, serr)
@@ -779,7 +815,7 @@ func (w *WAL) Close() error {
 		}
 	}
 	// Wake the flusher (it parks on cond) and anything waiting in
-	// enqueue, then wait for the flusher to exit before touching the
+	// Commit, then wait for the flusher to exit before touching the
 	// file descriptor it might still write to.
 	w.cond.Broadcast()
 	w.mu.Unlock()
@@ -803,36 +839,45 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// encodeFrame appends one framed record to buf and returns it.
-func encodeFrame(buf []byte, op Op, u, v uint64) []byte {
-	var payload [maxPayload]byte
-	p := payload[:0]
-	p = append(p, byte(op))
-	p = core.AppendUvarint(p, u)
-	p = core.AppendUvarint(p, v)
-	buf = core.AppendUvarint(buf, uint64(len(p)))
-	buf = append(buf, p...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(p, castagnoli))
-}
-
 // encodeBatchFrame appends one framed OpBatch record holding ops (at
-// most maxBatchOps of them) to buf and returns it.
+// most maxBatchOps of them) to buf and returns it. The length prefix
+// precedes a payload whose length is only known once it is encoded, so
+// the payload is encoded behind a worst-case gap and the gap closed
+// afterwards: one pass, no scratch buffer.
 func encodeBatchFrame(buf []byte, ops core.Batch) ([]byte, error) {
-	payload := make([]byte, 0, 1+core.MaxVarintLen64+len(ops)*3)
-	payload = append(payload, byte(OpBatch))
-	payload = core.AppendUvarint(payload, uint64(len(ops)))
+	const gap = core.MaxVarintLen64
+	head := len(buf)
+	var prefix [gap]byte
+	buf = append(buf, prefix[:]...)
+	buf = append(buf, byte(OpBatch))
+	buf = core.AppendUvarint(buf, uint64(len(ops)))
 	for _, o := range ops {
 		op, err := opOf(o.Kind)
 		if err != nil {
 			return nil, err
 		}
-		payload = append(payload, byte(op))
-		payload = core.AppendUvarint(payload, o.U)
-		payload = core.AppendUvarint(payload, o.V)
+		buf = append(buf, byte(op))
+		buf = core.AppendUvarint(buf, o.U)
+		buf = core.AppendUvarint(buf, o.V)
 	}
-	buf = core.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli)), nil
+	n := len(buf) - head - gap
+	pl := len(core.AppendUvarint(prefix[:0], uint64(n)))
+	copy(buf[head:], prefix[:pl])
+	copy(buf[head+pl:], buf[head+gap:])
+	buf = buf[:head+pl+n]
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[head+pl:], castagnoli)), nil
+}
+
+// encodeFrame appends one framed single-op record to buf and returns
+// it. The payload is encoded in place behind its length prefix, which
+// is always one byte (maxPayload < 128).
+func encodeFrame(buf []byte, op Op, u, v uint64) []byte {
+	head := len(buf)
+	buf = append(buf, 0, byte(op))
+	buf = core.AppendUvarint(buf, u)
+	buf = core.AppendUvarint(buf, v)
+	buf[head] = byte(len(buf) - head - 1)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[head+1:], castagnoli))
 }
 
 func segmentPath(dir string, index uint64) string {
