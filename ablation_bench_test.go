@@ -1,8 +1,7 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out beyond
-// the paper's own parameter study: the number of large slots R (inline
-// capacity vs chain pressure), the initial S-CHT length n (space vs
-// transformation frequency), the weighted variant's overhead, and the
-// snapshot codec.
+// Ablation benchmarks for the design choices beyond the paper's own
+// parameter study: the number of large slots R (inline capacity vs chain
+// pressure), the initial S-CHT length n (space vs transformation
+// frequency), the weighted variant's overhead, and the snapshot codec.
 package cuckoograph_test
 
 import (

@@ -1,15 +1,15 @@
 // Command cgbench regenerates every table and figure of the paper's
 // evaluation (§V). Each subcommand prints the rows or series of one
 // experiment; "all" runs the whole suite. Datasets are synthesised at a
-// configurable scale (see DESIGN.md §3 for the substitution rationale).
+// configurable scale (the dataset package comment gives the substitution
+// rationale).
 //
 // Usage:
 //
 //	cgbench [-scale N] [-seed N] <experiment>
 //
-// Experiments: table3 table4 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-// fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 kicks
-// concurrent parallel durability batchops snapshot server all
+// Experiments: table2 table3 table4 fig2 fig3 fig4 fig5 fig6 fig7 fig8
+// fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 kicks all
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 	"strconv"
 	"time"
 
-	"cuckoograph/internal/analytics"
 	"cuckoograph/internal/bench"
 	"cuckoograph/internal/core"
 	"cuckoograph/internal/cuckoo"
@@ -30,106 +29,26 @@ import (
 	"cuckoograph/internal/neolike"
 	"cuckoograph/internal/redislike"
 	"cuckoograph/internal/resp"
-	"cuckoograph/internal/sharded"
 	"cuckoograph/internal/stores"
-	"cuckoograph/internal/wal"
 )
 
 var (
-	scale     = flag.Uint64("scale", 64, "dataset scale divisor (1 = paper size)")
-	seed      = flag.Uint64("seed", 42, "workload seed")
-	jsonOut   = flag.Bool("json", false, "also write BENCH_<workload>.json with machine-readable results")
-	compare   = flag.String("compare", "", "baseline BENCH_<workload>.json to diff the run against; exits 1 on regression")
-	tolerance = flag.Float64("tolerance", 0.15, "allowed fractional ns/op slowdown before -compare flags a regression")
-	repeat    = flag.Int("repeat", 1, "run the workload N times and keep per-series medians (defaults to 3 with -compare)")
+	scale = flag.Uint64("scale", 64, "dataset scale divisor (1 = paper size)")
+	seed  = flag.Uint64("seed", 42, "workload seed")
 )
+
+// experiments lists what "all" runs, in paper order.
+var experiments = []string{"table2", "table3", "table4", "fig2", "fig3", "fig4", "fig5",
+	"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
+	"fig14", "fig15", "fig16", "fig17", "fig18", "kicks"}
 
 func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: cgbench [-scale N] [-seed N] [-json] [-compare BENCH_x.json [-tolerance F] [-repeat N]] <table2|table3|table4|fig2..fig18|kicks|analytics|readpath|concurrent|parallel|durability|batchops|snapshot|server|all>")
+		fmt.Fprintln(os.Stderr, "usage: cgbench [-scale N] [-seed N] <table2..table4|fig2..fig18|kicks|all>")
 		os.Exit(2)
 	}
-	reps := *repeat
-	if reps < 1 {
-		reps = 1
-	}
-	if *compare != "" && *repeat == 1 {
-		reps = 3 // interleaved best-of-N: rerun and take medians
-	}
-	for i := 0; i < reps; i++ {
-		run(flag.Arg(0))
-	}
-	os.Exit(finish())
-}
-
-// collected accumulates each repeat's machine-readable rows per
-// workload; finish reduces them to per-series medians.
-var collected = map[string][][]bench.JSONRow{}
-
-// emitJSON records one run's machine-readable rows for the workload.
-// The file (and any -compare verdict) is produced by finish once every
-// repeat has run, from per-series medians.
-func emitJSON(workload string, rows []bench.JSONRow) {
-	collected[workload] = append(collected[workload], rows)
-}
-
-// finish writes BENCH_<workload>.json files when -json is set and,
-// when -compare names a baseline, diffs the medianed fresh rows
-// against it. The returned code is the process exit status: 1 when any
-// series regressed past the tolerance, 0 otherwise.
-func finish() int {
-	medians := map[string][]bench.JSONRow{}
-	for workload, runs := range collected {
-		medians[workload] = bench.MedianRows(runs)
-	}
-	if *jsonOut {
-		for workload, rows := range medians {
-			path, err := bench.WriteJSONReport(".", bench.JSONReport{
-				Workload: workload,
-				Scale:    *scale,
-				Rows:     rows,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cgbench: writing %s results: %v\n", workload, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-	}
-	if *compare == "" {
-		return 0
-	}
-	baseline, err := bench.LoadJSONReport(*compare)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cgbench: loading baseline: %v\n", err)
-		return 1
-	}
-	if baseline.Scale != 0 && baseline.Scale != *scale {
-		fmt.Fprintf(os.Stderr, "cgbench: baseline was measured at scale %d, this run at %d; rerun with -scale %d\n",
-			baseline.Scale, *scale, baseline.Scale)
-		return 1
-	}
-	fresh, ok := medians[baseline.Workload]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "cgbench: baseline is for workload %q, which this run did not execute\n", baseline.Workload)
-		return 1
-	}
-	deltas, regressed := bench.CompareReports(baseline, bench.JSONReport{
-		Workload: baseline.Workload,
-		Scale:    *scale,
-		Rows:     fresh,
-	}, *tolerance)
-	fmt.Printf("\n== Regression check vs %s (baseline rev %s, tolerance %.0f%%) ==\n",
-		*compare, baseline.GitRev, *tolerance*100)
-	header, rows := bench.FormatDeltas(deltas)
-	bench.PrintTable(os.Stdout, header, rows)
-	if regressed {
-		fmt.Println("RESULT: regression detected")
-		return 1
-	}
-	fmt.Println("RESULT: no regression")
-	return 0
+	run(flag.Arg(0))
 }
 
 func run(name string) {
@@ -169,27 +88,8 @@ func run(name string) {
 		fig18()
 	case "kicks":
 		kicks()
-	case "analytics":
-		analyticsCSR()
-	case "readpath":
-		readPath()
-	case "concurrent":
-		concurrent()
-	case "parallel":
-		parallelAnalytics()
-	case "durability":
-		durability()
-	case "batchops":
-		batchOps()
-	case "snapshot":
-		snapshot()
-	case "server":
-		serverOps()
 	case "all":
-		for _, n := range []string{"table2", "table3", "table4", "fig2", "fig3", "fig4", "fig5",
-			"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-			"fig14", "fig15", "fig16", "fig17", "fig18", "kicks", "analytics", "readpath", "concurrent", "parallel",
-			"durability", "batchops", "snapshot", "server"} {
+		for _, n := range experiments {
 			run(n)
 			fmt.Println()
 		}
@@ -487,244 +387,6 @@ func fig18() {
 			fmt.Sprintf("%.4f", insert.Seconds()), fmt.Sprintf("%.4f", query.Seconds())})
 	}
 	bench.PrintTable(os.Stdout, []string{"variant", "insert s", "query s"}, rows)
-}
-
-// concurrent measures write/read scaling of the sharded engine against
-// the single-global-lock baseline (the pre-sharding SafeGraph shape):
-// W writer goroutines insert disjoint slices of the CAIDA stream while
-// W/2 reader goroutines issue point queries.
-func concurrent() {
-	fmt.Printf("== Concurrent workload: sharded vs global lock, aggregate Mops (CAIDA, scale 1/%d) ==\n", *scale)
-	st := stream("CAIDA")
-	baseline := bench.LockedFactory(graphstore.Factory{Name: "CuckooGraph", New: stores.NewCuckooGraph})
-	// Pin the shard count above the writer count so shard-level locking
-	// is exercised even when GOMAXPROCS is small.
-	shardedF := graphstore.Factory{
-		Name: "CuckooGraph-Sharded",
-		New:  func() graphstore.Store { return sharded.New(sharded.Config{Shards: 16}) },
-	}
-	rows := [][]string{}
-	var jrows []bench.JSONRow
-	for _, w := range []int{1, 2, 4, 8} {
-		r := w / 2
-		lock := bench.ConcurrentOps(baseline, st, w, r)
-		shrd := bench.ConcurrentOps(shardedF, st, w, r)
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", w), fmt.Sprintf("%d", r),
-			fmt.Sprintf("%.3f", lock.WriteMops), fmt.Sprintf("%.3f", shrd.WriteMops),
-			bench.Ratio(shrd.WriteMops, lock.WriteMops),
-			fmt.Sprintf("%.3f", lock.ReadMops), fmt.Sprintf("%.3f", shrd.ReadMops),
-		})
-		jrows = append(jrows,
-			bench.MopsRow(fmt.Sprintf("sharded/w%d/write", w), shrd.WriteMops, 0),
-			bench.MopsRow(fmt.Sprintf("sharded/w%d/read", w), shrd.ReadMops, 0),
-		)
-	}
-	bench.PrintTable(os.Stdout,
-		[]string{"writers", "readers", "lock ins", "sharded ins", "speedup", "lock read", "sharded read"},
-		rows)
-	emitJSON("concurrent", jrows)
-}
-
-// parallelAnalytics measures the worker-pool BFS and PageRank against
-// their sequential counterparts on a sharded graph of the CAIDA stream.
-func parallelAnalytics() {
-	fmt.Printf("== Parallel analytics: worker-pool vs sequential, seconds (CAIDA, scale 1/%d) ==\n", *scale)
-	g := sharded.New(sharded.Config{})
-	bench.LoadStream(g, stream("CAIDA"))
-	root := analytics.TopDegreeNodes(g, 1)
-	if len(root) == 0 {
-		fmt.Println("empty graph, nothing to analyse")
-		return
-	}
-	rows := [][]string{}
-	for _, workers := range []int{1, 2, 4, 8} {
-		start := time.Now()
-		analytics.ParallelBFS(g, root[0], workers)
-		bfs := time.Since(start)
-		start = time.Now()
-		analytics.ParallelPageRank(g, 10, workers)
-		pr := time.Since(start)
-		rows = append(rows, []string{fmt.Sprintf("%d", workers),
-			fmt.Sprintf("%.4f", bfs.Seconds()), fmt.Sprintf("%.4f", pr.Seconds())})
-	}
-	bench.PrintTable(os.Stdout, []string{"workers", "BFS s", "PageRank(10) s"}, rows)
-}
-
-// durability prices the write-ahead log: CAIDA inserts with the WAL
-// detached vs attached under each fsync policy, plus the cost of
-// replaying the log back into a fresh graph. SyncAlways pays a real
-// fsync per group commit, so its stream is capped to keep the run short.
-func durability() {
-	fmt.Printf("== Durability: WAL write cost and recovery speed (CAIDA, scale 1/%d) ==\n", *scale)
-	st := stream("CAIDA")
-	rows := [][]string{}
-	for _, mode := range []struct {
-		sync wal.SyncPolicy
-		st   []dataset.Edge
-	}{
-		{wal.SyncAsync, st},
-		{wal.SyncNone, st},
-		{wal.SyncAlways, st[:min(len(st), 5000)]},
-	} {
-		for _, writers := range []int{1, 4} {
-			dir, err := os.MkdirTemp("", "cgbench-wal-")
-			if err != nil {
-				panic(err)
-			}
-			res, err := bench.Durability(mode.st, writers, dir, wal.Options{Sync: mode.sync})
-			os.RemoveAll(dir)
-			if err != nil {
-				panic(err)
-			}
-			rows = append(rows, []string{
-				bench.SyncName(res.Sync), fmt.Sprintf("%d", res.Writers), fmt.Sprintf("%d", res.Edges),
-				fmt.Sprintf("%.3f", res.WALOffMops), fmt.Sprintf("%.3f", res.WALOnMops),
-				bench.Ratio(res.WALOffMops, res.WALOnMops),
-				res.RecoverPerM.Round(time.Millisecond).String(),
-			})
-		}
-	}
-	bench.PrintTable(os.Stdout,
-		[]string{"sync", "writers", "edges", "wal-off Mops", "wal-on Mops", "slowdown", "recovery/1M"},
-		rows)
-}
-
-// batchOps prices the batched mutation pipeline end-to-end: the CAIDA
-// stream ingested through ApplyBatch at several batch sizes versus the
-// single-op path, all logging to an async WAL, reporting Mops and the
-// log bytes each applied edge cost.
-func batchOps() {
-	fmt.Printf("== Batched ingestion: ApplyBatch vs single-op, WAL async (CAIDA, scale 1/%d) ==\n", *scale)
-	st := stream("CAIDA")
-	dir, err := os.MkdirTemp("", "cgbench-batch-")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	results, err := bench.BatchOps(st, []int{1, 64, 1024}, dir, wal.Options{Sync: wal.SyncAsync})
-	if err != nil {
-		panic(err)
-	}
-	single := results[0].Mops
-	rows := [][]string{}
-	var jrows []bench.JSONRow
-	for _, r := range results {
-		rows = append(rows, []string{
-			r.Label(),
-			fmt.Sprintf("%.3f", r.Mops),
-			bench.Ratio(r.Mops, single),
-			fmt.Sprintf("%.3f", float64(r.WALBytes)/(1<<20)),
-			fmt.Sprintf("%.2f", r.BytesPerEdge),
-		})
-		jrows = append(jrows, bench.MopsRow(r.Label(), r.Mops, 0))
-	}
-	bench.PrintTable(os.Stdout,
-		[]string{"path", "insert Mops", "speedup", "WAL MB", "WAL B/edge"}, rows)
-	emitJSON("batchops", jrows)
-}
-
-// snapshot prices the epoch-based frozen views: the second half of the
-// CAIDA stream is ingested by 4 writers while 0, 1 or 4 views of the
-// half-loaded graph stay live, reporting writer throughput, the
-// snapshot-open freeze latency, and the copy-on-write bytes per million
-// applied mutations.
-func snapshot() {
-	fmt.Printf("== Snapshot views: writer cost of live frozen views (CAIDA, scale 1/%d) ==\n", *scale)
-	results := bench.SnapshotWorkload(stream("CAIDA"), 4, []int{0, 1, 4})
-	base := results[0].WriterMops
-	rows := [][]string{}
-	for _, r := range results {
-		open := "-"
-		if r.Views > 0 {
-			open = r.OpenLatency.Round(time.Microsecond).String()
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", r.Views),
-			fmt.Sprintf("%d", r.Edges),
-			fmt.Sprintf("%.3f", r.WriterMops),
-			bench.Ratio(r.WriterMops, base),
-			open,
-			fmt.Sprintf("%.3f", r.CoWPerMOps/(1<<20)),
-		})
-	}
-	bench.PrintTable(os.Stdout,
-		[]string{"live views", "ops", "writer Mops", "vs 0 views", "open latency", "CoW MB/1M ops"},
-		rows)
-}
-
-// analyticsCSR prices the CSR-compiled frozen views: PageRank, BFS and
-// triangle counting on one snapshot, each timed on the flat CSR path
-// and on the Store fallback (interleaved, medians), plus the index
-// compile cost so the amortization claim is visible in the output.
-func analyticsCSR() {
-	fmt.Printf("== Analytics: CSR flat kernels vs Store fallback (power-law, scale 1/%d) ==\n", *scale)
-	st := dataset.Generate(bench.AnalyticsCSRSpec, *scale, *seed)
-	rep := bench.AnalyticsCSR(st, 20, 3)
-	fmt.Printf("graph: %d edges, %d nodes; CSR build %.1f ms (PageRank here runs %d iterations)\n",
-		rep.Edges, rep.Nodes, rep.BuildNs/1e6, rep.PRIters)
-	rows := [][]string{}
-	for _, r := range rep.Results {
-		rows = append(rows, []string{
-			r.Kernel,
-			fmt.Sprintf("%.3f", r.FlatNs/1e6),
-			fmt.Sprintf("%.3f", r.FallbackNs/1e6),
-			fmt.Sprintf("%.2fx", r.Speedup()),
-		})
-	}
-	bench.PrintTable(os.Stdout, []string{"kernel", "CSR ms", "fallback ms", "speedup"}, rows)
-	emitJSON("analytics", rep.JSONRows())
-}
-
-// readPath measures the pure query machinery — Lookup (HasEdge hit and
-// miss), Degree and ForEachSuccessor — on the three adjacency shapes of
-// §III-A1 (one inline slot, full inline slots, an S-CHT chain), plus
-// the allocation cost per read op, which must be zero.
-func readPath() {
-	fmt.Printf("== Read path: probe throughput per adjacency shape (scale 1/%d) ==\n", *scale)
-	nodes := int(1_048_576 / *scale)
-	results := bench.ReadPath(nodes, *seed)
-	rows := [][]string{}
-	var jrows []bench.JSONRow
-	for _, r := range results {
-		rows = append(rows, []string{
-			r.Shape, fmt.Sprintf("%d", r.Degree),
-			fmt.Sprintf("%.2f", r.LookupMops), fmt.Sprintf("%.2f", r.MissMops),
-			fmt.Sprintf("%.2f", r.DegreeMops), fmt.Sprintf("%.2f", r.ScanMeps),
-			fmt.Sprintf("%.3f/%.3f/%.3f/%.3f", r.LookupAllocs, r.MissAllocs, r.DegreeAllocs, r.ScanAllocs),
-		})
-		jrows = append(jrows,
-			bench.MopsRow(r.Shape+"/lookup", r.LookupMops, r.LookupAllocs),
-			bench.MopsRow(r.Shape+"/contains-miss", r.MissMops, r.MissAllocs),
-			bench.MopsRow(r.Shape+"/degree", r.DegreeMops, r.DegreeAllocs),
-			bench.MopsRow(r.Shape+"/scan", r.ScanMeps, r.ScanAllocs),
-		)
-	}
-	bench.PrintTable(os.Stdout,
-		[]string{"shape", "deg", "lookup Mops", "miss Mops", "degree Mops", "scan Meps", "allocs/op (lookup/miss/degree/scan)"},
-		rows)
-	emitJSON("readpath", jrows)
-}
-
-// serverOps measures the serving plane end to end: a real TCP server
-// on loopback, one pipelined client per cell, throughput and process
-// allocations per command at pipeline depths 1/16/256.
-func serverOps() {
-	fmt.Printf("== Serving plane: pipelined TCP command throughput (scale 1/%d) ==\n", *scale)
-	ops := int(2_097_152 / *scale)
-	results := bench.ServerOps(ops, *seed)
-	rows := [][]string{}
-	var jrows []bench.JSONRow
-	for _, r := range results {
-		rows = append(rows, []string{
-			r.Workload, fmt.Sprintf("%d", r.Depth),
-			fmt.Sprintf("%.3f", r.Mops), fmt.Sprintf("%.0f", r.NsPerOp),
-			fmt.Sprintf("%.3f", r.AllocsPerOp),
-		})
-		jrows = append(jrows, bench.MopsRow(fmt.Sprintf("%s/d%d", r.Workload, r.Depth), r.Mops, r.AllocsPerOp))
-	}
-	bench.PrintTable(os.Stdout, []string{"workload", "depth", "Mops", "ns/op", "allocs/op"}, rows)
-	emitJSON("server", jrows)
 }
 
 // kicks reproduces the §IV-A measurement: average insertions per item.

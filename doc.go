@@ -123,6 +123,8 @@
 // adjacency list, PCSR), the graph analytics suite (BFS, SSSP, TC, CC,
 // PageRank, BC, LCC), synthetic dataset generators matching Table IV,
 // a Redis-like RESP server with a CuckooGraph module and a Neo4j-like
-// property-graph engine — everything needed to regenerate the paper's
-// evaluation; see DESIGN.md and EXPERIMENTS.md.
+// property-graph engine — everything cmd/cgbench needs to regenerate
+// the paper's evaluation (§V) on synthetic data; the internal/dataset
+// package comment gives the substitution rationale. Every other
+// measurement comes from the repo benchmark, benchmark/run.sh.
 package cuckoograph

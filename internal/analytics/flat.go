@@ -19,30 +19,6 @@ func indexOf(s graphstore.Store) *csr.Index {
 	return nil
 }
 
-// StoreOnly wraps a store, hiding every capability interface except
-// Store, NodeLister and Degreer. Wrapping an Indexed store forces the
-// kernels onto the map-based fallback path — the harness uses it as
-// the differential oracle for the CSR path and as the "before" side of
-// the with/without-index benchmarks.
-type StoreOnly struct{ S graphstore.Store }
-
-func (w StoreOnly) InsertEdge(u, v uint64) bool { return w.S.InsertEdge(u, v) }
-func (w StoreOnly) HasEdge(u, v uint64) bool    { return w.S.HasEdge(u, v) }
-func (w StoreOnly) DeleteEdge(u, v uint64) bool { return w.S.DeleteEdge(u, v) }
-func (w StoreOnly) NumEdges() uint64            { return w.S.NumEdges() }
-func (w StoreOnly) MemoryUsage() uint64         { return w.S.MemoryUsage() }
-func (w StoreOnly) Degree(u uint64) int         { return graphstore.Degree(w.S, u) }
-
-func (w StoreOnly) ForEachSuccessor(u uint64, fn func(v uint64) bool) {
-	w.S.ForEachSuccessor(u, fn)
-}
-
-func (w StoreOnly) ForEachNode(fn func(u uint64) bool) {
-	if nl, ok := w.S.(NodeLister); ok {
-		nl.ForEachNode(fn)
-	}
-}
-
 // bitset is a flat visited/marked set over dense ids.
 type bitset []uint64
 

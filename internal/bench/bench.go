@@ -3,18 +3,20 @@
 // and deletion throughput in Mops, samples structural memory during
 // insertion, sweeps CuckooGraph parameters, and runs the seven graph
 // analytics tasks — printing the same rows and series the paper plots.
+// It holds nothing else: the serving stack (sharding, WAL, views, CSR,
+// server) is measured by the repo benchmark under benchmark/.
 package bench
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"cuckoograph/internal/analytics"
 	"cuckoograph/internal/core"
 	"cuckoograph/internal/dataset"
 	"cuckoograph/internal/graphstore"
+	"cuckoograph/internal/sharded"
 	"cuckoograph/internal/stores"
 )
 
@@ -28,7 +30,6 @@ func Mops(ops int, d time.Duration) float64 {
 
 // OpsResult holds one scheme's basic-task measurements (§V-D).
 type OpsResult struct {
-	Scheme     string
 	InsertMops float64
 	QueryMops  float64
 	DeleteMops float64
@@ -45,7 +46,7 @@ type MemPoint struct {
 // stream, query every edge, then delete edges one by one; finally replay
 // the deduped stream to record the memory curve.
 func BasicOps(f graphstore.Factory, stream []dataset.Edge, samples int) (OpsResult, []MemPoint) {
-	res := OpsResult{Scheme: f.Name}
+	var res OpsResult
 
 	s := f.New()
 	start := time.Now()
@@ -148,6 +149,26 @@ func AllTasks() []AnalyticsTask {
 	return []AnalyticsTask{TaskBFS, TaskSSSP, TaskTC, TaskCC, TaskPR, TaskBC, TaskLCC}
 }
 
+// LoadStream feeds a generated stream into s through the batched
+// mutation path when the store has one, chunked so each ApplyBatch
+// amortizes lock acquisitions and cell lookups; stores without a batch
+// path fall back to per-edge inserts. It is the shared load phase of
+// RunAnalytics and of cgbench's table3 and kicks.
+func LoadStream(s graphstore.Store, stream []dataset.Edge) {
+	bs, ok := s.(graphstore.BatchStore)
+	if !ok {
+		for _, e := range stream {
+			s.InsertEdge(e.U, e.V)
+		}
+		return
+	}
+	c := core.NewChunker(sharded.LoadBatchSize, func(b core.Batch) { bs.ApplyBatch(b) })
+	for _, e := range stream {
+		c.Insert(e.U, e.V)
+	}
+	c.Flush()
+}
+
 // RunAnalytics loads the stream into a store built by f and times the
 // given task with the §V-E methodology (top-degree roots, extracted
 // subgraphs). subNodes bounds the subgraph size for the heavy tasks.
@@ -202,14 +223,8 @@ func RunAnalytics(f graphstore.Factory, stream []dataset.Edge, task AnalyticsTas
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// PrintTable writes rows under a header with aligned columns.
+// PrintTable writes rows under a header with aligned columns; cells
+// beyond the header's width are printed unpadded.
 func PrintTable(w io.Writer, header []string, rows [][]string) {
 	widths := make([]int, len(header))
 	for i, h := range header {
@@ -224,7 +239,11 @@ func PrintTable(w io.Writer, header []string, rows [][]string) {
 	}
 	line := func(cells []string) {
 		for i, c := range cells {
-			fmt.Fprintf(w, "%-*s  ", widths[i], c)
+			width := 0
+			if i < len(widths) {
+				width = widths[i]
+			}
+			fmt.Fprintf(w, "%-*s  ", width, c)
 		}
 		fmt.Fprintln(w)
 	}
@@ -232,25 +251,4 @@ func PrintTable(w io.Writer, header []string, rows [][]string) {
 	for _, row := range rows {
 		line(row)
 	}
-}
-
-// Ratio formats how many times faster a is than b.
-func Ratio(a, b float64) string {
-	if b == 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%.2fx", a/b)
-}
-
-// SortedSchemes returns result rows sorted with CuckooGraph first, then
-// by name, so tables read like the paper's.
-func SortedSchemes(rows []OpsResult) []OpsResult {
-	out := append([]OpsResult(nil), rows...)
-	sort.Slice(out, func(i, j int) bool {
-		if (out[i].Scheme == "CuckooGraph") != (out[j].Scheme == "CuckooGraph") {
-			return out[i].Scheme == "CuckooGraph"
-		}
-		return out[i].Scheme < out[j].Scheme
-	})
-	return out
 }

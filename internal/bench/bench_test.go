@@ -30,9 +30,6 @@ func TestBasicOpsProducesSaneResults(t *testing.T) {
 	st := smallStream()
 	for _, f := range stores.Evaluated() {
 		res, curve := BasicOps(f, st, 5)
-		if res.Scheme != f.Name {
-			t.Fatalf("scheme name %q", res.Scheme)
-		}
 		if res.InsertMops <= 0 || res.QueryMops <= 0 || res.DeleteMops <= 0 {
 			t.Fatalf("%s: non-positive throughput %+v", f.Name, res)
 		}
@@ -97,15 +94,48 @@ func TestPrintTableAlignment(t *testing.T) {
 	if len(lines[0]) != len(lines[1]) || len(lines[1]) != len(lines[2]) {
 		t.Fatalf("columns not aligned:\n%s", buf.String())
 	}
+
+	// A row wider than its header prints the extra cells unpadded.
+	buf.Reset()
+	PrintTable(&buf, []string{"a"}, [][]string{{"x", "extra", "more"}})
+	if got, want := buf.String(), "a  \nx  extra  more  \n"; got != want {
+		t.Fatalf("wide row printed %q, want %q", got, want)
+	}
 }
 
-func TestRatioAndSort(t *testing.T) {
-	if Ratio(4, 2) != "2.00x" || Ratio(1, 0) != "inf" {
-		t.Fatal("Ratio wrong")
-	}
-	rows := []OpsResult{{Scheme: "WBI"}, {Scheme: "CuckooGraph"}, {Scheme: "Spruce"}}
-	sorted := SortedSchemes(rows)
-	if sorted[0].Scheme != "CuckooGraph" {
-		t.Fatalf("sorted = %+v", sorted)
+// TestLoadStreamEquivalence: the batched loader must build the same
+// graph as the per-edge fallback, for stores with and without a native
+// batch path.
+func TestLoadStreamEquivalence(t *testing.T) {
+	st := smallStream()
+	adjlist := func() graphstore.Factory {
+		for _, f := range stores.All() {
+			if f.Name == "AdjList" {
+				return f
+			}
+		}
+		t.Fatal("AdjList store missing")
+		return graphstore.Factory{}
+	}()
+	for _, f := range []graphstore.Factory{
+		{Name: "CuckooGraph", New: stores.NewCuckooGraph},                // BatchStore
+		{Name: "CuckooGraph-Sharded", New: stores.NewShardedCuckooGraph}, // BatchStore
+		adjlist, // no batch path: exercises the fallback
+	} {
+		batched := f.New()
+		LoadStream(batched, st)
+		perEdge := f.New()
+		for _, e := range st {
+			perEdge.InsertEdge(e.U, e.V)
+		}
+		if batched.NumEdges() != perEdge.NumEdges() {
+			t.Fatalf("%s: LoadStream built %d edges, per-edge loop %d",
+				f.Name, batched.NumEdges(), perEdge.NumEdges())
+		}
+		for _, e := range st[:min(len(st), 200)] {
+			if !batched.HasEdge(e.U, e.V) {
+				t.Fatalf("%s: LoadStream lost edge (%d,%d)", f.Name, e.U, e.V)
+			}
+		}
 	}
 }

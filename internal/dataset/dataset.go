@@ -3,7 +3,7 @@
 // WikiTalk, Weibo) are not redistributable, so each generator
 // reproduces the published *shape* of its dataset — node count, stream
 // length, duplication ratio, average degree and degree skew — at a
-// configurable scale factor. DESIGN.md §3 documents the substitution.
+// configurable scale factor.
 package dataset
 
 import (
