@@ -37,7 +37,8 @@ func bfsFlat(idx *csr.Index, root uint64) []uint64 {
 		return []uint64{root}
 	}
 	visited := newBitset(idx.NumNodes())
-	queue := make([]int32, 0, idx.NumSources()+1)
+	// Destination-only nodes are enqueued too: every node at most once.
+	queue := make([]int32, 0, idx.NumNodes())
 	queue = bfsFlatInto(idx, r, visited, queue)
 	out := make([]uint64, len(queue))
 	for i, d := range queue {
@@ -80,7 +81,8 @@ func dijkstraFlat(idx *csr.Index, src uint64) map[uint64]uint64 {
 		dist[i] = unreached
 	}
 	dist[s] = 0
-	heap := make([]uint64, 0, idx.NumSources()+1)
+	// Unit weights: a node's first label is final, so each is pushed once.
+	heap := make([]uint64, 0, idx.NumNodes())
 	heap = heapPush(heap, uint64(s)) // distance 0 << 32 | s
 	for len(heap) > 0 {
 		var it uint64

@@ -121,11 +121,11 @@ const (
 // onDup (insert on a present edge) and onDel (delete on a present edge,
 // returning whether the edge must be physically removed — false means
 // it mutated the payload in place instead). A nil onDup makes duplicate
-// inserts no-ops; a nil onDel always removes. onApplied, when non-nil,
-// observes every op that physically inserted or deleted an edge, in
-// application order — the hook the sharded layer uses to build the WAL
-// record of a batch.
-func (e *engine[W]) applyBatch(b Batch, one W, onDup, onDel func(*W) bool, onApplied func(Op)) BatchResult {
+// inserts no-ops; a nil onDel always removes. before and onApplied, when
+// non-nil, observe exactly the ops that physically insert or delete an
+// edge, in order: before (see preImage) ahead of the change, onApplied
+// after it — the sharded layer's copy-on-write and its WAL batch record.
+func (e *engine[W]) applyBatch(b Batch, one W, onDup, onDel func(*W) bool, before func(u uint64, deg int) []uint64, onApplied func(Op)) BatchResult {
 	var res BatchResult
 	switch len(b) {
 	case 0:
@@ -137,9 +137,9 @@ func (e *engine[W]) applyBatch(b Batch, one W, onDup, onDel func(*W) bool, onApp
 		// unconditionally here, the compiler zeroes them per call even
 		// on the size-1 path).
 		hu := hashutil.Key64(b[0].U)
-		e.applyOp(b[0], hu, e.findPart2(hu, b[0].U), one, onDup, onDel, onApplied, &res)
+		e.applyOp(b[0], hu, e.findPart2(hu, b[0].U), one, onDup, onDel, before, onApplied, &res)
 	default:
-		res = e.applyBatchCached(b, one, onDup, onDel, onApplied)
+		res = e.applyBatchCached(b, one, onDup, onDel, before, onApplied)
 	}
 	return res
 }
@@ -156,7 +156,7 @@ func (e *engine[W]) applyBatch(b Batch, one W, onDup, onDel func(*W) bool, onApp
 // Direct mapping beats a per-node map: the probe being amortized is
 // itself only a couple of bucket reads, so a Go map lookup would cost
 // as much as it saves.
-func (e *engine[W]) applyBatchCached(b Batch, one W, onDup, onDel func(*W) bool, onApplied func(Op)) BatchResult {
+func (e *engine[W]) applyBatchCached(b Batch, one W, onDup, onDel func(*W) bool, before func(u uint64, deg int) []uint64, onApplied func(Op)) BatchResult {
 	var res BatchResult
 	var (
 		cacheU [batchCacheSize]uint64
@@ -176,7 +176,7 @@ func (e *engine[W]) applyBatchCached(b Batch, one W, onDup, onDel func(*W) bool,
 			p = e.findPart2(hu, op.U)
 			cacheU[idx], cacheP[idx], cached[idx] = op.U, p, true
 		}
-		if e.applyOp(op, hu, p, one, onDup, onDel, onApplied, &res) {
+		if e.applyOp(op, hu, p, one, onDup, onDel, before, onApplied, &res) {
 			cached = [batchCacheSize]bool{}
 		}
 	}
@@ -188,8 +188,8 @@ func (e *engine[W]) applyBatchCached(b Batch, one W, onDup, onDel func(*W) bool,
 // restructured — which invalidates any cached cell pointers, including
 // p itself. One probe serves the duplicate check and the mutation: the
 // insert places with the hash the probe computed, the delete clears the
-// cell the probe found.
-func (e *engine[W]) applyOp(op Op, hu uint64, p *part2[W], one W, onDup, onDel func(*W) bool, onApplied func(Op), res *BatchResult) bool {
+// cell the probe found; and before runs on its verdict, never on a guess.
+func (e *engine[W]) applyOp(op Op, hu uint64, p *part2[W], one W, onDup, onDel func(*W) bool, before func(u uint64, deg int) []uint64, onApplied func(Op), res *BatchResult) bool {
 	w, at, hv := e.find(p, op.U, op.V)
 	switch op.Kind {
 	case OpInsert:
@@ -198,6 +198,9 @@ func (e *engine[W]) applyOp(op Op, hu uint64, p *part2[W], one W, onDup, onDel f
 				res.Updated++
 			}
 			return false
+		}
+		if before != nil {
+			e.preImage(before, p, op.U)
 		}
 		e.insertAt(hu, p, op.U, hv, slot[W]{v: op.V, w: one})
 		res.Inserted++
@@ -214,6 +217,9 @@ func (e *engine[W]) applyOp(op Op, hu uint64, p *part2[W], one W, onDup, onDel f
 		if onDel != nil && !onDel(w) {
 			res.Updated++
 			return false
+		}
+		if before != nil {
+			e.preImage(before, p, op.U)
 		}
 		restructured := e.deleteAt(hu, p, op.U, at)
 		res.Deleted++

@@ -197,7 +197,7 @@ func TestBatchOnAppliedOrder(t *testing.T) {
 		Insert(2, 3).
 		Delete(7, 7). // absent, not reported
 		Delete(1, 2),
-		func(op Op) { got = append(got, op) })
+		nil, func(op Op) { got = append(got, op) })
 	want := Batch{}.Insert(1, 2).Insert(2, 3).Delete(1, 2)
 	if len(got) != len(want) {
 		t.Fatalf("onApplied saw %v, want %v", got, want)

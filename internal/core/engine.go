@@ -410,7 +410,12 @@ func (e *engine[W]) settleInline(hu, u uint64, p *part2[W]) bool {
 // hands fn straight to ForEachRef — no per-entry payload copy, no
 // adapter closure — keeping the whole iteration allocation-free.
 func (e *engine[W]) forEachSuccessor(u uint64, fn func(v uint64, w *W) bool) {
-	if p := e.findPart2(hashutil.Key64(u), u); p != nil {
+	e.forEachOf(e.findPart2(hashutil.Key64(u), u), u, fn)
+}
+
+// forEachOf is forEachSuccessor given u's cell (nil: u has none).
+func (e *engine[W]) forEachOf(p *part2[W], u uint64, fn func(v uint64, w *W) bool) {
+	if p != nil {
 		if p.chain != nil {
 			if !p.chain.ForEachRef(fn) {
 				return
@@ -438,8 +443,13 @@ func (e *engine[W]) forEachSuccessor(u uint64, fn func(v uint64, w *W) bool) {
 // degree counts u's neighbours without iterating them: inline slots,
 // S-CHT chains and the S-DL all track their population per node. O(R).
 func (e *engine[W]) degree(u uint64) int {
+	return e.degreeOf(e.findPart2(hashutil.Key64(u), u), u)
+}
+
+// degreeOf is degree given u's cell (nil: u has none).
+func (e *engine[W]) degreeOf(p *part2[W], u uint64) int {
 	n := e.numParked(u)
-	if p := e.findPart2(hashutil.Key64(u), u); p != nil {
+	if p != nil {
 		if p.chain != nil {
 			n += p.chain.Size()
 		} else {
@@ -447,6 +457,21 @@ func (e *engine[W]) degree(u uint64) int {
 		}
 	}
 	return n
+}
+
+// preImage runs a copy-on-write hook just before an op changes u, whose
+// cell is p. before is told u and its degree and returns nil, or a slice
+// of that length for preImage to fill with u's successors as they stand
+// — read from the cell the op's own probe found, not from a second one.
+func (e *engine[W]) preImage(before func(u uint64, deg int) []uint64, p *part2[W], u uint64) {
+	if dst := before(u, e.degreeOf(p, u)); len(dst) != 0 {
+		i := 0
+		e.forEachOf(p, u, func(v uint64, _ *W) bool {
+			dst[i] = v
+			i++
+			return true
+		})
+	}
 }
 
 // forEachNode visits every stored source node u.

@@ -36,13 +36,18 @@ func (g *Graph) DeleteEdge(u, v uint64) bool {
 // is identical — down to the physical structure and every Stats
 // counter — to applying the same ops one by one; the batch form
 // amortizes the Part-1 cell lookup across ops sharing a source node.
-func (g *Graph) ApplyBatch(b Batch) BatchResult { return g.ApplyBatchFunc(b, nil) }
+func (g *Graph) ApplyBatch(b Batch) BatchResult { return g.ApplyBatchFunc(b, nil, nil) }
 
-// ApplyBatchFunc is ApplyBatch with an observer: onApplied (if non-nil)
-// is called for every op that changed the graph, in application order.
-// Durability layers use it to log exactly the applied sub-batch.
-func (g *Graph) ApplyBatchFunc(b Batch, onApplied func(Op)) BatchResult {
-	return g.e.applyBatch(b, struct{}{}, nil, nil, onApplied)
+// ApplyBatchFunc is ApplyBatch with two observers, either of which may
+// be nil. Both see exactly the ops that change the graph, in application
+// order: never a duplicate insert or a delete of an absent edge. before
+// runs just ahead of the change: it is handed the op's source node u and
+// u's degree (0 for a node about to be created) and returns nil, or a
+// slice of that length which the engine fills with u's successors from
+// the cell the op already probed — how snapshot layers copy on write.
+// onApplied runs just after it — how durability layers log the sub-batch.
+func (g *Graph) ApplyBatchFunc(b Batch, before func(u uint64, deg int) []uint64, onApplied func(Op)) BatchResult {
+	return g.e.applyBatch(b, struct{}{}, nil, nil, before, onApplied)
 }
 
 // ForEachSuccessor calls fn for every successor of u until fn returns
@@ -52,11 +57,8 @@ func (g *Graph) ForEachSuccessor(u uint64, fn func(v uint64) bool) {
 }
 
 // AppendSuccessors appends every successor of u to dst and returns the
-// extended slice (nil input stays nil for a node with no edges). It is
-// the copy-on-write hook of the snapshot subsystem: when a frozen view
-// is live, a mutation's flight path — exactly the cells the mutation is
-// about to restructure — is preserved by copying the affected node's
-// adjacency through this method, and nothing else is ever copied.
+// extended slice (nil input stays nil for a node with no edges): the
+// neighbour scan for callers that keep a scratch slice across calls.
 func (g *Graph) AppendSuccessors(u uint64, dst []uint64) []uint64 {
 	g.e.forEachSuccessor(u, func(v uint64, _ *struct{}) bool {
 		dst = append(dst, v)
@@ -108,7 +110,7 @@ func (w *Weighted) InsertEdge(u, v uint64) bool { return w.Add(u, v, 1) }
 func (w *Weighted) Add(u, v, delta uint64) bool {
 	b := [1]Op{InsertOp(u, v)}
 	res := w.e.applyBatch(b[:], delta,
-		func(p *uint64) bool { *p += delta; return true }, nil, nil)
+		func(p *uint64) bool { *p += delta; return true }, nil, nil, nil)
 	return res.Inserted == 1
 }
 
@@ -120,7 +122,7 @@ func (w *Weighted) Add(u, v, delta uint64) bool {
 func (w *Weighted) ApplyBatch(b Batch) BatchResult {
 	return w.e.applyBatch(b, 1,
 		func(p *uint64) bool { *p++; return true },
-		weightedDelete, nil)
+		weightedDelete, nil, nil)
 }
 
 // weightedDelete is the weighted delete hook: decrement in place until
@@ -148,7 +150,7 @@ func (w *Weighted) Weight(u, v uint64) (uint64, bool) {
 // its weight reaches zero. It reports whether the edge existed.
 func (w *Weighted) DeleteEdge(u, v uint64) bool {
 	b := [1]Op{DeleteOp(u, v)}
-	return w.e.applyBatch(b[:], 0, nil, weightedDelete, nil).Applied() == 1
+	return w.e.applyBatch(b[:], 0, nil, weightedDelete, nil, nil).Applied() == 1
 }
 
 // DeleteAll removes the edge regardless of weight.

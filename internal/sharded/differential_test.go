@@ -1,6 +1,7 @@
 package sharded
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -229,5 +230,101 @@ func TestDifferentialSnapshotsUnderMutation(t *testing.T) {
 	readers.Wait()
 	if g.LiveViews() != 0 {
 		t.Fatalf("LiveViews = %d after releasing everything", g.LiveViews())
+	}
+}
+
+// TestDifferentialSnapshotsWithNoOps is the differential test of the
+// copy-on-write hook's trigger: the pre-image of a node is taken by the
+// first op that CHANGES it, so a stream thick with ops that change
+// nothing — duplicate inserts, deletes of absent edges, at least a
+// quarter of all ops — must still leave every live view equal to the
+// model at its epoch. Batches carry the awkward order on purpose: a
+// no-op on u, which must not count as having preserved u, and right
+// behind it the op that does change u. Single ops, single-shard and
+// multi-shard batches all go through the one hook; the tiny engine caps
+// put chained nodes and S-DL-parked edges under it too. Every live view
+// is checked after every step, with one view open and with three.
+func TestDifferentialSnapshotsWithNoOps(t *testing.T) {
+	for _, views := range []int{1, 3} {
+		t.Run(fmt.Sprintf("views=%d", views), func(t *testing.T) {
+			const (
+				nodeSpace = 24
+				valSpace  = 20
+				steps     = 700
+			)
+			g := New(Config{Shards: 4, Core: core.Config{LCHTBase: 2, SCHTBase: 2, LDLCap: 2, SDLCap: 4}})
+			model := make(refModel)
+			rng := rand.New(rand.NewSource(int64(11 + views)))
+
+			type liveView struct {
+				view  *View
+				model map[uint64][]uint64
+				edges uint64
+			}
+			var live []liveView
+			open := func() {
+				frozen, edges := model.freeze()
+				live = append(live, liveView{g.Snapshot(), frozen, edges})
+			}
+			for len(live) < views {
+				open()
+			}
+
+			var attempted, applied uint64
+			for s := 0; s < steps; s++ {
+				var b core.Batch
+				for n := 1 + rng.Intn(6); n > 0; n-- {
+					u, v := rng.Uint64()%nodeSpace, rng.Uint64()%valSpace
+					op, undo := core.InsertOp(u, v), core.DeleteOp(u, v)
+					if rng.Intn(2) == 0 {
+						op, undo = undo, op
+					}
+					b = append(b, op)
+					// Whatever op did, op again changes nothing and its
+					// opposite then must.
+					if rng.Intn(3) == 0 {
+						b = append(b, op, undo)
+					}
+				}
+				attempted += uint64(len(b))
+				if len(b) == 1 && b[0].Kind == core.OpInsert {
+					if g.InsertEdge(b[0].U, b[0].V) {
+						applied++
+					}
+				} else if len(b) == 1 {
+					if g.DeleteEdge(b[0].U, b[0].V) {
+						applied++
+					}
+				} else {
+					applied += g.ApplyBatch(b).Applied()
+				}
+				model.apply(b)
+
+				for _, lv := range live {
+					verifyView(t, lv.view, lv.model, lv.edges, nodeSpace, valSpace, rng)
+				}
+				if t.Failed() {
+					t.Fatalf("step %d: a view diverged after %v", s, b)
+				}
+				// Rotate the oldest view out now and then, so the open
+				// views sit at different epochs.
+				if rng.Intn(25) == 0 {
+					live[0].view.Release()
+					live = live[1:]
+					open()
+				}
+			}
+			if noops := attempted - applied; noops*4 < attempted {
+				t.Fatalf("%d of %d ops were no-ops, want at least a quarter", noops, attempted)
+			}
+			frozen, edges := model.freeze()
+			if g.NumEdges() != edges || g.NumNodes() != uint64(len(frozen)) || g.Mutations() != applied {
+				t.Fatalf("live graph %d edges/%d nodes/%d mutations, model %d/%d/%d",
+					g.NumEdges(), g.NumNodes(), g.Mutations(), edges, len(frozen), applied)
+			}
+			for _, lv := range live {
+				lv.view.Release()
+			}
+		})
 	}
 }

@@ -97,9 +97,9 @@ type shard struct {
 	mu sync.RWMutex
 	g  *core.Graph
 	// views are the live snapshot views registered on this shard,
-	// oldest first. Mutators consult it (under mu held for writing)
-	// to preserve copy-on-write pre-images before restructuring a
-	// cell; see Graph.preserve.
+	// oldest first. While there are any, mutators (under mu held for
+	// writing) hand the engine the shard's copy-on-write hook, which
+	// keeps a node's pre-image before an op changes it; see cowHook.
 	views []*View
 	// viewGen counts changes to the views list; cowU/cowGen memoise
 	// the last source node preserved into every live view, so the
@@ -123,6 +123,9 @@ type shard struct {
 type Graph struct {
 	shards []shard
 	mask   uint64
+	// cow[i] is shard i's copy-on-write hook (see cowHook), built once:
+	// a closure per write would allocate, and a shard has no room for it.
+	cow []func(u uint64, deg int) []uint64
 
 	edges atomic.Uint64
 	nodes atomic.Uint64
@@ -174,9 +177,10 @@ func ShardCount(n int) int {
 // New returns an empty sharded graph.
 func New(cfg Config) *Graph {
 	p := ShardCount(cfg.Shards)
-	g := &Graph{shards: make([]shard, p), mask: uint64(p - 1)}
+	g := &Graph{shards: make([]shard, p), mask: uint64(p - 1), cow: make([]func(uint64, int) []uint64, p)}
 	base := cfg.Core.Defaults()
 	for i := range g.shards {
+		g.cow[i] = g.cowHook(i)
 		sc := base
 		// Distinct per-shard seeds keep hash layouts independent while
 		// staying deterministic for a given Config.
@@ -301,10 +305,10 @@ func (g *Graph) shardOf(u uint64) *shard { return &g.shards[g.shardIndex(u)] }
 // applies a batch whose ops all hash to shard si under a single
 // write-lock acquisition, stages the applied sub-batch with the Logger
 // as one call, and settles the aggregate counters once for the whole
-// partition. When live snapshot views exist, the pre-images of the
-// cells the partition touches are preserved first (see preserve) —
-// that, and nothing else, is the copy-on-write cost of a view. The
-// Logger's commit is the caller's business, after the unlock.
+// partition. When live snapshot views exist, the engine calls the
+// shard's copy-on-write hook ahead of every op that changes a node (see
+// cowHook) — that, and nothing else, is the copy-on-write cost of a
+// view. The Logger's commit is the caller's business, after the unlock.
 func (g *Graph) applyToShard(si int, part core.Batch) core.BatchResult {
 	sh := &g.shards[si]
 	sh.mu.Lock()
@@ -338,19 +342,20 @@ func (g *Graph) applyOne(si int, op core.Op) core.BatchResult {
 const maxAppliedScratch = 64
 
 func (g *Graph) applyLocked(si int, sh *shard, part core.Batch) (core.BatchResult, *logHook) {
+	var before func(u uint64, deg int) []uint64
 	if len(sh.views) > 0 {
-		g.preserve(si, sh, part)
+		before = g.cow[si]
 	}
 	n0 := sh.g.NumNodes()
 	var res core.BatchResult
 	h := g.wal.Load()
 	switch {
 	case h == nil:
-		res = sh.g.ApplyBatchFunc(part, nil)
+		res = sh.g.ApplyBatchFunc(part, before, nil)
 	case len(part) == 1:
 		// A size-1 partition that applied IS its applied sub-batch; skip
 		// the collection on the hot single-edge path.
-		res = sh.g.ApplyBatchFunc(part, nil)
+		res = sh.g.ApplyBatchFunc(part, before, nil)
 		if res.Inserted+res.Deleted == 1 {
 			g.stage(h, part)
 		}
@@ -363,7 +368,7 @@ func (g *Graph) applyLocked(si int, sh *shard, part core.Batch) (core.BatchResul
 		if small {
 			applied = sh.applied[:0]
 		}
-		res = sh.g.ApplyBatchFunc(part, func(op core.Op) {
+		res = sh.g.ApplyBatchFunc(part, before, func(op core.Op) {
 			if applied == nil {
 				applied = make(core.Batch, 0, len(part))
 			}
@@ -376,13 +381,19 @@ func (g *Graph) applyLocked(si int, sh *shard, part core.Batch) (core.BatchResul
 			sh.applied = applied
 		}
 	}
+	// The aggregates share one contended line: a partition that applied
+	// nothing leaves it alone, and nodes is written only when it moved.
+	applied := res.Applied()
+	if applied == 0 {
+		return res, h
+	}
 	// Both deltas may be negative; unsigned wraparound plus the modular
 	// atomic Add nets out correctly.
 	g.edges.Add(res.Inserted - res.Deleted)
-	g.nodes.Add(sh.g.NumNodes() - n0)
-	if applied := res.Applied(); applied > 0 {
-		g.muts.Add(applied)
+	if n := sh.g.NumNodes(); n != n0 {
+		g.nodes.Add(n - n0)
 	}
+	g.muts.Add(applied)
 	return res, h
 }
 

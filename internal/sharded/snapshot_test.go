@@ -357,3 +357,91 @@ func TestSnapshotViewImplementsStoreExample(t *testing.T) {
 		t.Fatalf("SnapshotView returned %T", sv)
 	}
 }
+
+// TestNoOpMutationsCopyNothing pins what a live view costs a writer:
+// nothing for an op that changes nothing, and for the first op that
+// changes a node of d successors one pre-image — 16 + 8·d bytes on
+// CoWBytes, one allocation, a slice of exactly d — after which the node
+// is free.
+func TestNoOpMutationsCopyNothing(t *testing.T) {
+	const d = 3
+	g := New(Config{Shards: 4})
+	// Nodes of one shard, so every first touch below lands in the same
+	// overlay map.
+	var nodes []uint64
+	for u := uint64(1); len(nodes) < 4; u++ {
+		if g.shardIndex(u) == g.shardIndex(1) {
+			nodes = append(nodes, u)
+			for x := uint64(0); x < d; x++ {
+				g.InsertEdge(u, x)
+			}
+		}
+	}
+	u := nodes[0]
+	v := g.Snapshot()
+	defer v.Release()
+	si := g.shardIndex(u)
+
+	overlaid := func() (n int) {
+		for _, ov := range v.overlays {
+			n += len(ov)
+		}
+		return n
+	}
+	noops := core.Batch{}.Insert(u, 0).Delete(u, 77).Insert(u, 2).Delete(u, 78)
+	if a := testing.AllocsPerRun(100, func() {
+		if g.InsertEdge(u, 1) || g.DeleteEdge(u, 77) || g.DeleteEdge(9999, 1) || g.ApplyBatch(noops).Applied() != 0 {
+			t.Fatal("a no-op changed the graph")
+		}
+	}); a != 0 || g.CoWBytes() != 0 || overlaid() != 0 {
+		t.Fatalf("no-op mutations beside a view: %v allocs/run, CoWBytes %d, %d overlay entries; want 0, 0, 0", a, g.CoWBytes(), overlaid())
+	}
+
+	// First effective touch, measured on nodes[2]: the warm-up run of
+	// AllocsPerRun spends nodes[1], and with it the overlay map's own
+	// first-insert allocation.
+	k := 1
+	if a := testing.AllocsPerRun(1, func() {
+		if !g.DeleteEdge(nodes[k], 0) {
+			t.Fatal("delete of a present edge failed")
+		}
+		k++
+	}); a != 1 {
+		t.Fatalf("first effective touch of a node: %v allocs, want 1 (the pre-image)", a)
+	}
+	if got, want := g.CoWBytes(), uint64(2*(16+8*d)); got != want {
+		t.Fatalf("CoWBytes = %d after the first touch of two %d-successor nodes, want %d", got, d, want)
+	}
+	for _, w := range nodes[1:3] {
+		if pre := v.overlays[si][w]; len(pre) != d || cap(pre) != d {
+			t.Fatalf("pre-image of node %d has len %d cap %d, want %d and %d", w, len(pre), cap(pre), d, d)
+		}
+	}
+
+	// A no-op on u followed, in the same batch, by the op that changes it.
+	before := g.CoWBytes()
+	g.ApplyBatch(core.Batch{}.Insert(u, 0).Delete(u, 0))
+	if got := g.CoWBytes() - before; got != 16+8*d || len(v.overlays[si][u]) != d {
+		t.Fatalf("no-op then effective op on one node: CoWBytes +%d, pre-image of %d; want +%d and %d", got, len(v.overlays[si][u]), 16+8*d, d)
+	}
+
+	// Second and later touches of a preserved node are free.
+	before = g.CoWBytes()
+	if a := testing.AllocsPerRun(100, func() {
+		if !g.InsertEdge(u, 0) || !g.DeleteEdge(u, 0) {
+			t.Fatal("toggle failed")
+		}
+	}); a != 0 || g.CoWBytes() != before {
+		t.Fatalf("second touch of a preserved node: %v allocs/run, CoWBytes +%d; want 0 and 0", a, g.CoWBytes()-before)
+	}
+
+	// A node that did not exist is recorded with a nil pre-image.
+	before = g.CoWBytes()
+	g.InsertEdge(9999, 1)
+	if pre, ok := v.overlays[g.shardIndex(9999)][9999]; !ok || pre != nil || g.CoWBytes()-before != 16 {
+		t.Fatalf("new node: overlay entry %v (present %v), CoWBytes +%d; want nil, true, +16", pre, ok, g.CoWBytes()-before)
+	}
+	if v.NumEdges() != viewEdgeCount(v) || v.HasEdge(9999, 1) || !v.HasEdge(u, 0) {
+		t.Fatal("view no longer reads as the graph did at its epoch")
+	}
+}

@@ -18,12 +18,13 @@ import (
 // shard order (an O(P) registration, no data movement) and the view
 // initially aliases the live cuckoo tables. From then on the shards
 // copy on write, lazily and at L-CHT cell granularity: the first
-// mutation to touch a source node u after the view's epoch first
-// preserves u's adjacency — exactly the flight path the mutation is
-// about to restructure — into the view's per-shard overlay, and nothing
-// an ongoing write stream never touches is ever copied. One preserved
-// pre-image is shared by every live view that needs it, so N concurrent
-// views cost one copy per touched node, not N.
+// mutation that changes a source node u after the view's epoch first
+// preserves u's adjacency into the view's per-shard overlay. The engine
+// asks for the copy from inside its one probe (the shard's cowHook), once
+// it knows the op is effective, so a duplicate insert or a delete of an
+// absent edge copies nothing, and nothing a write stream never changes
+// is ever copied. One preserved pre-image is shared by every live view
+// that needs it, so N views cost one copy per changed node, not N.
 //
 // Reads resolve the overlay first and fall through to the live shard
 // (under its read lock) for untouched nodes, so a view is always
@@ -97,8 +98,9 @@ func (g *Graph) LiveViews() int { return int(g.liveViews.Load()) }
 // CoWBytes returns the cumulative bytes of adjacency pre-images copied
 // on behalf of live views over the graph's lifetime — the total
 // copy-on-write cost of the snapshot subsystem. Each preserved node
-// costs 16 bytes of overlay entry plus 8 per frozen successor,
-// regardless of how many views share the pre-image.
+// costs 16 bytes of overlay entry plus 8 per frozen successor (16 + 8·d
+// for a node of degree d), regardless of how many views share the
+// pre-image; a mutation that changes nothing costs 0.
 func (g *Graph) CoWBytes() uint64 { return g.cowBytes.Load() }
 
 // ViewStats groups the snapshot-subsystem counters into one read — the
@@ -154,30 +156,25 @@ func (g *Graph) snapshotWithCut(cut func() error) (*View, error) {
 	return v, nil
 }
 
-// preserve copies the pre-images every live view of sh still needs
-// before part's ops restructure them. It runs under sh's write lock,
-// immediately before the partition is applied. Each distinct source
-// node in part is copied at most once; the copy is shared across all
-// views lacking it — correct for every one of them, because a node
-// whose adjacency had changed since a view's epoch would already be in
-// that view's overlay.
-func (g *Graph) preserve(si int, sh *shard, part core.Batch) {
-	var done map[uint64]struct{}
-	var pre []uint64
-	for _, op := range part {
-		u := op.U
+// cowHook builds shard si's copy-on-write hook, the before argument of
+// core.Graph.ApplyBatchFunc while the shard has live views. The engine
+// calls it under the shard's write lock, ahead of each op that changes
+// node u and for no other, and fills the slice it returns with u's deg
+// successors. One pre-image is shared by every view that lacks u —
+// correct for each, because a node changed since a view's epoch would
+// already be in its overlay; that lookup is also the only dedupe. A node
+// that did not exist (deg 0) is recorded as a nil pre-image.
+func (g *Graph) cowHook(si int) func(u uint64, deg int) []uint64 {
+	sh := &g.shards[si]
+	return func(u uint64, deg int) []uint64 {
 		// Memo hit: this exact node was already preserved into every
 		// current view (viewGen pins "current"), which real streams'
 		// same-source bursts make the common case.
 		if sh.cowGen == sh.viewGen && sh.cowU == u {
-			if len(part) == 1 {
-				return
-			}
-			continue
+			return nil
 		}
-		if _, dup := done[u]; dup {
-			continue
-		}
+		sh.cowU, sh.cowGen = u, sh.viewGen
+		var pre []uint64
 		copied := false
 		for _, v := range sh.views {
 			ov := v.overlays[si]
@@ -185,20 +182,15 @@ func (g *Graph) preserve(si int, sh *shard, part core.Batch) {
 				continue
 			}
 			if !copied {
-				pre = sh.g.AppendSuccessors(u, nil)
-				g.cowBytes.Add(16 + 8*uint64(len(pre)))
+				if deg > 0 {
+					pre = make([]uint64, deg)
+				}
+				g.cowBytes.Add(16 + 8*uint64(deg))
 				copied = true
 			}
 			ov[u] = pre
 		}
-		sh.cowU, sh.cowGen = u, sh.viewGen
-		if len(part) == 1 {
-			return // single-op partitions cannot repeat a source node
-		}
-		if done == nil {
-			done = make(map[uint64]struct{}, len(part))
-		}
-		done[u] = struct{}{}
+		return pre
 	}
 }
 
@@ -384,7 +376,8 @@ func (v *View) shardNodes(si int) []uint64 {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	ov := v.overlays[si]
-	var nodes []uint64
+	// An upper bound on the epoch's node set: one allocation under the lock.
+	nodes := make([]uint64, 0, int(sh.g.NumNodes())+len(ov))
 	sh.g.ForEachNode(func(u uint64) bool {
 		if _, overlaid := ov[u]; !overlaid {
 			nodes = append(nodes, u)
