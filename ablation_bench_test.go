@@ -119,3 +119,43 @@ func BenchmarkSafeGraph(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSafeGraphAnalytics times the facade's two whole-graph jobs
+// on 30 k nodes / 195 k edges: on a FrozenView whose CSR index is
+// already compiled, and one-shot through SafeGraph, which pays for the
+// snapshot, the index and the release on every call.
+func BenchmarkSafeGraphAnalytics(b *testing.B) {
+	const n = 30000
+	g := cuckoograph.NewSafe()
+	x := uint64(42)
+	for u := uint64(0); u < n; u++ {
+		for d := uint64(0); d < 2+u%10; d++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			g.InsertEdge(u, (x>>33)%n)
+		}
+	}
+	b.Logf("%d nodes, %d edges", g.NumNodes(), g.NumEdges())
+	v := g.Snapshot()
+	defer v.Release()
+	v.BFS(0) // compiles and memoises the view's index
+	b.Run("FrozenView/BFS", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			v.BFS(0)
+		}
+	})
+	b.Run("FrozenView/PageRank10", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			v.PageRank(10)
+		}
+	})
+	b.Run("SafeGraph/BFS", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g.BFS(0)
+		}
+	})
+	b.Run("SafeGraph/PageRank10", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g.PageRank(10)
+		}
+	})
+}

@@ -22,8 +22,7 @@ import (
 // after it is released — so callbacks may re-enter the graph, including
 // mutating it, without deadlocking.
 type SafeGraph struct {
-	s       *sharded.Graph
-	workers int
+	s *sharded.Graph
 }
 
 // NewSafe returns a concurrency-safe basic CuckooGraph.
@@ -32,7 +31,7 @@ func NewSafe() *SafeGraph { return NewSafeWithOptions(Options{}) }
 // NewSafeWithOptions returns a concurrency-safe graph with the given
 // tuning.
 func NewSafeWithOptions(o Options) *SafeGraph {
-	return &SafeGraph{s: sharded.New(o.shardedConfig()), workers: o.Workers()}
+	return &SafeGraph{s: sharded.New(o.shardedConfig())}
 }
 
 // LoadSafe reads a snapshot produced by Save (or by Graph.Save — the
@@ -43,7 +42,7 @@ func LoadSafe(r io.Reader, o Options) (*SafeGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SafeGraph{s: s, workers: o.Workers()}, nil
+	return &SafeGraph{s: s}, nil
 }
 
 // Shards returns the number of partitions backing this graph.
@@ -85,18 +84,22 @@ func (s *SafeGraph) MemoryUsage() uint64 { return s.s.MemoryUsage() }
 // Stats returns structural counters merged across shards.
 func (s *SafeGraph) Stats() core.Stats { return s.s.Stats() }
 
-// BFS traverses from root with the frontier expansion fanned out over
-// Options.Parallelism workers, returning the visited nodes in level
-// order.
+// BFS traverses from root, returning the visited nodes in level order.
+// It runs on a frozen view taken for the call and released on return,
+// so the result is of one epoch even under concurrent mutation; to run
+// several jobs on the same epoch, take a Snapshot.
 func (s *SafeGraph) BFS(root NodeID) []NodeID {
-	return analytics.ParallelBFS(s.s, root, s.workers)
+	f := s.Snapshot()
+	defer f.Release()
+	return f.BFS(root)
 }
 
-// PageRank runs iters rounds of the power method (damping 0.85) with
-// each iteration's contribution pass partitioned over
-// Options.Parallelism workers.
+// PageRank runs iters rounds of the power method (damping 0.85), on a
+// frozen view taken for the call like BFS.
 func (s *SafeGraph) PageRank(iters int) map[NodeID]float64 {
-	return analytics.ParallelPageRank(s.s, iters, s.workers)
+	f := s.Snapshot()
+	defer f.Release()
+	return f.PageRank(iters)
 }
 
 // Save snapshots the graph as a consistent cut even under concurrent
@@ -110,13 +113,12 @@ func (s *SafeGraph) Save(w io.Writer) error { return s.s.Save(w) }
 // mutations actually touch, so long analytics passes run on a frozen
 // view without ever blocking writers. Call Release when done.
 type FrozenView struct {
-	v       *sharded.View
-	workers int
+	v *sharded.View
 }
 
 // Snapshot returns a frozen view of the graph as it is now.
 func (s *SafeGraph) Snapshot() *FrozenView {
-	return &FrozenView{v: s.s.Snapshot(), workers: s.workers}
+	return &FrozenView{v: s.s.Snapshot()}
 }
 
 // Epoch returns the monotonic snapshot epoch of the view.
@@ -146,15 +148,14 @@ func (f *FrozenView) NumEdges() uint64 { return f.v.NumEdges() }
 // NumNodes returns the number of distinct source nodes at the epoch.
 func (f *FrozenView) NumNodes() uint64 { return f.v.NumNodes() }
 
-// BFS traverses the frozen view from root with the worker-pool
-// frontier expansion — online analytics that never stalls ingestion.
-func (f *FrozenView) BFS(root NodeID) []NodeID {
-	return analytics.ParallelBFS(f.v, root, f.workers)
-}
+// BFS traverses the frozen view from root — online analytics that never
+// stalls ingestion. The view's CSR index is compiled on the first job
+// and reused by the later ones.
+func (f *FrozenView) BFS(root NodeID) []NodeID { return analytics.BFS(f.v, root) }
 
 // PageRank runs iters rounds of the power method over the frozen view.
 func (f *FrozenView) PageRank(iters int) map[NodeID]float64 {
-	return analytics.ParallelPageRank(f.v, iters, f.workers)
+	return analytics.PageRank(f.v, iters)
 }
 
 // Save writes a binary snapshot of the graph (header + fixed-width edge

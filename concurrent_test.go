@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"cuckoograph"
+	"cuckoograph/internal/analytics"
+	"cuckoograph/internal/core"
 )
 
 func TestSafeGraphConcurrentReadersAndWriters(t *testing.T) {
@@ -94,23 +96,51 @@ func TestSafeGraphTraversalAndStats(t *testing.T) {
 	}
 }
 
-func TestSafeGraphParallelAnalytics(t *testing.T) {
-	g := cuckoograph.NewSafeWithOptions(cuckoograph.Options{ShardCount: 4, Parallelism: 4})
+// TestSafeGraphAnalyticsMatchStoreKernels: SafeGraph.BFS and PageRank
+// run on a frozen view's CSR index; on a graph nobody is writing they
+// must agree with the Store-interface kernels run over a plain copy of
+// the same edges.
+func TestSafeGraphAnalyticsMatchStoreKernels(t *testing.T) {
+	g := cuckoograph.NewSafeWithOptions(cuckoograph.Options{ShardCount: 4})
 	for i := uint64(0); i < 300; i++ {
 		g.InsertEdge(i, (i+1)%300)
 		g.InsertEdge(i, (i*7+3)%300)
 	}
-	order := g.BFS(0)
-	if len(order) != 300 {
-		t.Fatalf("BFS visited %d nodes, want 300", len(order))
+	for i := uint64(0); i < 40; i++ { // an island BFS(0) never reaches
+		g.InsertEdge(1000+i, 1000+(i+1)%40)
 	}
-	rank := g.PageRank(20)
-	if len(rank) != 300 {
-		t.Fatalf("PageRank ranked %d nodes, want 300", len(rank))
+	plain := core.NewGraph(core.Config{})
+	g.ForEachNode(func(u cuckoograph.NodeID) bool {
+		for _, v := range g.Successors(u) {
+			plain.InsertEdge(u, v)
+		}
+		return true
+	})
+
+	got, want := g.BFS(0), analytics.BFS(plain, 0)
+	if len(got) != 300 || len(got) != len(want) || got[0] != 0 {
+		t.Fatalf("BFS visited %d nodes from %v, Store path %d, want 300 from 0", len(got), got[:1], len(want))
+	}
+	seen := make(map[uint64]bool, len(got))
+	for _, u := range got {
+		seen[u] = true
+	}
+	for _, u := range want {
+		if !seen[u] {
+			t.Fatalf("BFS: node %d reached on the Store path only", u)
+		}
+	}
+
+	rank, wantRank := g.PageRank(20), analytics.PageRank(plain, 20)
+	if len(rank) != 340 || len(rank) != len(wantRank) {
+		t.Fatalf("PageRank ranked %d nodes, Store path %d, want 340", len(rank), len(wantRank))
 	}
 	sum := 0.0
-	for _, r := range rank {
+	for u, r := range rank {
 		sum += r
+		if d := r - wantRank[u]; d > 1e-9 || d < -1e-9 {
+			t.Fatalf("PageRank[%d] = %g, Store path %g", u, r, wantRank[u])
+		}
 	}
 	if sum < 0.99 || sum > 1.01 {
 		t.Fatalf("PageRank mass = %g, want ≈ 1", sum)

@@ -1,8 +1,6 @@
 package cuckoograph
 
 import (
-	"runtime"
-
 	"cuckoograph/internal/core"
 	"cuckoograph/internal/graphstore"
 	"cuckoograph/internal/sharded"
@@ -46,10 +44,6 @@ type Options struct {
 	// zero defaults to runtime.GOMAXPROCS(0). Single-writer Graph,
 	// Weighted and Multi ignore it.
 	ShardCount int
-	// Parallelism is the worker count for the parallel analytics built
-	// on a SafeGraph (BFS, PageRank). Zero defaults to
-	// runtime.GOMAXPROCS(0).
-	Parallelism int
 }
 
 func (o Options) coreConfig() core.Config {
@@ -68,15 +62,6 @@ func (o Options) coreConfig() core.Config {
 
 func (o Options) shardedConfig() sharded.Config {
 	return sharded.Config{Core: o.coreConfig(), Shards: o.ShardCount}
-}
-
-// Workers resolves Options.Parallelism: zero or negative means
-// runtime.GOMAXPROCS(0).
-func (o Options) Workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Graph is the basic version of CuckooGraph: a directed dynamic graph of

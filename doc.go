@@ -82,9 +82,9 @@
 // Traversal callbacks (ForEachSuccessor, ForEachNode) run on a
 // point-in-time copy taken under the shard read lock and invoked after
 // it is released, so callbacks may re-enter — and even mutate — the
-// graph without deadlocking. Options.Parallelism sets the worker count
-// for SafeGraph.BFS and SafeGraph.PageRank, the worker-pool analytics
-// built on the sharded engine.
+// graph without deadlocking. SafeGraph.BFS and SafeGraph.PageRank each
+// run on a frozen view taken for the call, so their result is of one
+// epoch even while writers proceed.
 //
 // # Snapshots
 //

@@ -142,21 +142,6 @@ func checkAllKernels(t *testing.T, v graphstore.Store, roots []uint64) {
 			t.Fatalf("TopDegreeNodes: flat %v, fallback %v", ftop, stop)
 		}
 	}
-
-	// The parallel kernels must agree with their sequential selves on
-	// the same (flat) path.
-	for _, root := range roots {
-		po, bo := ParallelBFS(v, root, 4), BFS(v, root)
-		if len(po) != len(bo) {
-			t.Fatalf("ParallelBFS(%d): visited %d, sequential %d", root, len(po), len(bo))
-		}
-		for i := range po {
-			if po[i] != bo[i] {
-				t.Fatalf("ParallelBFS(%d): order diverges at %d", root, i)
-			}
-		}
-	}
-	sameFloatMap(t, "ParallelPageRank", ParallelPageRank(v, 15, 4), PageRank(v, 15))
 }
 
 // TestDifferentialFlatVsFallback drives a random operation stream —

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"cuckoograph/internal/graphstore"
 	"cuckoograph/internal/sharded"
 	"cuckoograph/internal/stores"
 )
@@ -164,8 +163,7 @@ func TestAnalyticsOnFrozenView(t *testing.T) {
 	for _, e := range [][2]uint64{{1, 2}, {2, 3}, {3, 4}, {10, 11}, {11, 12}, {12, 10}} {
 		g.InsertEdge(e[0], e[1])
 	}
-	var snap graphstore.Snapshotter = g
-	v := snap.SnapshotView()
+	v := g.Snapshot()
 	defer v.Release()
 
 	// Shred the live graph.

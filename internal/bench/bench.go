@@ -151,7 +151,7 @@ func AllTasks() []AnalyticsTask {
 
 // LoadStream feeds a generated stream into s through the batched
 // mutation path when the store has one, chunked so each ApplyBatch
-// amortizes lock acquisitions and cell lookups; stores without a batch
+// amortizes lock acquisitions; stores without a batch
 // path fall back to per-edge inserts. It is the shared load phase of
 // RunAnalytics and of cgbench's table3 and kicks.
 func LoadStream(s graphstore.Store, stream []dataset.Edge) {

@@ -1,13 +1,14 @@
 package core
 
-// Batched mutations. Real edge streams arrive in bursts, and the
-// per-edge cost of the mutation path is dominated by work that repeats
-// per source node: the Part-1 L-CHT probe that locates u's cell. A
-// Batch applies its ops in exactly the order given — so a batch is
+// Batched mutations. Real edge streams arrive in bursts, and a Batch
+// applies its ops in exactly the order given — so a batch is
 // semantically identical to replaying the same ops one by one, down to
-// the physical structure and every Stats counter — while the engine
-// amortizes cell lookups across the batch with a direct-mapped cell
-// cache that is flushed only when an op restructures the L-CHT.
+// the physical structure and every Stats counter. What a batch saves is
+// paid above the engine: one lock acquisition, one WAL record and one
+// commit per batch instead of per op. Inside the engine every op costs
+// the same one probe whether it arrives alone or in a batch; the L-CHT
+// probe for u's cell is a couple of bucket reads, and no state is
+// carried from one op to the next.
 //
 // Order preservation is a deliberate contract, not an accident: it is
 // what lets the WAL log a whole batch as one record and replay it back
@@ -106,18 +107,11 @@ func (c *Chunker) Flush() {
 	}
 }
 
-// batchCacheBits sizes applyBatch's direct-mapped Part-1 cache. 256
-// entries (6 KiB of stack) covers the hot-node working set of a skewed
-// stream while staying cheap to flush on invalidation.
-const (
-	batchCacheBits = 8
-	batchCacheSize = 1 << batchCacheBits
-)
-
 // applyBatch is the engine's one mutation path: the exported single-op
 // methods wrap it with a stack-allocated size-1 batch. Ops apply in
-// order; `one` is the payload stored for a newly created edge. The two
-// hooks supply variant semantics for ops that hit an existing edge:
+// order, each with one Key64 of its u, one L-CHT probe for u's cell and
+// one applyOp; `one` is the payload stored for a newly created edge. The
+// two hooks supply variant semantics for ops that hit an existing edge:
 // onDup (insert on a present edge) and onDel (delete on a present edge,
 // returning whether the edge must be physically removed — false means
 // it mutated the payload in place instead). A nil onDup makes duplicate
@@ -127,69 +121,19 @@ const (
 // after it — the sharded layer's copy-on-write and its WAL batch record.
 func (e *engine[W]) applyBatch(b Batch, one W, onDup, onDel func(*W) bool, before func(u uint64, deg int) []uint64, onApplied func(Op)) BatchResult {
 	var res BatchResult
-	switch len(b) {
-	case 0:
-	case 1:
-		// A size-1 batch — every single-op wrapper — skips the cell
-		// cache: it could never get a second hit, and keeping the cache
-		// arrays out of this function's frame keeps the hot single-op
-		// path free of their ~4.5 KiB of stack zeroing (declared
-		// unconditionally here, the compiler zeroes them per call even
-		// on the size-1 path).
-		hu := hashutil.Key64(b[0].U)
-		e.applyOp(b[0], hu, e.findPart2(hu, b[0].U), one, onDup, onDel, before, onApplied, &res)
-	default:
-		res = e.applyBatchCached(b, one, onDup, onDel, before, onApplied)
-	}
-	return res
-}
-
-// applyBatchCached is the multi-op body of applyBatch, with the Part-1
-// cache: a small direct-mapped table of u → cell pointer that amortizes
-// the L-CHT probe across a batch — the hot nodes of a skewed stream
-// recur every few ops, so most ops hit. Entries are pointers into the
-// L-CHT (or L-DL) and stay valid only while no op restructures those
-// tables: a cell insertion (kicks can relocate any cell, growth
-// rebuilds tables) or a node removal (ditto, plus L-DL appends that may
-// reallocate) flushes the cache. Everything else on the mutation path —
-// the S-CHT chains, the S-DL, inline slots — lives outside the L-CHT.
-// Direct mapping beats a per-node map: the probe being amortized is
-// itself only a couple of bucket reads, so a Go map lookup would cost
-// as much as it saves.
-func (e *engine[W]) applyBatchCached(b Batch, one W, onDup, onDel func(*W) bool, before func(u uint64, deg int) []uint64, onApplied func(Op)) BatchResult {
-	var res BatchResult
-	var (
-		cacheU [batchCacheSize]uint64
-		cacheP [batchCacheSize]*part2[W]
-		cached [batchCacheSize]bool
-	)
 	for _, op := range b {
-		var p *part2[W]
-		// One Key64 per op serves both the cache index (top bits) and,
-		// on a miss, the L-CHT probe itself — the hash is never
-		// recomputed downstream.
 		hu := hashutil.Key64(op.U)
-		idx := hu >> (64 - batchCacheBits)
-		if cached[idx] && cacheU[idx] == op.U {
-			p = cacheP[idx]
-		} else {
-			p = e.findPart2(hu, op.U)
-			cacheU[idx], cacheP[idx], cached[idx] = op.U, p, true
-		}
-		if e.applyOp(op, hu, p, one, onDup, onDel, before, onApplied, &res) {
-			cached = [batchCacheSize]bool{}
-		}
+		e.applyOp(op, hu, e.findPart2(hu, op.U), one, onDup, onDel, before, onApplied, &res)
 	}
 	return res
 }
 
 // applyOp applies one op given u's hash and already-resolved cell (nil
-// for an unknown u), reporting whether the L-CHT or L-DL was
-// restructured — which invalidates any cached cell pointers, including
-// p itself. One probe serves the duplicate check and the mutation: the
-// insert places with the hash the probe computed, the delete clears the
-// cell the probe found; and before runs on its verdict, never on a guess.
-func (e *engine[W]) applyOp(op Op, hu uint64, p *part2[W], one W, onDup, onDel func(*W) bool, before func(u uint64, deg int) []uint64, onApplied func(Op), res *BatchResult) bool {
+// for an unknown u). One probe serves the duplicate check and the
+// mutation: the insert places with the hash the probe computed, the
+// delete clears the cell the probe found; and before runs on its verdict,
+// never on a guess.
+func (e *engine[W]) applyOp(op Op, hu uint64, p *part2[W], one W, onDup, onDel func(*W) bool, before func(u uint64, deg int) []uint64, onApplied func(Op), res *BatchResult) {
 	w, at, hv := e.find(p, op.U, op.V)
 	switch op.Kind {
 	case OpInsert:
@@ -197,38 +141,32 @@ func (e *engine[W]) applyOp(op Op, hu uint64, p *part2[W], one W, onDup, onDel f
 			if onDup != nil && onDup(w) {
 				res.Updated++
 			}
-			return false
+			return
 		}
 		if before != nil {
 			e.preImage(before, p, op.U)
 		}
 		e.insertAt(hu, p, op.U, hv, slot[W]{v: op.V, w: one})
 		res.Inserted++
-		if onApplied != nil {
-			onApplied(op)
-		}
-		// A brand-new cell went through insertCell, which may have
-		// kicked, spilled or grown the L-CHT.
-		return p == nil
 	case OpDelete:
 		if w == nil {
-			return false
+			return
 		}
 		if onDel != nil && !onDel(w) {
 			res.Updated++
-			return false
+			return
 		}
 		if before != nil {
 			e.preImage(before, p, op.U)
 		}
-		restructured := e.deleteAt(hu, p, op.U, at)
+		e.deleteAt(hu, p, op.U, at)
 		res.Deleted++
-		if onApplied != nil {
-			onApplied(op)
-		}
-		return restructured
+	default:
+		// Unknown kinds are ignored: the decoders that produce batches
+		// (WAL replay, the wire protocol) reject them before this point.
+		return
 	}
-	// Unknown kinds are ignored: the decoders that produce batches
-	// (WAL replay, the wire protocol) reject them before this point.
-	return false
+	if onApplied != nil {
+		onApplied(op)
+	}
 }

@@ -14,13 +14,12 @@ import (
 // reads as the oracle did before the op, the degree it is handed is the
 // oracle's, and the slice it returns comes back holding the oracle's
 // successors — and never for a duplicate insert or an absent delete.
-// Batches of 1…8 ops over five sources make most ops of a batch resolve
-// their cell from the batch cell cache, so a hook that reads the engine
-// mid-batch would expose a stale cell, and the walker after each batch
-// would expose a cache the read had disturbed.
+// Batches of 1…8 ops over five sources make most ops of a batch land on
+// a source an earlier op of the same batch changed, so a hook that read
+// anything but the engine's current state mid-batch would show.
 func TestBeforeHookSeesPreState(t *testing.T) {
 	var seen struct {
-		newNode, lastEdge, parked, transformed, collapsed, cached, declined int
+		newNode, lastEdge, parked, transformed, collapsed, repeated, declined int
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
 		cfg := tinyCaps
@@ -86,7 +85,7 @@ func TestBeforeHookSeesPreState(t *testing.T) {
 				seen.parked++
 			}
 			if next > 0 && slices.ContainsFunc(ops[:next], func(o Op) bool { return o.U == u }) {
-				seen.cached++
+				seen.repeated++
 			}
 			// A hook may decline the copy; the op must go ahead all the same.
 			if calls%5 == 0 {
@@ -161,7 +160,7 @@ func TestBeforeHookSeesPreState(t *testing.T) {
 	}
 	t.Logf("hook coverage: %+v", seen)
 	if seen.newNode == 0 || seen.lastEdge == 0 || seen.parked == 0 || seen.transformed == 0 ||
-		seen.collapsed == 0 || seen.cached == 0 || seen.declined == 0 {
+		seen.collapsed == 0 || seen.repeated == 0 || seen.declined == 0 {
 		t.Fatalf("a case is not covered: %+v", seen)
 	}
 }

@@ -80,8 +80,8 @@ func (e *engine[W]) newChainSeed() uint64 {
 
 // findPart2 locates u's cell in the L-CHT chain or the L-DL (query
 // Step 1 of §III-A3). hu is u's Key64: every caller computes it once
-// per op and hands the same value to whatever else needs it — the
-// batch path's cell cache, a new cell's placement, a node's removal.
+// per op and hands the same value to whatever else needs it — a new
+// cell's placement, a node's removal.
 func (e *engine[W]) findPart2(hu, u uint64) *part2[W] {
 	if p := e.lcht.RefHashed(hu, u); p != nil {
 		return p
@@ -317,48 +317,32 @@ func (e *engine[W]) drainSDLInto(u uint64, c *cuckoo.Chain[W]) {
 	}
 }
 
-// deleteEdge removes ⟨u,v⟩ wherever it lives, returning its payload.
-func (e *engine[W]) deleteEdge(u, v uint64) (payload W, ok bool) {
-	hu := hashutil.Key64(u)
-	p := e.findPart2(hu, u)
-	w, at, _ := e.find(p, u, v)
-	if w == nil {
-		return payload, false
-	}
-	payload = *w
-	e.deleteAt(hu, p, u, at)
-	return payload, true
-}
-
 // deleteAt removes the edge of u that find located at at, clearing the
 // very slot, cell or entry the probe found. Reverse transformations may
 // contract the chain or collapse it back to inline slots; an empty cell
-// removes u entirely. It reports whether the L-CHT (or L-DL) was
-// restructured — which invalidates any cached cell pointers, including
-// p itself.
-func (e *engine[W]) deleteAt(hu uint64, p *part2[W], u uint64, at int64) bool {
+// removes u entirely.
+func (e *engine[W]) deleteAt(hu uint64, p *part2[W], u uint64, at int64) {
 	e.edges--
 	switch {
 	case at < 0:
 		e.sdl = slices.Delete(e.sdl, int(^at), int(^at)+1)
 		e.setParked(u, e.parked[u]-1)
-		return false
 	case p.chain != nil:
 		e.parkAll(u, p.chain.DeleteAt(cuckoo.Pos(at)))
-		return e.maybeCollapse(hu, u, p)
+		e.maybeCollapse(hu, u, p)
+	default:
+		p.inline[at] = p.inline[len(p.inline)-1]
+		p.inline = p.inline[:len(p.inline)-1]
+		e.settleInline(hu, u, p)
 	}
-	p.inline[at] = p.inline[len(p.inline)-1]
-	p.inline = p.inline[:len(p.inline)-1]
-	return e.settleInline(hu, u, p)
 }
 
 // maybeCollapse applies the final step of reverse transformation: when a
 // chain's population fits back into the 2R inline small slots, the chain
-// is dismantled and the cell returns to inline form. It reports whether
-// the (now empty) cell was removed from the L-CHT.
-func (e *engine[W]) maybeCollapse(hu, u uint64, p *part2[W]) bool {
+// is dismantled and the cell returns to inline form.
+func (e *engine[W]) maybeCollapse(hu, u uint64, p *part2[W]) {
 	if p.chain.Size() > e.inlineCap {
-		return false
+		return
 	}
 	e.schtKicksRetired += p.chain.Kicks()
 	e.schtPlacementsRetired += p.chain.Placements()
@@ -370,14 +354,14 @@ func (e *engine[W]) maybeCollapse(hu, u uint64, p *part2[W]) bool {
 		return true
 	})
 	p.inline, p.chain = inline, nil
-	return e.settleInline(hu, u, p)
+	e.settleInline(hu, u, p)
 }
 
 // settleInline finishes a removal from u's inline cell: parked ⟨u,·⟩
 // pairs move back into the freed slots, so no edge is stranded in the
 // S-DL when its cell has room, and a cell left empty removes u from the
-// L-CHT or L-DL — which it reports.
-func (e *engine[W]) settleInline(hu, u uint64, p *part2[W]) bool {
+// L-CHT or L-DL.
+func (e *engine[W]) settleInline(hu, u uint64, p *part2[W]) {
 	e.unpark(u, func(s slot[W]) bool {
 		if len(p.inline) == e.inlineCap {
 			return false
@@ -386,13 +370,13 @@ func (e *engine[W]) settleInline(hu, u uint64, p *part2[W]) bool {
 		return true
 	})
 	if len(p.inline) != 0 {
-		return false
+		return
 	}
 	for i := range e.ldl {
 		if e.ldl[i].u == u {
 			e.ldl = slices.Delete(e.ldl, i, i+1)
 			e.nodes--
-			return true
+			return
 		}
 	}
 	// The one place an op probes a structure a second time: the cell's
@@ -403,7 +387,6 @@ func (e *engine[W]) settleInline(hu, u uint64, p *part2[W]) bool {
 		}
 		e.nodes--
 	}
-	return true
 }
 
 // forEachSuccessor visits every stored neighbour of u. The chain case

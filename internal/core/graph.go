@@ -155,8 +155,8 @@ func (w *Weighted) DeleteEdge(u, v uint64) bool {
 
 // DeleteAll removes the edge regardless of weight.
 func (w *Weighted) DeleteAll(u, v uint64) bool {
-	_, ok := w.e.deleteEdge(u, v)
-	return ok
+	b := [1]Op{DeleteOp(u, v)}
+	return w.e.applyBatch(b[:], 0, nil, nil, nil, nil).Deleted == 1
 }
 
 // ForEachSuccessor calls fn with every successor of u and its weight.

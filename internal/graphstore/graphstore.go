@@ -39,49 +39,11 @@ type Store interface {
 	MemoryUsage() uint64
 }
 
-// WeightedStore is a Store for streaming scenarios with duplicate edges:
-// each distinct ⟨u,v⟩ carries a weight w counting its multiplicity
-// (paper §III-B).
-type WeightedStore interface {
-	Store
-
-	// Weight returns the weight of ⟨u,v⟩ and whether it exists.
-	Weight(u, v NodeID) (uint64, bool)
-}
-
 // BatchStore is satisfied by stores with a native batched mutation
 // path (the CuckooGraph engines). Harnesses that bulk-load a stream
 // should type-assert for it and fall back to per-edge InsertEdge.
 type BatchStore interface {
 	ApplyBatch(b core.Batch) core.BatchResult
-}
-
-// View is a read-only, point-in-time Store: a consistent frozen cut of
-// a live graph stamped with the epoch at which it was taken. Reads
-// never block writers on the underlying graph. The mutating Store
-// methods of a View panic. Release frees the copy-on-write state the
-// view pinned; using a view after Release is a programming error.
-type View interface {
-	Store
-
-	// Epoch is the monotonic snapshot counter value stamped when the
-	// view was taken. Later snapshots always carry greater epochs.
-	Epoch() uint64
-
-	// Release drops the caller's reference to the view. Once the last
-	// holder releases, the underlying graph stops preserving pre-images
-	// for it and everything it pinned becomes collectable. Extra
-	// Releases are ignored.
-	Release()
-}
-
-// Snapshotter is implemented by stores that can produce consistent
-// frozen views without blocking subsequent writers (the sharded
-// CuckooGraph engine, whose concrete Snapshot method this wraps).
-// Analytics harnesses should type-assert for it and run on a snapshot
-// so long passes never stall ingestion.
-type Snapshotter interface {
-	SnapshotView() View
 }
 
 // Indexed is the analytics-acceleration capability: a store (in

@@ -5,6 +5,9 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"cuckoograph/internal/core"
+	"cuckoograph/internal/sharded"
 )
 
 // Introspection: the G.INFO command and the module's /metrics hook.
@@ -98,27 +101,41 @@ func (gm *GraphModule) infoCommands(ctx *Ctx, b *strings.Builder) {
 	}
 }
 
+// graphFields is the graph section, declared once: G.INFO graph prints
+// each row as key:value, and /metrics exposes the same row as
+// cg_graph_<key> (cg_graph_<key>_total for a counter), so the two
+// surfaces list the same quantities.
+var graphFields = []struct {
+	key, help string
+	counter   bool
+	val       func(st core.Stats, g *sharded.Graph) float64
+}{
+	{"nodes", "Nodes with at least one out-edge.", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.Nodes) }},
+	{"edges", "Edges in the graph.", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.Edges) }},
+	{"shards", "Shards in the concurrent engine.", false, func(_ core.Stats, g *sharded.Graph) float64 { return float64(g.Shards()) }},
+	{"mutations", "Applied mutations since the graph was created.", true, func(_ core.Stats, g *sharded.Graph) float64 { return float64(g.Mutations()) }},
+	{"memory_bytes", "Estimated engine memory footprint.", false, func(_ core.Stats, g *sharded.Graph) float64 { return float64(g.MemoryUsage()) }},
+	{"lcht_tables", "Tables in the L-CHT chains, summed over shards.", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.LCHTTables) }},
+	{"lcht_cells", "Cells in the L-CHT chains, summed over shards.", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.LCHTCells) }},
+	{"lcht_load_rate", "Overall LCHT load rate.", false, func(st core.Stats, _ *sharded.Graph) float64 { return st.LCHTLoadRate }},
+	{"lcht_kicks", "Cuckoo kicks in the large-degree tables.", true, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.LCHTKicks) }},
+	{"lcht_placements", "Cells placed into the L-CHT, the base of lcht_kicks.", true, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.LCHTPlacements) }},
+	{"chains", "Nodes whose neighbours live in an S-CHT chain.", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.Chains) }},
+	{"scht_tables", "Tables over all S-CHT chains.", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.SCHTTables) }},
+	{"chain_entries", "Edges stored in S-CHT chains.", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.ChainEntries) }},
+	{"scht_kicks", "Cuckoo kicks in the S-CHT chains, collapsed chains included.", true, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.SCHTKicks) }},
+	{"scht_placements", "Edges placed into S-CHT chains, the base of scht_kicks.", true, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.SCHTPlacements) }},
+	{"transformations", "LDL/SDL/LCHT structure transformations.", true, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.Transformations) }},
+	{"ldl_len", "Cells parked in the L-DL, summed over shards (cap 64 per shard by default).", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.LDLLen) }},
+	{"sdl_len", "Edges parked in the S-DL, summed over shards (cap 256 per shard by default).", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.SDLLen) }},
+}
+
 func (gm *GraphModule) infoGraph(b *strings.Builder) {
 	g := gm.Graph()
 	st := g.Stats()
-	fmt.Fprintf(b, "nodes:%d\n", st.Nodes)
-	fmt.Fprintf(b, "edges:%d\n", st.Edges)
-	fmt.Fprintf(b, "shards:%d\n", g.Shards())
-	fmt.Fprintf(b, "mutations:%d\n", g.Mutations())
-	fmt.Fprintf(b, "memory_bytes:%d\n", g.MemoryUsage())
-	fmt.Fprintf(b, "lcht_tables:%d\n", st.LCHTTables)
-	fmt.Fprintf(b, "lcht_cells:%d\n", st.LCHTCells)
-	fmt.Fprintf(b, "lcht_load_rate:%.4f\n", st.LCHTLoadRate)
-	fmt.Fprintf(b, "lcht_kicks:%d\n", st.LCHTKicks)
-	fmt.Fprintf(b, "lcht_placements:%d\n", st.LCHTPlacements)
-	fmt.Fprintf(b, "chains:%d\n", st.Chains)
-	fmt.Fprintf(b, "scht_tables:%d\n", st.SCHTTables)
-	fmt.Fprintf(b, "chain_entries:%d\n", st.ChainEntries)
-	fmt.Fprintf(b, "scht_kicks:%d\n", st.SCHTKicks)
-	fmt.Fprintf(b, "scht_placements:%d\n", st.SCHTPlacements)
-	fmt.Fprintf(b, "transformations:%d\n", st.Transformations)
-	fmt.Fprintf(b, "ldl_len:%d\n", st.LDLLen)
-	fmt.Fprintf(b, "sdl_len:%d\n", st.SDLLen)
+	for _, f := range graphFields {
+		fmt.Fprintf(b, "%s:%s\n", f.key, formatValue(f.val(st, g)))
+	}
 }
 
 func (gm *GraphModule) infoSnapshots(b *strings.Builder) {
@@ -203,17 +220,13 @@ func b2i(v bool) int {
 func (gm *GraphModule) collectMetrics(mw *MetricsWriter) {
 	g := gm.Graph()
 	st := g.Stats()
-	mw.Gauge("cg_graph_nodes", "Nodes with at least one out-edge.", float64(st.Nodes))
-	mw.Gauge("cg_graph_edges", "Edges in the graph.", float64(st.Edges))
-	mw.Gauge("cg_graph_memory_bytes", "Estimated engine memory footprint.", float64(g.MemoryUsage()))
-	mw.Counter("cg_graph_mutations_total", "Applied mutations since the graph was created.", float64(g.Mutations()))
-	mw.Gauge("cg_graph_shards", "Shards in the concurrent engine.", float64(g.Shards()))
-	mw.Gauge("cg_graph_lcht_load_rate", "Overall LCHT load rate.", st.LCHTLoadRate)
-	mw.Counter("cg_graph_lcht_kicks_total", "Cuckoo kicks in the large-degree tables.", float64(st.LCHTKicks))
-	mw.Counter("cg_graph_transformations_total", "LDL/SDL/LCHT structure transformations.", float64(st.Transformations))
-	mw.Gauge("cg_graph_scht_tables", "Tables over all S-CHT chains.", float64(st.SCHTTables))
-	mw.Gauge("cg_graph_ldl_len", "Cells parked in the L-DL, summed over shards (cap 64 per shard by default).", float64(st.LDLLen))
-	mw.Gauge("cg_graph_sdl_len", "Edges parked in the S-DL, summed over shards (cap 256 per shard by default).", float64(st.SDLLen))
+	for _, f := range graphFields {
+		if f.counter {
+			mw.Counter("cg_graph_"+f.key+"_total", f.help, f.val(st, g))
+		} else {
+			mw.Gauge("cg_graph_"+f.key, f.help, f.val(st, g))
+		}
+	}
 
 	vs := g.ViewStats()
 	gm.viewMu.Lock()

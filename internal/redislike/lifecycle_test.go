@@ -202,6 +202,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cg_graph_edges 2",
 		"cg_graph_nodes 2",
 		"cg_graph_scht_tables 0",
+		"# TYPE cg_graph_scht_kicks_total counter",
+		"cg_graph_scht_placements_total 0",
+		"cg_graph_lcht_placements_total 2",
+		"cg_graph_lcht_tables ",
+		"cg_graph_lcht_cells ",
+		"cg_graph_chains 0",
+		"cg_graph_chain_entries 0",
 		"cg_graph_ldl_len 0",
 		"cg_graph_sdl_len 0",
 		"cg_snapshot_live_views 1",

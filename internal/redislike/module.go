@@ -378,21 +378,25 @@ func (gm *GraphModule) installGraph(g *sharded.Graph) {
 }
 
 // AOFRewrite emits the command stream that rebuilds the graph — the
-// aof_rewrite interface of the Redis Module API.
+// aof_rewrite interface of the Redis Module API. The stream is one
+// epoch's edge set: it walks a frozen view taken for the call, so
+// concurrent writers are not blocked and a multi-shard batch is in it
+// whole or not at all.
 func (gm *GraphModule) AOFRewrite() []string {
+	var v *sharded.View
+	gm.withGraph(func(g *sharded.Graph) { v = g.Snapshot() })
+	defer v.Release()
 	var cmds []string
-	gm.withGraph(func(g *sharded.Graph) {
-		g.ForEachNode(func(u uint64) bool {
-			g.ForEachSuccessor(u, func(v uint64) bool {
-				cmds = append(cmds, strings.Join([]string{
-					"g.insert",
-					strconv.FormatUint(u, 10),
-					strconv.FormatUint(v, 10),
-				}, " "))
-				return true
-			})
+	v.ForEachNode(func(u uint64) bool {
+		v.ForEachSuccessor(u, func(w uint64) bool {
+			cmds = append(cmds, strings.Join([]string{
+				"g.insert",
+				strconv.FormatUint(u, 10),
+				strconv.FormatUint(w, 10),
+			}, " "))
 			return true
 		})
+		return true
 	})
 	return cmds
 }

@@ -173,6 +173,23 @@ func TestInfoCommand(t *testing.T) {
 			t.Fatalf("G.INFO graph missing %q in:\n%s", want, one.Str)
 		}
 	}
+	// Every key of the section is a cg_graph_ series on /metrics, with
+	// the same value.
+	var metrics strings.Builder
+	if err := s.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(one.Str), "\n")[1:] // drop "# graph"
+	if len(lines) < 18 {
+		t.Fatalf("G.INFO graph has %d keys, want at least 18:\n%s", len(lines), one.Str)
+	}
+	for _, line := range lines {
+		key, val, _ := strings.Cut(line, ":")
+		if !strings.Contains(metrics.String(), "\ncg_graph_"+key+" "+val+"\n") &&
+			!strings.Contains(metrics.String(), "\ncg_graph_"+key+"_total "+val+"\n") {
+			t.Fatalf("G.INFO graph key %q (= %s) has no cg_graph_ series in:\n%s", key, val, metrics.String())
+		}
+	}
 	if got := dispatch("G.INFO", "bogus"); got.Type != '-' || !strings.HasPrefix(got.Str, "ERR ") {
 		t.Fatalf("G.INFO bogus = %+v", got)
 	}

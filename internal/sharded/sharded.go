@@ -271,7 +271,7 @@ func (g *Graph) LogErr() error {
 func Load(r io.Reader, cfg Config) (*Graph, error) {
 	g := New(cfg)
 	// Feed the snapshot through the batch path: loading is the textbook
-	// burst, and chunking amortizes lock traffic and cell lookups.
+	// burst, and chunking amortizes lock traffic.
 	c := core.NewChunker(LoadBatchSize, func(b core.Batch) { g.ApplyBatch(b) })
 	if err := core.ReadBasicSnapshot(r, func(u, v uint64) error {
 		c.Insert(u, v)

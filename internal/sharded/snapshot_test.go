@@ -2,11 +2,11 @@ package sharded
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 
 	"cuckoograph/internal/core"
+	"cuckoograph/internal/graphstore"
 )
 
 // viewEdgeCount re-counts a view's edges by full iteration; it must
@@ -345,16 +345,14 @@ func TestSnapshotSharesPreImagesAcrossViews(t *testing.T) {
 }
 
 func TestSnapshotViewImplementsStoreExample(t *testing.T) {
-	// Exercise the graphstore.Snapshotter path the analytics harness uses.
+	// The analytics kernels take a frozen view as a graphstore.Store.
 	g := New(Config{Shards: 2})
 	g.InsertEdge(1, 2)
-	sv := g.SnapshotView()
-	defer sv.Release()
-	if !sv.HasEdge(1, 2) || sv.NumEdges() != 1 {
-		t.Fatalf("SnapshotView state wrong")
-	}
-	if fmt.Sprintf("%T", sv) != "*sharded.View" {
-		t.Fatalf("SnapshotView returned %T", sv)
+	v := g.Snapshot()
+	defer v.Release()
+	var s graphstore.Store = v
+	if !s.HasEdge(1, 2) || s.NumEdges() != 1 {
+		t.Fatalf("view state wrong through the Store interface")
 	}
 }
 

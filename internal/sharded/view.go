@@ -64,14 +64,12 @@ type View struct {
 	refs atomic.Int64
 }
 
-// Compile-time wiring: a frozen view is a Store (so internal/analytics
-// runs on it unchanged) and the sharded engine is a Snapshotter.
+// Compile-time wiring: a frozen view is a Store, so internal/analytics
+// runs on it unchanged.
 var (
-	_ graphstore.Store       = (*View)(nil)
-	_ graphstore.View        = (*View)(nil)
-	_ graphstore.Snapshotter = (*Graph)(nil)
-	_ graphstore.Indexed     = (*View)(nil)
-	_ csr.ShardedSource      = (*View)(nil)
+	_ graphstore.Store   = (*View)(nil)
+	_ graphstore.Indexed = (*View)(nil)
+	_ csr.ShardedSource  = (*View)(nil)
 )
 
 // Snapshot returns a consistent frozen view of the whole graph. The
@@ -84,9 +82,6 @@ func (g *Graph) Snapshot() *View {
 	v, _ := g.snapshotWithCut(nil)
 	return v
 }
-
-// SnapshotView implements graphstore.Snapshotter.
-func (g *Graph) SnapshotView() graphstore.View { return g.Snapshot() }
 
 // Epoch returns the epoch of the most recently taken snapshot; the next
 // snapshot is stamped with a strictly greater value.

@@ -310,6 +310,32 @@ func (r *Reader) nextSegment() error {
 	return nil
 }
 
+// frameAt validates the frame at the head of data, returning its
+// CRC-checked record body and its encoded size. A frame that reaches
+// past the end of data is not an error: the body is nil and total is
+// the frame's size (0 when even the length prefix is incomplete).
+func frameAt(data []byte) (body []byte, total int, err error) {
+	length, n := core.Uvarint(data)
+	if n <= 0 {
+		if len(data) >= core.MaxVarintLen64 {
+			return nil, 0, errors.New("bad record length varint")
+		}
+		return nil, 0, nil
+	}
+	if length == 0 || length > maxBatchPayload {
+		return nil, 0, fmt.Errorf("implausible record length %d", length)
+	}
+	total = n + int(length) + crcSize
+	if total > len(data) {
+		return nil, total, nil
+	}
+	body = data[n : n+int(length)]
+	if binary.LittleEndian.Uint32(data[n+int(length):]) != crc32.Checksum(body, castagnoli) {
+		return nil, 0, errors.New("checksum mismatch")
+	}
+	return body, total, nil
+}
+
 // frameSpan walks data and returns the byte length of its longest
 // prefix of whole, CRC-valid frames. A complete frame that fails
 // validation is an error. A trailing partial frame is not an error:
@@ -318,23 +344,12 @@ func (r *Reader) nextSegment() error {
 func frameSpan(data []byte) (valid, nextFrame int, err error) {
 	off := 0
 	for off < len(data) {
-		length, n := core.Uvarint(data[off:])
-		if n <= 0 {
-			if len(data)-off >= core.MaxVarintLen64 {
-				return 0, 0, errors.New("bad record length varint")
-			}
-			return off, 0, nil
+		body, total, err := frameAt(data[off:])
+		if err != nil {
+			return 0, 0, err
 		}
-		if length == 0 || length > maxBatchPayload {
-			return 0, 0, fmt.Errorf("implausible record length %d", length)
-		}
-		total := n + int(length) + crcSize
-		if off+total > len(data) {
+		if body == nil {
 			return off, total, nil
-		}
-		p := data[off+n : off+n+int(length)]
-		if binary.LittleEndian.Uint32(data[off+n+int(length):]) != crc32.Checksum(p, castagnoli) {
-			return 0, 0, errors.New("checksum mismatch")
 		}
 		off += total
 	}
@@ -345,41 +360,21 @@ func frameSpan(data []byte) (valid, nextFrame int, err error) {
 // payload of one replication push — appending the ops to out in log
 // order. Each record is validated completely (length plausibility,
 // CRC, full body decode) before its ops are appended; on error the
-// returned slice may hold a partial decode and must be discarded.
+// returned slice holds the ops of the records before the bad one and
+// must be discarded.
 func AppendChunkOps(data []byte, out []core.Op) ([]core.Op, error) {
 	off := 0
 	for off < len(data) {
-		length, n := core.Uvarint(data[off:])
-		if n <= 0 || length == 0 || length > maxBatchPayload {
-			return out, fmt.Errorf("wal: chunk offset %d: bad record length", off)
+		body, total, err := frameAt(data[off:])
+		if err == nil && body == nil {
+			err = errors.New("truncated frame")
 		}
-		total := n + int(length) + crcSize
-		if off+total > len(data) {
-			return out, fmt.Errorf("wal: chunk offset %d: truncated frame", off)
+		if err != nil {
+			return out, fmt.Errorf("wal: chunk offset %d: %w", off, err)
 		}
-		p := data[off+n : off+n+int(length)]
-		if binary.LittleEndian.Uint32(data[off+n+int(length):off+total]) != crc32.Checksum(p, castagnoli) {
-			return out, fmt.Errorf("wal: chunk offset %d: checksum mismatch", off)
-		}
-		switch op := Op(p[0]); op {
-		case OpInsert, OpDelete:
-			u, un := core.Uvarint(p[1:])
-			if un <= 0 {
-				return out, fmt.Errorf("wal: chunk offset %d: bad u varint", off)
-			}
-			v, vn := core.Uvarint(p[1+un:])
-			if vn <= 0 || 1+un+vn != int(length) {
-				return out, fmt.Errorf("wal: chunk offset %d: bad v varint", off)
-			}
-			out = append(out, core.Op{Kind: core.OpKind(op), U: u, V: v})
-		case OpBatch:
-			ops, ok := decodeBatchPayload(p[1:], out)
-			if !ok {
-				return out, fmt.Errorf("wal: chunk offset %d: malformed batch record", off)
-			}
-			out = ops
-		default:
-			return out, fmt.Errorf("wal: chunk offset %d: unknown op %d", off, p[0])
+		var detail string
+		if out, detail = decodeRecord(body, out); detail != "" {
+			return out, fmt.Errorf("wal: chunk offset %d: %s", off, detail)
 		}
 		off += total
 	}

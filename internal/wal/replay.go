@@ -233,39 +233,21 @@ func scanSegment(fsys vfs.FS, path string, index uint64, tolerateTail bool, fn f
 		if binary.LittleEndian.Uint32(crcb[:]) != crc32.Checksum(p, castagnoli) {
 			return bad(frameEnd, false, true, "checksum mismatch", nil)
 		}
-		switch op := Op(p[0]); op {
-		case OpInsert, OpDelete:
-			u, un := core.Uvarint(p[1:])
-			if un <= 0 {
-				return bad(frameEnd, false, false, "bad u varint", nil)
-			}
-			v, vn := core.Uvarint(p[1+un:])
-			if vn <= 0 || 1+un+vn != int(length) {
-				return bad(frameEnd, false, false, "bad v varint", nil)
-			}
-			if fn != nil {
-				if err := fn(op, u, v); err != nil {
+		ops, detail := decodeRecord(p, scratch[:0])
+		if detail != "" {
+			return bad(frameEnd, false, false, detail, nil)
+		}
+		scratch = ops[:0]
+		if fn != nil {
+			for _, o := range ops {
+				if err := fn(Op(o.Kind), o.U, o.V); err != nil {
 					return 0, 0, 0, err
 				}
 			}
-			records++
-		case OpBatch:
-			ops, ok := decodeBatchPayload(p[1:], scratch[:0])
-			if !ok {
-				return bad(frameEnd, false, false, "malformed batch record", nil)
-			}
-			scratch = ops[:0]
-			if fn != nil {
-				for _, o := range ops {
-					if err := fn(Op(o.Kind), o.U, o.V); err != nil {
-						return 0, 0, 0, err
-					}
-				}
-			}
-			records += uint64(len(ops))
+		}
+		records += uint64(len(ops))
+		if Op(p[0]) == OpBatch {
 			batches++
-		default:
-			return bad(frameEnd, false, false, fmt.Sprintf("unknown op %d", p[0]), nil)
 		}
 		valid = frameEnd
 	}
@@ -296,40 +278,58 @@ func zeroToEOF(f io.ReaderAt, from, end int64) (bool, error) {
 	return true, nil
 }
 
-// decodeBatchPayload parses the body of an OpBatch record (everything
-// after the op tag) into out, validating it completely: the declared op
-// count must match the encoded ops exactly and every op must be an
-// insert or delete. It reports ok=false on any malformation so the
-// caller can reject the record before applying a single op.
-func decodeBatchPayload(body []byte, out []core.Op) ([]core.Op, bool) {
-	count, cn := core.Uvarint(body)
-	if cn <= 0 || count == 0 || count > maxBatchOps {
-		return nil, false
+// decodeRecord parses one record body — the CRC-checked payload of a
+// frame: a single op, or the OpBatch tag, an op count and that many ops
+// — appending its ops to out. It is the one decoder of the format:
+// replay and log shipping both call it. The record is validated whole
+// before anything is delivered: on a malformation (an unknown tag or op
+// kind, a bad varint, a batch count out of range or disagreeing with the
+// encoded ops, bytes left over) it returns out as given and a non-empty
+// detail.
+func decodeRecord(p []byte, out []core.Op) ([]core.Op, string) {
+	switch Op(p[0]) {
+	case OpInsert, OpDelete:
+		if op, n := decodeOp(p); n == len(p) {
+			return append(out, op), ""
+		}
+		return out, "bad u/v varint"
+	case OpBatch:
+		count, cn := core.Uvarint(p[1:])
+		if cn <= 0 || count == 0 || count > maxBatchOps {
+			return out, "malformed batch record"
+		}
+		ops, body := out, p[1+cn:]
+		for ; count > 0; count-- {
+			op, n := decodeOp(body)
+			if n == 0 {
+				return out, "malformed batch record"
+			}
+			ops, body = append(ops, op), body[n:]
+		}
+		if len(body) != 0 {
+			return out, "malformed batch record"
+		}
+		return ops, ""
 	}
-	body = body[cn:]
-	for i := uint64(0); i < count; i++ {
-		if len(body) == 0 {
-			return nil, false
-		}
-		kind := core.OpKind(body[0])
-		if kind != core.OpInsert && kind != core.OpDelete {
-			return nil, false
-		}
-		u, un := core.Uvarint(body[1:])
-		if un <= 0 {
-			return nil, false
-		}
-		v, vn := core.Uvarint(body[1+un:])
-		if vn <= 0 {
-			return nil, false
-		}
-		body = body[1+un+vn:]
-		out = append(out, core.Op{Kind: kind, U: u, V: v})
+	return out, fmt.Sprintf("unknown op %d", p[0])
+}
+
+// decodeOp parses one op — kind byte, u, v — from the head of b and
+// reports how many bytes it took, 0 when b does not start with a whole
+// insert or delete.
+func decodeOp(b []byte) (core.Op, int) {
+	if len(b) == 0 || (Op(b[0]) != OpInsert && Op(b[0]) != OpDelete) {
+		return core.Op{}, 0
 	}
-	if len(body) != 0 {
-		return nil, false
+	u, un := core.Uvarint(b[1:])
+	if un <= 0 {
+		return core.Op{}, 0
 	}
-	return out, true
+	v, vn := core.Uvarint(b[1+un:])
+	if vn <= 0 {
+		return core.Op{}, 0
+	}
+	return core.Op{Kind: core.OpKind(b[0]), U: u, V: v}, 1 + un + vn
 }
 
 // readUvarintCounted decodes a uvarint and reports how many bytes it
@@ -406,7 +406,7 @@ func RecoverFS(fsys vfs.FS, dir string, cfg sharded.Config) (*sharded.Graph, Rec
 
 	// Replay through the batch path: chunks preserve log order per
 	// source node (the order that matters) while amortizing shard locks
-	// and cell lookups — recovery is itself a bulk ingest.
+	// — recovery is itself a bulk ingest.
 	c := core.NewChunker(sharded.LoadBatchSize, func(b core.Batch) { g.ApplyBatch(b) })
 	stats.Replay, err = ReplayFS(fsys, dir, seg, func(op Op, u, v uint64) error {
 		switch op {
