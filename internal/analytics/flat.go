@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"sort"
+	"sync"
 
 	"cuckoograph/internal/csr"
 	"cuckoograph/internal/graphstore"
@@ -19,51 +20,61 @@ func indexOf(s graphstore.Store) *csr.Index {
 	return nil
 }
 
-// bitset is a flat visited/marked set over dense ids.
-type bitset []uint64
+// scratch is the transient state of a flat kernel call: visited marks,
+// queues, stacks, rank arrays. A kernel takes one from scratchPool,
+// re-slices its buffers to the index at hand (sized: contents unspecified)
+// and puts it back on return, so a warm call allocates only its result;
+// the collector drops scratch that sits idle for two cycles.
+type scratch struct {
+	u8     []uint8
+	i32    []int32
+	f64    []float64
+	frames []ccFrame
+}
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func (b bitset) has(i int32) bool { return b[uint32(i)>>6]&(1<<(uint32(i)&63)) != 0 }
-func (b bitset) set(i int32)      { b[uint32(i)>>6] |= 1 << (uint32(i) & 63) }
+// sized returns *buf re-sliced to n elements, reallocated when too short.
+func sized[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
 
 // bfsFlat is BFS over the index: an int32 frontier queue and a visited
-// bitset instead of a map — the queue in append order IS the traversal
-// order, translated back to sparse ids at the end.
+// byte per node instead of a map — the queue in enqueue order IS the
+// traversal order, translated back to sparse ids at the end.
 func bfsFlat(idx *csr.Index, root uint64) []uint64 {
 	r, ok := idx.DenseOf(root)
 	if !ok {
 		// The fallback visits the root unconditionally, present or not.
 		return []uint64{root}
 	}
-	visited := newBitset(idx.NumNodes())
-	// Destination-only nodes are enqueued too: every node at most once.
-	queue := make([]int32, 0, idx.NumNodes())
-	queue = bfsFlatInto(idx, r, visited, queue)
-	out := make([]uint64, len(queue))
-	for i, d := range queue {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	visited := sized(&sc.u8, idx.NumNodes())
+	clear(visited)
+	// Every successor is stored at the queue's tail, and the tail moves
+	// only when the node is new: an add of 0 or 1 where a test-then-branch
+	// mispredicts on every other edge of a web graph. Destination-only
+	// nodes are enqueued too, each node once, and the extra slot takes the
+	// store that follows the last of them.
+	queue := sized(&sc.i32, idx.NumNodes()+1)
+	queue[0], visited[r] = r, 1
+	tail := 1
+	for head := 0; head < tail; head++ {
+		for _, v := range idx.Succ(queue[head]) {
+			queue[tail] = v
+			tail += 1 - int(visited[v])
+			visited[v] = 1
+		}
+	}
+	out := make([]uint64, tail)
+	for i, d := range queue[:tail] {
 		out[i] = idx.IDOf(d)
 	}
 	return out
-}
-
-// bfsFlatInto runs the allocation-free BFS inner loop: visited must be
-// zeroed and sized for idx.NumNodes(), queue empty. It returns the
-// traversal order in dense ids (the filled queue). Given adequate
-// queue capacity the loop performs zero heap allocations — pinned by
-// TestFlatInnerLoopAllocs.
-func bfsFlatInto(idx *csr.Index, root int32, visited bitset, queue []int32) []int32 {
-	visited.set(root)
-	queue = append(queue, root)
-	for head := 0; head < len(queue); head++ {
-		for _, v := range idx.Succ(queue[head]) {
-			if !visited.has(v) {
-				visited.set(v)
-				queue = append(queue, v)
-			}
-		}
-	}
-	return queue
 }
 
 // dijkstraFlat is Dijkstra over the index with a flat binary heap of
@@ -84,6 +95,7 @@ func dijkstraFlat(idx *csr.Index, src uint64) map[uint64]uint64 {
 	// Unit weights: a node's first label is final, so each is pushed once.
 	heap := make([]uint64, 0, idx.NumNodes())
 	heap = heapPush(heap, uint64(s)) // distance 0 << 32 | s
+	reached := 1                     // one push per reached node
 	for len(heap) > 0 {
 		var it uint64
 		heap, it = heapPop(heap)
@@ -96,10 +108,11 @@ func dijkstraFlat(idx *csr.Index, src uint64) map[uint64]uint64 {
 			if nd < dist[v] {
 				dist[v] = nd
 				heap = heapPush(heap, nd<<32|uint64(uint32(v)))
+				reached++
 			}
 		}
 	}
-	out := make(map[uint64]uint64)
+	out := make(map[uint64]uint64, reached)
 	for i, d := range dist {
 		if d != unreached {
 			out[idx.IDOf(int32(i))] = d
@@ -165,25 +178,28 @@ func tcFlat(idx *csr.Index, node uint64) int {
 	return count
 }
 
+// ccFrame is one level of ccFlat's explicit call stack: a node and how
+// many of its successors have been looked at.
+type ccFrame struct{ node, i int32 }
+
 // ccFlat is the iterative Tarjan SCC walk over dense ids with flat
 // index/lowlink/component arrays. The component partition and count
 // equal the fallback's exactly; the integer labels themselves depend
 // on root iteration order, which is not part of the contract.
 func ccFlat(idx *csr.Index) (map[uint64]int, int) {
 	n := idx.NumNodes()
-	index := make([]int32, n)
-	low := make([]int32, n)
-	comp := make([]int32, n)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	i32 := sized(&sc.i32, 4*n)
+	index, low, comp := i32[:n], i32[n:2*n], i32[2*n:3*n]
 	for i := range index {
 		index[i], comp[i] = -1, -1
 	}
-	onStack := newBitset(n)
-	var stack []int32
-	type frame struct {
-		node int32
-		i    int32
-	}
-	var call []frame
+	onStack := sized(&sc.u8, n)
+	clear(onStack)
+	// A node enters either stack once, so neither outgrows n.
+	stack := i32[3*n : 3*n : 4*n]
+	call := sized(&sc.frames, n)[:0]
 	next, comps := int32(0), 0
 
 	for root := int32(0); root < int32(idx.NumSources()); root++ {
@@ -194,8 +210,8 @@ func ccFlat(idx *csr.Index) (map[uint64]int, int) {
 			index[u], low[u] = next, next
 			next++
 			stack = append(stack, u)
-			onStack.set(u)
-			call = append(call, frame{node: u})
+			onStack[u] = 1
+			call = append(call, ccFrame{node: u})
 		}
 		push(root)
 		for len(call) > 0 {
@@ -210,7 +226,7 @@ func ccFlat(idx *csr.Index) (map[uint64]int, int) {
 					advanced = true
 					break
 				}
-				if onStack.has(v) && index[v] < low[f.node] {
+				if onStack[v] != 0 && index[v] < low[f.node] {
 					low[f.node] = index[v]
 				}
 			}
@@ -221,7 +237,7 @@ func ccFlat(idx *csr.Index) (map[uint64]int, int) {
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[uint32(w)>>6] &^= 1 << (uint32(w) & 63)
+					onStack[w] = 0
 					comp[w] = int32(comps)
 					if w == f.node {
 						break
@@ -253,52 +269,50 @@ func ccFlat(idx *csr.Index) (map[uint64]int, int) {
 // the fallback iterates); the next array spans all nodes so shares
 // pushed at destination-only nodes land somewhere, as in the map
 // version, and are likewise never read back.
+//
+// The loops run edge by edge: esrc is filled once with every edge's
+// source, and an iteration is a division per source and one flat pass
+// over the edge array whose only exit is its end, where a loop nest over
+// degree-5 adjacencies exits, unpredictably, once per node. Shares are
+// added in the nest's order (source ascending, then successor order), so
+// the ranks are bit for bit what it computes.
 func pageRankFlat(idx *csr.Index, iters int) map[uint64]float64 {
 	srcs := idx.NumSources()
 	if srcs == 0 {
 		return nil
 	}
-	rank := make([]float64, idx.NumNodes())
-	next := make([]float64, idx.NumNodes())
-	pageRankFlatInto(idx, iters, rank, next)
-	out := make(map[uint64]float64, srcs)
-	for u := 0; u < srcs; u++ {
-		out[idx.IDOf(int32(u))] = rank[u]
-	}
-	return out
-}
-
-// pageRankFlatInto runs the allocation-free PageRank inner loops: rank
-// and next must be zeroed and sized for idx.NumNodes(). On return rank
-// holds the final ranks of the source nodes. Pinned allocation-free by
-// TestFlatInnerLoopAllocs.
-func pageRankFlatInto(idx *csr.Index, iters int, rank, next []float64) {
-	srcs := int32(idx.NumSources())
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	f64 := sized(&sc.f64, 2*srcs+idx.NumNodes())
+	rank, contrib, next := f64[:srcs], f64[srcs:2*srcs], f64[2*srcs:]
+	edges := idx.Edges()
+	esrc := sized(&sc.i32, len(edges))
 	const damping = 0.85
 	n := float64(srcs)
-	for u := int32(0); u < srcs; u++ {
+	e := 0
+	for u := range rank {
 		rank[u] = 1 / n
+		for end := e + idx.Degree(int32(u)); e < end; e++ {
+			esrc[e] = int32(u)
+		}
 	}
 	for it := 0; it < iters; it++ {
-		for i := range next {
-			next[i] = 0
+		clear(next)
+		for u := range contrib {
+			contrib[u] = rank[u] / float64(idx.Degree(int32(u))) // a source's degree is never 0
 		}
-		leak := 0.0
-		for u := int32(0); u < srcs; u++ {
-			deg := idx.Degree(u)
-			if deg == 0 { // cannot happen for a source; kept for parity
-				leak += rank[u]
-				continue
-			}
-			share := rank[u] / float64(deg)
-			for _, v := range idx.Succ(u) {
-				next[v] += share
-			}
+		for e, v := range edges {
+			next[v] += contrib[esrc[e]]
 		}
-		for u := int32(0); u < srcs; u++ {
-			rank[u] = (1-damping)/n + damping*(next[u]+leak/n)
+		for u := range rank {
+			rank[u] = (1-damping)/n + damping*next[u]
 		}
 	}
+	out := make(map[uint64]float64, srcs)
+	for u, r := range rank {
+		out[idx.IDOf(int32(u))] = r
+	}
+	return out
 }
 
 // betweennessFlat is Brandes over flat per-source state: distance,
@@ -308,7 +322,7 @@ func pageRankFlatInto(idx *csr.Index, iters int, rank, next []float64) {
 func betweennessFlat(idx *csr.Index) map[uint64]float64 {
 	n := idx.NumNodes()
 	bc := make([]float64, n)
-	inBC := newBitset(n)
+	inBC := make([]bool, n)
 	dist := make([]int32, n)
 	for i := range dist {
 		dist[i] = -1
@@ -317,6 +331,7 @@ func betweennessFlat(idx *csr.Index) map[uint64]float64 {
 	delta := make([]float64, n)
 	preds := make([][]int32, n)
 	var order []int32
+	marked := 0
 
 	for src := int32(0); src < int32(idx.NumSources()); src++ {
 		for _, w := range order {
@@ -348,13 +363,16 @@ func betweennessFlat(idx *csr.Index) map[uint64]float64 {
 			}
 			if w != src {
 				bc[w] += delta[w]
-				inBC.set(w)
+				if !inBC[w] {
+					inBC[w] = true
+					marked++
+				}
 			}
 		}
 	}
-	out := make(map[uint64]float64)
+	out := make(map[uint64]float64, marked)
 	for i := int32(0); i < int32(n); i++ {
-		if inBC.has(i) {
+		if inBC[i] {
 			out[idx.IDOf(i)] = bc[i]
 		}
 	}

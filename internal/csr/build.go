@@ -1,194 +1,90 @@
 package csr
 
 import (
-	"runtime"
+	"slices"
 	"sync"
 )
 
-// Build compiles s into an Index. When s is a ShardedSource the
-// adjacency scans — the probe-heavy part — run in parallel, one worker
-// per partition, and successors are appended into one flat reusable
-// buffer per partition so the build performs a constant number of
-// allocations per shard rather than one per node. The dictionary and
-// edge translation are a single sequential pass over the materialized
-// buffers, so dense-id assignment is deterministic for a given source:
+// scanPool recycles the per-partition scan buffers between builds. A
+// buffer keeps the capacity of the largest partition it has held, so a
+// warm build allocates only what the index itself retains; the collector
+// empties the pool once it has sat idle for two cycles.
+var scanPool = sync.Pool{New: func() any { return new(ShardScan) }}
+
+// Build compiles s into an Index. The adjacency scans, the probe-heavy
+// part, run one goroutine per partition, each into flat pooled buffers.
+// The dictionary and the edge translation are one sequential pass over
+// those buffers, so dense ids are deterministic for a given source:
 // source nodes first, in partition-then-node order, then
 // destination-only nodes in first-appearance order.
 //
-// Build only reads s. Run it on a frozen view and it never blocks
-// writers for more than one node's successor copy.
+// Build only reads s, through ScanShard; how long a scan may keep a
+// writer waiting is the source's contract (see sharded.View.ScanShard).
 func Build(s Source) *Index {
-	if sh, ok := s.(ShardedSource); ok {
-		return buildSharded(sh)
-	}
-	return buildSerial(s)
-}
-
-// buildSerial is the generic path for stores without a partitioned
-// node set: the same count → prefix-sum → fill structure, sequential.
-func buildSerial(s Source) *Index {
-	var nodes []uint64
-	s.ForEachNode(func(u uint64) bool {
-		nodes = append(nodes, u)
-		return true
-	})
-	x := newIndexFor(nodes, int(s.NumEdges()))
-
-	// Count pass → prefix sum over the source nodes.
-	for i, u := range nodes {
-		deg := 0
-		s.ForEachSuccessor(u, func(uint64) bool { deg++; return true })
-		x.offsets[i+1] = x.offsets[i] + uint32(deg)
-	}
-	// Fill pass: translate successors, assigning dense ids to
-	// destination-only nodes as they first appear.
-	x.edges = make([]int32, x.offsets[len(nodes)])
-	pos := 0
-	for _, u := range nodes {
-		s.ForEachSuccessor(u, func(v uint64) bool {
-			x.edges[pos] = x.internDest(v)
-			pos++
-			return true
-		})
-	}
-	x.finishOffsets()
-	return x
-}
-
-// shardScan is one partition's materialized slice of the graph: its
-// node set and every node's successors concatenated into one flat
-// buffer (counts delimit the per-node runs).
-type shardScan struct {
-	nodes  []uint64
-	counts []int32
-	succs  []uint64
-}
-
-func buildSharded(s ShardedSource) *Index {
-	p := s.ShardCount()
-	scans := make([]shardScan, p)
-	perShardCap := int(s.NumEdges())/p + 16
-
-	// Phase 1, parallel: scan every partition's adjacency into flat
-	// buffers. Each AppendSuccessors takes the owning shard's read lock
-	// for one node only, so a concurrent writer is never stalled for
-	// longer than a single adjacency copy.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > p {
-		workers = p
-	}
-	if workers <= 1 {
-		for si := 0; si < p; si++ {
-			scans[si] = scanShard(s, si, perShardCap)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for si := range next {
-					scans[si] = scanShard(s, si, perShardCap)
-				}
-			}()
-		}
-		for si := 0; si < p; si++ {
-			next <- si
-		}
-		close(next)
-		wg.Wait()
-	}
-
-	// Phase 2, sequential: dictionary + translation over the buffers.
-	// Source nodes take dense ids [0, srcs) in partition-then-node
-	// order; destinations intern behind them as they first appear.
-	var total int
-	var nsrc int
+	scans := make([]*ShardScan, s.ShardCount())
+	succHint := int(s.NumEdges())/len(scans) + 16
+	var wg sync.WaitGroup
 	for si := range scans {
-		nsrc += len(scans[si].nodes)
-		total += len(scans[si].succs)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := scanPool.Get().(*ShardScan)
+			sc.Succs = slices.Grow(sc.Succs[:0], succHint) // a cold buffer's first guess
+			s.ScanShard(si, sc)
+			scans[si] = sc
+		}()
 	}
-	nodes := make([]uint64, 0, nsrc)
-	for si := range scans {
-		nodes = append(nodes, scans[si].nodes...)
-	}
-	x := newIndexFor(nodes, total)
-	x.edges = make([]int32, total)
-	pos := 0
-	di := 0
-	for si := range scans {
-		sc := &scans[si]
-		off := 0
-		for i := range sc.nodes {
-			n := int(sc.counts[i])
-			for _, v := range sc.succs[off : off+n] {
-				x.edges[pos] = x.internDest(v)
-				pos++
-			}
-			off += n
-			x.offsets[di+1] = uint32(pos)
-			di++
-		}
-	}
-	x.finishOffsets()
-	return x
-}
+	wg.Wait()
 
-func scanShard(s ShardedSource, si, succCap int) shardScan {
-	nodes := s.ShardNodes(si)
-	sc := shardScan{
-		nodes:  nodes,
-		counts: make([]int32, len(nodes)),
-		succs:  make([]uint64, 0, succCap),
+	nsrc, total := 0, 0
+	for _, sc := range scans {
+		nsrc += len(sc.Nodes)
+		total += len(sc.Succs)
 	}
-	for i, u := range nodes {
-		n0 := len(sc.succs)
-		sc.succs = s.AppendSuccessors(u, sc.succs)
-		sc.counts[i] = int32(len(sc.succs) - n0)
-	}
-	return sc
-}
-
-// newIndexFor seeds an index with the source-node dictionary: nodes
-// take dense ids [0, len(nodes)) in order. edgeHint sizes the
-// dictionary for the destinations still to intern.
-func newIndexFor(nodes []uint64, edgeHint int) *Index {
+	// Most destinations are sources too: room for an eighth more nodes
+	// than sources covers the rest without a regrowth on web-like graphs,
+	// and both structures grow when it does not.
+	hint := nsrc + nsrc/8
 	x := &Index{
-		ids:     append([]uint64(nil), nodes...),
-		dense:   make(map[uint64]int32, len(nodes)+edgeHint/4),
-		srcs:    int32(len(nodes)),
-		offsets: make([]uint32, len(nodes)+1),
+		ids:   make([]uint64, 0, hint),
+		dense: newDict(hint),
+		srcs:  int32(nsrc),
+		edges: make([]int32, 0, total),
 	}
-	for i, u := range nodes {
-		x.dense[u] = int32(i)
+	for _, sc := range scans {
+		for _, u := range sc.Nodes {
+			x.intern(u)
+		}
+	}
+	for _, sc := range scans {
+		for _, v := range sc.Succs {
+			x.edges = append(x.edges, x.intern(v))
+		}
+	}
+	// Sources' ranges are the running sum of the counts; every
+	// destination-only node behind them carries the empty range at the end.
+	x.offsets = make([]uint32, len(x.ids)+1)
+	i, off := 0, uint32(0)
+	for _, sc := range scans {
+		for _, n := range sc.Counts {
+			x.offsets[i] = off
+			off += uint32(n)
+			i++
+		}
+		scanPool.Put(sc)
+	}
+	for ; i < len(x.offsets); i++ {
+		x.offsets[i] = off
 	}
 	return x
 }
 
-// internDest resolves v's dense id, assigning the next one past the
-// sources when v appears for the first time.
-func (x *Index) internDest(v uint64) int32 {
-	if d, ok := x.dense[v]; ok {
-		return d
+// intern resolves v's dense id, assigning the next one when v appears
+// for the first time.
+func (x *Index) intern(v uint64) int32 {
+	d := x.dense.intern(v, int32(len(x.ids)))
+	if int(d) == len(x.ids) {
+		x.ids = append(x.ids, v)
 	}
-	d := int32(len(x.ids))
-	x.ids = append(x.ids, v)
-	x.dense[v] = d
 	return d
-}
-
-// finishOffsets pads the offsets array out to the full node count:
-// destination-only nodes (dense ids ≥ srcs) all carry empty ranges.
-func (x *Index) finishOffsets() {
-	if len(x.ids)+1 == len(x.offsets) {
-		return
-	}
-	full := make([]uint32, len(x.ids)+1)
-	copy(full, x.offsets)
-	e := x.offsets[len(x.offsets)-1]
-	for i := len(x.offsets); i < len(full); i++ {
-		full[i] = e
-	}
-	x.offsets = full
 }

@@ -1,18 +1,19 @@
 // Package csr compiles a frozen graph into a compressed-sparse-row
 // index: a node-id dictionary mapping the graph's sparse uint64 ids to
-// dense int32s, an offsets array, and one flat edge array holding every
-// adjacency back to back in dense-id space. The analytics kernels of
-// internal/analytics detect the index (via graphstore.Indexed) and run
-// over flat slices, bitsets and rank arrays instead of hash probes and
-// map allocations — the difference between a pointer-chasing traversal
-// and a memory-bandwidth one.
+// dense int32s (an array one way, an open-addressed table the other), an
+// offsets array, and one flat edge array holding every adjacency back to
+// back in dense-id space. The analytics kernels of internal/analytics
+// detect the index (via graphstore.Indexed) and run over flat slices
+// instead of hash probes and map allocations — the difference between a
+// pointer-chasing traversal and a memory-bandwidth one. The index holds
+// no Go map and no pointer below its slice headers: nothing in it for the
+// collector to walk.
 //
 // The index is immutable: it is built once from a consistent frozen
 // view (internal/sharded memoizes it per snapshot epoch) and shared by
-// every reader. Build never mutates its source and, for sharded
-// sources, fans the expensive adjacency scans out per shard — no shard
-// lock is held for more than one node's successor copy at a time, so
-// writers keep landing while the index compiles.
+// every reader. Build never mutates its source; it reads it partition by
+// partition through Source.ScanShard, into pooled buffers, so compiling
+// an epoch allocates what the index keeps and nothing else.
 package csr
 
 import (
@@ -20,45 +21,40 @@ import (
 	"sync"
 )
 
-// Source is the read surface Build compiles: the node set and each
-// node's successors, in the iteration order the source would serve
-// them. Every graphstore.Store in this repository satisfies it.
+// Source is what Build compiles: a graph frozen at one epoch whose node
+// set is hash-partitioned (in practice a sharded engine's frozen view).
 type Source interface {
 	NumEdges() uint64
-	ForEachNode(fn func(u uint64) bool)
-	ForEachSuccessor(u uint64, fn func(v uint64) bool)
-}
-
-// ShardedSource is a Source whose node set is hash-partitioned (the
-// sharded engine's frozen views). Build uses it to fan the per-node
-// adjacency scans — the probe-heavy part of compilation — out across
-// the partitions, and to append successors into reusable flat buffers
-// instead of allocating per node.
-type ShardedSource interface {
-	Source
-
 	// ShardCount returns the number of partitions.
 	ShardCount() int
-	// ShardNodes returns partition si's node set (nodes with at least
-	// one out-edge), in the source's canonical iteration order.
-	ShardNodes(si int) []uint64
-	// AppendSuccessors appends u's successors to dst and returns the
-	// extended slice.
-	AppendSuccessors(u uint64, dst []uint64) []uint64
+	// ScanShard replaces sc's contents with partition si, reusing the
+	// slices' capacity. Build calls it for different partitions from
+	// different goroutines.
+	ScanShard(si int, sc *ShardScan)
+}
+
+// ShardScan is one partition of a Source laid out flat: its nodes (those
+// with at least one out-edge) in the source's iteration order, each
+// node's out-degree, and every node's successors back to back in that
+// same order, so that Counts delimits the per-node runs of Succs.
+type ShardScan struct {
+	Nodes  []uint64
+	Counts []int32
+	Succs  []uint64
 }
 
 // Index is the compiled CSR form of a graph. Dense ids are assigned so
 // that every node with at least one out-edge ("source node") occupies
 // [0, NumSources) in the source's node-iteration order, followed by
 // nodes that only ever appear as successors; Succ(i) for i ≥ NumSources
-// is empty. The per-node successor order of Edges equals the source's
-// ForEachSuccessor order, so a traversal over the index visits edges in
-// exactly the order the fallback path would.
+// is empty. A node's successors keep the order ScanShard reported them
+// in (a view's ForEachSuccessor order), so a traversal over the index
+// visits edges in exactly the order the fallback path would.
 type Index struct {
 	// ids maps dense id -> sparse node id.
 	ids []uint64
 	// dense maps sparse node id -> dense id. Read-only after Build.
-	dense map[uint64]int32
+	dense dict
 	// srcs is the number of source nodes: dense ids < srcs have
 	// out-edges, ids ≥ srcs are destination-only.
 	srcs int32
@@ -66,10 +62,8 @@ type Index struct {
 	// edges[offsets[i]:offsets[i+1]].
 	offsets []uint32
 	// edges holds every successor as a dense id, per-node in the
-	// source's ForEachSuccessor order.
+	// source's scan order.
 	edges []int32
-	// weights, when attached, parallels edges (see AttachWeights).
-	weights []uint64
 
 	// sorted is a lazily built per-node-sorted copy of edges for the
 	// membership probes of the triangle/clustering kernels: binary
@@ -90,10 +84,7 @@ func (x *Index) NumSources() int { return int(x.srcs) }
 func (x *Index) NumEdges() int { return len(x.edges) }
 
 // DenseOf resolves a sparse node id to its dense id.
-func (x *Index) DenseOf(u uint64) (int32, bool) {
-	d, ok := x.dense[u]
-	return d, ok
-}
+func (x *Index) DenseOf(u uint64) (int32, bool) { return x.dense.get(u) }
 
 // IDOf resolves a dense id back to the sparse node id.
 func (x *Index) IDOf(d int32) uint64 { return x.ids[d] }
@@ -109,14 +100,9 @@ func (x *Index) Succ(d int32) []int32 {
 	return x.edges[x.offsets[d]:x.offsets[d+1]]
 }
 
-// Weights returns the weight slice parallel to Succ(d), or nil when no
-// weights are attached.
-func (x *Index) Weights(d int32) []uint64 {
-	if x.weights == nil {
-		return nil
-	}
-	return x.weights[x.offsets[d]:x.offsets[d+1]]
-}
+// Edges returns the whole edge array, every node's Succ back to back in
+// dense-id order, as a shared slice the caller must not mutate.
+func (x *Index) Edges() []int32 { return x.edges }
 
 // HasEdgeDense reports whether the edge ⟨u,v⟩ (dense ids) is stored,
 // by binary search over a per-node-sorted copy of the edge array built
@@ -138,30 +124,11 @@ func (x *Index) buildSorted() {
 	x.sorted = s
 }
 
-// AttachWeights populates the optional weight array by probing w for
-// every edge of the index (the weighted engines' per-edge Weight
-// query). It returns x for chaining.
-func (x *Index) AttachWeights(w func(u, v uint64) uint64) *Index {
-	ws := make([]uint64, len(x.edges))
-	for d := int32(0); d < x.srcs; d++ {
-		u := x.ids[d]
-		for i := x.offsets[d]; i < x.offsets[d+1]; i++ {
-			ws[i] = w(u, x.ids[x.edges[i]])
-		}
-	}
-	x.weights = ws
-	return x
-}
-
-// MemoryBytes returns the structural bytes of the index: the dense and
-// sparse id arrays, offsets, edges, and the sorted copy or weights when
-// built — the price of keeping one epoch compiled.
+// MemoryBytes returns the structural bytes of the index: the sparse id
+// array, the dictionary table at its real capacity (12 bytes a slot),
+// offsets, edges, and the sorted copy once built: the price of keeping
+// one epoch compiled.
 func (x *Index) MemoryBytes() uint64 {
-	b := uint64(len(x.ids))*8 + // ids
-		uint64(len(x.dense))*16 + // dictionary entries (key + value + slack)
-		uint64(len(x.offsets))*4 +
-		uint64(len(x.edges))*4
-	b += uint64(len(x.sorted)) * 4
-	b += uint64(len(x.weights)) * 8
-	return b
+	return uint64(len(x.ids))*8 + uint64(len(x.dense.keys))*12 +
+		uint64(len(x.offsets)+len(x.edges)+len(x.sorted))*4
 }

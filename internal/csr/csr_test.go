@@ -1,60 +1,37 @@
 package csr
 
 import (
+	"runtime/debug"
+	"sync"
 	"testing"
 )
 
-// mockSource is a deterministic in-memory Source for builder tests.
+// mockSource is a deterministic in-memory Source for builder tests,
+// partitioned by u%shards (one shard when shards is 0).
 type mockSource struct {
-	nodes []uint64
-	succ  map[uint64][]uint64
+	nodes  []uint64
+	succ   map[uint64][]uint64
+	shards int
 }
 
-func (m *mockSource) NumEdges() uint64 {
-	var n uint64
+func (m *mockSource) NumEdges() (n uint64) {
 	for _, s := range m.succ {
 		n += uint64(len(s))
 	}
 	return n
 }
 
-func (m *mockSource) ForEachNode(fn func(u uint64) bool) {
+func (m *mockSource) ShardCount() int { return max(m.shards, 1) }
+
+func (m *mockSource) ScanShard(si int, sc *ShardScan) {
+	sc.Nodes, sc.Counts, sc.Succs = sc.Nodes[:0], sc.Counts[:0], sc.Succs[:0]
 	for _, u := range m.nodes {
-		if !fn(u) {
-			return
+		if int(u)%m.ShardCount() == si {
+			sc.Nodes = append(sc.Nodes, u)
+			sc.Counts = append(sc.Counts, int32(len(m.succ[u])))
+			sc.Succs = append(sc.Succs, m.succ[u]...)
 		}
 	}
-}
-
-func (m *mockSource) ForEachSuccessor(u uint64, fn func(v uint64) bool) {
-	for _, v := range m.succ[u] {
-		if !fn(v) {
-			return
-		}
-	}
-}
-
-// mockSharded partitions the mock by u%shards so the sharded build path
-// is exercised without the real engine.
-type mockSharded struct {
-	mockSource
-	shards int
-}
-
-func (m *mockSharded) ShardCount() int { return m.shards }
-
-func (m *mockSharded) ShardNodes(si int) []uint64 {
-	var out []uint64
-	for _, u := range m.nodes {
-		if int(u)%m.shards == si {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-func (m *mockSharded) AppendSuccessors(u uint64, dst []uint64) []uint64 {
-	return append(dst, m.succ[u]...)
 }
 
 func testGraph() *mockSource {
@@ -135,13 +112,14 @@ func checkIndex(t *testing.T, x *Index, src *mockSource) {
 
 func TestBuildSerial(t *testing.T) {
 	src := testGraph()
-	checkIndex(t, buildSerial(src), src)
+	checkIndex(t, Build(src), src)
 }
 
 func TestBuildSharded(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 7} {
-		src := &mockSharded{mockSource: *testGraph(), shards: shards}
-		checkIndex(t, Build(src), &src.mockSource)
+		src := testGraph()
+		src.shards = shards
+		checkIndex(t, Build(src), src)
 	}
 }
 
@@ -152,23 +130,9 @@ func TestBuildEmpty(t *testing.T) {
 	}
 }
 
-func TestAttachWeights(t *testing.T) {
-	src := testGraph()
-	x := buildSerial(src).AttachWeights(func(u, v uint64) uint64 { return u*1000 + v })
-	for _, u := range src.nodes {
-		d, _ := x.DenseOf(u)
-		ws := x.Weights(d)
-		for i, dv := range x.Succ(d) {
-			if want := u*1000 + x.IDOf(dv); ws[i] != want {
-				t.Fatalf("weight(%d,%d) = %d, want %d", u, x.IDOf(dv), ws[i], want)
-			}
-		}
-	}
-}
-
 func TestMemoryBytes(t *testing.T) {
 	src := testGraph()
-	x := buildSerial(src)
+	x := Build(src)
 	before := x.MemoryBytes()
 	if before == 0 {
 		t.Fatal("MemoryBytes = 0")
@@ -177,4 +141,80 @@ func TestMemoryBytes(t *testing.T) {
 	if x.MemoryBytes() <= before {
 		t.Fatal("sorted copy not accounted")
 	}
+}
+
+// ring returns an n-node source in which node i points at the next
+// three: every destination is a source, as on most of a web graph.
+func ring(n, shards int) *mockSource {
+	m := &mockSource{succ: make(map[uint64][]uint64, n), shards: shards}
+	for i := 0; i < n; i++ {
+		u := uint64(i)
+		m.nodes = append(m.nodes, u)
+		for k := 1; k <= 3; k++ {
+			m.succ[u] = append(m.succ[u], uint64((i+k)%n))
+		}
+	}
+	return m
+}
+
+// poolKeeps reports whether a sync.Pool hands back what it was just
+// given. Under the race detector it drops one Put in four at random, and
+// an allocation count of pooled code then says nothing.
+func poolKeeps() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+		if p.Get() == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBuildAllocsIndependentOfNodeCount pins what the pooled scan
+// buffers and the exact-size index arrays buy: once the pool is warm a
+// build allocates the index's own arrays and a fixed handful of headers,
+// the same number for 200 nodes as for 20 000. The collector is off for
+// the duration so that it cannot empty the pool between runs.
+func TestBuildAllocsIndependentOfNodeCount(t *testing.T) {
+	if !poolKeeps() {
+		t.Skip("sync.Pool is dropping Puts (race detector): nothing to pin")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) float64 {
+		src := ring(n, 2)
+		return testing.AllocsPerRun(10, func() {
+			if x := Build(src); x.NumNodes() != n || x.NumEdges() != 3*n {
+				t.Fatalf("ring(%d) compiled to %d nodes, %d edges", n, x.NumNodes(), x.NumEdges())
+			}
+		})
+	}
+	big := allocs(20_000) // first, so the pooled buffers are already large enough for the small one
+	small := allocs(200)
+	if small != big || big > 12 {
+		t.Fatalf("Build allocates %v times for 200 nodes, %v for 20 000; want the same small number", small, big)
+	}
+}
+
+// TestBuildDestinationHeavy compiles a source whose destinations
+// outnumber its sources 64 to 1, so the dictionary and the id array
+// both outgrow their source-count hint, and checks that MemoryBytes
+// accounts the dictionary at the capacity it ended up with.
+func TestBuildDestinationHeavy(t *testing.T) {
+	src := &mockSource{succ: map[uint64][]uint64{}, shards: 2}
+	for hub := uint64(0); hub < 8; hub++ {
+		src.nodes = append(src.nodes, hub)
+		for leaf := uint64(0); leaf < 64; leaf++ {
+			src.succ[hub] = append(src.succ[hub], 1000+hub*64+leaf)
+		}
+	}
+	x := Build(src)
+	nodes, edges := uint64(8+8*64), uint64(8*64)
+	if want := nodes*8 + 1024*12 + (nodes+1)*4 + edges*4; x.MemoryBytes() != want {
+		t.Fatalf("MemoryBytes = %d, want %d (520 nodes in a 1024-slot dictionary)", x.MemoryBytes(), want)
+	}
+	if y := Build(src); y.MemoryBytes() != x.MemoryBytes() {
+		t.Fatalf("two builds of one source report %d and %d bytes", x.MemoryBytes(), y.MemoryBytes())
+	}
+	checkIndex(t, x, src)
 }

@@ -5,9 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"cuckoograph/internal/core"
-	"cuckoograph/internal/sharded"
 )
 
 // Introspection: the G.INFO command and the module's /metrics hook.
@@ -51,9 +48,9 @@ func (gm *GraphModule) info(ctx *Ctx) error {
 		case "commands":
 			gm.infoCommands(ctx, &b)
 		case "graph":
-			gm.infoGraph(&b)
+			writeInfo(&b, gm.graphRows())
 		case "snapshots":
-			gm.infoSnapshots(&b)
+			writeInfo(&b, gm.snapshotRows())
 		case "wal":
 			gm.infoWAL(&b)
 		case "replication":
@@ -101,53 +98,72 @@ func (gm *GraphModule) infoCommands(ctx *Ctx, b *strings.Builder) {
 	}
 }
 
-// graphFields is the graph section, declared once: G.INFO graph prints
-// each row as key:value, and /metrics exposes the same row as
-// cg_graph_<key> (cg_graph_<key>_total for a counter), so the two
-// surfaces list the same quantities.
-var graphFields = []struct {
+// infoRow is one quantity of a G.INFO section that /metrics exposes too:
+// G.INFO prints key:value, /metrics the same row as cg_<section>_<key>
+// (cg_<section>_<key>_total for a counter), so the two surfaces list the
+// same quantities. graphRows and snapshotRows each declare a section once.
+type infoRow struct {
 	key, help string
 	counter   bool
-	val       func(st core.Stats, g *sharded.Graph) float64
-}{
-	{"nodes", "Nodes with at least one out-edge.", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.Nodes) }},
-	{"edges", "Edges in the graph.", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.Edges) }},
-	{"shards", "Shards in the concurrent engine.", false, func(_ core.Stats, g *sharded.Graph) float64 { return float64(g.Shards()) }},
-	{"mutations", "Applied mutations since the graph was created.", true, func(_ core.Stats, g *sharded.Graph) float64 { return float64(g.Mutations()) }},
-	{"memory_bytes", "Estimated engine memory footprint.", false, func(_ core.Stats, g *sharded.Graph) float64 { return float64(g.MemoryUsage()) }},
-	{"lcht_tables", "Tables in the L-CHT chains, summed over shards.", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.LCHTTables) }},
-	{"lcht_cells", "Cells in the L-CHT chains, summed over shards.", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.LCHTCells) }},
-	{"lcht_load_rate", "Overall LCHT load rate.", false, func(st core.Stats, _ *sharded.Graph) float64 { return st.LCHTLoadRate }},
-	{"lcht_kicks", "Cuckoo kicks in the large-degree tables.", true, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.LCHTKicks) }},
-	{"lcht_placements", "Cells placed into the L-CHT, the base of lcht_kicks.", true, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.LCHTPlacements) }},
-	{"chains", "Nodes whose neighbours live in an S-CHT chain.", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.Chains) }},
-	{"scht_tables", "Tables over all S-CHT chains.", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.SCHTTables) }},
-	{"chain_entries", "Edges stored in S-CHT chains.", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.ChainEntries) }},
-	{"scht_kicks", "Cuckoo kicks in the S-CHT chains, collapsed chains included.", true, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.SCHTKicks) }},
-	{"scht_placements", "Edges placed into S-CHT chains, the base of scht_kicks.", true, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.SCHTPlacements) }},
-	{"transformations", "LDL/SDL/LCHT structure transformations.", true, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.Transformations) }},
-	{"ldl_len", "Cells parked in the L-DL, summed over shards (cap 64 per shard by default).", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.LDLLen) }},
-	{"sdl_len", "Edges parked in the S-DL, summed over shards (cap 256 per shard by default).", false, func(st core.Stats, _ *sharded.Graph) float64 { return float64(st.SDLLen) }},
+	val       float64
 }
 
-func (gm *GraphModule) infoGraph(b *strings.Builder) {
-	g := gm.Graph()
-	st := g.Stats()
-	for _, f := range graphFields {
-		fmt.Fprintf(b, "%s:%s\n", f.key, formatValue(f.val(st, g)))
+func writeInfo(b *strings.Builder, rows []infoRow) {
+	for _, r := range rows {
+		fmt.Fprintf(b, "%s:%s\n", r.key, formatValue(r.val))
 	}
 }
 
-func (gm *GraphModule) infoSnapshots(b *strings.Builder) {
+func writeMetrics(mw *MetricsWriter, prefix string, rows []infoRow) {
+	for _, r := range rows {
+		if r.counter {
+			mw.Counter(prefix+r.key+"_total", r.help, r.val)
+		} else {
+			mw.Gauge(prefix+r.key, r.help, r.val)
+		}
+	}
+}
+
+func (gm *GraphModule) graphRows() []infoRow {
+	g := gm.Graph()
+	st := g.Stats()
+	return []infoRow{
+		{"nodes", "Nodes with at least one out-edge.", false, float64(st.Nodes)},
+		{"edges", "Edges in the graph.", false, float64(st.Edges)},
+		{"shards", "Shards in the concurrent engine.", false, float64(g.Shards())},
+		{"mutations", "Applied mutations since the graph was created.", true, float64(g.Mutations())},
+		{"memory_bytes", "Estimated engine memory footprint.", false, float64(g.MemoryUsage())},
+		{"lcht_tables", "Tables in the L-CHT chains, summed over shards.", false, float64(st.LCHTTables)},
+		{"lcht_cells", "Cells in the L-CHT chains, summed over shards.", false, float64(st.LCHTCells)},
+		{"lcht_load_rate", "Overall LCHT load rate.", false, st.LCHTLoadRate},
+		{"lcht_kicks", "Cuckoo kicks in the large-degree tables.", true, float64(st.LCHTKicks)},
+		{"lcht_placements", "Cells placed into the L-CHT, the base of lcht_kicks.", true, float64(st.LCHTPlacements)},
+		{"chains", "Nodes whose neighbours live in an S-CHT chain.", false, float64(st.Chains)},
+		{"scht_tables", "Tables over all S-CHT chains.", false, float64(st.SCHTTables)},
+		{"chain_entries", "Edges stored in S-CHT chains.", false, float64(st.ChainEntries)},
+		{"scht_kicks", "Cuckoo kicks in the S-CHT chains, collapsed chains included.", true, float64(st.SCHTKicks)},
+		{"scht_placements", "Edges placed into S-CHT chains, the base of scht_kicks.", true, float64(st.SCHTPlacements)},
+		{"transformations", "LDL/SDL/LCHT structure transformations.", true, float64(st.Transformations)},
+		{"ldl_len", "Cells parked in the L-DL, summed over shards (cap 64 per shard by default).", false, float64(st.LDLLen)},
+		{"sdl_len", "Edges parked in the S-DL, summed over shards (cap 256 per shard by default).", false, float64(st.SDLLen)},
+	}
+}
+
+func (gm *GraphModule) snapshotRows() []infoRow {
 	vs := gm.Graph().ViewStats()
 	gm.viewMu.Lock()
-	retained, cap := len(gm.views), gm.viewCap
+	retained, capacity := len(gm.views), gm.viewCap
 	gm.viewMu.Unlock()
-	fmt.Fprintf(b, "epoch:%d\n", vs.Epoch)
-	fmt.Fprintf(b, "live_views:%d\n", vs.LiveViews)
-	fmt.Fprintf(b, "cow_bytes:%d\n", vs.CoWBytes)
-	fmt.Fprintf(b, "ring_retained:%d\n", retained)
-	fmt.Fprintf(b, "ring_capacity:%d\n", cap)
+	return []infoRow{
+		{"epoch", "Current snapshot epoch.", false, float64(vs.Epoch)},
+		{"live_views", "Frozen views currently retained (ring + in-flight).", false, float64(vs.LiveViews)},
+		{"cow_bytes", "Pre-image bytes copied for snapshot isolation since start.", true, float64(vs.CoWBytes)},
+		{"ring_retained", "Views retained in the time-travel ring.", false, float64(retained)},
+		{"ring_capacity", "Views the time-travel ring retains at most.", false, float64(capacity)},
+		{"csr_builds", "Epochs compiled into a CSR index.", true, float64(vs.CSRBuilds)},
+		{"csr_build_seconds", "Time spent compiling epochs into CSR indexes.", true, float64(vs.CSRBuildNanos) / 1e9},
+		{"csr_bytes", "Bytes of CSR indexes, as built, held by unreleased views.", false, float64(vs.CSRBytes)},
+	}
 }
 
 func (gm *GraphModule) infoWAL(b *strings.Builder) {
@@ -218,24 +234,8 @@ func b2i(v bool) int {
 // read through the lock-free mirror so a scrape never queues behind a
 // checkpoint holding walMu.
 func (gm *GraphModule) collectMetrics(mw *MetricsWriter) {
-	g := gm.Graph()
-	st := g.Stats()
-	for _, f := range graphFields {
-		if f.counter {
-			mw.Counter("cg_graph_"+f.key+"_total", f.help, f.val(st, g))
-		} else {
-			mw.Gauge("cg_graph_"+f.key, f.help, f.val(st, g))
-		}
-	}
-
-	vs := g.ViewStats()
-	gm.viewMu.Lock()
-	retained := len(gm.views)
-	gm.viewMu.Unlock()
-	mw.Gauge("cg_snapshot_epoch", "Current snapshot epoch.", float64(vs.Epoch))
-	mw.Gauge("cg_snapshot_live_views", "Frozen views currently retained (ring + in-flight).", float64(vs.LiveViews))
-	mw.Counter("cg_snapshot_cow_bytes_total", "Pre-image bytes copied for snapshot isolation since start.", float64(vs.CoWBytes))
-	mw.Gauge("cg_snapshot_ring_retained", "Views retained in the time-travel ring.", float64(retained))
+	writeMetrics(mw, "cg_graph_", gm.graphRows())
+	writeMetrics(mw, "cg_snapshot_", gm.snapshotRows())
 
 	w := gm.walPtr.Load()
 	if w == nil {

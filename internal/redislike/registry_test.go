@@ -190,6 +190,46 @@ func TestInfoCommand(t *testing.T) {
 			t.Fatalf("G.INFO graph key %q (= %s) has no cg_graph_ series in:\n%s", key, val, metrics.String())
 		}
 	}
+	// The snapshots section likewise, after one compiled epoch: a
+	// retained snapshot that an analytics command ran on.
+	epoch := dispatch("g.snapshot")
+	dispatch("graph.pagerank", "3", strconv.FormatInt(epoch.Int, 10))
+	snaps := dispatch("G.INFO", "snapshots")
+	metrics.Reset()
+	if err := s.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	lines = strings.Split(strings.TrimSpace(snaps.Str), "\n")[1:] // drop "# snapshots"
+	if len(lines) < 8 {
+		t.Fatalf("G.INFO snapshots has %d keys, want at least 8:\n%s", len(lines), snaps.Str)
+	}
+	for _, line := range lines {
+		key, val, _ := strings.Cut(line, ":")
+		if key == "csr_build_seconds" {
+			// Read twice, once per surface; a build may not land between
+			// the reads here, so the values agree too.
+			if v, err := strconv.ParseFloat(val, 64); err != nil || v <= 0 {
+				t.Fatalf("csr_build_seconds = %q, want a positive duration", val)
+			}
+		}
+		if !strings.Contains(metrics.String(), "\ncg_snapshot_"+key+" "+val+"\n") &&
+			!strings.Contains(metrics.String(), "\ncg_snapshot_"+key+"_total "+val+"\n") {
+			t.Fatalf("G.INFO snapshots key %q (= %s) has no cg_snapshot_ series in:\n%s", key, val, metrics.String())
+		}
+	}
+	for _, want := range []string{"csr_builds:1\n", "ring_retained:1\n"} {
+		if !strings.Contains(snaps.Str, want) {
+			t.Fatalf("G.INFO snapshots missing %q in:\n%s", want, snaps.Str)
+		}
+	}
+	if strings.Contains(snaps.Str, "csr_bytes:0\n") {
+		t.Fatalf("a compiled epoch is retained but csr_bytes is 0:\n%s", snaps.Str)
+	}
+	// Releasing the last compiled view gives its bytes back.
+	dispatch("g.release", strconv.FormatInt(epoch.Int, 10))
+	if snaps = dispatch("G.INFO", "snapshots"); !strings.Contains(snaps.Str, "csr_bytes:0\n") {
+		t.Fatalf("csr_bytes after the release:\n%s", snaps.Str)
+	}
 	if got := dispatch("G.INFO", "bogus"); got.Type != '-' || !strings.HasPrefix(got.Str, "ERR ") {
 		t.Fatalf("G.INFO bogus = %+v", got)
 	}

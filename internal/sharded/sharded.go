@@ -155,10 +155,14 @@ type Graph struct {
 
 	// epoch stamps snapshots; it only ever grows. liveViews counts
 	// unreleased views; cowBytes accumulates pre-image bytes copied on
-	// behalf of views (the snapshot bench's CoW metric).
-	epoch     atomic.Uint64
-	liveViews atomic.Int64
-	cowBytes  atomic.Uint64
+	// behalf of views (the snapshot bench's CoW metric); the csr trio
+	// is documented on ViewStats.
+	epoch         atomic.Uint64
+	liveViews     atomic.Int64
+	cowBytes      atomic.Uint64
+	csrBuilds     atomic.Uint64
+	csrBuildNanos atomic.Uint64
+	csrBytes      atomic.Int64
 }
 
 // ShardCount normalises a requested shard count: zero or negative means

@@ -2,9 +2,11 @@ package sharded
 
 import (
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cuckoograph/internal/core"
 	"cuckoograph/internal/csr"
@@ -53,8 +55,9 @@ type View struct {
 	// CSR), shared by every subsequent one, and dropped when the last
 	// reference releases so a bounded snapshot ring holds a bounded
 	// number of compiled epochs.
-	csrOnce sync.Once
-	csrIdx  atomic.Pointer[csr.Index]
+	csrOnce  sync.Once
+	csrIdx   atomic.Pointer[csr.Index]
+	csrBytes int64 // the index's MemoryBytes as built: its share of ViewStats.CSRBytes
 
 	// refs counts the holders of the view: 1 at birth for the taker,
 	// plus one per Retain. The view is dropped from the shard
@@ -69,7 +72,7 @@ type View struct {
 var (
 	_ graphstore.Store   = (*View)(nil)
 	_ graphstore.Indexed = (*View)(nil)
-	_ csr.ShardedSource  = (*View)(nil)
+	_ csr.Source         = (*View)(nil)
 )
 
 // Snapshot returns a consistent frozen view of the whole graph. The
@@ -106,11 +109,16 @@ type ViewStats struct {
 	Epoch     uint64 // epoch of the most recently taken snapshot
 	LiveViews int    // unreleased views currently pinning CoW state
 	CoWBytes  uint64 // cumulative copy-on-write bytes preserved for views
+
+	CSRBuilds     uint64 // epochs compiled by View.CSR since the graph was created
+	CSRBuildNanos uint64 // time those builds took, summed
+	CSRBytes      uint64 // csr.Index.MemoryBytes, as built, summed over unreleased compiled views
 }
 
 // ViewStats returns the snapshot/CoW counters.
 func (g *Graph) ViewStats() ViewStats {
-	return ViewStats{Epoch: g.Epoch(), LiveViews: g.LiveViews(), CoWBytes: g.CoWBytes()}
+	return ViewStats{Epoch: g.Epoch(), LiveViews: g.LiveViews(), CoWBytes: g.CoWBytes(),
+		CSRBuilds: g.csrBuilds.Load(), CSRBuildNanos: g.csrBuildNanos.Load(), CSRBytes: uint64(g.csrBytes.Load())}
 }
 
 // snapshotWithCut takes a snapshot, invoking cut (if non-nil) inside
@@ -246,7 +254,9 @@ func (v *View) Release() {
 			// even a holder that (erroneously) keeps the *View alive no
 			// longer pins the flat arrays, so the server's snapshot ring
 			// bounds CSR memory exactly as it bounds CoW state.
-			v.csrIdx.Store(nil)
+			if v.csrIdx.Swap(nil) != nil {
+				v.g.csrBytes.Add(-v.csrBytes)
+			}
 		}
 		return
 	}
@@ -353,7 +363,7 @@ func (v *View) Degree(u uint64) int {
 func (v *View) ForEachNode(fn func(u uint64) bool) {
 	v.check()
 	for si := range v.g.shards {
-		for _, u := range v.shardNodes(si) {
+		for _, u := range v.shardNodes(si, nil) {
 			if !fn(u) {
 				return
 			}
@@ -365,14 +375,14 @@ func (v *View) ForEachNode(fn func(u uint64) bool) {
 // nodes not overridden by the overlay, plus the overlaid nodes that
 // existed at the epoch (non-empty pre-image). Any node whose membership
 // changed after the epoch was necessarily mutated, hence overlaid, so
-// the merge is exact.
-func (v *View) shardNodes(si int) []uint64 {
+// the merge is exact. The set is appended to dst.
+func (v *View) shardNodes(si int, dst []uint64) []uint64 {
 	sh := &v.g.shards[si]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	ov := v.overlays[si]
-	// An upper bound on the epoch's node set: one allocation under the lock.
-	nodes := make([]uint64, 0, int(sh.g.NumNodes())+len(ov))
+	// An upper bound on the epoch's node set: at most one allocation under the lock.
+	nodes := slices.Grow(dst, int(sh.g.NumNodes())+len(ov))
 	sh.g.ForEachNode(func(u uint64) bool {
 		if _, overlaid := ov[u]; !overlaid {
 			nodes = append(nodes, u)
@@ -391,14 +401,23 @@ func (v *View) shardNodes(si int) []uint64 {
 // epoch, building it on first call (all later callers share the same
 // index; the build is guarded by sync.Once so concurrent analytics
 // passes trigger exactly one compile). The build reads only frozen
-// state through the per-shard scan path — no shard lock is held for
-// longer than one node's successor copy — so writers proceed at full
-// speed while an epoch compiles. The index is released with the view's
-// last Release. CSR implements graphstore.Indexed, which is how the
-// analytics kernels discover it.
+// state through ScanShard — a shard's read lock is held once to list
+// its node ids and then for at most scanChunk nodes' successor copies at
+// a time, never across two chunks — so writers keep landing while an
+// epoch compiles. The build is counted in ViewStats, and the index is
+// released with the view's last Release. CSR implements
+// graphstore.Indexed, which is how the analytics kernels discover it.
 func (v *View) CSR() *csr.Index {
 	v.check()
-	v.csrOnce.Do(func() { v.csrIdx.Store(csr.Build(v)) })
+	v.csrOnce.Do(func() {
+		start := time.Now()
+		idx := csr.Build(v)
+		v.csrBytes = int64(idx.MemoryBytes())
+		v.g.csrBuilds.Add(1)
+		v.g.csrBuildNanos.Add(uint64(time.Since(start)))
+		v.g.csrBytes.Add(v.csrBytes)
+		v.csrIdx.Store(idx)
+	})
 	idx := v.csrIdx.Load()
 	if idx == nil {
 		panic("sharded: use of released View")
@@ -406,30 +425,42 @@ func (v *View) CSR() *csr.Index {
 	return idx
 }
 
-// ShardCount implements csr.ShardedSource: the number of partitions
-// the CSR build fans out over.
+// ShardCount implements csr.Source: the number of partitions.
 func (v *View) ShardCount() int { v.check(); return len(v.g.shards) }
 
-// ShardNodes implements csr.ShardedSource: partition si's node set at
-// the view's epoch.
-func (v *View) ShardNodes(si int) []uint64 { v.check(); return v.shardNodes(si) }
+// scanChunk is how many nodes ScanShard copies per hold of the shard's
+// read lock.
+const scanChunk = 512
 
-// AppendSuccessors implements csr.ShardedSource: appends u's frozen
-// successors to dst. Unlike successorsInto it always copies — the
-// caller owns dst outright, even when u's adjacency resolved to a
-// shared overlay pre-image.
-func (v *View) AppendSuccessors(u uint64, dst []uint64) []uint64 {
+// ScanShard implements csr.Source: shard si's nodes at the view's epoch
+// and their successors, copied out flat. The node ids are listed under
+// one hold of the shard's read lock (8 bytes a node, no probe, as
+// ForEachNode does); the adjacency is then copied scanChunk nodes per
+// hold, each node re-probed, so a writer waits for a copy bounded by the
+// chunk and never by the shard. One node's copy is the unit that cannot
+// be split. A node a writer changes between two holds is by then in the
+// overlay with its frozen pre-image, so the scan stays exact.
+func (v *View) ScanShard(si int, sc *csr.ShardScan) {
 	v.check()
-	si := v.g.shardIndex(u)
+	sc.Nodes = v.shardNodes(si, sc.Nodes[:0])
+	sc.Counts, sc.Succs = sc.Counts[:0], sc.Succs[:0]
 	sh := &v.g.shards[si]
-	sh.mu.RLock()
-	if succ, ok := v.overlays[si][u]; ok {
-		dst = append(dst, succ...)
-	} else {
-		dst = sh.g.AppendSuccessors(u, dst)
+	for rest := sc.Nodes; len(rest) > 0; {
+		chunk := rest[:min(scanChunk, len(rest))]
+		rest = rest[len(chunk):]
+		sh.mu.RLock()
+		ov := v.overlays[si]
+		for _, u := range chunk {
+			n0 := len(sc.Succs)
+			if pre, ok := ov[u]; ok { // an empty overlay answers before hashing
+				sc.Succs = append(sc.Succs, pre...)
+			} else {
+				sc.Succs = sh.g.AppendSuccessors(u, sc.Succs)
+			}
+			sc.Counts = append(sc.Counts, int32(len(sc.Succs)-n0))
+		}
+		sh.mu.RUnlock()
 	}
-	sh.mu.RUnlock()
-	return dst
 }
 
 // MemoryUsage reports the bytes the view itself pins: its overlay
@@ -466,7 +497,7 @@ func (v *View) Save(w io.Writer) error {
 	return core.WriteBasicSnapshot(w, v.edges, func(emit func(u, x uint64) error) error {
 		var scratch []uint64
 		for si := range v.g.shards {
-			nodes := v.shardNodes(si)
+			nodes := v.shardNodes(si, nil)
 			// Deterministic output: a given epoch always serializes the
 			// same bytes, whatever the overlay iteration order.
 			sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
