@@ -9,8 +9,8 @@ import (
 
 // Snapshot format: a small header (magic, version, variant, edge count)
 // followed by fixed-width little-endian edge records. The format is the
-// basis of the Redis module's save_rdb hook and of the public
-// Save/Load API.
+// basis of the WAL checkpoint files, the replication bootstrap and the
+// public Save/Load API.
 const (
 	snapMagic   = 0x43474752 // "CGGR"
 	snapVersion = 1
@@ -28,10 +28,31 @@ func WriteBasicSnapshot(w io.Writer, edges uint64, iter func(emit func(u, v uint
 	if err := writeHeader(bw, variantBasic, edges); err != nil {
 		return err
 	}
-	if err := iter(func(u, v uint64) error { return writeU64s(bw, u, v) }); err != nil {
+	// One per snapshot: declared per edge it escapes through bw and allocates.
+	var rec [16]byte
+	if err := iter(func(u, v uint64) error {
+		binary.LittleEndian.PutUint64(rec[0:], u)
+		binary.LittleEndian.PutUint64(rec[8:], v)
+		_, err := bw.Write(rec[:])
+		return err
+	}); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// BasicSnapshotSize is the byte length of what WriteBasicSnapshot writes
+// for edges edge records, so a writer can frame a snapshot it has not
+// serialised yet.
+func BasicSnapshotSize(edges uint64) int64 {
+	return SnapshotHeaderSize + 16*int64(edges)
+}
+
+// BasicSnapshotEdges reads a basic-variant snapshot's header from r —
+// SnapshotHeaderSize bytes, checked as ReadBasicSnapshot checks them —
+// and returns the edge count it announces.
+func BasicSnapshotEdges(r io.Reader) (uint64, error) {
+	return readHeader(r, variantBasic)
 }
 
 // ReadBasicSnapshot streams the edges of a basic-variant snapshot to fn.
@@ -48,7 +69,7 @@ func ReadBasicSnapshot(r io.Reader, fn func(u, v uint64) error) error {
 		if err != nil {
 			return &CorruptError{
 				Source: "snapshot",
-				Offset: headerSize + int64(i)*16,
+				Offset: SnapshotHeaderSize + int64(i)*16,
 				Detail: fmt.Sprintf("edge %d/%d truncated", i, n),
 				Err:    err,
 			}
@@ -127,7 +148,7 @@ func LoadWeighted(r io.Reader, cfg Config) (*Weighted, error) {
 		if err != nil {
 			return nil, &CorruptError{
 				Source: "snapshot",
-				Offset: headerSize + int64(i)*24,
+				Offset: SnapshotHeaderSize + int64(i)*24,
 				Detail: fmt.Sprintf("edge %d/%d truncated", i, n),
 				Err:    err,
 			}
@@ -136,7 +157,7 @@ func LoadWeighted(r io.Reader, cfg Config) (*Weighted, error) {
 		if err := binary.Read(br, binary.LittleEndian, &weight); err != nil {
 			return nil, &CorruptError{
 				Source: "snapshot",
-				Offset: headerSize + int64(i)*24 + 16,
+				Offset: SnapshotHeaderSize + int64(i)*24 + 16,
 				Detail: fmt.Sprintf("weight %d/%d truncated", i, n),
 				Err:    err,
 			}
@@ -146,12 +167,12 @@ func LoadWeighted(r io.Reader, cfg Config) (*Weighted, error) {
 	return w, nil
 }
 
-// headerSize is the byte length of the snapshot header: magic (4),
-// version (1), variant (1), edge count (8).
-const headerSize = 14
+// SnapshotHeaderSize is the byte length of the snapshot header: magic
+// (4), version (1), variant (1), edge count (8).
+const SnapshotHeaderSize = 14
 
 func writeHeader(w io.Writer, variant byte, edges uint64) error {
-	var hdr [headerSize]byte
+	var hdr [SnapshotHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], snapMagic)
 	hdr[4] = snapVersion
 	hdr[5] = variant
@@ -161,7 +182,7 @@ func writeHeader(w io.Writer, variant byte, edges uint64) error {
 }
 
 func readHeader(r io.Reader, wantVariant byte) (uint64, error) {
-	var hdr [headerSize]byte
+	var hdr [SnapshotHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, &CorruptError{Source: "snapshot", Offset: 0, Detail: "header truncated", Err: err}
 	}

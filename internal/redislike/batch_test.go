@@ -2,6 +2,7 @@ package redislike
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"cuckoograph/internal/resp"
+	"cuckoograph/internal/sharded"
 )
 
 // graphServer boots a server with the CuckooGraph module and returns a
@@ -164,8 +166,9 @@ func TestPipelining(t *testing.T) {
 	}
 }
 
-// TestMInsertAOFRecoverable: batch-inserted edges must round-trip the
-// module's RDB hooks like single-op ones.
+// TestMInsertRDBRoundTrip: batch-inserted edges round-trip the snapshot
+// bytes (§V-F's RDB: Graph.Save out, sharded.Load in) like single-op
+// ones.
 func TestMInsertRDBRoundTrip(t *testing.T) {
 	gm, r, w := graphServer(t)
 	var args []string
@@ -174,12 +177,11 @@ func TestMInsertRDBRoundTrip(t *testing.T) {
 		args = append(args, fmt.Sprint(i), fmt.Sprint(i+1))
 	}
 	roundTrip(t, r, w, args...)
-	data := gm.saveRDB()
-	gm2, _ := NewGraphModule()
-	if err := gm2.loadRDB(data); err != nil {
+	g2, err := sharded.Load(bytes.NewReader(saveGraph(t, gm)), sharded.Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if gm2.Graph().NumEdges() != gm.Graph().NumEdges() {
-		t.Fatalf("restored %d edges, want %d", gm2.Graph().NumEdges(), gm.Graph().NumEdges())
+	if g2.NumEdges() != gm.Graph().NumEdges() {
+		t.Fatalf("restored %d edges, want %d", g2.NumEdges(), gm.Graph().NumEdges())
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"cuckoograph/internal/wal"
 )
 
 // Introspection: the G.INFO command and the module's /metrics hook.
@@ -44,7 +46,12 @@ func (gm *GraphModule) info(ctx *Ctx) error {
 		fmt.Fprintf(&b, "# %s\n", s)
 		switch s {
 		case "server":
-			gm.infoServer(ctx, &b)
+			s := ctx.Server()
+			fmt.Fprintf(&b, "uptime_seconds:%d\n", int64(time.Since(s.metrics.start).Seconds()))
+			writeInfo(&b, s.serverRows())
+			if reason := s.DegradedReason(); reason != "" {
+				fmt.Fprintf(&b, "degraded_reason:%s\n", reason)
+			}
 		case "commands":
 			gm.infoCommands(ctx, &b)
 		case "graph":
@@ -52,39 +59,22 @@ func (gm *GraphModule) info(ctx *Ctx) error {
 		case "snapshots":
 			writeInfo(&b, gm.snapshotRows())
 		case "wal":
-			gm.infoWAL(&b)
+			w := gm.walPtr.Load()
+			writeInfo(&b, walRows(w))
+			if w != nil {
+				fmt.Fprintf(&b, "dir:%s\n", w.Dir())
+				fmt.Fprintf(&b, "on_error_policy:%s\n", gm.WALErrorPolicyValue())
+			}
 		case "replication":
-			gm.infoReplication(ctx, &b)
+			gm.infoReplication(&b)
 		}
 	}
 	ctx.ReplyBulkString(b.String())
 	return nil
 }
 
-func (gm *GraphModule) infoServer(ctx *Ctx, b *strings.Builder) {
-	s := ctx.Server()
-	if s == nil {
-		fmt.Fprintf(b, "standalone:1\n")
-		return
-	}
-	m := s.Metrics()
-	fmt.Fprintf(b, "uptime_seconds:%d\n", int64(time.Since(m.start).Seconds()))
-	fmt.Fprintf(b, "connections_active:%d\n", m.connsActive.Load())
-	fmt.Fprintf(b, "connections_accepted:%d\n", m.connsAccepted.Load())
-	fmt.Fprintf(b, "connections_rejected:%d\n", m.connsRejected.Load())
-	fmt.Fprintf(b, "loading:%d\n", b2i(s.Loading()))
-	fmt.Fprintf(b, "degraded:%d\n", b2i(s.Degraded()))
-	if reason := s.DegradedReason(); reason != "" {
-		fmt.Fprintf(b, "degraded_reason:%s\n", reason)
-	}
-	fmt.Fprintf(b, "shutting_down:%d\n", b2i(s.draining()))
-}
-
 func (gm *GraphModule) infoCommands(ctx *Ctx, b *strings.Builder) {
 	s := ctx.Server()
-	if s == nil {
-		return
-	}
 	fmt.Fprintf(b, "commands_registered:%d\n", s.Registry().Len())
 	m := s.Metrics()
 	for _, c := range s.Registry().Commands() {
@@ -99,9 +89,17 @@ func (gm *GraphModule) infoCommands(ctx *Ctx, b *strings.Builder) {
 }
 
 // infoRow is one quantity of a G.INFO section that /metrics exposes too:
-// G.INFO prints key:value, /metrics the same row as cg_<section>_<key>
-// (cg_<section>_<key>_total for a counter), so the two surfaces list the
-// same quantities. graphRows and snapshotRows each declare a section once.
+// G.INFO prints key:value, /metrics the same row as <prefix><key>
+// (<prefix><key>_total for a counter), so the two surfaces list the same
+// quantities under the same names (replicaSeries lists the six older
+// series names that are kept). Each section is declared once, as a
+// function returning its rows: serverRows (prefix cg_), graphRows
+// (cg_graph_), snapshotRows (cg_snapshot_), walRows (cg_wal_), and for
+// replication leaderRows (cg_repl_) or replicaRows (cg_repl_replica_)
+// by role. String-valued keys (dir, leader, state, the per-follower
+// lines) have no series and are printed by G.INFO beside the rows; so is
+// uptime_seconds, a clock the two surfaces read a moment apart (whole
+// seconds here, a float on cg_uptime_seconds).
 type infoRow struct {
 	key, help string
 	counter   bool
@@ -166,55 +164,106 @@ func (gm *GraphModule) snapshotRows() []infoRow {
 	}
 }
 
-func (gm *GraphModule) infoWAL(b *strings.Builder) {
-	w := gm.walPtr.Load()
-	if w == nil {
-		fmt.Fprintf(b, "enabled:0\n")
-		return
+// serverRows declares the server section.
+func (s *Server) serverRows() []infoRow {
+	m := s.metrics
+	return []infoRow{
+		{"connections_active", "Connections currently tracked by the server.", false, float64(m.connsActive.Load())},
+		{"connections_accepted", "Connections admitted by the server.", true, float64(m.connsAccepted.Load())},
+		{"connections_rejected", "Connections refused by admission control (limit or shutdown).", true, float64(m.connsRejected.Load())},
+		{"loading", "1 while a recovery swap is rejecting write commands.", false, boolGauge(s.loading.Load())},
+		{"degraded", "1 while a WAL failure has writes rejected with -MISCONF (reads keep serving).", false, boolGauge(s.degraded.Load())},
+		{"shutting_down", "1 once the server has begun draining.", false, boolGauge(s.draining())},
 	}
-	st := w.Stats()
-	fmt.Fprintf(b, "enabled:1\n")
-	fmt.Fprintf(b, "dir:%s\n", w.Dir())
-	fmt.Fprintf(b, "on_error_policy:%s\n", gm.WALErrorPolicyValue().String())
-	fmt.Fprintf(b, "segment:%d\n", st.Segment)
-	fmt.Fprintf(b, "appends:%d\n", st.Appends)
-	fmt.Fprintf(b, "records:%d\n", st.Records)
-	fmt.Fprintf(b, "ops:%d\n", st.Ops)
-	fmt.Fprintf(b, "bytes:%d\n", st.Bytes)
-	fmt.Fprintf(b, "group_commits:%d\n", st.GroupCommits)
-	fmt.Fprintf(b, "syncs:%d\n", st.Syncs)
-	fmt.Fprintf(b, "rotations:%d\n", st.Rotations)
-	fmt.Fprintf(b, "pending_bytes:%d\n", st.PendingBytes)
-	fmt.Fprintf(b, "failed:%d\n", b2i(st.Failed))
 }
 
-func (gm *GraphModule) infoReplication(ctx *Ctx, b *strings.Builder) {
+// walRows declares the wal section for w, the attached log (nil: none).
+// Callers load w through the lock-free mirror, so a scrape never queues
+// behind a checkpoint holding walMu; one that loaded it just before
+// CloseWAL cleared it still reads consistently, as Stats on a closed WAL
+// is well-defined (final counters).
+func walRows(w *wal.WAL) []infoRow {
+	rows := []infoRow{{"enabled", "1 while a write-ahead log is attached.", false, boolGauge(w != nil)}}
+	if w == nil {
+		return rows
+	}
+	st := w.Stats()
+	return append(rows, []infoRow{
+		{"segment", "Segment currently appended to.", false, float64(st.Segment)},
+		{"appends", "Accepted stage calls (one per logged command or shard partition).", true, float64(st.Appends)},
+		{"records", "Framed records handed to write(2).", true, float64(st.Records)},
+		{"ops", "Edge mutations logged.", true, float64(st.Ops)},
+		{"bytes", "Frame bytes handed to write(2).", true, float64(st.Bytes)},
+		{"group_commits", "Group commits (write(2) batches).", true, float64(st.GroupCommits)},
+		{"syncs", "fsyncs of segment data.", true, float64(st.Syncs)},
+		{"rotations", "Segment rotations.", true, float64(st.Rotations)},
+		{"pending_bytes", "In-memory bytes of staged ops no group commit has taken yet.", false, float64(st.PendingBytes)},
+		{"failed", "1 once the WAL's sticky error is set.", false, boolGauge(st.Failed)},
+	}...)
+}
+
+// replicaSeries names the six follower keys whose /metrics series had a
+// different name before the section was declared once: both names stay,
+// so neither a script reading G.INFO nor a dashboard on /metrics goes
+// empty. Every other row's series is named by its key.
+var replicaSeries = map[string]string{
+	"applied_segment": "segment", "applied_offset": "offset",
+	"bytes_received": "bytes", "frames_applied": "frames",
+	"ops_applied": "ops", "snapshots_installed": "snapshots",
+}
+
+// replicaRows declares the replication section of a follower. The
+// leader_* pair is the leader tail as of its last ping: the distance
+// from applied_* is the replica's lag.
+func (gm *GraphModule) replicaRows(r *Replica) []infoRow {
+	s := gm.host.Load()
+	return []infoRow{
+		{"streaming", "1 while the replication link is live.", false, boolGauge(r.state.Load() == replicaStreaming)},
+		{"applied_segment", "Log segment of the next position to apply.", false, float64(r.posSeg.Load())},
+		{"applied_offset", "Offset of that position within the segment.", false, float64(r.posOff.Load())},
+		{"leader_segment", "Leader tail segment as of its last ping.", false, float64(r.leaderSeg.Load())},
+		{"leader_offset", "Leader tail offset as of its last ping.", false, float64(r.leaderOff.Load())},
+		{"bytes_received", "Replication payload bytes applied, snapshots included.", true, float64(r.bytes.Load())},
+		{"frames_applied", "Replication frame chunks applied.", true, float64(r.frames.Load())},
+		{"ops_applied", "Edge mutations applied from the stream.", true, float64(r.ops.Load())},
+		{"snapshots_installed", "Bootstrap snapshots installed.", true, float64(r.snapshots.Load())},
+		{"reconnects", "Replication link losses.", true, float64(r.reconnects.Load())},
+		{"read_only", "1 while client writes are rejected with -READONLY.", false, boolGauge(s != nil && s.ReadOnly())},
+	}
+}
+
+// leaderRows declares the replication section of a leader; sent_* sum
+// over the connected followers, which G.INFO also lists one by one.
+func (gm *GraphModule) leaderRows(links []*replLink) []infoRow {
+	var sent, snaps uint64
+	for _, l := range links {
+		sent += l.sentBytes.Load()
+		snaps += l.snapshots.Load()
+	}
+	rows := []infoRow{
+		{"connected_replicas", "Followers currently streaming.", false, float64(len(links))},
+		{"sent_bytes", "Payload bytes sent to currently connected followers.", false, float64(sent)},
+		{"sent_snapshots", "Bootstrap snapshots pushed to currently connected followers.", false, float64(snaps)},
+	}
+	if w := gm.walPtr.Load(); w != nil {
+		if floor, held := w.RetentionFloor(); held {
+			rows = append(rows, infoRow{"retention_floor_segment", "Lowest segment pinned by a connected follower.", false, float64(floor)})
+		}
+	}
+	return rows
+}
+
+func (gm *GraphModule) infoReplication(b *strings.Builder) {
 	if r := gm.replica.Load(); r != nil {
 		fmt.Fprintf(b, "role:replica\n")
 		fmt.Fprintf(b, "leader:%s\n", r.Leader())
 		fmt.Fprintf(b, "state:%s\n", replicaStateName(r.state.Load()))
-		fmt.Fprintf(b, "applied_segment:%d\n", r.posSeg.Load())
-		fmt.Fprintf(b, "applied_offset:%d\n", r.posOff.Load())
-		fmt.Fprintf(b, "leader_segment:%d\n", r.leaderSeg.Load())
-		fmt.Fprintf(b, "leader_offset:%d\n", r.leaderOff.Load())
-		fmt.Fprintf(b, "bytes_received:%d\n", r.bytes.Load())
-		fmt.Fprintf(b, "frames_applied:%d\n", r.frames.Load())
-		fmt.Fprintf(b, "ops_applied:%d\n", r.ops.Load())
-		fmt.Fprintf(b, "snapshots_installed:%d\n", r.snapshots.Load())
-		fmt.Fprintf(b, "reconnects:%d\n", r.reconnects.Load())
-		if s := ctx.Server(); s != nil {
-			fmt.Fprintf(b, "read_only:%d\n", b2i(s.ReadOnly()))
-		}
+		writeInfo(b, gm.replicaRows(r))
 		return
 	}
-	fmt.Fprintf(b, "role:leader\n")
 	links := gm.replLinks()
-	fmt.Fprintf(b, "connected_replicas:%d\n", len(links))
-	if w := gm.walPtr.Load(); w != nil {
-		if floor, held := w.RetentionFloor(); held {
-			fmt.Fprintf(b, "retention_floor_segment:%d\n", floor)
-		}
-	}
+	fmt.Fprintf(b, "role:leader\n")
+	writeInfo(b, gm.leaderRows(links))
 	for i, l := range links {
 		fmt.Fprintf(b, "replica%d:addr=%s,ack_segment=%d,ack_offset=%d,sent_segment=%d,sent_offset=%d,sent_bytes=%d,snapshots=%d,age_seconds=%d\n",
 			i, l.addr, l.ackSeg.Load(), l.ackOff.Load(), l.sentSeg.Load(), l.sentOff.Load(),
@@ -222,68 +271,24 @@ func (gm *GraphModule) infoReplication(ctx *Ctx, b *strings.Builder) {
 	}
 }
 
-func b2i(v bool) int {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// collectMetrics is the module's Metrics hook: engine, snapshot-ring
-// and WAL state under the server's /metrics scrape. The WAL pointer is
-// read through the lock-free mirror so a scrape never queues behind a
-// checkpoint holding walMu.
+// collectMetrics is the module's Metrics hook: the graph, snapshots,
+// wal and replication sections of G.INFO as series on the server's
+// /metrics scrape.
 func (gm *GraphModule) collectMetrics(mw *MetricsWriter) {
 	writeMetrics(mw, "cg_graph_", gm.graphRows())
 	writeMetrics(mw, "cg_snapshot_", gm.snapshotRows())
-
-	w := gm.walPtr.Load()
-	if w == nil {
-		mw.Gauge("cg_wal_enabled", "1 while a write-ahead log is attached.", 0)
-	} else {
-		// The mirror is cleared before CloseWAL closes the WAL, but a
-		// scrape can still hold a pointer loaded just before the store;
-		// Stats on a closed WAL is well-defined (final counters), so
-		// either interleaving reports consistently.
-		ws := w.Stats()
-		mw.Gauge("cg_wal_enabled", "1 while a write-ahead log is attached.", 1)
-		mw.Counter("cg_wal_appends_total", "Accepted stage calls (one per logged command or shard partition).", float64(ws.Appends))
-		mw.Counter("cg_wal_records_total", "Framed records handed to write(2).", float64(ws.Records))
-		mw.Counter("cg_wal_ops_total", "Edge mutations logged.", float64(ws.Ops))
-		mw.Counter("cg_wal_bytes_total", "Frame bytes handed to write(2).", float64(ws.Bytes))
-		mw.Counter("cg_wal_group_commits_total", "Group commits (write(2) batches).", float64(ws.GroupCommits))
-		mw.Counter("cg_wal_syncs_total", "fsyncs of segment data.", float64(ws.Syncs))
-		mw.Counter("cg_wal_rotations_total", "Segment rotations.", float64(ws.Rotations))
-		mw.Gauge("cg_wal_segment", "Segment currently appended to.", float64(ws.Segment))
-		mw.Gauge("cg_wal_pending_bytes", "In-memory bytes of staged ops no group commit has taken yet.", float64(ws.PendingBytes))
-		mw.Gauge("cg_wal_failed", "1 once the WAL's sticky error is set.", boolGauge(ws.Failed))
-	}
-
-	if r := gm.replica.Load(); r != nil {
-		mw.Gauge("cg_repl_role", "0 on a leader, 1 on a replica.", 1)
-		mw.Gauge("cg_repl_replica_streaming", "1 while the replication link is live.", boolGauge(r.state.Load() == replicaStreaming))
-		mw.Gauge("cg_repl_replica_segment", "Last applied log segment.", float64(r.posSeg.Load()))
-		mw.Gauge("cg_repl_replica_offset", "Last applied offset within the segment.", float64(r.posOff.Load()))
-		mw.Counter("cg_repl_replica_bytes_total", "Replication payload bytes applied.", float64(r.bytes.Load()))
-		mw.Counter("cg_repl_replica_frames_total", "Replication frame chunks applied.", float64(r.frames.Load()))
-		mw.Counter("cg_repl_replica_ops_total", "Edge mutations applied from the stream.", float64(r.ops.Load()))
-		mw.Counter("cg_repl_replica_snapshots_total", "Bootstrap snapshots installed.", float64(r.snapshots.Load()))
-		mw.Counter("cg_repl_replica_reconnects_total", "Replication link losses.", float64(r.reconnects.Load()))
-		return
-	}
-	mw.Gauge("cg_repl_role", "0 on a leader, 1 on a replica.", 0)
-	links := gm.replLinks()
-	mw.Gauge("cg_repl_connected_replicas", "Followers currently streaming.", float64(len(links)))
-	var sent, snaps uint64
-	for _, l := range links {
-		sent += l.sentBytes.Load()
-		snaps += l.snapshots.Load()
-	}
-	mw.Gauge("cg_repl_sent_bytes", "Payload bytes sent to currently connected followers.", float64(sent))
-	mw.Gauge("cg_repl_sent_snapshots", "Bootstrap snapshots pushed to currently connected followers.", float64(snaps))
-	if w != nil {
-		if floor, held := w.RetentionFloor(); held {
-			mw.Gauge("cg_repl_retention_floor_segment", "Lowest segment pinned by a connected follower.", float64(floor))
+	writeMetrics(mw, "cg_wal_", walRows(gm.walPtr.Load()))
+	r := gm.replica.Load()
+	mw.Gauge("cg_repl_role", "0 on a leader, 1 on a replica.", boolGauge(r != nil))
+	if r != nil {
+		rows := gm.replicaRows(r)
+		for i := range rows {
+			if series, ok := replicaSeries[rows[i].key]; ok {
+				rows[i].key = series
+			}
 		}
+		writeMetrics(mw, "cg_repl_replica_", rows)
+	} else {
+		writeMetrics(mw, "cg_repl_", gm.leaderRows(gm.replLinks()))
 	}
 }

@@ -188,10 +188,7 @@ func (gm *GraphModule) RecoverWAL(dir string) (wal.RecoverStats, error) {
 		gm.log.Error("wal recovery failed", "dir", dir, "err", err)
 		return stats, err
 	}
-	gm.swapMu.Lock()
-	gm.g = g
-	gm.swapMu.Unlock()
-	gm.releaseStaleViews()
+	gm.installGraph(g)
 	gm.recovered.dir, gm.recovered.g = dir, g
 	gm.recovered.muts = g.Mutations()
 	gm.log.Info("wal recovered", "dir", dir,

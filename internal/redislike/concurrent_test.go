@@ -1,12 +1,25 @@
 package redislike
 
 import (
+	"bytes"
 	"strconv"
 	"sync"
 	"testing"
 
 	"cuckoograph/internal/resp"
+	"cuckoograph/internal/sharded"
 )
+
+// saveGraph serialises gm's graph the one way whole-graph state leaves
+// a process: Graph.Save, a frozen view streamed by View.Save.
+func saveGraph(t testing.TB, gm *GraphModule) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gm.Graph().Save(&buf); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	return buf.Bytes()
+}
 
 // TestConcurrentDispatch drives module and built-in commands from many
 // goroutines at once — the workload the per-shard locking design
@@ -45,15 +58,15 @@ func TestConcurrentDispatch(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			snap := s.SaveRDB()
-			s2 := NewServer()
-			gm2, mod2 := NewGraphModule()
-			s2.LoadModule(mod2)
-			if err := s2.LoadRDB(snap); err != nil {
+			var buf bytes.Buffer
+			if err := gm.Graph().Save(&buf); err != nil {
+				t.Errorf("snapshot %d failed to save: %v", i, err)
+				return
+			}
+			if _, err := sharded.Load(&buf, sharded.Config{}); err != nil {
 				t.Errorf("snapshot %d failed to load: %v", i, err)
 				return
 			}
-			_ = gm2.Graph().NumEdges()
 		}
 	}()
 	wg.Wait()
@@ -69,11 +82,12 @@ func TestConcurrentDispatch(t *testing.T) {
 	}
 }
 
-// TestLoadRDBDoesNotDropInFlightWrites restores snapshots into the SAME
-// module while writers keep inserting: once a writer's insert has been
+// TestInstallGraphDoesNotDropInFlightWrites restores snapshots into the
+// SAME module — sharded.Load, then installGraph, the one swap routine —
+// while writers keep inserting: once a writer's insert has been
 // acknowledged after the final restore, it must be queryable — an
 // insert may never land on a discarded pre-restore graph.
-func TestLoadRDBDoesNotDropInFlightWrites(t *testing.T) {
+func TestInstallGraphDoesNotDropInFlightWrites(t *testing.T) {
 	s := NewServer()
 	gm, mod := NewGraphModule()
 	if err := s.LoadModule(mod); err != nil {
@@ -83,16 +97,18 @@ func TestLoadRDBDoesNotDropInFlightWrites(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Dispatch(resp.Command("g.insert", strconv.Itoa(i), strconv.Itoa(i+1)))
 	}
-	snap := s.SaveRDB()
+	snap := saveGraph(t, gm)
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			if err := s.LoadRDB(snap); err != nil {
+			g, err := sharded.Load(bytes.NewReader(snap), sharded.Config{})
+			if err != nil {
 				t.Errorf("restore %d: %v", i, err)
 				return
 			}
+			gm.installGraph(g)
 		}
 	}()
 	// Writers race with the restores; their edges may legitimately be

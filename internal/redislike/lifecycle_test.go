@@ -1,11 +1,15 @@
 package redislike
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -274,4 +278,127 @@ func TestConnStateCounts(t *testing.T) {
 	if got := <-seen; got != 2 {
 		t.Fatalf("ConnState.Commands = %d, want 2", got)
 	}
+}
+
+// flakyListener fails every Accept — EMFILE-shaped: a temporary
+// condition on a live listener — except when a connection is queued,
+// and records when each call was made and whether it succeeded.
+type flakyListener struct {
+	mu     sync.Mutex
+	calls  []acceptCall
+	conns  chan net.Conn
+	closed chan struct{}
+}
+
+type acceptCall struct {
+	at time.Time
+	ok bool
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	var c net.Conn
+	select {
+	case <-l.closed:
+		return nil, net.ErrClosed
+	case c = <-l.conns:
+	default:
+	}
+	l.mu.Lock()
+	if len(l.calls) < 1<<10 { // a spinning loop must fail the test, not exhaust memory
+		l.calls = append(l.calls, acceptCall{time.Now(), c != nil})
+	}
+	l.mu.Unlock()
+	if c == nil {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+	}
+	return c, nil
+}
+
+func (l *flakyListener) Close() error   { close(l.closed); return nil }
+func (l *flakyListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+func (l *flakyListener) seen() []acceptCall {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]acceptCall(nil), l.calls...)
+}
+
+// TestAcceptLoopBacksOff: a listener whose Accept keeps failing (the
+// descriptor limit) is retried on a doubling delay, not in a spin; each
+// streak of failures is logged once; a success resets the delay; and
+// the loop returns once the listener is closed.
+func TestAcceptLoopBacksOff(t *testing.T) {
+	var logs bytes.Buffer
+	var logMu sync.Mutex
+	s := NewServerWith(Config{Logger: slog.New(slog.NewTextHandler(lockedWriter{&logMu, &logs}, nil))})
+	ln := &flakyListener{conns: make(chan net.Conn, 1), closed: make(chan struct{})}
+	s.ln = ln
+	done := make(chan struct{})
+	go func() { defer close(done); s.acceptLoop() }()
+
+	// 5+10+20+40+80 ms of back-off fit in the window, the 160 ms step
+	// does not: six calls, where a bare retry loop makes millions.
+	time.Sleep(200 * time.Millisecond)
+	calls := ln.seen()
+	if len(calls) < 2 || len(calls) > 8 {
+		t.Fatalf("%d Accept calls in 200ms of failures, want the handful a doubling back-off allows", len(calls))
+	}
+	for i, want := 1, acceptBackoffMin; i < len(calls); i, want = i+1, 2*want {
+		if gap := calls[i].at.Sub(calls[i-1].at); gap < want {
+			t.Fatalf("retry %d came %v after the previous failure, want >= %v", i, gap, want)
+		}
+	}
+
+	// A served connection ends the streak: the failures after it start
+	// from the minimum delay again (without the reset the next retry
+	// would be 320 ms or more away), and are logged again.
+	client, server := net.Pipe()
+	defer client.Close()
+	ln.conns <- server
+	deadline := time.Now().Add(5 * time.Second)
+	var after []acceptCall
+	for len(after) < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no restarted streak after a served connection: calls %+v", ln.seen())
+		}
+		time.Sleep(time.Millisecond)
+		after = ln.seen()
+		for i, c := range after {
+			if c.ok {
+				after = after[i:]
+				break
+			}
+		}
+		if !after[0].ok {
+			after = nil
+		}
+	}
+	if gap := after[2].at.Sub(after[1].at); gap < acceptBackoffMin || gap > 100*time.Millisecond {
+		t.Fatalf("first retry after a success came after %v, want about %v", gap, acceptBackoffMin)
+	}
+
+	s.Close()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("acceptLoop did not return after the listener closed")
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if n := strings.Count(logs.String(), "accept failed"); n != 2 {
+		t.Fatalf("accept failure logged %d times over two streaks, want 2:\n%s", n, logs.String())
+	}
+}
+
+// lockedWriter serialises a test's log sink against the goroutines
+// writing to it.
+type lockedWriter struct {
+	mu *sync.Mutex
+	w  io.Writer
+}
+
+func (l lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }

@@ -210,16 +210,10 @@ func (m *Metrics) writeCommandMetrics(mw *MetricsWriter, reg *Registry) {
 // meters, then every module's Metrics hook.
 func (s *Server) WriteMetrics(w io.Writer) error {
 	mw := newMetricsWriter(w)
-	m := s.metrics
-	mw.Gauge("cg_uptime_seconds", "Seconds since the server started.", time.Since(m.start).Seconds())
-	mw.Gauge("cg_connections_active", "Connections currently tracked by the server.", float64(m.connsActive.Load()))
-	mw.Counter("cg_connections_accepted_total", "Connections admitted by the server.", float64(m.connsAccepted.Load()))
-	mw.Counter("cg_connections_rejected_total", "Connections refused by admission control (limit or shutdown).", float64(m.connsRejected.Load()))
-	mw.Gauge("cg_loading", "1 while a recovery swap is rejecting write commands.", boolGauge(s.loading.Load()))
-	mw.Gauge("cg_degraded", "1 while a WAL failure has writes rejected with -MISCONF (reads keep serving).", boolGauge(s.degraded.Load()))
-	mw.Gauge("cg_shutting_down", "1 once the server has begun draining.", boolGauge(s.draining()))
+	mw.Gauge("cg_uptime_seconds", "Seconds since the server started.", time.Since(s.metrics.start).Seconds())
+	writeMetrics(mw, "cg_", s.serverRows())
 	mw.Gauge("cg_commands_registered", "Commands in the registry.", float64(s.reg.Len()))
-	m.writeCommandMetrics(mw, s.reg)
+	s.metrics.writeCommandMetrics(mw, s.reg)
 	s.mu.RLock()
 	mods := append([]*Module(nil), s.modules...)
 	s.mu.RUnlock()

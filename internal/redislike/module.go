@@ -1,12 +1,9 @@
 package redislike
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"log/slog"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -16,15 +13,17 @@ import (
 
 // GraphModule wraps a CuckooGraph as a redislike module, providing the
 // extended commands of §V-F — insert, del, query, getneighbors — plus
-// batching, snapshots, analytics, durability control and the
-// save_rdb/load_rdb persistence interfaces. The graph is the sharded
-// concurrent engine, so handlers need no per-command mutual exclusion:
-// commands on different source nodes run in parallel, each taking only
-// the owning shard's lock. swapMu (read-locked by every data-plane
-// handler via dataCmd, write-locked only by load_rdb/recovery) exists
-// solely so a restore cannot swap the graph out from under an in-flight
-// command — without it an acknowledged write could land on the
-// discarded graph.
+// batching, snapshots, analytics, durability control and replication.
+// Whole-graph state leaves through View.Save (the checkpoint file is
+// §V-F's RDB, the replication bootstrap the same bytes on a socket) and
+// a graph sharded.Load or wal.Recover built from it becomes current
+// through installGraph alone. The graph is the sharded concurrent
+// engine, so handlers need no per-command mutual exclusion: commands on
+// different source nodes run in parallel, each taking only the owning
+// shard's lock. swapMu (read-locked by every data-plane handler via
+// dataCmd, write-locked only by installGraph) exists solely so a swap
+// cannot take the graph out from under an in-flight command — without
+// it an acknowledged write could land on the discarded graph.
 //
 // Commands are registered through the Command registry (see
 // moduleCommands); the registrations carry the arity and flag metadata
@@ -39,8 +38,8 @@ type GraphModule struct {
 	log  *slog.Logger
 
 	// walMu serialises the durability control plane — enable, replay,
-	// checkpoint, close — against itself and against load_rdb's graph
-	// swap. The data plane (insert/del/query) never takes it.
+	// checkpoint, close — against itself. The data plane (insert/del/
+	// query) never takes it.
 	walMu sync.Mutex
 	wal   *wal.WAL
 	// walPtr mirrors wal for lock-free readers (/metrics, g.info): a
@@ -109,8 +108,6 @@ func NewGraphModule() (*GraphModule, *Module) {
 	m := &Module{
 		Name:     "cuckoograph",
 		Commands: gm.moduleCommands(),
-		SaveRDB:  gm.saveRDB,
-		LoadRDB:  gm.loadRDB,
 		OnLoad:   gm.onLoad,
 		Metrics:  gm.collectMetrics,
 		Commit:   gm.commit,
@@ -220,7 +217,7 @@ func (gm *GraphModule) Graph() *sharded.Graph {
 }
 
 // withGraph runs f on the current graph while holding the swap lock in
-// read mode, so load_rdb cannot replace the graph mid-command.
+// read mode, so installGraph cannot replace the graph mid-command.
 func (gm *GraphModule) withGraph(f func(g *sharded.Graph)) {
 	gm.swapMu.RLock()
 	defer gm.swapMu.RUnlock()
@@ -326,77 +323,15 @@ func (gm *GraphModule) viewAt(epoch uint64) *sharded.View {
 	return nil
 }
 
-// saveRDB serialises the graph in the core snapshot format. The sharded
-// Save freezes the graph only briefly and streams from a frozen view,
-// so the snapshot is a consistent cut and commands keep flowing while
-// it is written out.
-func (gm *GraphModule) saveRDB() []byte {
-	var buf bytes.Buffer
-	// Writing to a bytes.Buffer cannot fail.
-	gm.withGraph(func(g *sharded.Graph) { _ = g.Save(&buf) })
-	return buf.Bytes()
-}
-
-func (gm *GraphModule) loadRDB(data []byte) error {
-	g, err := sharded.Load(bytes.NewReader(data), sharded.Config{})
-	if err != nil {
-		return fmt.Errorf("cuckoograph rdb: %w", err)
-	}
-	gm.walMu.Lock()
-	defer gm.walMu.Unlock()
-	if gm.wal != nil {
-		// The restore wholesale-replaces state the log knows nothing
-		// about; keep logging on the new graph and checkpoint so the
-		// on-disk recovery state matches it.
-		g.SetWAL(gm.wal)
-	}
-	gm.swapMu.Lock()
-	gm.g = g
-	gm.swapMu.Unlock()
-	// Retained views froze the replaced graph; time travel does not
-	// survive a wholesale restore.
-	gm.releaseStaleViews()
-	if gm.wal != nil {
-		if _, err := wal.Checkpoint(g, gm.wal); err != nil {
-			return fmt.Errorf("cuckoograph rdb: checkpoint after restore: %w", err)
-		}
-	}
-	gm.log.Info("rdb restored", "edges", g.NumEdges(), "nodes", g.NumNodes())
-	return nil
-}
-
-// installGraph wholesale-replaces the module's graph — the follower's
-// bootstrap step after decoding a leader snapshot. Like loadRDB it
-// swaps under the write lock and purges views frozen on the replaced
-// graph, but it never touches the WAL: a replica has none (its log is
-// the leader's).
+// installGraph wholesale-replaces the module's graph — the one swap
+// routine, behind the follower's bootstrap and RecoverWAL. It swaps
+// under the write lock, so no in-flight command straddles it, and purges
+// the views frozen on the replaced graph: time travel does not survive
+// a restore. It never touches the WAL: a replica has none (its log is
+// the leader's), and recovery runs before the log is enabled.
 func (gm *GraphModule) installGraph(g *sharded.Graph) {
 	gm.swapMu.Lock()
 	gm.g = g
 	gm.swapMu.Unlock()
 	gm.releaseStaleViews()
-}
-
-// AOFRewrite emits the command stream that rebuilds the graph — the
-// aof_rewrite interface of the Redis Module API. The stream is one
-// epoch's edge set: it walks a frozen view taken for the call, so
-// concurrent writers are not blocked and a multi-shard batch is in it
-// whole or not at all.
-func (gm *GraphModule) AOFRewrite() []string {
-	var v *sharded.View
-	gm.withGraph(func(g *sharded.Graph) { v = g.Snapshot() })
-	defer v.Release()
-	var cmds []string
-	v.ForEachNode(func(u uint64) bool {
-		v.ForEachSuccessor(u, func(w uint64) bool {
-			cmds = append(cmds, strings.Join([]string{
-				"g.insert",
-				strconv.FormatUint(u, 10),
-				strconv.FormatUint(w, 10),
-			}, " "))
-			return true
-		})
-		return true
-	})
-	return cmds
 }

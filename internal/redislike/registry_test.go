@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cuckoograph/internal/resp"
+	"cuckoograph/internal/wal"
 )
 
 func TestRegistryRegister(t *testing.T) {
@@ -141,7 +142,7 @@ func TestCommandIntrospection(t *testing.T) {
 // error on an unknown section.
 func TestInfoCommand(t *testing.T) {
 	s := NewServer()
-	_, mod := NewGraphModule()
+	gm, mod := NewGraphModule()
 	if err := s.LoadModule(mod); err != nil {
 		t.Fatal(err)
 	}
@@ -175,48 +176,17 @@ func TestInfoCommand(t *testing.T) {
 	}
 	// Every key of the section is a cg_graph_ series on /metrics, with
 	// the same value.
-	var metrics strings.Builder
-	if err := s.WriteMetrics(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(one.Str), "\n")[1:] // drop "# graph"
-	if len(lines) < 18 {
-		t.Fatalf("G.INFO graph has %d keys, want at least 18:\n%s", len(lines), one.Str)
-	}
-	for _, line := range lines {
-		key, val, _ := strings.Cut(line, ":")
-		if !strings.Contains(metrics.String(), "\ncg_graph_"+key+" "+val+"\n") &&
-			!strings.Contains(metrics.String(), "\ncg_graph_"+key+"_total "+val+"\n") {
-			t.Fatalf("G.INFO graph key %q (= %s) has no cg_graph_ series in:\n%s", key, val, metrics.String())
-		}
+	if n := checkInfoSeries(t, s, "graph", "cg_graph_", nil); n < 18 {
+		t.Fatalf("G.INFO graph has %d numeric keys, want at least 18:\n%s", n, one.Str)
 	}
 	// The snapshots section likewise, after one compiled epoch: a
 	// retained snapshot that an analytics command ran on.
 	epoch := dispatch("g.snapshot")
 	dispatch("graph.pagerank", "3", strconv.FormatInt(epoch.Int, 10))
+	if n := checkInfoSeries(t, s, "snapshots", "cg_snapshot_", nil); n < 8 {
+		t.Fatalf("G.INFO snapshots has %d numeric keys, want at least 8", n)
+	}
 	snaps := dispatch("G.INFO", "snapshots")
-	metrics.Reset()
-	if err := s.WriteMetrics(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	lines = strings.Split(strings.TrimSpace(snaps.Str), "\n")[1:] // drop "# snapshots"
-	if len(lines) < 8 {
-		t.Fatalf("G.INFO snapshots has %d keys, want at least 8:\n%s", len(lines), snaps.Str)
-	}
-	for _, line := range lines {
-		key, val, _ := strings.Cut(line, ":")
-		if key == "csr_build_seconds" {
-			// Read twice, once per surface; a build may not land between
-			// the reads here, so the values agree too.
-			if v, err := strconv.ParseFloat(val, 64); err != nil || v <= 0 {
-				t.Fatalf("csr_build_seconds = %q, want a positive duration", val)
-			}
-		}
-		if !strings.Contains(metrics.String(), "\ncg_snapshot_"+key+" "+val+"\n") &&
-			!strings.Contains(metrics.String(), "\ncg_snapshot_"+key+"_total "+val+"\n") {
-			t.Fatalf("G.INFO snapshots key %q (= %s) has no cg_snapshot_ series in:\n%s", key, val, metrics.String())
-		}
-	}
 	for _, want := range []string{"csr_builds:1\n", "ring_retained:1\n"} {
 		if !strings.Contains(snaps.Str, want) {
 			t.Fatalf("G.INFO snapshots missing %q in:\n%s", want, snaps.Str)
@@ -233,4 +203,72 @@ func TestInfoCommand(t *testing.T) {
 	if got := dispatch("G.INFO", "bogus"); got.Type != '-' || !strings.HasPrefix(got.Str, "ERR ") {
 		t.Fatalf("G.INFO bogus = %+v", got)
 	}
+	// The remaining sections likewise, the wal one in both its shapes.
+	// (A follower's replication section is checked where one exists:
+	// TestReplicationSectionsMatchMetrics.)
+	if n := checkInfoSeries(t, s, "wal", "cg_wal_", nil); n != 1 {
+		t.Fatalf("G.INFO wal without a log has %d numeric keys, want enabled alone", n)
+	}
+	if err := gm.EnableWAL(t.TempDir(), wal.Options{Sync: wal.SyncNone}); err != nil {
+		t.Fatal(err)
+	}
+	defer gm.CloseWAL()
+	dispatch("g.insert", "8", "9")
+	for section, want := range map[string]struct {
+		prefix string
+		keys   int
+	}{
+		"server": {"cg_", 7}, "commands": {"cg_", 1}, "wal": {"cg_wal_", 11}, "replication": {"cg_repl_", 3},
+	} {
+		if n := checkInfoSeries(t, s, section, want.prefix, nil); n < want.keys {
+			t.Fatalf("G.INFO %s has %d numeric keys, want at least %d", section, n, want.keys)
+		}
+	}
+	if w := dispatch("G.INFO", "wal").Str; !strings.Contains(w, "ops:1\n") || !strings.Contains(w, "dir:") {
+		t.Fatalf("G.INFO wal after one logged insert:\n%s", w)
+	}
+}
+
+// checkInfoSeries reads one G.INFO section and then /metrics, and fails
+// unless every numeric key of the section is a series named
+// prefix+key (prefix+key+"_total" for a counter) with the same value;
+// it returns how many keys it checked. String-valued keys (dir, role,
+// state, cmdstat_*, replicaN) are G.INFO-only and skipped. alias maps a
+// key to its series name where the two differ. Of uptime_seconds, the
+// one clock, only the presence is checked: the surfaces are read a
+// moment apart. csr_build_seconds is a sum, not a clock: no build lands
+// between the two reads, so it must agree like any other key.
+func checkInfoSeries(t *testing.T, s *Server, section, prefix string, alias map[string]string) int {
+	t.Helper()
+	info := s.Dispatch(resp.Command("G.INFO", section)).Str
+	var sb strings.Builder
+	if err := s.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	metrics := "\n" + sb.String()
+	lines := strings.Split(strings.TrimSpace(info), "\n")[1:] // drop "# section"
+	n := 0
+	for _, line := range lines {
+		key, val, _ := strings.Cut(line, ":")
+		if v, err := strconv.ParseFloat(val, 64); err != nil {
+			continue
+		} else if key == "csr_build_seconds" && v <= 0 {
+			t.Fatalf("csr_build_seconds = %q, want a positive duration", val)
+		}
+		n++
+		series := "\n" + prefix + key
+		if a, ok := alias[key]; ok {
+			series = "\n" + prefix + a
+		}
+		if key == "uptime_seconds" {
+			if !strings.Contains(metrics, series+" ") && !strings.Contains(metrics, series+"_total ") {
+				t.Fatalf("G.INFO %s key %q has no %s series", section, key, prefix)
+			}
+			continue
+		}
+		if !strings.Contains(metrics, series+" "+val+"\n") && !strings.Contains(metrics, series+"_total "+val+"\n") {
+			t.Fatalf("G.INFO %s key %q (= %s) has no %s series in:\n%s", section, key, val, prefix, metrics)
+		}
+	}
+	return n
 }

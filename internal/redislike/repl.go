@@ -7,13 +7,18 @@ package redislike
 // connection into a push stream. When the position is servable from
 // the retained log the leader streams raw CRC-framed WAL chunks; when
 // it is not (zero, compacted away, or diverged) the leader first
-// pushes a full checkpoint snapshot cut against a segment rotation,
-// then streams the log from the cut. Push frames, each a RESP array of
-// bulk strings:
+// pushes a full snapshot cut against a segment rotation, then streams
+// the log from the cut. Push frames, each a RESP array of bulk strings:
 //
-//	["snap",   <cutSegment>, <snapshotBytes>]  resume at (cut, data start)
+//	["snap",   <cutSegment>, <byteLen>]        then byteLen raw snapshot bytes; resume at (cut, data start)
 //	["frames", <segment>, <offset>, <chunk>]   raw WAL frames at that position
 //	["ping",   <tailSegment>, <tailOffset>]    leader tail; keepalive when idle
+//	["err",    <message>]                      the leader is ending the stream, and why
+//
+// Nothing whole-graph is buffered: the snapshot payload is View.Save
+// writing to the socket, its length (known from the view's edge count)
+// announced ahead of it, and a frames chunk goes out from the
+// wal.Reader's own buffer.
 //
 // The follower acknowledges applied positions by writing
 // `g.replack <segment> <offset>` command arrays back on the same
@@ -25,7 +30,6 @@ package redislike
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"net"
 	"strconv"
@@ -33,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cuckoograph/internal/core"
 	"cuckoograph/internal/resp"
 	"cuckoograph/internal/wal"
 )
@@ -122,6 +127,13 @@ func (gm *GraphModule) replicate(ctx *Ctx) error {
 // streamTo runs the push stream until the follower drops, the server
 // drains, or the log fails under it. It blocks the connection's serve
 // goroutine — that goroutine IS the stream.
+//
+// A bootstrap holds one frozen view for as long as the follower takes
+// to read it. View.Save never holds a shard lock across a write to the
+// socket, so a slow follower cannot stall a writer; what it keeps alive
+// is the view's copy-on-write overlay, which grows with the nodes
+// writers change meanwhile — not with the graph — until the transfer
+// ends or a write times out.
 func (gm *GraphModule) streamTo(srv *Server, rc *resp.Conn, w *wal.WAL, pos wal.Position) {
 	nc := rc.NetConn()
 	link := &replLink{addr: rc.RemoteAddr(), since: time.Now(), pin: w.Pin(pos.Seg)}
@@ -157,23 +169,22 @@ func (gm *GraphModule) streamTo(srv *Server, rc *resp.Conn, w *wal.WAL, pos wal.
 		}
 	}()
 
-	var rw resp.Writer
+	// Every write is armed with the server's WriteTimeout: a follower
+	// that stops reading costs the leader one timeout, whether in a ping
+	// or mid-snapshot. Frames that are all header go out with rc.Flush;
+	// sendFrames writes the frames push pending in rw — which ends in the
+	// header of its chunk bulk — then the chunk from the wal.Reader's
+	// buffer and the bulk's closing CRLF, as one vectored write whatever
+	// the chunk's length.
+	rw, crlf := &rc.W, []byte("\r\n")
 	var vecs net.Buffers
-	flush := func() error {
-		if srv.cfg.WriteTimeout > 0 {
-			nc.SetWriteDeadline(time.Now().Add(srv.cfg.WriteTimeout))
+	sendFrames := func(chunk []byte) error {
+		if rc.WriteTimeout > 0 {
+			nc.SetWriteDeadline(time.Now().Add(rc.WriteTimeout))
 		}
-		var err error
-		if rw.HasRefs() {
-			vecs = rw.Vectors(vecs[:0])
-			v := vecs
-			_, err = v.WriteTo(nc)
-			for i := range vecs {
-				vecs[i] = nil
-			}
-		} else {
-			_, err = nc.Write(rw.Bytes())
-		}
+		vecs = append(vecs[:0], rw.Bytes(), chunk, crlf)
+		v := vecs // WriteTo consumes the slice it is called on
+		_, err := v.WriteTo(nc)
 		rw.Reset()
 		return err
 	}
@@ -185,7 +196,7 @@ func (gm *GraphModule) streamTo(srv *Server, rc *resp.Conn, w *wal.WAL, pos wal.
 		rw.AppendArrayHeader(2)
 		rw.AppendBulkString(replKindErr)
 		rw.AppendBulkString(msg)
-		_ = flush()
+		_ = rc.Flush()
 	}
 
 	rd, err := w.OpenReader(pos)
@@ -194,14 +205,12 @@ func (gm *GraphModule) streamTo(srv *Server, rc *resp.Conn, w *wal.WAL, pos wal.
 		// a rotation, then stream from the cut. The link's pin (which
 		// floors retention at the follower's old position, or 0 on
 		// bootstrap) is moved up only after the cut exists.
-		var buf bytes.Buffer
 		var cut uint64
-		g := gm.Graph()
-		if cerr := g.Checkpoint(&buf, func() error {
-			var rerr error
+		v, cerr := gm.Graph().SnapshotCut(func() (rerr error) {
 			cut, rerr = w.Rotate()
 			return rerr
-		}); cerr != nil {
+		})
+		if cerr != nil {
 			gm.log.Error("replication snapshot failed", "remote", link.addr, "err", cerr)
 			sendErr("bootstrap snapshot failed: " + cerr.Error())
 			return
@@ -211,15 +220,25 @@ func (gm *GraphModule) streamTo(srv *Server, rc *resp.Conn, w *wal.WAL, pos wal.
 		link.ackSeg.Store(cut)
 		link.ackOff.Store(uint64(pos.Off))
 		link.snapshots.Add(1)
+		size := core.BasicSnapshotSize(v.NumEdges())
 		rw.AppendArrayHeader(3)
 		rw.AppendBulkString(replKindSnap)
 		rw.AppendBulkUint(cut)
-		rw.AppendBulk(buf.Bytes())
-		if err := flush(); err != nil {
+		rw.AppendBulkUint(uint64(size))
+		err = rc.Flush()
+		if err == nil {
+			// 64 KB socket writes, not one per 4 KB of 16-byte records.
+			err = v.Save(bufio.NewWriterSize(rc, 64<<10))
+		}
+		v.Release()
+		if err != nil {
+			// Mid-payload there is no frame boundary to put an err frame
+			// on: dropping the connection is the only well-formed end.
+			gm.log.Warn("replication snapshot push failed", "remote", link.addr, "err", err)
 			return
 		}
-		link.sentBytes.Add(uint64(buf.Len()))
-		gm.log.Info("replication snapshot pushed", "remote", link.addr, "bytes", buf.Len(), "cut_segment", cut)
+		link.sentBytes.Add(uint64(size))
+		gm.log.Info("replication snapshot pushed", "remote", link.addr, "bytes", size, "cut_segment", cut)
 		rd, err = w.OpenReader(pos)
 	}
 	if err != nil {
@@ -247,8 +266,8 @@ func (gm *GraphModule) streamTo(srv *Server, rc *resp.Conn, w *wal.WAL, pos wal.
 			rw.AppendBulkString(replKindFrames)
 			rw.AppendBulkUint(start.Seg)
 			rw.AppendBulkUint(uint64(start.Off))
-			rw.AppendBulk(chunk)
-			if err := flush(); err != nil {
+			rw.AppendBulkHeader(len(chunk))
+			if err := sendFrames(chunk); err != nil {
 				return
 			}
 			end := rd.Pos()
@@ -262,7 +281,7 @@ func (gm *GraphModule) streamTo(srv *Server, rc *resp.Conn, w *wal.WAL, pos wal.
 				rw.AppendBulkString(replKindPing)
 				rw.AppendBulkUint(tail.Seg)
 				rw.AppendBulkUint(uint64(tail.Off))
-				if err := flush(); err != nil {
+				if err := rc.Flush(); err != nil {
 					return
 				}
 				lastPing = time.Now()

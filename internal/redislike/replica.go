@@ -11,13 +11,14 @@ package redislike
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand/v2"
 	"net"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -191,97 +192,11 @@ func (r *Replica) stream(ctx context.Context) (progressed bool, err error) {
 	br := bufio.NewReaderSize(nc, 256<<10)
 	var batch core.Batch
 	for {
-		v, err := resp.Read(br)
-		if err != nil {
+		var applied bool
+		if batch, applied, err = r.applyPush(br, batch[:0]); err != nil {
 			return progressed, err
 		}
-		if v.Type == '-' {
-			return progressed, fmt.Errorf("leader rejected stream: %s", v.Str)
-		}
-		if v.Type != '*' || len(v.Array) == 0 {
-			return progressed, fmt.Errorf("unexpected push frame type %q", v.Type)
-		}
-		switch kind := v.Array[0].Str; kind {
-		case replKindSnap:
-			if len(v.Array) != 3 {
-				return progressed, fmt.Errorf("malformed snap frame (%d elements)", len(v.Array))
-			}
-			cut, perr := strconv.ParseUint(v.Array[1].Str, 10, 64)
-			if perr != nil {
-				return progressed, fmt.Errorf("malformed snap cut: %w", perr)
-			}
-			data := v.Array[2].Str
-			g, lerr := sharded.Load(strings.NewReader(data), sharded.Config{})
-			if lerr != nil {
-				return progressed, fmt.Errorf("bootstrap snapshot: %w", lerr)
-			}
-			r.gm.installGraph(g)
-			r.posSeg.Store(cut)
-			r.posOff.Store(uint64(wal.SegmentDataStart))
-			r.bytes.Add(uint64(len(data)))
-			r.snapshots.Add(1)
-			r.markStreaming()
-			progressed = true
-			r.log.Info("bootstrap snapshot installed",
-				"bytes", len(data), "edges", g.NumEdges(), "cut_segment", cut)
-		case replKindFrames:
-			if len(v.Array) != 4 {
-				return progressed, fmt.Errorf("malformed frames frame (%d elements)", len(v.Array))
-			}
-			fseg, e1 := strconv.ParseUint(v.Array[1].Str, 10, 64)
-			foff, e2 := strconv.ParseUint(v.Array[2].Str, 10, 64)
-			if e1 != nil || e2 != nil {
-				return progressed, fmt.Errorf("malformed frames position")
-			}
-			// The leader streams contiguously from the requested
-			// position; the only legitimate jump is to the data start
-			// of a later segment (the reader crossed one or more
-			// sealed — possibly record-free — segment boundaries).
-			// Anything else would silently skip or replay log bytes.
-			expSeg, expOff := r.posSeg.Load(), r.posOff.Load()
-			contiguous := fseg == expSeg && foff == expOff
-			rolled := fseg > expSeg && foff == uint64(wal.SegmentDataStart)
-			if !contiguous && !rolled {
-				return progressed, fmt.Errorf("position break: got %d/%d, expected %d/%d",
-					fseg, foff, expSeg, expOff)
-			}
-			data := v.Array[3].Str
-			var derr error
-			batch, derr = wal.AppendChunkOps([]byte(data), batch[:0])
-			if derr != nil {
-				return progressed, fmt.Errorf("chunk rejected: %w", derr)
-			}
-			r.gm.withGraph(func(g *sharded.Graph) { g.ApplyBatch(batch) })
-			r.posSeg.Store(fseg)
-			r.posOff.Store(foff + uint64(len(data)))
-			r.bytes.Add(uint64(len(data)))
-			r.frames.Add(1)
-			r.ops.Add(uint64(len(batch)))
-			r.markStreaming()
-			progressed = true
-		case replKindPing:
-			if len(v.Array) != 3 {
-				return progressed, fmt.Errorf("malformed ping frame (%d elements)", len(v.Array))
-			}
-			tseg, e1 := strconv.ParseUint(v.Array[1].Str, 10, 64)
-			toff, e2 := strconv.ParseUint(v.Array[2].Str, 10, 64)
-			if e1 != nil || e2 != nil {
-				return progressed, fmt.Errorf("malformed ping position")
-			}
-			r.leaderSeg.Store(tseg)
-			r.leaderOff.Store(toff)
-			r.markStreaming()
-		case replKindErr:
-			// The leader ended the stream deliberately and said why —
-			// leader-side log failure or shutdown, not a network drop.
-			msg := "unspecified"
-			if len(v.Array) >= 2 {
-				msg = v.Array[1].Str
-			}
-			return progressed, fmt.Errorf("leader ended stream: %s", msg)
-		default:
-			return progressed, fmt.Errorf("unknown push kind %q", kind)
-		}
+		progressed = progressed || applied
 		// Acknowledge the applied position. On a ping this re-sends the
 		// current position, keeping the leader's lag view (and its
 		// retention pin) fresh even on an idle link.
@@ -295,4 +210,119 @@ func (r *Replica) stream(ctx context.Context) (progressed bool, err error) {
 			return progressed, err
 		}
 	}
+}
+
+// applyPush reads one push from br and applies it, reporting whether it
+// changed the graph (a ping only refreshes the leader tail); batch is
+// scratch for a chunk's ops, returned for reuse. A snapshot payload is
+// not buffered: once its announced length agrees with the edge count in
+// its own header it streams through sharded.Load, which must consume
+// exactly that length, and only then is the graph installed — so memory
+// follows the bytes that arrive, never a length a frame merely claims,
+// and a bad frame leaves graph, position and counters as they were.
+func (r *Replica) applyPush(br *bufio.Reader, batch core.Batch) (core.Batch, bool, error) {
+	v, err := resp.Read(br)
+	if err != nil {
+		return batch, false, err
+	}
+	if v.Type == '-' {
+		return batch, false, fmt.Errorf("leader rejected stream: %s", v.Str)
+	}
+	if v.Type != '*' || len(v.Array) == 0 {
+		return batch, false, fmt.Errorf("unexpected push frame type %q", v.Type)
+	}
+	applied := true
+	switch kind := v.Array[0].Str; kind {
+	case replKindSnap:
+		if len(v.Array) != 3 {
+			return batch, false, fmt.Errorf("malformed snap frame (%d elements)", len(v.Array))
+		}
+		cut, e1 := strconv.ParseUint(v.Array[1].Str, 10, 64)
+		size, e2 := strconv.ParseUint(v.Array[2].Str, 10, 64)
+		if e1 != nil || e2 != nil {
+			return batch, false, fmt.Errorf("malformed snap cut or length")
+		}
+		// A short header fails the decode below.
+		hdr, _ := br.Peek(core.SnapshotHeaderSize)
+		edges, err := core.BasicSnapshotEdges(bytes.NewReader(hdr))
+		if err != nil {
+			return batch, false, fmt.Errorf("bootstrap snapshot: %w", err)
+		}
+		if want := core.BasicSnapshotSize(edges); uint64(want) != size {
+			return batch, false, fmt.Errorf("bootstrap snapshot: frame announces %d bytes, its header's %d edges make %d",
+				size, edges, want)
+		}
+		lr := &io.LimitedReader{R: br, N: int64(size)}
+		g, err := sharded.Load(lr, sharded.Config{})
+		if err != nil {
+			return batch, false, fmt.Errorf("bootstrap snapshot: %w", err)
+		}
+		if lr.N != 0 {
+			return batch, false, fmt.Errorf("bootstrap snapshot: %d announced bytes left unread", lr.N)
+		}
+		// Counted before it shows: whoever sees the new state sees it
+		// counted.
+		r.bytes.Add(size)
+		r.snapshots.Add(1)
+		r.gm.installGraph(g)
+		r.posSeg.Store(cut)
+		r.posOff.Store(uint64(wal.SegmentDataStart))
+		r.log.Info("bootstrap snapshot installed",
+			"bytes", size, "edges", g.NumEdges(), "cut_segment", cut)
+	case replKindFrames:
+		if len(v.Array) != 4 {
+			return batch, false, fmt.Errorf("malformed frames frame (%d elements)", len(v.Array))
+		}
+		fseg, e1 := strconv.ParseUint(v.Array[1].Str, 10, 64)
+		foff, e2 := strconv.ParseUint(v.Array[2].Str, 10, 64)
+		if e1 != nil || e2 != nil {
+			return batch, false, fmt.Errorf("malformed frames position")
+		}
+		// The leader streams contiguously from the requested
+		// position; the only legitimate jump is to the data start
+		// of a later segment (the reader crossed one or more
+		// sealed — possibly record-free — segment boundaries).
+		// Anything else would silently skip or replay log bytes.
+		expSeg, expOff := r.posSeg.Load(), r.posOff.Load()
+		contiguous := fseg == expSeg && foff == expOff
+		rolled := fseg > expSeg && foff == uint64(wal.SegmentDataStart)
+		if !contiguous && !rolled {
+			return batch, false, fmt.Errorf("position break: got %d/%d, expected %d/%d",
+				fseg, foff, expSeg, expOff)
+		}
+		data := v.Array[3].Str
+		if batch, err = wal.AppendChunkOps([]byte(data), batch); err != nil {
+			return batch, false, fmt.Errorf("chunk rejected: %w", err)
+		}
+		r.bytes.Add(uint64(len(data)))
+		r.frames.Add(1)
+		r.ops.Add(uint64(len(batch)))
+		r.gm.withGraph(func(g *sharded.Graph) { g.ApplyBatch(batch) })
+		r.posSeg.Store(fseg)
+		r.posOff.Store(foff + uint64(len(data)))
+	case replKindPing:
+		if len(v.Array) != 3 {
+			return batch, false, fmt.Errorf("malformed ping frame (%d elements)", len(v.Array))
+		}
+		tseg, e1 := strconv.ParseUint(v.Array[1].Str, 10, 64)
+		toff, e2 := strconv.ParseUint(v.Array[2].Str, 10, 64)
+		if e1 != nil || e2 != nil {
+			return batch, false, fmt.Errorf("malformed ping position")
+		}
+		r.leaderSeg.Store(tseg)
+		r.leaderOff.Store(toff)
+		applied = false
+	case replKindErr:
+		// The leader ended the stream deliberately and said why —
+		// leader-side log failure or shutdown, not a network drop.
+		msg := "unspecified"
+		if len(v.Array) >= 2 {
+			msg = v.Array[1].Str
+		}
+		return batch, false, fmt.Errorf("leader ended stream: %s", msg)
+	default:
+		return batch, false, fmt.Errorf("unknown push kind %q", kind)
+	}
+	r.markStreaming()
+	return batch, applied, nil
 }

@@ -4,7 +4,7 @@
 // the substrate for the paper's Redis integration (§V-F), where
 // CuckooGraph is loaded as a module providing G.INSERT, G.DEL, the
 // batched G.MINSERT/G.MDEL, G.QUERY, G.GETNEIGHBORS, G.DEGREE, G.NODES,
-// snapshots, analytics and WAL control plus RDB-style save/load.
+// snapshots, analytics, WAL control and log-shipping replication.
 //
 // Every command is a Command registration — name, arity spec, flags,
 // handler — and dispatch is entirely registry-driven: arity is enforced
@@ -22,12 +22,11 @@
 // call. The read loop pipelines: replies accumulate in the writer and
 // are flushed when the input buffer drains or the buffered replies
 // pass the flush high-water mark, so a burst of commands pays one
-// write(2) — or one writev when large bulk payloads are referenced
-// zero-copy — for all its replies. Connections are admission-
-// controlled (MaxConns rejects with -MAXCLIENTS rather than hanging
-// the dial), commands run under per-command read/write deadlines, and
-// Shutdown drains: in-flight commands finish and flush, then modules
-// tear down in order.
+// write(2) for all its replies. Connections are admission-controlled
+// (MaxConns rejects with -MAXCLIENTS rather than hanging the dial),
+// commands run under per-command read/write deadlines, and Shutdown
+// drains: in-flight commands finish and flush, then modules tear down
+// in order.
 //
 // Durability follows the same rhythm. A write command applies its
 // mutation and stages it in the log's memory; the serve loop commits —
@@ -88,13 +87,11 @@ type ConnState struct {
 }
 
 // Module is the unit of registration, mirroring the Redis Module API
-// surface the paper implements: commands plus persistence, metrics and
-// lifecycle hooks.
+// surface the paper implements: commands plus metrics and lifecycle
+// hooks.
 type Module struct {
 	Name     string
 	Commands []*Command
-	SaveRDB  func() []byte
-	LoadRDB  func(data []byte) error
 	// OnLoad, if set, receives the host server at registration — the
 	// hook through which a module reaches server state (loading flag,
 	// logger).
@@ -323,37 +320,6 @@ func (s *Server) LoadModule(m *Module) error {
 	return nil
 }
 
-// SaveRDB snapshots every module (the persistence experiment hook).
-// Module save hooks run outside the server lock — the CuckooGraph hook
-// takes a consistent cut under its own shard read locks.
-func (s *Server) SaveRDB() map[string][]byte {
-	s.mu.RLock()
-	mods := append([]*Module(nil), s.modules...)
-	s.mu.RUnlock()
-	out := map[string][]byte{}
-	for _, m := range mods {
-		if m.SaveRDB != nil {
-			out[m.Name] = m.SaveRDB()
-		}
-	}
-	return out
-}
-
-// LoadRDB restores module snapshots.
-func (s *Server) LoadRDB(snap map[string][]byte) error {
-	s.mu.RLock()
-	mods := append([]*Module(nil), s.modules...)
-	s.mu.RUnlock()
-	for _, m := range mods {
-		if data, ok := snap[m.Name]; ok && m.LoadRDB != nil {
-			if err := m.LoadRDB(data); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
 // returns the bound address.
 func (s *Server) Listen(addr string) (string, error) {
@@ -481,18 +447,37 @@ func (s *Server) untrack(c *resp.Conn) {
 	s.connWG.Done()
 }
 
+// Accept back-off bounds, as in net/http.Server.Serve: a failing
+// listener (EMFILE at the descriptor limit) is retried after a delay
+// that doubles per consecutive failure, so the loop neither spins nor
+// starves the connections whose close would free descriptors.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
+
 func (s *Server) acceptLoop() {
+	var delay time.Duration
 	for {
 		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-				continue
-			}
+		if err == nil {
+			delay = 0
+			go s.serve(conn)
+			continue
 		}
-		go s.serve(conn)
+		if errors.Is(err, net.ErrClosed) || s.draining() {
+			return
+		}
+		if delay == 0 {
+			// Once per streak: the retries that follow say nothing new.
+			s.log.Warn("accept failed; backing off", "err", err)
+		}
+		delay = min(max(2*delay, acceptBackoffMin), acceptBackoffMax)
+		select {
+		case <-s.closed:
+			return
+		case <-time.After(delay):
+		}
 	}
 }
 

@@ -2,11 +2,14 @@ package redislike
 
 import (
 	"bufio"
+	"bytes"
 	"net"
 	"strconv"
 	"testing"
 
+	"cuckoograph/internal/core"
 	"cuckoograph/internal/resp"
+	"cuckoograph/internal/sharded"
 )
 
 func TestBuiltinsOverTCP(t *testing.T) {
@@ -93,27 +96,26 @@ func TestGraphModuleCommands(t *testing.T) {
 	}
 }
 
+// TestGraphModulePersistence: a module's graph survives the one state
+// path — Graph.Save out, sharded.Load + installGraph into a fresh module
+// — edge for edge, and a damaged snapshot is refused before any swap.
 func TestGraphModulePersistence(t *testing.T) {
-	s := NewServer()
-	gm, mod := NewGraphModule()
-	s.LoadModule(mod)
+	gm, _ := NewGraphModule()
 	for i := uint64(1); i <= 500; i++ {
 		gm.Graph().InsertEdge(i%50, i)
 	}
 	want := gm.Graph().NumEdges()
-
-	snap := s.SaveRDB()
-	if len(snap["cuckoograph"]) == 0 {
-		t.Fatal("empty rdb snapshot")
+	snap := saveGraph(t, gm)
+	if int64(len(snap)) != core.BasicSnapshotSize(want) {
+		t.Fatalf("snapshot is %d bytes, want %d for %d edges", len(snap), core.BasicSnapshotSize(want), want)
 	}
 
-	// Fresh server; load the snapshot.
-	s2 := NewServer()
-	gm2, mod2 := NewGraphModule()
-	s2.LoadModule(mod2)
-	if err := s2.LoadRDB(snap); err != nil {
+	gm2, _ := NewGraphModule()
+	g, err := sharded.Load(bytes.NewReader(snap), sharded.Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	gm2.installGraph(g)
 	if gm2.Graph().NumEdges() != want {
 		t.Fatalf("restored %d edges, want %d", gm2.Graph().NumEdges(), want)
 	}
@@ -123,15 +125,8 @@ func TestGraphModulePersistence(t *testing.T) {
 		}
 	}
 
-	// Corrupt snapshots must be rejected.
-	if err := gm2.loadRDB([]byte{1, 2, 3}); err == nil {
-		t.Fatal("truncated rdb accepted")
-	}
-
-	// AOF rewrite must list one command per edge.
-	cmds := gm.AOFRewrite()
-	if uint64(len(cmds)) != want {
-		t.Fatalf("aof has %d commands, want %d", len(cmds), want)
+	if _, err := sharded.Load(bytes.NewReader([]byte{1, 2, 3}), sharded.Config{}); err == nil {
+		t.Fatal("truncated snapshot accepted")
 	}
 }
 

@@ -1,10 +1,10 @@
 package redislike
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
-	"cuckoograph/internal/core"
 	"cuckoograph/internal/resp"
 	"cuckoograph/internal/sharded"
 )
@@ -162,72 +162,22 @@ func TestReleaseWhileAnalyticsHoldsViewDoesNotPanic(t *testing.T) {
 	}
 }
 
-func TestLoadRDBReleasesRetainedViews(t *testing.T) {
+// TestInstallGraphReleasesRetainedViews: a swap purges exactly the
+// replaced graph's ring entries.
+func TestInstallGraphReleasesRetainedViews(t *testing.T) {
 	srv, gm := newGraphServer(t)
 	dispatch(srv, "g.insert", "1", "2")
 	mustInt(t, dispatch(srv, "g.snapshot"))
 	old := gm.Graph()
-	snap := srv.SaveRDB()
-	if err := srv.LoadRDB(snap); err != nil {
-		t.Fatalf("load rdb: %v", err)
+	g, err := sharded.Load(bytes.NewReader(saveGraph(t, gm)), sharded.Config{})
+	if err != nil {
+		t.Fatalf("load: %v", err)
 	}
+	gm.installGraph(g)
 	if n := len(dispatch(srv, "g.snapshots").Array); n != 0 {
 		t.Fatalf("%d retained views survived a restore", n)
 	}
 	if old.LiveViews() != 0 {
 		t.Fatalf("old graph still has %d live views after restore", old.LiveViews())
-	}
-}
-
-// TestAOFRewriteIsOneEpoch: the rewrite must be a cut of one epoch. A
-// writer toggles pairs of edges with one two-op ApplyBatch each — two
-// source nodes, so most batches span two shards — beside enough filler
-// that the walk takes a while; no rewrite may list one edge of a pair
-// without the other, which a walk of the live graph does as soon as a
-// toggle lands between its visits to the two sources.
-func TestAOFRewriteIsOneEpoch(t *testing.T) {
-	const filler, pairs, src0 = 2000, 64, 1 << 20
-	gm, _ := NewGraphModule()
-	gm.installGraph(sharded.New(sharded.Config{Shards: 4}))
-	g := gm.Graph()
-	for u := uint64(0); u < filler; u++ {
-		g.InsertEdge(u, u+1)
-	}
-
-	stop, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		for pass := 0; ; pass++ {
-			kind := core.OpInsert
-			if pass%2 == 1 {
-				kind = core.OpDelete
-			}
-			for i := uint64(0); i < pairs; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				g.ApplyBatch(core.Batch{
-					{Kind: kind, U: src0 + 2*i, V: 1},
-					{Kind: kind, U: src0 + 2*i + 1, V: 1},
-				})
-			}
-		}
-	}()
-	defer func() { close(stop); <-done }()
-
-	for round := 0; round < 40; round++ {
-		in := map[string]bool{}
-		for _, cmd := range gm.AOFRewrite() {
-			in[cmd] = true
-		}
-		for i := uint64(0); i < pairs; i++ {
-			x := in[fmt.Sprintf("g.insert %d 1", src0+2*i)]
-			y := in[fmt.Sprintf("g.insert %d 1", src0+2*i+1)]
-			if x != y {
-				t.Fatalf("rewrite %d split pair %d: first edge in=%v, second in=%v", round, i, x, y)
-			}
-		}
 	}
 }

@@ -2,6 +2,7 @@ package resp
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"slices"
 	"sync/atomic"
@@ -24,14 +25,19 @@ const (
 	// readChunk bounds each read-buffer growth step, so a length prefix
 	// claiming MaxBulkBytes reserves memory only as payload arrives.
 	readChunk = 64 << 10
+	// maxRequestBytes bounds one command's wire size: a maximal bulk plus
+	// a maximal array of node-id-sized elements ("$20\r\n", 20 digits,
+	// CRLF: 27 bytes each). parseRequest caps each bulk and the element
+	// count but not their product, so without it one unfinished command
+	// could grow the read buffer without limit.
+	maxRequestBytes = MaxBulkBytes + 32*MaxArrayLen
 )
 
 // Conn is one server-side connection: a zero-allocation RESP request
 // reader and a streaming reply Writer over the same socket. Requests
 // are parsed in place — Args are views into the read buffer, valid
 // until the next ReadRequest — and replies accumulate in W until Flush
-// pushes them with one write (vectored when large bulk replies are
-// spliced in).
+// pushes them with one write.
 //
 // A connection spends most of its life idle waiting for the next
 // command, and that wait must be unbounded — but once a command starts
@@ -49,7 +55,6 @@ type Conn struct {
 	rbuf   []byte
 	rpos   int
 	req    Request
-	vecs   net.Buffers
 	filled bool
 
 	// ReadTimeout bounds how long the rest of a command may take to
@@ -77,7 +82,8 @@ func (c *Conn) Close() error { return c.nc.Close() }
 // stream over entirely (the replication shipper). A takeover is only
 // sound when the Conn's read buffer is empty (Buffered() == 0) and its
 // Writer has been flushed; after it, the taker owns all reads and
-// writes and must not touch W or ReadRequest again.
+// writes and must not call ReadRequest again (it may keep writing
+// through W, Flush and Write as well as the net.Conn itself).
 func (c *Conn) NetConn() net.Conn { return c.nc }
 
 // Abort marks the connection as draining and interrupts a reader parked
@@ -126,15 +132,11 @@ func (c *Conn) ReadRequest() (*Request, error) {
 			}
 		} else if c.rpos > 0 {
 			// Input fully drained: recycle the buffer, shrinking capacity a
-			// large command inflated. Pending zero-copy reply refs may point
-			// into it, in which case a fresh buffer preserves them.
+			// large command inflated.
 			c.rpos = 0
-			switch {
-			case cap(c.rbuf) > retainedReadBytes:
+			if cap(c.rbuf) > retainedReadBytes {
 				c.rbuf = make([]byte, 0, readBufInit)
-			case c.W.HasRefs():
-				c.rbuf = make([]byte, 0, cap(c.rbuf))
-			default:
+			} else {
 				c.rbuf = c.rbuf[:0]
 			}
 		}
@@ -148,21 +150,18 @@ func (c *Conn) ReadRequest() (*Request, error) {
 // fill reads more bytes from the socket into the buffer, growing (in
 // bounded chunks) or compacting when full. The idle wait — no bytes of
 // a next command buffered yet — is deadline-free; mid-command reads arm
-// ReadTimeout.
+// ReadTimeout. Everything buffered when fill is called belongs to one
+// incomplete command; past maxRequestBytes of it the peer is refused
+// with ErrProtocol rather than buffered further.
 func (c *Conn) fill() error {
+	if c.Buffered() >= maxRequestBytes {
+		return fmt.Errorf("%w: command exceeds %d bytes", ErrProtocol, maxRequestBytes)
+	}
 	if len(c.rbuf) == cap(c.rbuf) {
 		if c.rpos > 0 {
-			// Compact consumed bytes away. If pending zero-copy reply refs
-			// point into the buffer, shift into a fresh one instead of
-			// scribbling over their payloads.
-			if c.W.HasRefs() {
-				nb := make([]byte, len(c.rbuf)-c.rpos, cap(c.rbuf))
-				copy(nb, c.rbuf[c.rpos:])
-				c.rbuf = nb
-			} else {
-				n := copy(c.rbuf, c.rbuf[c.rpos:])
-				c.rbuf = c.rbuf[:n]
-			}
+			// Compact consumed bytes away.
+			n := copy(c.rbuf, c.rbuf[c.rpos:])
+			c.rbuf = c.rbuf[:n]
 			c.rpos = 0
 		} else {
 			c.rbuf = slices.Grow(c.rbuf, min(cap(c.rbuf)+1, readChunk))
@@ -195,26 +194,22 @@ func (c *Conn) fill() error {
 	return nil
 }
 
-// Flush pushes buffered replies to the socket under WriteTimeout, using
-// one vectored write when zero-copy bulk payloads are spliced in.
+// Flush pushes buffered replies to the socket with one write, under
+// WriteTimeout.
 func (c *Conn) Flush() error {
 	if c.W.Len() == 0 {
 		return nil
 	}
+	_, err := c.Write(c.W.buf)
+	c.W.Reset()
+	return err
+}
+
+// Write sends p to the peer under WriteTimeout, past W: for a handler
+// that took the connection over and streams payloads it will not buffer.
+func (c *Conn) Write(p []byte) (int, error) {
 	if c.WriteTimeout > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(c.WriteTimeout))
 	}
-	var err error
-	if c.W.HasRefs() {
-		c.vecs = c.W.Vectors(c.vecs[:0])
-		v := c.vecs
-		_, err = v.WriteTo(c.nc)
-		for i := range c.vecs {
-			c.vecs[i] = nil // do not retain flushed payloads
-		}
-	} else {
-		_, err = c.nc.Write(c.W.buf)
-	}
-	c.W.Reset()
-	return err
+	return c.nc.Write(p)
 }

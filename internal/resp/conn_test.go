@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -232,6 +233,48 @@ func TestReadBufferShrinksAfterLargeCommand(t *testing.T) {
 	}
 }
 
+// TestRequestSizeIsBounded: parseRequest caps each bulk and the element
+// count but not their product, so a client streaming one command that
+// never ends — maximal bulks, one after another — must be refused with
+// ErrProtocol once maxRequestBytes of it are buffered, with the read
+// buffer no larger than that plus its growth slack.
+func TestRequestSizeIsBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams maxRequestBytes over loopback")
+	}
+	client, server := tcpPair(t)
+	c := NewConn(server)
+	go func() {
+		// Write errors end the stream: the server side closes on refusal.
+		bulk := make([]byte, 1<<20)
+		if _, err := fmt.Fprintf(client, "*%d\r\n", MaxArrayLen); err != nil {
+			return
+		}
+		for {
+			if _, err := fmt.Fprintf(client, "$%d\r\n", MaxBulkBytes); err != nil {
+				return
+			}
+			for sent := 0; sent < MaxBulkBytes; sent += len(bulk) {
+				if _, err := client.Write(bulk); err != nil {
+					return
+				}
+			}
+			if _, err := client.Write([]byte("\r\n")); err != nil {
+				return
+			}
+		}
+	}()
+	_, err := c.ReadRequest()
+	server.Close()
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("endless command read error = %v, want ErrProtocol", err)
+	}
+	if c.Buffered() < maxRequestBytes || cap(c.rbuf) > 2*maxRequestBytes {
+		t.Fatalf("refused with %d bytes buffered in a %d-byte buffer, want >= %d buffered and <= %d held",
+			c.Buffered(), cap(c.rbuf), maxRequestBytes, 2*maxRequestBytes)
+	}
+}
+
 // TestProtocolErrorSurfaces: bytes that can never become a valid
 // command surface as ErrProtocol so the server can answer before
 // dropping the connection.
@@ -248,20 +291,17 @@ func TestProtocolErrorSurfaces(t *testing.T) {
 }
 
 // TestFlushRoundTrip: replies streamed through the Writer reach the
-// peer intact under WriteTimeout, including a vectored flush with a
-// zero-copy bulk payload spliced between buffered replies.
+// peer intact under WriteTimeout, a large bulk payload between small
+// replies included.
 func TestFlushRoundTrip(t *testing.T) {
 	client, server := tcpPair(t)
 	c := NewConn(server)
 	c.WriteTimeout = time.Second
 
-	payload := bytes.Repeat([]byte("p"), zeroCopyBulk+100)
+	payload := bytes.Repeat([]byte("p"), 8<<10)
 	c.W.AppendSimple("PONG")
 	c.W.AppendBulk(payload)
 	c.W.AppendInt(7)
-	if !c.W.HasRefs() {
-		t.Fatal("large bulk was copied, want zero-copy ref")
-	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}

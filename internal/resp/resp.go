@@ -9,9 +9,8 @@
 // appends replies directly into a reusable per-connection buffer
 // (AppendInt, AppendBulk, ...), Conn parses pipelined requests into
 // byte-slice views of its read buffer, and Flush writes the
-// accumulated replies with one write(2) (or a vectored writev when
-// large bulk payloads are referenced zero-copy) — so a warm command
-// cycle allocates nothing.
+// accumulated replies with one write(2) — so a warm command cycle
+// allocates nothing.
 package resp
 
 import (

@@ -11,47 +11,24 @@ import (
 // encoder — one Writer lives per connection, every Append* method is
 // allocation-free once the buffer has warmed up, and Value survives
 // only for cold introspection replies (COMMAND, G.INFO) via
-// AppendValue.
-//
-// Large bulk payloads are not copied: AppendBulk records a reference
-// and Vectors interleaves them with the buffer segments for a vectored
-// (writev) flush. Callers handing AppendBulk a payload at or above
-// zeroCopyBulk must keep it unmodified until the Writer is Reset.
+// AppendValue. Every payload is copied into the buffer, so pending
+// output never aliases memory the caller goes on to reuse.
 //
 // Mark/Rewind give dispatch transactional replies: a handler that
 // errors after partial output is rewound to its mark and replaced by a
 // single well-formed error reply, keeping pipelined connections in
 // sync.
 type Writer struct {
-	buf      []byte
-	refs     []bulkRef
-	refBytes int
+	buf []byte
 }
 
-// bulkRef is one zero-copy payload spliced into the output stream after
-// the first end bytes of buf.
-type bulkRef struct {
-	end     int // bytes of buf preceding the payload
-	payload []byte
-}
+// retainedWriterBytes caps the buffer capacity a Reset keeps: one huge
+// introspection reply must not pin its buffer for the connection's
+// lifetime.
+const retainedWriterBytes = 64 << 10
 
-const (
-	// zeroCopyBulk is the bulk payload size from which AppendBulk
-	// references the caller's bytes instead of copying them.
-	zeroCopyBulk = 4 << 10
-	// retainedWriterBytes caps the buffer capacity a Reset keeps: one
-	// huge introspection reply must not pin its buffer for the
-	// connection's lifetime.
-	retainedWriterBytes = 64 << 10
-)
-
-// Len reports the pending encoded bytes, zero-copy payloads included.
-func (w *Writer) Len() int { return len(w.buf) + w.refBytes }
-
-// HasRefs reports whether pending output references caller-owned
-// payload bytes (see AppendBulk); those bytes must stay untouched until
-// the next Reset.
-func (w *Writer) HasRefs() bool { return len(w.refs) > 0 }
+// Len reports the pending encoded bytes.
+func (w *Writer) Len() int { return len(w.buf) }
 
 func (w *Writer) crlf() { w.buf = append(w.buf, '\r', '\n') }
 
@@ -90,30 +67,25 @@ func (w *Writer) AppendNullBulk() {
 	w.crlf()
 }
 
-func (w *Writer) bulkHeader(n int) {
+// AppendBulkHeader appends only the length line of a bulk string
+// ("$n\r\n"), for a caller that writes the n payload bytes and the
+// closing CRLF to the socket itself rather than through the buffer.
+func (w *Writer) AppendBulkHeader(n int) {
 	w.buf = append(w.buf, '$')
 	w.buf = strconv.AppendInt(w.buf, int64(n), 10)
 	w.crlf()
 }
 
-// AppendBulk appends a bulk-string reply. Payloads of zeroCopyBulk
-// bytes or more are referenced, not copied — the caller must keep them
-// unmodified until the Writer is Reset (for a server reply: until the
-// flush).
+// AppendBulk appends a bulk-string reply.
 func (w *Writer) AppendBulk(b []byte) {
-	w.bulkHeader(len(b))
-	if len(b) >= zeroCopyBulk {
-		w.refs = append(w.refs, bulkRef{end: len(w.buf), payload: b})
-		w.refBytes += len(b)
-	} else {
-		w.buf = append(w.buf, b...)
-	}
+	w.AppendBulkHeader(len(b))
+	w.buf = append(w.buf, b...)
 	w.crlf()
 }
 
-// AppendBulkString appends a bulk-string reply, always copying.
+// AppendBulkString appends a bulk-string reply.
 func (w *Writer) AppendBulkString(s string) {
-	w.bulkHeader(len(s))
+	w.AppendBulkHeader(len(s))
 	w.buf = append(w.buf, s...)
 	w.crlf()
 }
@@ -123,7 +95,7 @@ func (w *Writer) AppendBulkString(s string) {
 func (w *Writer) AppendBulkUint(n uint64) {
 	var tmp [20]byte
 	d := strconv.AppendUint(tmp[:0], n, 10)
-	w.bulkHeader(len(d))
+	w.AppendBulkHeader(len(d))
 	w.buf = append(w.buf, d...)
 	w.crlf()
 }
@@ -156,26 +128,15 @@ func (w *Writer) AppendValue(v Value) {
 	}
 }
 
-// Mark records the current output position for Rewind.
-type Mark struct {
-	buf, refs, refBytes int
-}
+// Mark is an output position: the offset of the next appended byte.
+type Mark int
 
 // Mark returns the position of the next appended byte.
-func (w *Writer) Mark() Mark {
-	return Mark{buf: len(w.buf), refs: len(w.refs), refBytes: w.refBytes}
-}
+func (w *Writer) Mark() Mark { return Mark(len(w.buf)) }
 
 // Rewind truncates pending output back to m, discarding everything
 // appended since the matching Mark.
-func (w *Writer) Rewind(m Mark) {
-	w.buf = w.buf[:m.buf]
-	for i := m.refs; i < len(w.refs); i++ {
-		w.refs[i].payload = nil
-	}
-	w.refs = w.refs[:m.refs]
-	w.refBytes = m.refBytes
-}
+func (w *Writer) Rewind(m Mark) { w.buf = w.buf[:m] }
 
 // SpliceError replaces everything appended between from and to — two
 // marks taken in that order — with one error reply, shifting the output
@@ -184,12 +145,7 @@ func (w *Writer) Rewind(m Mark) {
 func (w *Writer) SpliceError(from, to Mark, msg string) {
 	repl := make([]byte, 0, len(msg)+3)
 	repl = append(append(append(repl, '-'), msg...), '\r', '\n')
-	w.buf = slices.Replace(w.buf, from.buf, to.buf, repl...)
-	w.refs = slices.Delete(w.refs, from.refs, to.refs)
-	for i := from.refs; i < len(w.refs); i++ {
-		w.refs[i].end += len(repl) - (to.buf - from.buf)
-	}
-	w.refBytes -= to.refBytes - from.refBytes
+	w.buf = slices.Replace(w.buf, int(from), int(to), repl...)
 }
 
 // Reset discards pending output, keeping the buffer for reuse unless it
@@ -201,41 +157,8 @@ func (w *Writer) Reset() {
 	} else {
 		w.buf = w.buf[:0]
 	}
-	for i := range w.refs {
-		w.refs[i].payload = nil
-	}
-	w.refs = w.refs[:0]
-	w.refBytes = 0
 }
 
-// Vectors appends the pending output regions, in stream order, to dst —
-// the writev segment list: buffer runs interleaved with zero-copy
-// payloads. With no refs it appends the buffer as one segment.
-func (w *Writer) Vectors(dst [][]byte) [][]byte {
-	prev := 0
-	for _, r := range w.refs {
-		if r.end > prev {
-			dst = append(dst, w.buf[prev:r.end])
-		}
-		dst = append(dst, r.payload)
-		prev = r.end
-	}
-	if len(w.buf) > prev {
-		dst = append(dst, w.buf[prev:])
-	}
-	return dst
-}
-
-// Bytes assembles the pending output into one contiguous slice. With no
-// zero-copy refs it aliases the internal buffer (valid until the next
-// append or Reset); otherwise it allocates — in-process callers only.
-func (w *Writer) Bytes() []byte {
-	if len(w.refs) == 0 {
-		return w.buf
-	}
-	out := make([]byte, 0, w.Len())
-	for _, seg := range w.Vectors(nil) {
-		out = append(out, seg...)
-	}
-	return out
-}
+// Bytes returns the pending output. It aliases the internal buffer:
+// valid until the next append or Reset.
+func (w *Writer) Bytes() []byte { return w.buf }

@@ -113,23 +113,17 @@ func TestWriterInvalidValueStaysFramed(t *testing.T) {
 	}
 }
 
-// TestWriterMarkRewind: output appended after a Mark — buffered bytes
-// and zero-copy refs alike — is discarded by Rewind, so a handler error
-// after partial output can be replaced by one clean error reply.
+// TestWriterMarkRewind: output appended after a Mark is discarded by
+// Rewind, so a handler error after partial output can be replaced by
+// one clean error reply.
 func TestWriterMarkRewind(t *testing.T) {
 	var w Writer
 	w.AppendInt(1)
 	m := w.Mark()
 	w.AppendArrayHeader(3)
 	w.AppendBulkString("partial")
-	w.AppendBulk(bytes.Repeat([]byte("z"), zeroCopyBulk)) // forces a ref
-	if !w.HasRefs() {
-		t.Fatal("expected a zero-copy ref before rewind")
-	}
+	w.AppendBulk(bytes.Repeat([]byte("z"), 8<<10))
 	w.Rewind(m)
-	if w.HasRefs() {
-		t.Fatal("refs survived rewind")
-	}
 	w.AppendError("ERR replaced")
 
 	got := decodeAll(t, &w)
@@ -139,11 +133,11 @@ func TestWriterMarkRewind(t *testing.T) {
 }
 
 // TestWriterSpliceError: a reply in the middle of the pending output is
-// replaced by an error reply; what precedes and follows it — zero-copy
-// payloads included — still decodes, in order.
+// replaced by an error reply; what precedes and follows it still
+// decodes, in order.
 func TestWriterSpliceError(t *testing.T) {
 	var w Writer
-	big := bytes.Repeat([]byte("z"), zeroCopyBulk)
+	big := bytes.Repeat([]byte("z"), 8<<10)
 	w.AppendInt(1)
 	from := w.Mark()
 	w.AppendInt(2)
@@ -157,44 +151,17 @@ func TestWriterSpliceError(t *testing.T) {
 		got[2].Str != string(big) || got[3].Int != 3 {
 		t.Fatalf("decoded %+v", got)
 	}
-
-	// A spliced-out region takes its refs with it.
-	w.Reset()
-	from = w.Mark()
-	w.AppendBulk(big)
-	to = w.Mark()
-	w.AppendInt(4)
-	w.SpliceError(from, to, "ERR gone")
-	if w.HasRefs() || w.Len() != len("-ERR gone\r\n:4\r\n") {
-		t.Fatalf("after splicing out a ref: HasRefs=%v Len=%d", w.HasRefs(), w.Len())
-	}
 }
 
-// TestWriterVectorsInterleave: zero-copy payloads splice between buffer
-// runs in stream order, and Bytes assembles the same stream.
-func TestWriterVectorsInterleave(t *testing.T) {
+// TestWriterBulkCopies: a bulk payload of any size is copied at append
+// time, so the caller may reuse its buffer before the flush.
+func TestWriterBulkCopies(t *testing.T) {
 	var w Writer
-	big1 := bytes.Repeat([]byte("a"), zeroCopyBulk)
-	big2 := bytes.Repeat([]byte("b"), zeroCopyBulk)
-	w.AppendSimple("x")
-	w.AppendBulk(big1)
-	w.AppendBulk(big2)
-	w.AppendInt(9)
-
-	var joined []byte
-	for _, seg := range w.Vectors(nil) {
-		joined = append(joined, seg...)
-	}
-	if !bytes.Equal(joined, w.Bytes()) {
-		t.Fatal("Vectors and Bytes disagree")
-	}
-	wantLen := w.Len()
-	if len(joined) != wantLen {
-		t.Fatalf("assembled %d bytes, Len says %d", len(joined), wantLen)
-	}
-	want := "+x\r\n$4096\r\n" + strings.Repeat("a", 4096) + "\r\n$4096\r\n" + strings.Repeat("b", 4096) + "\r\n:9\r\n"
-	if string(joined) != want {
-		t.Fatal("assembled stream mismatch")
+	payload := bytes.Repeat([]byte("a"), 8<<10)
+	w.AppendBulk(payload)
+	clear(payload)
+	if got := decodeAll(t, &w); len(got) != 1 || got[0].Str != strings.Repeat("a", 8<<10) {
+		t.Fatal("pending output aliases the caller's payload")
 	}
 }
 

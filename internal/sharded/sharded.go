@@ -144,13 +144,12 @@ type Graph struct {
 
 	// snapMu fences snapshots against multi-shard batches. A batch that
 	// spans shards applies its partitions under separate shard-lock
-	// acquisitions, so per-shard locking alone would let a freeze (or
-	// the old all-read-locks Checkpoint) land between two partitions and
-	// observe a half-applied batch. Multi-shard ApplyBatch holds snapMu
-	// for reading across all its partitions; Snapshot holds it for
-	// writing while registering the view, making every batch atomic with
-	// respect to every snapshot. Single-shard batches are already atomic
-	// under their one shard lock and skip snapMu entirely.
+	// acquisitions, so per-shard locking alone would let a freeze land
+	// between two partitions and observe a half-applied batch. Multi-shard
+	// ApplyBatch holds snapMu for reading across all its partitions;
+	// Snapshot holds it for writing while registering the view, making
+	// every batch atomic with respect to every snapshot. Single-shard
+	// batches are already atomic under their one shard lock and skip it.
 	snapMu sync.RWMutex
 
 	// epoch stamps snapshots; it only ever grows. liveViews counts
@@ -683,32 +682,11 @@ func (g *Graph) Stats() core.Stats {
 
 // Save writes a snapshot in the basic-variant format of core.Graph.Save.
 // It is a consistent cut even under concurrent mutation: the graph is
-// frozen only for the brief view registration, and the serialization
-// streams from the frozen view while writers proceed.
+// frozen only for the brief view registration, and View.Save — the one
+// whole-graph serializer — streams from the frozen view while writers
+// proceed.
 func (g *Graph) Save(w io.Writer) error {
-	return g.Checkpoint(w, nil)
-}
-
-// Checkpoint writes a Save-format snapshot, invoking cut (if non-nil)
-// inside the freeze window — every shard's write lock held, multi-shard
-// batches excluded — before any edge is emitted. Because mutations are
-// staged with the WAL under a shard's write lock, which cannot be held
-// while the freeze is, and the rotation writes out everything staged
-// before it seals the segment, a cut that rotates the WAL partitions
-// the log exactly: every record staged before the freeze lands in
-// segments older than the rotation — committed by its writer yet or not
-// — every record after in newer ones, and the snapshot reflects
-// precisely the old segments. That is the contract
-// snapshot-plus-log-tail recovery depends on. Unlike the freeze, the
-// serialization itself holds no shard locks: it streams from a frozen
-// view (released on return), so an arbitrarily large snapshot write no
-// longer stalls writers for its duration, and — via snapMu — it can
-// never observe a half-applied multi-shard batch.
-func (g *Graph) Checkpoint(w io.Writer, cut func() error) error {
-	v, err := g.snapshotWithCut(cut)
-	if err != nil {
-		return err
-	}
+	v := g.Snapshot()
 	defer v.Release()
 	return v.Save(w)
 }

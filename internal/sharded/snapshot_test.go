@@ -299,7 +299,7 @@ func TestCheckpointNeverSerializesHalfAppliedBatch(t *testing.T) {
 	}()
 	for i := 0; i < 20; i++ {
 		var buf bytes.Buffer
-		if err := g.Checkpoint(&buf, nil); err != nil {
+		if err := g.Save(&buf); err != nil {
 			t.Fatalf("checkpoint %d: %v", i, err)
 		}
 		re, err := Load(bytes.NewReader(buf.Bytes()), Config{Shards: 4})

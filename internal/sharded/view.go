@@ -82,7 +82,7 @@ var (
 // the duration (see snapMu), so a view can never observe a half-applied
 // ApplyBatch. The caller must Release the view when done with it.
 func (g *Graph) Snapshot() *View {
-	v, _ := g.snapshotWithCut(nil)
+	v, _ := g.SnapshotCut(nil)
 	return v
 }
 
@@ -121,12 +121,20 @@ func (g *Graph) ViewStats() ViewStats {
 		CSRBuilds: g.csrBuilds.Load(), CSRBuildNanos: g.csrBuildNanos.Load(), CSRBytes: uint64(g.csrBytes.Load())}
 }
 
-// snapshotWithCut takes a snapshot, invoking cut (if non-nil) inside
-// the freeze window: every shard's write lock is held and multi-shard
-// batches are excluded, so a cut that rotates the WAL partitions the
-// log exactly against the view (mutations log under a shard's write
-// lock, which cannot be held while the freeze is).
-func (g *Graph) snapshotWithCut(cut func() error) (*View, error) {
+// SnapshotCut takes a snapshot, invoking cut (if non-nil) inside the
+// freeze window — every shard's write lock held, multi-shard batches
+// excluded — before the view exists; a failing cut takes no snapshot.
+// Because mutations are staged with the WAL under a shard's write lock,
+// which cannot be held while the freeze is, and the rotation writes out
+// everything staged before it seals the segment, a cut that rotates
+// the WAL partitions the log exactly: every record staged before the
+// freeze lands in segments older than the rotation — committed by its
+// writer yet or not — every record after in newer ones, and the view
+// holds precisely the old segments. That is the contract
+// snapshot-plus-log-tail recovery and the replication bootstrap depend
+// on. The freeze covers only the cut: View.Save afterwards holds no
+// shard lock across an emit, so however long it takes stalls no writer.
+func (g *Graph) SnapshotCut(cut func() error) (*View, error) {
 	g.snapMu.Lock()
 	defer g.snapMu.Unlock()
 	for i := range g.shards {
@@ -489,9 +497,11 @@ func (v *View) DeleteEdge(u, w uint64) bool { panic("sharded: DeleteEdge on read
 // Save writes the view in the basic-variant snapshot format of
 // core.Graph.Save — the same bytes a Save of the live graph at the
 // view's epoch would have produced — without holding any shard lock
-// across the serialization. Checkpoint is built on this: the freeze
-// window covers only the WAL cut, and the (arbitrarily long) disk write
-// streams from the frozen view while writers proceed.
+// across the serialization. It is the one way whole-graph state leaves
+// the process: Graph.Save, wal.Checkpoint and the replication bootstrap
+// all take a view (SnapshotCut when a WAL rotation must partition the
+// log against it) and stream it from here, to a file or a socket, while
+// writers proceed.
 func (v *View) Save(w io.Writer) error {
 	v.check()
 	return core.WriteBasicSnapshot(w, v.edges, func(emit func(u, x uint64) error) error {

@@ -427,7 +427,7 @@ func RecoverFS(fsys vfs.FS, dir string, cfg sharded.Config) (*sharded.Graph, Rec
 
 // Checkpoint writes a consistent snapshot of g into the WAL directory
 // and compacts the log: the snapshot is cut against a segment rotation
-// (see sharded.Graph.Checkpoint for why the cut is exact), fsynced and
+// (see sharded.Graph.SnapshotCut for why the cut is exact), fsynced and
 // atomically renamed into place, and only then are the superseded
 // segments and older checkpoints deleted — so a crash at any point
 // leaves either the old recovery state or the new one, never neither.
@@ -441,11 +441,14 @@ func Checkpoint(g *sharded.Graph, w *WAL) (string, error) {
 	defer fsys.Remove(tmp.Name()) // no-op after the rename succeeds
 
 	var cut uint64
-	err = g.Checkpoint(tmp, func() error {
-		var rerr error
+	v, err := g.SnapshotCut(func() (rerr error) {
 		cut, rerr = w.Rotate()
 		return rerr
 	})
+	if err == nil {
+		err = v.Save(tmp)
+		v.Release()
+	}
 	if err == nil {
 		err = tmp.Sync()
 	}

@@ -3,8 +3,9 @@
 # cgcli, boot a leader with WAL durability and a follower with
 # -replica-of, bulk-load the leader, wait for the follower to converge,
 # assert the follower rejects writes with -READONLY, checkpoint the
-# leader (log compaction) and converge again, then SIGTERM both and
-# assert clean drains.
+# leader (log compaction) and converge again, start a SECOND follower
+# whose bootstrap the compaction forces through the streamed snapshot,
+# then SIGTERM all three and assert clean drains.
 #
 # Usage: scripts/repl_smoke.sh [workdir]
 set -euo pipefail
@@ -15,13 +16,17 @@ mkdir -p "$work"
 waldir="$work/wal"
 llog="$work/leader.log"
 flog="$work/replica.log"
+f2log="$work/replica2.log"
 laddr="127.0.0.1:16390"
 faddr="127.0.0.1:16391"
+f2addr="127.0.0.1:16392"
 maddr="127.0.0.1:19190"
 
 leader_pid=""
 replica_pid=""
+replica2_pid=""
 cleanup() {
+  [ -n "$replica2_pid" ] && kill "$replica2_pid" 2>/dev/null || true
   [ -n "$replica_pid" ] && kill "$replica_pid" 2>/dev/null || true
   [ -n "$leader_pid" ] && kill "$leader_pid" 2>/dev/null || true
 }
@@ -31,6 +36,7 @@ fail() {
   echo "repl_smoke: FAIL: $*" >&2
   [ -f "$llog" ] && sed 's/^/  leader:  /' "$llog" >&2
   [ -f "$flog" ] && sed 's/^/  replica: /' "$flog" >&2
+  [ -f "$f2log" ] && sed 's/^/  replica2: /' "$f2log" >&2
   exit 1
 }
 
@@ -81,14 +87,14 @@ edges=$(lcli g.info graph | grep -o 'edges:[0-9]*' | head -1)
 [ "$edges" = "edges:20000" ] || fail "leader edge count $edges, want edges:20000"
 
 echo "== follower converges"
-converge() {
+converge() { # [follower addr]
   want=$(lcli g.info graph | grep -o 'edges:[0-9]*' | head -1)
   for _ in $(seq 1 200); do
-    got=$(fcli g.info graph | grep -o 'edges:[0-9]*' | head -1)
+    got=$("$work/cgcli" -addr "${1:-$faddr}" g.info graph | grep -o 'edges:[0-9]*' | head -1)
     [ "$got" = "$want" ] && return 0
     sleep 0.1
   done
-  fail "follower stuck at $got, leader at $want"
+  fail "follower ${1:-$faddr} stuck at $got, leader at $want"
 }
 converge
 [ "$(fcli g.query $((19999 % 211)) 19999)" = "(integer) 1" ] || fail "spot-check edge missing on follower"
@@ -120,7 +126,28 @@ lcli g.minsert "${args[@]}" >/dev/null || fail "post-checkpoint g.minsert"
 converge
 grep -q "bootstrap snapshot installed" "$flog" || fail "no bootstrap-snapshot log line on replica"
 
+echo "== a second follower bootstraps from the compacted leader"
+# Segment 1 is gone with the checkpoint, so 0 0 cannot be served from the
+# log: the leader cuts a snapshot and streams it view -> socket.
+"$work/cgserver" -addr "$f2addr" -replica-of "$laddr" \
+  -shutdown-timeout 10s -log-level debug >>"$f2log" 2>&1 &
+replica2_pid=$!
+wait_ping "$f2addr" "$replica2_pid" replica2
+converge "$f2addr"
+f2cli() { "$work/cgcli" -addr "$f2addr" "$@"; }
+[ "$(f2cli g.query $((19999 % 211)) 19999)" = "(integer) 1" ] || fail "pre-checkpoint edge missing on second follower"
+[ "$(f2cli g.query 500199 600199)" = "(integer) 1" ] || fail "post-checkpoint edge missing on second follower"
+f2cli g.info replication | grep -q "snapshots_installed:1" || fail "second follower did not install exactly one snapshot"
+grep -q "replication snapshot pushed" "$llog" || fail "leader never logged a snapshot push"
+lcli g.info replication | grep -q "connected_replicas:2" || fail "leader link count with two followers"
+lcli g.insert 700000 700001 >/dev/null || fail "leader insert with two followers"
+converge
+converge "$f2addr"
+
 echo "== graceful shutdown"
+kill -TERM "$replica2_pid"
+wait "$replica2_pid" || fail "second replica exited non-zero on SIGTERM"
+replica2_pid=""
 kill -TERM "$replica_pid"
 wait "$replica_pid" || fail "replica exited non-zero on SIGTERM"
 replica_pid=""
