@@ -9,10 +9,13 @@ import (
 
 // slot is one neighbour record: the end node v plus the variant's
 // per-edge payload (nothing for the basic version, a weight for the
-// extended version, an edge-id list for the multi-edge version).
+// extended version, an edge-id list for the multi-edge version). The
+// payload comes first: Go pads a struct whose LAST field is zero-sized,
+// so with v first a basic small slot was 16 bytes, not the paper's 8
+// (layout_test.go pins the sizes).
 type slot[W any] struct {
-	v uint64
 	w W
+	v uint64
 }
 
 // part2 is Part 2 of an L-CHT cell (§III-A1). It starts as inline small
@@ -26,8 +29,8 @@ type part2[W any] struct {
 // sdlEntry is one unit of the S-DL: a complete ⟨u,v⟩ pair (§III-A2)
 // plus the variant payload.
 type sdlEntry[W any] struct {
-	u uint64
 	s slot[W]
+	u uint64
 }
 
 // ldlEntry is one unit of the L-DL. It mirrors a whole L-CHT cell —

@@ -345,7 +345,7 @@ func (c *Chain[P]) DeleteAt(p Pos) (leftovers []Entry[P]) {
 	c.transforms++
 	c.size -= victim.size
 	c.forEachIn(&victim, func(key uint64, val *P) bool {
-		if lo, ok := c.rehome(Entry[P]{key, *val}); !ok {
+		if lo, ok := c.rehome(Entry[P]{Key: key, Val: *val}); !ok {
 			leftovers = append(leftovers, lo)
 		}
 		return true

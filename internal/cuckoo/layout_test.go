@@ -41,3 +41,15 @@ func TestChainLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestEntryLayout pins Entry's field order: Go pads a struct whose last
+// field is zero-sized, so with Key first a leftover of a chain with an
+// empty payload was 16 bytes.
+func TestEntryLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Entry[struct{}]{}); got != 8 {
+		t.Fatalf("Entry[struct{}] is %d bytes, want 8", got)
+	}
+	if got := unsafe.Sizeof(Entry[uint64]{}); got != 16 {
+		t.Fatalf("Entry[uint64] is %d bytes, want 16", got)
+	}
+}

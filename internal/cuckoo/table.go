@@ -89,9 +89,10 @@ func (cfg Config) Defaults() Config {
 }
 
 // Entry is a key/payload pair returned by drain and iteration helpers.
+// Val comes first so that an empty payload adds no padding after Key.
 type Entry[P any] struct {
-	Key uint64
 	Val P
+	Key uint64
 }
 
 // table is the per-table record of a chain: two bucket arrays with a
