@@ -16,11 +16,14 @@ type Options struct {
 	// d ∈ {4,8,16,32}; the paper settles on 8).
 	CellsPerBucket int
 	// LargeSlots is R, the number of large slots per cell. Part 2 of a
-	// cell holds 2R inline neighbours before transforming into an S-CHT
-	// chain of at most R tables.
+	// cell holds 2R inline neighbours (R for the weighted and multi-edge
+	// variants) before transforming into an S-CHT chain of at most R
+	// tables. The small slots sit in the cell by value; where the paper
+	// draws R large slots pointing at the tables, a cell here keeps one
+	// word naming the node's chain, which owns its ≤ R tables.
 	LargeSlots int
 	// MaxKicks is T, the kick-loop budget before an insertion fails into
-	// a denylist (§V-B tunes T ∈ {50,150,250,350}).
+	// a denylist (§V-B tunes T ∈ {50,150,250,350}; at most 65535).
 	MaxKicks int
 	// ExpandAt is G, the loading-rate threshold for expansion (§V-B
 	// tunes G ∈ {0.8,0.85,0.9,0.95}).

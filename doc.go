@@ -8,10 +8,12 @@
 //
 //   - a large cuckoo hash table (L-CHT) maps each source node u to a
 //     cell whose Part 2 holds up to 2R neighbour ids inline;
-//   - nodes whose degree outgrows the inline slots transform the cell
-//     into R pointers at small cuckoo hash tables (an S-CHT chain) that
-//     grow and shrink by a fixed rule (TRANSFORMATION, Table II of the
-//     paper), so space tracks the live degree of every node;
+//   - nodes whose degree outgrows the inline slots transform the cell:
+//     where the paper draws R large slots pointing at small cuckoo hash
+//     tables, the cell keeps one word naming the node's S-CHT chain,
+//     whose up to R tables grow and shrink by a fixed rule
+//     (TRANSFORMATION, Table II of the paper), so space tracks the live
+//     degree of every node;
 //   - insertion failures from cuckoo kick wars land in small bounded
 //     denylists (DENYLIST) that are drained back on every expansion.
 //
@@ -21,8 +23,9 @@
 //
 // # Probe path
 //
-// A point operation walks L-CHT bucket → u's cell → (for a chained u)
-// chain header → S-CHT bucket, once. An S-CHT chain is one 128-byte
+// A point operation walks L-CHT bucket → u's cell, which holds the
+// node's small slots by value → (for a chained u) chain registry → chain
+// header → S-CHT bucket, once. An S-CHT chain is one 128-byte
 // header that holds the shape its tables share and its first table by
 // value, so two dependent loads lead from the cell to a bucket; later
 // tables sit in one array of 40-byte records behind the header.

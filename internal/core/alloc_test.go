@@ -68,6 +68,58 @@ func TestMutationZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestCellMutationZeroAlloc pins what holding Part 2 in the L-CHT cell
+// buys: the first edge of a new node, an append to and a delete from its
+// small slots, the delete of its last edge, and the collapse of a chain
+// back into the small slots all work on the row in place and allocate
+// nothing. The L-CHT is made large enough to take every node of the test
+// without growing, and a table at its base length never contracts.
+func TestCellMutationZeroAlloc(t *testing.T) {
+	const runs = 200 // AllocsPerRun calls f runs+1 times
+	g := NewGraph(Config{LCHTBase: 512})
+	full := uint64(g.e.inlineCap)
+	tables := g.Stats().LCHTTables
+	var u uint64
+	step := func(name string, f func(u uint64) bool) {
+		t.Helper()
+		u = 0
+		if n := testing.AllocsPerRun(runs, func() {
+			u++
+			if !f(u) {
+				t.Fatalf("%s: op on node %d changed nothing", name, u)
+			}
+		}); n != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", name, n)
+		}
+	}
+	step("first edge of a new node", func(u uint64) bool { return g.InsertEdge(u, 1) })
+	step("inline append", func(u uint64) bool { return g.InsertEdge(u, 2) })
+	step("inline delete", func(u uint64) bool { return g.DeleteEdge(u, 1) })
+	step("delete of a node's last edge", func(u uint64) bool { return g.DeleteEdge(u, 2) })
+	if g.NumNodes() != 0 || g.NumEdges() != 0 {
+		t.Fatalf("%d nodes and %d edges left", g.NumNodes(), g.NumEdges())
+	}
+
+	// Every node one edge past its small slots, then one delete each.
+	for u := uint64(1); u <= runs+1; u++ {
+		for v := uint64(0); v <= full; v++ {
+			g.InsertEdge(u, v)
+		}
+	}
+	if st := g.Stats(); st.Chains != runs+1 {
+		t.Fatalf("%d chains, want %d", st.Chains, runs+1)
+	}
+	step("collapse", func(u uint64) bool { return g.DeleteEdge(u, 0) })
+	if st := g.Stats(); st.Chains != 0 || st.LCHTTables != tables || st.LDLLen != 0 || st.SDLLen != 0 {
+		t.Fatalf("after the collapses: %+v (L-CHT had %d tables)", st, tables)
+	}
+	for u := uint64(1); u <= runs+1; u++ {
+		if g.Degree(u) != int(full) || g.HasEdge(u, 0) || !g.HasEdge(u, full) {
+			t.Fatalf("node %d after its collapse: degree %d", u, g.Degree(u))
+		}
+	}
+}
+
 func TestDegreeZeroAlloc(t *testing.T) {
 	g, inline1, inline2R, chained := buildReadGraph(t)
 	if n := testing.AllocsPerRun(200, func() {

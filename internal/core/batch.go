@@ -128,13 +128,13 @@ func (e *engine[W]) applyBatch(b Batch, one W, onDup, onDel func(*W) bool, befor
 	return res
 }
 
-// applyOp applies one op given u's hash and already-resolved cell (nil
+// applyOp applies one op given u's hash and already-resolved row (nil
 // for an unknown u). One probe serves the duplicate check and the
 // mutation: the insert places with the hash the probe computed, the
 // delete clears the cell the probe found; and before runs on its verdict,
 // never on a guess.
-func (e *engine[W]) applyOp(op Op, hu uint64, p *part2[W], one W, onDup, onDel func(*W) bool, before func(u uint64, deg int) []uint64, onApplied func(Op), res *BatchResult) {
-	w, at, hv := e.find(p, op.U, op.V)
+func (e *engine[W]) applyOp(op Op, hu uint64, row []slot[W], one W, onDup, onDel func(*W) bool, before func(u uint64, deg int) []uint64, onApplied func(Op), res *BatchResult) {
+	w, at, hv := e.find(row, op.U, op.V)
 	switch op.Kind {
 	case OpInsert:
 		if w != nil {
@@ -144,9 +144,9 @@ func (e *engine[W]) applyOp(op Op, hu uint64, p *part2[W], one W, onDup, onDel f
 			return
 		}
 		if before != nil {
-			e.preImage(before, p, op.U)
+			e.preImage(before, row, op.U)
 		}
-		e.insertAt(hu, p, op.U, hv, slot[W]{v: op.V, w: one})
+		e.insertAt(hu, row, op.U, hv, slot[W]{v: op.V, w: one})
 		res.Inserted++
 	case OpDelete:
 		if w == nil {
@@ -157,9 +157,9 @@ func (e *engine[W]) applyOp(op Op, hu uint64, p *part2[W], one W, onDup, onDel f
 			return
 		}
 		if before != nil {
-			e.preImage(before, p, op.U)
+			e.preImage(before, row, op.U)
 		}
-		e.deleteAt(hu, p, op.U, at)
+		e.deleteAt(hu, row, op.U, at)
 		res.Deleted++
 	default:
 		// Unknown kinds are ignored: the decoders that produce batches

@@ -73,8 +73,8 @@ func TestBeforeHookSeesPreState(t *testing.T) {
 				t.Fatalf("seed %d: before %+v: engine reads %v, oracle pre-state %v", seed, op, got, pre)
 			}
 
-			p := e.findPart2(hashutil.Key64(u), u)
-			chainedBefore = p != nil && p.chain != nil
+			row := e.findPart2(hashutil.Key64(u), u)
+			chainedBefore = row != nil && e.chainOf(row) != nil
 			switch {
 			case deg == 0:
 				seen.newNode++
@@ -101,8 +101,8 @@ func TestBeforeHookSeesPreState(t *testing.T) {
 			if op != ops[next] {
 				t.Fatalf("seed %d: onApplied %+v, hook ran for %+v", seed, op, ops[next])
 			}
-			p := e.findPart2(hashutil.Key64(op.U), op.U)
-			chainedAfter := p != nil && p.chain != nil
+			row := e.findPart2(hashutil.Key64(op.U), op.U)
+			chainedAfter := row != nil && e.chainOf(row) != nil
 			switch {
 			case !chainedBefore && chainedAfter:
 				seen.transformed++
@@ -155,7 +155,7 @@ func TestBeforeHookSeesPreState(t *testing.T) {
 					t.Fatalf("seed %d batch %d: pre-image filled with %v, oracle pre-state %v", seed, i, c.dst, c.want)
 				}
 			}
-			walkEngine(t, e, want, func(*struct{}) uint64 { return 1 })
+			walkEngine(t, e, want, func(*struct{}) uint64 { return 1 }, &coverage{})
 		}
 	}
 	t.Logf("hook coverage: %+v", seen)

@@ -1,6 +1,6 @@
 // Package core implements CuckooGraph (§III of the paper): an L-CHT
 // chain keyed by source node u whose cells hold either up to 2R inline
-// neighbour slots or pointers to a per-node S-CHT chain, plus the
+// neighbour slots or the number of a per-node S-CHT chain, plus the
 // DENYLIST optimisation for insertion failures. Three variants share the
 // engine: the basic version (distinct edges), the extended weighted
 // version for streams with duplicate edges (§III-B), and a multi-edge

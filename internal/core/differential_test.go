@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"cuckoograph/internal/hashutil"
@@ -12,11 +14,14 @@ import (
 // S-DL 4 edges. After EVERY op an invariant walker visits the whole
 // structure, so a slot cleared twice, an edge left behind by a
 // collapse, or S-DL bookkeeping one entry out is caught at the op that
-// did it.
+// did it. The walker checks the chain registry with the cells: every
+// chained cell names a live chain of its own, and a number is either
+// live or on the free list.
 
 var tinyCaps = Config{LCHTBase: 2, SCHTBase: 2, LDLCap: 2, SDLCap: 4}
 
-// diffGraph is what Graph and Weighted share.
+// diffGraph is what Graph and Weighted share, and what multiDiff makes
+// of Multi.
 type diffGraph interface {
 	InsertEdge(u, v uint64) bool
 	DeleteEdge(u, v uint64) bool
@@ -36,60 +41,131 @@ func (o oracle) edges() (n uint64) {
 	return n
 }
 
+// coverage counts the ops of a differential run that ended in a state
+// worth having seen.
+type coverage struct {
+	// corners: a node back in FULL inline slots after its chain
+	// collapsed, with edges still parked in the S-DL — the corner the
+	// S-DL bookkeeping exists for.
+	corners int
+	// ldl: a cell sitting in the L-DL; ldlChained: a chained one, its
+	// chain reachable through the number in the row copy alone.
+	ldl, ldlChained int
+}
+
 // walkEngine checks every structural invariant of e against want and
-// reports whether the structure is in the corner the S-DL bookkeeping
-// exists for: a node back in FULL inline slots after its chain
-// collapsed, with edges still parked in the S-DL.
-func walkEngine[W any](t *testing.T, e *engine[W], want oracle, weightOf func(*W) uint64) (corner bool) {
+// adds to cov what the state it found covers.
+func walkEngine[W any](t *testing.T, e *engine[W], want oracle, weightOf func(*W) uint64, cov *coverage) {
 	t.Helper()
 	type edge struct{ u, v uint64 }
 	stored := map[edge]int{}
-	cells := map[uint64]*part2[W]{}
+	cells := map[uint64][]slot[W]{}
+	live := map[uint64]bool{} // chain numbers named by a cell
+	isZero := func(s slot[W]) bool { return reflect.ValueOf(s).IsZero() }
 	see := func(u, v uint64, w *W) {
 		stored[edge{u, v}]++
 		if got := weightOf(w); got != want[u][v] {
 			t.Fatalf("⟨%d,%d⟩ stored with weight %d, oracle has %d", u, v, got, want[u][v])
 		}
 	}
-	visit := func(u uint64, p *part2[W]) {
+	visit := func(u uint64, row []slot[W]) {
 		if cells[u] != nil {
 			t.Fatalf("node %d has two cells", u)
 		}
-		cells[u] = p
-		switch {
-		case (p.chain == nil) == (p.inline == nil):
-			t.Fatalf("node %d: inline %v and chain %v", u, p.inline != nil, p.chain != nil)
-		case p.chain != nil:
-			if p.chain.Size() <= e.inlineCap {
-				t.Fatalf("node %d: chain of %d entries not collapsed (inline holds %d)", u, p.chain.Size(), e.inlineCap)
+		cells[u] = row
+		if len(row) != 1+e.inlineCap {
+			t.Fatalf("node %d: row of %d elements, want %d", u, len(row), 1+e.inlineCap)
+		}
+		head, used := row[0].v, 0
+		if head&chainFlag != 0 {
+			no := head &^ chainFlag
+			if no >= uint64(len(e.chains)) || e.chains[no] == nil {
+				t.Fatalf("node %d names chain %d, which is not live (registry of %d)", u, no, len(e.chains))
+			}
+			if live[no] {
+				t.Fatalf("node %d names chain %d, which another cell names too", u, no)
+			}
+			live[no] = true
+			c := e.chains[no]
+			// With narrow buckets a transformation can park some of the
+			// node's edges at once, and deleting a parked edge checks no
+			// collapse, so a chain may rightly hold no more than the inline
+			// slots would; at d = 8 the runs here never get there, and this
+			// catches a collapse that was skipped.
+			if c.Size() <= e.inlineCap && e.cfg.D >= 8 {
+				t.Fatalf("node %d: chain of %d entries not collapsed (inline holds %d)", u, c.Size(), e.inlineCap)
 			}
 			n := 0
-			p.chain.ForEachRef(func(v uint64, w *W) bool {
+			c.ForEachRef(func(v uint64, w *W) bool {
 				n++
 				see(u, v, w)
 				return true
 			})
-			if n != p.chain.Size() {
-				t.Fatalf("node %d: chain scan found %d entries, Size() = %d", u, n, p.chain.Size())
+			if n != c.Size() {
+				t.Fatalf("node %d: chain scan found %d entries, Size() = %d", u, n, c.Size())
 			}
-		case len(p.inline) == 0 || len(p.inline) > e.inlineCap:
-			t.Fatalf("node %d: %d inline slots", u, len(p.inline))
-		default:
-			for i := range p.inline {
-				see(u, p.inline[i].v, &p.inline[i].w)
+		} else {
+			if used = int(head); used == 0 || used > e.inlineCap {
+				t.Fatalf("node %d: head word counts %d inline slots", u, used)
+			}
+			for i := 1; i <= used; i++ {
+				see(u, row[i].v, &row[i].w)
+			}
+		}
+		if !isZero(slot[W]{w: row[0].w}) {
+			t.Fatalf("node %d: the head word carries a payload: %+v", u, row[0])
+		}
+		for i := used + 1; i < len(row); i++ {
+			if !isZero(row[i]) {
+				t.Fatalf("node %d (head %#x): unused small slot %d is %+v, want zero", u, head, i, row[i])
 			}
 		}
 	}
-	e.lcht.ForEachRef(func(u uint64, p *part2[W]) bool {
-		visit(u, p)
+	e.lcht.ForEachRef(func(u uint64, _ *slot[W]) bool {
+		visit(u, e.lcht.RowHashed(hashutil.Key64(u), u))
 		return true
 	})
+	ldlChained := false
 	for i := range e.ldl {
-		visit(e.ldl[i].u, &e.ldl[i].p)
+		visit(e.ldl[i].u, e.ldl[i].row)
+		ldlChained = ldlChained || e.chainOf(e.ldl[i].row) != nil
+	}
+	if len(e.ldl) != 0 {
+		cov.ldl++
+	}
+	if ldlChained {
+		cov.ldlChained++
+	}
+
+	// The registry: a number is live — named by exactly one cell — or on
+	// the free list, never both and never neither.
+	free := map[uint32]bool{}
+	for _, no := range e.free {
+		if free[no] || live[uint64(no)] || int(no) >= len(e.chains) || e.chains[no] != nil {
+			t.Fatalf("free list %v: number %d is listed twice, live or out of range", e.free, no)
+		}
+		free[no] = true
+	}
+	for no, c := range e.chains {
+		if (c != nil) != live[uint64(no)] || (c == nil) != free[uint32(no)] {
+			t.Fatalf("chain number %d: registered %v, named by a cell %v, free %v", no, c != nil, live[uint64(no)], free[uint32(no)])
+		}
+	}
+	if got := e.stats().Chains; got != len(e.chains)-len(e.free) || got != len(live) {
+		t.Fatalf("Stats().Chains = %d, registry %d − free %d, cells name %d", got, len(e.chains), len(e.free), len(live))
+	}
+	if cap(e.free) < len(e.chains) {
+		t.Fatalf("free list has room for %d of %d numbers: a release would allocate", cap(e.free), len(e.chains))
+	}
+	for i := range e.newRow {
+		if !isZero(e.newRow[i]) {
+			t.Fatalf("newRow[%d] = %+v between ops, want zero", i, e.newRow[i])
+		}
 	}
 
 	// The S-DL, and the per-node counts kept beside it.
 	parked := map[uint64]int{}
+	corner := false
 	for i := range e.sdl {
 		en := &e.sdl[i]
 		parked[en.u]++
@@ -102,15 +178,19 @@ func walkEngine[W any](t *testing.T, e *engine[W], want oracle, weightOf func(*W
 		if e.parked[u] != n {
 			t.Fatalf("S-DL holds %d entries of node %d, bookkeeping says %d", n, u, e.parked[u])
 		}
-		p := cells[u]
+		row := cells[u]
 		switch {
-		case p == nil:
+		case row == nil:
 			t.Fatalf("node %d has parked edges and no cell", u)
-		case p.chain == nil && len(p.inline) < e.inlineCap:
-			t.Fatalf("node %d has parked edges beside %d free inline slots", u, e.inlineCap-len(p.inline))
-		case p.chain == nil:
+		case e.chainOf(row) != nil:
+		case int(row[0].v) < e.inlineCap:
+			t.Fatalf("node %d has parked edges beside %d free inline slots", u, e.inlineCap-int(row[0].v))
+		default:
 			corner = true
 		}
+	}
+	if corner {
+		cov.corners++
 	}
 
 	// Every edge exactly once, nothing else, and the counters exact.
@@ -130,7 +210,6 @@ func walkEngine[W any](t *testing.T, e *engine[W], want oracle, weightOf func(*W
 			t.Fatalf("degree(%d) = %d, oracle %d", u, got, len(vs))
 		}
 	}
-	return corner
 }
 
 // steer picks, while some chained node has parked edges, one of that
@@ -140,7 +219,7 @@ func walkEngine[W any](t *testing.T, e *engine[W], want oracle, weightOf func(*W
 func steer[W any](e *engine[W], want oracle) (u, v uint64, ok bool) {
 	u = ^uint64(0)
 	for pu := range e.parked {
-		if p := e.findPart2(hashutil.Key64(pu), pu); p != nil && p.chain != nil && pu < u {
+		if row := e.findPart2(hashutil.Key64(pu), pu); row != nil && e.chainOf(row) != nil && pu < u {
 			u, ok = pu, true
 		}
 	}
@@ -157,12 +236,12 @@ func steer[W any](e *engine[W], want oracle) (u, v uint64, ok bool) {
 }
 
 // runDifferential drives g (whose engine is e) and the oracle through a
-// seeded stream over a few hot sources, alternating insert-heavy and
-// delete-heavy stretches so chains grow through Table II, contract and
-// collapse again and again; one op in three is steered. It returns how
-// many ops ended in the corner state.
-func runDifferential[W any](t *testing.T, seed uint64, g diffGraph, e *engine[W], weighted bool, weightOf func(*W) uint64) (corners int) {
-	const sources, targets, ops = 5, 48, 12000
+// seeded stream of ops over sources hot source nodes, alternating
+// insert-heavy and delete-heavy stretches so chains grow through Table
+// II, contract and collapse again and again; one op in three is steered.
+// It returns what the states between the ops covered.
+func runDifferential[W any](t *testing.T, seed uint64, ops int, sources uint64, g diffGraph, e *engine[W], weighted bool, weightOf func(*W) uint64) (cov coverage) {
+	const targets = 48
 	rng := hashutil.NewRNG(seed)
 	want := oracle{}
 	for i := 0; i < ops; i++ {
@@ -204,15 +283,13 @@ func runDifferential[W any](t *testing.T, seed uint64, g diffGraph, e *engine[W]
 				t.Fatalf("op %d: HasEdge(%d,%d) = %v with oracle weight %d", i, u, v, got, w)
 			}
 		}
-		if walkEngine(t, e, want, weightOf) {
-			corners++
-		}
+		walkEngine(t, e, want, weightOf, &cov)
 		if g.NumEdges() != want.edges() || g.NumNodes() != uint64(len(want)) || g.Degree(u) != len(want[u]) {
 			t.Fatalf("op %d: NumEdges %d NumNodes %d Degree(%d) %d; oracle %d, %d, %d",
 				i, g.NumEdges(), g.NumNodes(), u, g.Degree(u), want.edges(), len(want), len(want[u]))
 		}
 	}
-	return corners
+	return cov
 }
 
 func TestDifferentialGraphTinyCaps(t *testing.T) {
@@ -221,7 +298,7 @@ func TestDifferentialGraphTinyCaps(t *testing.T) {
 		cfg := tinyCaps
 		cfg.Seed = seed
 		g := NewGraph(cfg)
-		corners += runDifferential(t, seed, g, g.e, false, func(*struct{}) uint64 { return 1 })
+		corners += runDifferential(t, seed, 12000, 5, g, g.e, false, func(*struct{}) uint64 { return 1 }).corners
 	}
 	t.Logf("%d ops ended with edges parked beside a node's full inline slots", corners)
 	if corners == 0 {
@@ -235,10 +312,88 @@ func TestDifferentialWeightedTinyCaps(t *testing.T) {
 		cfg := tinyCaps
 		cfg.Seed = seed
 		g := NewWeighted(cfg)
-		corners += runDifferential(t, seed, g, g.e, true, func(w *uint64) uint64 { return *w })
+		corners += runDifferential(t, seed, 12000, 5, g, g.e, true, func(w *uint64) uint64 { return *w }).corners
 	}
 	t.Logf("%d ops ended with edges parked beside a node's full inline slots", corners)
 	if corners == 0 {
 		t.Fatal("the corner is not covered")
+	}
+}
+
+// multiDiff drives a Multi as a weighted graph: an insert adds one more
+// parallel edge to the pair, a delete removes the latest.
+type multiDiff struct {
+	m   *Multi
+	ids map[[2]uint64][]uint64
+	nid uint64
+}
+
+func (d *multiDiff) InsertEdge(u, v uint64) bool {
+	k := [2]uint64{u, v}
+	d.nid++
+	d.ids[k] = append(d.ids[k], d.nid)
+	d.m.InsertEdge(u, v, d.nid)
+	return len(d.ids[k]) == 1
+}
+
+func (d *multiDiff) DeleteEdge(u, v uint64) bool {
+	k := [2]uint64{u, v}
+	ids := d.ids[k]
+	if len(ids) == 0 {
+		return d.m.DeleteEdge(u, v, 0)
+	}
+	d.ids[k] = ids[:len(ids)-1]
+	return d.m.DeleteEdge(u, v, ids[len(ids)-1])
+}
+
+func (d *multiDiff) HasEdge(u, v uint64) bool { return d.m.HasEdge(u, v) }
+func (d *multiDiff) Degree(u uint64) int      { return d.m.e.degree(u) }
+func (d *multiDiff) NumEdges() uint64         { return d.m.NumPairs() }
+func (d *multiDiff) NumNodes() uint64         { return d.m.e.nodes }
+
+// TestDifferentialEveryRAndVariant runs the differential for every
+// variant at several R — the width of the L-CHT row follows from both —
+// with buckets of one cell, one kick and more sources than the first
+// L-CHTs hold, so that rows are kicked from cell to cell, wait in the
+// L-DL and come back, and nodes go inline → chain → inline meanwhile.
+func TestDifferentialEveryRAndVariant(t *testing.T) {
+	const ops, sources = 2500, 64
+	variants := []struct {
+		name string
+		run  func(t *testing.T, cfg Config) (coverage, uint64)
+	}{
+		{"basic", func(t *testing.T, cfg Config) (coverage, uint64) {
+			g := NewGraph(cfg)
+			cov := runDifferential(t, cfg.Seed, ops, sources, g, g.e, false, func(*struct{}) uint64 { return 1 })
+			return cov, g.e.schtPlacementsRetired
+		}},
+		{"weighted", func(t *testing.T, cfg Config) (coverage, uint64) {
+			g := NewWeighted(cfg)
+			cov := runDifferential(t, cfg.Seed, ops, sources, g, g.e, true, func(w *uint64) uint64 { return *w })
+			return cov, g.e.schtPlacementsRetired
+		}},
+		{"multi", func(t *testing.T, cfg Config) (coverage, uint64) {
+			g := &multiDiff{m: NewMulti(cfg), ids: map[[2]uint64][]uint64{}}
+			cov := runDifferential(t, cfg.Seed, ops, sources, g, g.m.e, true, func(w *[]uint64) uint64 { return uint64(len(*w)) })
+			return cov, g.m.e.schtPlacementsRetired
+		}},
+	}
+	for _, variant := range variants {
+		ldlChained := 0
+		for _, r := range []int{1, 2, 3, 4, 6} {
+			t.Run(fmt.Sprintf("%s/R=%d", variant.name, r), func(t *testing.T) {
+				cfg := tinyCaps
+				cfg.R, cfg.D, cfg.MaxKicks, cfg.LDLCap, cfg.Seed = r, 1, 1, 8, uint64(r)
+				cov, retired := variant.run(t, cfg)
+				t.Logf("%+v, %d placements in chains that collapsed", cov, retired)
+				if cov.ldl == 0 || retired == 0 {
+					t.Fatal("no cell sat in the L-DL, or no chain collapsed: the run covers too little")
+				}
+				ldlChained += cov.ldlChained
+			})
+		}
+		if ldlChained == 0 && !t.Failed() {
+			t.Fatalf("%s: no chained cell sat in the L-DL at any R", variant.name)
+		}
 	}
 }

@@ -18,13 +18,19 @@ type slot[W any] struct {
 	v uint64
 }
 
-// part2 is Part 2 of an L-CHT cell (§III-A1). It starts as inline small
-// slots and transforms into a pointer to an S-CHT chain once the node's
-// degree exceeds the inline capacity.
-type part2[W any] struct {
-	inline []slot[W]        // nil once chain is active
-	chain  *cuckoo.Chain[W] // nil while inline
-}
+// A cell's Part 2 (§III-A1) is the payload row of its L-CHT cell, held
+// there by value: element 0 is the head word, elements 1…inlineCap the
+// small slots. While the node is inline the head's v counts the small
+// slots in use — 1…inlineCap, filled from the front, the unused ones
+// zero. Once the node's degree passes inlineCap the small slots are
+// emptied and the head's v becomes chainFlag | the number of the node's
+// S-CHT chain in engine.chains: the paper's large slot, a number where
+// the paper draws a pointer, so that the L-CHT of the basic and weighted
+// variants holds nothing for the collector to follow. The head's w is
+// never used.
+
+// chainFlag marks a head word that carries a chain number.
+const chainFlag = 1 << 63
 
 // sdlEntry is one unit of the S-DL: a complete ⟨u,v⟩ pair (§III-A2)
 // plus the variant payload.
@@ -33,12 +39,13 @@ type sdlEntry[W any] struct {
 	u uint64
 }
 
-// ldlEntry is one unit of the L-DL. It mirrors a whole L-CHT cell —
-// u together with its Part 2 — so that a kicked-out u keeps its S-CHT
-// chain without any copying (§III-A2).
+// ldlEntry is one unit of the L-DL. It mirrors a whole L-CHT cell — u
+// together with a copy of its row — so that a kicked-out u keeps its
+// chain number, and with it its S-CHT chain, without any copying of the
+// chain (§III-A2).
 type ldlEntry[W any] struct {
-	u uint64
-	p part2[W]
+	u   uint64
+	row []slot[W]
 }
 
 // engine is the variant-independent CuckooGraph machinery. The exported
@@ -47,9 +54,21 @@ type engine[W any] struct {
 	cfg       Config
 	inlineCap int // 2R for the basic version, R for weighted/multi
 
-	lcht *cuckoo.Chain[part2[W]]
+	lcht *cuckoo.Chain[slot[W]] // payload width 1 + inlineCap
 	ldl  []ldlEntry[W]
 	sdl  []sdlEntry[W]
+
+	// chains is the registry the head words of chained cells index: every
+	// live S-CHT chain under its number, nil under a number that is free.
+	// free lists the free numbers; register keeps its capacity at
+	// len(chains), so handing a number back never allocates. (32 bits do:
+	// a chain's header and first table alone are some 200 bytes.)
+	chains []*cuckoo.Chain[W]
+	free   []uint32
+
+	// newRow is the row a new node's cell is built in, and the buffer a
+	// homeless cell is re-inserted from: all zero between uses.
+	newRow []slot[W]
 
 	// parked counts, per u, the S-DL entries that carry it, so that
 	// whether a node has anything parked — and how much — is one lookup
@@ -70,8 +89,8 @@ type engine[W any] struct {
 
 func newEngine[W any](cfg Config, inlineCap int) *engine[W] {
 	cfg = cfg.Defaults()
-	e := &engine[W]{cfg: cfg, inlineCap: inlineCap}
-	e.lcht = cuckoo.NewChain[part2[W]](cfg.LCHTBase, cfg.chainConfig())
+	e := &engine[W]{cfg: cfg, inlineCap: inlineCap, newRow: make([]slot[W], 1+inlineCap)}
+	e.lcht = cuckoo.NewRowChain[slot[W]](cfg.LCHTBase, len(e.newRow), cfg.chainConfig())
 	return e
 }
 
@@ -82,42 +101,67 @@ func (e *engine[W]) newChainSeed() uint64 {
 }
 
 // findPart2 locates u's cell in the L-CHT chain or the L-DL (query
-// Step 1 of §III-A3). hu is u's Key64: every caller computes it once
-// per op and hands the same value to whatever else needs it — a new
-// cell's placement, a node's removal.
-func (e *engine[W]) findPart2(hu, u uint64) *part2[W] {
-	if p := e.lcht.RefHashed(hu, u); p != nil {
-		return p
+// Step 1 of §III-A3) and returns its Part 2 row in place, nil for an
+// unknown u; the row is valid until the L-CHT or the L-DL next changes
+// shape. hu is u's Key64: every caller computes it once per op and
+// hands the same value to whatever else needs it — a new cell's
+// placement, a node's removal.
+func (e *engine[W]) findPart2(hu, u uint64) []slot[W] {
+	if row := e.lcht.RowHashed(hu, u); row != nil {
+		return row
 	}
 	for i := range e.ldl {
 		if e.ldl[i].u == u {
-			return &e.ldl[i].p
+			return e.ldl[i].row
 		}
 	}
 	return nil
 }
 
+// chainOf returns the S-CHT chain the head word of row names, nil while
+// the cell is inline.
+func (e *engine[W]) chainOf(row []slot[W]) *cuckoo.Chain[W] {
+	if head := row[0].v; head&chainFlag != 0 {
+		return e.chains[head&^chainFlag]
+	}
+	return nil
+}
+
+// register files a new chain in the registry and returns its number.
+func (e *engine[W]) register(c *cuckoo.Chain[W]) uint64 {
+	if n := len(e.free); n != 0 {
+		no := e.free[n-1]
+		e.free = e.free[:n-1]
+		e.chains[no] = c
+		return uint64(no)
+	}
+	e.chains = append(e.chains, c)
+	e.free = slices.Grow(e.free, len(e.chains))
+	return uint64(len(e.chains) - 1)
+}
+
 // find is the one probe an op makes for ⟨u,v⟩ (query Step 2 of
-// §III-A3), given u's cell p (nil for an unknown u). It returns a
-// mutable pointer to the edge's payload wherever the edge lives, nil
-// when it is absent, and — because the mutation that follows must not
-// probe or hash again — where that is and v's hash:
+// §III-A3), given u's row (nil for an unknown u). It returns a mutable
+// pointer to the edge's payload wherever the edge lives, nil when it is
+// absent, and — because the mutation that follows must not probe or
+// hash again — where that is and v's hash:
 //
-//   - at is the inline slot of an inline u, the chain cell (a
-//     cuckoo.Pos) of a chained u, or ^i for entry i of the S-DL;
+//   - at is the row index of the small slot of an inline u, the chain
+//     cell (a cuckoo.Pos) of a chained u, or ^i for entry i of the S-DL;
 //   - hv is Key64(v), computed only for a chained u; an absent edge is
 //     placed with it.
-func (e *engine[W]) find(p *part2[W], u, v uint64) (w *W, at int64, hv uint64) {
-	if p != nil {
-		if p.chain != nil {
+func (e *engine[W]) find(row []slot[W], u, v uint64) (w *W, at int64, hv uint64) {
+	if row != nil {
+		if c := e.chainOf(row); c != nil {
 			hv = hashutil.Key64(v)
-			if pos := p.chain.FindHashed(hv, v); pos.Found() {
-				return p.chain.At(pos), int64(pos), hv
+			if pos := c.FindHashed(hv, v); pos.Found() {
+				return c.At(pos), int64(pos), hv
 			}
 		} else {
-			for i := range p.inline {
-				if p.inline[i].v == v {
-					return &p.inline[i].w, int64(i), 0
+			small := row[1 : 1+row[0].v]
+			for i := range small {
+				if small[i].v == v {
+					return &small[i].w, int64(i + 1), 0
 				}
 			}
 		}
@@ -195,51 +239,55 @@ func (e *engine[W]) setParked(u uint64, n int) {
 	}
 }
 
-// insertAt stores a verified-absent edge, reusing u's hash, its cell
+// insertAt stores a verified-absent edge, reusing u's hash, its row
 // and v's hash from the find that reported the edge absent. It always
 // succeeds: failures cascade into the denylists, and full denylists
 // force transformations.
-func (e *engine[W]) insertAt(hu uint64, p *part2[W], u, hv uint64, s slot[W]) {
+func (e *engine[W]) insertAt(hu uint64, row []slot[W], u, hv uint64, s slot[W]) {
 	e.edges++
-	switch {
-	case p == nil:
+	if row == nil {
 		// First neighbour of a brand-new u (insertion Step 2, case ①/②).
 		e.nodes++
-		inline := make([]slot[W], 1, e.inlineCap)
-		inline[0] = s
-		e.insertCell(hu, u, part2[W]{inline: inline})
-	case p.chain != nil:
-		e.chainInsert(u, p.chain, hv, s)
-	case len(p.inline) < e.inlineCap:
-		p.inline = append(p.inline, s)
-	default:
-		// 2R small slots full: merge them into R large slots, enable the
-		// 1st S-CHT and transfer every v into it (§III-A1 step ②).
-		cfg := e.cfg.chainConfig()
-		cfg.Seed = e.newChainSeed()
-		p.chain = cuckoo.NewChain[W](e.cfg.SCHTBase, cfg)
-		for _, old := range p.inline {
-			e.chainInsert(u, p.chain, hashutil.Key64(old.v), old)
-		}
-		p.inline = nil
-		e.chainInsert(u, p.chain, hashutil.Key64(s.v), s)
+		e.newRow[0].v, e.newRow[1] = 1, s
+		e.insertCell(hu, u)
+		return
 	}
+	if c := e.chainOf(row); c != nil {
+		e.chainInsert(u, c, hv, s)
+		return
+	}
+	n := int(row[0].v)
+	if n < e.inlineCap {
+		row[1+n] = s
+		row[0].v++
+		return
+	}
+	// 2R small slots full: merge them into R large slots, enable the
+	// 1st S-CHT and transfer every v into it (§III-A1 step ②).
+	cfg := e.cfg.chainConfig()
+	cfg.Seed = e.newChainSeed()
+	c := cuckoo.NewChain[W](e.cfg.SCHTBase, cfg)
+	row[0].v = chainFlag | e.register(c)
+	for _, old := range row[1:] {
+		e.chainInsert(u, c, hashutil.Key64(old.v), old)
+	}
+	clear(row[1:])
+	e.chainInsert(u, c, hashutil.Key64(s.v), s)
 }
 
-// insertCell places a whole cell (u + Part 2) into the L-CHT, spilling
-// to the L-DL on failure and forcing growth when the L-DL is full.
-func (e *engine[W]) insertCell(hu, u uint64, p part2[W]) {
-	leftovers, grew := e.lcht.InsertHashed(hu, u, p)
-	var work []cuckoo.Entry[part2[W]]
+// insertCell places the cell ⟨u, newRow⟩ into the L-CHT, spilling to
+// the L-DL on failure and forcing growth when the L-DL is full.
+func (e *engine[W]) insertCell(hu, u uint64) {
+	width := len(e.newRow)
+	leftovers, grew := e.lcht.InsertRowHashed(hu, u, e.newRow)
+	var work []cuckoo.Entry[slot[W]]
 	for {
 		if grew {
 			e.drainLDL()
 		}
 		if len(leftovers) != 0 {
-			if !e.cfg.DisableDenylist && len(e.ldl)+len(leftovers) <= e.cfg.LDLCap {
-				for _, lo := range leftovers {
-					e.ldl = append(e.ldl, ldlEntry[W]{u: lo.Key, p: lo.Val})
-				}
+			if !e.cfg.DisableDenylist && len(e.ldl)+len(leftovers)/width <= e.cfg.LDLCap {
+				e.spill(leftovers)
 			} else {
 				// Denylist disabled or full: force an expansion and
 				// retry, the paper's fallback behaviour.
@@ -249,11 +297,27 @@ func (e *engine[W]) insertCell(hu, u uint64, p part2[W]) {
 			}
 		}
 		if len(work) == 0 {
+			clear(e.newRow)
 			return
 		}
-		cell := work[len(work)-1]
-		work = work[:len(work)-1]
-		leftovers, grew = e.lcht.Insert(cell.Key, cell.Val)
+		cell := work[len(work)-width:]
+		work = work[:len(work)-width]
+		for i := range e.newRow {
+			e.newRow[i] = cell[i].Val
+		}
+		leftovers, grew = e.lcht.InsertRow(cell[0].Key, e.newRow)
+	}
+}
+
+// spill moves the cells the L-CHT left homeless — one entry per row
+// element, as a chain of rows reports them — into the L-DL.
+func (e *engine[W]) spill(leftovers []cuckoo.Entry[slot[W]]) {
+	for width := len(e.newRow); len(leftovers) != 0; leftovers = leftovers[width:] {
+		row := make([]slot[W], width)
+		for i := range row {
+			row[i] = leftovers[i].Val
+		}
+		e.ldl = append(e.ldl, ldlEntry[W]{u: leftovers[0].Key, row: row})
 	}
 }
 
@@ -267,14 +331,12 @@ func (e *engine[W]) drainLDL() {
 	pending := append([]ldlEntry[W](nil), e.ldl...)
 	e.ldl = e.ldl[:0]
 	for _, c := range pending {
-		leftovers, grew := e.lcht.Insert(c.u, c.p)
+		leftovers, grew := e.lcht.InsertRow(c.u, c.row)
 		if grew {
 			// A nested growth re-queues what is already drained.
 			e.drainLDL()
 		}
-		for _, lo := range leftovers {
-			e.ldl = append(e.ldl, ldlEntry[W]{u: lo.Key, p: lo.Val})
-		}
+		e.spill(leftovers)
 	}
 }
 
@@ -324,55 +386,63 @@ func (e *engine[W]) drainSDLInto(u uint64, c *cuckoo.Chain[W]) {
 // very slot, cell or entry the probe found. Reverse transformations may
 // contract the chain or collapse it back to inline slots; an empty cell
 // removes u entirely.
-func (e *engine[W]) deleteAt(hu uint64, p *part2[W], u uint64, at int64) {
+func (e *engine[W]) deleteAt(hu uint64, row []slot[W], u uint64, at int64) {
 	e.edges--
-	switch {
-	case at < 0:
+	if at < 0 {
 		e.sdl = slices.Delete(e.sdl, int(^at), int(^at)+1)
 		e.setParked(u, e.parked[u]-1)
-	case p.chain != nil:
-		e.parkAll(u, p.chain.DeleteAt(cuckoo.Pos(at)))
-		e.maybeCollapse(hu, u, p)
-	default:
-		p.inline[at] = p.inline[len(p.inline)-1]
-		p.inline = p.inline[:len(p.inline)-1]
-		e.settleInline(hu, u, p)
-	}
-}
-
-// maybeCollapse applies the final step of reverse transformation: when a
-// chain's population fits back into the 2R inline small slots, the chain
-// is dismantled and the cell returns to inline form.
-func (e *engine[W]) maybeCollapse(hu, u uint64, p *part2[W]) {
-	if p.chain.Size() > e.inlineCap {
 		return
 	}
-	e.schtKicksRetired += p.chain.Kicks()
-	e.schtPlacementsRetired += p.chain.Placements()
-	// The entries move straight from the chain's cells into the inline
-	// slots, so a collapse allocates the inline slice and nothing else.
-	inline := make([]slot[W], 0, e.inlineCap)
-	p.chain.ForEachRef(func(v uint64, w *W) bool {
-		inline = append(inline, slot[W]{v: v, w: *w})
+	if c := e.chainOf(row); c != nil {
+		e.parkAll(u, c.DeleteAt(cuckoo.Pos(at)))
+		e.maybeCollapse(hu, u, row, c)
+		return
+	}
+	last := row[0].v
+	row[at] = row[last]
+	row[last] = slot[W]{}
+	row[0].v = last - 1
+	e.settleInline(hu, u, row)
+}
+
+// maybeCollapse applies the final step of reverse transformation: when
+// the population of u's chain c fits back into the inline small slots,
+// the chain is dismantled, its number freed, and the cell returns to
+// inline form. The entries move straight from the chain's cells into the
+// row, so a collapse allocates nothing.
+func (e *engine[W]) maybeCollapse(hu, u uint64, row []slot[W], c *cuckoo.Chain[W]) {
+	if c.Size() > e.inlineCap {
+		return
+	}
+	e.schtKicksRetired += c.Kicks()
+	e.schtPlacementsRetired += c.Placements()
+	no := row[0].v &^ chainFlag
+	e.chains[no] = nil
+	e.free = append(e.free, uint32(no))
+	n := 0
+	c.ForEachRef(func(v uint64, w *W) bool {
+		n++
+		row[n] = slot[W]{v: v, w: *w}
 		return true
 	})
-	p.inline, p.chain = inline, nil
-	e.settleInline(hu, u, p)
+	row[0].v = uint64(n)
+	e.settleInline(hu, u, row)
 }
 
 // settleInline finishes a removal from u's inline cell: parked ⟨u,·⟩
 // pairs move back into the freed slots, so no edge is stranded in the
 // S-DL when its cell has room, and a cell left empty removes u from the
 // L-CHT or L-DL.
-func (e *engine[W]) settleInline(hu, u uint64, p *part2[W]) {
+func (e *engine[W]) settleInline(hu, u uint64, row []slot[W]) {
 	e.unpark(u, func(s slot[W]) bool {
-		if len(p.inline) == e.inlineCap {
+		if int(row[0].v) == e.inlineCap {
 			return false
 		}
-		p.inline = append(p.inline, s)
+		row[0].v++
+		row[row[0].v] = s
 		return true
 	})
-	if len(p.inline) != 0 {
+	if row[0].v != 0 {
 		return
 	}
 	for i := range e.ldl {
@@ -385,9 +455,7 @@ func (e *engine[W]) settleInline(hu, u uint64, p *part2[W]) {
 	// The one place an op probes a structure a second time: the cell's
 	// own bucket, with u's hash in hand.
 	if pos := e.lcht.FindHashed(hu, u); pos.Found() {
-		for _, lo := range e.lcht.DeleteAt(pos) {
-			e.ldl = append(e.ldl, ldlEntry[W]{u: lo.Key, p: lo.Val})
-		}
+		e.spill(e.lcht.DeleteAt(pos))
 		e.nodes--
 	}
 }
@@ -399,16 +467,17 @@ func (e *engine[W]) forEachSuccessor(u uint64, fn func(v uint64, w *W) bool) {
 	e.forEachOf(e.findPart2(hashutil.Key64(u), u), u, fn)
 }
 
-// forEachOf is forEachSuccessor given u's cell (nil: u has none).
-func (e *engine[W]) forEachOf(p *part2[W], u uint64, fn func(v uint64, w *W) bool) {
-	if p != nil {
-		if p.chain != nil {
-			if !p.chain.ForEachRef(fn) {
+// forEachOf is forEachSuccessor given u's row (nil: u has none).
+func (e *engine[W]) forEachOf(row []slot[W], u uint64, fn func(v uint64, w *W) bool) {
+	if row != nil {
+		if c := e.chainOf(row); c != nil {
+			if !c.ForEachRef(fn) {
 				return
 			}
 		} else {
-			for i := range p.inline {
-				if !fn(p.inline[i].v, &p.inline[i].w) {
+			small := row[1 : 1+row[0].v]
+			for i := range small {
+				if !fn(small[i].v, &small[i].w) {
 					return
 				}
 			}
@@ -432,27 +501,28 @@ func (e *engine[W]) degree(u uint64) int {
 	return e.degreeOf(e.findPart2(hashutil.Key64(u), u), u)
 }
 
-// degreeOf is degree given u's cell (nil: u has none).
-func (e *engine[W]) degreeOf(p *part2[W], u uint64) int {
+// degreeOf is degree given u's row (nil: u has none).
+func (e *engine[W]) degreeOf(row []slot[W], u uint64) int {
 	n := e.numParked(u)
-	if p != nil {
-		if p.chain != nil {
-			n += p.chain.Size()
+	if row != nil {
+		if c := e.chainOf(row); c != nil {
+			n += c.Size()
 		} else {
-			n += len(p.inline)
+			n += int(row[0].v)
 		}
 	}
 	return n
 }
 
 // preImage runs a copy-on-write hook just before an op changes u, whose
-// cell is p. before is told u and its degree and returns nil, or a slice
-// of that length for preImage to fill with u's successors as they stand
-// — read from the cell the op's own probe found, not from a second one.
-func (e *engine[W]) preImage(before func(u uint64, deg int) []uint64, p *part2[W], u uint64) {
-	if dst := before(u, e.degreeOf(p, u)); len(dst) != 0 {
+// row is row. before is told u and its degree and returns nil, or a
+// slice of that length for preImage to fill with u's successors as they
+// stand — read from the cell the op's own probe found, not from a second
+// one.
+func (e *engine[W]) preImage(before func(u uint64, deg int) []uint64, row []slot[W], u uint64) {
+	if dst := before(u, e.degreeOf(row, u)); len(dst) != 0 {
 		i := 0
-		e.forEachOf(p, u, func(v uint64, _ *W) bool {
+		e.forEachOf(row, u, func(v uint64, _ *W) bool {
 			dst[i] = v
 			i++
 			return true
@@ -463,7 +533,7 @@ func (e *engine[W]) preImage(before func(u uint64, deg int) []uint64, p *part2[W
 // forEachNode visits every stored source node u.
 func (e *engine[W]) forEachNode(fn func(u uint64) bool) {
 	stop := false
-	e.lcht.ForEach(func(u uint64, _ part2[W]) bool {
+	e.lcht.ForEachRef(func(u uint64, _ *slot[W]) bool {
 		if !fn(u) {
 			stop = true
 			return false
@@ -482,23 +552,19 @@ func (e *engine[W]) forEachNode(fn func(u uint64) bool) {
 
 // memoryUsage sums structural bytes following the paper's cell layout:
 // every L-CHT cell is 8 B (Part 1) + 2R·8 B (Part 2, small slots or
-// large pointer slots) + 1 B occupancy; S-CHT cells are 8 B per v plus
-// the variant payload; denylists count their entry sizes.
+// large slots) + 1 B occupancy; S-CHT cells are 8 B per v plus the
+// variant payload; denylists count their entry sizes. The S-CHT chains
+// are summed over the registry, which holds those of L-CHT and L-DL
+// cells alike, so no cell is visited.
 func (e *engine[W]) memoryUsage(slotPayloadBytes int) uint64 {
 	part2Bytes := 2 * e.cfg.R * 8
 	total := e.lcht.MemoryBytes(part2Bytes)
-	e.lcht.ForEach(func(_ uint64, p part2[W]) bool {
-		if p.chain != nil {
-			total += p.chain.MemoryBytes(slotPayloadBytes)
-		}
-		return true
-	})
-	for i := range e.ldl {
-		total += uint64(8 + part2Bytes)
-		if e.ldl[i].p.chain != nil {
-			total += e.ldl[i].p.chain.MemoryBytes(slotPayloadBytes)
+	for _, c := range e.chains {
+		if c != nil {
+			total += c.MemoryBytes(slotPayloadBytes)
 		}
 	}
+	total += uint64(len(e.ldl)) * uint64(8+part2Bytes)
 	total += uint64(len(e.sdl)) * uint64(16+slotPayloadBytes)
 	return total
 }
@@ -536,24 +602,17 @@ func (e *engine[W]) stats() Stats {
 		SDLLen:          len(e.sdl),
 		Transformations: e.lcht.Transformations(),
 	}
-	visit := func(p *part2[W]) {
-		if p.chain == nil {
-			return
+	for _, c := range e.chains {
+		if c == nil {
+			continue
 		}
 		st.Chains++
-		st.SCHTTables += p.chain.Tables()
-		st.ChainCells += p.chain.Cells()
-		st.ChainEntries += p.chain.Size()
-		st.SCHTKicks += p.chain.Kicks()
-		st.SCHTPlacements += p.chain.Placements()
-		st.Transformations += p.chain.Transformations()
-	}
-	e.lcht.ForEach(func(_ uint64, p part2[W]) bool {
-		visit(&p)
-		return true
-	})
-	for i := range e.ldl {
-		visit(&e.ldl[i].p)
+		st.SCHTTables += c.Tables()
+		st.ChainCells += c.Cells()
+		st.ChainEntries += c.Size()
+		st.SCHTKicks += c.Kicks()
+		st.SCHTPlacements += c.Placements()
+		st.Transformations += c.Transformations()
 	}
 	return st
 }

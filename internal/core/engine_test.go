@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"cuckoograph/internal/hashutil"
@@ -47,27 +48,27 @@ func TestSDLDrainOnExpansion(t *testing.T) {
 }
 
 // TestLDLKeepsChainWithoutCopy checks the L-DL design point of §III-A2:
-// a cell evicted into the L-DL keeps its S-CHT chain pointer, so the
-// chain is neither copied nor lost, and stays fully operational.
+// a cell evicted into the L-DL keeps its chain number and so its S-CHT
+// chain, which is neither copied nor lost, and stays fully operational.
 func TestLDLKeepsChainWithoutCopy(t *testing.T) {
 	g := NewGraph(Config{SCHTBase: 2})
 	u := uint64(42)
 	for v := uint64(1); v <= 50; v++ {
 		g.InsertEdge(u, v)
 	}
-	p := g.e.findPart2(hashutil.Key64(u), u)
-	if p == nil || p.chain == nil {
+	row := g.e.findPart2(hashutil.Key64(u), u)
+	if row == nil || g.e.chainOf(row) == nil {
 		t.Fatal("expected a chain")
 	}
-	chain := p.chain
+	chain := g.e.chainOf(row)
 	// Evict the cell into the L-DL by hand.
-	g.e.ldl = append(g.e.ldl, ldlEntry[struct{}]{u: u, p: *p})
+	g.e.ldl = append(g.e.ldl, ldlEntry[struct{}]{u: u, row: slices.Clone(row)})
 	g.e.lcht.Delete(u)
 
 	// The same chain object must be reachable (pointer equality = no
 	// copying) and all edges still answer.
-	p2 := g.e.findPart2(hashutil.Key64(u), u)
-	if p2 == nil || p2.chain != chain {
+	row2 := g.e.findPart2(hashutil.Key64(u), u)
+	if row2 == nil || g.e.chainOf(row2) != chain {
 		t.Fatal("chain pointer changed across L-DL eviction")
 	}
 	for v := uint64(1); v <= 50; v++ {

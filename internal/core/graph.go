@@ -34,8 +34,9 @@ func (g *Graph) DeleteEdge(u, v uint64) bool {
 // ApplyBatch applies the ops in order with basic-variant semantics:
 // duplicate inserts and deletes of absent edges are no-ops. The result
 // is identical — down to the physical structure and every Stats
-// counter — to applying the same ops one by one; the batch form
-// amortizes the Part-1 cell lookup across ops sharing a source node.
+// counter — to applying the same ops one by one: every op makes its own
+// L-CHT probe, and what a batch saves is paid above the engine (one
+// lock, one WAL record, one commit).
 func (g *Graph) ApplyBatch(b Batch) BatchResult { return g.ApplyBatchFunc(b, nil, nil) }
 
 // ApplyBatchFunc is ApplyBatch with two observers, either of which may

@@ -22,13 +22,13 @@ func NewMulti(cfg Config) *Multi {
 func (m *Multi) InsertEdge(u, v, id uint64) {
 	m.edgeCount++
 	hu := hashutil.Key64(u)
-	p := m.e.findPart2(hu, u)
-	ids, _, hv := m.e.find(p, u, v)
+	row := m.e.findPart2(hu, u)
+	ids, _, hv := m.e.find(row, u, v)
 	if ids != nil {
 		*ids = append(*ids, id)
 		return
 	}
-	m.e.insertAt(hu, p, u, hv, slot[[]uint64]{v: v, w: []uint64{id}})
+	m.e.insertAt(hu, row, u, hv, slot[[]uint64]{v: v, w: []uint64{id}})
 }
 
 // HasEdge reports whether any edge connects u to v.
@@ -50,8 +50,8 @@ func (m *Multi) Edges(u, v uint64) *EdgeIterator {
 // whether it was found. The node pair disappears once its list empties.
 func (m *Multi) DeleteEdge(u, v, id uint64) bool {
 	hu := hashutil.Key64(u)
-	p := m.e.findPart2(hu, u)
-	w, at, _ := m.e.find(p, u, v)
+	row := m.e.findPart2(hu, u)
+	w, at, _ := m.e.find(row, u, v)
 	if w == nil {
 		return false
 	}
@@ -62,7 +62,7 @@ func (m *Multi) DeleteEdge(u, v, id uint64) bool {
 			*w = ids[:len(ids)-1]
 			m.edgeCount--
 			if len(*w) == 0 {
-				m.e.deleteAt(hu, p, u, at)
+				m.e.deleteAt(hu, row, u, at)
 			}
 			return true
 		}

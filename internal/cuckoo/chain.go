@@ -31,39 +31,47 @@ import (
 type Chain[P any] struct {
 	d, tw, stride uint16 // cells, tag words and words per bucket (stride = tw + d)
 	n, r          uint8  // tables in the chain, and the most it may hold
-	// growAt is the population of the active table at which the next
-	// insertion grows the chain first (its LR has reached G); keepAt,
-	// below, the chain population from which a deletion leaves the
-	// shape alone (overall LR ≥ Λ). setThresholds derives both.
-	growAt uint32
-	size   uint32 // entries stored in the whole chain
-	first  table[P]
+	width         uint16 // payload elements per cell (a cell's row)
+	maxKicks      uint16 // T
+	size          uint32 // entries stored in the whole chain
+	first         table[P]
 	// rest points at the records of tables 2..r, one array of r-1
 	// allocated by the Grow that enables the second table and dropped
 	// when the chain is back to one.
 	rest *table[P]
 
-	seed       uint64 // LCG state the table seeds are drawn from
-	base       uint32 // n: the length of the 1st S-CHT at state 0
-	grows      uint32 // number of Grow transformations applied (Table II row)
-	maxKicks   uint32 // T
-	keepAt     uint32
-	transforms uint64 // Grow + reverse transformations, for stats
-	kicks      uint64 // relocation attempts, for the §IV measurement
-	placements uint64 // successful cell placements, incl. re-homing moves
-	g, lambda  float64
+	seed  uint64 // LCG state the table seeds are drawn from
+	base  uint32 // n: the length of the 1st S-CHT at state 0
+	grows uint32 // number of Grow transformations applied (Table II row)
+	// growAt is the population of the active table at which the next
+	// insertion grows the chain first (its LR has reached G); keepAt the
+	// chain population from which a deletion leaves the shape alone
+	// (overall LR ≥ Λ). setThresholds derives both.
+	growAt, keepAt uint32
+	transforms     uint64 // Grow + reverse transformations, for stats
+	kicks          uint64 // relocation attempts, for the §IV measurement
+	placements     uint64 // successful cell placements, incl. re-homing moves
+	g, lambda      float64
 }
 
-// NewChain returns a chain holding a single table of length base.
-func NewChain[P any](base int, cfg Config) *Chain[P] {
+// NewChain returns a chain holding a single table of length base, each
+// cell carrying one P.
+func NewChain[P any](base int, cfg Config) *Chain[P] { return NewRowChain[P](base, 1, cfg) }
+
+// NewRowChain returns a chain holding a single table of length base
+// whose cells each carry a row of width P (1 ≤ width ≤ 65535). Rows go
+// in through InsertRow and are read through RowHashed; At, Ref and the
+// iterators see a row's first element.
+func NewRowChain[P any](base, width int, cfg Config) *Chain[P] {
 	cfg = cfg.Defaults()
-	if cfg.D < 1 || cfg.D > 1<<15 || cfg.R < 1 || cfg.R > 255 || cfg.MaxKicks < 0 || cfg.MaxKicks > 1<<32-1 {
+	if cfg.D < 1 || cfg.D > 1<<15 || cfg.R < 1 || cfg.R > 255 || cfg.MaxKicks < 0 || cfg.MaxKicks > 1<<16-1 ||
+		width < 1 || width > 1<<16-1 {
 		panic("cuckoo: Config out of range")
 	}
 	tw := (cfg.D + 7) / 8
 	c := &Chain[P]{
 		d: uint16(cfg.D), tw: uint16(tw), stride: uint16(tw + cfg.D),
-		n: 1, r: uint8(cfg.R), maxKicks: uint32(cfg.MaxKicks),
+		n: 1, r: uint8(cfg.R), width: uint16(width), maxKicks: uint16(cfg.MaxKicks),
 		seed: cfg.Seed, g: cfg.G, lambda: cfg.Lambda,
 	}
 	c.first = c.newTable(base)
@@ -184,10 +192,28 @@ func (c *Chain[P]) FindHashed(h, key uint64) Pos {
 }
 
 // At returns a mutable pointer to the payload of the cell at p (which
-// must be Found), so callers can update it in place — the weighted
-// version bumps w without a second probe.
+// must be Found) — the first element of its row — so callers can update
+// it in place: the weighted version bumps w without a second probe. It
+// sits on the hit path of every chained read, and decodes p by hand to
+// stay within the inliner's budget.
 func (c *Chain[P]) At(p Pos) *P {
-	return &c.payloads(c.tab(p.table()))[p.cell()]
+	return &c.payloads(c.tab(int(p >> posTableShift)))[int(p&(1<<posTableShift-1))*int(c.width)]
+}
+
+// RowHashed probes like FindHashed and returns the payload row stored
+// under key (h is its Key64), in place and mutable, or nil. The row is
+// valid until the chain is next mutated.
+func (c *Chain[P]) RowHashed(h, key uint64) []P {
+	if i := c.findIn(&c.first, h, key); i >= 0 {
+		return c.rowIn(&c.first, i)
+	}
+	tail := c.tail()
+	for j := range tail {
+		if i := c.findIn(&tail[j], h, key); i >= 0 {
+			return c.rowIn(&tail[j], i)
+		}
+	}
+	return nil
 }
 
 // Ref returns a mutable pointer to key's payload, or nil.
@@ -240,13 +266,15 @@ func (c *Chain[P]) Grow() (leftovers []Entry[P]) {
 	}
 	// The old tables are read in place while the merged one fills: they
 	// are garbage as soon as the loop ends, so nothing is drained into a
-	// buffer first.
+	// buffer first — and each old row is the scratch its own insertion
+	// kicks into.
 	merged := c.newTable(c.first.length() * 2)
 	c.size = 0
 	for i := 0; i < int(c.n); i++ {
 		c.forEachIn(c.tab(i), func(key uint64, val *P) bool {
-			if lo, ok := c.insertIn(&merged, hashutil.Key64(key), key, *val); !ok {
-				leftovers = append(leftovers, lo)
+			row := unsafe.Slice(val, c.width)
+			if lo, ok := c.insertIn(&merged, hashutil.Key64(key), key, row); !ok {
+				leftovers = appendRow(leftovers, lo, row)
 			}
 			return true
 		})
@@ -267,25 +295,49 @@ func (c *Chain[P]) enable(length int) {
 	*c.active() = c.newTable(length)
 }
 
-// Insert stores ⟨key,val⟩, hashing the key itself. See InsertHashed.
+// appendRow appends the homeless cell ⟨key,row⟩ to leftovers, one entry
+// per row element (see Entry).
+func appendRow[P any](leftovers []Entry[P], key uint64, row []P) []Entry[P] {
+	for _, val := range row {
+		leftovers = append(leftovers, Entry[P]{Key: key, Val: val})
+	}
+	return leftovers
+}
+
+// Insert stores ⟨key,val⟩, hashing the key itself. See InsertRowHashed.
 func (c *Chain[P]) Insert(key uint64, val P) (leftovers []Entry[P], grew bool) {
 	return c.InsertHashed(hashutil.Key64(key), key, val)
 }
 
-// InsertHashed stores ⟨key,val⟩ (h is the key's Key64 hash), growing
-// the chain first if the active table is at threshold. grew reports
-// whether a transformation ran (the caller drains its denylist into the
-// chain when it did). Every entry left homeless — whether the argument
-// pair after kicking, or spill from a merge — is returned in leftovers
-// for the caller's denylist; an empty slice means complete success. The
-// caller must ensure key is not already present in the chain.
+// InsertHashed is InsertRowHashed for a chain of payload width 1.
 func (c *Chain[P]) InsertHashed(h, key uint64, val P) (leftovers []Entry[P], grew bool) {
+	row := [1]P{val}
+	return c.InsertRowHashed(h, key, row[:])
+}
+
+// InsertRow stores ⟨key,row⟩, hashing the key itself. See
+// InsertRowHashed.
+func (c *Chain[P]) InsertRow(key uint64, row []P) (leftovers []Entry[P], grew bool) {
+	return c.InsertRowHashed(hashutil.Key64(key), key, row)
+}
+
+// InsertRowHashed stores key (h is its Key64 hash) with the payload
+// row, whose length is the chain's width, growing the chain first if
+// the active table is at threshold. row is copied into the cell and is
+// the insertion's scratch meanwhile: its contents are unspecified
+// afterwards. grew reports whether a transformation ran (the caller
+// drains its denylist into the chain when it did). Every cell left
+// homeless — whether the argument pair after kicking, or spill from a
+// merge — is returned in leftovers for the caller's denylist; an empty
+// slice means complete success. The caller must ensure key is not
+// already present in the chain.
+func (c *Chain[P]) InsertRowHashed(h, key uint64, row []P) (leftovers []Entry[P], grew bool) {
 	if c.NeedsGrow() {
 		leftovers = c.Grow()
 		grew = true
 	}
-	if lo, ok := c.insertIn(c.active(), h, key, val); !ok {
-		leftovers = append(leftovers, lo)
+	if lo, ok := c.insertIn(c.active(), h, key, row); !ok {
+		leftovers = appendRow(leftovers, lo, row)
 	}
 	return leftovers, grew
 }
@@ -345,8 +397,9 @@ func (c *Chain[P]) DeleteAt(p Pos) (leftovers []Entry[P]) {
 	c.transforms++
 	c.size -= victim.size
 	c.forEachIn(&victim, func(key uint64, val *P) bool {
-		if lo, ok := c.rehome(Entry[P]{Key: key, Val: *val}); !ok {
-			leftovers = append(leftovers, lo)
+		row := unsafe.Slice(val, c.width)
+		if lo, ok := c.rehome(key, row); !ok {
+			leftovers = appendRow(leftovers, lo, row)
 		}
 		return true
 	})
@@ -354,11 +407,12 @@ func (c *Chain[P]) DeleteAt(p Pos) (leftovers []Entry[P]) {
 	return leftovers
 }
 
-// rehome tries to place e in any table of the chain, emptiest first.
-// When an insert fails, the table has still absorbed the item and kicked
-// out a different victim, so the victim becomes the entry to place next;
-// on total failure that final homeless entry is returned.
-func (c *Chain[P]) rehome(e Entry[P]) (Entry[P], bool) {
+// rehome tries to place ⟨key,row⟩ in any table of the chain, emptiest
+// first. When an insert fails, the table has still absorbed the item and
+// kicked out a different victim — its payload now in row — so the victim
+// becomes the entry to place next; on total failure the final homeless
+// key is returned.
+func (c *Chain[P]) rehome(key uint64, row []P) (uint64, bool) {
 	n := int(c.n)
 	best, bestLR := 0, 2.0
 	for i := 0; i < n; i++ {
@@ -368,16 +422,17 @@ func (c *Chain[P]) rehome(e Entry[P]) (Entry[P], bool) {
 		}
 	}
 	for off := 0; off < n; off++ {
-		lo, ok := c.insertIn(c.tab((best+off)%n), hashutil.Key64(e.Key), e.Key, e.Val)
+		lo, ok := c.insertIn(c.tab((best+off)%n), hashutil.Key64(key), key, row)
 		if ok {
-			return Entry[P]{}, true
+			return 0, true
 		}
-		e = lo
+		key = lo
 	}
-	return e, false
+	return key, false
 }
 
-// ForEach calls fn for every entry in the chain until fn returns false.
+// ForEach calls fn for every entry in the chain — its key and the first
+// element of its row — until fn returns false.
 func (c *Chain[P]) ForEach(fn func(key uint64, val P) bool) {
 	c.ForEachRef(func(key uint64, val *P) bool { return fn(key, *val) })
 }

@@ -4,23 +4,30 @@
 // shrinks a sequence of such tables by the Table II rule (§III-A1).
 //
 // The chain is generic over its payload so the same machinery backs both
-// the L-CHT (payload: a cell's Part 2) and the S-CHTs (payload: a weight
-// or edge list).
+// the L-CHT (payload: a cell's Part 2, a row of slots) and the S-CHTs
+// (payload: a weight or edge list).
 //
 // # Layout
 //
 // A Chain is one 128-byte header. It holds, once per chain and as plain
 // words, everything its tables share — d, the tag-word count, the bucket
-// stride, T, the grow and contract thresholds as populations — and its
-// first table BY VALUE: a 40-byte record of cell storage, length, seed,
-// eviction-RNG state and population. Tables 2..R sit in one array of
-// such records that exists only while the chain has more than one
-// table. So a probe goes owner → chain header → bucket: two dependent
-// loads, with everything it reads of the header in the header's first
+// stride, the payload width, T, the grow and contract thresholds as
+// populations — and its first table BY VALUE: a 40-byte record of cell
+// storage, length, seed, eviction-RNG state and population. Tables 2..R
+// sit in one array of such records that exists only while the chain has
+// more than one table. So a probe goes owner → chain header → bucket:
+// two dependent loads, with everything it reads of the header in its first
 // cache line (layout_test.go pins that). A table's cell storage is a
 // bare pointer; its length follows from the table's length and the
 // chain's shape, and the accessors words and payloads rebuild a
 // bounds-checked slice from the two.
+//
+// A cell's payload is a ROW of `width` consecutive P in the table's
+// payload array, the width fixed when the chain is made: 1 for a chain
+// from NewChain (every S-CHT), more for one from NewRowChain (the
+// L-CHT, whose row is the cell's whole Part 2 by value). Rows travel
+// with their keys and tags through kick loops, merges and contractions,
+// element by element, so nothing a cell owns lives outside its table.
 //
 // # Probe path
 //
@@ -55,7 +62,7 @@ import (
 // Config carries the tuning parameters shared by every table in a chain.
 // Zero fields are replaced by the paper's defaults (§V-B). NewChain
 // panics on values a chain header cannot hold: D outside [1, 32768],
-// R outside [1, 255], MaxKicks outside [0, 2³²).
+// R outside [1, 255], MaxKicks outside [0, 65535].
 type Config struct {
 	D        int     // cells per bucket (paper default 8)
 	MaxKicks int     // T, maximum kick loops before an insertion fails (250)
@@ -90,6 +97,8 @@ func (cfg Config) Defaults() Config {
 
 // Entry is a key/payload pair returned by drain and iteration helpers.
 // Val comes first so that an empty payload adds no padding after Key.
+// A chain of payload width k reports a homeless cell as k consecutive
+// entries that share its Key, Val running over the cell's row.
 type Entry[P any] struct {
 	Val P
 	Key uint64
@@ -105,9 +114,10 @@ type table[P any] struct {
 	// concatenated: bucket b occupies words [b*stride, (b+1)*stride) —
 	// tw fingerprint-tag words (8 one-byte tags per word, 0 = empty
 	// cell, unused high lanes of a partial word stay 0) followed by d
-	// key words. vals is indexed by flat cell number b*d + c, the cell
-	// index a Pos carries. Both point at the first element of an array
-	// whose length words and payloads compute.
+	// key words. vals holds the payload rows, `width` elements each, in
+	// flat cell order b*d + c, the cell index a Pos carries. Both point
+	// at the first element of an array whose length words and payloads
+	// compute.
 	cells *uint64
 	vals  *P
 
@@ -127,7 +137,13 @@ func (c *Chain[P]) words(t *table[P]) []uint64 {
 
 // payloads returns t's payload storage.
 func (c *Chain[P]) payloads(t *table[P]) []P {
-	return unsafe.Slice(t.vals, c.cellsOf(t))
+	return unsafe.Slice(t.vals, c.cellsOf(t)*int(c.width))
+}
+
+// rowIn returns the payload row of flat cell index i of t.
+func (c *Chain[P]) rowIn(t *table[P], i int) []P {
+	w := int(c.width)
+	return c.payloads(t)[i*w : i*w+w : i*w+w]
 }
 
 // cellsOf returns the total number of cells of t.
@@ -145,7 +161,7 @@ func (c *Chain[P]) newTable(length int) table[P] {
 	t.seed = t.rng.Next()
 	buckets := 3 * (length / 2)
 	t.cells = unsafe.SliceData(make([]uint64, buckets*int(c.stride)))
-	t.vals = unsafe.SliceData(make([]P, buckets*int(c.d)))
+	t.vals = unsafe.SliceData(make([]P, buckets*int(c.d)*int(c.width)))
 	return t
 }
 
@@ -308,18 +324,24 @@ func (c *Chain[P]) emptyIn(cells []uint64, b int) int {
 	return -1
 }
 
-// insertIn stores ⟨key,val⟩ (h is the key's chain-level hash) in t,
-// kicking residents per the cuckoo discipline for at most T rounds. On
-// success ok is true. On failure ok is false and the returned entry is
-// the item left without a home (which, after kicking, is generally NOT
-// the argument pair); the caller is expected to park it in a denylist
-// (§III-A2). The caller must ensure key is not already present. A
-// kicked victim keeps its tag byte — only its buckets are re-derived,
-// from one Key64 of the victim key.
-func (c *Chain[P]) insertIn(t *table[P], h, key uint64, val P) (leftover Entry[P], ok bool) {
+// insertIn stores ⟨key,row⟩ (h is the key's chain-level hash, row the
+// cell's `width` payload elements) in t, kicking residents per the
+// cuckoo discipline for at most T rounds. row is the caller's buffer
+// and insertIn's scratch: every kick swaps the evicted cell's payload
+// into it. On success ok is true. On failure ok is false and the item
+// left without a home (which, after kicking, is generally NOT the
+// argument pair) is the returned key with its payload in row; the
+// caller is expected to park it in a denylist (§III-A2). The caller must
+// ensure key is not already present. A kicked victim keeps its tag byte
+// — only its buckets are re-derived, from one Key64 of the victim key.
+func (c *Chain[P]) insertIn(t *table[P], h, key uint64, row []P) (homeless uint64, ok bool) {
 	cells, vals := c.words(t), c.payloads(t)
-	d, tw, stride := int(c.d), int(c.tw), int(c.stride)
-	curH, curKey, curVal := h, key, val
+	d, tw, stride, width := int(c.d), int(c.tw), int(c.stride), int(c.width)
+	// The row's first element rides in a local like the key and the tag:
+	// at width 1 — every S-CHT — a kick then swaps through no memory but
+	// the cell's.
+	head, rest := row[0], row[1:width]
+	curH, curKey := h, key
 	curTag := tagOf(h)
 	array := 1
 	for kick := uint32(0); ; kick++ {
@@ -331,15 +353,20 @@ func (c *Chain[P]) insertIn(t *table[P], h, key uint64, val P) (leftover Entry[P
 		}
 		if cell >= 0 {
 			cells[b*stride+tw+cell] = curKey
-			vals[b*d+cell] = curVal
+			at := (b*d + cell) * width
+			vals[at] = head
+			if len(rest) != 0 {
+				copy(vals[at+1:at+width], rest)
+			}
 			c.setTag(cells, b, cell, curTag)
 			t.size++
 			c.size++
 			c.placements++
-			return Entry[P]{}, true
+			return 0, true
 		}
-		if kick == c.maxKicks {
-			return Entry[P]{Key: curKey, Val: curVal}, false
+		if kick == uint32(c.maxKicks) {
+			row[0] = head
+			return curKey, false
 		}
 		// Both buckets full: evict a random resident from the bucket in
 		// the current array and continue with the victim in the other.
@@ -350,8 +377,14 @@ func (c *Chain[P]) insertIn(t *table[P], h, key uint64, val P) (leftover Entry[P
 		cell = t.rng.Intn(d)
 		kr := &cells[b*stride+tw+cell]
 		*kr, curKey = curKey, *kr
-		vr := &vals[b*d+cell]
-		*vr, curVal = curVal, *vr
+		at := (b*d + cell) * width
+		vals[at], head = head, vals[at]
+		if len(rest) != 0 {
+			vr := vals[at+1:][:len(rest)]
+			for j := range rest {
+				vr[j], rest[j] = rest[j], vr[j]
+			}
+		}
 		oldTag := c.tagAt(cells, b, cell)
 		c.setTag(cells, b, cell, curTag)
 		curTag = oldTag
@@ -367,22 +400,22 @@ func (c *Chain[P]) clearIn(t *table[P], i int) {
 	b := i / d
 	cell := i - b*d
 	cells := c.words(t)
-	var zero P
 	cells[b*int(c.stride)+int(c.tw)+cell] = 0
-	c.payloads(t)[i] = zero
+	clear(c.rowIn(t, i))
 	c.setTag(cells, b, cell, 0)
 	t.size--
 	c.size--
 }
 
 // forEachIn calls fn for every entry stored in t, in bucket order, with
-// a pointer to its payload in place, until fn returns false. It reports
-// whether the scan ran to completion. It is THE decoder of occupied
+// a pointer to its payload in place (the first element of its row),
+// until fn returns false. It reports whether the scan ran to
+// completion. It is THE decoder of occupied
 // lanes — lanes whose tag is non-zero, with the unused lanes of a
 // partial tag word masked off — so that masking lives in one place.
 func (c *Chain[P]) forEachIn(t *table[P], fn func(key uint64, val *P) bool) bool {
 	cells, vals := c.words(t), c.payloads(t)
-	d, tw, stride := int(c.d), int(c.tw), int(c.stride)
+	d, tw, stride, width := int(c.d), int(c.tw), int(c.stride), int(c.width)
 	for b, buckets := 0, 3*int(t.m2); b < buckets; b++ {
 		base := b * stride
 		for w := 0; w < tw; w++ {
@@ -392,7 +425,7 @@ func (c *Chain[P]) forEachIn(t *table[P], fn func(key uint64, val *P) bool) bool
 			}
 			for occ != 0 {
 				i := w*8 + bits.TrailingZeros64(occ)>>3
-				if !fn(cells[base+tw+i], &vals[b*d+i]) {
+				if !fn(cells[base+tw+i], &vals[(b*d+i)*width]) {
 					return false
 				}
 				occ &= occ - 1

@@ -17,7 +17,12 @@ func newOneTable[P any](length int, cfg Config) oneTable[P] {
 }
 
 func (t oneTable[P]) Insert(key uint64, val P) (Entry[P], bool) {
-	return t.c.insertIn(&t.c.first, hashutil.Key64(key), key, val)
+	row := [1]P{val}
+	lo, ok := t.c.insertIn(&t.c.first, hashutil.Key64(key), key, row[:])
+	if ok {
+		return Entry[P]{}, true
+	}
+	return Entry[P]{Key: lo, Val: row[0]}, false
 }
 
 func (t oneTable[P]) find(key uint64) int {

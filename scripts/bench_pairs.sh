@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Paired runs of one BENCHMARK.json workload on a parent revision and on
+# Paired runs of BENCHMARK.json workloads on a parent revision and on
 # the working tree — the comparison every performance claim in this repo
 # rests on (benchmark/README.md, "Rules for using the numbers"): the two
 # sides alternate, and which goes first alternates too, so drift on a
-# shared box lands on both. Prints, per end-to-end metric, each side's
-# median [quartiles] and how many pairs the change won; ties count for
-# neither side.
+# shared box lands on both. Prints, per workload, one table: for each
+# end-to-end metric each side's median [quartiles] and how many pairs
+# the change won; ties count for neither side. Several workloads —
+# lib_basic,lib_chained_read,… — share one set-up of the parent tree, so
+# a should-not-move report over all of them is one command.
 #
 # The parent is checked out as a git worktree under .bench_build/parent
 # and removed on exit; everything this script writes stays under
@@ -13,11 +15,12 @@
 # differ between the two trees: numbers from two different benchmarks do
 # not compare.
 #
-# Usage: scripts/bench_pairs.sh <parent-ref> <workload> [pairs=10] [seed=7] [seconds=15]
+# Usage: scripts/bench_pairs.sh <parent-ref> <workload>[,<workload>…] [pairs=10] [seed=7] [seconds=15]
 set -euo pipefail
 
 [ $# -ge 2 ] || { sed -n 's/^# Usage: /usage: /p' "$0" >&2; exit 2; }
-ref="$1" workload="$2" pairs="${3:-10}" seed="${4:-7}" seconds="${5:-15}"
+ref="$1" pairs="${3:-10}" seed="${4:-7}" seconds="${5:-15}"
+IFS=, read -ra workloads <<<"$2"
 
 cd "$(dirname "$0")/.."
 root="$(pwd)"
@@ -40,29 +43,31 @@ trap cleanup EXIT
 cleanup
 mkdir -p "$results"
 git worktree add --quiet --detach "$parent" "$ref"
-: >"$results/parent.jsonl"
-: >"$results/change.jsonl"
 
-# run <side> <tree>: one run of the workload from the root of <tree>; the
+# run <side> <tree>: one run of $workload from the root of <tree>; the
 # last line run.sh prints is the result object.
 run() {
   (cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) |
-    tail -n 1 >>"$results/$1.jsonl"
+    tail -n 1 >>"$results/$workload.$1.jsonl"
 }
 
-for i in $(seq "$pairs"); do
-  echo "pair $i/$pairs" >&2
-  if [ $((i % 2)) -eq 1 ]; then
-    run parent "$parent"
-    run change "$root"
-  else
-    run change "$root"
-    run parent "$parent"
-  fi
-done
+status=0
+for workload in "${workloads[@]}"; do
+  : >"$results/$workload.parent.jsonl"
+  : >"$results/$workload.change.jsonl"
+  for i in $(seq "$pairs"); do
+    echo "$workload: pair $i/$pairs" >&2
+    if [ $((i % 2)) -eq 1 ]; then
+      run parent "$parent"
+      run change "$root"
+    else
+      run change "$root"
+      run parent "$parent"
+    fi
+  done
 
-echo "$workload, seed $seed, $seconds s, $pairs pairs: parent $(git rev-parse --short "$ref") vs working tree"
-python3 - "$root/BENCHMARK.json" "$results/parent.jsonl" "$results/change.jsonl" <<'EOF'
+  echo "$workload, seed $seed, $seconds s, $pairs pairs: parent $(git rev-parse --short "$ref") vs working tree"
+  python3 - "$root/BENCHMARK.json" "$results/$workload.parent.jsonl" "$results/$workload.change.jsonl" <<'EOF' || status=1
 import json, statistics, sys
 
 decl, parent, change = sys.argv[1:]
@@ -89,3 +94,5 @@ for m in json.load(open(decl))["end_to_end"]:
 if bad:
     sys.exit("bench_pairs: failed operations or a failed check in: " + ", ".join(bad))
 EOF
+done
+exit $status
