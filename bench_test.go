@@ -1,7 +1,8 @@
 // Benchmarks mirroring every table and figure of the paper's evaluation
 // (§V). Each BenchmarkFigN corresponds to one figure; sub-benchmarks
 // name the parameter value, scheme or dataset exactly as the paper's
-// plots do. Run with:
+// plots do; Figure 17, the server over TCP, is `cgbench fig17` alone.
+// Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -18,8 +19,6 @@ import (
 	"cuckoograph/internal/dataset"
 	"cuckoograph/internal/graphstore"
 	"cuckoograph/internal/neolike"
-	"cuckoograph/internal/redislike"
-	"cuckoograph/internal/resp"
 	"cuckoograph/internal/stores"
 )
 
@@ -203,40 +202,6 @@ func BenchmarkFig13CC(b *testing.B)   { benchAnalytics(b, bench.TaskCC) }
 func BenchmarkFig14PR(b *testing.B)   { benchAnalytics(b, bench.TaskPR) }
 func BenchmarkFig15BC(b *testing.B)   { benchAnalytics(b, bench.TaskBC) }
 func BenchmarkFig16LCC(b *testing.B)  { benchAnalytics(b, bench.TaskLCC) }
-
-// BenchmarkFig17Redis measures CuckooGraph-module command dispatch on
-// the redislike server (Figure 17; in-process dispatch, so the socket
-// cost the paper attributes to Redis is excluded here — cmd/cgbench
-// fig17 measures over real TCP).
-func BenchmarkFig17Redis(b *testing.B) {
-	srv := redislike.NewServer()
-	_, mod := redislike.NewGraphModule()
-	if err := srv.LoadModule(mod); err != nil {
-		b.Fatal(err)
-	}
-	st := benchStream("CAIDA")
-	b.Run("insert", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := st[i%len(st)]
-			srv.Dispatch(resp.Command("g.insert",
-				fmt.Sprintf("%d", e.U), fmt.Sprintf("%d", e.V)))
-		}
-	})
-	b.Run("query", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := st[i%len(st)]
-			srv.Dispatch(resp.Command("g.query",
-				fmt.Sprintf("%d", e.U), fmt.Sprintf("%d", e.V)))
-		}
-	})
-	b.Run("delete", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := st[i%len(st)]
-			srv.Dispatch(resp.Command("g.del",
-				fmt.Sprintf("%d", e.U), fmt.Sprintf("%d", e.V)))
-		}
-	})
-}
 
 // BenchmarkFig18Neo is Figure 18: the Neo4j-like engine with and without
 // the CuckooGraph edge index.

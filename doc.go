@@ -122,9 +122,8 @@
 // contract.
 //
 // The internal packages also contain from-scratch implementations of the
-// paper's baselines (LiveGraph, Sortledton, Wind-Bell Index, Spruce,
-// adjacency list, PCSR), the graph analytics suite (BFS, SSSP, TC, CC,
-// PageRank, BC, LCC), synthetic dataset generators matching Table IV,
+// paper's baselines (LiveGraph, Sortledton, Wind-Bell Index, Spruce),
+// the graph analytics suite (BFS, SSSP, TC, CC, PageRank, BC, LCC), synthetic dataset generators matching Table IV,
 // a Redis-like RESP server with a CuckooGraph module and a Neo4j-like
 // property-graph engine — everything cmd/cgbench needs to regenerate
 // the paper's evaluation (§V) on synthetic data; the internal/dataset

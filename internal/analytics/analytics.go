@@ -5,6 +5,12 @@
 // Coefficient — against any graphstore.Store, so every storage scheme
 // runs the identical algorithm and only the store's successor/edge
 // query speed differs, exactly as in the paper's methodology.
+//
+// BFS, PageRank and ConnectedComponents — the three a frozen view is
+// asked for (SafeGraph, graph.bfs/graph.pagerank, the analytics_snapshot
+// workload) — also have a CSR kernel in flat.go, taken when the store is
+// graphstore.Indexed. The other four tasks and TopDegreeNodes run through
+// the Store interface on every store, a view included.
 package analytics
 
 import (
@@ -53,9 +59,6 @@ func (h *distHeap) Pop() any          { old := *h; x := old[len(old)-1]; *h = ol
 // weights (§V-E2 runs Dijkstra from the 10 highest-degree nodes). The
 // returned map holds every reachable node.
 func Dijkstra(s graphstore.Store, src uint64) map[uint64]uint64 {
-	if idx := indexOf(s); idx != nil {
-		return dijkstraFlat(idx, src)
-	}
 	dist := map[uint64]uint64{src: 0}
 	h := &distHeap{{node: src, dist: 0}}
 	for h.Len() > 0 {
@@ -79,9 +82,6 @@ func Dijkstra(s graphstore.Store, src uint64) map[uint64]uint64 {
 // the paper's method (§V-E3): enumerate 2-hop successors, then probe the
 // closing edge ⟨2-hop successor, node⟩ with edge queries.
 func TriangleCount(s graphstore.Store, node uint64) int {
-	if idx := indexOf(s); idx != nil {
-		return tcFlat(idx, node)
-	}
 	count := 0
 	s.ForEachSuccessor(node, func(mid uint64) bool {
 		s.ForEachSuccessor(mid, func(far uint64) bool {
@@ -234,9 +234,6 @@ func PageRank(s graphstore.Store, iters int) map[uint64]float64 {
 // Betweenness runs Brandes' algorithm (§V-E6) and returns the
 // betweenness centrality of every node.
 func Betweenness(s graphstore.Store) map[uint64]float64 {
-	if idx := indexOf(s); idx != nil {
-		return betweennessFlat(idx)
-	}
 	nodes := Nodes(s)
 	bc := make(map[uint64]float64, len(nodes))
 	for _, src := range nodes {
@@ -280,9 +277,6 @@ func Betweenness(s graphstore.Store) map[uint64]float64 {
 // methodology of §V-E7) and returns the local clustering coefficient of
 // each: the fraction of neighbour pairs that are themselves connected.
 func LocalClustering(s graphstore.Store) map[uint64]float64 {
-	if idx := indexOf(s); idx != nil {
-		return localClusteringFlat(idx)
-	}
 	nodes := Nodes(s)
 	adj := make(map[uint64][]uint64, len(nodes))
 	for _, u := range nodes {
@@ -315,9 +309,6 @@ func LocalClustering(s graphstore.Store) map[uint64]float64 {
 // it has one (graphstore.Degreer); only the in-degree accumulation still
 // scans the adjacency.
 func TopDegreeNodes(s graphstore.Store, count int) []uint64 {
-	if idx := indexOf(s); idx != nil {
-		return topDegreeFlat(idx, count)
-	}
 	nodes := Nodes(s)
 	total := make(map[uint64]int, len(nodes))
 	for _, u := range nodes {

@@ -7,12 +7,50 @@ import (
 
 	"cuckoograph/internal/graphstore"
 	"cuckoograph/internal/sharded"
+	"cuckoograph/internal/stores"
 )
 
-// The differential harness: every kernel run twice on the same frozen
-// view — once through the CSR fast path (the view satisfies
+// The differential harness, two oracles for the seven tasks on a frozen
+// view. BFS, PageRank and ConnectedComponents have a CSR kernel: each
+// runs twice on the view — once through it (the view satisfies
 // graphstore.Indexed) and once through the map-based fallback (the view
-// wrapped in storeOnly, which hides the capability) — must agree.
+// wrapped in storeOnly, which hides the capability) — and must agree.
+// Dijkstra, TriangleCount, Betweenness, LocalClustering and
+// TopDegreeNodes have the Store-interface kernel only, so both of those
+// runs would be the same code: they run on the view and on a plain
+// CuckooGraph holding the edge set the view must show, which pins the
+// view's ForEachNode/ForEachSuccessor/HasEdge under copy-on-write.
+
+// mirrored is a sharded graph plus a model of its edge set. A test
+// mutates through it up to the snapshot and on the bare graph after, so
+// oracle() holds what the view froze, not what the graph became.
+type mirrored struct {
+	*sharded.Graph
+	edges map[[2]uint64]bool
+}
+
+func newMirrored(shards int) *mirrored {
+	return &mirrored{Graph: sharded.New(sharded.Config{Shards: shards}), edges: map[[2]uint64]bool{}}
+}
+
+func (m *mirrored) InsertEdge(u, v uint64) bool {
+	m.edges[[2]uint64{u, v}] = true
+	return m.Graph.InsertEdge(u, v)
+}
+
+func (m *mirrored) DeleteEdge(u, v uint64) bool {
+	delete(m.edges, [2]uint64{u, v})
+	return m.Graph.DeleteEdge(u, v)
+}
+
+// oracle loads the model into a plain single-writer CuckooGraph.
+func (m *mirrored) oracle() graphstore.Store {
+	s := stores.NewCuckooGraph()
+	for e := range m.edges {
+		s.InsertEdge(e[0], e[1])
+	}
+	return s
+}
 
 // storeOnly wraps a store, hiding every capability interface except
 // Store, NodeLister and Degreer. Wrapping an Indexed store forces the
@@ -44,18 +82,18 @@ func approxEqual(a, b float64) bool {
 	return d <= floatTol || d <= floatTol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-func sameFloatMap(t *testing.T, name string, flat, slow map[uint64]float64) {
+func sameFloatMap(t *testing.T, name string, got, want map[uint64]float64) {
 	t.Helper()
-	if len(flat) != len(slow) {
-		t.Fatalf("%s: flat has %d entries, fallback %d", name, len(flat), len(slow))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, oracle %d", name, len(got), len(want))
 	}
-	for u, fv := range flat {
-		sv, ok := slow[u]
+	for u, gv := range got {
+		wv, ok := want[u]
 		if !ok {
-			t.Fatalf("%s: node %d only on flat path", name, u)
+			t.Fatalf("%s: node %d absent from the oracle", name, u)
 		}
-		if !approxEqual(fv, sv) {
-			t.Fatalf("%s: node %d flat=%v fallback=%v", name, u, fv, sv)
+		if !approxEqual(gv, wv) {
+			t.Fatalf("%s: node %d = %v, oracle %v", name, u, gv, wv)
 		}
 	}
 }
@@ -77,10 +115,12 @@ func partitionReps(comp map[uint64]int) map[uint64]uint64 {
 	return reps
 }
 
-// checkAllKernels runs the full suite both ways on v and fails on any
-// divergence. roots drive the single-source kernels and deliberately
-// include ids absent from the graph.
-func checkAllKernels(t *testing.T, v graphstore.Store, roots []uint64) {
+// checkAllKernels runs all seven tasks on v and fails on any divergence
+// from their oracle: the fallback path on v for the three with a CSR
+// kernel, the same kernel on plain (v's edge set in an unsharded
+// CuckooGraph) for the other five. roots drive the single-source
+// kernels and deliberately include ids absent from the graph.
+func checkAllKernels(t *testing.T, v, plain graphstore.Store, roots []uint64) {
 	t.Helper()
 	if _, ok := v.(graphstore.Indexed); !ok {
 		t.Fatal("differential store does not expose a CSR index")
@@ -88,6 +128,9 @@ func checkAllKernels(t *testing.T, v graphstore.Store, roots []uint64) {
 	slow := storeOnly{S: v}
 	if _, ok := interface{}(slow).(graphstore.Indexed); ok {
 		t.Fatal("storeOnly leaks the Indexed capability")
+	}
+	if v.NumEdges() != plain.NumEdges() {
+		t.Fatalf("view holds %d edges, oracle %d", v.NumEdges(), plain.NumEdges())
 	}
 
 	for _, root := range roots {
@@ -100,17 +143,17 @@ func checkAllKernels(t *testing.T, v graphstore.Store, roots []uint64) {
 				t.Fatalf("BFS(%d): order diverges at %d: flat %d, fallback %d", root, i, fo[i], so[i])
 			}
 		}
-		fd, sd := Dijkstra(v, root), Dijkstra(slow, root)
-		if len(fd) != len(sd) {
-			t.Fatalf("Dijkstra(%d): flat reached %d, fallback %d", root, len(fd), len(sd))
+		vd, pd := Dijkstra(v, root), Dijkstra(plain, root)
+		if len(vd) != len(pd) {
+			t.Fatalf("Dijkstra(%d): view reached %d, oracle %d", root, len(vd), len(pd))
 		}
-		for u, d := range fd {
-			if sd[u] != d {
-				t.Fatalf("Dijkstra(%d): dist[%d] flat=%d fallback=%d", root, u, d, sd[u])
+		for u, d := range vd {
+			if pd[u] != d {
+				t.Fatalf("Dijkstra(%d): dist[%d] view=%d oracle=%d", root, u, d, pd[u])
 			}
 		}
-		if ft, st := TriangleCount(v, root), TriangleCount(slow, root); ft != st {
-			t.Fatalf("TriangleCount(%d): flat=%d fallback=%d", root, ft, st)
+		if vt, pt := TriangleCount(v, root), TriangleCount(plain, root); vt != pt {
+			t.Fatalf("TriangleCount(%d): view=%d oracle=%d", root, vt, pt)
 		}
 	}
 
@@ -130,16 +173,16 @@ func checkAllKernels(t *testing.T, v graphstore.Store, roots []uint64) {
 	}
 
 	sameFloatMap(t, "PageRank", PageRank(v, 15), PageRank(slow, 15))
-	sameFloatMap(t, "Betweenness", Betweenness(v), Betweenness(slow))
-	sameFloatMap(t, "LocalClustering", LocalClustering(v), LocalClustering(slow))
+	sameFloatMap(t, "Betweenness", Betweenness(v), Betweenness(plain))
+	sameFloatMap(t, "LocalClustering", LocalClustering(v), LocalClustering(plain))
 
-	ftop, stop := TopDegreeNodes(v, 8), TopDegreeNodes(slow, 8)
-	if len(ftop) != len(stop) {
-		t.Fatalf("TopDegreeNodes: flat %v, fallback %v", ftop, stop)
+	vtop, ptop := TopDegreeNodes(v, 8), TopDegreeNodes(plain, 8)
+	if len(vtop) != len(ptop) {
+		t.Fatalf("TopDegreeNodes: view %v, oracle %v", vtop, ptop)
 	}
-	for i := range ftop {
-		if ftop[i] != stop[i] {
-			t.Fatalf("TopDegreeNodes: flat %v, fallback %v", ftop, stop)
+	for i := range vtop {
+		if vtop[i] != ptop[i] {
+			t.Fatalf("TopDegreeNodes: view %v, oracle %v", vtop, ptop)
 		}
 	}
 }
@@ -153,40 +196,46 @@ func checkAllKernels(t *testing.T, v graphstore.Store, roots []uint64) {
 func TestDifferentialFlatVsFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < 4; round++ {
-		g := sharded.New(sharded.Config{Shards: 1 << uint(round%3+1)})
+		m := newMirrored(1 << uint(round%3+1))
 		id := func() uint64 { return uint64(rng.Intn(120)) }
 		for i := 0; i < 1500; i++ {
 			switch rng.Intn(10) {
 			case 0:
-				g.DeleteEdge(id(), id())
+				m.DeleteEdge(id(), id())
 			case 1:
 				u := id()
-				g.InsertEdge(u, u) // self-loop
+				m.InsertEdge(u, u) // self-loop
 			default:
-				g.InsertEdge(id(), id())
+				m.InsertEdge(id(), id())
 			}
 		}
-		// A disconnected cluster far from the main id range.
+		// A disconnected cluster far from the main id range, and nodes
+		// that are only ever a destination.
 		for u := uint64(5000); u < 5010; u++ {
-			g.InsertEdge(u, u+1)
-			g.InsertEdge(u+1, u)
+			m.InsertEdge(u, u+1)
+			m.InsertEdge(u+1, u)
+			m.InsertEdge(id(), 7000+u)
 		}
-		v := g.Snapshot()
+		v := m.Snapshot()
 
-		// Post-snapshot churn: force overlay-served nodes. Deleting all
-		// of a node's edges means the view finds it only in the CoW
-		// overlay; inserting brand-new nodes must stay invisible.
+		// Post-snapshot churn, on the bare graph so the model keeps the
+		// frozen edge set: force overlay-served nodes. Deleting all of a
+		// node's edges means the view finds it only in the CoW overlay;
+		// inserting brand-new nodes must stay invisible.
+		g := m.Graph
 		victim := uint64(7)
 		for _, s := range graphstore.Successors(v, victim) {
 			g.DeleteEdge(victim, s)
 		}
 		for i := 0; i < 300; i++ {
 			g.InsertEdge(uint64(9000+rng.Intn(40)), uint64(9000+rng.Intn(40)))
+			g.InsertEdge(id(), id())
 			g.DeleteEdge(id(), id())
 		}
 
-		roots := append(TopDegreeNodes(storeOnly{S: v}, 3), victim, 5000, 123456 /* absent */)
-		checkAllKernels(t, v, roots)
+		plain := m.oracle()
+		roots := append(TopDegreeNodes(plain, 3), victim, 5000, 7005, 123456 /* absent */)
+		checkAllKernels(t, v, plain, roots)
 		v.Release()
 	}
 }
@@ -195,25 +244,25 @@ func TestDifferentialFlatVsFallback(t *testing.T) {
 // graph, a lone self-loop and a graph that is only disconnected pairs.
 func TestDifferentialEdgeCases(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
-		g := sharded.New(sharded.Config{Shards: 4})
-		v := g.Snapshot()
+		m := newMirrored(4)
+		v := m.Snapshot()
 		defer v.Release()
-		checkAllKernels(t, v, []uint64{0, 1})
+		checkAllKernels(t, v, m.oracle(), []uint64{0, 1})
 	})
 	t.Run("self-loop", func(t *testing.T) {
-		g := sharded.New(sharded.Config{Shards: 4})
-		g.InsertEdge(9, 9)
-		v := g.Snapshot()
+		m := newMirrored(4)
+		m.InsertEdge(9, 9)
+		v := m.Snapshot()
 		defer v.Release()
-		checkAllKernels(t, v, []uint64{9, 10})
+		checkAllKernels(t, v, m.oracle(), []uint64{9, 10})
 	})
 	t.Run("disconnected-pairs", func(t *testing.T) {
-		g := sharded.New(sharded.Config{Shards: 4})
+		m := newMirrored(4)
 		for u := uint64(0); u < 40; u += 2 {
-			g.InsertEdge(u, u+1)
+			m.InsertEdge(u, u+1)
 		}
-		v := g.Snapshot()
+		v := m.Snapshot()
 		defer v.Release()
-		checkAllKernels(t, v, []uint64{0, 17, 38, 100})
+		checkAllKernels(t, v, m.oracle(), []uint64{0, 17, 38, 100})
 	})
 }

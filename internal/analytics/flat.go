@@ -1,7 +1,6 @@
 package analytics
 
 import (
-	"sort"
 	"sync"
 
 	"cuckoograph/internal/csr"
@@ -10,9 +9,10 @@ import (
 
 // indexOf resolves the store's compiled CSR index when it advertises
 // one (graphstore.Indexed — in practice a frozen sharded view, which
-// memoizes the index per epoch). Every kernel consults it on entry and
-// runs the flat dense-id variant when it is present; all other stores
-// take the identical map-based algorithm through the Store interface.
+// memoizes the index per epoch). BFS, PageRank and ConnectedComponents
+// consult it on entry and run the flat dense-id variant when it is
+// present; all other stores take the identical map-based algorithm
+// through the Store interface.
 func indexOf(s graphstore.Store) *csr.Index {
 	if ix, ok := s.(graphstore.Indexed); ok {
 		return ix.CSR()
@@ -75,107 +75,6 @@ func bfsFlat(idx *csr.Index, root uint64) []uint64 {
 		out[i] = idx.IDOf(d)
 	}
 	return out
-}
-
-// dijkstraFlat is Dijkstra over the index with a flat binary heap of
-// (distance, node) pairs packed into uint64s — distance in the high
-// word so the packed values order by distance — and a dense distance
-// array instead of the map.
-func dijkstraFlat(idx *csr.Index, src uint64) map[uint64]uint64 {
-	s, ok := idx.DenseOf(src)
-	if !ok {
-		return map[uint64]uint64{src: 0}
-	}
-	const unreached = ^uint64(0)
-	dist := make([]uint64, idx.NumNodes())
-	for i := range dist {
-		dist[i] = unreached
-	}
-	dist[s] = 0
-	// Unit weights: a node's first label is final, so each is pushed once.
-	heap := make([]uint64, 0, idx.NumNodes())
-	heap = heapPush(heap, uint64(s)) // distance 0 << 32 | s
-	reached := 1                     // one push per reached node
-	for len(heap) > 0 {
-		var it uint64
-		heap, it = heapPop(heap)
-		d, u := it>>32, int32(it&0xFFFFFFFF)
-		if d > dist[u] {
-			continue // stale entry
-		}
-		nd := d + 1
-		for _, v := range idx.Succ(u) {
-			if nd < dist[v] {
-				dist[v] = nd
-				heap = heapPush(heap, nd<<32|uint64(uint32(v)))
-				reached++
-			}
-		}
-	}
-	out := make(map[uint64]uint64, reached)
-	for i, d := range dist {
-		if d != unreached {
-			out[idx.IDOf(int32(i))] = d
-		}
-	}
-	return out
-}
-
-func heapPush(h []uint64, x uint64) []uint64 {
-	h = append(h, x)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	return h
-}
-
-func heapPop(h []uint64) ([]uint64, uint64) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(h) && h[l] < h[min] {
-			min = l
-		}
-		if r < len(h) && h[r] < h[min] {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	return h, top
-}
-
-// tcFlat counts triangles through node with the paper's 2-hop probe
-// method, the closing-edge query served by binary search over the
-// index's sorted adjacency copy.
-func tcFlat(idx *csr.Index, node uint64) int {
-	d, ok := idx.DenseOf(node)
-	if !ok {
-		return 0
-	}
-	count := 0
-	for _, mid := range idx.Succ(d) {
-		for _, far := range idx.Succ(mid) {
-			if idx.HasEdgeDense(far, d) {
-				count++
-			}
-		}
-	}
-	return count
 }
 
 // ccFrame is one level of ccFlat's explicit call stack: a node and how
@@ -311,130 +210,6 @@ func pageRankFlat(idx *csr.Index, iters int) map[uint64]float64 {
 	out := make(map[uint64]float64, srcs)
 	for u, r := range rank {
 		out[idx.IDOf(int32(u))] = r
-	}
-	return out
-}
-
-// betweennessFlat is Brandes over flat per-source state: distance,
-// path-count and dependency arrays reset via the previous round's
-// visit order (touched entries only, so sparse traversals stay cheap)
-// and predecessor lists with reused backing.
-func betweennessFlat(idx *csr.Index) map[uint64]float64 {
-	n := idx.NumNodes()
-	bc := make([]float64, n)
-	inBC := make([]bool, n)
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	sigma := make([]float64, n)
-	delta := make([]float64, n)
-	preds := make([][]int32, n)
-	var order []int32
-	marked := 0
-
-	for src := int32(0); src < int32(idx.NumSources()); src++ {
-		for _, w := range order {
-			dist[w] = -1
-			sigma[w], delta[w] = 0, 0
-			preds[w] = preds[w][:0]
-		}
-		order = order[:0]
-		sigma[src], dist[src] = 1, 0
-		order = append(order, src)
-		for head := 0; head < len(order); head++ {
-			u := order[head]
-			du := dist[u]
-			for _, v := range idx.Succ(u) {
-				if dist[v] < 0 {
-					dist[v] = du + 1
-					order = append(order, v)
-				}
-				if dist[v] == du+1 {
-					sigma[v] += sigma[u]
-					preds[v] = append(preds[v], u)
-				}
-			}
-		}
-		for i := len(order) - 1; i >= 0; i-- {
-			w := order[i]
-			for _, u := range preds[w] {
-				delta[u] += sigma[u] / sigma[w] * (1 + delta[w])
-			}
-			if w != src {
-				bc[w] += delta[w]
-				if !inBC[w] {
-					inBC[w] = true
-					marked++
-				}
-			}
-		}
-	}
-	out := make(map[uint64]float64, marked)
-	for i := int32(0); i < int32(n); i++ {
-		if inBC[i] {
-			out[idx.IDOf(i)] = bc[i]
-		}
-	}
-	return out
-}
-
-// localClusteringFlat probes every neighbour pair of every source node
-// against the sorted adjacency copy.
-func localClusteringFlat(idx *csr.Index) map[uint64]float64 {
-	srcs := int32(idx.NumSources())
-	out := make(map[uint64]float64, srcs)
-	for u := int32(0); u < srcs; u++ {
-		neigh := idx.Succ(u)
-		k := len(neigh)
-		if k < 2 {
-			out[idx.IDOf(u)] = 0
-			continue
-		}
-		links := 0
-		for _, a := range neigh {
-			for _, b := range neigh {
-				if a != b && idx.HasEdgeDense(a, b) {
-					links++
-				}
-			}
-		}
-		out[idx.IDOf(u)] = float64(links) / float64(k*(k-1))
-	}
-	return out
-}
-
-// topDegreeFlat ranks nodes by total degree from the index alone: the
-// out-degree is an offsets difference, the in-degree one pass over the
-// flat edge array.
-func topDegreeFlat(idx *csr.Index, count int) []uint64 {
-	n := idx.NumNodes()
-	total := make([]int, n)
-	for u := int32(0); u < int32(idx.NumSources()); u++ {
-		total[u] += idx.Degree(u)
-		for _, v := range idx.Succ(u) {
-			total[v]++
-		}
-	}
-	all := make([]int32, 0, n)
-	for i := int32(0); i < int32(n); i++ {
-		if total[i] > 0 {
-			all = append(all, i)
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		ti, tj := total[all[i]], total[all[j]]
-		if ti != tj {
-			return ti > tj
-		}
-		return idx.IDOf(all[i]) < idx.IDOf(all[j])
-	})
-	if count > len(all) {
-		count = len(all)
-	}
-	out := make([]uint64, count)
-	for i := 0; i < count; i++ {
-		out[i] = idx.IDOf(all[i])
 	}
 	return out
 }

@@ -155,7 +155,9 @@ func AllTasks() []AnalyticsTask {
 // path fall back to per-edge inserts. It is the shared load phase of
 // RunAnalytics and of cgbench's table3 and kicks.
 func LoadStream(s graphstore.Store, stream []dataset.Edge) {
-	bs, ok := s.(graphstore.BatchStore)
+	bs, ok := s.(interface {
+		ApplyBatch(core.Batch) core.BatchResult
+	})
 	if !ok {
 		for _, e := range stream {
 			s.InsertEdge(e.U, e.V)

@@ -108,19 +108,10 @@ func TestPrintTableAlignment(t *testing.T) {
 // batch path.
 func TestLoadStreamEquivalence(t *testing.T) {
 	st := smallStream()
-	adjlist := func() graphstore.Factory {
-		for _, f := range stores.All() {
-			if f.Name == "AdjList" {
-				return f
-			}
-		}
-		t.Fatal("AdjList store missing")
-		return graphstore.Factory{}
-	}()
 	for _, f := range []graphstore.Factory{
-		{Name: "CuckooGraph", New: stores.NewCuckooGraph},                // BatchStore
-		{Name: "CuckooGraph-Sharded", New: stores.NewShardedCuckooGraph}, // BatchStore
-		adjlist, // no batch path: exercises the fallback
+		{Name: "CuckooGraph", New: stores.NewCuckooGraph},                // ApplyBatch
+		{Name: "CuckooGraph-Sharded", New: stores.NewShardedCuckooGraph}, // ApplyBatch
+		stores.Evaluated()[0], // LiveGraph has no batch path: exercises the fallback
 	} {
 		batched := f.New()
 		LoadStream(batched, st)

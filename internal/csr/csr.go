@@ -2,9 +2,10 @@
 // index: a node-id dictionary mapping the graph's sparse uint64 ids to
 // dense int32s (an array one way, an open-addressed table the other), an
 // offsets array, and one flat edge array holding every adjacency back to
-// back in dense-id space. The analytics kernels of internal/analytics
-// detect the index (via graphstore.Indexed) and run over flat slices
-// instead of hash probes and map allocations — the difference between a
+// back in dense-id space. Three kernels of internal/analytics — BFS,
+// PageRank and ConnectedComponents — detect the index (via
+// graphstore.Indexed) and run over flat slices instead of hash probes
+// and map allocations — the difference between a
 // pointer-chasing traversal and a memory-bandwidth one. The index holds
 // no Go map and no pointer below its slice headers: nothing in it for the
 // collector to walk.
@@ -15,11 +16,6 @@
 // partition through Source.ScanShard, into pooled buffers, so compiling
 // an epoch allocates what the index keeps and nothing else.
 package csr
-
-import (
-	"sort"
-	"sync"
-)
 
 // Source is what Build compiles: a graph frozen at one epoch whose node
 // set is hash-partitioned (in practice a sharded engine's frozen view).
@@ -64,12 +60,6 @@ type Index struct {
 	// edges holds every successor as a dense id, per-node in the
 	// source's scan order.
 	edges []int32
-
-	// sorted is a lazily built per-node-sorted copy of edges for the
-	// membership probes of the triangle/clustering kernels: binary
-	// search instead of a hash probe, O(log deg) with no pointer chase.
-	sortedOnce sync.Once
-	sorted     []int32
 }
 
 // NumNodes returns the number of distinct nodes (sources plus
@@ -104,31 +94,10 @@ func (x *Index) Succ(d int32) []int32 {
 // dense-id order, as a shared slice the caller must not mutate.
 func (x *Index) Edges() []int32 { return x.edges }
 
-// HasEdgeDense reports whether the edge ⟨u,v⟩ (dense ids) is stored,
-// by binary search over a per-node-sorted copy of the edge array built
-// lazily on first use.
-func (x *Index) HasEdgeDense(u, v int32) bool {
-	x.sortedOnce.Do(x.buildSorted)
-	s := x.sorted[x.offsets[u]:x.offsets[u+1]]
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
-}
-
-func (x *Index) buildSorted() {
-	s := make([]int32, len(x.edges))
-	copy(s, x.edges)
-	for d := 0; d < int(x.srcs); d++ {
-		seg := s[x.offsets[d]:x.offsets[d+1]]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
-	}
-	x.sorted = s
-}
-
 // MemoryBytes returns the structural bytes of the index: the sparse id
 // array, the dictionary table at its real capacity (12 bytes a slot),
-// offsets, edges, and the sorted copy once built: the price of keeping
-// one epoch compiled.
+// offsets and edges: the price of keeping one epoch compiled.
 func (x *Index) MemoryBytes() uint64 {
 	return uint64(len(x.ids))*8 + uint64(len(x.dense.keys))*12 +
-		uint64(len(x.offsets)+len(x.edges)+len(x.sorted))*4
+		uint64(len(x.offsets)+len(x.edges))*4
 }

@@ -1,13 +1,10 @@
 // Package graphstore defines the interfaces every graph storage scheme in
 // this repository implements. CuckooGraph and all baseline competitors
-// (LiveGraph, Sortledton, WBI, Spruce, adjacency list, PCSR) satisfy
-// Store, so the analytics and benchmark harnesses treat them uniformly.
+// (LiveGraph, Sortledton, WBI, Spruce) satisfy Store, so the analytics
+// and benchmark harnesses treat them uniformly.
 package graphstore
 
-import (
-	"cuckoograph/internal/core"
-	"cuckoograph/internal/csr"
-)
+import "cuckoograph/internal/csr"
 
 // NodeID identifies a graph node. The paper uses 8-byte identifiers.
 type NodeID = uint64
@@ -39,21 +36,15 @@ type Store interface {
 	MemoryUsage() uint64
 }
 
-// BatchStore is satisfied by stores with a native batched mutation
-// path (the CuckooGraph engines). Harnesses that bulk-load a stream
-// should type-assert for it and fall back to per-edge InsertEdge.
-type BatchStore interface {
-	ApplyBatch(b core.Batch) core.BatchResult
-}
-
 // Indexed is the analytics-acceleration capability: a store (in
 // practice a frozen View) that can hand out a compiled compressed-
-// sparse-row index of itself. The analytics kernels type-assert for it
-// and, when present, run over the index's flat dense-id arrays instead
-// of per-edge store probes and per-node map allocations; every other
-// store runs the identical algorithms through the Store interface (the
-// fallback path, which doubles as the differential oracle for the CSR
-// one). Implementations memoize the index — the sharded engine builds
+// sparse-row index of itself. analytics.BFS, PageRank and
+// ConnectedComponents type-assert for it and, when present, run over
+// the index's flat dense-id arrays instead of per-edge store probes and
+// per-node map allocations; every other store runs the identical
+// algorithms through the Store interface (the fallback path, which
+// doubles as the differential oracle for the CSR one), as do the other
+// four tasks on every store. Implementations memoize the index — the sharded engine builds
 // it lazily per snapshot epoch and frees it with the view's last
 // Release — so CSR() is cheap to call on every kernel entry.
 type Indexed interface {

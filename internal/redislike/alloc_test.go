@@ -44,7 +44,7 @@ func TestMetricsHandlesPreResolved(t *testing.T) {
 	}
 	// The handle observes into the meter CommandCalls reads.
 	before := s.Metrics().CommandCalls("t.pre")
-	if got := s.Dispatch(resp.Command("t.pre")); got.Str != "OK" {
+	if got := dispatch(s, "t.pre"); got.Str != "OK" {
 		t.Fatalf("dispatch = %+v", got)
 	}
 	if got := s.Metrics().CommandCalls("t.pre"); got != before+1 {
@@ -171,13 +171,13 @@ func TestCommandCycleErrorReplies(t *testing.T) {
 	}
 	defer s.Close()
 
-	if got := s.Dispatch(resp.Command("g.insert", "1")); got.Str != "ERR wrong number of arguments for 'g.insert' command" {
+	if got := dispatch(s, "g.insert", "1"); got.Str != "ERR wrong number of arguments for 'g.insert' command" {
 		t.Fatalf("arity reply = %q", got.Str)
 	}
-	if got := s.Dispatch(resp.Command("nosuch")); got.Str != "ERR unknown command 'nosuch'" {
+	if got := dispatch(s, "nosuch"); got.Str != "ERR unknown command 'nosuch'" {
 		t.Fatalf("unknown reply = %q", got.Str)
 	}
-	if got := s.Dispatch(resp.Command("g.insert", "x", "2")); got.Str != `ERR g.insert: bad node id "x"` {
+	if got := dispatch(s, "g.insert", "x", "2"); got.Str != `ERR g.insert: bad node id "x"` {
 		t.Fatalf("bad-arg reply = %q", got.Str)
 	}
 	// A handler error mid-reply rewinds: the wire sees one error value,
@@ -193,10 +193,28 @@ func TestCommandCycleErrorReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := s.Dispatch(resp.Command("t.partial"))
+	got := dispatch(s, "t.partial")
 	if got.Type != '-' || got.Str != "ERR t.partial: gave up mid-array" {
 		t.Fatalf("partial-output reply = %+v", got)
 	}
+	// In the middle of a pipelined burst the rewind takes back the
+	// failed command's bytes and nothing else: the replies either side
+	// of it come off the wire whole and in order.
+	p := servePipe(t, s)
+	p.push("g.insert", "1", "2")
+	p.push("t.partial")
+	p.push("g.getneighbors", "1")
+	p.flush()
+	if got := p.read(); got.Type != ':' || got.Int != 1 {
+		t.Fatalf("reply 1 of the burst = %+v, want :1", got)
+	}
+	if got := p.read(); got.Type != '-' || got.Str != "ERR t.partial: gave up mid-array" {
+		t.Fatalf("reply 2 of the burst = %+v, want the handler's error alone", got)
+	}
+	if got := p.read(); got.Type != '*' || len(got.Array) != 1 || got.Array[0].Str != "2" {
+		t.Fatalf("reply 3 of the burst = %+v, want [2]", got)
+	}
+	p.hangup()
 	// A handler returning nil without writing is a server bug surfaced
 	// as an error reply, keeping the pipeline in sync.
 	err = s.Registry().Register(&Command{
@@ -206,7 +224,7 @@ func TestCommandCycleErrorReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Dispatch(resp.Command("t.mute")); got.Type != '-' {
+	if got := dispatch(s, "t.mute"); got.Type != '-' {
 		t.Fatalf("mute handler reply = %+v, want error", got)
 	}
 }
@@ -215,7 +233,7 @@ func TestCommandCycleErrorReplies(t *testing.T) {
 // latency histogram dispatch used to populate via the map path.
 func TestDispatchMetersDuration(t *testing.T) {
 	s := NewServer()
-	s.Dispatch(resp.Command("ping"))
+	dispatch(s, "ping")
 	m := s.Metrics().handle("ping")
 	if m.calls.Load() != 1 {
 		t.Fatalf("ping calls = %d, want 1", m.calls.Load())

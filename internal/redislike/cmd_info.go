@@ -160,7 +160,7 @@ func (gm *GraphModule) snapshotRows() []infoRow {
 		{"ring_capacity", "Views the time-travel ring retains at most.", false, float64(capacity)},
 		{"csr_builds", "Epochs compiled into a CSR index.", true, float64(vs.CSRBuilds)},
 		{"csr_build_seconds", "Time spent compiling epochs into CSR indexes.", true, float64(vs.CSRBuildNanos) / 1e9},
-		{"csr_bytes", "Bytes of CSR indexes, as built, held by unreleased views.", false, float64(vs.CSRBytes)},
+		{"csr_bytes", "Bytes of CSR indexes held by unreleased views.", false, float64(vs.CSRBytes)},
 	}
 }
 

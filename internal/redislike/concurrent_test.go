@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"cuckoograph/internal/resp"
 	"cuckoograph/internal/sharded"
 )
 
@@ -40,15 +39,15 @@ func TestConcurrentDispatch(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				u := strconv.Itoa(base*perWorker + i)
 				v := strconv.Itoa(i)
-				if got := s.Dispatch(resp.Command("g.insert", u, v)); got.Int != 1 {
+				if got := dispatch(s, "g.insert", u, v); got.Int != 1 {
 					t.Errorf("insert (%s,%s) = %+v", u, v, got)
 					return
 				}
-				s.Dispatch(resp.Command("g.query", u, v))
-				s.Dispatch(resp.Command("g.getneighbors", u))
+				dispatch(s, "g.query", u, v)
+				dispatch(s, "g.getneighbors", u)
 				if i%4 == 0 {
-					s.Dispatch(resp.Command("set", u, v))
-					s.Dispatch(resp.Command("get", u))
+					dispatch(s, "set", u, v)
+					dispatch(s, "get", u)
 				}
 			}
 		}(w)
@@ -76,7 +75,7 @@ func TestConcurrentDispatch(t *testing.T) {
 	}
 	for w := 0; w < workers; w += 3 {
 		u := strconv.Itoa(w*perWorker + 1)
-		if got := s.Dispatch(resp.Command("g.query", u, "1")); got.Int != 1 {
+		if got := dispatch(s, "g.query", u, "1"); got.Int != 1 {
 			t.Fatalf("edge (%s,1) missing after concurrent run", u)
 		}
 	}
@@ -95,7 +94,7 @@ func TestInstallGraphDoesNotDropInFlightWrites(t *testing.T) {
 	}
 	// Seed a base graph and snapshot it.
 	for i := 0; i < 100; i++ {
-		s.Dispatch(resp.Command("g.insert", strconv.Itoa(i), strconv.Itoa(i+1)))
+		dispatch(s, "g.insert", strconv.Itoa(i), strconv.Itoa(i+1))
 	}
 	snap := saveGraph(t, gm)
 
@@ -120,7 +119,7 @@ func TestInstallGraphDoesNotDropInFlightWrites(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				u := strconv.Itoa(1000 + base*1000 + i)
-				s.Dispatch(resp.Command("g.insert", u, "7"))
+				dispatch(s, "g.insert", u, "7")
 			}
 		}(w)
 	}
@@ -128,10 +127,10 @@ func TestInstallGraphDoesNotDropInFlightWrites(t *testing.T) {
 	<-done
 
 	// All restores are over; an acknowledged insert must stick now.
-	if got := s.Dispatch(resp.Command("g.insert", "999999", "7")); got.Int != 1 {
+	if got := dispatch(s, "g.insert", "999999", "7"); got.Int != 1 {
 		t.Fatalf("post-restore insert = %+v", got)
 	}
-	if got := s.Dispatch(resp.Command("g.query", "999999", "7")); got.Int != 1 {
+	if got := dispatch(s, "g.query", "999999", "7"); got.Int != 1 {
 		t.Fatal("acknowledged insert lost after restores")
 	}
 	if gm.Graph().NumEdges() < 100 {

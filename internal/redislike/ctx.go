@@ -30,16 +30,15 @@ type Ctx struct {
 	// plane handlers coordinate their own graph access and swap locking.
 	Graph *sharded.Graph
 
-	// Conn is the per-connection state, nil when the command was
-	// dispatched in-process (tests, benchmarks, AOF replay).
+	// Conn is the state of the connection the command arrived on.
 	Conn *ConnState
 
 	srv *Server
 	w   *resp.Writer
 
-	// rc is the originating resp connection, nil for in-process
-	// dispatch; hijacked marks that the handler took the connection
-	// over (see Hijack) and the serve loop must not touch it again.
+	// rc is the originating resp connection; hijacked marks that the
+	// handler took it over (see Hijack) and the serve loop must not
+	// touch it again.
 	rc       *resp.Conn
 	hijacked bool
 
@@ -71,14 +70,10 @@ type stagedReply struct {
 func (c *Ctx) Server() *Server { return c.srv }
 
 // Hijack hands the raw connection to the handler for the rest of its
-// life — the replication stream's entry point. It returns nil for
-// in-process dispatch. After Hijack the serve loop neither reads nor
-// writes the connection again: the handler owns both directions and
-// the connection closes when the handler returns.
+// life — the replication stream's entry point. After Hijack the serve
+// loop neither reads nor writes the connection again: the handler owns
+// both directions and the connection closes when the handler returns.
 func (c *Ctx) Hijack() *resp.Conn {
-	if c.rc == nil {
-		return nil
-	}
 	c.hijacked = true
 	return c.rc
 }

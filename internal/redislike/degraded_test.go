@@ -306,7 +306,16 @@ func TestWALOnErrorPanicPolicy(t *testing.T) {
 		gm.Graph().SetWAL(nil)
 		srv.Close()
 	}()
-	srv.Dispatch(resp.Command("g.insert", "1", "2"))
+	// The loop runs on this goroutine, so its panic is the test's to
+	// recover; the client's write returns once the loop has read it.
+	cli, conn := net.Pipe()
+	defer cli.Close()
+	go func() {
+		w := bufio.NewWriter(cli)
+		resp.Write(w, resp.Command("g.insert", "1", "2"))
+		w.Flush()
+	}()
+	srv.serve(conn)
 }
 
 // TestReadyzReplicaBootstrapGate: a replica that has not reached
@@ -336,7 +345,7 @@ func TestReplicationTerminalErrFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if v := srv.Dispatch(resp.Command("g.insert", "1", "2")); v.Type == '-' {
+	if v := dispatch(srv, "g.insert", "1", "2"); v.Type == '-' {
 		t.Fatalf("insert: %s", v.Str)
 	}
 

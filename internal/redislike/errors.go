@@ -3,8 +3,6 @@ package redislike
 import (
 	"errors"
 	"fmt"
-
-	"cuckoograph/internal/resp"
 )
 
 // The error taxonomy. Handlers return typed errors instead of
@@ -154,10 +152,4 @@ func errorClass(err error) string {
 		return ClassMisconf
 	}
 	return ClassErr
-}
-
-// errorReply renders a typed error as the RESP error value sent to the
-// client: class prefix, then the error's own message.
-func errorReply(err error) resp.Value {
-	return resp.Error(errorClass(err) + " " + err.Error())
 }

@@ -30,15 +30,15 @@ func TestShutdownReleasesViewsAndWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 8; i++ {
-		if got := s.Dispatch(resp.Command("g.insert", "1", string(rune('0'+i)))); got.Type == '-' {
+		if got := dispatch(s, "g.insert", "1", string(rune('0'+i))); got.Type == '-' {
 			t.Fatalf("insert = %+v", got)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if got := s.Dispatch(resp.Command("g.snapshot")); got.Type != ':' {
+		if got := dispatch(s, "g.snapshot"); got.Type != ':' {
 			t.Fatalf("snapshot = %+v", got)
 		}
-		s.Dispatch(resp.Command("g.insert", "2", string(rune('0'+i))))
+		dispatch(s, "g.insert", "2", string(rune('0'+i)))
 	}
 	if live := gm.Graph().LiveViews(); live != 3 {
 		t.Fatalf("pre-shutdown live views = %d, want 3", live)

@@ -47,7 +47,7 @@ func (m *cmdMetrics) observe(d time.Duration, failed bool) {
 
 // Metrics is the server's observability state: per-command meters plus
 // connection-lifecycle counters, exported in Prometheus text format.
-// Dispatch never looks a meter up by name: each Command carries its
+// The serve loop never looks a meter up by name: each Command carries its
 // *cmdMetrics handle, resolved once at registration (unknown commands
 // pool under the pre-resolved "unknown" meter), so the per-command cost
 // is a few atomic adds.
@@ -87,9 +87,6 @@ func (m *Metrics) CommandCalls(name string) uint64 {
 	}
 	return 0
 }
-
-// ConnsActive reports the currently tracked connections.
-func (m *Metrics) ConnsActive() int64 { return m.connsActive.Load() }
 
 // MetricsWriter emits Prometheus text-format samples, writing each
 // metric's HELP/TYPE header exactly once however many labeled samples

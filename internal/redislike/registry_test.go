@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"cuckoograph/internal/resp"
 	"cuckoograph/internal/wal"
 )
 
@@ -94,12 +93,11 @@ func TestCommandIntrospection(t *testing.T) {
 	if err := s.LoadModule(mod); err != nil {
 		t.Fatal(err)
 	}
-	dispatch := func(args ...string) resp.Value { return s.Dispatch(resp.Command(args...)) }
 
-	if got := dispatch("COMMAND", "COUNT"); got.Int != int64(s.Registry().Len()) {
+	if got := dispatch(s, "COMMAND", "COUNT"); got.Int != int64(s.Registry().Len()) {
 		t.Fatalf("COMMAND COUNT = %+v, want %d", got, s.Registry().Len())
 	}
-	list := dispatch("COMMAND", "LIST")
+	list := dispatch(s, "COMMAND", "LIST")
 	names := map[string]bool{}
 	for _, v := range list.Array {
 		names[v.Str] = true
@@ -110,7 +108,7 @@ func TestCommandIntrospection(t *testing.T) {
 		}
 	}
 
-	info := dispatch("COMMAND", "INFO", "g.insert", "nosuch")
+	info := dispatch(s, "COMMAND", "INFO", "g.insert", "nosuch")
 	if len(info.Array) != 2 {
 		t.Fatalf("COMMAND INFO = %+v", info)
 	}
@@ -130,10 +128,10 @@ func TestCommandIntrospection(t *testing.T) {
 	}
 
 	// The full listing matches the registry size.
-	if full := dispatch("COMMAND"); len(full.Array) != s.Registry().Len() {
+	if full := dispatch(s, "COMMAND"); len(full.Array) != s.Registry().Len() {
 		t.Fatalf("COMMAND listed %d entries, want %d", len(full.Array), s.Registry().Len())
 	}
-	if got := dispatch("COMMAND", "BOGUS"); got.Type != '-' || !strings.HasPrefix(got.Str, "ERR ") {
+	if got := dispatch(s, "COMMAND", "BOGUS"); got.Type != '-' || !strings.HasPrefix(got.Str, "ERR ") {
 		t.Fatalf("COMMAND BOGUS = %+v", got)
 	}
 }
@@ -146,11 +144,10 @@ func TestInfoCommand(t *testing.T) {
 	if err := s.LoadModule(mod); err != nil {
 		t.Fatal(err)
 	}
-	dispatch := func(args ...string) resp.Value { return s.Dispatch(resp.Command(args...)) }
-	dispatch("g.insert", "1", "2")
-	dispatch("g.insert", "1", "3")
+	dispatch(s, "g.insert", "1", "2")
+	dispatch(s, "g.insert", "1", "3")
 
-	full := dispatch("G.INFO")
+	full := dispatch(s, "G.INFO")
 	for _, want := range []string{"# server", "# commands", "# graph", "# snapshots", "# wal",
 		"# replication", "role:leader", "connected_replicas:0",
 		"edges:2", "commands_registered:", "enabled:0", "cmdstat_g.insert:calls=2"} {
@@ -159,16 +156,16 @@ func TestInfoCommand(t *testing.T) {
 		}
 	}
 
-	one := dispatch("G.INFO", "graph")
+	one := dispatch(s, "G.INFO", "graph")
 	if !strings.Contains(one.Str, "edges:2") || strings.Contains(one.Str, "# wal") {
 		t.Fatalf("G.INFO graph = %q", one.Str)
 	}
 	// Denylist occupancy and chain depth: one node past its inline
 	// slots owns a one-table chain, and nothing is parked.
 	for v := 1; v <= 20; v++ {
-		dispatch("g.insert", "7", strconv.Itoa(v))
+		dispatch(s, "g.insert", "7", strconv.Itoa(v))
 	}
-	one = dispatch("G.INFO", "graph")
+	one = dispatch(s, "G.INFO", "graph")
 	for _, want := range []string{"chains:1\n", "scht_tables:1\n", "ldl_len:0\n", "sdl_len:0\n"} {
 		if !strings.Contains(one.Str, want) {
 			t.Fatalf("G.INFO graph missing %q in:\n%s", want, one.Str)
@@ -181,12 +178,12 @@ func TestInfoCommand(t *testing.T) {
 	}
 	// The snapshots section likewise, after one compiled epoch: a
 	// retained snapshot that an analytics command ran on.
-	epoch := dispatch("g.snapshot")
-	dispatch("graph.pagerank", "3", strconv.FormatInt(epoch.Int, 10))
+	epoch := dispatch(s, "g.snapshot")
+	dispatch(s, "graph.pagerank", "3", strconv.FormatInt(epoch.Int, 10))
 	if n := checkInfoSeries(t, s, "snapshots", "cg_snapshot_", nil); n < 8 {
 		t.Fatalf("G.INFO snapshots has %d numeric keys, want at least 8", n)
 	}
-	snaps := dispatch("G.INFO", "snapshots")
+	snaps := dispatch(s, "G.INFO", "snapshots")
 	for _, want := range []string{"csr_builds:1\n", "ring_retained:1\n"} {
 		if !strings.Contains(snaps.Str, want) {
 			t.Fatalf("G.INFO snapshots missing %q in:\n%s", want, snaps.Str)
@@ -196,11 +193,11 @@ func TestInfoCommand(t *testing.T) {
 		t.Fatalf("a compiled epoch is retained but csr_bytes is 0:\n%s", snaps.Str)
 	}
 	// Releasing the last compiled view gives its bytes back.
-	dispatch("g.release", strconv.FormatInt(epoch.Int, 10))
-	if snaps = dispatch("G.INFO", "snapshots"); !strings.Contains(snaps.Str, "csr_bytes:0\n") {
+	dispatch(s, "g.release", strconv.FormatInt(epoch.Int, 10))
+	if snaps = dispatch(s, "G.INFO", "snapshots"); !strings.Contains(snaps.Str, "csr_bytes:0\n") {
 		t.Fatalf("csr_bytes after the release:\n%s", snaps.Str)
 	}
-	if got := dispatch("G.INFO", "bogus"); got.Type != '-' || !strings.HasPrefix(got.Str, "ERR ") {
+	if got := dispatch(s, "G.INFO", "bogus"); got.Type != '-' || !strings.HasPrefix(got.Str, "ERR ") {
 		t.Fatalf("G.INFO bogus = %+v", got)
 	}
 	// The remaining sections likewise, the wal one in both its shapes.
@@ -213,7 +210,7 @@ func TestInfoCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gm.CloseWAL()
-	dispatch("g.insert", "8", "9")
+	dispatch(s, "g.insert", "8", "9")
 	for section, want := range map[string]struct {
 		prefix string
 		keys   int
@@ -224,7 +221,7 @@ func TestInfoCommand(t *testing.T) {
 			t.Fatalf("G.INFO %s has %d numeric keys, want at least %d", section, n, want.keys)
 		}
 	}
-	if w := dispatch("G.INFO", "wal").Str; !strings.Contains(w, "ops:1\n") || !strings.Contains(w, "dir:") {
+	if w := dispatch(s, "G.INFO", "wal").Str; !strings.Contains(w, "ops:1\n") || !strings.Contains(w, "dir:") {
 		t.Fatalf("G.INFO wal after one logged insert:\n%s", w)
 	}
 }
@@ -240,11 +237,15 @@ func TestInfoCommand(t *testing.T) {
 // between the two reads, so it must agree like any other key.
 func checkInfoSeries(t *testing.T, s *Server, section, prefix string, alias map[string]string) int {
 	t.Helper()
-	info := s.Dispatch(resp.Command("G.INFO", section)).Str
+	// Both surfaces are read with the asking connection open, so they
+	// count the same connections.
+	p := servePipe(t, s)
+	info := p.do("G.INFO", section).Str
 	var sb strings.Builder
 	if err := s.WriteMetrics(&sb); err != nil {
 		t.Fatal(err)
 	}
+	p.hangup()
 	metrics := "\n" + sb.String()
 	lines := strings.Split(strings.TrimSpace(info), "\n")[1:] // drop "# section"
 	n := 0

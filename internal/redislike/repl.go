@@ -104,9 +104,6 @@ func (gm *GraphModule) replicate(ctx *Ctx) error {
 		return &WALError{Cmd: ctx.Name, Err: errors.New("replication requires an enabled wal (start the leader with -wal-dir)")}
 	}
 	rc := ctx.Hijack()
-	if rc == nil {
-		return &BadArgError{Cmd: ctx.Name, Detail: "replication requires a network connection"}
-	}
 	if rc.Buffered() > 0 {
 		// A replication stream owns the whole connection; pipelined
 		// bytes behind the command would be silently eaten. Hijacked is

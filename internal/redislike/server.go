@@ -42,8 +42,6 @@
 package redislike
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -219,9 +217,6 @@ func (s *Server) Logger() *slog.Logger { return s.log }
 // SetLoading flips the recovery-in-progress flag; while set, dispatch
 // rejects write-flagged commands with -LOADING.
 func (s *Server) SetLoading(on bool) { s.loading.Store(on) }
-
-// Loading reports whether a recovery swap is in progress.
-func (s *Server) Loading() bool { return s.loading.Load() }
 
 // SetReadOnly flips replica mode: while set, write-flagged commands
 // are rejected with -READONLY.
@@ -669,44 +664,4 @@ func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 	}
 	ctx.stamp = time.Now()
 	s.meter(cmd).observe(ctx.stamp.Sub(start), err != nil)
-}
-
-// dispatcher is the pooled state behind Dispatch: one in-process
-// command cycle — encode args, serve, decode the reply — with no
-// socket.
-type dispatcher struct {
-	w    resp.Writer
-	ctx  Ctx
-	args [][]byte
-}
-
-var dispatcherPool = sync.Pool{New: func() any { return new(dispatcher) }}
-
-// Dispatch executes one already-decoded command; exported so tests,
-// benchmarks and replay can measure command cost without socket
-// overhead. It runs the same serveRequest path as the TCP loop — a
-// drain of one command, committed before its reply is handed back — and
-// decodes the streamed reply back into a boxed Value.
-func (s *Server) Dispatch(req resp.Value) resp.Value {
-	if req.Type != '*' || len(req.Array) == 0 {
-		return errorReply(&BadArgError{Cmd: "protocol", Detail: "expected command array"})
-	}
-	d := dispatcherPool.Get().(*dispatcher)
-	d.args = d.args[:0]
-	for _, v := range req.Array {
-		d.args = append(d.args, []byte(v.Str))
-	}
-	d.ctx.srv, d.ctx.w = s, &d.w
-	d.ctx.Conn, d.ctx.Graph = nil, nil
-	d.ctx.rc, d.ctx.hijacked = nil, false
-	d.ctx.stamp = time.Time{}
-	s.serveRequest(&d.ctx, d.args)
-	s.commit(&d.ctx)
-	reply, err := resp.Read(bufio.NewReader(bytes.NewReader(d.w.Bytes())))
-	d.w.Reset()
-	dispatcherPool.Put(d)
-	if err != nil {
-		return errorReply(&BadArgError{Cmd: "protocol", Detail: "reply decode: " + err.Error()})
-	}
-	return reply
 }

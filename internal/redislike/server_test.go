@@ -67,28 +67,27 @@ func TestGraphModuleCommands(t *testing.T) {
 	if err := s.LoadModule(mod); err != nil {
 		t.Fatal(err)
 	}
-	dispatch := func(args ...string) resp.Value { return s.Dispatch(resp.Command(args...)) }
 
-	if got := dispatch("G.INSERT", "1", "2"); got.Int != 1 {
+	if got := dispatch(s, "G.INSERT", "1", "2"); got.Int != 1 {
 		t.Fatalf("first insert = %+v", got)
 	}
-	if got := dispatch("g.insert", "1", "2"); got.Int != 0 {
+	if got := dispatch(s, "g.insert", "1", "2"); got.Int != 0 {
 		t.Fatalf("dup insert = %+v", got)
 	}
-	if got := dispatch("g.query", "1", "2"); got.Int != 1 {
+	if got := dispatch(s, "g.query", "1", "2"); got.Int != 1 {
 		t.Fatalf("query = %+v", got)
 	}
-	dispatch("g.insert", "1", "3")
-	if got := dispatch("g.getneighbors", "1"); len(got.Array) != 2 {
+	dispatch(s, "g.insert", "1", "3")
+	if got := dispatch(s, "g.getneighbors", "1"); len(got.Array) != 2 {
 		t.Fatalf("getneighbors = %+v", got)
 	}
-	if got := dispatch("g.del", "1", "2"); got.Int != 1 {
+	if got := dispatch(s, "g.del", "1", "2"); got.Int != 1 {
 		t.Fatalf("del = %+v", got)
 	}
-	if got := dispatch("g.query", "1", "2"); got.Int != 0 {
+	if got := dispatch(s, "g.query", "1", "2"); got.Int != 0 {
 		t.Fatalf("query after del = %+v", got)
 	}
-	if got := dispatch("g.insert", "x", "2"); got.Type != '-' {
+	if got := dispatch(s, "g.insert", "x", "2"); got.Type != '-' {
 		t.Fatalf("bad arg = %+v", got)
 	}
 	if gm.Graph().NumEdges() != 1 {

@@ -2,6 +2,7 @@ package redislike
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -18,6 +19,47 @@ type pipeClient struct {
 	c net.Conn
 	r *bufio.Reader
 	w *bufio.Writer
+	// served is closed when the serve loop behind a servePipe client
+	// has returned; nil for a dialled one.
+	served chan struct{}
+}
+
+// serveConn starts s.serve — the loop a TCP connection gets: parse,
+// serveRequest, commit before flush, flush — on one end of an in-memory
+// connection and returns the other, with a channel closed once the loop
+// has returned.
+func serveConn(s *Server) (net.Conn, chan struct{}) {
+	cli, conn := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.serve(conn)
+	}()
+	return cli, served
+}
+
+// servePipe returns a client on a serveConn connection, for a test that
+// holds one connection across commands. hangup ends it.
+func servePipe(t *testing.T, s *Server) *pipeClient {
+	cli, served := serveConn(s)
+	p := &pipeClient{t: t, c: cli, r: bufio.NewReader(cli), w: bufio.NewWriter(cli), served: served}
+	t.Cleanup(p.hangup)
+	return p
+}
+
+// hangup closes a servePipe client and waits for its serve loop, so
+// the connection's last commit is done and its count given back.
+func (p *pipeClient) hangup() {
+	p.c.Close()
+	<-p.served
+}
+
+// do sends one command and returns its reply.
+func (p *pipeClient) do(args ...string) resp.Value {
+	p.t.Helper()
+	p.push(args...)
+	p.flush()
+	return p.read()
 }
 
 func dialPipe(t *testing.T, addr string) *pipeClient {
@@ -28,6 +70,29 @@ func dialPipe(t *testing.T, addr string) *pipeClient {
 	}
 	t.Cleanup(func() { c.Close() })
 	return &pipeClient{t: t, c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}
+}
+
+// dispatch sends one command on a serveConn connection of its own and
+// returns the decoded reply. It returns after the loop has, so the
+// connection's last commit is done and its count given back.
+func dispatch(s *Server, args ...string) resp.Value {
+	cli, served := serveConn(s)
+	w := bufio.NewWriter(cli)
+	err := resp.Write(w, resp.Command(args...))
+	if err == nil {
+		err = w.Flush()
+	}
+	var v resp.Value
+	if err == nil {
+		cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+		v, err = resp.Read(bufio.NewReader(cli))
+	}
+	cli.Close()
+	<-served
+	if err != nil {
+		panic(fmt.Sprintf("dispatch %q: %v", args, err))
+	}
+	return v
 }
 
 func (p *pipeClient) push(args ...string) {

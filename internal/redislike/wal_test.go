@@ -7,14 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"cuckoograph/internal/resp"
 	"cuckoograph/internal/wal"
 )
-
-// dispatch sends one command through the server's decoded-command path.
-func dispatch(s *Server, args ...string) resp.Value {
-	return s.Dispatch(resp.Command(args...))
-}
 
 // TestWALCommandsRoundTrip drives the durability control plane over the
 // command surface: enable logging, write, checkpoint, write more, then

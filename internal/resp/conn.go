@@ -96,9 +96,6 @@ func (c *Conn) Abort() {
 	c.nc.SetReadDeadline(time.Now())
 }
 
-// Aborted reports whether Abort has been called.
-func (c *Conn) Aborted() bool { return c.aborted.Load() }
-
 // Buffered reports how many request bytes are already in the read
 // buffer — the pipelining signal: flush replies only when it reaches
 // zero and the next read would block.

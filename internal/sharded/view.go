@@ -57,7 +57,7 @@ type View struct {
 	// number of compiled epochs.
 	csrOnce  sync.Once
 	csrIdx   atomic.Pointer[csr.Index]
-	csrBytes int64 // the index's MemoryBytes as built: its share of ViewStats.CSRBytes
+	csrBytes int64 // the index's MemoryBytes: its share of ViewStats.CSRBytes
 
 	// refs counts the holders of the view: 1 at birth for the taker,
 	// plus one per Retain. The view is dropped from the shard
@@ -112,7 +112,7 @@ type ViewStats struct {
 
 	CSRBuilds     uint64 // epochs compiled by View.CSR since the graph was created
 	CSRBuildNanos uint64 // time those builds took, summed
-	CSRBytes      uint64 // csr.Index.MemoryBytes, as built, summed over unreleased compiled views
+	CSRBytes      uint64 // csr.Index.MemoryBytes summed over unreleased compiled views
 }
 
 // ViewStats returns the snapshot/CoW counters.

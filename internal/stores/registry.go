@@ -1,16 +1,14 @@
 // Package stores registers every graph storage scheme of the evaluation
 // (§V-A "Competitors") behind the common graphstore.Store interface so
 // the benchmark harness and the conformance tests can treat them
-// uniformly: CuckooGraph (ours), LiveGraph, Sortledton, Wind-Bell Index,
-// Spruce, plus the classic adjacency list and PCSR references.
+// uniformly: CuckooGraph (ours), LiveGraph, Sortledton, Wind-Bell Index
+// and Spruce.
 package stores
 
 import (
 	"cuckoograph/internal/core"
 	"cuckoograph/internal/graphstore"
 	"cuckoograph/internal/sharded"
-	"cuckoograph/internal/stores/adjlist"
-	"cuckoograph/internal/stores/csr"
 	"cuckoograph/internal/stores/livegraph"
 	"cuckoograph/internal/stores/sortledton"
 	"cuckoograph/internal/stores/spruce"
@@ -50,12 +48,10 @@ func Evaluated() []graphstore.Factory {
 	}
 }
 
-// All returns every store in the repository, the evaluated five plus the
-// reference baselines.
+// All returns every store in the repository: the evaluated five plus
+// the concurrent sharded engine, which the conformance suite pins
+// against the same model.
 func All() []graphstore.Factory {
 	return append(Evaluated(),
-		graphstore.Factory{Name: "CuckooGraph-Sharded", New: NewShardedCuckooGraph},
-		graphstore.Factory{Name: "AdjList", New: func() graphstore.Store { return adjlist.New() }},
-		graphstore.Factory{Name: "PCSR", New: func() graphstore.Store { return csr.NewPCSR() }},
-	)
+		graphstore.Factory{Name: "CuckooGraph-Sharded", New: NewShardedCuckooGraph})
 }

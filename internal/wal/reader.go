@@ -85,13 +85,6 @@ func (p *Pin) Move(seg uint64) {
 	p.w.mu.Unlock()
 }
 
-// Seg returns the pin's current floor segment.
-func (p *Pin) Seg() uint64 {
-	p.w.mu.Lock()
-	defer p.w.mu.Unlock()
-	return p.seg
-}
-
 // Release removes the pin; retention reverts to the checkpoint cut.
 // Releasing twice is harmless.
 func (p *Pin) Release() {

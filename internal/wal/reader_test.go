@@ -162,7 +162,7 @@ func TestPinBlocksCompaction(t *testing.T) {
 
 	pin.Move(3)
 	pin.Move(1) // floors never move backwards
-	if got := pin.Seg(); got != 3 {
+	if got := pin.seg; got != 3 {
 		t.Fatalf("pin at %d, want 3", got)
 	}
 	if err := w.RemoveSegmentsBefore(cur); err != nil {

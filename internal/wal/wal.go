@@ -424,11 +424,6 @@ func (w *WAL) startFlusher() {
 // Dir returns the WAL's directory.
 func (w *WAL) Dir() string { return w.dir }
 
-// Options returns the WAL's normalised options (defaults resolved, FS
-// set) — what a caller re-opening the same log after a failure should
-// pass to Open.
-func (w *WAL) Options() Options { return w.opts }
-
 // FS returns the filesystem the WAL operates on.
 func (w *WAL) FS() vfs.FS { return w.fs }
 
@@ -454,12 +449,6 @@ func (w *WAL) Err() error {
 
 // LogBatch implements sharded.Logger: Stage followed by Commit.
 func (w *WAL) LogBatch(b core.Batch) error { return w.AppendBatch(b) }
-
-// LogInsert logs a single insert — a size-1 batch in record terms.
-func (w *WAL) LogInsert(u, v uint64) error { return w.Append(OpInsert, u, v) }
-
-// LogDelete logs a single delete.
-func (w *WAL) LogDelete(u, v uint64) error { return w.Append(OpDelete, u, v) }
 
 // Append durably logs one op and returns once it (and, for free, every
 // op staged alongside it) is written — the group commit.
