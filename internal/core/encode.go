@@ -216,26 +216,3 @@ func readEdge(r io.Reader) (u, v uint64, err error) {
 	}
 	return binary.LittleEndian.Uint64(buf[0:]), binary.LittleEndian.Uint64(buf[8:]), nil
 }
-
-// MaxVarintLen64 is the worst-case encoded size of one uvarint.
-const MaxVarintLen64 = binary.MaxVarintLen64
-
-// AppendUvarint appends v to buf in LEB128 form and returns the
-// extended slice. It is the shared integer encoding of the variable-
-// width persistence formats (WAL records; compact snapshot variants).
-func AppendUvarint(buf []byte, v uint64) []byte {
-	return binary.AppendUvarint(buf, v)
-}
-
-// Uvarint decodes a uvarint from the front of buf, returning the value
-// and the number of bytes consumed. n <= 0 reports the same failures as
-// encoding/binary.Uvarint: 0 means buf is too short, < 0 means the
-// value overflows 64 bits (and -n bytes were read).
-func Uvarint(buf []byte) (uint64, int) {
-	return binary.Uvarint(buf)
-}
-
-// ReadUvarint decodes a uvarint from r, byte by byte.
-func ReadUvarint(r io.ByteReader) (uint64, error) {
-	return binary.ReadUvarint(r)
-}

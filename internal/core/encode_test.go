@@ -164,29 +164,3 @@ func TestCorruptionIsTyped(t *testing.T) {
 		t.Fatalf("underlying cause lost: %v", err)
 	}
 }
-
-func TestUvarintHelpers(t *testing.T) {
-	vals := []uint64{0, 1, 127, 128, 300, 1 << 20, 1<<63 - 1, ^uint64(0)}
-	var buf []byte
-	for _, v := range vals {
-		buf = AppendUvarint(buf, v)
-	}
-	rest := buf
-	for i, want := range vals {
-		got, n := Uvarint(rest)
-		if n <= 0 || got != want {
-			t.Fatalf("Uvarint #%d = (%d, %d), want %d", i, got, n, want)
-		}
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d bytes left over", len(rest))
-	}
-	br := bytes.NewReader(buf)
-	for i, want := range vals {
-		got, err := ReadUvarint(br)
-		if err != nil || got != want {
-			t.Fatalf("ReadUvarint #%d = (%d, %v), want %d", i, got, err, want)
-		}
-	}
-}

@@ -127,14 +127,6 @@ func Key64(key uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Pair mixes an edge ⟨u,v⟩ into a single 64-bit fingerprint. Used by
-// stores that key edge sets by the whole pair.
-func Pair(u, v uint64) uint64 {
-	h := uint64(Hash64(u, 0x5bd1e995))
-	h = h<<32 | uint64(Hash64(v, 0x1b873593))
-	return h
-}
-
 // RNG is a splitmix64 pseudo-random generator. It is deterministic for
 // a given seed so every experiment in the repository is reproducible.
 type RNG struct {

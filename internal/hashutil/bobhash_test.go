@@ -156,12 +156,3 @@ func TestRNGPanics(t *testing.T) {
 	}()
 	NewRNG(1).Intn(0)
 }
-
-func TestPairDistinguishesOrder(t *testing.T) {
-	if Pair(1, 2) == Pair(2, 1) {
-		t.Fatal("Pair(1,2) == Pair(2,1)")
-	}
-	if Pair(1, 2) == Pair(1, 3) {
-		t.Fatal("Pair collides on second component")
-	}
-}

@@ -85,8 +85,7 @@ type Command struct {
 
 	// metrics is the command's meter, resolved once at registration by
 	// the owning server so dispatch never takes the metrics map lookup
-	// on the hot path. Nil for registries without a server (tests);
-	// dispatch then falls back to a by-name resolve.
+	// on the hot path.
 	metrics *cmdMetrics
 }
 

@@ -591,20 +591,10 @@ func (s *Server) commit(ctx *Ctx) {
 			r := ctx.uncommitted[i]
 			e := &WALError{Cmd: r.cmd.Name, Err: err}
 			ctx.w.SpliceError(r.from, r.to, errorClass(e)+" "+e.Error())
-			s.meter(r.cmd).errs.Add(1)
+			r.cmd.metrics.errs.Add(1)
 		}
 	}
 	ctx.uncommitted = ctx.uncommitted[:0]
-}
-
-// meter resolves a command's metrics handle.
-func (s *Server) meter(cmd *Command) *cmdMetrics {
-	if cmd.metrics != nil {
-		return cmd.metrics
-	}
-	// Registered on a bare registry (no owning server): resolve by
-	// name, off the precomputed path.
-	return s.metrics.handle(cmd.Name)
 }
 
 // serveRequest is the registry-driven command path: resolve, enforce
@@ -663,5 +653,5 @@ func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 		w.AppendError(errorClass(err) + " " + err.Error())
 	}
 	ctx.stamp = time.Now()
-	s.meter(cmd).observe(ctx.stamp.Sub(start), err != nil)
+	cmd.metrics.observe(ctx.stamp.Sub(start), err != nil)
 }

@@ -11,18 +11,18 @@ import (
 
 // TestAppendBatchRoundTrip: a mixed batch logged as one record must
 // replay as the same ops in the same order, interleaved correctly with
-// surrounding single-op records.
+// the one-op records around it — each of them a batch record too.
 func TestAppendBatchRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
-	if err := w.Append(OpInsert, 100, 200); err != nil {
+	if err := w.Append(core.OpInsert, 100, 200); err != nil {
 		t.Fatal(err)
 	}
 	batch := core.Batch{}.Insert(1, 2).Delete(3, 4).Insert(5, 6).Delete(1, 2)
 	if err := w.AppendBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(OpDelete, 100, 200); err != nil {
+	if err := w.Append(core.OpDelete, 100, 200); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -30,8 +30,8 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 	}
 
 	var got core.Batch
-	stats, err := Replay(dir, 0, func(op Op, u, v uint64) error {
-		got = append(got, core.Op{Kind: core.OpKind(op), U: u, V: v})
+	stats, err := Replay(dir, 0, func(o core.Op) error {
+		got = append(got, o)
 		return nil
 	})
 	if err != nil {
@@ -50,13 +50,13 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 	if stats.Records != uint64(len(want)) {
 		t.Fatalf("Records = %d, want %d", stats.Records, len(want))
 	}
-	if stats.BatchRecords != 1 {
-		t.Fatalf("BatchRecords = %d, want 1", stats.BatchRecords)
+	if stats.BatchRecords != 3 {
+		t.Fatalf("BatchRecords = %d, want 3 (every record written)", stats.BatchRecords)
 	}
 }
 
-// TestAppendBatchEdgeSizes: empty batches are no-ops and size-1 batches
-// fall back to the compact single-op framing.
+// TestAppendBatchEdgeSizes: empty batches are no-ops and a size-1 batch
+// is a batch record holding one op.
 func TestAppendBatchEdgeSizes(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
@@ -70,18 +70,18 @@ func TestAppendBatchEdgeSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var n uint64
-	stats, err := Replay(dir, 0, func(op Op, u, v uint64) error {
+	stats, err := Replay(dir, 0, func(o core.Op) error {
 		n++
-		if op != OpInsert || u != 7 || v != 8 {
-			t.Fatalf("replayed (%v,%d,%d)", op, u, v)
+		if o != core.InsertOp(7, 8) {
+			t.Fatalf("replayed %+v", o)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || stats.BatchRecords != 0 {
-		t.Fatalf("replayed %d ops, %d batch records; want 1 single-op record", n, stats.BatchRecords)
+	if n != 1 || stats.BatchRecords != 1 {
+		t.Fatalf("replayed %d ops, %d batch records; want 1 op in 1 batch record", n, stats.BatchRecords)
 	}
 }
 
@@ -102,9 +102,9 @@ func TestAppendBatchChunksHugeBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	var i uint64
-	stats, err := Replay(dir, 0, func(op Op, u, v uint64) error {
-		if op != OpInsert || u != i || v != i+1 {
-			t.Fatalf("op %d replayed as (%v,%d,%d)", i, op, u, v)
+	stats, err := Replay(dir, 0, func(o core.Op) error {
+		if o != core.InsertOp(i, i+1) {
+			t.Fatalf("op %d replayed as %+v", i, o)
 		}
 		i++
 		return nil
@@ -120,6 +120,38 @@ func TestAppendBatchChunksHugeBatches(t *testing.T) {
 	}
 }
 
+// TestReplayFrameLargerThanReadChunk: replay reads a segment in
+// readerChunkBytes chunks, and a record wider than one chunk must still
+// replay whole — or, cut short by a crash, drop whole as a tear.
+func TestReplayFrameLargerThanReadChunk(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{Sync: SyncNone})
+	if err := w.Append(core.OpInsert, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	big := make(core.Batch, maxBatchOps)
+	for i := range big {
+		big[i] = core.InsertOp(^uint64(i), ^uint64(0)-1)
+	}
+	if err := w.AppendBatch(big); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Bytes < 2*readerChunkBytes {
+		t.Fatalf("wrote %d bytes, want a record wider than two read chunks", st.Bytes)
+	}
+	got, stats := replayOps(t, dir)
+	if len(got) != 1+len(big) || got[0] != core.InsertOp(1, 2) || got[len(got)-1] != big[len(big)-1] || stats.TornBytes != 0 {
+		t.Fatalf("replayed %d ops (torn %d), want %d", len(got), stats.TornBytes, 1+len(big))
+	}
+	truncateBy(t, lastSegment(t, dir), readerChunkBytes)
+	if got, stats = replayOps(t, dir); len(got) != 1 || stats.TornBytes == 0 {
+		t.Fatalf("after cutting the wide record: %d ops, %d torn bytes; want 1 op and a tear", len(got), stats.TornBytes)
+	}
+}
+
 // TestAppendBatchRejectsUnknownKind: unloggable ops must fail up front,
 // before anything reaches the file.
 func TestAppendBatchRejectsUnknownKind(t *testing.T) {
@@ -131,7 +163,7 @@ func TestAppendBatchRejectsUnknownKind(t *testing.T) {
 		t.Fatal("AppendBatch accepted an unknown op kind")
 	}
 	var n int
-	if _, err := Replay(dir, 0, func(Op, uint64, uint64) error { n++; return nil }); err != nil {
+	if _, err := Replay(dir, 0, func(core.Op) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
@@ -146,7 +178,7 @@ func TestTornBatchTailDroppedWhole(t *testing.T) {
 	build := func(t *testing.T, dir string, withBatch bool) int64 {
 		w := mustOpen(t, dir, Options{Sync: SyncNone})
 		for i := uint64(0); i < 10; i++ {
-			if err := w.Append(OpInsert, i, i+1); err != nil {
+			if err := w.Append(core.OpInsert, i, i+1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -165,7 +197,7 @@ func TestTornBatchTailDroppedWhole(t *testing.T) {
 		}
 		return fi.Size()
 	}
-	// The batch record is everything after the 10 single-op frames;
+	// The batch record is everything after the 10 one-op records;
 	// cut it at every boundary from "missing 1 byte" to "missing all".
 	full := build(t, t.TempDir(), true)
 	batchBytes := full - build(t, t.TempDir(), false)
@@ -177,9 +209,9 @@ func TestTornBatchTailDroppedWhole(t *testing.T) {
 		build(t, dir, true)
 		truncateBy(t, lastSegment(t, dir), cut)
 		var ops, batchOps uint64
-		stats, err := Replay(dir, 0, func(op Op, u, v uint64) error {
+		stats, err := Replay(dir, 0, func(o core.Op) error {
 			ops++
-			if u >= 1000 {
+			if o.U >= 1000 {
 				batchOps++
 			}
 			return nil
@@ -213,7 +245,7 @@ func TestCorruptBatchBeforeIntactDataFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 40; i++ {
-		if err := w.Append(OpInsert, 5000+i, 5000+i); err != nil {
+		if err := w.Append(core.OpInsert, 5000+i, 5000+i); err != nil {
 			t.Fatal(err)
 		}
 	}

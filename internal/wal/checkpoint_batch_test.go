@@ -83,7 +83,7 @@ func TestCheckpointInterleavedWithBatches(t *testing.T) {
 
 // TestZeroFilledTailAfterBatchIsTorn pins the tear rule for large
 // writes: batch records (and group commits) are far bigger than the
-// legacy single-op tear window, and a crash on a filesystem that
+// lone-op tear window, and a crash on a filesystem that
 // extends the file before the data lands leaves a zero-filled tail.
 // That tail cannot hold acknowledged records — every record starts
 // with a nonzero length byte — so replay must drop it as a tear and
@@ -130,7 +130,7 @@ func TestZeroFilledTailAfterBatchIsTorn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open over zero tail: %v", err)
 	}
-	if err := w2.Append(OpInsert, 7, 8); err != nil {
+	if err := w2.Append(core.OpInsert, 7, 8); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.Close(); err != nil {
@@ -147,7 +147,7 @@ func TestZeroFilledTailAfterBatchIsTorn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := encodeFrame(nil, OpInsert, 9, 10)
+	frame := encodeBatchFrame(nil, core.Batch{}.Insert(9, 10))
 	data = append(data, bytes.Repeat([]byte{0}, 64)...)
 	data = append(data, frame...)
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
@@ -169,7 +169,7 @@ func TestCRCValidMalformedFrameBeforeZeroTailIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(OpInsert, 1, 2); err != nil {
+	if err := w.Append(core.OpInsert, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -182,10 +182,10 @@ func TestCRCValidMalformedFrameBeforeZeroTailIsCorrupt(t *testing.T) {
 	}
 	// A correctly framed record with a valid CRC over an unknown op.
 	payload := []byte{0xEE, 0x01, 0x02}
-	frame := core.AppendUvarint(nil, uint64(len(payload)))
+	frame := binary.AppendUvarint(nil, uint64(len(payload)))
 	frame = append(frame, payload...)
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
-	frame = append(frame, make([]byte, 4<<10)...) // zero tail past the single-op window
+	frame = append(frame, make([]byte, 4<<10)...) // zero tail past the lone-op window
 	if _, err := f.Write(frame); err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestTornFinalRecordIsDropped(t *testing.T) {
 		w := mustOpen(t, dir, Options{Sync: SyncNone})
 		const n = 100
 		for i := uint64(0); i < n; i++ {
-			if err := w.Append(OpInsert, i, i+1); err != nil {
+			if err := w.Append(core.OpInsert, i, i+1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -60,7 +60,7 @@ func TestTornFinalRecordIsDropped(t *testing.T) {
 		truncateBy(t, lastSegment(t, dir), cut)
 
 		var count uint64
-		stats, err := Replay(dir, 0, func(op Op, u, v uint64) error { count++; return nil })
+		stats, err := Replay(dir, 0, func(core.Op) error { count++; return nil })
 		if err != nil {
 			t.Fatalf("cut %d: Replay: %v", cut, err)
 		}
@@ -80,7 +80,7 @@ func TestGarbageTailIsDropped(t *testing.T) {
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
 	const n = 50
 	for i := uint64(0); i < n; i++ {
-		if err := w.Append(OpInsert, i, i+1); err != nil {
+		if err := w.Append(core.OpInsert, i, i+1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,12 +97,63 @@ func TestGarbageTailIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	var count uint64
-	_, err = Replay(dir, 0, func(Op, uint64, uint64) error { count++; return nil })
+	_, err = Replay(dir, 0, func(core.Op) error { count++; return nil })
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 	if count != n-1 {
 		t.Fatalf("replayed %d records, want %d", count, n-1)
+	}
+}
+
+// TestLoneOpTearWindow pins the width of the tear window: garbage that
+// covers no more than the widest one-op record (28 bytes) at the end of
+// the newest segment is a tear, even when it reads as a frame that
+// neither runs past end-of-file nor ends at it.
+func TestLoneOpTearWindow(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{Sync: SyncNone})
+	const n = 10
+	for i := uint64(0); i < n; i++ {
+		if err := w.Append(core.OpInsert, i, i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := lastSegment(t, dir)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(core.OpInsert, ^uint64(0), ^uint64(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := data[fi.Size():]
+	if len(rec) != 28 {
+		t.Fatalf("widest one-op record is %d bytes, want 28", len(rec))
+	}
+	// Nonzero garbage whose first byte reads as a 5-byte payload: the
+	// bad frame ends 10 bytes in, 18 short of end-of-file.
+	rec[0] = 5
+	for i := 1; i < len(rec); i++ {
+		rec[i] = 0xA5
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var count uint64
+	stats, err := Replay(dir, 0, func(core.Op) error { count++; return nil })
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if count != n || stats.TornBytes != 28 {
+		t.Fatalf("replayed %d ops with %d torn bytes, want %d with 28", count, stats.TornBytes, n)
 	}
 }
 
@@ -113,7 +164,7 @@ func TestReopenAfterTornTailTruncates(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
 	for i := uint64(0); i < 10; i++ {
-		if err := w.Append(OpInsert, i, i); err != nil {
+		if err := w.Append(core.OpInsert, i, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,14 +174,14 @@ func TestReopenAfterTornTailTruncates(t *testing.T) {
 	truncateBy(t, lastSegment(t, dir), 2)
 
 	w = mustOpen(t, dir, Options{Sync: SyncNone})
-	if err := w.Append(OpInsert, 100, 100); err != nil {
+	if err := w.Append(core.OpInsert, 100, 100); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var got []uint64
-	stats, err := Replay(dir, 0, func(_ Op, u, _ uint64) error { got = append(got, u); return nil })
+	stats, err := Replay(dir, 0, func(o core.Op) error { got = append(got, o.U); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +248,8 @@ func TestCrashSimulation100k(t *testing.T) {
 	_ = w.Close()
 	truncateBy(t, lastSegment(t, dir), 3)
 	want := sharded.New(testCfg())
-	if _, err := Replay(dir, 0, func(op Op, u, v uint64) error {
-		if op == OpInsert {
-			want.InsertEdge(u, v)
-		} else {
-			want.DeleteEdge(u, v)
-		}
+	if _, err := Replay(dir, 0, func(o core.Op) error {
+		want.ApplyBatch(core.Batch{o})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -252,7 +299,7 @@ func TestReopenAfterTornSegmentHeader(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
 	for i := uint64(0); i < 5; i++ {
-		if err := w.Append(OpInsert, i, i); err != nil {
+		if err := w.Append(core.OpInsert, i, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,14 +312,14 @@ func TestReopenAfterTornSegmentHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	w = mustOpen(t, dir, Options{Sync: SyncNone})
-	if err := w.Append(OpInsert, 100, 100); err != nil {
+	if err := w.Append(core.OpInsert, 100, 100); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var count uint64
-	stats, err := Replay(dir, 0, func(Op, uint64, uint64) error { count++; return nil })
+	stats, err := Replay(dir, 0, func(core.Op) error { count++; return nil })
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -291,7 +338,7 @@ func TestCorruptionDeepInLastSegmentFails(t *testing.T) {
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
 	const n = 200
 	for i := uint64(0); i < n; i++ {
-		if err := w.Append(OpInsert, i, i+1); err != nil {
+		if err := w.Append(core.OpInsert, i, i+1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -264,7 +264,7 @@ func runCrashHarness(t *testing.T, policy SyncPolicy) {
 				if err != nil {
 					t.Fatalf("%s: reopen for append: %v", c.name, err)
 				}
-				if err := w2.Append(OpInsert, 999, 999); err != nil {
+				if err := w2.Append(core.OpInsert, 999, 999); err != nil {
 					t.Fatalf("%s: append after reopen: %v", c.name, err)
 				}
 				if err := w2.Close(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -16,60 +17,57 @@ import (
 // record streams a healthy log produces, plus the damage shapes the
 // tear/corruption classifier has to tell apart. Each value is the
 // segment body — everything after the 13-byte header, which the fuzz
-// target prepends.
+// target prepends. The corpus directory also keeps the seeds earlier
+// builds wrote with single-op records (healthy-singles, batch-then-op,
+// crc-tail, crc-midway, torn-tail); no seed here takes one of those
+// names, so regenerating never overwrites an old-format file.
 func corpusSeeds() map[string][]byte {
-	single := func(op Op, u, v uint64) []byte { return encodeFrame(nil, op, u, v) }
-	batch := func(ops core.Batch) []byte {
-		b, err := encodeBatchFrame(nil, ops)
-		if err != nil {
-			panic(err)
-		}
-		return b
+	lone := func(kind core.OpKind, u, v uint64) []byte {
+		return encodeBatchFrame(nil, core.Batch{{Kind: kind, U: u, V: v}})
 	}
-	healthy := append(single(OpInsert, 1, 2), single(OpDelete, 1, 2)...)
-	healthy = append(healthy, single(OpInsert, 1<<40, 9999)...)
-	mixed := append(batch(core.Batch{}.Insert(1, 2).Insert(3, 4).Delete(1, 2)), single(OpInsert, 7, 8)...)
-	bad := single(OpInsert, 5, 6)
+	healthy := append(lone(core.OpInsert, 1, 2), lone(core.OpDelete, 1, 2)...)
+	healthy = append(healthy, lone(core.OpInsert, 1<<40, 9999)...)
+	mixed := append(encodeBatchFrame(nil, core.Batch{}.Insert(1, 2).Insert(3, 4).Delete(1, 2)), lone(core.OpInsert, 7, 8)...)
+	bad := lone(core.OpInsert, 5, 6)
 	bad[len(bad)-1] ^= 0xFF // CRC broken on the final (tearable) record
-	midway := append(append([]byte{}, bad...), single(OpInsert, 9, 10)...)
-	torn := single(OpInsert, 11, 12)
+	midway := append(append([]byte{}, bad...), lone(core.OpInsert, 9, 10)...)
+	torn := lone(core.OpInsert, 11, 12)
 	torn = append(healthy, torn[:len(torn)-3]...) // record cut mid-write
 	return map[string][]byte{
-		"healthy-singles": healthy,
-		"batch-then-op":   mixed,
-		"crc-tail":        bad,
-		"crc-midway":      midway, // damage before intact data: corruption, not a tear
-		"torn-tail":       torn,
-		"zero-length":     {0x00},
-		"huge-length":     binary.AppendUvarint(nil, 1<<40),
-		"empty":           {},
+		"healthy-batches":    healthy,
+		"batch-then-lone-op": mixed,
+		"batch-crc-tail":     bad,
+		"batch-crc-midway":   midway, // damage before intact data: corruption, not a tear
+		"batch-torn-tail":    torn,
+		"zero-length":        {0x00},
+		"huge-length":        binary.AppendUvarint(nil, 1<<40),
+		"empty":              {},
 	}
 }
 
 // FuzzReplaySegment throws arbitrary bytes at the WAL record framing —
 // the path that parses whatever a crash left on disk. Properties: the
 // scanner never panics, every failure surfaces as core.ErrCorrupt (not
-// a raw parse error), and on success the delivered op count matches the
-// stats — replay never silently drops or double-delivers an op.
+// a raw parse error), on success the delivered op count matches the
+// stats — replay never silently drops or double-delivers an op — and
+// the shipping decoder reads the intact prefix as exactly the ops
+// replay delivered: one parser, whichever path reads the log.
 func FuzzReplaySegment(f *testing.F) {
 	for _, seed := range corpusSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dir := t.TempDir()
-		var hdr [segHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:], segMagic)
-		hdr[4] = segVersion
-		binary.LittleEndian.PutUint64(hdr[5:], 1)
+		hdr := segmentHeader(1)
 		if err := os.WriteFile(segmentPath(dir, 1), append(hdr[:], body...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var delivered uint64
-		stats, err := Replay(dir, 0, func(op Op, u, v uint64) error {
-			if op != OpInsert && op != OpDelete {
-				t.Fatalf("replay delivered unknown op %d", op)
+		var delivered []core.Op
+		stats, err := Replay(dir, 0, func(o core.Op) error {
+			if o.Kind != core.OpInsert && o.Kind != core.OpDelete {
+				t.Fatalf("replay delivered unknown op %d", o.Kind)
 			}
-			delivered++
+			delivered = append(delivered, o)
 			return nil
 		})
 		if err != nil {
@@ -78,14 +76,21 @@ func FuzzReplaySegment(f *testing.F) {
 			}
 			return
 		}
-		if delivered != stats.Records {
-			t.Fatalf("delivered %d ops but stats claim %d", delivered, stats.Records)
+		if uint64(len(delivered)) != stats.Records {
+			t.Fatalf("delivered %d ops but stats claim %d", len(delivered), stats.Records)
 		}
 		if stats.Segments != 1 {
 			t.Fatalf("scanned %d segments, want 1", stats.Segments)
 		}
 		if stats.TornBytes < 0 || stats.TornBytes > int64(len(body)) {
 			t.Fatalf("implausible torn byte count %d for %d-byte body", stats.TornBytes, len(body))
+		}
+		shipped, err := AppendChunkOps(body[:len(body)-int(stats.TornBytes)], nil)
+		if err != nil {
+			t.Fatalf("replay accepted the intact prefix, shipping rejects it: %v", err)
+		}
+		if !slices.Equal(shipped, delivered) {
+			t.Fatalf("shipping decoded %v, replay delivered %v", shipped, delivered)
 		}
 	})
 }

@@ -201,10 +201,9 @@ func (r *Reader) open() error {
 		f.Close()
 		return fmt.Errorf("wal: read header of segment %d: %w", r.pos.Seg, err)
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != segMagic || hdr[4] != segVersion ||
-		binary.LittleEndian.Uint64(hdr[5:]) != r.pos.Seg {
+	if _, _, detail := checkHeader(hdr, r.pos.Seg); detail != "" {
 		f.Close()
-		return fmt.Errorf("wal: segment %d: bad header", r.pos.Seg)
+		return fmt.Errorf("wal: segment %d: bad header: %s", r.pos.Seg, detail)
 	}
 	r.f, r.fSeg = f, r.pos.Seg
 	return nil
@@ -304,13 +303,17 @@ func (r *Reader) nextSegment() error {
 }
 
 // frameAt validates the frame at the head of data, returning its
-// CRC-checked record body and its encoded size. A frame that reaches
-// past the end of data is not an error: the body is nil and total is
-// the frame's size (0 when even the length prefix is incomplete).
+// CRC-checked record body and its encoded size. It is the log's one
+// frame parser: replay, the shipping Reader and the follower's
+// AppendChunkOps all read frames through it. A frame that reaches past
+// the end of data is not an error: the body is nil and total is the
+// frame's size (0 when even the length prefix is incomplete). A
+// checksum mismatch returns the frame's size with the error — the one
+// failure that says the frame's bytes lie rather than its length.
 func frameAt(data []byte) (body []byte, total int, err error) {
-	length, n := core.Uvarint(data)
+	length, n := binary.Uvarint(data)
 	if n <= 0 {
-		if len(data) >= core.MaxVarintLen64 {
+		if len(data) >= binary.MaxVarintLen64 {
 			return nil, 0, errors.New("bad record length varint")
 		}
 		return nil, 0, nil
@@ -324,7 +327,7 @@ func frameAt(data []byte) (body []byte, total int, err error) {
 	}
 	body = data[n : n+int(length)]
 	if binary.LittleEndian.Uint32(data[n+int(length):]) != crc32.Checksum(body, castagnoli) {
-		return nil, 0, errors.New("checksum mismatch")
+		return nil, total, errors.New("checksum mismatch")
 	}
 	return body, total, nil
 }

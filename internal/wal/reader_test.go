@@ -42,14 +42,14 @@ func TestReaderStreamsLiveTail(t *testing.T) {
 	defer w.Close()
 
 	var want []core.Op
-	append1 := func(op Op, u, v uint64) {
-		if err := w.Append(op, u, v); err != nil {
+	append1 := func(kind core.OpKind, u, v uint64) {
+		if err := w.Append(kind, u, v); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, core.Op{Kind: core.OpKind(op), U: u, V: v})
+		want = append(want, core.Op{Kind: kind, U: u, V: v})
 	}
 	for i := uint64(0); i < 100; i++ {
-		append1(OpInsert, i, i+1)
+		append1(core.OpInsert, i, i+1)
 	}
 	batch := make(core.Batch, 50)
 	for i := range batch {
@@ -74,8 +74,8 @@ func TestReaderStreamsLiveTail(t *testing.T) {
 	if _, err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	append1(OpDelete, 3, 4)
-	append1(OpInsert, 7, 8)
+	append1(core.OpDelete, 3, 4)
+	append1(core.OpInsert, 7, 8)
 	got = append(got, drainReader(t, r)...)
 	if len(got) != len(want) {
 		t.Fatalf("after rotation decoded %d ops, want %d", len(got), len(want))
@@ -102,7 +102,7 @@ func TestOpenReaderUnservable(t *testing.T) {
 	if _, err := w.OpenReader(Position{}); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("zero position: %v, want ErrCompacted", err)
 	}
-	if err := w.Append(OpInsert, 1, 2); err != nil {
+	if err := w.Append(core.OpInsert, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	cut, err := w.Rotate()
@@ -130,7 +130,7 @@ func TestPinBlocksCompaction(t *testing.T) {
 	}
 	defer w.Close()
 	for i := 0; i < 4; i++ {
-		if err := w.Append(OpInsert, uint64(i), uint64(i+1)); err != nil {
+		if err := w.Append(core.OpInsert, uint64(i), uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := w.Rotate(); err != nil {
@@ -216,7 +216,7 @@ func TestRemoveSegmentsBeforeRace(t *testing.T) {
 				return
 			default:
 			}
-			if err := w.Append(OpInsert, i, i+1); err != nil {
+			if err := w.Append(core.OpInsert, i, i+1); err != nil {
 				appendErr.Store(err)
 				return
 			}
@@ -276,7 +276,7 @@ func TestCloseStopsFlusher(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := uint64(0); j < 64; j++ {
-			if err := w.Append(OpInsert, j, j+1); err != nil {
+			if err := w.Append(core.OpInsert, j, j+1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -307,7 +307,7 @@ func TestCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(OpInsert, 1, 2); err != nil {
+	if err := w.Append(core.OpInsert, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -316,7 +316,7 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if err := w.Append(OpInsert, 3, 4); !errors.Is(err, ErrClosed) {
+	if err := w.Append(core.OpInsert, 3, 4); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
 	}
 	if err := w.RemoveSegmentsBefore(99); !errors.Is(err, ErrClosed) {
@@ -358,7 +358,7 @@ func TestReaderChunkOversizedFrame(t *testing.T) {
 // TestAppendChunkOpsRejectsDamage — a shipped chunk with a flipped bit
 // or truncated tail must be rejected, not partially applied silently.
 func TestAppendChunkOpsRejectsDamage(t *testing.T) {
-	frame := encodeFrame(nil, OpInsert, 100, 200)
+	frame := encodeBatchFrame(nil, core.Batch{}.Insert(100, 200))
 	if _, err := AppendChunkOps(frame, nil); err != nil {
 		t.Fatalf("intact frame rejected: %v", err)
 	}

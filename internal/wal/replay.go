@@ -1,15 +1,11 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	"cuckoograph/internal/core"
@@ -24,27 +20,28 @@ type ReplayStats struct {
 	// Records is how many intact ops were delivered, counting every op
 	// expanded out of a batch record.
 	Records uint64
-	// BatchRecords is how many OpBatch frames were decoded.
+	// BatchRecords is how many batch records were decoded — every
+	// record, unless the log holds single-op records of an earlier build.
 	BatchRecords uint64
 	// TornBytes is the size of the dropped torn tail, zero for a log
 	// that was cleanly closed.
 	TornBytes int64
 }
 
-// Replay streams every intact record in segments with index >= fromSeg,
-// in log order, to fn. A torn tail on the newest segment — the residue
+// Replay streams every intact op in segments with index >= fromSeg, in
+// log order, to fn. A torn tail on the newest segment — the residue
 // of a crash mid-write — is dropped and counted in TornBytes; damage
 // anywhere else fails with an error matching core.ErrCorrupt that
 // carries the segment file and byte offset. Use fromSeg 0 to replay the
 // whole directory, or a checkpoint's cut segment to replay only the
 // records the snapshot does not cover.
-func Replay(dir string, fromSeg uint64, fn func(op Op, u, v uint64) error) (ReplayStats, error) {
+func Replay(dir string, fromSeg uint64, fn func(core.Op) error) (ReplayStats, error) {
 	return ReplayFS(vfs.OS, dir, fromSeg, fn)
 }
 
 // ReplayFS is Replay on an arbitrary filesystem — the entry point for
 // crash-simulation harnesses that reconstruct a directory elsewhere.
-func ReplayFS(fsys vfs.FS, dir string, fromSeg uint64, fn func(op Op, u, v uint64) error) (ReplayStats, error) {
+func ReplayFS(fsys vfs.FS, dir string, fromSeg uint64, fn func(core.Op) error) (ReplayStats, error) {
 	var stats ReplayStats
 	segs, err := listSegments(fsys, dir)
 	if err != nil {
@@ -58,7 +55,7 @@ func ReplayFS(fsys vfs.FS, dir string, fromSeg uint64, fn func(op Op, u, v uint6
 			continue
 		}
 		last := i == len(segs)-1
-		valid, n, batches, err := scanSegment(fsys, s.path, s.index, last, fn)
+		valid, n, batches, err := scanSegment(fsys, s, last, fn)
 		if err != nil {
 			return stats, err
 		}
@@ -80,20 +77,23 @@ func ReplayFS(fsys vfs.FS, dir string, fromSeg uint64, fn func(op Op, u, v uint6
 // tolerateTail set — correct only for the newest segment — damage that
 // looks like a crash mid-write is a torn tail and ends the scan cleanly
 // at the last intact record. A tear is recognised when the bad record
-// physically reaches end-of-file: the read hit EOF inside the record, a
+// physically reaches end-of-file: the frame runs past EOF, a
 // complete-but-CRC-failing frame ends exactly at EOF (the final write's
 // bytes exist but lie), the whole remaining region fits inside one
-// single-op frame, or everything after the failed record is zero bytes
-// — the residue of a filesystem that extended the file before the
-// data of a large (batch or group-commit) write landed; an all-zero
-// region cannot hold acknowledged records, because every record starts
-// with a nonzero length byte. Damage followed by further intact
-// (nonzero) data cannot be a tear, so even on the newest segment it is
-// reported as corruption rather than silently dropping the
+// lone-op record (maxLoneFrame), or everything after the failed record
+// is zero bytes — the residue of a filesystem that extended the file
+// before the data of a large (batch or group-commit) write landed; an
+// all-zero region cannot hold acknowledged records, because every
+// record starts with a nonzero length byte. Damage followed by further
+// intact (nonzero) data cannot be a tear, so even on the newest segment
+// it is reported as corruption rather than silently dropping the
 // acknowledged records after it. Batch ops are validated whole before
 // any of them is delivered: a record never applies partially.
-func scanSegment(fsys vfs.FS, path string, index uint64, tolerateTail bool, fn func(op Op, u, v uint64) error) (int64, uint64, uint64, error) {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+//
+// The segment is read in readerChunkBytes chunks and each chunk walked
+// with frameAt, the parser the shipping Reader uses.
+func scanSegment(fsys vfs.FS, seg numberedFile, tolerateTail bool, fn func(core.Op) error) (int64, uint64, uint64, error) {
+	f, err := fsys.OpenFile(seg.path, os.O_RDONLY, 0)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -103,41 +103,31 @@ func scanSegment(fsys vfs.FS, path string, index uint64, tolerateTail bool, fn f
 		return 0, 0, 0, err
 	}
 	fileSize := fi.Size()
-	br := bufio.NewReaderSize(f, 1<<20)
-	name := filepath.Base(path)
+	name := filepath.Base(seg.path)
 
 	corrupt := func(off int64, detail string, cause error) error {
 		return &core.CorruptError{Source: name, Offset: off, Detail: detail, Err: cause}
 	}
 
-	// headerTear classifies a header that failed validation on the
-	// newest segment: when the file is a prefix of the expected header
-	// followed by nothing but zeros, the crash struck the segment's
-	// create — the file carries no records and is recreated whole by
-	// the next open. Landed non-header bytes refuse the tear: they mean
-	// the header validated once and was damaged later, which is
-	// corruption, not a crash artifact.
-	headerTear := func() (bool, error) {
-		var want [segHeaderSize]byte
-		binary.LittleEndian.PutUint32(want[0:], segMagic)
-		want[4] = segVersion
-		binary.LittleEndian.PutUint64(want[5:], index)
-		var got [segHeaderSize]byte
-		n, err := f.ReadAt(got[:], 0)
-		if err != nil && err != io.EOF {
-			return false, err
-		}
-		match := 0
-		for match < n && got[match] == want[match] {
-			match++
-		}
-		return zeroToEOF(f, int64(match), fileSize)
-	}
-	badHeader := func(off int64, detail string) (int64, uint64, uint64, error) {
+	var hdr [segHeaderSize]byte
+	if n, err := f.ReadAt(hdr[:], 0); n < segHeaderSize {
 		if tolerateTail {
-			torn, terr := headerTear()
-			if terr != nil {
-				return 0, 0, 0, fmt.Errorf("wal: classify header of %s: %w", name, terr)
+			// A crash can even tear the header write of a fresh segment.
+			return 0, 0, 0, nil
+		}
+		return 0, 0, 0, corrupt(0, "segment header truncated", err)
+	}
+	if match, off, detail := checkHeader(hdr, seg.index); detail != "" {
+		// On the newest segment, a file that is a prefix of the expected
+		// header followed by nothing but zeros is the crash striking the
+		// segment's create — it carries no records and is recreated whole
+		// by the next open. Landed non-header bytes refuse the tear: they
+		// mean the header validated once and was damaged later, which is
+		// corruption, not a crash artifact.
+		if tolerateTail {
+			torn, err := zeroToEOF(f, int64(match), fileSize)
+			if err != nil {
+				return 0, 0, 0, fmt.Errorf("wal: classify header of %s: %w", name, err)
 			}
 			if torn {
 				return 0, 0, 0, nil
@@ -146,118 +136,96 @@ func scanSegment(fsys vfs.FS, path string, index uint64, tolerateTail bool, fn f
 		return 0, 0, 0, corrupt(off, detail, nil)
 	}
 
-	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if tolerateTail {
-			// A crash can even tear the header write of a fresh segment.
-			return 0, 0, 0, nil
-		}
-		return 0, 0, 0, corrupt(0, "segment header truncated", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != segMagic {
-		return badHeader(0, "not a WAL segment")
-	}
-	if hdr[4] != segVersion {
-		return badHeader(4, fmt.Sprintf("unsupported WAL version %d", hdr[4]))
-	}
-	if got := binary.LittleEndian.Uint64(hdr[5:]); got != index {
-		return badHeader(5, fmt.Sprintf("segment claims index %d, file named %d", got, index))
-	}
-
-	// The legacy tear window: garbage entirely within one single-op
-	// frame of end-of-file is dropped even when it does not read as a
-	// truncation.
-	const maxSingleFrame = frameOverhead + maxPayload
 	valid := int64(segHeaderSize)
 	var records, batches uint64
-	var payload []byte // reused; grows to the largest record seen
-	var scratch []core.Op
-	for {
-		length, n, err := readUvarintCounted(br)
-		if err == io.EOF && n == 0 {
-			return valid, records, batches, nil // clean end on a record boundary
-		}
-		// bad classifies a failed record. frameEnd is the record's byte
-		// end when the whole frame was read, -1 when the failure struck
-		// earlier; truncated marks reads that hit EOF inside the record;
-		// crcFailed marks the one failure mode that proves the frame's
-		// bytes never landed as written.
-		bad := func(frameEnd int64, truncated, crcFailed bool, detail string, cause error) (int64, uint64, uint64, error) {
-			if tolerateTail {
-				if truncated || frameEnd == fileSize || fileSize-valid <= maxSingleFrame {
-					return valid, records, batches, nil
-				}
-				// Large writes (batch records, group commits) tear big:
-				// when the filesystem extended the file but the data
-				// never landed, the tail past the failed frame is zeros,
-				// and zeros cannot encode an acknowledged record. The
-				// failed frame itself may be skipped over only when its
-				// CRC failed — a CRC-valid frame with a malformed body
-				// was durably written exactly as some writer intended,
-				// and silently dropping it would bury acknowledged data;
-				// without a CRC verdict the zero check must start at the
-				// record head, so any landed (nonzero) bytes refuse the
-				// tear.
-				from := valid
-				if crcFailed && frameEnd > 0 {
-					from = frameEnd
-				}
-				allZero, zerr := zeroToEOF(f, from, fileSize)
-				if zerr != nil {
-					return 0, 0, 0, fmt.Errorf("wal: classify tail of %s: %w", name, zerr)
-				}
-				if allZero {
-					return valid, records, batches, nil
-				}
+	// bad classifies the failed frame at valid. frameEnd is where the
+	// frame ends (valid itself when not even its length could be read);
+	// crcFailed marks the one failure mode that proves the frame's bytes
+	// never landed as written.
+	bad := func(frameEnd int64, crcFailed bool, detail string) (int64, uint64, uint64, error) {
+		if tolerateTail {
+			if frameEnd >= fileSize || fileSize-valid <= maxLoneFrame {
+				return valid, records, batches, nil
 			}
-			return 0, 0, 0, corrupt(valid, detail, cause)
-		}
-		if err != nil {
-			return bad(-1, err == io.EOF || err == io.ErrUnexpectedEOF, false, "record length truncated", err)
-		}
-		if length == 0 || length > maxBatchPayload {
-			return bad(-1, false, false, fmt.Sprintf("implausible record length %d", length), nil)
-		}
-		if int(length) > cap(payload) {
-			payload = make([]byte, length)
-		}
-		p := payload[:length]
-		if _, err := io.ReadFull(br, p); err != nil {
-			return bad(-1, true, false, "record payload truncated", err)
-		}
-		var crcb [crcSize]byte
-		if _, err := io.ReadFull(br, crcb[:]); err != nil {
-			return bad(-1, true, false, "record checksum truncated", err)
-		}
-		frameEnd := valid + int64(n) + int64(length) + crcSize
-		if binary.LittleEndian.Uint32(crcb[:]) != crc32.Checksum(p, castagnoli) {
-			return bad(frameEnd, false, true, "checksum mismatch", nil)
-		}
-		ops, detail := decodeRecord(p, scratch[:0])
-		if detail != "" {
-			return bad(frameEnd, false, false, detail, nil)
-		}
-		scratch = ops[:0]
-		if fn != nil {
-			for _, o := range ops {
-				if err := fn(Op(o.Kind), o.U, o.V); err != nil {
-					return 0, 0, 0, err
-				}
+			// Large writes (batch records, group commits) tear big:
+			// when the filesystem extended the file but the data
+			// never landed, the tail past the failed frame is zeros,
+			// and zeros cannot encode an acknowledged record. The
+			// failed frame itself may be skipped over only when its
+			// CRC failed — a CRC-valid frame with a malformed body
+			// was durably written exactly as some writer intended,
+			// and silently dropping it would bury acknowledged data;
+			// without a CRC verdict the zero check must start at the
+			// record head, so any landed (nonzero) bytes refuse the
+			// tear.
+			from := valid
+			if crcFailed {
+				from = frameEnd
+			}
+			allZero, err := zeroToEOF(f, from, fileSize)
+			if err != nil {
+				return 0, 0, 0, fmt.Errorf("wal: classify tail of %s: %w", name, err)
+			}
+			if allZero {
+				return valid, records, batches, nil
 			}
 		}
-		records += uint64(len(ops))
-		if Op(p[0]) == OpBatch {
-			batches++
-		}
-		valid = frameEnd
+		return 0, 0, 0, corrupt(valid, detail, nil)
 	}
+
+	var buf []byte // the current chunk; grows to the largest frame seen
+	var ops []core.Op
+	for need := int64(readerChunkBytes); valid < fileSize; {
+		n := min(fileSize-valid, need)
+		if int64(cap(buf)) < n {
+			buf = make([]byte, n)
+		}
+		chunk := buf[:n]
+		if m, err := f.ReadAt(chunk, valid); int64(m) < n {
+			return 0, 0, 0, fmt.Errorf("wal: read %s: %w", name, err)
+		}
+		need = readerChunkBytes
+		for len(chunk) > 0 {
+			body, total, err := frameAt(chunk)
+			frameEnd := valid + int64(total)
+			if err != nil {
+				return bad(frameEnd, total > 0, err.Error())
+			}
+			if body == nil {
+				// The frame runs past the chunk. Past end-of-file it is
+				// truncated; otherwise the next chunk starts at its head
+				// and holds all of it.
+				if frameEnd > fileSize || valid+int64(len(chunk)) == fileSize {
+					return bad(frameEnd, false, "record truncated")
+				}
+				need = max(int64(total), readerChunkBytes)
+				break
+			}
+			var detail string
+			if ops, detail = decodeRecord(body, ops[:0]); detail != "" {
+				return bad(frameEnd, false, detail)
+			}
+			if fn != nil {
+				for _, o := range ops {
+					if err := fn(o); err != nil {
+						return 0, 0, 0, err
+					}
+				}
+			}
+			records += uint64(len(ops))
+			if body[0] == recBatch {
+				batches++
+			}
+			valid, chunk = frameEnd, chunk[total:]
+		}
+	}
+	return valid, records, batches, nil
 }
 
 // zeroToEOF reports whether every byte of f in [from, end) is zero.
-// It reads through the file descriptor directly (ReadAt), independent
-// of the scanner's buffered position. An I/O failure is returned as an
-// error — a read that could not happen proves nothing about the bytes,
-// and must not be mistaken for a corruption verdict.
+// An I/O failure is returned as an error — a read that could not happen
+// proves nothing about the bytes, and must not be mistaken for a
+// corruption verdict.
 func zeroToEOF(f io.ReaderAt, from, end int64) (bool, error) {
 	buf := make([]byte, 64<<10)
 	for off := from; off < end; {
@@ -279,22 +247,23 @@ func zeroToEOF(f io.ReaderAt, from, end int64) (bool, error) {
 }
 
 // decodeRecord parses one record body — the CRC-checked payload of a
-// frame: a single op, or the OpBatch tag, an op count and that many ops
-// — appending its ops to out. It is the one decoder of the format:
-// replay and log shipping both call it. The record is validated whole
-// before anything is delivered: on a malformation (an unknown tag or op
-// kind, a bad varint, a batch count out of range or disagreeing with the
-// encoded ops, bytes left over) it returns out as given and a non-empty
-// detail.
+// frame: the recBatch tag, an op count and that many ops — appending
+// its ops to out. It is the one decoder of the format: replay and log
+// shipping both call it. A body that is one bare op is a single-op
+// record, which builds before every record became a batch wrote; it is
+// read, never written. The record is validated whole before anything is
+// delivered: on a malformation (an unknown tag or op kind, a bad
+// varint, a batch count out of range or disagreeing with the encoded
+// ops, bytes left over) it returns out as given and a non-empty detail.
 func decodeRecord(p []byte, out []core.Op) ([]core.Op, string) {
-	switch Op(p[0]) {
-	case OpInsert, OpDelete:
+	switch core.OpKind(p[0]) {
+	case core.OpInsert, core.OpDelete:
 		if op, n := decodeOp(p); n == len(p) {
 			return append(out, op), ""
 		}
 		return out, "bad u/v varint"
-	case OpBatch:
-		count, cn := core.Uvarint(p[1:])
+	case recBatch:
+		count, cn := binary.Uvarint(p[1:])
 		if cn <= 0 || count == 0 || count > maxBatchOps {
 			return out, "malformed batch record"
 		}
@@ -318,42 +287,18 @@ func decodeRecord(p []byte, out []core.Op) ([]core.Op, string) {
 // reports how many bytes it took, 0 when b does not start with a whole
 // insert or delete.
 func decodeOp(b []byte) (core.Op, int) {
-	if len(b) == 0 || (Op(b[0]) != OpInsert && Op(b[0]) != OpDelete) {
+	if len(b) == 0 || (core.OpKind(b[0]) != core.OpInsert && core.OpKind(b[0]) != core.OpDelete) {
 		return core.Op{}, 0
 	}
-	u, un := core.Uvarint(b[1:])
+	u, un := binary.Uvarint(b[1:])
 	if un <= 0 {
 		return core.Op{}, 0
 	}
-	v, vn := core.Uvarint(b[1+un:])
+	v, vn := binary.Uvarint(b[1+un:])
 	if vn <= 0 {
 		return core.Op{}, 0
 	}
 	return core.Op{Kind: core.OpKind(b[0]), U: u, V: v}, 1 + un + vn
-}
-
-// readUvarintCounted decodes a uvarint and reports how many bytes it
-// consumed, so the scanner can keep exact offsets.
-func readUvarintCounted(br *bufio.Reader) (uint64, int, error) {
-	var x uint64
-	var s uint
-	for i := 0; ; i++ {
-		b, err := br.ReadByte()
-		if err != nil {
-			if err == io.EOF && i > 0 {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, i, err
-		}
-		if i == core.MaxVarintLen64 {
-			return 0, i + 1, fmt.Errorf("wal: uvarint overflows 64 bits")
-		}
-		if b < 0x80 {
-			return x | uint64(b)<<s, i + 1, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
 }
 
 // RecoverStats summarises one recovery.
@@ -408,13 +353,8 @@ func RecoverFS(fsys vfs.FS, dir string, cfg sharded.Config) (*sharded.Graph, Rec
 	// source node (the order that matters) while amortizing shard locks
 	// — recovery is itself a bulk ingest.
 	c := core.NewChunker(sharded.LoadBatchSize, func(b core.Batch) { g.ApplyBatch(b) })
-	stats.Replay, err = ReplayFS(fsys, dir, seg, func(op Op, u, v uint64) error {
-		switch op {
-		case OpInsert:
-			c.Insert(u, v)
-		case OpDelete:
-			c.Delete(u, v)
-		}
+	stats.Replay, err = ReplayFS(fsys, dir, seg, func(o core.Op) error {
+		c.Add(o)
 		return nil
 	})
 	if err != nil {
@@ -482,44 +422,25 @@ func checkpointPath(dir string, seg uint64) string {
 // newestCheckpoint returns the path and cut segment of the newest
 // checkpoint snapshot in dir, or ("", 0, nil) when there is none.
 func newestCheckpoint(fsys vfs.FS, dir string) (string, uint64, error) {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
+	cps, err := listNumbered(fsys, dir, checkpointPrefix, checkpointSuffix)
+	if err != nil || len(cps) == 0 {
 		return "", 0, err
 	}
-	var best string
-	var bestSeg uint64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, checkpointPrefix) || !strings.HasSuffix(name, checkpointSuffix) {
-			continue
-		}
-		seg, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, checkpointPrefix), checkpointSuffix), 10, 64)
-		if err != nil {
-			continue
-		}
-		if best == "" || seg > bestSeg {
-			best, bestSeg = filepath.Join(dir, name), seg
-		}
-	}
-	return best, bestSeg, nil
+	newest := cps[len(cps)-1]
+	return newest.path, newest.index, nil
 }
 
 func removeCheckpointsBefore(fsys vfs.FS, dir string, seg uint64) error {
-	entries, err := fsys.ReadDir(dir)
+	cps, err := listNumbered(fsys, dir, checkpointPrefix, checkpointSuffix)
 	if err != nil {
 		return err
 	}
-	var removed bool
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, checkpointPrefix) || !strings.HasSuffix(name, checkpointSuffix) {
-			continue
+	removed := false
+	for _, c := range cps {
+		if c.index >= seg {
+			break
 		}
-		s, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, checkpointPrefix), checkpointSuffix), 10, 64)
-		if err != nil || s >= seg {
-			continue
-		}
-		if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
+		if err := fsys.Remove(c.path); err != nil {
 			return err
 		}
 		removed = true

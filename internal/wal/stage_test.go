@@ -17,8 +17,8 @@ import (
 func replayOps(t *testing.T, dir string) (core.Batch, ReplayStats) {
 	t.Helper()
 	var got core.Batch
-	stats, err := Replay(dir, 0, func(op Op, u, v uint64) error {
-		got = append(got, core.Op{Kind: core.OpKind(op), U: u, V: v})
+	stats, err := Replay(dir, 0, func(o core.Op) error {
+		got = append(got, o)
 		return nil
 	})
 	if err != nil {
@@ -30,7 +30,7 @@ func replayOps(t *testing.T, dir string) (core.Batch, ReplayStats) {
 // TestStageCommitGroupsIntoOneRecord: everything staged before a Commit
 // goes out as one frame — one record, one write(2), one commit slot —
 // in stage order; nothing reaches the file before the Commit; and a
-// group of one op keeps the single-op frame.
+// group of one op is a batch record too.
 func TestStageCommitGroupsIntoOneRecord(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir, Options{Sync: SyncNone})
@@ -64,7 +64,7 @@ func TestStageCommitGroupsIntoOneRecord(t *testing.T) {
 	if err := w.Commit(); err != nil || w.Stats().GroupCommits != 1 {
 		t.Fatalf("idle Commit: err=%v commits=%d", err, w.Stats().GroupCommits)
 	}
-	// A group of one op is today's single-op frame.
+	// A group of one op is a one-op batch record.
 	if err := w.Stage(core.Batch{}.Insert(100, 200)); err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +76,8 @@ func TestStageCommitGroupsIntoOneRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, stats := replayOps(t, dir)
-	if stats.BatchRecords != 1 {
-		t.Fatalf("BatchRecords = %d, want 1 (the 16-stage group; the lone op is a plain frame)", stats.BatchRecords)
+	if stats.BatchRecords != 2 {
+		t.Fatalf("BatchRecords = %d, want 2 (the 16-stage group and the lone op)", stats.BatchRecords)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d ops, want %d", len(got), len(want))
@@ -96,7 +96,7 @@ func TestStageRejectsWithoutStaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Stage(core.Batch{{Kind: core.OpKind(OpBatch), U: 1, V: 2}}); err == nil {
+	if err := w.Stage(core.Batch{{Kind: recBatch, U: 1, V: 2}}); err == nil {
 		t.Fatal("Stage accepted an op that is neither insert nor delete")
 	}
 	if st := w.Stats(); st.Appends != 0 || st.PendingBytes != 0 {
@@ -165,7 +165,7 @@ func TestStageCommitZeroAlloc(t *testing.T) {
 		if err := w.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		w.Append(OpInsert, 5, 6)
+		w.Append(core.OpInsert, 5, 6)
 	}
 	cycle()
 	cycle() // both buffers of the swap have now grown

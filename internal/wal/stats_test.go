@@ -22,7 +22,7 @@ func TestStatsCounters(t *testing.T) {
 	}
 
 	for i := uint64(0); i < 10; i++ {
-		if err := w.Append(OpInsert, i, i+1); err != nil {
+		if err := w.Append(core.OpInsert, i, i+1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestStatsAsyncPending(t *testing.T) {
 	defer w.Close()
 
 	for i := uint64(0); i < 100; i++ {
-		if err := w.Append(OpInsert, i, i+1); err != nil {
+		if err := w.Append(core.OpInsert, i, i+1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,10 +3,14 @@
 // snapshot-anchored recovery.
 //
 // Each segment file starts with a 13-byte header (magic, version,
-// segment index) followed by self-delimiting records:
+// segment index) followed by self-delimiting records, every one a batch:
 //
 //	uvarint payloadLen | payload | crc32c(payload)
-//	payload = op byte | uvarint u | uvarint v
+//	payload = 3 | uvarint count | count × (kind | uvarint u | uvarint v)
+//
+// where kind is a core.OpKind (1 insert, 2 delete). Logs written before
+// every record became a batch also hold single-op payloads — kind |
+// uvarint u | uvarint v — which replay still reads and nothing writes.
 //
 // Appending has two halves. Stage copies a batch's ops into the open
 // group under the WAL lock and returns — no encoding, no CRC, no I/O —
@@ -60,43 +64,10 @@ import (
 	"cuckoograph/internal/vfs"
 )
 
-// Op tags one log record.
-type Op byte
-
-// The record kinds. Values are stable on-disk format; OpInsert and
-// OpDelete deliberately match core.OpInsert/core.OpDelete so batch
-// payloads embed core ops byte-for-byte.
-const (
-	OpInsert Op = 1
-	OpDelete Op = 2
-	// OpBatch frames a whole mutation batch as one record: a uvarint op
-	// count followed by count (op, u, v) tuples, all under a single
-	// CRC. Replay expands it back into the ordered ops.
-	OpBatch Op = 3
-)
-
-func (o Op) String() string {
-	switch o {
-	case OpInsert:
-		return "insert"
-	case OpDelete:
-		return "delete"
-	case OpBatch:
-		return "batch"
-	}
-	return fmt.Sprintf("op(%d)", byte(o))
-}
-
-// opOf maps a core op kind onto its on-disk tag.
-func opOf(k core.OpKind) (Op, error) {
-	switch k {
-	case core.OpInsert:
-		return OpInsert, nil
-	case core.OpDelete:
-		return OpDelete, nil
-	}
-	return 0, fmt.Errorf("wal: unloggable op kind %d", k)
-}
+// recBatch opens every record payload this package writes. The ops
+// inside carry their core.OpKind byte as is; a payload that opens with
+// one of those instead is a single-op record of an earlier build.
+const recBatch = 3
 
 // ParseSyncPolicy maps the user-facing policy names — the wal_enable
 // command argument and the cgserver -wal-sync flag share it. The empty
@@ -166,22 +137,19 @@ const (
 	segVersion = 1
 	// segHeaderSize is magic (4) + version (1) + segment index (8).
 	segHeaderSize = 13
-	// maxPayload bounds a single-op record payload: op byte + two max
-	// uvarints.
-	maxPayload = 1 + 2*core.MaxVarintLen64
-	// frameOverhead is the non-payload bytes per single-op record: a
-	// worst-case length prefix is 1 byte (maxPayload < 128) and the CRC
-	// is 4.
-	frameOverhead = 1 + crcSize
 	crcSize       = 4
+	// maxLoneFrame is the widest record holding one op: a one-byte
+	// length prefix, the tag, a one-byte count, the kind, two maximal
+	// uvarints and the CRC — 28 bytes.
+	maxLoneFrame = 1 + 3 + 2*binary.MaxVarintLen64 + crcSize
 
-	// maxBatchOps caps the ops framed into one OpBatch record; larger
-	// batches are chunked into several records (still written by one
-	// group commit). The cap bounds maxBatchPayload, the
-	// plausibility limit for any record's length prefix — anything
-	// larger is damage, not a record.
+	// maxBatchOps caps the ops framed into one record; larger batches
+	// are chunked into several records (still written by one group
+	// commit). The cap bounds maxBatchPayload, the plausibility limit
+	// for any record's length prefix — anything larger is damage, not a
+	// record.
 	maxBatchOps     = 32768
-	maxBatchPayload = 1 + core.MaxVarintLen64 + maxBatchOps*(1+2*core.MaxVarintLen64)
+	maxBatchPayload = 1 + binary.MaxVarintLen64 + maxBatchOps*(1+2*binary.MaxVarintLen64)
 
 	// retainedBufBytes caps what each reused buffer — the two of the
 	// group swap and the frame — keeps between commits. A page apiece
@@ -340,7 +308,7 @@ func (w *WAL) openForAppend() error {
 		return w.openSegment(1)
 	}
 	last := segs[len(segs)-1]
-	valid, _, _, err := scanSegment(w.fs, last.path, last.index, true, nil)
+	valid, _, _, err := scanSegment(w.fs, last, true, nil)
 	if err != nil {
 		return err
 	}
@@ -452,19 +420,18 @@ func (w *WAL) LogBatch(b core.Batch) error { return w.AppendBatch(b) }
 
 // Append durably logs one op and returns once it (and, for free, every
 // op staged alongside it) is written — the group commit.
-func (w *WAL) Append(op Op, u, v uint64) error {
-	b := [1]core.Op{{Kind: core.OpKind(op), U: u, V: v}}
+func (w *WAL) Append(kind core.OpKind, u, v uint64) error {
+	b := [1]core.Op{{Kind: kind, U: u, V: v}}
 	return w.AppendBatch(b[:])
 }
 
 // AppendBatch durably logs a whole mutation batch: Stage, then Commit.
 // Alone in its group the batch becomes one record — one length prefix,
-// one CRC32C — in the plain single-op format when it has one op (the
-// formats coexist in one log); with concurrent appenders the group's
-// batches share a record. Either way a batch of at most maxBatchOps ops
-// never straddles two records, so replay applies it whole or not at
-// all; larger batches are chunked. Replay delivers the ops back in
-// order. An empty batch is a no-op.
+// one CRC32C — even when it has one op; with concurrent appenders the
+// group's batches share a record. Either way a batch of at most
+// maxBatchOps ops never straddles two records, so replay applies it
+// whole or not at all; larger batches are chunked. Replay delivers the
+// ops back in order. An empty batch is a no-op.
 func (w *WAL) AppendBatch(b core.Batch) error {
 	if err := w.Stage(b); err != nil {
 		return err
@@ -484,8 +451,8 @@ func (w *WAL) Stage(b core.Batch) error {
 		return nil
 	}
 	for _, o := range b {
-		if _, err := opOf(o.Kind); err != nil {
-			return err
+		if o.Kind != core.OpInsert && o.Kind != core.OpDelete {
+			return fmt.Errorf("wal: unloggable op kind %d", o.Kind)
 		}
 	}
 	w.mu.Lock()
@@ -592,7 +559,6 @@ func (w *WAL) flushStaged(unlock bool) error {
 // with flushing clear may call it — either way access to the file and
 // the buffer is exclusive.
 func (w *WAL) writeGroup(group core.Batch, cuts []int) error {
-	var err error
 	buf, records := w.frame[:0], uint64(0)
 	for start := 0; start < len(group); {
 		end := len(group)
@@ -600,13 +566,9 @@ func (w *WAL) writeGroup(group core.Batch, cuts []int) error {
 			end, cuts = cuts[0], cuts[1:]
 		}
 		for ; start < end; records++ {
-			// A size-1 record keeps the plain single-op format.
 			rec := group[start:min(end, start+maxBatchOps)]
-			if start += len(rec); len(rec) == 1 {
-				buf = encodeFrame(buf, Op(rec[0].Kind), rec[0].U, rec[0].V)
-			} else if buf, err = encodeBatchFrame(buf, rec); err != nil {
-				return err // unreachable: Stage checked every kind
-			}
+			start += len(rec)
+			buf = encodeBatchFrame(buf, rec)
 		}
 	}
 	if cap(buf) <= retainedBufBytes {
@@ -655,10 +617,7 @@ func (w *WAL) openSegment(index uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment %d: %w", index, err)
 	}
-	var hdr [segHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], segMagic)
-	hdr[4] = segVersion
-	binary.LittleEndian.PutUint64(hdr[5:], index)
+	hdr := segmentHeader(index)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: create segment %d: %w", index, err)
@@ -828,76 +787,96 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// encodeBatchFrame appends one framed OpBatch record holding ops (at
-// most maxBatchOps of them) to buf and returns it. The length prefix
-// precedes a payload whose length is only known once it is encoded, so
-// the payload is encoded behind a worst-case gap and the gap closed
-// afterwards: one pass, no scratch buffer.
-func encodeBatchFrame(buf []byte, ops core.Batch) ([]byte, error) {
-	const gap = core.MaxVarintLen64
+// encodeBatchFrame appends one framed record holding ops (at least one,
+// at most maxBatchOps, every kind checked by Stage) to buf and returns
+// it. It is the log's one record writer. The length prefix precedes a
+// payload whose length is only known once it is encoded, so the payload
+// is encoded behind a worst-case gap and the gap closed afterwards: one
+// pass, no scratch buffer.
+func encodeBatchFrame(buf []byte, ops core.Batch) []byte {
+	const gap = binary.MaxVarintLen64
 	head := len(buf)
 	var prefix [gap]byte
 	buf = append(buf, prefix[:]...)
-	buf = append(buf, byte(OpBatch))
-	buf = core.AppendUvarint(buf, uint64(len(ops)))
+	buf = append(buf, recBatch)
+	buf = binary.AppendUvarint(buf, uint64(len(ops)))
 	for _, o := range ops {
-		op, err := opOf(o.Kind)
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, byte(op))
-		buf = core.AppendUvarint(buf, o.U)
-		buf = core.AppendUvarint(buf, o.V)
+		buf = append(buf, byte(o.Kind))
+		buf = binary.AppendUvarint(buf, o.U)
+		buf = binary.AppendUvarint(buf, o.V)
 	}
 	n := len(buf) - head - gap
-	pl := len(core.AppendUvarint(prefix[:0], uint64(n)))
+	pl := len(binary.AppendUvarint(prefix[:0], uint64(n)))
 	copy(buf[head:], prefix[:pl])
 	copy(buf[head+pl:], buf[head+gap:])
 	buf = buf[:head+pl+n]
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[head+pl:], castagnoli)), nil
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[head+pl:], castagnoli))
 }
 
-// encodeFrame appends one framed single-op record to buf and returns
-// it. The payload is encoded in place behind its length prefix, which
-// is always one byte (maxPayload < 128).
-func encodeFrame(buf []byte, op Op, u, v uint64) []byte {
-	head := len(buf)
-	buf = append(buf, 0, byte(op))
-	buf = core.AppendUvarint(buf, u)
-	buf = core.AppendUvarint(buf, v)
-	buf[head] = byte(len(buf) - head - 1)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[head+1:], castagnoli))
+// segmentHeader is the header openSegment writes at the head of segment
+// index.
+func segmentHeader(index uint64) [segHeaderSize]byte {
+	var hdr [segHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:], segMagic)
+	hdr[4] = segVersion
+	binary.LittleEndian.PutUint64(hdr[5:], index)
+	return hdr
+}
+
+// checkHeader compares a header read from disk with segmentHeader(index).
+// It returns how many leading bytes agree and, when not all of them do,
+// the offset and a description of the first bad field.
+func checkHeader(hdr [segHeaderSize]byte, index uint64) (match int, off int64, detail string) {
+	want := segmentHeader(index)
+	for match < segHeaderSize && hdr[match] == want[match] {
+		match++
+	}
+	switch {
+	case match == segHeaderSize:
+		return match, 0, ""
+	case match < 4:
+		return match, 0, "not a WAL segment"
+	case match == 4:
+		return match, 4, fmt.Sprintf("unsupported WAL version %d", hdr[4])
+	}
+	return match, 5, fmt.Sprintf("segment claims index %d, file named %d", binary.LittleEndian.Uint64(hdr[5:]), index)
 }
 
 func segmentPath(dir string, index uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%016d%s", segPrefix, index, segSuffix))
 }
 
-type segmentRef struct {
+// numberedFile is a file named <prefix><index><suffix>: a segment or a
+// checkpoint.
+type numberedFile struct {
 	path  string
 	index uint64
 }
 
-// listSegments returns the directory's segment files sorted by index.
-func listSegments(fsys vfs.FS, dir string) ([]segmentRef, error) {
+// listNumbered returns dir's files named prefix, decimal index, suffix,
+// sorted by index.
+func listNumbered(fsys vfs.FS, dir, prefix, suffix string) ([]numberedFile, error) {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var segs []segmentRef
+	var files []numberedFile
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 			continue
 		}
-		idx, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix), 10, 64)
-		if err != nil {
-			continue
+		if idx, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64); err == nil {
+			files = append(files, numberedFile{path: filepath.Join(dir, name), index: idx})
 		}
-		segs = append(segs, segmentRef{path: filepath.Join(dir, name), index: idx})
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
-	return segs, nil
+	sort.Slice(files, func(i, j int) bool { return files[i].index < files[j].index })
+	return files, nil
+}
+
+// listSegments returns the directory's segment files sorted by index.
+func listSegments(fsys vfs.FS, dir string) ([]numberedFile, error) {
+	return listNumbered(fsys, dir, segPrefix, segSuffix)
 }
 
 // syncDir fsyncs a directory so renames and removals inside it are

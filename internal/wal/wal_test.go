@@ -79,25 +79,21 @@ func mustOpen(t *testing.T, dir string, opts Options) *WAL {
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
-	type rec struct {
-		op   Op
-		u, v uint64
-	}
-	want := []rec{
-		{OpInsert, 1, 2}, {OpInsert, 1, 3}, {OpDelete, 1, 2},
-		{OpInsert, 0, 0}, {OpInsert, ^uint64(0), 1 << 40},
+	want := []core.Op{
+		{Kind: core.OpInsert, U: 1, V: 2}, {Kind: core.OpInsert, U: 1, V: 3}, {Kind: core.OpDelete, U: 1, V: 2},
+		{Kind: core.OpInsert, U: 0, V: 0}, {Kind: core.OpInsert, U: ^uint64(0), V: 1 << 40},
 	}
 	for _, r := range want {
-		if err := w.Append(r.op, r.u, r.v); err != nil {
+		if err := w.Append(r.Kind, r.U, r.V); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	var got []rec
-	stats, err := Replay(dir, 0, func(op Op, u, v uint64) error {
-		got = append(got, rec{op, u, v})
+	var got []core.Op
+	stats, err := Replay(dir, 0, func(o core.Op) error {
+		got = append(got, o)
 		return nil
 	})
 	if err != nil {
@@ -114,21 +110,21 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 func TestReopenContinuesLog(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
-	if err := w.Append(OpInsert, 1, 2); err != nil {
+	if err := w.Append(core.OpInsert, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	w = mustOpen(t, dir, Options{Sync: SyncNone})
-	if err := w.Append(OpInsert, 3, 4); err != nil {
+	if err := w.Append(core.OpInsert, 3, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var n uint64
-	stats, err := Replay(dir, 0, func(Op, uint64, uint64) error { n++; return nil })
+	stats, err := Replay(dir, 0, func(core.Op) error { n++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +139,7 @@ func TestSegmentRotationAndReplay(t *testing.T) {
 	w := mustOpen(t, dir, Options{Sync: SyncNone, SegmentBytes: 256})
 	const n = 1000
 	for i := uint64(0); i < n; i++ {
-		if err := w.Append(OpInsert, i, i+1); err != nil {
+		if err := w.Append(core.OpInsert, i, i+1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,9 +154,9 @@ func TestSegmentRotationAndReplay(t *testing.T) {
 		t.Fatalf("expected many segments at 256B threshold, got %d", len(segs))
 	}
 	var i uint64
-	stats, err := Replay(dir, 0, func(op Op, u, v uint64) error {
-		if op != OpInsert || u != i || v != i+1 {
-			t.Fatalf("record %d = %v(%d,%d)", i, op, u, v)
+	stats, err := Replay(dir, 0, func(o core.Op) error {
+		if o != core.InsertOp(i, i+1) {
+			t.Fatalf("record %d = %+v", i, o)
 		}
 		i++
 		return nil
@@ -321,7 +317,7 @@ func TestCorruptionMidLogIsTyped(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{Sync: SyncNone, SegmentBytes: 512})
 	for i := uint64(0); i < 500; i++ {
-		if err := w.Append(OpInsert, i, i); err != nil {
+		if err := w.Append(core.OpInsert, i, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -346,7 +342,7 @@ func TestCorruptionMidLogIsTyped(t *testing.T) {
 	if err := os.WriteFile(victim, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Replay(dir, 0, func(Op, uint64, uint64) error { return nil })
+	_, err = Replay(dir, 0, func(core.Op) error { return nil })
 	if !errors.Is(err, core.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
@@ -367,7 +363,7 @@ func TestSyncAsyncDrainsOnClose(t *testing.T) {
 	w := mustOpen(t, dir, Options{Sync: SyncAsync})
 	const n = 10_000
 	for i := uint64(0); i < n; i++ {
-		if err := w.Append(OpInsert, i, i+1); err != nil {
+		if err := w.Append(core.OpInsert, i, i+1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -389,7 +385,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(OpInsert, 1, 2); !errors.Is(err, ErrClosed) {
+	if err := w.Append(core.OpInsert, 1, 2); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
@@ -408,7 +404,7 @@ func BenchmarkAppend(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				r := rng(1)
 				for pb.Next() {
-					if err := w.Append(OpInsert, r.next()%1000, r.next()%1000); err != nil {
+					if err := w.Append(core.OpInsert, r.next()%1000, r.next()%1000); err != nil {
 						b.Fatal(err)
 					}
 				}
