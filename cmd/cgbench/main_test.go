@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"slices"
@@ -103,5 +104,35 @@ func TestEveryPaperExperimentRuns(t *testing.T) {
 	}
 	if !slices.Equal(names, experiments) {
 		t.Fatalf("tested %v\n\"all\" runs %v", names, experiments)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// TestCountTablesAreGolden compares what table2, table3 and kicks print —
+// counts, never timings, so the same bytes on every run — with the files
+// under testdata/. The scale is one at which NotreDame's S-CHT chains
+// kick and merge, so a change that moves a single cell of the L-CHT or
+// an S-CHT shows as a diff here. A change that means to move cells
+// rewrites the files with -update and says why.
+func TestCountTablesAreGolden(t *testing.T) {
+	*scale, *seed = 128, 42
+	for _, name := range []string{"table2", "table3", "kicks"} {
+		t.Run(name, func(t *testing.T) {
+			got := capture(t, name)
+			path := filepath.Join("testdata", name+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Fatalf("%s printed:\n%s\nwant (%s):\n%s", name, got, path, want)
+			}
+		})
 	}
 }

@@ -25,10 +25,11 @@
 //
 // A point operation walks L-CHT bucket → u's cell, which holds the
 // node's small slots by value → (for a chained u) chain registry → chain
-// header → S-CHT bucket, once. An S-CHT chain is one 128-byte
-// header that holds the shape its tables share and its first table by
-// value, so two dependent loads lead from the cell to a bucket; later
-// tables sit in one array of 40-byte records behind the header.
+// header → S-CHT bucket, once. An S-CHT chain is one 64-byte object
+// that holds its first table by value and points at the shape every
+// S-CHT of the graph shares, so two dependent loads lead from the cell
+// to a bucket; later tables sit in one array of 40-byte records behind
+// it.
 //
 // Each operation hashes u once and, on a chained node, v once (the
 // splitmix64 finaliser, 64 bits); every table of a chain derives its

@@ -51,6 +51,8 @@ type coverage struct {
 	// ldl: a cell sitting in the L-DL; ldlChained: a chained one, its
 	// chain reachable through the number in the row copy alone.
 	ldl, ldlChained int
+	// collapses: a chain went back to inline slots.
+	collapses int
 }
 
 // walkEngine checks every structural invariant of e against want and
@@ -251,6 +253,7 @@ func runDifferential[W any](t *testing.T, seed uint64, ops int, sources uint64, 
 			insertBias = 2
 		}
 		k := rng.Intn(10)
+		chains := len(e.chains) - len(e.free)
 		if su, sv, ok := steer(e, want); ok && i%3 == 0 {
 			u, v, k = su, sv, insertBias // a delete
 		}
@@ -284,6 +287,9 @@ func runDifferential[W any](t *testing.T, seed uint64, ops int, sources uint64, 
 			}
 		}
 		walkEngine(t, e, want, weightOf, &cov)
+		if len(e.chains)-len(e.free) < chains {
+			cov.collapses++
+		}
 		if g.NumEdges() != want.edges() || g.NumNodes() != uint64(len(want)) || g.Degree(u) != len(want[u]) {
 			t.Fatalf("op %d: NumEdges %d NumNodes %d Degree(%d) %d; oracle %d, %d, %d",
 				i, g.NumEdges(), g.NumNodes(), u, g.Degree(u), want.edges(), len(want), len(want[u]))
@@ -360,22 +366,19 @@ func TestDifferentialEveryRAndVariant(t *testing.T) {
 	const ops, sources = 2500, 64
 	variants := []struct {
 		name string
-		run  func(t *testing.T, cfg Config) (coverage, uint64)
+		run  func(t *testing.T, cfg Config) coverage
 	}{
-		{"basic", func(t *testing.T, cfg Config) (coverage, uint64) {
+		{"basic", func(t *testing.T, cfg Config) coverage {
 			g := NewGraph(cfg)
-			cov := runDifferential(t, cfg.Seed, ops, sources, g, g.e, false, func(*struct{}) uint64 { return 1 })
-			return cov, g.e.schtPlacementsRetired
+			return runDifferential(t, cfg.Seed, ops, sources, g, g.e, false, func(*struct{}) uint64 { return 1 })
 		}},
-		{"weighted", func(t *testing.T, cfg Config) (coverage, uint64) {
+		{"weighted", func(t *testing.T, cfg Config) coverage {
 			g := NewWeighted(cfg)
-			cov := runDifferential(t, cfg.Seed, ops, sources, g, g.e, true, func(w *uint64) uint64 { return *w })
-			return cov, g.e.schtPlacementsRetired
+			return runDifferential(t, cfg.Seed, ops, sources, g, g.e, true, func(w *uint64) uint64 { return *w })
 		}},
-		{"multi", func(t *testing.T, cfg Config) (coverage, uint64) {
+		{"multi", func(t *testing.T, cfg Config) coverage {
 			g := &multiDiff{m: NewMulti(cfg), ids: map[[2]uint64][]uint64{}}
-			cov := runDifferential(t, cfg.Seed, ops, sources, g, g.m.e, true, func(w *[]uint64) uint64 { return uint64(len(*w)) })
-			return cov, g.m.e.schtPlacementsRetired
+			return runDifferential(t, cfg.Seed, ops, sources, g, g.m.e, true, func(w *[]uint64) uint64 { return uint64(len(*w)) })
 		}},
 	}
 	for _, variant := range variants {
@@ -384,9 +387,9 @@ func TestDifferentialEveryRAndVariant(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/R=%d", variant.name, r), func(t *testing.T) {
 				cfg := tinyCaps
 				cfg.R, cfg.D, cfg.MaxKicks, cfg.LDLCap, cfg.Seed = r, 1, 1, 8, uint64(r)
-				cov, retired := variant.run(t, cfg)
-				t.Logf("%+v, %d placements in chains that collapsed", cov, retired)
-				if cov.ldl == 0 || retired == 0 {
+				cov := variant.run(t, cfg)
+				t.Logf("%+v", cov)
+				if cov.ldl == 0 || cov.collapses == 0 {
 					t.Fatal("no cell sat in the L-DL, or no chain collapsed: the run covers too little")
 				}
 				ldlChained += cov.ldlChained

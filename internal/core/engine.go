@@ -55,6 +55,7 @@ type engine[W any] struct {
 	inlineCap int // 2R for the basic version, R for weighted/multi
 
 	lcht *cuckoo.Chain[slot[W]] // payload width 1 + inlineCap
+	scht *cuckoo.Family         // the shape and counters of every S-CHT chain
 	ldl  []ldlEntry[W]
 	sdl  []sdlEntry[W]
 
@@ -79,11 +80,6 @@ type engine[W any] struct {
 	nodes uint64
 	edges uint64
 
-	// Retired statistics from collapsed chains (reverse transformation
-	// back to inline slots discards the chain object).
-	schtKicksRetired      uint64
-	schtPlacementsRetired uint64
-
 	seedTick uint64
 }
 
@@ -91,6 +87,7 @@ func newEngine[W any](cfg Config, inlineCap int) *engine[W] {
 	cfg = cfg.Defaults()
 	e := &engine[W]{cfg: cfg, inlineCap: inlineCap, newRow: make([]slot[W], 1+inlineCap)}
 	e.lcht = cuckoo.NewRowChain[slot[W]](cfg.LCHTBase, len(e.newRow), cfg.chainConfig())
+	e.scht = cuckoo.NewFamily(cfg.SCHTBase, 1, cfg.chainConfig())
 	return e
 }
 
@@ -264,9 +261,7 @@ func (e *engine[W]) insertAt(hu uint64, row []slot[W], u, hv uint64, s slot[W]) 
 	}
 	// 2R small slots full: merge them into R large slots, enable the
 	// 1st S-CHT and transfer every v into it (§III-A1 step ②).
-	cfg := e.cfg.chainConfig()
-	cfg.Seed = e.newChainSeed()
-	c := cuckoo.NewChain[W](e.cfg.SCHTBase, cfg)
+	c := cuckoo.NewChainIn[W](e.scht, e.newChainSeed())
 	row[0].v = chainFlag | e.register(c)
 	for _, old := range row[1:] {
 		e.chainInsert(u, c, hashutil.Key64(old.v), old)
@@ -414,8 +409,6 @@ func (e *engine[W]) maybeCollapse(hu, u uint64, row []slot[W], c *cuckoo.Chain[W
 	if c.Size() > e.inlineCap {
 		return
 	}
-	e.schtKicksRetired += c.Kicks()
-	e.schtPlacementsRetired += c.Placements()
 	no := row[0].v &^ chainFlag
 	e.chains[no] = nil
 	e.free = append(e.free, uint32(no))
@@ -596,11 +589,11 @@ func (e *engine[W]) stats() Stats {
 		LCHTLoadRate:    e.lcht.OverallLoadRate(),
 		LCHTKicks:       e.lcht.Kicks(),
 		LCHTPlacements:  e.lcht.Placements(),
-		SCHTKicks:       e.schtKicksRetired,
-		SCHTPlacements:  e.schtPlacementsRetired,
+		SCHTKicks:       e.scht.Kicks(),
+		SCHTPlacements:  e.scht.Placements(),
 		LDLLen:          len(e.ldl),
 		SDLLen:          len(e.sdl),
-		Transformations: e.lcht.Transformations(),
+		Transformations: e.lcht.Transformations() + e.scht.Transformations(),
 	}
 	for _, c := range e.chains {
 		if c == nil {
@@ -610,9 +603,6 @@ func (e *engine[W]) stats() Stats {
 		st.SCHTTables += c.Tables()
 		st.ChainCells += c.Cells()
 		st.ChainEntries += c.Size()
-		st.SCHTKicks += c.Kicks()
-		st.SCHTPlacements += c.Placements()
-		st.Transformations += c.Transformations()
 	}
 	return st
 }

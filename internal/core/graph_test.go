@@ -81,6 +81,40 @@ func TestGraphChainCollapseOnDelete(t *testing.T) {
 	}
 }
 
+// TestTransformationsNeverFall pins that Stats' lifetime counters are
+// counters: a chain that grows and then collapses back into the inline
+// slots takes none of its transformations, kicks or placements with it.
+func TestTransformationsNeverFall(t *testing.T) {
+	g := NewGraph(Config{D: 2, MaxKicks: 4})
+	u := uint64(5)
+	const deg = 60
+	last := g.Stats()
+	check := func(op string, v uint64) {
+		t.Helper()
+		st := g.Stats()
+		if st.Transformations < last.Transformations || st.SCHTKicks < last.SCHTKicks || st.SCHTPlacements < last.SCHTPlacements {
+			t.Fatalf("%s ⟨%d,%d⟩: transformations %d → %d, S-CHT kicks %d → %d, placements %d → %d", op, u, v,
+				last.Transformations, st.Transformations, last.SCHTKicks, st.SCHTKicks, last.SCHTPlacements, st.SCHTPlacements)
+		}
+		last = st
+	}
+	for v := uint64(1); v <= deg; v++ {
+		g.InsertEdge(u, v)
+		check("insert", v)
+	}
+	if last.Chains != 1 || last.SCHTTables < 2 || last.SCHTKicks == 0 {
+		t.Fatalf("at degree %d: %+v, want one chain that has grown and kicked", deg, last)
+	}
+	grown := last.Transformations
+	for v := uint64(1); v <= deg; v++ {
+		g.DeleteEdge(u, v)
+		check("delete", v)
+	}
+	if last.Chains != 0 || last.Transformations < grown {
+		t.Fatalf("after deleting every edge: %+v; %d transformations before", last, grown)
+	}
+}
+
 func TestGraphHighDegreeNode(t *testing.T) {
 	// Push one node through multiple chain merges (Table II walks).
 	g := NewGraph(Config{SCHTBase: 4})

@@ -34,18 +34,14 @@ func TestChainRefZeroAlloc(t *testing.T) {
 		t.Fatalf("chain has %d tables; want a grown chain", c.Tables())
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if c.Ref(123) == nil {
+		if p := c.FindHashed(hashutil.Key64(123), 123); !p.Found() || *c.At(p) != 246 {
 			t.Fatal("ref miss")
 		}
-		if c.Ref(1<<40) != nil {
+		if c.FindHashed(hashutil.Key64(1<<40), 1<<40).Found() {
 			t.Fatal("phantom ref")
 		}
-		h := hashutil.Key64(321)
-		if c.RefHashed(h, 321) == nil {
-			t.Fatal("hashed ref miss")
-		}
 	}); n != 0 {
-		t.Fatalf("Chain.Ref allocates %.1f/op, want 0", n)
+		t.Fatalf("Chain.FindHashed and At allocate %.1f/op, want 0", n)
 	}
 }
 
@@ -87,13 +83,13 @@ func TestRestructurePinsNoRemovedTable(t *testing.T) {
 	contractions := 0 // 3 → 2 tables: the case that vacates a record
 	check := func(when string, k uint64) {
 		t.Helper()
-		slots := c.slots()
-		if (slots == nil) != (c.n == 1) {
-			t.Fatalf("%s %d: %d tables, rest array present: %v", when, k, c.n, slots != nil)
+		slots, n := c.slots(), c.Tables()
+		if (slots == nil) != (n == 1) {
+			t.Fatalf("%s %d: %d tables, rest array present: %v", when, k, n, slots != nil)
 		}
-		for i := int(c.n) - 1; i < len(slots); i++ {
+		for i := n - 1; i < len(slots); i++ {
 			if slots[i] != (table[uint64]{}) {
-				t.Fatalf("%s %d: %d tables, spare record %d still holds a table", when, k, c.n, i)
+				t.Fatalf("%s %d: %d tables, spare record %d still holds a table", when, k, n, i)
 			}
 		}
 	}
@@ -102,9 +98,9 @@ func TestRestructurePinsNoRemovedTable(t *testing.T) {
 		check("insert", k)
 	}
 	for k := uint64(1); k <= 295; k++ {
-		before := c.n
+		before := c.Tables()
 		c.Delete(k) // walks reverse transformations
-		if before == 3 && c.n == 2 {
+		if before == 3 && c.Tables() == 2 {
 			contractions++
 		}
 		check("delete", k)

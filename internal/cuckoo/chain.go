@@ -24,65 +24,86 @@ import (
 // analysis). The *Hashed variants let callers that already hold the
 // hash skip even that one computation.
 //
-// The field order is the layout contract of the package comment: what a
-// lookup reads — the shape, the first table, the pointer to the others —
-// fills the first 64 bytes; what only a mutation reads or writes
-// follows.
+// A chain is one 64-byte object, everything a lookup reads of it in one
+// cache line (see the package comment).
 type Chain[P any] struct {
-	d, tw, stride uint16 // cells, tag words and words per bucket (stride = tw + d)
-	n, r          uint8  // tables in the chain, and the most it may hold
-	width         uint16 // payload elements per cell (a cell's row)
-	maxKicks      uint16 // T
-	size          uint32 // entries stored in the whole chain
-	first         table[P]
-	// rest points at the records of tables 2..r, one array of r-1
+	f     *Family
+	first table[P]
+	// rest points at the records of tables 2..r, one array of restLen
 	// allocated by the Grow that enables the second table and dropped
-	// when the chain is back to one.
+	// when the chain is back to one. Its live records come first and
+	// are the ones with cell storage; the rest are zero.
 	rest *table[P]
-
-	seed  uint64 // LCG state the table seeds are drawn from
-	base  uint32 // n: the length of the 1st S-CHT at state 0
-	grows uint32 // number of Grow transformations applied (Table II row)
-	// growAt is the population of the active table at which the next
-	// insertion grows the chain first (its LR has reached G); keepAt the
-	// chain population from which a deletion leaves the shape alone
-	// (overall LR ≥ Λ). setThresholds derives both.
-	growAt, keepAt uint32
-	transforms     uint64 // Grow + reverse transformations, for stats
-	kicks          uint64 // relocation attempts, for the §IV measurement
-	placements     uint64 // successful cell placements, incl. re-homing moves
-	g, lambda      float64
+	seed uint64 // LCG state the table seeds are drawn from
 }
 
-// NewChain returns a chain holding a single table of length base, each
-// cell carrying one P.
-func NewChain[P any](base int, cfg Config) *Chain[P] { return NewRowChain[P](base, 1, cfg) }
+// Family is the block that chains made for one purpose share: the
+// shape of their tables and the parameters of the transformation rule,
+// which every operation reads, and the lifetime counters every operation
+// adds to. An engine keeps one for all its S-CHTs; NewChain and
+// NewRowChain give each chain a family of its own, so the counters are
+// the chain's.
+type Family struct {
+	d, tw, stride uint16 // cells, tag words and words per bucket (stride = tw + d)
+	width         uint16 // payload elements per cell (a cell's row)
+	maxKicks      uint16 // T
+	r             uint8  // the most tables a chain may hold
+	restLen       uint8  // records behind rest, max(r, 2)-1: a merge leaves two tables whatever R is
+	base          uint32 // n: the length of the 1st S-CHT at state 0
+	g, lambda     float64
 
-// NewRowChain returns a chain holding a single table of length base
-// whose cells each carry a row of width P (1 ≤ width ≤ 65535). Rows go
-// in through InsertRow and are read through RowHashed; At, Ref and the
-// iterators see a row's first element.
-func NewRowChain[P any](base, width int, cfg Config) *Chain[P] {
+	kicks      uint64 // relocation attempts, for the §IV measurement
+	placements uint64 // successful cell placements, incl. re-homing moves
+	transforms uint64 // Grow + reverse transformations
+	grows      uint64 // Grow transformations (Table II row of a lone chain)
+}
+
+// NewFamily returns the family of chains whose first table has length
+// base and whose cells each carry a row of width P (1 ≤ width ≤ 65535).
+// cfg.Seed is not the family's: each chain takes its own.
+func NewFamily(base, width int, cfg Config) *Family {
 	cfg = cfg.Defaults()
 	if cfg.D < 1 || cfg.D > 1<<15 || cfg.R < 1 || cfg.R > 255 || cfg.MaxKicks < 0 || cfg.MaxKicks > 1<<16-1 ||
 		width < 1 || width > 1<<16-1 {
 		panic("cuckoo: Config out of range")
 	}
 	tw := (cfg.D + 7) / 8
-	c := &Chain[P]{
+	return &Family{
 		d: uint16(cfg.D), tw: uint16(tw), stride: uint16(tw + cfg.D),
-		n: 1, r: uint8(cfg.R), width: uint16(width), maxKicks: uint16(cfg.MaxKicks),
-		seed: cfg.Seed, g: cfg.G, lambda: cfg.Lambda,
+		width: uint16(width), maxKicks: uint16(cfg.MaxKicks), r: uint8(cfg.R), restLen: uint8(max(cfg.R, 2) - 1),
+		base: uint32(tableLength(base)), g: cfg.G, lambda: cfg.Lambda,
 	}
-	c.first = c.newTable(base)
-	c.base = uint32(c.first.length())
-	c.setThresholds()
-	return c
 }
 
-// restLen is the length of the array behind rest. Table II's merge
-// leaves two tables whatever R is, so it is never less than one.
-func (c *Chain[P]) restLen() int { return max(int(c.r), 2) - 1 }
+// Kicks, Placements and Transformations are the Chain counters of those
+// names, summed over every chain the family has had, dropped ones too.
+func (f *Family) Kicks() uint64           { return f.kicks }
+func (f *Family) Placements() uint64      { return f.placements }
+func (f *Family) Transformations() uint64 { return f.transforms }
+
+// NewChain returns a chain holding a single table of length base, each
+// cell carrying one P, in a family of its own.
+func NewChain[P any](base int, cfg Config) *Chain[P] { return NewRowChain[P](base, 1, cfg) }
+
+// NewRowChain returns a chain holding a single table of length base
+// whose cells each carry a row of width P (1 ≤ width ≤ 65535), in a
+// family of its own. Rows go in through InsertRow and are read through
+// RowHashed; At and ForEachRef see a row's first element.
+func NewRowChain[P any](base, width int, cfg Config) *Chain[P] {
+	return NewChainIn[P](NewFamily(base, width, cfg), cfg.Seed)
+}
+
+// NewChainIn returns a chain of family f holding a single table of the
+// family's base length. seed starts the sequence its table seeds are
+// drawn from; 0 stands for Config's default, as it does there.
+func NewChainIn[P any](f *Family, seed uint64) *Chain[P] {
+	if seed == 0 {
+		seed = Config{}.Defaults().Seed
+	}
+	c := &Chain[P]{f: f, seed: seed}
+	c.first = c.newTable(int(f.base))
+	return c
+}
 
 // slots returns the whole array behind rest, live tables and spare
 // records alike.
@@ -90,77 +111,84 @@ func (c *Chain[P]) slots() []table[P] {
 	if c.rest == nil {
 		return nil
 	}
-	return unsafe.Slice(c.rest, c.restLen())
+	return unsafe.Slice(c.rest, c.f.restLen)
 }
 
-// tail returns the live tables after the first.
-func (c *Chain[P]) tail() []table[P] { return unsafe.Slice(c.rest, int(c.n)-1) }
-
-// tab returns the i-th table of the chain, 0 ≤ i < n.
+// tab returns the i-th table of the chain, 0 ≤ i < Tables().
 func (c *Chain[P]) tab(i int) *table[P] {
 	if i == 0 {
 		return &c.first
 	}
-	return &c.tail()[i-1]
+	return &unsafe.Slice(c.rest, i)[i-1]
+}
+
+// live returns how many records behind rest hold a table.
+func (c *Chain[P]) live() int {
+	n, s := 0, c.slots()
+	for n < len(s) && s[n].cells != nil {
+		n++
+	}
+	return n
 }
 
 // active returns the newest table, the one insertions go to.
-func (c *Chain[P]) active() *table[P] { return c.tab(int(c.n) - 1) }
-
-// setThresholds recomputes growAt and keepAt; every change to the set
-// of tables ends with it.
-func (c *Chain[P]) setThresholds() {
-	c.growAt = atLeast(c.cellsOf(c.active()), c.g)
-	c.keepAt = atLeast(c.Cells(), c.lambda)
-}
+func (c *Chain[P]) active() *table[P] { return c.tab(c.live()) }
 
 // Tables returns the number of tables currently in the chain.
-func (c *Chain[P]) Tables() int { return int(c.n) }
+func (c *Chain[P]) Tables() int { return 1 + c.live() }
 
 // Lengths returns the lengths of the tables, first to last. The sequence
 // follows Table II of the paper, which the test suite verifies.
 func (c *Chain[P]) Lengths() []int {
-	out := make([]int, c.n)
+	out := make([]int, c.Tables())
 	for i := range out {
 		out[i] = c.tab(i).length()
 	}
 	return out
 }
 
-// Grows returns how many Grow transformations have been applied; it is
-// the row index of Table II when R=3.
-func (c *Chain[P]) Grows() int { return int(c.grows) }
-
-// Size returns the total number of stored entries.
-func (c *Chain[P]) Size() int { return int(c.size) }
-
-// Cells returns the total cells across the chain.
-func (c *Chain[P]) Cells() int {
-	n := 0
-	for i := 0; i < int(c.n); i++ {
-		n += c.cellsOf(c.tab(i))
+// Size returns the total number of stored entries. It and Cells sum
+// spare records too: those are zero, so they add nothing.
+func (c *Chain[P]) Size() int {
+	n, s := int(c.first.size), c.slots()
+	for i := range s {
+		n += int(s[i].size)
 	}
 	return n
 }
 
-// OverallLoadRate is the chain-wide LR used by reverse transformation.
-func (c *Chain[P]) OverallLoadRate() float64 {
-	return float64(c.size) / float64(c.Cells())
+// Cells returns the total cells across the chain.
+func (c *Chain[P]) Cells() int {
+	m2, s := int(c.first.m2), c.slots()
+	for i := range s {
+		m2 += int(s[i].m2)
+	}
+	return 3 * m2 * int(c.f.d)
 }
 
-// Kicks returns cumulative relocation attempts over the chain's whole
+// OverallLoadRate is the chain-wide LR used by reverse transformation.
+func (c *Chain[P]) OverallLoadRate() float64 {
+	return float64(c.Size()) / float64(c.Cells())
+}
+
+// Grows returns how many Grow transformations the chain's family has
+// applied; for a chain of its own it is the row index of Table II when
+// R=3. Kicks, Placements and Transformations count family-wide too.
+func (c *Chain[P]) Grows() int { return int(c.f.grows) }
+
+// Kicks returns cumulative relocation attempts over the family's whole
 // lifetime, including tables that have since been merged away. Together
 // with Placements it yields the paper's "average number of insertions
 // per item" measurement (§IV-A).
-func (c *Chain[P]) Kicks() uint64 { return c.kicks }
+func (c *Chain[P]) Kicks() uint64 { return c.f.kicks }
 
 // Placements returns the number of successful cell placements performed,
 // including the internal moves of merges and contractions.
-func (c *Chain[P]) Placements() uint64 { return c.placements }
+func (c *Chain[P]) Placements() uint64 { return c.f.placements }
 
 // Transformations returns how many forward or reverse transformations
 // the chain has performed.
-func (c *Chain[P]) Transformations() uint64 { return c.transforms }
+func (c *Chain[P]) Transformations() uint64 { return c.f.transforms }
 
 // Pos names one occupied cell of a chain — its table and the cell's
 // flat index there, in one word — or, negative, none. It is what
@@ -182,9 +210,9 @@ func (c *Chain[P]) FindHashed(h, key uint64) Pos {
 	if i := c.findIn(&c.first, h, key); i >= 0 {
 		return Pos(i)
 	}
-	tail := c.tail()
-	for j := range tail {
-		if i := c.findIn(&tail[j], h, key); i >= 0 {
+	s := c.slots()
+	for j := 0; j < len(s) && s[j].cells != nil; j++ {
+		if i := c.findIn(&s[j], h, key); i >= 0 {
 			return Pos(j+1)<<posTableShift | Pos(i)
 		}
 	}
@@ -197,7 +225,7 @@ func (c *Chain[P]) FindHashed(h, key uint64) Pos {
 // sits on the hit path of every chained read, and decodes p by hand to
 // stay within the inliner's budget.
 func (c *Chain[P]) At(p Pos) *P {
-	return &c.payloads(c.tab(int(p >> posTableShift)))[int(p&(1<<posTableShift-1))*int(c.width)]
+	return &c.payloads(c.tab(int(p >> posTableShift)))[int(p&(1<<posTableShift-1))*int(c.f.width)]
 }
 
 // RowHashed probes like FindHashed and returns the payload row stored
@@ -207,24 +235,11 @@ func (c *Chain[P]) RowHashed(h, key uint64) []P {
 	if i := c.findIn(&c.first, h, key); i >= 0 {
 		return c.rowIn(&c.first, i)
 	}
-	tail := c.tail()
-	for j := range tail {
-		if i := c.findIn(&tail[j], h, key); i >= 0 {
-			return c.rowIn(&tail[j], i)
+	s := c.slots()
+	for j := 0; j < len(s) && s[j].cells != nil; j++ {
+		if i := c.findIn(&s[j], h, key); i >= 0 {
+			return c.rowIn(&s[j], i)
 		}
-	}
-	return nil
-}
-
-// Ref returns a mutable pointer to key's payload, or nil.
-func (c *Chain[P]) Ref(key uint64) *P {
-	return c.RefHashed(hashutil.Key64(key), key)
-}
-
-// RefHashed is Ref with the key's hash already computed.
-func (c *Chain[P]) RefHashed(h, key uint64) *P {
-	if p := c.FindHashed(h, key); p.Found() {
-		return c.At(p)
 	}
 	return nil
 }
@@ -234,11 +249,13 @@ func (c *Chain[P]) Contains(key uint64) bool {
 	return c.FindHashed(hashutil.Key64(key), key).Found()
 }
 
-// NeedsGrow reports whether the active table's LR has reached G, i.e. a
-// Grow transformation should run before the next insertion (§III-A1:
+// atG reports whether the LR of t, the active table, has reached G, i.e.
+// a Grow transformation should run before the next insertion (§III-A1:
 // "if the growing l causes the LR of the S-CHT to reach the preset
 // threshold G before the current v arrives").
-func (c *Chain[P]) NeedsGrow() bool { return c.active().size >= c.growAt }
+func (c *Chain[P]) atG(t *table[P]) bool {
+	return float64(t.size)/float64(c.cellsOf(t)) >= c.f.g
+}
 
 // Grow applies one step of the transformation rule:
 //
@@ -253,12 +270,12 @@ func (c *Chain[P]) NeedsGrow() bool { return c.active().size >= c.growAt }
 // Entries that cannot be re-homed during a merge are returned as
 // leftovers for the caller's denylist.
 func (c *Chain[P]) Grow() (leftovers []Entry[P]) {
-	c.grows++
-	c.transforms++
-	defer c.setThresholds()
-	if c.n < c.r {
+	c.f.grows++
+	c.f.transforms++
+	n := c.Tables()
+	if n < int(c.f.r) {
 		length := c.first.length() / 2
-		if c.n > 1 {
+		if n > 1 {
 			length = c.active().length()
 		}
 		c.enable(length)
@@ -269,10 +286,9 @@ func (c *Chain[P]) Grow() (leftovers []Entry[P]) {
 	// buffer first — and each old row is the scratch its own insertion
 	// kicks into.
 	merged := c.newTable(c.first.length() * 2)
-	c.size = 0
-	for i := 0; i < int(c.n); i++ {
+	for i := 0; i < n; i++ {
 		c.forEachIn(c.tab(i), func(key uint64, val *P) bool {
-			row := unsafe.Slice(val, c.width)
+			row := unsafe.Slice(val, c.f.width)
 			if lo, ok := c.insertIn(&merged, hashutil.Key64(key), key, row); !ok {
 				leftovers = appendRow(leftovers, lo, row)
 			}
@@ -281,7 +297,6 @@ func (c *Chain[P]) Grow() (leftovers []Entry[P]) {
 	}
 	c.first = merged
 	clear(c.slots())
-	c.n = 1
 	c.enable(merged.length() / 2)
 	return leftovers
 }
@@ -289,10 +304,9 @@ func (c *Chain[P]) Grow() (leftovers []Entry[P]) {
 // enable appends a fresh table of the given length to the chain.
 func (c *Chain[P]) enable(length int) {
 	if c.rest == nil {
-		c.rest = unsafe.SliceData(make([]table[P], c.restLen()))
+		c.rest = unsafe.SliceData(make([]table[P], c.f.restLen))
 	}
-	c.n++
-	*c.active() = c.newTable(length)
+	c.slots()[c.live()] = c.newTable(length)
 }
 
 // appendRow appends the homeless cell ⟨key,row⟩ to leftovers, one entry
@@ -332,11 +346,13 @@ func (c *Chain[P]) InsertRow(key uint64, row []P) (leftovers []Entry[P], grew bo
 // slice means complete success. The caller must ensure key is not
 // already present in the chain.
 func (c *Chain[P]) InsertRowHashed(h, key uint64, row []P) (leftovers []Entry[P], grew bool) {
-	if c.NeedsGrow() {
+	t := c.active()
+	if c.atG(t) {
 		leftovers = c.Grow()
 		grew = true
+		t = c.active()
 	}
-	if lo, ok := c.insertIn(c.active(), h, key, row); !ok {
+	if lo, ok := c.insertIn(t, h, key, row); !ok {
 		leftovers = appendRow(leftovers, lo, row)
 	}
 	return leftovers, grew
@@ -361,49 +377,47 @@ func (c *Chain[P]) Delete(key uint64) (leftovers []Entry[P], deleted bool) {
 func (c *Chain[P]) DeleteAt(p Pos) (leftovers []Entry[P]) {
 	held := p.table()
 	c.clearIn(c.tab(held), p.cell())
-	if c.size >= c.keepAt {
+	size, cells := c.Size(), c.Cells()
+	if float64(size)/float64(cells) >= c.f.lambda {
 		return nil
 	}
 	var victim table[P]
-	if c.n > 1 {
+	if n := c.Tables(); n > 1 {
 		// Contract only if the surviving tables can absorb the victim's
 		// residents below the expansion threshold; otherwise deleting the
 		// table would immediately re-trigger growth (thrash) and flood
 		// the caller's denylist.
-		otherCells := c.Cells() - c.cellsOf(c.tab(held))
-		if float64(c.size) > float64(otherCells)*c.g {
+		otherCells := cells - c.cellsOf(c.tab(held))
+		if float64(size) > float64(otherCells)*c.f.g {
 			return nil
 		}
 		// Shift the later tables down and zero the vacated record, so
 		// the removed table's arrays are garbage once its residents have
 		// moved.
 		victim = *c.tab(held)
-		for i := held; i < int(c.n)-1; i++ {
+		for i := held; i < n-1; i++ {
 			*c.tab(i) = *c.tab(i + 1)
 		}
-		*c.active() = table[P]{}
-		c.n--
-		if c.n == 1 {
+		*c.tab(n - 1) = table[P]{}
+		if n == 2 {
 			c.rest = nil
 		}
 	} else {
 		// Same guard: the halved table must hold everything below G.
-		if c.first.length() <= int(c.base) || float64(c.size) > float64(c.cellsOf(&c.first))/2*c.g {
+		if c.first.length() <= int(c.f.base) || float64(size) > float64(cells)/2*c.f.g {
 			return nil
 		}
 		victim = c.first
 		c.first = c.newTable(victim.length() / 2)
 	}
-	c.transforms++
-	c.size -= victim.size
+	c.f.transforms++
 	c.forEachIn(&victim, func(key uint64, val *P) bool {
-		row := unsafe.Slice(val, c.width)
+		row := unsafe.Slice(val, c.f.width)
 		if lo, ok := c.rehome(key, row); !ok {
 			leftovers = appendRow(leftovers, lo, row)
 		}
 		return true
 	})
-	c.setThresholds()
 	return leftovers
 }
 
@@ -413,7 +427,7 @@ func (c *Chain[P]) DeleteAt(p Pos) (leftovers []Entry[P]) {
 // becomes the entry to place next; on total failure the final homeless
 // key is returned.
 func (c *Chain[P]) rehome(key uint64, row []P) (uint64, bool) {
-	n := int(c.n)
+	n := c.Tables()
 	best, bestLR := 0, 2.0
 	for i := 0; i < n; i++ {
 		t := c.tab(i)
@@ -431,18 +445,12 @@ func (c *Chain[P]) rehome(key uint64, row []P) (uint64, bool) {
 	return key, false
 }
 
-// ForEach calls fn for every entry in the chain — its key and the first
-// element of its row — until fn returns false.
-func (c *Chain[P]) ForEach(fn func(key uint64, val P) bool) {
-	c.ForEachRef(func(key uint64, val *P) bool { return fn(key, *val) })
-}
-
 // ForEachRef calls fn for every entry with a pointer to its payload in
 // place — the allocation-free iteration of the read path — until fn
 // returns false. It reports whether the scan ran to completion. The
 // pointers are valid only during the call.
 func (c *Chain[P]) ForEachRef(fn func(key uint64, val *P) bool) bool {
-	for i := 0; i < int(c.n); i++ {
+	for i, n := 0, c.Tables(); i < n; i++ {
 		if !c.forEachIn(c.tab(i), fn) {
 			return false
 		}
@@ -452,10 +460,11 @@ func (c *Chain[P]) ForEachRef(fn func(key uint64, val *P) bool) bool {
 
 // MemoryBytes sums the structural bytes of all tables in the chain.
 func (c *Chain[P]) MemoryBytes(payloadBytes int) uint64 {
-	var n uint64
-	for i := 0; i < int(c.n); i++ {
-		n += c.memoryBytes(c.tab(i), payloadBytes)
+	var sum uint64
+	n := c.Tables()
+	for i := 0; i < n; i++ {
+		sum += c.memoryBytes(c.tab(i), payloadBytes)
 	}
 	// One header word per table for the chain's table array slot.
-	return n + uint64(c.n)*8
+	return sum + uint64(n)*8
 }

@@ -53,9 +53,9 @@ func TestChainGrowConservation(t *testing.T) {
 		t.Fatalf("size %d, want %d", c.Size(), len(inserted))
 	}
 	seen := map[uint64]int{}
-	c.ForEach(func(k, v uint64) bool {
-		if k != v {
-			t.Fatalf("payload corrupted: key %d val %d", k, v)
+	c.ForEachRef(func(k uint64, v *uint64) bool {
+		if k != *v {
+			t.Fatalf("payload corrupted: key %d val %d", k, *v)
 		}
 		seen[k]++
 		return true

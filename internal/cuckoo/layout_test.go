@@ -6,16 +6,17 @@ import (
 )
 
 // TestChainLayout guards the memory layout the probe path is built on:
-// a chain header is 128 bytes, the allocator hands it out on a cache
-// line boundary, and everything a lookup reads before it reaches a
-// bucket — the shape words, the whole record of the first table, the
-// pointer to the later tables — lies in the header's first 64 bytes.
-// The layout does not depend on the payload type.
+// a chain is one 64-byte object, the allocator hands it out on a cache
+// line boundary, and it holds everything a lookup reads before it
+// reaches a bucket — the pointer to its family's shape, the whole
+// record of the first table, the pointer to the later tables. The
+// layout does not depend on the payload type.
 func TestChainLayout(t *testing.T) {
 	var c Chain[[]uint64]
-	if unsafe.Sizeof(c) != 128 || unsafe.Sizeof(Chain[struct{}]{}) != 128 {
-		t.Fatalf("chain header is %d bytes (%d with an empty payload), want 128",
-			unsafe.Sizeof(c), unsafe.Sizeof(Chain[struct{}]{}))
+	for _, size := range []uintptr{unsafe.Sizeof(c), unsafe.Sizeof(Chain[struct{}]{}), unsafe.Sizeof(Chain[uint64]{})} {
+		if size != 64 {
+			t.Fatalf("chain is %d bytes, want 64", size)
+		}
 	}
 	if unsafe.Sizeof(c.first) != 40 {
 		t.Fatalf("table record is %d bytes, want 40", unsafe.Sizeof(c.first))
@@ -24,20 +25,23 @@ func TestChainLayout(t *testing.T) {
 		name string
 		end  uintptr
 	}{
-		{"d", unsafe.Offsetof(c.d) + unsafe.Sizeof(c.d)},
-		{"tw", unsafe.Offsetof(c.tw) + unsafe.Sizeof(c.tw)},
-		{"stride", unsafe.Offsetof(c.stride) + unsafe.Sizeof(c.stride)},
-		{"n", unsafe.Offsetof(c.n) + unsafe.Sizeof(c.n)},
+		{"f", unsafe.Offsetof(c.f) + unsafe.Sizeof(c.f)},
 		{"first", unsafe.Offsetof(c.first) + unsafe.Sizeof(c.first)},
 		{"rest", unsafe.Offsetof(c.rest) + unsafe.Sizeof(c.rest)},
 	} {
 		if f.end > 64 {
-			t.Errorf("field %s ends at byte %d, past the header's first cache line", f.name, f.end)
+			t.Errorf("field %s ends at byte %d, past the chain's cache line", f.name, f.end)
 		}
 	}
+	fam := NewFamily(2, 1, Config{})
 	for i := 0; i < 64; i++ {
-		if at := uintptr(unsafe.Pointer(NewChain[uint64](2, Config{}))); at%64 != 0 {
-			t.Fatalf("chain header allocated at %#x, not on a 64-byte boundary", at)
+		for _, at := range []uintptr{
+			uintptr(unsafe.Pointer(NewChain[uint64](2, Config{}))),
+			uintptr(unsafe.Pointer(NewChainIn[struct{}](fam, uint64(i)))),
+		} {
+			if at%64 != 0 {
+				t.Fatalf("chain allocated at %#x, not on a 64-byte boundary", at)
+			}
 		}
 	}
 }

@@ -9,18 +9,18 @@
 //
 // # Layout
 //
-// A Chain is one 128-byte header. It holds, once per chain and as plain
-// words, everything its tables share — d, the tag-word count, the bucket
-// stride, the payload width, T, the grow and contract thresholds as
-// populations — and its first table BY VALUE: a 40-byte record of cell
-// storage, length, seed, eviction-RNG state and population. Tables 2..R
-// sit in one array of such records that exists only while the chain has
-// more than one table. So a probe goes owner → chain header → bucket:
-// two dependent loads, with everything it reads of the header in its first
-// cache line (layout_test.go pins that). A table's cell storage is a
-// bare pointer; its length follows from the table's length and the
-// chain's shape, and the accessors words and payloads rebuild a
-// bounds-checked slice from the two.
+// A Chain is one 64-byte object: its first table BY VALUE — a 40-byte
+// record of cell storage, length, seed, eviction-RNG state and
+// population — a pointer to the records of tables 2..R, which exist only
+// while the chain has more than one table, its seed state, and a pointer
+// to its Family. The family holds once, as plain words, what all its
+// chains share — d, the tag-word count, the bucket stride, the payload
+// width, T, G, Λ, the base length — and their lifetime counters; an
+// engine's S-CHTs share one, so its line stays in cache. A probe goes
+// owner → chain → bucket: two dependent loads, everything it reads of
+// the chain in one cache line (layout_test.go pins that). A table's cell
+// storage is a bare pointer; the accessors words and payloads rebuild a
+// bounds-checked slice from it and the family's shape.
 //
 // A cell's payload is a ROW of `width` consecutive P in the table's
 // payload array, the width fixed when the chain is made: 1 for a chain
@@ -52,7 +52,6 @@
 package cuckoo
 
 import (
-	"math"
 	"math/bits"
 	"unsafe"
 
@@ -107,8 +106,9 @@ type Entry[P any] struct {
 // table is the per-table record of a chain: two bucket arrays with a
 // 2:1 bucket count ratio, each bucket holding d cells. The table's
 // "length" in the paper's sense is the bucket count of the larger
-// array, 2·m2. Everything the tables of a chain share lives in the
-// Chain, so every operation on a table is a Chain method.
+// array, 2·m2. Everything the tables of a chain share lives in its
+// Family, reached through the Chain, so every operation on a table is a
+// Chain method.
 type table[P any] struct {
 	// cells is the interleaved bucket storage, arrays 1 and 2
 	// concatenated: bucket b occupies words [b*stride, (b+1)*stride) —
@@ -132,53 +132,43 @@ func (t *table[P]) length() int { return 2 * int(t.m2) }
 
 // words returns t's cell storage.
 func (c *Chain[P]) words(t *table[P]) []uint64 {
-	return unsafe.Slice(t.cells, 3*int(t.m2)*int(c.stride))
+	return unsafe.Slice(t.cells, 3*int(t.m2)*int(c.f.stride))
 }
 
 // payloads returns t's payload storage.
 func (c *Chain[P]) payloads(t *table[P]) []P {
-	return unsafe.Slice(t.vals, c.cellsOf(t)*int(c.width))
+	return unsafe.Slice(t.vals, c.cellsOf(t)*int(c.f.width))
 }
 
 // rowIn returns the payload row of flat cell index i of t.
 func (c *Chain[P]) rowIn(t *table[P], i int) []P {
-	w := int(c.width)
+	w := int(c.f.width)
 	return c.payloads(t)[i*w : i*w+w : i*w+w]
 }
 
 // cellsOf returns the total number of cells of t.
-func (c *Chain[P]) cellsOf(t *table[P]) int { return 3 * int(t.m2) * int(c.d) }
+func (c *Chain[P]) cellsOf(t *table[P]) int { return 3 * int(t.m2) * int(c.f.d) }
 
 // newTable returns a table of the given length (minimum 2, rounded up
 // to even so array 2 has length/2 ≥ 1 buckets). Every table gets a
 // distinct deterministic seed so merged tables re-randomise their hash
 // functions, as cuckoo rebuilds require.
 func (c *Chain[P]) newTable(length int) table[P] {
-	length = max(length, 2)
-	length += length % 2
+	length = tableLength(length)
 	c.seed = c.seed*6364136223846793005 + 1442695040888963407
 	t := table[P]{m2: uint32(length / 2), rng: *hashutil.NewRNG(c.seed)}
 	t.seed = t.rng.Next()
 	buckets := 3 * (length / 2)
-	t.cells = unsafe.SliceData(make([]uint64, buckets*int(c.stride)))
-	t.vals = unsafe.SliceData(make([]P, buckets*int(c.d)*int(c.width)))
+	t.cells = unsafe.SliceData(make([]uint64, buckets*int(c.f.stride)))
+	t.vals = unsafe.SliceData(make([]P, buckets*int(c.f.d)*int(c.f.width)))
 	return t
 }
 
-// atLeast returns the smallest population s with s/cells ≥ rate — by
-// the very float compare the paper's rule is stated in, so the per-op
-// grow and contract checks are integer compares that decide exactly as
-// the division did. cells+1 stands for "never".
-func atLeast(cells int, rate float64) uint32 {
-	s := int(math.Ceil(rate * float64(cells)))
-	s = max(0, min(s, cells+1))
-	for s > 0 && float64(s-1)/float64(cells) >= rate {
-		s--
-	}
-	for s <= cells && float64(s)/float64(cells) < rate {
-		s++
-	}
-	return uint32(s)
+// tableLength rounds a requested table length to one a table can have:
+// at least 2, and even.
+func tableLength(length int) int {
+	length = max(length, 2)
+	return length + length%2
 }
 
 // SWAR constants: the broadcast and per-lane high-bit masks of 8 byte
@@ -236,12 +226,12 @@ func (t *table[P]) bucketPair(x uint64) (b1, b2 int) {
 
 // tagAt returns the fingerprint tag of cell c in bucket b.
 func (c *Chain[P]) tagAt(cells []uint64, b, cell int) byte {
-	return byte(cells[b*int(c.stride)+cell>>3] >> ((cell & 7) * 8))
+	return byte(cells[b*int(c.f.stride)+cell>>3] >> ((cell & 7) * 8))
 }
 
 // setTag writes cell c of bucket b's fingerprint tag.
 func (c *Chain[P]) setTag(cells []uint64, b, cell int, tag byte) {
-	w := &cells[b*int(c.stride)+cell>>3]
+	w := &cells[b*int(c.f.stride)+cell>>3]
 	shift := (cell & 7) * 8
 	*w = *w&^(0xFF<<shift) | uint64(tag)<<shift
 }
@@ -256,7 +246,7 @@ func (c *Chain[P]) findIn(t *table[P], h, key uint64) int {
 	pat := uint64(tagOf(h)) * tagLSB
 	x := remix(h, t.seed)
 	cells := c.words(t)
-	if c.d == 8 {
+	if c.f.d == 8 {
 		m2 := uint64(t.m2)
 		b := int(uint64(uint32(x)) * (2 * m2) >> 32)
 		base := b * 9
@@ -292,8 +282,8 @@ func (c *Chain[P]) findIn(t *table[P], h, key uint64) int {
 // -1. Unused lanes of a partial tag word hold 0 and pat is never 0, so
 // they can't match and need no masking here.
 func (c *Chain[P]) probeBucket(cells []uint64, b int, pat, key uint64) int {
-	tw, d := int(c.tw), int(c.d)
-	base := b * int(c.stride)
+	tw, d := int(c.f.tw), int(c.f.d)
+	base := b * int(c.f.stride)
 	for w := 0; w < tw; w++ {
 		m := zeroBytes(cells[base+w] ^ pat)
 		for m != 0 {
@@ -311,10 +301,11 @@ func (c *Chain[P]) probeBucket(cells []uint64, b int, pat, key uint64) int {
 // b, or -1. Unused lanes of a partial tag word would read as "empty",
 // so they are masked off.
 func (c *Chain[P]) emptyIn(cells []uint64, b int) int {
-	base := b * int(c.stride)
-	for w := 0; w < int(c.tw); w++ {
+	tw, d := int(c.f.tw), int(c.f.d)
+	base := b * int(c.f.stride)
+	for w := 0; w < tw; w++ {
 		m := zeroBytes(cells[base+w])
-		if rem := int(c.d) - w*8; rem < 8 {
+		if rem := d - w*8; rem < 8 {
 			m &= laneMask(rem)
 		}
 		if m != 0 {
@@ -336,7 +327,8 @@ func (c *Chain[P]) emptyIn(cells []uint64, b int) int {
 // — only its buckets are re-derived, from one Key64 of the victim key.
 func (c *Chain[P]) insertIn(t *table[P], h, key uint64, row []P) (homeless uint64, ok bool) {
 	cells, vals := c.words(t), c.payloads(t)
-	d, tw, stride, width := int(c.d), int(c.tw), int(c.stride), int(c.width)
+	f := c.f
+	d, tw, stride, width := int(f.d), int(f.tw), int(f.stride), int(f.width)
 	// The row's first element rides in a local like the key and the tag:
 	// at width 1 — every S-CHT — a kick then swaps through no memory but
 	// the cell's.
@@ -360,11 +352,10 @@ func (c *Chain[P]) insertIn(t *table[P], h, key uint64, row []P) (homeless uint6
 			}
 			c.setTag(cells, b, cell, curTag)
 			t.size++
-			c.size++
-			c.placements++
+			f.placements++
 			return 0, true
 		}
-		if kick == uint32(c.maxKicks) {
+		if kick == uint32(f.maxKicks) {
 			row[0] = head
 			return curKey, false
 		}
@@ -389,22 +380,21 @@ func (c *Chain[P]) insertIn(t *table[P], h, key uint64, row []P) (homeless uint6
 		c.setTag(cells, b, cell, curTag)
 		curTag = oldTag
 		curH = hashutil.Key64(curKey)
-		c.kicks++
+		f.kicks++
 		array = 3 - array
 	}
 }
 
 // clearIn empties the flat cell index i of t.
 func (c *Chain[P]) clearIn(t *table[P], i int) {
-	d := int(c.d)
+	d := int(c.f.d)
 	b := i / d
 	cell := i - b*d
 	cells := c.words(t)
-	cells[b*int(c.stride)+int(c.tw)+cell] = 0
+	cells[b*int(c.f.stride)+int(c.f.tw)+cell] = 0
 	clear(c.rowIn(t, i))
 	c.setTag(cells, b, cell, 0)
 	t.size--
-	c.size--
 }
 
 // forEachIn calls fn for every entry stored in t, in bucket order, with
@@ -415,7 +405,8 @@ func (c *Chain[P]) clearIn(t *table[P], i int) {
 // partial tag word masked off — so that masking lives in one place.
 func (c *Chain[P]) forEachIn(t *table[P], fn func(key uint64, val *P) bool) bool {
 	cells, vals := c.words(t), c.payloads(t)
-	d, tw, stride, width := int(c.d), int(c.tw), int(c.stride), int(c.width)
+	f := c.f
+	d, tw, stride, width := int(f.d), int(f.tw), int(f.stride), int(f.width)
 	for b, buckets := 0, 3*int(t.m2); b < buckets; b++ {
 		base := b * stride
 		for w := 0; w < tw; w++ {

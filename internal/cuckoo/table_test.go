@@ -191,8 +191,8 @@ func TestTableForEach(t *testing.T) {
 		want[i] = i * i
 	}
 	got := map[uint64]uint64{}
-	tb.c.ForEach(func(k, v uint64) bool {
-		got[k] = v
+	tb.c.ForEachRef(func(k uint64, v *uint64) bool {
+		got[k] = *v
 		return true
 	})
 	if len(got) != len(want) {
@@ -205,7 +205,7 @@ func TestTableForEach(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	tb.c.ForEach(func(uint64, uint64) bool { n++; return n < 5 })
+	tb.c.ForEachRef(func(uint64, *uint64) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Fatalf("ForEach early stop visited %d, want 5", n)
 	}

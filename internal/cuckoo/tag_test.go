@@ -52,10 +52,10 @@ func TestTagOfNeverZero(t *testing.T) {
 // must agree with: walk every cell of every bucket, match on occupancy
 // (tag != 0) and the stored key.
 func slowFind[P any](c *Chain[P], t *table[P], key uint64) int {
-	cells, d := c.words(t), int(c.d)
+	cells, d := c.words(t), int(c.f.d)
 	for b := 0; b < 3*int(t.m2); b++ {
 		for i := 0; i < d; i++ {
-			if c.tagAt(cells, b, i) != 0 && cells[b*int(c.stride)+int(c.tw)+i] == key {
+			if c.tagAt(cells, b, i) != 0 && cells[b*int(c.f.stride)+int(c.f.tw)+i] == key {
 				return b*d + i
 			}
 		}
@@ -143,7 +143,7 @@ func TestTagFindAgreesAcrossTableIIStates(t *testing.T) {
 	next := uint64(1)
 	for state := 0; state < 9; state++ {
 		// Fill until the next transformation would trigger, then Grow.
-		for !c.NeedsGrow() {
+		for !c.atG(c.active()) {
 			c.Insert(next, struct{}{})
 			next++
 		}
@@ -182,9 +182,9 @@ func TestKickPreservesTags(t *testing.T) {
 	checked := 0
 	cells := tb.c.words(&tb.c.first)
 	for b := 0; b < 3*int(tb.c.first.m2); b++ {
-		for c := 0; c < int(tb.c.d); c++ {
+		for c := 0; c < int(tb.c.f.d); c++ {
 			if tag := tb.c.tagAt(cells, b, c); tag != 0 {
-				key := cells[b*int(tb.c.stride)+int(tb.c.tw)+c]
+				key := cells[b*int(tb.c.f.stride)+int(tb.c.f.tw)+c]
 				if want := tagOf(hashutil.Key64(key)); tag != want {
 					t.Fatalf("cell (%d,%d): tag %#x, want %#x for key %d", b, c, tag, want, key)
 				}

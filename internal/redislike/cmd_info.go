@@ -141,7 +141,7 @@ func (gm *GraphModule) graphRows() []infoRow {
 		{"chain_entries", "Edges stored in S-CHT chains.", false, float64(st.ChainEntries)},
 		{"scht_kicks", "Cuckoo kicks in the S-CHT chains, collapsed chains included.", true, float64(st.SCHTKicks)},
 		{"scht_placements", "Edges placed into S-CHT chains, the base of scht_kicks.", true, float64(st.SCHTPlacements)},
-		{"transformations", "LDL/SDL/LCHT structure transformations.", true, float64(st.Transformations)},
+		{"transformations", "Forward and reverse transformations of the L-CHT and the S-CHT chains, collapsed chains included.", true, float64(st.Transformations)},
 		{"ldl_len", "Cells parked in the L-DL, summed over shards (cap 64 per shard by default).", false, float64(st.LDLLen)},
 		{"sdl_len", "Edges parked in the S-DL, summed over shards (cap 256 per shard by default).", false, float64(st.SDLLen)},
 	}

@@ -107,7 +107,10 @@ func NewRegistry() *Registry {
 
 // Register adds one command, rejecting duplicates and nil handlers.
 func (r *Registry) Register(c *Command) error {
-	if c == nil || c.Handler == nil {
+	if c == nil {
+		return fmt.Errorf("redislike: nil command")
+	}
+	if c.Handler == nil {
 		return fmt.Errorf("redislike: command %q has no handler", c.Name)
 	}
 	name := strings.ToLower(c.Name)

@@ -25,6 +25,9 @@ func TestRegistryRegister(t *testing.T) {
 	if err := r.Register(&Command{Name: "nohandler", Arity: Exactly(0)}); err == nil {
 		t.Fatal("nil handler accepted")
 	}
+	if err := r.Register(nil); err == nil {
+		t.Fatal("nil command accepted")
+	}
 	if err := r.Register(&Command{Name: "", Arity: Exactly(0),
 		Handler: func(*Ctx) error { return nil }}); err == nil {
 		t.Fatal("empty name accepted")
