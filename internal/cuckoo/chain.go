@@ -55,7 +55,6 @@ type Family struct {
 	kicks      uint64 // relocation attempts, for the §IV measurement
 	placements uint64 // successful cell placements, incl. re-homing moves
 	transforms uint64 // Grow + reverse transformations
-	grows      uint64 // Grow transformations (Table II row of a lone chain)
 }
 
 // NewFamily returns the family of chains whose first table has length
@@ -171,11 +170,6 @@ func (c *Chain[P]) OverallLoadRate() float64 {
 	return float64(c.Size()) / float64(c.Cells())
 }
 
-// Grows returns how many Grow transformations the chain's family has
-// applied; for a chain of its own it is the row index of Table II when
-// R=3. Kicks, Placements and Transformations count family-wide too.
-func (c *Chain[P]) Grows() int { return int(c.f.grows) }
-
 // Kicks returns cumulative relocation attempts over the family's whole
 // lifetime, including tables that have since been merged away. Together
 // with Placements it yields the paper's "average number of insertions
@@ -187,7 +181,7 @@ func (c *Chain[P]) Kicks() uint64 { return c.f.kicks }
 func (c *Chain[P]) Placements() uint64 { return c.f.placements }
 
 // Transformations returns how many forward or reverse transformations
-// the chain has performed.
+// the chain's family has performed.
 func (c *Chain[P]) Transformations() uint64 { return c.f.transforms }
 
 // Pos names one occupied cell of a chain — its table and the cell's
@@ -267,10 +261,11 @@ func (c *Chain[P]) atG(t *table[P]) bool {
 //     first length and enable a fresh second table of the old first
 //     length (Table II: n,n/2,n/2 → 2n,n).
 //
-// Entries that cannot be re-homed during a merge are returned as
-// leftovers for the caller's denylist.
+// A merge puts each entry in the emptier of its two buckets in the
+// merged table, kicking nothing; an entry whose buckets are both full
+// goes to the fresh second table with the usual T kicks. What that
+// leaves homeless is returned as leftovers for the caller's denylist.
 func (c *Chain[P]) Grow() (leftovers []Entry[P]) {
-	c.f.grows++
 	c.f.transforms++
 	n := c.Tables()
 	if n < int(c.f.r) {
@@ -278,35 +273,39 @@ func (c *Chain[P]) Grow() (leftovers []Entry[P]) {
 		if n > 1 {
 			length = c.active().length()
 		}
-		c.enable(length)
+		c.enable(c.newTable(length))
 		return nil
 	}
-	// The old tables are read in place while the merged one fills: they
+	// Both new tables exist before anything moves (merged first, as
+	// seeds go). The old tables are read in place while they fill: they
 	// are garbage as soon as the loop ends, so nothing is drained into a
 	// buffer first — and each old row is the scratch its own insertion
 	// kicks into.
 	merged := c.newTable(c.first.length() * 2)
+	second := c.newTable(merged.length() / 2)
 	for i := 0; i < n; i++ {
 		c.forEachIn(c.tab(i), func(key uint64, val *P) bool {
-			row := unsafe.Slice(val, c.f.width)
-			if lo, ok := c.insertIn(&merged, hashutil.Key64(key), key, row); !ok {
-				leftovers = appendRow(leftovers, lo, row)
+			row, h := unsafe.Slice(val, c.f.width), hashutil.Key64(key)
+			if _, ok := c.insertIn(&merged, h, key, row, 0); !ok {
+				if lo, ok := c.insertIn(&second, h, key, row, int(c.f.maxKicks)); !ok {
+					leftovers = appendRow(leftovers, lo, row)
+				}
 			}
 			return true
 		})
 	}
 	c.first = merged
 	clear(c.slots())
-	c.enable(merged.length() / 2)
+	c.enable(second)
 	return leftovers
 }
 
-// enable appends a fresh table of the given length to the chain.
-func (c *Chain[P]) enable(length int) {
+// enable appends the fresh table t to the chain.
+func (c *Chain[P]) enable(t table[P]) {
 	if c.rest == nil {
 		c.rest = unsafe.SliceData(make([]table[P], c.f.restLen))
 	}
-	c.slots()[c.live()] = c.newTable(length)
+	c.slots()[c.live()] = t
 }
 
 // appendRow appends the homeless cell ⟨key,row⟩ to leftovers, one entry
@@ -352,7 +351,7 @@ func (c *Chain[P]) InsertRowHashed(h, key uint64, row []P) (leftovers []Entry[P]
 		grew = true
 		t = c.active()
 	}
-	if lo, ok := c.insertIn(t, h, key, row); !ok {
+	if lo, ok := c.insertIn(t, h, key, row, int(c.f.maxKicks)); !ok {
 		leftovers = appendRow(leftovers, lo, row)
 	}
 	return leftovers, grew
@@ -436,7 +435,7 @@ func (c *Chain[P]) rehome(key uint64, row []P) (uint64, bool) {
 		}
 	}
 	for off := 0; off < n; off++ {
-		lo, ok := c.insertIn(c.tab((best+off)%n), hashutil.Key64(key), key, row)
+		lo, ok := c.insertIn(c.tab((best+off)%n), hashutil.Key64(key), key, row, int(c.f.maxKicks))
 		if ok {
 			return 0, true
 		}

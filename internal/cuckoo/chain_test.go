@@ -1,9 +1,13 @@
 package cuckoo
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"cuckoograph/internal/hashutil"
 )
 
 // TestChainTransformationRule verifies Table II of the paper: with R=3
@@ -29,8 +33,8 @@ func TestChainTransformationRule(t *testing.T) {
 		if got := c.Lengths(); !reflect.DeepEqual(got, lens) {
 			t.Fatalf("state %d: lengths %v, want %v", state, got, lens)
 		}
-		if c.Grows() != state {
-			t.Fatalf("state %d: Grows() = %d", state, c.Grows())
+		if c.Transformations() != uint64(state) {
+			t.Fatalf("state %d: Transformations() = %d", state, c.Transformations())
 		}
 		c.Grow()
 	}
@@ -42,7 +46,7 @@ func TestChainGrowConservation(t *testing.T) {
 	c := NewChain[uint64](8, Config{R: 3})
 	inserted := map[uint64]bool{}
 	var key uint64
-	for c.Grows() < 6 { // push through two merges
+	for c.Transformations() < 6 { // push through two merges
 		key++
 		if lo, _ := c.Insert(key, key); len(lo) != 0 {
 			t.Fatalf("insert %d failed (leftovers %v)", key, lo)
@@ -65,6 +69,88 @@ func TestChainGrowConservation(t *testing.T) {
 			t.Fatalf("key %d seen %d times", k, seen[k])
 		}
 	}
+}
+
+// TestChainMergeDoesNotKick drives chains of payload width 1 and 7 with
+// R = 1, 2, 3 through four merges each. A merge must keep every key and
+// its whole row, leave the lengths Table II gives, and place into the
+// doubled first table without kicking: an entry goes to the fresh second
+// table only when both its buckets there are full, so a merge that
+// overflows nothing kicks nothing. At these fills nothing is homeless.
+func TestChainMergeDoesNotKick(t *testing.T) {
+	const n, merges = 8, 4
+	for _, width := range []int{1, 7} {
+		for r := 1; r <= 3; r++ {
+			t.Run(fmt.Sprintf("width=%d/R=%d", width, r), func(t *testing.T) {
+				c := NewRowChain[uint64](n, width, Config{R: r})
+				lengths := []int{n} // Table II, stepped alongside the chain
+				var key uint64
+				overflowed := 0
+				for done := 0; done < merges; {
+					if c.atG(c.active()) {
+						merging := c.Tables() >= r
+						kicks := c.Kicks()
+						if lo := c.Grow(); len(lo) != 0 {
+							t.Fatalf("Grow %d left %d entries homeless", c.Transformations(), len(lo)/width)
+						}
+						if merging {
+							lengths = []int{2 * lengths[0], lengths[0]}
+							overflowed += checkMerge(t, c, c.Kicks()-kicks)
+							done++
+						} else if len(lengths) == 1 {
+							lengths = append(lengths, n/2)
+						} else {
+							lengths = append(lengths, lengths[len(lengths)-1])
+						}
+						if got := c.Lengths(); !reflect.DeepEqual(got, lengths) {
+							t.Fatalf("after Grow %d: lengths %v, want %v", c.Transformations(), got, lengths)
+						}
+					}
+					key++
+					if lo, grew := c.InsertRow(key, rowFor(key, width)); len(lo) != 0 || grew {
+						t.Fatalf("insert %d: %d entries homeless, grew %v", key, len(lo)/width, grew)
+					}
+				}
+				// Only R = 3 packs a merged table to ≈ G (its old tables
+				// are as long together as it is); with fewer tables it
+				// ends near 0.7 and nothing need overflow.
+				if r == 3 && overflowed == 0 {
+					t.Fatal("no merge overflowed into the second table, so the check of its entries never ran")
+				}
+				if c.Size() != int(key) {
+					t.Fatalf("size %d after %d inserts", c.Size(), key)
+				}
+				for k := uint64(1); k <= key; k++ {
+					if got := c.RowHashed(hashutil.Key64(k), k); !slices.Equal(got, rowFor(k, width)) {
+						t.Fatalf("key %d: row %#x, want %#x", k, got, rowFor(k, width))
+					}
+				}
+			})
+		}
+	}
+}
+
+// checkMerge checks the chain c a merge has just left, which took kicks
+// kicks: every entry of the second table found both its buckets in the
+// first full, and kicks were taken only if something overflowed there.
+// It returns how many entries overflowed.
+func checkMerge(t *testing.T, c *Chain[uint64], kicks uint64) int {
+	t.Helper()
+	second := c.tab(1)
+	if second.size == 0 && kicks != 0 {
+		t.Fatalf("merge into an empty second table took %d kicks", kicks)
+	}
+	words := c.words(&c.first)
+	c.forEachIn(second, func(key uint64, _ *uint64) bool {
+		b1, b2 := c.first.bucketPair(remix(hashutil.Key64(key), c.first.seed))
+		_, free1 := c.emptyIn(words, b1)
+		_, free2 := c.emptyIn(words, b2)
+		if free1+free2 != 0 {
+			t.Fatalf("key %d went to the second table with %d free cells in the first", key, free1+free2)
+		}
+		return true
+	})
+	return int(second.size)
 }
 
 // TestChainInsertGrowsAtThreshold confirms a Grow happens exactly when

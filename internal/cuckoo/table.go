@@ -297,35 +297,37 @@ func (c *Chain[P]) probeBucket(cells []uint64, b int, pat, key uint64) int {
 	return -1
 }
 
-// emptyIn returns the in-bucket cell index of an empty cell in bucket
-// b, or -1. Unused lanes of a partial tag word would read as "empty",
-// so they are masked off.
-func (c *Chain[P]) emptyIn(cells []uint64, b int) int {
+// emptyIn returns the in-bucket cell index of the first empty cell in
+// bucket b, or -1, and how many of its cells are empty. Unused lanes of
+// a partial tag word would read as "empty", so they are masked off.
+func (c *Chain[P]) emptyIn(cells []uint64, b int) (cell, free int) {
 	tw, d := int(c.f.tw), int(c.f.d)
 	base := b * int(c.f.stride)
+	cell = -1
 	for w := 0; w < tw; w++ {
 		m := zeroBytes(cells[base+w])
 		if rem := d - w*8; rem < 8 {
 			m &= laneMask(rem)
 		}
-		if m != 0 {
-			return w*8 + bits.TrailingZeros64(m)>>3
+		if cell < 0 && m != 0 {
+			cell = w*8 + bits.TrailingZeros64(m)>>3
 		}
+		free += bits.OnesCount64(m)
 	}
-	return -1
+	return cell, free
 }
 
 // insertIn stores ⟨key,row⟩ (h is the key's chain-level hash, row the
 // cell's `width` payload elements) in t, kicking residents per the
-// cuckoo discipline for at most T rounds. row is the caller's buffer
-// and insertIn's scratch: every kick swaps the evicted cell's payload
-// into it. On success ok is true. On failure ok is false and the item
-// left without a home (which, after kicking, is generally NOT the
-// argument pair) is the returned key with its payload in row; the
-// caller is expected to park it in a denylist (§III-A2). The caller must
-// ensure key is not already present. A kicked victim keeps its tag byte
-// — only its buckets are re-derived, from one Key64 of the victim key.
-func (c *Chain[P]) insertIn(t *table[P], h, key uint64, row []P) (homeless uint64, ok bool) {
+// cuckoo discipline for at most maxKicks rounds (T; 0 in a merge). row
+// is the caller's buffer and insertIn's scratch: every kick swaps the
+// evicted cell's payload into it. On success ok is true. On failure ok
+// is false and the item left without a home (which, after kicking, is
+// generally NOT the argument pair) is the returned key with its payload
+// in row; the caller is expected to park it in a denylist (§III-A2). The
+// caller must ensure key is not already present. A kicked victim keeps
+// its tag byte — only its buckets are re-derived, from its key's Key64.
+func (c *Chain[P]) insertIn(t *table[P], h, key uint64, row []P, maxKicks int) (homeless uint64, ok bool) {
 	cells, vals := c.words(t), c.payloads(t)
 	f := c.f
 	d, tw, stride, width := int(f.d), int(f.tw), int(f.stride), int(f.width)
@@ -336,12 +338,18 @@ func (c *Chain[P]) insertIn(t *table[P], h, key uint64, row []P) (homeless uint6
 	curH, curKey := h, key
 	curTag := tagOf(h)
 	array := 1
-	for kick := uint32(0); ; kick++ {
-		// Try both candidate buckets for an empty cell first.
+	for kick := 0; ; kick++ {
+		// Try both candidate buckets for an empty cell first: b1 unless it
+		// is full, so most hits are found in the bucket a probe reads
+		// first; a merge, which cannot kick, takes the emptier one instead
+		// so that fewer entries overflow.
 		b1, b2 := t.bucketPair(remix(curH, t.seed))
-		b, cell := b1, c.emptyIn(cells, b1)
-		if cell < 0 {
-			b, cell = b2, c.emptyIn(cells, b2)
+		b := b1
+		cell, free := c.emptyIn(cells, b1)
+		if free == 0 || maxKicks == 0 {
+			if cell2, free2 := c.emptyIn(cells, b2); free2 > free {
+				b, cell = b2, cell2
+			}
 		}
 		if cell >= 0 {
 			cells[b*stride+tw+cell] = curKey
@@ -355,7 +363,7 @@ func (c *Chain[P]) insertIn(t *table[P], h, key uint64, row []P) (homeless uint6
 			f.placements++
 			return 0, true
 		}
-		if kick == uint32(f.maxKicks) {
+		if kick == maxKicks {
 			row[0] = head
 			return curKey, false
 		}

@@ -18,7 +18,7 @@ func newOneTable[P any](length int, cfg Config) oneTable[P] {
 
 func (t oneTable[P]) Insert(key uint64, val P) (Entry[P], bool) {
 	row := [1]P{val}
-	lo, ok := t.c.insertIn(&t.c.first, hashutil.Key64(key), key, row[:])
+	lo, ok := t.c.insertIn(&t.c.first, hashutil.Key64(key), key, row[:], int(t.c.f.maxKicks))
 	if ok {
 		return Entry[P]{}, true
 	}
