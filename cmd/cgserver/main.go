@@ -123,7 +123,7 @@ func run() int {
 			logger.Error("-replica-of conflicts with -checkpoint-every (checkpoints belong to the leader)")
 			return 2
 		}
-		repl := redislike.StartReplica(gm, srv, *replicaOf)
+		repl := redislike.StartReplica(gm, *replicaOf)
 		logger.Info("replica mode", "leader", repl.Leader())
 	}
 

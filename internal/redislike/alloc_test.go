@@ -3,6 +3,7 @@ package redislike
 import (
 	"bytes"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,11 +11,10 @@ import (
 	"cuckoograph/internal/wal"
 )
 
-// TestMetricsHandlesPreResolved is the satellite pin for the metrics
-// hot path: registration resolves each command's meter into the
-// Command, so dispatch records through the handle — never a per-call
-// sync.Map lookup — and the handle feeds the same meter the
-// introspection surfaces read.
+// TestMetricsHandlesPreResolved pins the metrics hot path: registration
+// gives each command its meter on the Command, so dispatch records
+// through it — never a lookup by name — into the meter the /metrics
+// scrape reads.
 func TestMetricsHandlesPreResolved(t *testing.T) {
 	s := NewServer()
 	err := s.Registry().Register(&Command{
@@ -31,24 +31,22 @@ func TestMetricsHandlesPreResolved(t *testing.T) {
 	if cmd.metrics == nil {
 		t.Fatal("metrics handle not resolved at registration")
 	}
-	if cmd.metrics != s.Metrics().handle("t.pre") {
-		t.Fatal("registration handle and by-name meter differ")
-	}
 	// Builtins get the same treatment.
 	if c, _ := s.Registry().Lookup("ping"); c.metrics == nil {
 		t.Fatal("builtin registered without a metrics handle")
 	}
-	// The unknown-command meter is resolved once at construction.
-	if s.Metrics().unknown == nil || s.Metrics().unknown != s.Metrics().handle("unknown") {
-		t.Fatal("unknown meter not pre-resolved")
-	}
-	// The handle observes into the meter CommandCalls reads.
-	before := s.Metrics().CommandCalls("t.pre")
 	if got := dispatch(s, "t.pre"); got.Str != "OK" {
 		t.Fatalf("dispatch = %+v", got)
 	}
-	if got := s.Metrics().CommandCalls("t.pre"); got != before+1 {
-		t.Fatalf("CommandCalls = %d, want %d", got, before+1)
+	if got := cmd.metrics.calls.Load(); got != 1 {
+		t.Fatalf("t.pre calls = %d, want 1", got)
+	}
+	var sb strings.Builder
+	if err := s.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "\ncg_commands_total{cmd=\"t.pre\"} 1\n"; !strings.Contains(sb.String(), want) {
+		t.Fatalf("scrape lacks %q:\n%s", want, sb.String())
 	}
 }
 
@@ -89,7 +87,6 @@ func TestCommandCycleAllocs(t *testing.T) {
 		{"g.getneighbors", byteArgs("g.getneighbors", "7")},
 		{"g.mdel", byteArgs("g.mdel", "100", "101")},
 		{"ping", byteArgs("PING")},
-		{"get", byteArgs("get", "k")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,12 +226,13 @@ func TestCommandCycleErrorReplies(t *testing.T) {
 	}
 }
 
-// TestDispatchMetersDuration: the pre-resolved handles still feed the
-// latency histogram dispatch used to populate via the map path.
+// TestDispatchMetersDuration: dispatch feeds the latency histogram of
+// the meter on the Command.
 func TestDispatchMetersDuration(t *testing.T) {
 	s := NewServer()
 	dispatch(s, "ping")
-	m := s.Metrics().handle("ping")
+	c, _ := s.Registry().Lookup("ping")
+	m := c.metrics
 	if m.calls.Load() != 1 {
 		t.Fatalf("ping calls = %d, want 1", m.calls.Load())
 	}
@@ -245,7 +243,7 @@ func TestDispatchMetersDuration(t *testing.T) {
 	if bucketed != 1 {
 		t.Fatalf("histogram observations = %d, want 1", bucketed)
 	}
-	if m.sumNS.Load() == 0 && time.Since(s.Metrics().start) > 0 {
+	if m.sumNS.Load() == 0 && time.Since(s.metrics.start) > 0 {
 		t.Fatal("latency sum not recorded")
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"cuckoograph/internal/resp"
 )
 
-// registerBuiltins registers the core string commands and the COMMAND
-// introspection command. Builtins go through the same registry as
-// module commands — there is no hardwired dispatch path.
+// registerBuiltins registers PING and the COMMAND introspection
+// command. Builtins go through the same registry as module commands —
+// there is no hardwired dispatch path.
 func (s *Server) registerBuiltins() {
 	for _, c := range []*Command{
 		{
@@ -19,46 +19,6 @@ func (s *Server) registerBuiltins() {
 				} else {
 					ctx.ReplySimple("PONG")
 				}
-				return nil
-			},
-		},
-		{
-			Name: "set", Arity: Exactly(2), Flags: FlagWrite, Summary: "set a string key",
-			Handler: func(ctx *Ctx) error {
-				s.mu.Lock()
-				s.strings[string(ctx.Args[0])] = string(ctx.Args[1])
-				s.mu.Unlock()
-				ctx.ReplySimple("OK")
-				return nil
-			},
-		},
-		{
-			Name: "get", Arity: Exactly(1), Flags: FlagRead, Summary: "get a string key",
-			Handler: func(ctx *Ctx) error {
-				s.mu.RLock()
-				v, ok := s.strings[string(ctx.Args[0])]
-				s.mu.RUnlock()
-				if ok {
-					ctx.ReplyBulkString(v)
-				} else {
-					ctx.ReplyNullBulk()
-				}
-				return nil
-			},
-		},
-		{
-			Name: "del", Arity: AtLeast(1), Flags: FlagWrite, Summary: "delete string keys; replies with the count removed",
-			Handler: func(ctx *Ctx) error {
-				n := int64(0)
-				s.mu.Lock()
-				for _, k := range ctx.Args {
-					if _, ok := s.strings[string(k)]; ok {
-						delete(s.strings, string(k))
-						n++
-					}
-				}
-				s.mu.Unlock()
-				ctx.ReplyInt(n)
 				return nil
 			},
 		},

@@ -9,7 +9,7 @@ import (
 	"cuckoograph/internal/wal"
 )
 
-// Introspection: the G.INFO command and the module's /metrics hook.
+// Introspection: the G.INFO command and the module's /metrics series.
 // Both are generated from live state — registry, engine Stats, snapshot
 // ring, WAL counters — so there is no second bookkeeping surface to
 // drift out of sync.
@@ -76,13 +76,8 @@ func (gm *GraphModule) info(ctx *Ctx) error {
 func (gm *GraphModule) infoCommands(ctx *Ctx, b *strings.Builder) {
 	s := ctx.Server()
 	fmt.Fprintf(b, "commands_registered:%d\n", s.Registry().Len())
-	m := s.Metrics()
 	for _, c := range s.Registry().Commands() {
-		v, ok := m.cmds.Load(c.Name)
-		if !ok {
-			continue
-		}
-		cm := v.(*cmdMetrics)
+		cm := c.metrics
 		fmt.Fprintf(b, "cmdstat_%s:calls=%d,errors=%d,usec=%d\n",
 			c.Name, cm.calls.Load(), cm.errs.Load(), cm.sumNS.Load()/1e3)
 	}
@@ -216,7 +211,6 @@ var replicaSeries = map[string]string{
 // leader_* pair is the leader tail as of its last ping: the distance
 // from applied_* is the replica's lag.
 func (gm *GraphModule) replicaRows(r *Replica) []infoRow {
-	s := gm.host.Load()
 	return []infoRow{
 		{"streaming", "1 while the replication link is live.", false, boolGauge(r.state.Load() == replicaStreaming)},
 		{"applied_segment", "Log segment of the next position to apply.", false, float64(r.posSeg.Load())},
@@ -228,7 +222,7 @@ func (gm *GraphModule) replicaRows(r *Replica) []infoRow {
 		{"ops_applied", "Edge mutations applied from the stream.", true, float64(r.ops.Load())},
 		{"snapshots_installed", "Bootstrap snapshots installed.", true, float64(r.snapshots.Load())},
 		{"reconnects", "Replication link losses.", true, float64(r.reconnects.Load())},
-		{"read_only", "1 while client writes are rejected with -READONLY.", false, boolGauge(s != nil && s.ReadOnly())},
+		{"read_only", "1 while client writes are rejected with -READONLY.", false, boolGauge(gm.srv.ReadOnly())},
 	}
 }
 
@@ -271,9 +265,8 @@ func (gm *GraphModule) infoReplication(b *strings.Builder) {
 	}
 }
 
-// collectMetrics is the module's Metrics hook: the graph, snapshots,
-// wal and replication sections of G.INFO as series on the server's
-// /metrics scrape.
+// collectMetrics renders the graph, snapshots, wal and replication
+// sections of G.INFO as series on the server's /metrics scrape.
 func (gm *GraphModule) collectMetrics(mw *MetricsWriter) {
 	writeMetrics(mw, "cg_graph_", gm.graphRows())
 	writeMetrics(mw, "cg_snapshot_", gm.snapshotRows())

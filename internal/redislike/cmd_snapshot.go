@@ -137,18 +137,24 @@ func (gm *GraphModule) graphBFS(ctx *Ctx) error {
 	order := analytics.BFS(s, root)
 	ctx.ReplyArrayHeader(len(order))
 	for _, u := range order {
-		ctx.ReplyInt(int64(u))
+		ctx.ReplyBulkUint(u)
 	}
 	return nil
 }
+
+// maxPageRankIters bounds GRAPH.PAGERANK's client-chosen iteration
+// count, so one command cannot hold a serve goroutine and a frozen view
+// (with the copy-on-write state it pins) without limit.
+const maxPageRankIters = 1000
 
 // graphPageRank is GRAPH.PAGERANK <iters> [epoch]: the power method
 // over a frozen view, replying with a flat array of node, rank pairs
 // sorted by node id.
 func (gm *GraphModule) graphPageRank(ctx *Ctx) error {
 	iters, err := strconv.Atoi(ctx.ArgString(0))
-	if err != nil || iters < 1 {
-		return &BadArgError{Cmd: ctx.Name, Detail: "bad iteration count " + strconv.Quote(ctx.ArgString(0))}
+	if err != nil || iters < 1 || iters > maxPageRankIters {
+		return &BadArgError{Cmd: ctx.Name,
+			Detail: fmt.Sprintf("bad iteration count %q (want 1 to %d)", ctx.ArgString(0), maxPageRankIters)}
 	}
 	epochArg := ""
 	if len(ctx.Args) == 2 {
@@ -167,7 +173,7 @@ func (gm *GraphModule) graphPageRank(ctx *Ctx) error {
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	ctx.ReplyArrayHeader(2 * len(nodes))
 	for _, u := range nodes {
-		ctx.ReplyInt(int64(u))
+		ctx.ReplyBulkUint(u)
 		ctx.ReplyBulkString(strconv.FormatFloat(rank[u], 'g', 10, 64))
 	}
 	return nil

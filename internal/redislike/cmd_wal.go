@@ -53,8 +53,8 @@ func (gm *GraphModule) WALErrorPolicyValue() WALErrorPolicy {
 	return WALErrorPolicy(gm.walPolicy.Load())
 }
 
-// commit is the module's Commit hook, run by the serve loop before every
-// reply flush: it waits out the log's group commit for everything
+// commit is run by the serve loop before every reply flush, on every
+// connection: it waits out the log's group commit for everything
 // staged so far — two atomic loads when that is nothing — and reads the
 // graph's sticky log error, once per drain. A failure means mutations
 // are in memory that the log cannot back: the configured storage-
@@ -77,7 +77,7 @@ func (gm *GraphModule) walFailed(err error) {
 		gm.log.Error("wal failure with -wal-on-error=panic", "err", err)
 		panic(fmt.Sprintf("wal failure (-wal-on-error=panic): %v", err))
 	}
-	if s := gm.host.Load(); s != nil && !s.Degraded() {
+	if s := gm.srv; s != nil && !s.Degraded() {
 		if s.SetDegraded("wal: " + err.Error()) {
 			gm.log.Error("wal failure; degrading to read-only serving (run wal_resume after fixing storage)",
 				"err", err)
@@ -162,8 +162,8 @@ func (gm *GraphModule) ResumeWAL() error {
 	}
 	gm.wal = w
 	gm.walPtr.Store(w)
-	if s := gm.host.Load(); s != nil {
-		s.ClearDegraded()
+	if gm.srv != nil {
+		gm.srv.ClearDegraded()
 	}
 	gm.log.Info("wal resumed", "dir", dir)
 	return nil
@@ -181,8 +181,10 @@ func (gm *GraphModule) RecoverWAL(dir string) (wal.RecoverStats, error) {
 	if gm.wal != nil {
 		return wal.RecoverStats{}, fmt.Errorf("wal enabled in %s; replay must happen before wal_enable", gm.wal.Dir())
 	}
-	gm.setLoading(true)
-	defer gm.setLoading(false)
+	if s := gm.srv; s != nil {
+		s.SetLoading(true)
+		defer s.SetLoading(false)
+	}
 	g, stats, err := wal.Recover(dir, sharded.Config{})
 	if err != nil {
 		gm.log.Error("wal recovery failed", "dir", dir, "err", err)

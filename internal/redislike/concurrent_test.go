@@ -20,7 +20,7 @@ func saveGraph(t testing.TB, gm *GraphModule) []byte {
 	return buf.Bytes()
 }
 
-// TestConcurrentDispatch drives module and built-in commands from many
+// TestConcurrentDispatch drives graph writes and reads from many
 // goroutines at once — the workload the per-shard locking design
 // exists for. Run under -race this is the server layer's safety check.
 func TestConcurrentDispatch(t *testing.T) {
@@ -43,11 +43,17 @@ func TestConcurrentDispatch(t *testing.T) {
 					t.Errorf("insert (%s,%s) = %+v", u, v, got)
 					return
 				}
-				dispatch(s, "g.query", u, v)
+				if got := dispatch(s, "g.query", u, v); got.Type != ':' || got.Int != 1 {
+					t.Errorf("g.query (%s,%s) = %+v, want :1", u, v, got)
+					return
+				}
 				dispatch(s, "g.getneighbors", u)
 				if i%4 == 0 {
-					dispatch(s, "set", u, v)
-					dispatch(s, "get", u)
+					// u is this iteration's own source: one out-edge, to v.
+					if got := dispatch(s, "g.degree", u); got.Type != ':' || got.Int != 1 {
+						t.Errorf("g.degree %s = %+v, want :1", u, got)
+						return
+					}
 				}
 			}
 		}(w)

@@ -126,9 +126,6 @@ func (c *Ctx) ReplyBulkString(s string) { c.w.AppendBulkString(s) }
 // the shape node-id lists use on the wire.
 func (c *Ctx) ReplyBulkUint(n uint64) { c.w.AppendBulkUint(n) }
 
-// ReplyNullBulk writes the RESP2 null bulk reply ("$-1").
-func (c *Ctx) ReplyNullBulk() { c.w.AppendNullBulk() }
-
 // ReplyArrayHeader opens an n-element array reply; the handler must
 // follow it with exactly n replies.
 func (c *Ctx) ReplyArrayHeader(n int) { c.w.AppendArrayHeader(n) }

@@ -209,7 +209,8 @@ func TestDegradedModeDepthOne(t *testing.T) {
 	if !srv.Degraded() {
 		t.Fatal("server not degraded")
 	}
-	if n := srv.Metrics().handle("g.insert").errs.Load(); n != 1 {
+	c, _ := srv.Registry().Lookup("g.insert")
+	if n := c.metrics.errs.Load(); n != 1 {
 		t.Fatalf("g.insert error count = %d, want 1 (the taken-back reply is metered as an error)", n)
 	}
 	ffs.ClearFault()

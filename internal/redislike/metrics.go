@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -45,53 +44,26 @@ func (m *cmdMetrics) observe(d time.Duration, failed bool) {
 	m.buckets[i].Add(1)
 }
 
-// Metrics is the server's observability state: per-command meters plus
-// connection-lifecycle counters, exported in Prometheus text format.
-// The serve loop never looks a meter up by name: each Command carries its
-// *cmdMetrics handle, resolved once at registration (unknown commands
-// pool under the pre-resolved "unknown" meter), so the per-command cost
-// is a few atomic adds.
+// Metrics is the server's observability state: connection-lifecycle
+// counters and the meter of unknown commands, exported in Prometheus
+// text format beside the per-command meters. A registered command's
+// meter lives on its Command, so the serve loop meters with a few atomic
+// adds and never looks a name up.
 type Metrics struct {
 	start time.Time
-	cmds  sync.Map // command name -> *cmdMetrics
 
-	// unknown meters dispatches of unregistered names, resolved once at
-	// construction.
-	unknown *cmdMetrics
+	// unknown pools the dispatches of unregistered names, so a client
+	// sending made-up names cannot grow the meter set.
+	unknown cmdMetrics
 
 	connsAccepted atomic.Uint64
 	connsRejected atomic.Uint64
 	connsActive   atomic.Int64
 }
 
-func newMetrics() *Metrics {
-	m := &Metrics{start: time.Now()}
-	m.unknown = m.handle("unknown")
-	return m
-}
-
-// handle resolves (creating on first use) the meter for name — called
-// at registration time, never per command.
-func (m *Metrics) handle(name string) *cmdMetrics {
-	if v, ok := m.cmds.Load(name); ok {
-		return v.(*cmdMetrics)
-	}
-	v, _ := m.cmds.LoadOrStore(name, &cmdMetrics{})
-	return v.(*cmdMetrics)
-}
-
-// CommandCalls reports how many times name has been dispatched.
-func (m *Metrics) CommandCalls(name string) uint64 {
-	if v, ok := m.cmds.Load(name); ok {
-		return v.(*cmdMetrics).calls.Load()
-	}
-	return 0
-}
-
 // MetricsWriter emits Prometheus text-format samples, writing each
 // metric's HELP/TYPE header exactly once however many labeled samples
-// it gets. Modules receive one in their Metrics hook to export engine
-// state under the same scrape.
+// it gets.
 type MetricsWriter struct {
 	w    *bufio.Writer
 	seen map[string]bool
@@ -172,52 +144,40 @@ func (m *Metrics) writeCommandMetrics(mw *MetricsWriter, reg *Registry) {
 	mw.header("cg_commands_total", "counter", "Commands dispatched, by command name.")
 	mw.header("cg_command_errors_total", "counter", "Commands that returned an error reply, by command name.")
 	mw.header("cg_command_seconds", "histogram", "Command service time in seconds, by command name.")
-	// Walk the registry (plus the pooled "unknown" meter) in sorted
-	// order so scrapes are deterministic.
-	names := make([]string, 0, reg.Len()+1)
+	// The registry in sorted order, then the pooled "unknown" meter, so
+	// scrapes are deterministic.
 	for _, c := range reg.Commands() {
-		names = append(names, c.Name)
+		writeCommandMeter(mw, c.Name, c.metrics)
 	}
-	if _, ok := m.cmds.Load("unknown"); ok {
-		names = append(names, "unknown")
+	writeCommandMeter(mw, "unknown", &m.unknown)
+}
+
+func writeCommandMeter(mw *MetricsWriter, name string, cm *cmdMetrics) {
+	label := `cmd="` + name + `"`
+	mw.sample("cg_commands_total", label, float64(cm.calls.Load()))
+	mw.sample("cg_command_errors_total", label, float64(cm.errs.Load()))
+	cum := uint64(0)
+	for i, b := range latencyBounds {
+		cum += cm.buckets[i].Load()
+		mw.sample("cg_command_seconds_bucket",
+			label+`,le="`+strconv.FormatFloat(b, 'g', -1, 64)+`"`, float64(cum))
 	}
-	for _, name := range names {
-		v, ok := m.cmds.Load(name)
-		if !ok {
-			continue
-		}
-		cm := v.(*cmdMetrics)
-		label := `cmd="` + name + `"`
-		mw.sample("cg_commands_total", label, float64(cm.calls.Load()))
-		mw.sample("cg_command_errors_total", label, float64(cm.errs.Load()))
-		cum := uint64(0)
-		for i, b := range latencyBounds {
-			cum += cm.buckets[i].Load()
-			mw.sample("cg_command_seconds_bucket",
-				label+`,le="`+strconv.FormatFloat(b, 'g', -1, 64)+`"`, float64(cum))
-		}
-		cum += cm.buckets[len(latencyBounds)].Load()
-		mw.sample("cg_command_seconds_bucket", label+`,le="+Inf"`, float64(cum))
-		mw.sample("cg_command_seconds_sum", label, float64(cm.sumNS.Load())/1e9)
-		mw.sample("cg_command_seconds_count", label, float64(cum))
-	}
+	cum += cm.buckets[len(latencyBounds)].Load()
+	mw.sample("cg_command_seconds_bucket", label+`,le="+Inf"`, float64(cum))
+	mw.sample("cg_command_seconds_sum", label, float64(cm.sumNS.Load())/1e9)
+	mw.sample("cg_command_seconds_count", label, float64(cum))
 }
 
 // WriteMetrics renders the full scrape: server gauges, per-command
-// meters, then every module's Metrics hook.
+// meters, then the graph module's series.
 func (s *Server) WriteMetrics(w io.Writer) error {
 	mw := newMetricsWriter(w)
 	mw.Gauge("cg_uptime_seconds", "Seconds since the server started.", time.Since(s.metrics.start).Seconds())
 	writeMetrics(mw, "cg_", s.serverRows())
 	mw.Gauge("cg_commands_registered", "Commands in the registry.", float64(s.reg.Len()))
 	s.metrics.writeCommandMetrics(mw, s.reg)
-	s.mu.RLock()
-	mods := append([]*Module(nil), s.modules...)
-	s.mu.RUnlock()
-	for _, mod := range mods {
-		if mod.Metrics != nil {
-			mod.Metrics(mw)
-		}
+	if s.gm != nil {
+		s.gm.collectMetrics(mw)
 	}
 	return mw.Flush()
 }
@@ -249,7 +209,7 @@ func (s *Server) EnablePprof() { s.pprofOn.Store(true) }
 // GET /metrics (Prometheus text format), GET /healthz (liveness: 200
 // while the process serves, 503 once draining — a degraded server is
 // alive and says so in the body), GET /readyz (readiness: 503 while
-// loading, degraded, or a module readiness check fails — the signal a
+// loading, degraded, or a replica is still bootstrapping — the signal a
 // load balancer should route on) and — after EnablePprof — the
 // /debug/pprof/ profile endpoints. It returns the bound address; the
 // listener is closed during Shutdown.

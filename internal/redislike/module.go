@@ -1,7 +1,6 @@
 package redislike
 
 import (
-	"fmt"
 	"io"
 	"log/slog"
 	"sync"
@@ -32,10 +31,11 @@ type GraphModule struct {
 	swapMu sync.RWMutex
 	g      *sharded.Graph
 
-	// host is the server this module is loaded into (nil until OnLoad):
-	// the path to the server's loading flag and logger.
-	host atomic.Pointer[Server]
-	log  *slog.Logger
+	// srv is the server this module is loaded into (nil until
+	// LoadModule, which runs before Listen): the path to the server's
+	// loading, read-only and degraded flags.
+	srv *Server
+	log *slog.Logger
 
 	// walMu serialises the durability control plane — enable, replay,
 	// checkpoint, close — against itself. The data plane (insert/del/
@@ -105,15 +105,7 @@ func NewGraphModule() (*GraphModule, *Module) {
 		viewCap: DefaultSnapshotRing,
 		log:     slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
-	m := &Module{
-		Name:     "cuckoograph",
-		Commands: gm.moduleCommands(),
-		OnLoad:   gm.onLoad,
-		Metrics:  gm.collectMetrics,
-		Commit:   gm.commit,
-		Close:    gm.Close,
-	}
-	return gm, m
+	return gm, &Module{gm: gm}
 }
 
 // moduleCommands is the module's registry contribution: one Command per
@@ -183,29 +175,6 @@ func (gm *GraphModule) moduleCommands() []*Command {
 		{Name: "g.replack", Arity: Exactly(2), Flags: FlagAdmin,
 			Summary: "acknowledge replication progress <segment> <offset> (stream-only)",
 			Handler: gm.replack},
-	}
-}
-
-// onLoad wires the module to its host server: logger, loading flag,
-// and the module's readiness gate — a replica that has not finished
-// bootstrapping from its leader is alive but should not receive
-// traffic yet.
-func (gm *GraphModule) onLoad(s *Server) {
-	gm.host.Store(s)
-	gm.log = s.Logger().With("module", "cuckoograph")
-	s.AddReadyCheck(func() error {
-		if r := gm.replica.Load(); r != nil && !r.Bootstrapped() {
-			return fmt.Errorf("replica still bootstrapping from %s", r.Leader())
-		}
-		return nil
-	})
-}
-
-// setLoading flips the host server's loading flag (a no-op when the
-// module is used without a server, e.g. direct API tests).
-func (gm *GraphModule) setLoading(on bool) {
-	if s := gm.host.Load(); s != nil {
-		s.SetLoading(on)
 	}
 }
 

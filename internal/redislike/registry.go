@@ -83,9 +83,8 @@ type Command struct {
 	Summary string // one-line description for introspection
 	Handler HandlerFunc
 
-	// metrics is the command's meter, resolved once at registration by
-	// the owning server so dispatch never takes the metrics map lookup
-	// on the hot path.
+	// metrics is the command's meter, created at registration: dispatch
+	// and every introspection surface reach it through the Command.
 	metrics *cmdMetrics
 }
 
@@ -94,10 +93,6 @@ type Command struct {
 type Registry struct {
 	mu   sync.RWMutex
 	cmds map[string]*Command
-
-	// onRegister, when set by the owning server, finalises each stored
-	// registration (resolving its metrics handle) under the write lock.
-	onRegister func(*Command)
 }
 
 // NewRegistry returns an empty registry.
@@ -124,9 +119,7 @@ func (r *Registry) Register(c *Command) error {
 	}
 	cc := *c
 	cc.Name = name
-	if r.onRegister != nil {
-		r.onRegister(&cc)
-	}
+	cc.metrics = new(cmdMetrics)
 	r.cmds[name] = &cc
 	return nil
 }

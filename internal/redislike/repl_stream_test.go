@@ -289,8 +289,8 @@ func TestFollowerRejectsBadSnapshots(t *testing.T) {
 		},
 	)
 
-	s, gm, _ := startGraphServer(t, Config{})
-	r := StartReplica(gm, s, l.ln.Addr().String())
+	_, gm, _ := startGraphServer(t, Config{})
+	r := StartReplica(gm, l.ln.Addr().String())
 	t.Cleanup(r.Stop)
 	deadline := time.Now().Add(10 * time.Second)
 	for r.snapshots.Load() == 0 {

@@ -38,7 +38,7 @@ func startLeader(t *testing.T) (*Server, *GraphModule, string, string) {
 func startFollower(t *testing.T, leaderAddr string) (*Server, *GraphModule, *Replica, string) {
 	t.Helper()
 	s, gm, addr := startGraphServer(t, Config{})
-	r := StartReplica(gm, s, leaderAddr)
+	r := StartReplica(gm, leaderAddr)
 	t.Cleanup(r.Stop)
 	return s, gm, r, addr
 }

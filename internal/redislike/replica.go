@@ -80,21 +80,21 @@ type Replica struct {
 	bootstrapped atomic.Bool
 }
 
-// StartReplica puts the server into replica mode and starts pulling
-// from leader ("host:port"). The returned Replica runs until Stop (or
-// module Close); the server rejects client writes with -READONLY for
-// its lifetime.
-func StartReplica(gm *GraphModule, srv *Server, leader string) *Replica {
+// StartReplica puts the server gm is loaded into in replica mode and
+// starts pulling from leader ("host:port"). The returned Replica runs
+// until Stop (or module Close); the server rejects client writes with
+// -READONLY for its lifetime.
+func StartReplica(gm *GraphModule, leader string) *Replica {
 	r := &Replica{
 		gm:     gm,
 		leader: leader,
-		log:    srv.Logger().With("component", "replica", "leader", leader),
+		log:    gm.srv.log.With("component", "replica", "leader", leader),
 		done:   make(chan struct{}),
 	}
 	r.state.Store(replicaConnecting)
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
-	srv.SetReadOnly(true)
+	gm.srv.SetReadOnly(true)
 	gm.replica.Store(r)
 	go r.run(ctx)
 	return r

@@ -1,9 +1,8 @@
 // Package redislike is a small in-process Redis-like server: a TCP
-// RESP2 front end with a command registry through which both the
-// built-in string commands (PING, SET, GET, DEL) and modules register —
-// the substrate for the paper's Redis integration (§V-F), where
-// CuckooGraph is loaded as a module providing G.INSERT, G.DEL, the
-// batched G.MINSERT/G.MDEL, G.QUERY, G.GETNEIGHBORS, G.DEGREE, G.NODES,
+// RESP2 front end with a command registry, hosting the graph module of
+// the paper's Redis integration (§V-F). PING and COMMAND are its only
+// built-ins; the module provides G.INSERT, G.DEL, the batched
+// G.MINSERT/G.MDEL, G.QUERY, G.GETNEIGHBORS, G.DEGREE, G.NODES,
 // snapshots, analytics, WAL control and log-shipping replication.
 //
 // Every command is a Command registration — name, arity spec, flags,
@@ -25,8 +24,8 @@
 // write(2) for all its replies. Connections are admission-controlled
 // (MaxConns rejects with -MAXCLIENTS rather than hanging the dial),
 // commands run under per-command read/write deadlines, and Shutdown
-// drains: in-flight commands finish and flush, then modules tear down
-// in order.
+// drains: in-flight commands finish and flush, then the graph module
+// tears down.
 //
 // Durability follows the same rhythm. A write command applies its
 // mutation and stages it in the log's memory; the serve loop commits —
@@ -84,49 +83,25 @@ type ConnState struct {
 	Commands uint64
 }
 
-// Module is the unit of registration, mirroring the Redis Module API
-// surface the paper implements: commands plus metrics and lifecycle
-// hooks.
-type Module struct {
-	Name     string
-	Commands []*Command
-	// OnLoad, if set, receives the host server at registration — the
-	// hook through which a module reaches server state (loading flag,
-	// logger).
-	OnLoad func(*Server)
-	// Metrics, if set, contributes module samples to every /metrics
-	// scrape.
-	Metrics func(*MetricsWriter)
-	// Commit, if set, is called before every reply flush, on every
-	// connection: it returns once everything the module has staged so
-	// far is durable (for the graph module: the WAL's group commit), or
-	// the error that says it is not. With nothing staged it must cost
-	// next to nothing — it runs once per pipeline drain.
-	Commit func() error
-	// Close, if set, is called by Shutdown after connections have
-	// drained — the module's ordered teardown (release retained views,
-	// close the WAL).
-	Close func() error
-}
+// Module is the opaque handle NewGraphModule returns for LoadModule. It
+// exists so that the `gm, mod := NewGraphModule(); srv.LoadModule(mod)`
+// call shape of the binaries and the benchmark harness keeps compiling.
+type Module struct{ gm *GraphModule }
 
 // Server is a single-node redislike instance. There is no global
-// command lock: mu guards only the built-in string keyspace and the
-// module list, and handlers run outside it — each module is responsible
-// for its own synchronisation (the CuckooGraph module locks per shard),
-// so commands touching different shards execute in parallel across
-// connections.
+// command lock: handlers run concurrently and the graph module does its
+// own synchronisation (it locks per shard), so commands touching
+// different shards execute in parallel across connections.
 type Server struct {
 	cfg     Config
 	log     *slog.Logger
 	reg     *Registry
 	metrics *Metrics
 
-	mu      sync.RWMutex
-	strings map[string]string
-	modules []*Module
-	// commits are the loaded modules' Commit hooks: replaced, never
-	// mutated, under mu, so the serve loops read them with one load.
-	commits atomic.Pointer[[]func() error]
+	// gm is the loaded graph module (nil until LoadModule), written
+	// before Listen. The server calls it directly: commit before every
+	// reply flush, collectMetrics on every scrape, Close at Shutdown.
+	gm *GraphModule
 
 	// loading is set while a recovery (wal_replay) rebuilds and swaps
 	// the graph; dispatch rejects write-flagged commands with -LOADING
@@ -147,12 +122,6 @@ type Server struct {
 	degradedMu     sync.Mutex
 	degradedReason string
 
-	// readyChecks are module-contributed readiness gates consulted by
-	// Ready (and /readyz) beyond the built-in draining/loading/degraded
-	// conditions.
-	readyMu     sync.Mutex
-	readyChecks []func() error
-
 	ln     net.Listener
 	closed chan struct{} // closed when Shutdown begins
 
@@ -162,7 +131,7 @@ type Server struct {
 
 	// connMu/conns/connWG let Shutdown drain: it interrupts idle
 	// readers, waits for each serve goroutine to finish (and flush) the
-	// command in flight, and only then runs module teardown — so
+	// command in flight, and only then tears the module down — so
 	// post-drain teardown (closing the WAL) cannot race an
 	// acknowledgement.
 	connMu      sync.Mutex
@@ -192,27 +161,17 @@ func NewServerWith(cfg Config) *Server {
 		cfg:          cfg,
 		log:          log,
 		reg:          NewRegistry(),
-		metrics:      newMetrics(),
-		strings:      make(map[string]string),
+		metrics:      &Metrics{start: time.Now()},
 		closed:       make(chan struct{}),
 		shutdownDone: make(chan struct{}),
 		conns:        make(map[*resp.Conn]struct{}),
 	}
-	// Resolve each registration's metrics handle up front, so dispatch
-	// meters with two atomic adds and never a map lookup.
-	s.reg.onRegister = func(c *Command) { c.metrics = s.metrics.handle(c.Name) }
 	s.registerBuiltins()
 	return s
 }
 
 // Registry exposes the command registry (introspection, tests).
 func (s *Server) Registry() *Registry { return s.reg }
-
-// Metrics exposes the server's meters.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Logger returns the server's structured logger.
-func (s *Server) Logger() *slog.Logger { return s.log }
 
 // SetLoading flips the recovery-in-progress flag; while set, dispatch
 // rejects write-flagged commands with -LOADING.
@@ -257,18 +216,10 @@ func (s *Server) DegradedReason() string {
 	return s.degradedReason
 }
 
-// AddReadyCheck registers an extra readiness gate: /readyz reports 503
-// while any registered check returns non-nil. Modules hook conditions
-// like "replica still bootstrapping" in through here.
-func (s *Server) AddReadyCheck(f func() error) {
-	s.readyMu.Lock()
-	s.readyChecks = append(s.readyChecks, f)
-	s.readyMu.Unlock()
-}
-
 // Ready reports whether the server should receive traffic: nil when
 // ready, otherwise the first failing condition. Distinct from liveness
-// (/healthz): a degraded or loading server is alive but not ready.
+// (/healthz): a degraded or loading server is alive but not ready, and
+// so is a replica that has not finished bootstrapping from its leader.
 func (s *Server) Ready() error {
 	if s.draining() {
 		return &ShutdownError{}
@@ -279,39 +230,33 @@ func (s *Server) Ready() error {
 	if s.degraded.Load() {
 		return &DegradedError{Reason: s.DegradedReason()}
 	}
-	s.readyMu.Lock()
-	checks := append([]func() error(nil), s.readyChecks...)
-	s.readyMu.Unlock()
-	for _, f := range checks {
-		if err := f(); err != nil {
-			return err
+	if s.gm != nil {
+		if r := s.gm.replica.Load(); r != nil && !r.Bootstrapped() {
+			return fmt.Errorf("replica still bootstrapping from %s", r.Leader())
 		}
 	}
 	return nil
 }
 
-// LoadModule registers a module's commands (--loadmodule equivalent).
+// LoadModule loads the graph module (--loadmodule equivalent): its
+// commands join the registry, and the module reaches the server's
+// loading, read-only and degraded flags and its logger. A server hosts
+// one graph module; a second is refused before anything is registered.
+// Call it before Listen.
 func (s *Server) LoadModule(m *Module) error {
-	for _, c := range m.Commands {
+	if s.gm != nil {
+		return fmt.Errorf("redislike: a graph module is already loaded")
+	}
+	gm := m.gm
+	cmds := gm.moduleCommands()
+	for _, c := range cmds {
 		if err := s.reg.Register(c); err != nil {
 			return err
 		}
 	}
-	s.mu.Lock()
-	s.modules = append(s.modules, m)
-	if m.Commit != nil {
-		var hooks []func() error
-		if p := s.commits.Load(); p != nil {
-			hooks = *p
-		}
-		hooks = append(hooks[:len(hooks):len(hooks)], m.Commit)
-		s.commits.Store(&hooks)
-	}
-	s.mu.Unlock()
-	if m.OnLoad != nil {
-		m.OnLoad(s)
-	}
-	s.log.Info("module loaded", "module", m.Name, "commands", len(m.Commands))
+	s.gm, gm.srv = gm, s
+	gm.log = s.log.With("module", "cuckoograph")
+	s.log.Info("module loaded", "module", "cuckoograph", "commands", len(cmds))
 	return nil
 }
 
@@ -342,9 +287,9 @@ func (s *Server) draining() bool {
 // Shutdown gracefully stops the server: the listener closes, idle
 // connections are interrupted, in-flight commands finish and their
 // replies flush, and once every connection has drained (or ctx
-// expires, at which point survivors are force-closed) the modules tear
-// down in registration order — for the graph module that releases the
-// snapshot ring and closes the WAL, in that order. Shutdown is
+// expires, at which point survivors are force-closed) the graph module
+// tears down: it releases the snapshot ring and closes the WAL, in that
+// order. Shutdown is
 // idempotent; every caller observes the first call's result.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutdownOnce.Do(func() {
@@ -381,21 +326,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if s.metricsSrv != nil {
 			s.metricsSrv.Close()
 		}
-		// Ordered module teardown, registration order; first error wins
-		// but every module still gets its Close.
-		s.mu.RLock()
-		mods := append([]*Module(nil), s.modules...)
-		s.mu.RUnlock()
 		var err error
-		for _, m := range mods {
-			if m.Close == nil {
-				continue
-			}
-			if cerr := m.Close(); cerr != nil {
-				s.log.Error("shutdown: module close failed", "module", m.Name, "err", cerr)
-				if err == nil {
-					err = cerr
-				}
+		if s.gm != nil {
+			if err = s.gm.Close(); err != nil {
+				s.log.Error("shutdown: module close failed", "err", err)
 			}
 		}
 		s.shutdownErr = err
@@ -408,7 +342,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Close stops the server immediately: like Shutdown but without a
 // drain grace period — live connections are force-closed and their
-// in-flight handlers run to completion before module teardown.
+// in-flight handlers run to completion before the module tears down.
 func (s *Server) Close() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -570,28 +504,22 @@ func (s *Server) flush(ctx *Ctx) error {
 
 // commit makes everything staged so far durable — the mutations behind
 // this connection's buffered write replies, and any other connection's
-// that its reads may have observed — by running the modules' Commit
-// hooks. It must precede every flush. If a hook fails, the write
-// replies buffered since the last commit acknowledge mutations that are
-// applied but not durable: each is rewritten to -WALERR, and the reads
-// between them keep their answers.
+// that its reads may have observed — through the graph module's commit.
+// It must precede every flush. If the commit fails, the write replies
+// buffered since the last one acknowledge mutations that are applied
+// but not durable: each is rewritten to -WALERR, and the reads between
+// them keep their answers.
 func (s *Server) commit(ctx *Ctx) {
-	var err error
-	if hooks := s.commits.Load(); hooks != nil {
-		for _, h := range *hooks {
-			if e := h(); e != nil && err == nil {
-				err = e
+	if s.gm != nil {
+		if err := s.gm.commit(); err != nil {
+			// Last to first, so the marks of the replies still to rewrite
+			// stay valid.
+			for i := len(ctx.uncommitted) - 1; i >= 0; i-- {
+				r := ctx.uncommitted[i]
+				e := &WALError{Cmd: r.cmd.Name, Err: err}
+				ctx.w.SpliceError(r.from, r.to, errorClass(e)+" "+e.Error())
+				r.cmd.metrics.errs.Add(1)
 			}
-		}
-	}
-	if err != nil {
-		// Last to first, so the marks of the replies still to rewrite
-		// stay valid.
-		for i := len(ctx.uncommitted) - 1; i >= 0; i-- {
-			r := ctx.uncommitted[i]
-			e := &WALError{Cmd: r.cmd.Name, Err: err}
-			ctx.w.SpliceError(r.from, r.to, errorClass(e)+" "+e.Error())
-			r.cmd.metrics.errs.Add(1)
 		}
 	}
 	ctx.uncommitted = ctx.uncommitted[:0]

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"net"
-	"strconv"
 	"testing"
 
 	"cuckoograph/internal/core"
@@ -44,17 +43,10 @@ func TestBuiltinsOverTCP(t *testing.T) {
 	if got := send("PING"); got.Str != "PONG" {
 		t.Fatalf("PING = %+v", got)
 	}
-	if got := send("SET", "k", "v"); got.Str != "OK" {
+	// There is no string keyspace: SET is a command like any other the
+	// server does not know.
+	if got := send("SET", "k", "v"); got.Type != '-' || got.Str != "ERR unknown command 'set'" {
 		t.Fatalf("SET = %+v", got)
-	}
-	if got := send("GET", "k"); got.Str != "v" {
-		t.Fatalf("GET = %+v", got)
-	}
-	if got := send("DEL", "k", "missing"); got.Int != 1 {
-		t.Fatalf("DEL = %+v", got)
-	}
-	if got := send("GET", "k"); !got.Null {
-		t.Fatalf("GET after DEL = %+v", got)
 	}
 	if got := send("NOSUCH"); got.Type != '-' {
 		t.Fatalf("unknown command = %+v", got)
@@ -129,15 +121,23 @@ func TestGraphModulePersistence(t *testing.T) {
 	}
 }
 
+// TestDuplicateModuleCommand: a second graph module is refused before
+// any of its commands is registered.
 func TestDuplicateModuleCommand(t *testing.T) {
 	s := NewServer()
 	_, m1 := NewGraphModule()
 	if err := s.LoadModule(m1); err != nil {
 		t.Fatal(err)
 	}
-	_, m2 := NewGraphModule()
+	count := dispatch(s, "COMMAND", "COUNT").Int
+	gm2, m2 := NewGraphModule()
 	if err := s.LoadModule(m2); err == nil {
 		t.Fatal("duplicate command registration accepted")
 	}
-	_ = strconv.Quote("")
+	if got := dispatch(s, "COMMAND", "COUNT").Int; got != count {
+		t.Fatalf("COMMAND COUNT = %d after the refused load, want %d", got, count)
+	}
+	if gm2.srv != nil {
+		t.Fatal("refused module was wired to the server")
+	}
 }

@@ -3,6 +3,9 @@ package redislike
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"cuckoograph/internal/resp"
@@ -27,14 +30,20 @@ func mustInt(t *testing.T, v resp.Value) int64 {
 	return v.Int
 }
 
-func bfsNodes(t *testing.T, v resp.Value) []int64 {
+// bfsNodes decodes a graph.bfs reply: an array of node ids, each a
+// decimal bulk string like every node-id list on the wire.
+func bfsNodes(t *testing.T, v resp.Value) []uint64 {
 	t.Helper()
 	if v.Type != '*' {
 		t.Fatalf("expected array reply, got %c %q", v.Type, v.Str)
 	}
-	out := make([]int64, len(v.Array))
+	out := make([]uint64, len(v.Array))
 	for i, e := range v.Array {
-		out[i] = e.Int
+		u, err := strconv.ParseUint(e.Str, 10, 64)
+		if e.Type != '$' || err != nil {
+			t.Fatalf("BFS element %d = %c %q, want a node id as a bulk string", i, e.Type, e.Str)
+		}
+		out[i] = u
 	}
 	return out
 }
@@ -119,8 +128,8 @@ func TestGraphPageRankEpochTagged(t *testing.T) {
 	if v.Type != '*' || len(v.Array) != 4 {
 		t.Fatalf("graph.pagerank at epoch %d = %v, want 2 node/rank pairs", e, v.Array)
 	}
-	if v.Array[0].Int != 1 || v.Array[2].Int != 2 {
-		t.Fatalf("pagerank nodes = %v, want 1 and 2", v.Array)
+	if v.Array[0].Type != '$' || v.Array[0].Str != "1" || v.Array[2].Type != '$' || v.Array[2].Str != "2" {
+		t.Fatalf("pagerank nodes = %v, want bulk 1 and 2", v.Array)
 	}
 	if v.Array[1].Str != v.Array[3].Str {
 		t.Fatalf("symmetric cycle ranks differ: %q vs %q", v.Array[1].Str, v.Array[3].Str)
@@ -129,8 +138,37 @@ func TestGraphPageRankEpochTagged(t *testing.T) {
 	if len(live.Array) != 2*5 {
 		t.Fatalf("live pagerank covers %d pairs, want 5", len(live.Array)/2)
 	}
-	if v := dispatch(srv, "graph.pagerank", "0"); v.Type != '-' {
-		t.Fatalf("graph.pagerank with 0 iters replied %c", v.Type)
+	// The iteration count is client input: out of range is refused
+	// before any work, so one command cannot run without limit.
+	for _, iters := range []string{"0", strconv.Itoa(maxPageRankIters + 1), "9223372036854775807"} {
+		if v := dispatch(srv, "graph.pagerank", iters); v.Type != '-' || !strings.HasPrefix(v.Str, "ERR graph.pagerank: bad iteration count") {
+			t.Fatalf("graph.pagerank with %s iters replied %c %q", iters, v.Type, v.Str)
+		}
+	}
+	if v := dispatch(srv, "graph.pagerank", strconv.Itoa(maxPageRankIters)); v.Type != '*' {
+		t.Fatalf("graph.pagerank with %d iters replied %c %q", maxPageRankIters, v.Type, v.Str)
+	}
+}
+
+// TestAnalyticsRepliesCarryFullNodeIDs: graph.bfs and graph.pagerank
+// reply node ids at and above 2⁶³ as the same decimals g.getneighbors
+// does, not wrapped into negative integers.
+func TestAnalyticsRepliesCarryFullNodeIDs(t *testing.T) {
+	srv, _ := newGraphServer(t)
+	const u, v = "18446744073709551615", "9223372036854775808"
+	dispatch(srv, "g.minsert", u, v, v, u) // a cycle: PageRank ranks only sources
+	if got := dispatch(srv, "g.getneighbors", u); len(got.Array) != 1 || got.Array[0].Str != v {
+		t.Fatalf("g.getneighbors %s = %+v, want [%s]", u, got, v)
+	}
+	if got := bfsNodes(t, dispatch(srv, "graph.bfs", u)); len(got) != 2 || got[0] != math.MaxUint64 || got[1] != 1<<63 {
+		t.Fatalf("graph.bfs %s = %v, want [%s %s]", u, got, u, v)
+	}
+	pr := dispatch(srv, "graph.pagerank", "1")
+	if pr.Type != '*' || len(pr.Array) != 4 {
+		t.Fatalf("graph.pagerank = %+v, want 2 node/rank pairs", pr)
+	}
+	if a, b := pr.Array[0], pr.Array[2]; a.Type != '$' || a.Str != v || b.Type != '$' || b.Str != u {
+		t.Fatalf("graph.pagerank nodes = %+v, %+v, want bulk %s then %s", a, b, v, u)
 	}
 }
 

@@ -281,8 +281,8 @@ func TestProtocolErrorReplies(t *testing.T) {
 }
 
 // TestUnknownCommandsPoolInMetrics: unknown names must not create
-// unbounded per-name meters (an attacker could otherwise grow the
-// metrics map without bound); they pool under "unknown".
+// per-name meters (an attacker could otherwise grow the meter set
+// without bound); they pool under "unknown".
 func TestUnknownCommandsPoolInMetrics(t *testing.T) {
 	s, _, addr := startGraphServer(t, Config{})
 	p := dialPipe(t, addr)
@@ -295,10 +295,15 @@ func TestUnknownCommandsPoolInMetrics(t *testing.T) {
 	if got := p.read(); got.Str != "PONG" {
 		t.Fatalf("PING = %+v", got)
 	}
-	if got := s.Metrics().CommandCalls("unknown"); got != 2 {
+	if got := s.metrics.unknown.calls.Load(); got != 2 {
 		t.Fatalf("unknown pool = %d, want 2", got)
 	}
-	if got := s.Metrics().CommandCalls("nosuch1"); got != 0 {
-		t.Fatalf("per-name meter for unknown command created (%d)", got)
+	var sb strings.Builder
+	if err := s.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "\ncg_commands_total{cmd=\"unknown\"} 2\n") ||
+		strings.Contains(sb.String(), `cmd="nosuch1"`) {
+		t.Fatalf("scrape does not pool unknown commands:\n%s", sb.String())
 	}
 }

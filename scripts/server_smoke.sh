@@ -49,7 +49,9 @@ echo "== drive commands"
 [ "$(cli g.degree 1)" = "(integer) 2" ] || fail "g.degree 1"
 cli graph.bfs 1 | grep -q "4" || fail "graph.bfs 1 did not reach node 4"
 cli g.info graph | grep -q "edges:3" || fail "g.info graph edges:3"
-cli command count >/dev/null || fail "command count"
+# ping, command and the graph module's twenty commands; nothing else.
+[ "$(cli command count)" = "(integer) 22" ] || fail "command count != 22"
+cli set k v 2>&1 | grep -q "ERR unknown command" || fail "set answered as a command"
 # Error taxonomy over the wire: arity and unknown-command classes.
 cli g.insert 1 2>&1 | grep -q "ERR wrong number of arguments" || fail "arity error class"
 cli nosuchcmd 2>&1 | grep -q "ERR unknown command" || fail "unknown command class"
