@@ -158,24 +158,13 @@ func (f *FrozenView) PageRank(iters int) map[NodeID]float64 {
 	return analytics.PageRank(f.v, iters)
 }
 
-// Save writes a binary snapshot of the graph (header + fixed-width edge
-// records) suitable for Load.
-func (g *Graph) Save(w io.Writer) error { return g.g.Save(w) }
-
 // Load reads a snapshot produced by Graph.Save into a fresh Graph.
 func Load(r io.Reader) (*Graph, error) { return LoadWithOptions(r, Options{}) }
 
 // LoadWithOptions reads a snapshot with explicit tuning.
 func LoadWithOptions(r io.Reader, o Options) (*Graph, error) {
-	g, err := core.LoadGraph(r, o.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &Graph{g: g}, nil
+	return core.LoadGraph(r, o.coreConfig())
 }
-
-// Save writes a binary snapshot of the weighted graph including weights.
-func (w *Weighted) Save(dst io.Writer) error { return w.w.Save(dst) }
 
 // LoadWeighted reads a snapshot produced by Weighted.Save.
 func LoadWeighted(r io.Reader) (*Weighted, error) {
@@ -184,9 +173,5 @@ func LoadWeighted(r io.Reader) (*Weighted, error) {
 
 // LoadWeightedWithOptions reads a weighted snapshot with explicit tuning.
 func LoadWeightedWithOptions(r io.Reader, o Options) (*Weighted, error) {
-	w, err := core.LoadWeighted(r, o.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &Weighted{w: w}, nil
+	return core.LoadWeighted(r, o.coreConfig())
 }

@@ -2,6 +2,8 @@ package cuckoograph_test
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"cuckoograph"
@@ -118,6 +120,34 @@ func TestPublicMultiAPI(t *testing.T) {
 		t.Fatal("DeleteEdge wrong")
 	}
 	_ = m.MemoryUsage()
+}
+
+// TestPublicMethodSets pins the exported surface of the three variants.
+// They are the engine's own types, so an exported method added to
+// internal/core becomes public API; this list makes that visible.
+func TestPublicMethodSets(t *testing.T) {
+	for _, c := range []struct {
+		typ  any
+		want []string
+	}{
+		{(*cuckoograph.Graph)(nil), []string{"AppendSuccessors", "ApplyBatch", "ApplyBatchFunc", "Degree",
+			"DeleteEdge", "EmitEdges", "ForEachNode", "ForEachSuccessor", "HasEdge", "InsertEdge",
+			"MemoryUsage", "NumEdges", "NumNodes", "Save", "Stats", "Successors"}},
+		{(*cuckoograph.Weighted)(nil), []string{"Add", "ApplyBatch", "Degree", "DeleteAll", "DeleteEdge",
+			"ForEachNode", "ForEachSuccessor", "HasEdge", "InsertEdge", "MemoryUsage", "NumEdges",
+			"NumNodes", "Save", "Stats", "Weight"}},
+		{(*cuckoograph.Multi)(nil), []string{"DeleteEdge", "Edges", "ForEachSuccessor", "HasEdge",
+			"InsertEdge", "MemoryUsage", "NumEdges", "NumPairs"}},
+	} {
+		typ := reflect.TypeOf(c.typ)
+		var got []string
+		for i := range typ.NumMethod() {
+			got = append(got, typ.Method(i).Name)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%v methods = %q, want %q", typ, got, c.want)
+		}
+	}
 }
 
 func ExampleGraph() {

@@ -65,7 +65,8 @@
 // Use NewWeighted for streams with duplicate edges (each edge carries a
 // multiplicity weight, §III-B of the paper) and NewMulti for
 // property-graph workloads where several distinct edges connect the same
-// node pair (§V-G).
+// node pair (§V-G). Graph, Weighted and Multi are the engine's own types
+// (aliases of internal/core's), so a call on them is a call on the engine.
 //
 // # Concurrency
 //

@@ -144,11 +144,6 @@ const (
 	TaskLCC  AnalyticsTask = "LCC"
 )
 
-// AllTasks lists the tasks in paper order (Figures 10-16).
-func AllTasks() []AnalyticsTask {
-	return []AnalyticsTask{TaskBFS, TaskSSSP, TaskTC, TaskCC, TaskPR, TaskBC, TaskLCC}
-}
-
 // LoadStream feeds a generated stream into s through the batched
 // mutation path when the store has one, chunked so each ApplyBatch
 // amortizes lock acquisitions; stores without a batch

@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // Graph is the basic version of CuckooGraph (§III-A): a directed graph
 // of distinct edges ⟨u,v⟩. Inserting an existing edge is a no-op.
 type Graph struct {
@@ -68,6 +70,9 @@ func (g *Graph) AppendSuccessors(u uint64, dst []uint64) []uint64 {
 	return dst
 }
 
+// Successors returns u's successors as a fresh slice.
+func (g *Graph) Successors(u uint64) []uint64 { return g.AppendSuccessors(u, nil) }
+
 // Degree returns u's out-degree without iterating the adjacency:
 // inline slots and S-CHT chains track their population directly.
 func (g *Graph) Degree(u uint64) int { return g.e.degree(u) }
@@ -108,11 +113,24 @@ func NewWeighted(cfg Config) *Weighted {
 func (w *Weighted) InsertEdge(u, v uint64) bool { return w.Add(u, v, 1) }
 
 // Add adds delta occurrences of ⟨u,v⟩, reporting whether the edge is new.
+// Adding zero changes nothing, and a weight saturates at 2⁶⁴−1.
 func (w *Weighted) Add(u, v, delta uint64) bool {
+	if delta == 0 {
+		return false
+	}
 	b := [1]Op{InsertOp(u, v)}
-	res := w.e.applyBatch(b[:], delta,
-		func(p *uint64) bool { *p += delta; return true }, nil, nil, nil)
-	return res.Inserted == 1
+	return w.e.applyBatch(b[:], delta, addWeight(delta), nil, nil, nil).Inserted == 1
+}
+
+// addWeight returns the insert hook that adds delta to an existing
+// edge's weight, saturating instead of wrapping to zero; it reports
+// whether the weight changed.
+func addWeight(delta uint64) func(*uint64) bool {
+	return func(p *uint64) bool {
+		add := min(delta, math.MaxUint64-*p)
+		*p += add
+		return add != 0
+	}
 }
 
 // ApplyBatch applies the ops in order with weighted semantics: an
@@ -121,9 +139,7 @@ func (w *Weighted) Add(u, v, delta uint64) bool {
 // Deleted counts edges whose weight reached zero, Updated counts
 // in-place weight changes.
 func (w *Weighted) ApplyBatch(b Batch) BatchResult {
-	return w.e.applyBatch(b, 1,
-		func(p *uint64) bool { *p++; return true },
-		weightedDelete, nil, nil)
+	return w.e.applyBatch(b, 1, addWeight(1), weightedDelete, nil, nil)
 }
 
 // weightedDelete is the weighted delete hook: decrement in place until

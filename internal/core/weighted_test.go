@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -47,6 +48,33 @@ func TestWeightedAddDelta(t *testing.T) {
 	}
 	if w.HasEdge(3, 4) {
 		t.Fatal("edge survives DeleteAll")
+	}
+}
+
+// TestWeightedAddKeepsWeightsPositive pins the two ways Add could store
+// a weight of zero: a zero delta, and a sum that wraps past 2⁶⁴−1.
+func TestWeightedAddKeepsWeightsPositive(t *testing.T) {
+	w := NewWeighted(Config{})
+	if w.Add(1, 2, 0) || w.HasEdge(1, 2) || w.NumEdges() != 0 {
+		t.Fatal("Add with delta 0 stored an edge")
+	}
+	if _, ok := w.Weight(1, 2); ok {
+		t.Fatal("Add with delta 0 gave the edge a weight")
+	}
+	w.InsertEdge(3, 4)
+	if w.Add(3, 4, 0) {
+		t.Fatal("Add with delta 0 reported a new edge")
+	}
+	if got, _ := w.Weight(3, 4); got != 1 {
+		t.Fatalf("weight after Add 0 = %d, want 1", got)
+	}
+	w.Add(3, 4, math.MaxUint64)
+	if got, ok := w.Weight(3, 4); !ok || got != math.MaxUint64 {
+		t.Fatalf("weight = %d,%v; want saturation at 2⁶⁴−1", got, ok)
+	}
+	res := w.ApplyBatch(Batch{InsertOp(3, 4)})
+	if got, _ := w.Weight(3, 4); got != math.MaxUint64 || res.Updated != 0 {
+		t.Fatalf("batch insert on a saturated edge: weight %d, %+v", got, res)
 	}
 }
 

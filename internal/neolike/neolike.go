@@ -1,25 +1,20 @@
 // Package neolike is a miniature Neo4j-style property-graph engine: it
 // stores nodes with labels, and relationships (multi-edges with ids and
-// properties) in per-node adjacency lists. Pure-engine edge queries
+// types) in per-node adjacency lists. Pure-engine edge queries
 // traverse the source node's adjacency list and compare edges one by
 // one — exactly the inefficiency §V-G describes. WithIndex attaches a
 // CuckooGraph Multi as an edge index so queries obtain an O(1) iterator
 // over the parallel edges of ⟨u,v⟩ instead of scanning the list.
 package neolike
 
-import (
-	"fmt"
+import "cuckoograph/internal/core"
 
-	"cuckoograph/internal/core"
-)
-
-// Relationship is one edge with identity and an optional property map.
+// Relationship is one edge with identity and a type.
 type Relationship struct {
-	ID    uint64
-	From  uint64
-	To    uint64
-	Type  string
-	Props map[string]string
+	ID   uint64
+	From uint64
+	To   uint64
+	Type string
 }
 
 // node is the per-node record with its adjacency list (Neo4j keeps the
@@ -51,9 +46,6 @@ func WithIndex() *DB {
 	return db
 }
 
-// Indexed reports whether the CuckooGraph index is attached.
-func (db *DB) Indexed() bool { return db.index != nil }
-
 // CreateNode upserts a node with the given label.
 func (db *DB) CreateNode(id uint64, label string) {
 	if n := db.nodes[id]; n != nil {
@@ -61,15 +53,6 @@ func (db *DB) CreateNode(id uint64, label string) {
 		return
 	}
 	db.nodes[id] = &node{label: label}
-}
-
-// Label returns a node's label.
-func (db *DB) Label(id uint64) (string, bool) {
-	n := db.nodes[id]
-	if n == nil {
-		return "", false
-	}
-	return n.label, true
 }
 
 // CreateRelationship adds an edge from → to and returns its id. Nodes
@@ -90,19 +73,6 @@ func (db *DB) CreateRelationship(from, to uint64, relType string) uint64 {
 		db.index.InsertEdge(from, to, rel.ID)
 	}
 	return rel.ID
-}
-
-// SetProperty attaches a property to a relationship.
-func (db *DB) SetProperty(relID uint64, key, value string) error {
-	rel := db.rels[relID]
-	if rel == nil {
-		return fmt.Errorf("neolike: no relationship %d", relID)
-	}
-	if rel.Props == nil {
-		rel.Props = make(map[string]string)
-	}
-	rel.Props[key] = value
-	return nil
 }
 
 // Relationships returns every edge from → to. Without the index this
@@ -133,63 +103,3 @@ func (db *DB) Relationships(from, to uint64) []*Relationship {
 	}
 	return out
 }
-
-// HasRelationship reports whether any edge connects from → to.
-func (db *DB) HasRelationship(from, to uint64) bool {
-	if db.index != nil {
-		return db.index.HasEdge(from, to)
-	}
-	n := db.nodes[from]
-	if n == nil {
-		return false
-	}
-	for _, rel := range n.out {
-		if rel.To == to {
-			return true
-		}
-	}
-	return false
-}
-
-// DeleteRelationship removes the edge with the given id.
-func (db *DB) DeleteRelationship(relID uint64) bool {
-	rel := db.rels[relID]
-	if rel == nil {
-		return false
-	}
-	delete(db.rels, relID)
-	if n := db.nodes[rel.From]; n != nil {
-		n.out = removeRel(n.out, relID)
-	}
-	if n := db.nodes[rel.To]; n != nil {
-		n.in = removeRel(n.in, relID)
-	}
-	if db.index != nil {
-		db.index.DeleteEdge(rel.From, rel.To, relID)
-	}
-	return true
-}
-
-func removeRel(list []*Relationship, id uint64) []*Relationship {
-	for i, rel := range list {
-		if rel.ID == id {
-			list[i] = list[len(list)-1]
-			return list[:len(list)-1]
-		}
-	}
-	return list
-}
-
-// OutDegree returns the number of outgoing relationships of a node.
-func (db *DB) OutDegree(id uint64) int {
-	if n := db.nodes[id]; n != nil {
-		return len(n.out)
-	}
-	return 0
-}
-
-// NumRelationships returns the total edge count.
-func (db *DB) NumRelationships() int { return len(db.rels) }
-
-// NumNodes returns the node count.
-func (db *DB) NumNodes() int { return len(db.nodes) }

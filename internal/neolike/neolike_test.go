@@ -1,6 +1,9 @@
 package neolike
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestPropertyGraphBasics(t *testing.T) {
 	for _, indexed := range []bool{false, true} {
@@ -12,38 +15,32 @@ func TestPropertyGraphBasics(t *testing.T) {
 		db.CreateNode(2, "Person")
 		r1 := db.CreateRelationship(1, 2, "KNOWS")
 		r2 := db.CreateRelationship(1, 2, "LIKES")
-		db.CreateRelationship(2, 1, "KNOWS")
+		r3 := db.CreateRelationship(2, 1, "KNOWS")
 
-		if db.NumNodes() != 2 || db.NumRelationships() != 3 {
-			t.Fatalf("indexed=%v: nodes %d rels %d", indexed, db.NumNodes(), db.NumRelationships())
+		if len(db.nodes) != 2 || len(db.rels) != 3 {
+			t.Fatalf("indexed=%v: nodes %d rels %d", indexed, len(db.nodes), len(db.rels))
 		}
-		if l, ok := db.Label(1); !ok || l != "Person" {
-			t.Fatalf("label = %q,%v", l, ok)
+		if l := db.nodes[1].label; l != "Person" {
+			t.Fatalf("label = %q", l)
 		}
 		rels := db.Relationships(1, 2)
 		if len(rels) != 2 {
 			t.Fatalf("indexed=%v: rels(1,2) = %d, want 2", indexed, len(rels))
 		}
-		if !db.HasRelationship(2, 1) || db.HasRelationship(2, 9) {
-			t.Fatalf("indexed=%v: HasRelationship wrong", indexed)
+		for _, rel := range rels {
+			if rel.From != 1 || rel.To != 2 || (rel.ID == r1) != (rel.Type == "KNOWS") {
+				t.Fatalf("indexed=%v: rel %+v", indexed, *rel)
+			}
 		}
-		if err := db.SetProperty(r1, "since", "2020"); err != nil {
-			t.Fatal(err)
+		if back := db.Relationships(2, 1); len(back) != 1 || back[0].ID != r3 {
+			t.Fatalf("indexed=%v: rels(2,1) = %v", indexed, back)
 		}
-		if db.rels[r1].Props["since"] != "2020" {
-			t.Fatal("property not stored")
+		if len(db.Relationships(2, 9)) != 0 || len(db.Relationships(9, 1)) != 0 {
+			t.Fatalf("indexed=%v: relationship to a missing node", indexed)
 		}
-		if err := db.SetProperty(999, "k", "v"); err == nil {
-			t.Fatal("property on missing rel accepted")
-		}
-		if !db.DeleteRelationship(r2) || db.DeleteRelationship(r2) {
-			t.Fatalf("indexed=%v: delete semantics wrong", indexed)
-		}
-		if got := len(db.Relationships(1, 2)); got != 1 {
-			t.Fatalf("indexed=%v: rels after delete = %d, want 1", indexed, got)
-		}
-		if db.OutDegree(1) != 1 {
-			t.Fatalf("out degree = %d, want 1", db.OutDegree(1))
+		// Neo4j keeps each edge in both endpoints' lists.
+		if len(db.nodes[1].out) != 2 || len(db.nodes[2].in) != 2 || db.nodes[2].in[1].ID != r2 {
+			t.Fatalf("indexed=%v: adjacency lists wrong", indexed)
 		}
 	}
 }
@@ -65,22 +62,19 @@ func TestIndexedMatchesPure(t *testing.T) {
 		}
 		ids[key{u, v}] = append(ids[key{u, v}], a)
 	}
-	for k, want := range ids {
-		p := pure.Relationships(k.u, k.v)
-		q := idx.Relationships(k.u, k.v)
-		if len(p) != len(want) || len(q) != len(want) {
-			t.Fatalf("pair %v: pure %d idx %d want %d", k, len(p), len(q), len(want))
+	idSet := func(rels []*Relationship) []uint64 {
+		out := make([]uint64, len(rels))
+		for i, rel := range rels {
+			out[i] = rel.ID
 		}
+		slices.Sort(out)
+		return out
 	}
-	// Delete everything through both engines; they must agree edge by edge.
-	for k, list := range ids {
-		for _, id := range list {
-			if pure.DeleteRelationship(id) != idx.DeleteRelationship(id) {
-				t.Fatalf("delete divergence at %d", id)
-			}
-		}
-		if pure.HasRelationship(k.u, k.v) || idx.HasRelationship(k.u, k.v) {
-			t.Fatalf("pair %v survives full deletion", k)
+	for k, want := range ids {
+		p := idSet(pure.Relationships(k.u, k.v))
+		q := idSet(idx.Relationships(k.u, k.v))
+		if !slices.Equal(p, want) || !slices.Equal(q, want) {
+			t.Fatalf("pair %v: pure %v idx %v want %v", k, p, q, want)
 		}
 	}
 }
