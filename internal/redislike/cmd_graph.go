@@ -6,13 +6,15 @@ import (
 	"cuckoograph/internal/core"
 )
 
-// Data-plane command handlers. Every handler here is registered through
-// dataCmd, so ctx.Graph is the current graph, pinned against a restore
-// swap for the duration of the call; arity is already validated against
-// the registration, so handlers only check argument *content*. These
-// are the serving plane's hot commands: arguments are parsed straight
-// from the connection's read-buffer views and replies are streamed, so
-// a warm command cycle allocates nothing.
+// Data-plane command handlers. Each works on gm.g and takes only shard
+// locks: a restore swaps the contents inside a freeze of every shard,
+// so a shard lock hold (and a multi-shard batch, which excludes the
+// freeze) sees wholly the contents before it or wholly those after.
+// Arity is already validated against the registration, so handlers
+// only check argument *content*. These are the serving plane's hot
+// commands: arguments are parsed straight from the connection's
+// read-buffer views and replies are streamed, so a warm command cycle
+// allocates nothing.
 
 // parseNode decodes one node-id argument, wrapping failures in the
 // command's typed bad-argument error.
@@ -42,9 +44,9 @@ func parseEdgeArgs(ctx *Ctx) (u, v uint64, err error) {
 
 // stageOne applies one single-edge op through the connection's batch
 // scratch.
-func stageOne(ctx *Ctx, op core.Op) core.BatchResult {
+func (gm *GraphModule) stageOne(ctx *Ctx, op core.Op) core.BatchResult {
 	ctx.batch = append(ctx.batch[:0], op)
-	return ctx.Graph.Stage(ctx.batch)
+	return gm.g.Stage(ctx.batch)
 }
 
 func (gm *GraphModule) insert(ctx *Ctx) error {
@@ -52,7 +54,7 @@ func (gm *GraphModule) insert(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	ctx.ReplyStaged(int64(stageOne(ctx, core.InsertOp(u, v)).Inserted))
+	ctx.ReplyStaged(int64(gm.stageOne(ctx, core.InsertOp(u, v)).Inserted))
 	return nil
 }
 
@@ -61,7 +63,7 @@ func (gm *GraphModule) del(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	ctx.ReplyStaged(int64(stageOne(ctx, core.DeleteOp(u, v)).Deleted))
+	ctx.ReplyStaged(int64(gm.stageOne(ctx, core.DeleteOp(u, v)).Deleted))
 	return nil
 }
 
@@ -96,7 +98,7 @@ func (gm *GraphModule) minsert(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	ctx.ReplyStaged(int64(ctx.Graph.Stage(b).Inserted))
+	ctx.ReplyStaged(int64(gm.g.Stage(b).Inserted))
 	return nil
 }
 
@@ -107,7 +109,7 @@ func (gm *GraphModule) mdel(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	ctx.ReplyStaged(int64(ctx.Graph.Stage(b).Deleted))
+	ctx.ReplyStaged(int64(gm.g.Stage(b).Deleted))
 	return nil
 }
 
@@ -116,7 +118,7 @@ func (gm *GraphModule) query(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	ctx.ReplyBool(ctx.Graph.HasEdge(u, v))
+	ctx.ReplyBool(gm.g.HasEdge(u, v))
 	return nil
 }
 
@@ -127,7 +129,7 @@ func (gm *GraphModule) getNeighbors(ctx *Ctx) error {
 	}
 	// Collect before writing the array header: Degree and the scan can
 	// disagree under concurrent writers, and a header is a promise.
-	ctx.ids = ctx.Graph.AppendSuccessors(u, ctx.ids[:0])
+	ctx.ids = gm.g.AppendSuccessors(u, ctx.ids[:0])
 	ctx.ReplyArrayHeader(len(ctx.ids))
 	for _, v := range ctx.ids {
 		ctx.ReplyBulkUint(v)
@@ -142,13 +144,13 @@ func (gm *GraphModule) degree(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	ctx.ReplyInt(int64(ctx.Graph.Degree(u)))
+	ctx.ReplyInt(int64(gm.g.Degree(u)))
 	return nil
 }
 
 // nodes replies with every source node (nodes with ≥1 out-edge).
 func (gm *GraphModule) nodes(ctx *Ctx) error {
-	ctx.ids = ctx.Graph.AppendNodes(ctx.ids[:0])
+	ctx.ids = gm.g.AppendNodes(ctx.ids[:0])
 	ctx.ReplyArrayHeader(len(ctx.ids))
 	for _, u := range ctx.ids {
 		ctx.ReplyBulkUint(u)

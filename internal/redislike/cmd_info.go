@@ -118,7 +118,7 @@ func writeMetrics(mw *MetricsWriter, prefix string, rows []infoRow) {
 }
 
 func (gm *GraphModule) graphRows() []infoRow {
-	g := gm.Graph()
+	g := gm.g
 	st := g.Stats()
 	return []infoRow{
 		{"nodes", "Nodes with at least one out-edge.", false, float64(st.Nodes)},
@@ -143,7 +143,7 @@ func (gm *GraphModule) graphRows() []infoRow {
 }
 
 func (gm *GraphModule) snapshotRows() []infoRow {
-	vs := gm.Graph().ViewStats()
+	vs := gm.g.ViewStats()
 	gm.viewMu.Lock()
 	retained, capacity := len(gm.views), gm.viewCap
 	gm.viewMu.Unlock()
@@ -166,7 +166,7 @@ func (s *Server) serverRows() []infoRow {
 		{"connections_active", "Connections currently tracked by the server.", false, float64(m.connsActive.Load())},
 		{"connections_accepted", "Connections admitted by the server.", true, float64(m.connsAccepted.Load())},
 		{"connections_rejected", "Connections refused by admission control (limit or shutdown).", true, float64(m.connsRejected.Load())},
-		{"loading", "1 while a recovery swap is rejecting write commands.", false, boolGauge(s.loading.Load())},
+		{"loading", "1 while a recovery (wal_replay) is rejecting write commands.", false, boolGauge(s.loading.Load())},
 		{"degraded", "1 while a WAL failure has writes rejected with -MISCONF (reads keep serving).", false, boolGauge(s.degraded.Load())},
 		{"shutting_down", "1 once the server has begun draining.", false, boolGauge(s.draining())},
 	}

@@ -7,62 +7,39 @@ import (
 
 	"cuckoograph/internal/analytics"
 	"cuckoograph/internal/graphstore"
-	"cuckoograph/internal/sharded"
 )
 
 // Snapshot-ring and analytics command handlers. These are control-plane
-// commands: they are NOT registered through dataCmd and coordinate
-// their own graph access and locking (viewMu, short swapMu reads).
+// commands: they coordinate through viewMu, and the views they take
+// freeze the graph only for their registration.
 
 // snapshot takes a frozen view of the graph, retains it in the
 // time-travel ring (evicting the oldest past the bound) and replies
-// with its epoch tag. The ring only ever holds views of the current
-// graph: if a restore swaps the graph between taking the view and
-// ringing it, the stale view is dropped and the snapshot retried —
-// otherwise the ring would pin a dead graph's CoW state and, since a
-// fresh graph's epochs restart at 1, could serve pre-restore data
-// under a colliding epoch tag.
+// with its epoch tag. The view is taken under viewMu, the lock a
+// restore empties the ring under, so it lands wholly before a restore
+// (and is released with the ring) or wholly after it; and since a
+// restore keeps the graph's epoch counter, an epoch tag never names
+// two different graphs.
 func (gm *GraphModule) snapshot(ctx *Ctx) error {
-	for {
-		var g *sharded.Graph
-		var v *sharded.View
-		gm.withGraph(func(cur *sharded.Graph) {
-			g = cur
-			v = cur.Snapshot()
-		})
-		gm.viewMu.Lock()
-		if gm.Graph() != g {
-			gm.viewMu.Unlock()
-			v.Release()
-			continue
-		}
-		gm.views = append(gm.views, ringEntry{g: g, v: v})
-		for len(gm.views) > gm.viewCap {
-			gm.views[0].v.Release()
-			gm.views = gm.views[1:]
-		}
-		gm.viewMu.Unlock()
-		ctx.ReplyInt(int64(v.Epoch()))
-		return nil
+	gm.viewMu.Lock()
+	v := gm.g.Snapshot()
+	gm.views = append(gm.views, v)
+	for len(gm.views) > gm.viewCap {
+		gm.views[0].Release()
+		gm.views = gm.views[1:]
 	}
+	gm.viewMu.Unlock()
+	ctx.ReplyInt(int64(v.Epoch()))
+	return nil
 }
 
-// snapshots lists the retained epochs of the current graph, oldest
-// first (stale entries awaiting releaseStaleViews are invisible).
+// snapshots lists the retained epochs, oldest first.
 func (gm *GraphModule) snapshots(ctx *Ctx) error {
-	cur := gm.Graph()
 	gm.viewMu.Lock()
 	defer gm.viewMu.Unlock()
-	epochs := ctx.ids[:0]
-	for _, e := range gm.views {
-		if e.g == cur {
-			epochs = append(epochs, e.v.Epoch())
-		}
-	}
-	ctx.ids = epochs
-	ctx.ReplyArrayHeader(len(epochs))
-	for _, e := range epochs {
-		ctx.ReplyInt(int64(e))
+	ctx.ReplyArrayHeader(len(gm.views))
+	for _, v := range gm.views {
+		ctx.ReplyInt(int64(v.Epoch()))
 	}
 	return nil
 }
@@ -74,14 +51,11 @@ func (gm *GraphModule) release(ctx *Ctx) error {
 	if !ok {
 		return &BadArgError{Cmd: ctx.Name, Detail: "bad epoch " + strconv.Quote(ctx.ArgString(0))}
 	}
-	cur := gm.Graph()
 	gm.viewMu.Lock()
 	defer gm.viewMu.Unlock()
-	for i, e := range gm.views {
-		// Only current-graph entries are addressable; a stale entry with
-		// a colliding epoch belongs to releaseStaleViews, not the client.
-		if e.g == cur && e.v.Epoch() == epoch {
-			e.v.Release()
+	for i, v := range gm.views {
+		if v.Epoch() == epoch {
+			v.Release()
 			gm.views = append(gm.views[:i], gm.views[i+1:]...)
 			ctx.ReplyInt(1)
 			return nil
@@ -113,8 +87,7 @@ func (gm *GraphModule) analyticsStore(epochArg string) (graphstore.Store, func()
 		}
 		return v, v.Release, nil
 	}
-	var v *sharded.View
-	gm.withGraph(func(g *sharded.Graph) { v = g.Snapshot() })
+	v := gm.g.Snapshot()
 	return v, v.Release, nil
 }
 

@@ -1,6 +1,7 @@
 package redislike
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -11,6 +12,10 @@ import (
 // Durability control plane: the WAL API methods and their command
 // handlers. Everything here serialises on walMu; the data plane never
 // touches it.
+
+// errReplicaLog refuses a local log on a replica: its durability is the
+// leader's log, and the stream is the only writer of its graph.
+var errReplicaLog = errors.New("a replica keeps no log of its own (it follows the leader's)")
 
 // WALErrorPolicy selects what a WAL storage failure does to the server
 // (cgserver -wal-on-error). The default, read-only, keeps the process
@@ -61,7 +66,7 @@ func (gm *GraphModule) WALErrorPolicyValue() WALErrorPolicy {
 // failure policy fires, and the caller takes back the drain's write
 // acknowledgements.
 func (gm *GraphModule) commit() error {
-	err := gm.Graph().Commit()
+	err := gm.g.Commit()
 	if err != nil {
 		gm.walFailed(err)
 	}
@@ -91,10 +96,14 @@ func (gm *GraphModule) walFailed(err error) {
 // checkpoint captures them so recovery of dir is complete on its own —
 // unless the graph is exactly the one RecoverWAL just rebuilt from this
 // same directory, in which case the directory already describes it and
-// the (full-snapshot-sized) checkpoint is skipped.
+// the (full-snapshot-sized) checkpoint is skipped. A replica refuses:
+// its log is the leader's.
 func (gm *GraphModule) EnableWAL(dir string, opts wal.Options) error {
 	gm.walMu.Lock()
 	defer gm.walMu.Unlock()
+	if gm.replica.Load() != nil {
+		return errReplicaLog
+	}
 	if gm.wal != nil {
 		return fmt.Errorf("wal already enabled in %s", gm.wal.Dir())
 	}
@@ -102,10 +111,9 @@ func (gm *GraphModule) EnableWAL(dir string, opts wal.Options) error {
 	if err != nil {
 		return err
 	}
-	g := gm.Graph()
+	g := gm.g
 	g.SetWAL(w)
-	r := gm.recovered
-	coveredByDir := r.g == g && r.dir == dir && g.Mutations() == r.muts
+	coveredByDir := gm.recovered.dir == dir && g.Mutations() == gm.recovered.muts
 	if g.NumEdges() > 0 && !coveredByDir {
 		if _, err := wal.Checkpoint(g, w); err != nil {
 			g.SetWAL(nil)
@@ -136,7 +144,7 @@ func (gm *GraphModule) ResumeWAL() error {
 		return fmt.Errorf("wal not enabled")
 	}
 	dir := gm.walDir
-	g := gm.Graph()
+	g := gm.g
 	// gm.wal is nil when a previous resume attempt already tore the
 	// poisoned log down but could not reopen it (disk still full) — the
 	// retry just goes straight to the reopen.
@@ -172,12 +180,16 @@ func (gm *GraphModule) ResumeWAL() error {
 // RecoverWAL rebuilds the graph from dir — newest checkpoint snapshot
 // plus log tail — and installs it. It must run before EnableWAL; the
 // usual boot sequence is RecoverWAL then EnableWAL on the same dir.
-// While the rebuild and swap are in flight the host server's loading
+// While the rebuild and restore are in flight the host server's loading
 // flag is up, so dispatch rejects write commands with -LOADING instead
-// of letting them race the swap (or land on the graph being replaced).
+// of acknowledging writes the restore would wipe. A replica refuses:
+// its graph is the leader's.
 func (gm *GraphModule) RecoverWAL(dir string) (wal.RecoverStats, error) {
 	gm.walMu.Lock()
 	defer gm.walMu.Unlock()
+	if gm.replica.Load() != nil {
+		return wal.RecoverStats{}, errReplicaLog
+	}
 	if gm.wal != nil {
 		return wal.RecoverStats{}, fmt.Errorf("wal enabled in %s; replay must happen before wal_enable", gm.wal.Dir())
 	}
@@ -185,16 +197,17 @@ func (gm *GraphModule) RecoverWAL(dir string) (wal.RecoverStats, error) {
 		s.SetLoading(true)
 		defer s.SetLoading(false)
 	}
-	g, stats, err := wal.Recover(dir, sharded.Config{})
+	g, stats, err := wal.Recover(dir, sharded.Config{Shards: gm.g.Shards()})
+	if err == nil {
+		err = gm.installGraph(g)
+	}
 	if err != nil {
 		gm.log.Error("wal recovery failed", "dir", dir, "err", err)
 		return stats, err
 	}
-	gm.installGraph(g)
-	gm.recovered.dir, gm.recovered.g = dir, g
-	gm.recovered.muts = g.Mutations()
+	gm.recovered.dir, gm.recovered.muts = dir, gm.g.Mutations()
 	gm.log.Info("wal recovered", "dir", dir,
-		"edges", g.NumEdges(), "records", stats.Replay.Records,
+		"edges", gm.g.NumEdges(), "records", stats.Replay.Records,
 		"segments", stats.Replay.Segments, "torn_bytes", stats.Replay.TornBytes,
 		"snapshot", stats.Snapshot)
 	return stats, nil
@@ -208,7 +221,7 @@ func (gm *GraphModule) Checkpoint() (string, error) {
 	if gm.wal == nil {
 		return "", fmt.Errorf("wal not enabled")
 	}
-	path, err := wal.Checkpoint(gm.Graph(), gm.wal)
+	path, err := wal.Checkpoint(gm.g, gm.wal)
 	if err != nil {
 		gm.log.Error("checkpoint failed", "err", err)
 		return "", err
@@ -227,7 +240,7 @@ func (gm *GraphModule) CloseWAL() error {
 	if gm.wal == nil {
 		return nil
 	}
-	gm.Graph().SetWAL(nil)
+	gm.g.SetWAL(nil)
 	// Clear the lock-free mirror BEFORE closing: a /metrics or G.INFO
 	// scrape that loads the pointer must never observe a WAL that Close
 	// is tearing down. (Stats on a closed WAL is also well-defined —
@@ -266,7 +279,7 @@ func (gm *GraphModule) walReplay(ctx *Ctx) error {
 		return &WALError{Cmd: ctx.Name, Err: err}
 	}
 	ctx.ReplyBulkString(fmt.Sprintf("edges=%d records=%d segments=%d torn_bytes=%d snapshot=%s",
-		gm.Graph().NumEdges(), stats.Replay.Records, stats.Replay.Segments,
+		gm.g.NumEdges(), stats.Replay.Records, stats.Replay.Segments,
 		stats.Replay.TornBytes, stats.Snapshot))
 	return nil
 }

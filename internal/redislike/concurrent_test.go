@@ -88,7 +88,7 @@ func TestConcurrentDispatch(t *testing.T) {
 }
 
 // TestInstallGraphDoesNotDropInFlightWrites restores snapshots into the
-// SAME module — sharded.Load, then installGraph, the one swap routine —
+// SAME module — sharded.Load, then installGraph, the one restore routine —
 // while writers keep inserting: once a writer's insert has been
 // acknowledged after the final restore, it must be queryable — an
 // insert may never land on a discarded pre-restore graph.

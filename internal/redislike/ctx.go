@@ -6,13 +6,11 @@ import (
 
 	"cuckoograph/internal/core"
 	"cuckoograph/internal/resp"
-	"cuckoograph/internal/sharded"
 )
 
 // Ctx carries one command invocation to its handler: the resolved name,
 // the arguments (name excluded, arity already validated against the
-// registration), the graph handle for data-plane commands, the
-// originating connection's state, and the reply writer. One Ctx lives
+// registration) and the reply writer. One Ctx lives
 // per connection and is reused across every command it serves — the
 // scratch fields below are what make the hot data-plane commands
 // allocation-free.
@@ -23,15 +21,6 @@ type Ctx struct {
 	// connection's read buffer — valid only for the handler's duration.
 	// Handlers that retain an argument must copy it.
 	Args [][]byte
-
-	// Graph is the current graph, resolved under the module's swap lock
-	// for the duration of the handler. It is set only for commands
-	// registered through the graph module's data-plane wrapper; control-
-	// plane handlers coordinate their own graph access and swap locking.
-	Graph *sharded.Graph
-
-	// Conn is the state of the connection the command arrived on.
-	Conn *ConnState
 
 	srv *Server
 	w   *resp.Writer

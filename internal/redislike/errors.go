@@ -67,7 +67,7 @@ func (e *WALError) Error() string { return e.Cmd + ": wal: " + e.Err.Error() }
 func (e *WALError) Unwrap() error { return e.Err }
 
 // LoadingError rejects a write-flagged command while a recovery
-// (wal_replay) is rebuilding and swapping the graph.
+// (wal_replay) is rebuilding and restoring the graph.
 type LoadingError struct{}
 
 func (e *LoadingError) Error() string {

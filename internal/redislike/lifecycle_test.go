@@ -244,42 +244,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestConnStateCounts: handlers see per-connection state through Ctx.
-func TestConnStateCounts(t *testing.T) {
-	s := NewServer()
-	seen := make(chan uint64, 1)
-	err := s.Registry().Register(&Command{
-		Name: "t.conn", Arity: Exactly(0),
-		Handler: func(ctx *Ctx) error {
-			if ctx.Conn == nil {
-				seen <- 0
-			} else {
-				seen <- ctx.Conn.Commands
-			}
-			ctx.ReplySimple("OK")
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	p := dialPipe(t, addr)
-	p.push("PING")
-	p.push("t.conn")
-	p.flush()
-	p.read()
-	p.read()
-	if got := <-seen; got != 2 {
-		t.Fatalf("ConnState.Commands = %d, want 2", got)
-	}
-}
-
 // flakyListener fails every Accept — EMFILE-shaped: a temporary
 // condition on a live listener — except when a connection is queued,
 // and records when each call was made and whether it succeeded.

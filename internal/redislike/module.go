@@ -15,21 +15,20 @@ import (
 // batching, snapshots, analytics, durability control and replication.
 // Whole-graph state leaves through View.Save (the checkpoint file is
 // §V-F's RDB, the replication bootstrap the same bytes on a socket) and
-// a graph sharded.Load or wal.Recover built from it becomes current
-// through installGraph alone. The graph is the sharded concurrent
+// a graph sharded.Load or wal.Recover built from it comes back in
+// through installGraph alone, which replaces the contents of the one
+// graph the module ever has. The graph is the sharded concurrent
 // engine, so handlers need no per-command mutual exclusion: commands on
 // different source nodes run in parallel, each taking only the owning
-// shard's lock. swapMu (read-locked by every data-plane handler via
-// dataCmd, write-locked only by installGraph) exists solely so a swap
-// cannot take the graph out from under an in-flight command — without
-// it an acknowledged write could land on the discarded graph.
+// shard's lock; a restore freezes every shard to replace the contents.
 //
 // Commands are registered through the Command registry (see
 // moduleCommands); the registrations carry the arity and flag metadata
 // the server enforces and introspects.
 type GraphModule struct {
-	swapMu sync.RWMutex
-	g      *sharded.Graph
+	// g is assigned once, by NewGraphModule; a restore replaces its
+	// contents, never the handle.
+	g *sharded.Graph
 
 	// srv is the server this module is loaded into (nil until
 	// LoadModule, which runs before Listen): the path to the server's
@@ -60,10 +59,9 @@ type GraphModule struct {
 	// describes that exact graph. muts is the graph's monotonic applied-
 	// mutation counter at recovery time — comparing it (rather than
 	// edge/node counts, which an insert/delete pair can leave unchanged)
-	// is what proves nothing was written in between.
+	// is what proves nothing was written — or installed — in between.
 	recovered struct {
 		dir  string
-		g    *sharded.Graph
 		muts uint64
 	}
 
@@ -80,18 +78,11 @@ type GraphModule struct {
 	// of retained snapshot views. g.snapshot appends (releasing the
 	// oldest past viewCap), g.release drops one, and the epoch-tagged
 	// analytics commands resolve epochs against it. Bounding the ring
-	// bounds the copy-on-write state retained views can pin. Each entry
-	// records the graph it froze so a restore purges exactly the
-	// replaced graph's views (see releaseStaleViews).
+	// bounds the copy-on-write state retained views can pin. A restore
+	// empties it (see installGraph).
 	viewMu  sync.Mutex
-	views   []ringEntry
+	views   []*sharded.View
 	viewCap int
-}
-
-// ringEntry pairs a retained view with the graph it froze.
-type ringEntry struct {
-	g *sharded.Graph
-	v *sharded.View
 }
 
 // DefaultSnapshotRing is how many snapshot epochs the module retains
@@ -110,35 +101,33 @@ func NewGraphModule() (*GraphModule, *Module) {
 
 // moduleCommands is the module's registry contribution: one Command per
 // served name, with the arity and flags dispatch enforces and COMMAND /
-// G.INFO report. Data-plane commands go through dataCmd, which resolves
-// the graph handle into the Ctx under the swap lock; control-plane
-// commands coordinate their own locking.
+// G.INFO report.
 func (gm *GraphModule) moduleCommands() []*Command {
 	return []*Command{
 		{Name: "g.insert", Arity: Exactly(2), Flags: FlagWrite,
 			Summary: "insert edge <u> <v>; replies 1 if newly added",
-			Handler: gm.dataCmd(gm.insert)},
+			Handler: gm.insert},
 		{Name: "g.del", Arity: Exactly(2), Flags: FlagWrite,
 			Summary: "delete edge <u> <v>; replies 1 if removed",
-			Handler: gm.dataCmd(gm.del)},
+			Handler: gm.del},
 		{Name: "g.minsert", Arity: AtLeast(2), Flags: FlagWrite,
 			Summary: "batched insert of <u> <v> pairs; replies with edges added",
-			Handler: gm.dataCmd(gm.minsert)},
+			Handler: gm.minsert},
 		{Name: "g.mdel", Arity: AtLeast(2), Flags: FlagWrite,
 			Summary: "batched delete of <u> <v> pairs; replies with edges removed",
-			Handler: gm.dataCmd(gm.mdel)},
+			Handler: gm.mdel},
 		{Name: "g.query", Arity: Exactly(2), Flags: FlagRead,
 			Summary: "edge membership of <u> <v>",
-			Handler: gm.dataCmd(gm.query)},
+			Handler: gm.query},
 		{Name: "g.getneighbors", Arity: Exactly(1), Flags: FlagRead,
 			Summary: "successors of <u>",
-			Handler: gm.dataCmd(gm.getNeighbors)},
+			Handler: gm.getNeighbors},
 		{Name: "g.degree", Arity: Exactly(1), Flags: FlagRead,
 			Summary: "out-degree of <u>",
-			Handler: gm.dataCmd(gm.degree)},
+			Handler: gm.degree},
 		{Name: "g.nodes", Arity: Exactly(0), Flags: FlagRead,
 			Summary: "every node with at least one out-edge",
-			Handler: gm.dataCmd(gm.nodes)},
+			Handler: gm.nodes},
 		{Name: "g.snapshot", Arity: Exactly(0), Flags: FlagAdmin,
 			Summary: "freeze a consistent view; replies with its epoch",
 			Handler: gm.snapshot},
@@ -179,34 +168,7 @@ func (gm *GraphModule) moduleCommands() []*Command {
 }
 
 // Graph exposes the underlying sharded graph for in-process inspection.
-func (gm *GraphModule) Graph() *sharded.Graph {
-	gm.swapMu.RLock()
-	defer gm.swapMu.RUnlock()
-	return gm.g
-}
-
-// withGraph runs f on the current graph while holding the swap lock in
-// read mode, so installGraph cannot replace the graph mid-command.
-func (gm *GraphModule) withGraph(f func(g *sharded.Graph)) {
-	gm.swapMu.RLock()
-	defer gm.swapMu.RUnlock()
-	f(gm.g)
-}
-
-// dataCmd wraps a data-plane handler: the current graph is resolved
-// into ctx.Graph under the swap lock for the duration of the handler,
-// so a restore cannot swap the graph mid-command. Control-plane
-// handlers (snapshots, wal, info) must NOT use it — they take swapMu or
-// walMu themselves, and holding the read lock across them could
-// deadlock against a writer.
-func (gm *GraphModule) dataCmd(h HandlerFunc) HandlerFunc {
-	return func(ctx *Ctx) error {
-		gm.swapMu.RLock()
-		defer gm.swapMu.RUnlock()
-		ctx.Graph = gm.g
-		return h(ctx)
-	}
-}
+func (gm *GraphModule) Graph() *sharded.Graph { return gm.g }
 
 // Close is the module's ordered teardown, run by Shutdown after the
 // connection drain: release every retained snapshot view (so the ring
@@ -220,10 +182,7 @@ func (gm *GraphModule) Close() error {
 	}
 	gm.viewMu.Lock()
 	released := len(gm.views)
-	for _, e := range gm.views {
-		e.v.Release()
-	}
-	gm.views = nil
+	gm.releaseRing()
 	gm.viewMu.Unlock()
 	if released > 0 {
 		gm.log.Info("released snapshot ring", "views", released)
@@ -243,64 +202,51 @@ func (gm *GraphModule) SetSnapshotRing(n int) {
 	defer gm.viewMu.Unlock()
 	gm.viewCap = n
 	for len(gm.views) > n {
-		gm.views[0].v.Release()
+		gm.views[0].Release()
 		gm.views = gm.views[1:]
 	}
 }
 
-// releaseStaleViews drops every retained view whose graph is no longer
-// the module's current one — the cleanup step after a restore or
-// recovery swap. Purging by owner rather than wholesale matters: a
-// g.snapshot of the NEW graph can land in the ring between the swap
-// and this purge, and its epoch has already been handed to a client,
-// so it must survive.
-func (gm *GraphModule) releaseStaleViews() {
-	cur := gm.Graph()
-	gm.viewMu.Lock()
-	defer gm.viewMu.Unlock()
-	kept := gm.views[:0]
-	for _, e := range gm.views {
-		if e.g == cur {
-			kept = append(kept, e)
-		} else {
-			e.v.Release()
-		}
+// releaseRing releases every retained view and empties the ring; the
+// caller holds viewMu.
+func (gm *GraphModule) releaseRing() {
+	for _, v := range gm.views {
+		v.Release()
 	}
-	gm.views = kept
+	gm.views = nil
 }
 
-// viewAt resolves a retained view of the CURRENT graph by epoch,
-// adding a reference for the caller. Retaining under viewMu is what
-// makes it safe: a ring entry always carries the ring's own reference
-// while listed, so the view cannot reach zero — and start panicking
-// readers — between the lookup and the Retain, however the
-// release/evict commands race. Matching on the owner graph matters
-// during a restore: until releaseStaleViews finishes, the ring can
-// transiently hold views of the replaced graph whose epochs collide
-// with the fresh graph's restarted numbering, and those must never be
-// served. The caller must Release the reference when done.
+// viewAt resolves a retained view by epoch, adding a reference for the
+// caller. Retaining under viewMu is what makes it safe: a ring entry
+// always carries the ring's own reference while listed, so the view
+// cannot reach zero — and start panicking readers — between the lookup
+// and the Retain, however the release/evict commands race. The caller
+// must Release the reference when done.
 func (gm *GraphModule) viewAt(epoch uint64) *sharded.View {
-	cur := gm.Graph()
 	gm.viewMu.Lock()
 	defer gm.viewMu.Unlock()
-	for _, e := range gm.views {
-		if e.g == cur && e.v.Epoch() == epoch {
-			e.v.Retain()
-			return e.v
+	for _, v := range gm.views {
+		if v.Epoch() == epoch {
+			v.Retain()
+			return v
 		}
 	}
 	return nil
 }
 
-// installGraph wholesale-replaces the module's graph — the one swap
-// routine, behind the follower's bootstrap and RecoverWAL. It swaps
-// under the write lock, so no in-flight command straddles it, and purges
-// the views frozen on the replaced graph: time travel does not survive
-// a restore. It never touches the WAL: a replica has none (its log is
-// the leader's), and recovery runs before the log is enabled.
-func (gm *GraphModule) installGraph(g *sharded.Graph) {
-	gm.swapMu.Lock()
-	gm.g = g
-	gm.swapMu.Unlock()
-	gm.releaseStaleViews()
+// installGraph makes g's contents the module's graph — the one restore
+// routine, behind the follower's bootstrap and RecoverWAL; g is
+// consumed. Replace freezes every shard, so no in-flight command
+// straddles it, and keeps the epoch counter, so no epoch names two
+// graphs. The ring is emptied in the same viewMu hold: time travel does
+// not survive a restore. installGraph never touches the WAL: a replica
+// has none, and recovery runs before the log is enabled.
+func (gm *GraphModule) installGraph(g *sharded.Graph) error {
+	gm.viewMu.Lock()
+	defer gm.viewMu.Unlock()
+	if err := gm.g.Replace(g); err != nil {
+		return err
+	}
+	gm.releaseRing()
+	return nil
 }

@@ -12,7 +12,7 @@ type Flags uint32
 
 const (
 	// FlagWrite marks a command that mutates the dataset. Write commands
-	// are rejected with -LOADING while a recovery swap is in progress.
+	// are rejected with -LOADING while a recovery is in progress.
 	FlagWrite Flags = 1 << iota
 	// FlagRead marks a command that reads the dataset.
 	FlagRead

@@ -203,7 +203,7 @@ func (gm *GraphModule) streamTo(srv *Server, rc *resp.Conn, w *wal.WAL, pos wal.
 		// floors retention at the follower's old position, or 0 on
 		// bootstrap) is moved up only after the cut exists.
 		var cut uint64
-		v, cerr := gm.Graph().SnapshotCut(func() (rerr error) {
+		v, cerr := gm.g.SnapshotCut(func() (rerr error) {
 			cut, rerr = w.Rotate()
 			return rerr
 		})

@@ -253,7 +253,7 @@ func (r *Replica) applyPush(br *bufio.Reader, batch core.Batch) (core.Batch, boo
 				size, edges, want)
 		}
 		lr := &io.LimitedReader{R: br, N: int64(size)}
-		g, err := sharded.Load(lr, sharded.Config{})
+		g, err := sharded.Load(lr, sharded.Config{Shards: r.gm.g.Shards()})
 		if err != nil {
 			return batch, false, fmt.Errorf("bootstrap snapshot: %w", err)
 		}
@@ -261,14 +261,17 @@ func (r *Replica) applyPush(br *bufio.Reader, batch core.Batch) (core.Batch, boo
 			return batch, false, fmt.Errorf("bootstrap snapshot: %d announced bytes left unread", lr.N)
 		}
 		// Counted before it shows: whoever sees the new state sees it
-		// counted.
+		// counted. g has the module graph's shard count, which is all
+		// the install can refuse.
 		r.bytes.Add(size)
 		r.snapshots.Add(1)
-		r.gm.installGraph(g)
+		if err := r.gm.installGraph(g); err != nil {
+			return batch, false, fmt.Errorf("bootstrap snapshot: %w", err)
+		}
 		r.posSeg.Store(cut)
 		r.posOff.Store(uint64(wal.SegmentDataStart))
 		r.log.Info("bootstrap snapshot installed",
-			"bytes", size, "edges", g.NumEdges(), "cut_segment", cut)
+			"bytes", size, "edges", r.gm.g.NumEdges(), "cut_segment", cut)
 	case replKindFrames:
 		if len(v.Array) != 4 {
 			return batch, false, fmt.Errorf("malformed frames frame (%d elements)", len(v.Array))
@@ -297,7 +300,7 @@ func (r *Replica) applyPush(br *bufio.Reader, batch core.Batch) (core.Batch, boo
 		r.bytes.Add(uint64(len(data)))
 		r.frames.Add(1)
 		r.ops.Add(uint64(len(batch)))
-		r.gm.withGraph(func(g *sharded.Graph) { g.ApplyBatch(batch) })
+		r.gm.g.ApplyBatch(batch)
 		r.posSeg.Store(fseg)
 		r.posOff.Store(foff + uint64(len(data)))
 	case replKindPing:

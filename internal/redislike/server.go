@@ -8,7 +8,7 @@
 // Every command is a Command registration — name, arity spec, flags,
 // handler — and dispatch is entirely registry-driven: arity is enforced
 // before the handler runs, write-flagged commands are rejected while a
-// recovery swap is loading, and the COMMAND/G.INFO introspection output
+// recovery is loading, and the COMMAND/G.INFO introspection output
 // is generated from the same registrations. Handlers return typed
 // errors (see errors.go) that dispatch maps onto RESP error classes, so
 // a failure is always a well-formed reply in pipeline order.
@@ -72,17 +72,6 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// ConnState is the per-connection state handed to handlers through Ctx.
-type ConnState struct {
-	// RemoteAddr is the peer address.
-	RemoteAddr string
-	// ConnectedAt is when the connection was admitted.
-	ConnectedAt time.Time
-	// Commands counts commands served on this connection. It is written
-	// only by the connection's serve goroutine.
-	Commands uint64
-}
-
 // Module is the opaque handle NewGraphModule returns for LoadModule. It
 // exists so that the `gm, mod := NewGraphModule(); srv.LoadModule(mod)`
 // call shape of the binaries and the benchmark harness keeps compiling.
@@ -103,7 +92,7 @@ type Server struct {
 	// reply flush, collectMetrics on every scrape, Close at Shutdown.
 	gm *GraphModule
 
-	// loading is set while a recovery (wal_replay) rebuilds and swaps
+	// loading is set while a recovery (wal_replay) rebuilds and restores
 	// the graph; dispatch rejects write-flagged commands with -LOADING
 	// for its duration.
 	loading atomic.Bool
@@ -431,14 +420,14 @@ func (s *Server) serve(nc net.Conn) {
 	}
 	defer c.Close()
 	defer s.untrack(c)
-	cs := &ConnState{RemoteAddr: c.RemoteAddr(), ConnectedAt: time.Now()}
+	remote, commands := c.RemoteAddr(), 0
 	// One Ctx per connection, reused across every command it serves:
 	// its scratch buffers are what keep the command cycle allocation-
 	// free once warm.
-	ctx := &Ctx{srv: s, w: &c.W, Conn: cs, rc: c}
-	s.log.Debug("connection accepted", "remote", cs.RemoteAddr)
+	ctx := &Ctx{srv: s, w: &c.W, rc: c}
+	s.log.Debug("connection accepted", "remote", remote)
 	defer func() {
-		s.log.Debug("connection closed", "remote", cs.RemoteAddr, "commands", cs.Commands)
+		s.log.Debug("connection closed", "remote", remote, "commands", commands)
 	}()
 	for {
 		req, err := c.ReadRequest()
@@ -449,9 +438,9 @@ func (s *Server) serve(nc net.Conn) {
 				perr := &BadArgError{Cmd: "protocol", Detail: err.Error()}
 				c.W.AppendError(errorClass(perr) + " " + perr.Error())
 				s.flush(ctx)
-				s.log.Debug("protocol error", "remote", cs.RemoteAddr, "err", err)
+				s.log.Debug("protocol error", "remote", remote, "err", err)
 			} else if !errors.Is(err, io.EOF) && !errors.Is(err, resp.ErrAborted) {
-				s.log.Debug("read failed", "remote", cs.RemoteAddr, "err", err)
+				s.log.Debug("read failed", "remote", remote, "err", err)
 			}
 			// A client that went away mid-pipeline may have staged writes
 			// whose replies it will never read; commit them all the same,
@@ -459,7 +448,7 @@ func (s *Server) serve(nc net.Conn) {
 			s.commit(ctx)
 			return
 		}
-		cs.Commands++
+		commands++
 		if c.Filled() {
 			// The read may have waited on the client: the previous
 			// command's end stamp is not this one's start.
@@ -480,7 +469,7 @@ func (s *Server) serve(nc net.Conn) {
 		// reply buffer passes the high-water mark.
 		if c.Buffered() == 0 || c.W.Len() >= flushHighWater {
 			if err := s.flush(ctx); err != nil {
-				s.log.Debug("flush failed", "remote", cs.RemoteAddr, "err", err)
+				s.log.Debug("flush failed", "remote", remote, "err", err)
 				return
 			}
 		}
@@ -565,7 +554,6 @@ func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 	default:
 		ctx.Name = cmd.Name
 		ctx.Args = args[1:]
-		ctx.Graph = nil
 		ctx.hijacked, ctx.staged = false, false
 		mark := w.Mark()
 		before := w.Len()

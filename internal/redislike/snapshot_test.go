@@ -219,3 +219,30 @@ func TestInstallGraphReleasesRetainedViews(t *testing.T) {
 		t.Fatalf("old graph still has %d live views after restore", old.LiveViews())
 	}
 }
+
+// TestEpochsDoNotRepeatAcrossRestore: a restore keeps the graph's epoch
+// counter, so an epoch tag handed out before it can never name a view
+// of the restored contents — the next g.snapshot gets a greater epoch,
+// and the old one is gone with the emptied ring.
+func TestEpochsDoNotRepeatAcrossRestore(t *testing.T) {
+	srv, gm := newGraphServer(t)
+	dispatch(srv, "g.insert", "1", "2")
+	first := mustInt(t, dispatch(srv, "g.snapshot"))
+	g, err := sharded.Load(bytes.NewReader(saveGraph(t, gm)), sharded.Config{})
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if err := gm.installGraph(g); err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	second := mustInt(t, dispatch(srv, "g.snapshot"))
+	if second <= first {
+		t.Fatalf("epoch %d after the restore does not exceed %d before it", second, first)
+	}
+	if got := dispatch(srv, "g.snapshots").Array; len(got) != 1 || got[0].Int != second {
+		t.Fatalf("g.snapshots = %+v, want only [%d]", got, second)
+	}
+	if v := dispatch(srv, "graph.bfs", "1", fmt.Sprint(first)); v.Type != '-' {
+		t.Fatalf("graph.bfs at pre-restore epoch %d = %+v, want an error", first, v)
+	}
+}

@@ -249,3 +249,22 @@ func TestCountNeutralMutationsBetweenRecoverAndEnable(t *testing.T) {
 		t.Fatal("edge (1,2) deleted between recover and enable resurrected")
 	}
 }
+
+// TestReplicaRefusesLocalWAL: a replica's log is the leader's, so the
+// command surface refuses a local one just as cgserver's flags do —
+// and a restore on it (wal_replay) with it.
+func TestReplicaRefusesLocalWAL(t *testing.T) {
+	s, gm, _ := startGraphServer(t, Config{})
+	r := StartReplica(gm, "127.0.0.1:1")
+	t.Cleanup(r.Stop)
+	dir := t.TempDir()
+	if got := dispatch(s, "wal_enable", dir, "nosync"); got.Type != '-' {
+		t.Fatalf("wal_enable on a replica = %+v, want an error", got)
+	}
+	if gm.walPtr.Load() != nil {
+		t.Fatal("a refused wal_enable left a WAL attached")
+	}
+	if got := dispatch(s, "wal_replay", dir); got.Type != '-' {
+		t.Fatalf("wal_replay on a replica = %+v, want an error", got)
+	}
+}

@@ -67,40 +67,15 @@ const (
 	MaxLineBytes = 64 << 10
 )
 
-// Write encodes v to w.
+// Write encodes v to w through Writer.AppendValue, the serving plane's
+// encoder, appending into w's free buffer space so that a value that
+// fits costs no allocation. An invalid Value encodes as AppendValue's
+// error reply.
 func Write(w *bufio.Writer, v Value) error {
-	switch v.Type {
-	case '+', '-':
-		if _, err := fmt.Fprintf(w, "%c%s\r\n", v.Type, v.Str); err != nil {
-			return err
-		}
-	case ':':
-		if _, err := fmt.Fprintf(w, ":%d\r\n", v.Int); err != nil {
-			return err
-		}
-	case '$':
-		if v.Null {
-			if _, err := w.WriteString("$-1\r\n"); err != nil {
-				return err
-			}
-			return nil
-		}
-		if _, err := fmt.Fprintf(w, "$%d\r\n%s\r\n", len(v.Str), v.Str); err != nil {
-			return err
-		}
-	case '*':
-		if _, err := fmt.Fprintf(w, "*%d\r\n", len(v.Array)); err != nil {
-			return err
-		}
-		for _, item := range v.Array {
-			if err := Write(w, item); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("%w: unknown type %q", ErrProtocol, v.Type)
-	}
-	return nil
+	e := Writer{buf: w.AvailableBuffer()}
+	e.AppendValue(v)
+	_, err := w.Write(e.buf)
+	return err
 }
 
 // Read decodes one value from r.

@@ -1,6 +1,7 @@
 package sharded
 
 import (
+	"fmt"
 	"io"
 	"slices"
 	"sort"
@@ -28,12 +29,13 @@ import (
 // is ever copied. One preserved pre-image is shared by every live view
 // that needs it, so N views cost one copy per changed node, not N.
 //
-// Reads resolve the overlay first and fall through to the live shard
-// (under its read lock) for untouched nodes, so a view is always
-// bit-identical to the graph as it stood at the view's epoch while
-// writers proceed at full speed. Release drops the view from every
-// shard's registry; everything it pinned becomes collectable
-// immediately. Using a view after Release panics.
+// Reads resolve the overlay first and fall through to the engine the
+// shard held at the epoch (under the shard's read lock) for untouched
+// nodes, so a view is always bit-identical to the graph as it stood at
+// the view's epoch while writers proceed at full speed — a Replace
+// included. Release drops the view from every shard's registry;
+// everything it pinned becomes collectable immediately. Using a view
+// after Release panics.
 //
 // View implements graphstore.Store so the whole analytics suite runs on
 // frozen views; its mutating methods panic.
@@ -42,6 +44,11 @@ type View struct {
 	epoch uint64
 	nodes uint64
 	edges uint64
+
+	// engines[i] is the core engine shard i held at the view's epoch.
+	// Every view read goes through it, not the shard's current engine,
+	// so a Replace after the epoch leaves the view exact.
+	engines []*core.Graph
 
 	// overlays[i] is the copy-on-write state for shard i: the frozen
 	// adjacency of every node shard i mutated since the view's epoch. A
@@ -134,7 +141,37 @@ func (g *Graph) ViewStats() ViewStats {
 // snapshot-plus-log-tail recovery and the replication bootstrap depend
 // on. The freeze covers only the cut: View.Save afterwards holds no
 // shard lock across an emit, so however long it takes stalls no writer.
-func (g *Graph) SnapshotCut(cut func() error) (*View, error) {
+func (g *Graph) SnapshotCut(cut func() error) (v *View, err error) {
+	g.frozen(func() {
+		if cut != nil {
+			if err = cut(); err != nil {
+				return
+			}
+		}
+		v = &View{
+			g:        g,
+			epoch:    g.epoch.Add(1),
+			nodes:    g.nodes.Load(),
+			edges:    g.edges.Load(),
+			engines:  make([]*core.Graph, len(g.shards)),
+			overlays: make([]map[uint64][]uint64, len(g.shards)),
+		}
+		v.refs.Store(1)
+		for i := range g.shards {
+			v.engines[i] = g.shards[i].g
+			v.overlays[i] = make(map[uint64][]uint64)
+			g.shards[i].views = append(g.shards[i].views, v)
+			g.shards[i].viewGen++
+		}
+		g.liveViews.Add(1)
+	})
+	return v, err
+}
+
+// frozen runs f inside the freeze SnapshotCut and Replace share:
+// multi-shard batches excluded (snapMu) and every shard's write lock
+// held, taken in shard order.
+func (g *Graph) frozen(f func()) {
 	g.snapMu.Lock()
 	defer g.snapMu.Unlock()
 	for i := range g.shards {
@@ -145,26 +182,34 @@ func (g *Graph) SnapshotCut(cut func() error) (*View, error) {
 			g.shards[i].mu.Unlock()
 		}
 	}()
-	if cut != nil {
-		if err := cut(); err != nil {
-			return nil, err
+	f()
+}
+
+// Replace makes src's contents the graph's, in place: inside the freeze
+// SnapshotCut takes, each shard takes src's engine and the edge and
+// node counts follow, so a shard lock hold or a multi-shard batch sees
+// the old contents or src's, never a mix. The handle keeps its epoch counter, its Logger
+// and its live views; a view reads the engines it froze (View.engines),
+// so it stays exact. Mutations moves by src's count plus one, so even
+// an empty src shows as a change. Replace logs nothing. src is
+// consumed: it must have no live views and no other user. A src with a
+// different shard count is refused and nothing changes.
+func (g *Graph) Replace(src *Graph) error {
+	if len(src.shards) != len(g.shards) {
+		return fmt.Errorf("sharded: replace a %d-shard graph with a %d-shard one", len(g.shards), len(src.shards))
+	}
+	g.frozen(func() {
+		for i := range g.shards {
+			sh := &g.shards[i]
+			sh.g, src.shards[i].g = src.shards[i].g, nil
+			sh.views = nil
+			sh.viewGen++
 		}
-	}
-	v := &View{
-		g:        g,
-		epoch:    g.epoch.Add(1),
-		nodes:    g.nodes.Load(),
-		edges:    g.edges.Load(),
-		overlays: make([]map[uint64][]uint64, len(g.shards)),
-	}
-	v.refs.Store(1)
-	for i := range g.shards {
-		v.overlays[i] = make(map[uint64][]uint64)
-		g.shards[i].views = append(g.shards[i].views, v)
-		g.shards[i].viewGen++
-	}
-	g.liveViews.Add(1)
-	return v, nil
+		g.edges.Store(src.edges.Load())
+		g.nodes.Store(src.nodes.Load())
+		g.muts.Add(src.muts.Load() + 1)
+	})
+	return nil
 }
 
 // cowHook builds shard si's copy-on-write hook, the before argument of
@@ -297,7 +342,7 @@ func (v *View) HasEdge(u, w uint64) bool {
 		}
 		return false
 	}
-	return sh.g.HasEdge(u, w)
+	return v.engines[si].HasEdge(u, w)
 }
 
 // ForEachSuccessor calls fn for each successor u had at the view's
@@ -343,7 +388,7 @@ func (v *View) successorsInto(u uint64, scratch []uint64) (succ []uint64, fromOv
 	sh.mu.RLock()
 	succ, fromOverlay = v.overlays[si][u]
 	if !fromOverlay {
-		succ = sh.g.AppendSuccessors(u, scratch[:0])
+		succ = v.engines[si].AppendSuccessors(u, scratch[:0])
 	}
 	sh.mu.RUnlock()
 	return succ, fromOverlay
@@ -360,9 +405,9 @@ func (v *View) Degree(u uint64) int {
 	if succ, ok := v.overlays[si][u]; ok {
 		return len(succ)
 	}
-	// Untouched cell: the live engine's O(R) population counters are
+	// Untouched cell: the frozen engine's O(R) population counters are
 	// the view's truth too.
-	return sh.g.Degree(u)
+	return v.engines[si].Degree(u)
 }
 
 // ForEachNode calls fn for every node that had at least one out-edge at
@@ -379,8 +424,8 @@ func (v *View) ForEachNode(fn func(u uint64) bool) {
 	}
 }
 
-// shardNodes resolves shard si's node set at the view's epoch: the live
-// nodes not overridden by the overlay, plus the overlaid nodes that
+// shardNodes resolves shard si's node set at the view's epoch: the
+// frozen engine's nodes not overridden by the overlay, plus the overlaid nodes that
 // existed at the epoch (non-empty pre-image). Any node whose membership
 // changed after the epoch was necessarily mutated, hence overlaid, so
 // the merge is exact. The set is appended to dst.
@@ -388,10 +433,10 @@ func (v *View) shardNodes(si int, dst []uint64) []uint64 {
 	sh := &v.g.shards[si]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ov := v.overlays[si]
+	ov, eng := v.overlays[si], v.engines[si]
 	// An upper bound on the epoch's node set: at most one allocation under the lock.
-	nodes := slices.Grow(dst, int(sh.g.NumNodes())+len(ov))
-	sh.g.ForEachNode(func(u uint64) bool {
+	nodes := slices.Grow(dst, int(eng.NumNodes())+len(ov))
+	eng.ForEachNode(func(u uint64) bool {
 		if _, overlaid := ov[u]; !overlaid {
 			nodes = append(nodes, u)
 		}
@@ -452,7 +497,7 @@ func (v *View) ScanShard(si int, sc *csr.ShardScan) {
 	v.check()
 	sc.Nodes = v.shardNodes(si, sc.Nodes[:0])
 	sc.Counts, sc.Succs = sc.Counts[:0], sc.Succs[:0]
-	sh := &v.g.shards[si]
+	sh, eng := &v.g.shards[si], v.engines[si]
 	for rest := sc.Nodes; len(rest) > 0; {
 		chunk := rest[:min(scanChunk, len(rest))]
 		rest = rest[len(chunk):]
@@ -463,7 +508,7 @@ func (v *View) ScanShard(si int, sc *csr.ShardScan) {
 			if pre, ok := ov[u]; ok { // an empty overlay answers before hashing
 				sc.Succs = append(sc.Succs, pre...)
 			} else {
-				sc.Succs = sh.g.AppendSuccessors(u, sc.Succs)
+				sc.Succs = eng.AppendSuccessors(u, sc.Succs)
 			}
 			sc.Counts = append(sc.Counts, int32(len(sc.Succs)-n0))
 		}

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of WAL-shipping replication: build cgserver and
 # cgcli, boot a leader with WAL durability and a follower with
-# -replica-of, bulk-load the leader, wait for the follower to converge,
-# assert the follower rejects writes with -READONLY, checkpoint the
-# leader (log compaction) and converge again, start a SECOND follower
-# whose bootstrap the compaction forces through the streamed snapshot,
-# then SIGTERM all three and assert clean drains.
+# -replica-of, assert the follower refuses a log of its own (wal_enable),
+# bulk-load the leader, wait for the follower to converge, assert the
+# follower rejects writes with -READONLY, checkpoint the leader (log
+# compaction) and converge again, start a SECOND follower whose
+# bootstrap the compaction forces through the streamed snapshot, then
+# SIGTERM all three and assert clean drains.
 #
 # Usage: scripts/repl_smoke.sh [workdir]
 set -euo pipefail
@@ -71,6 +72,14 @@ echo "== flag conflicts rejected"
 if "$work/cgserver" -addr 127.0.0.1:16399 -replica-of "$laddr" -wal-dir "$work/bad" >/dev/null 2>&1; then
   fail "-replica-of with -wal-dir was accepted"
 fi
+
+echo "== follower refuses a log of its own"
+out=$(fcli wal_enable "$work/replica-wal" nosync 2>&1) || true
+case "$out" in
+  "(error) "*) ;;
+  *) fail "replica answered wal_enable with '$out', want an error" ;;
+esac
+[ ! -e "$work/replica-wal" ] || fail "a refused wal_enable created its directory"
 
 echo "== bulk load the leader"
 # 20k edges in batched g.minsert calls: 100 calls x 200 edges.
