@@ -77,13 +77,13 @@ func main() {
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:6380", "listen address")
 	walDir := flag.String("wal-dir", "", "durability directory (write-ahead log + checkpoints); empty disables")
-	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always (group commit), nosync (page cache), async (background writes)")
+	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always (group commit) or nosync (page cache)")
 	walOnError := flag.String("wal-on-error", "readonly", "what a WAL storage failure does: readonly (degrade to -MISCONF writes until wal_resume) or panic (crash for a supervisor restart)")
 	checkpointEvery := flag.Duration("checkpoint-every", 0, "periodic checkpoint interval, e.g. 5m (0 disables; requires -wal-dir)")
 	replicaOf := flag.String("replica-of", "", "leader host:port to replicate from; the server becomes a read-only follower (conflicts with -wal-dir)")
 	snapshotRing := flag.Int("snapshot-ring", redislike.DefaultSnapshotRing,
 		"how many g.snapshot epochs are retained for time-travel reads; the oldest is released past the bound")
-	metricsAddr := flag.String("metrics-addr", "", "observability HTTP listen address serving /metrics and /healthz; empty disables")
+	metricsListen := flag.String("metrics-addr", "", "observability HTTP listen address serving /metrics and /healthz; empty disables")
 	pprofOn := flag.Bool("pprof", false, "also mount /debug/pprof/ profiling endpoints on the metrics listener (requires -metrics-addr)")
 	maxConns := flag.Int("max-conns", 0, "max concurrently served connections; further dials are answered with -MAXCLIENTS (0 = unlimited)")
 	readTimeout := flag.Duration("read-timeout", 0, "per-command read deadline once a command has started arriving (0 disables; idle connections are never timed out)")
@@ -180,17 +180,17 @@ func run() int {
 		}()
 	}
 
-	if *pprofOn && *metricsAddr == "" {
+	if *pprofOn && *metricsListen == "" {
 		logger.Error("-pprof requires -metrics-addr (profiles are served on the metrics listener)")
 		return 1
 	}
-	if *metricsAddr != "" {
+	if *metricsListen != "" {
 		if *pprofOn {
 			srv.EnablePprof()
 		}
-		bound, err := srv.ListenMetrics(*metricsAddr)
+		bound, err := srv.ListenMetrics(*metricsListen)
 		if err != nil {
-			logger.Error("metrics listener failed", "addr", *metricsAddr, "err", err)
+			logger.Error("metrics listener failed", "addr", *metricsListen, "err", err)
 			return 1
 		}
 		logger.Info("metrics listening", "addr", bound, "pprof", *pprofOn)

@@ -3,6 +3,7 @@ package redislike
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -214,6 +215,9 @@ func TestDegradedModeDepthOne(t *testing.T) {
 		t.Fatalf("g.insert error count = %d, want 1 (the taken-back reply is metered as an error)", n)
 	}
 	ffs.ClearFault()
+	if err := srv.Shutdown(context.Background()); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Shutdown while degraded = %v, want the log's sticky EIO", err)
+	}
 }
 
 // TestDegradedModeHighWaterCommit: the commit ahead of an intermediate

@@ -178,11 +178,10 @@ func sameEdges(g *sharded.Graph, o ackOracle) string {
 // run in pipeline order, and each time the client has read a drain's
 // replies, recovery of a copy of the directory holds exactly the state
 // acknowledged so far (one connection, everything acknowledged: acked
-// and staged coincide). Under async the flusher owns the write, so the
-// promise there is only that a Sync closes the gap.
+// and staged coincide).
 func TestAckedIsDurableInPipelineOrder(t *testing.T) {
 	const drains = 24
-	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncNone, wal.SyncAsync} {
+	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncNone} {
 		for _, depth := range []int{1, 2, 16, 64} {
 			t.Run(fmt.Sprintf("%s/d%d", policy, depth), func(t *testing.T) {
 				_, gm, addr := startGraphServer(t, Config{})
@@ -211,11 +210,6 @@ func TestAckedIsDurableInPipelineOrder(t *testing.T) {
 					for i, c := range cmds {
 						if err := c.check(p.read()); err != nil {
 							t.Fatalf("drain %d, command %d %v: %v", d, i, c.args, err)
-						}
-					}
-					if policy == wal.SyncAsync {
-						if err := gm.walPtr.Load().Sync(); err != nil {
-							t.Fatal(err)
 						}
 					}
 					if diff := sameEdges(recoverCopy(t, dir), o); diff != "" {

@@ -247,7 +247,7 @@ func (s *Server) ListenMetrics(addr string) (string, error) {
 	}
 	srv := &http.Server{Handler: mux}
 	s.connMu.Lock()
-	s.metricsSrv, s.metricsAddr = srv, ln.Addr().String()
+	s.metricsSrv = srv
 	s.connMu.Unlock()
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {

@@ -147,7 +147,7 @@ func (gm *GraphModule) moduleCommands() []*Command {
 			Summary: "PageRank with <iters> iterations on a frozen view [epoch]",
 			Handler: gm.graphPageRank},
 		{Name: "wal_enable", Arity: Between(1, 2), Flags: FlagAdmin,
-			Summary: "enable the write-ahead log in <dir> [always|nosync|async]",
+			Summary: "enable the write-ahead log in <dir> [always|nosync]",
 			Handler: gm.walEnable},
 		{Name: "wal_replay", Arity: Exactly(1), Flags: FlagAdmin,
 			Summary: "rebuild the graph from <dir> (checkpoint + log tail)",

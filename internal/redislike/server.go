@@ -47,6 +47,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,18 +124,14 @@ type Server struct {
 	// command in flight, and only then tears the module down — so
 	// post-drain teardown (closing the WAL) cannot race an
 	// acknowledgement.
-	connMu      sync.Mutex
-	conns       map[*resp.Conn]struct{}
-	connWG      sync.WaitGroup
-	metricsSrv  httpCloser
-	metricsAddr string
+	connMu     sync.Mutex
+	conns      map[*resp.Conn]struct{}
+	connWG     sync.WaitGroup
+	metricsSrv *http.Server
 
 	// pprofOn mounts /debug/pprof/ on the metrics listener (EnablePprof).
 	pprofOn atomic.Bool
 }
-
-// httpCloser is the slice of *http.Server Shutdown needs.
-type httpCloser interface{ Close() error }
 
 // NewServer returns a server with the built-in commands registered and
 // a permissive default Config.

@@ -126,6 +126,10 @@ func TestWALCommandErrors(t *testing.T) {
 			t.Fatalf("%v = %+v, want error", args, got)
 		}
 	}
+	// async has no alias: a config asking for it fails loudly.
+	if got := dispatch(s, "wal_enable", t.TempDir(), "async"); got.Type != '-' || !strings.Contains(got.Str, "always|nosync)") {
+		t.Fatalf("wal_enable async = %+v, want an error naming always|nosync", got)
+	}
 }
 
 // TestEnableAfterRecoverSkipsCheckpoint: the RecoverWAL → EnableWAL

@@ -15,18 +15,15 @@ import (
 	"cuckoograph/internal/stores/wbi"
 )
 
-// cuckooStore adapts core.Graph to graphstore.Store.
-type cuckooStore struct{ *core.Graph }
-
 // NewCuckooGraph returns a basic CuckooGraph as a graphstore.Store.
 func NewCuckooGraph() graphstore.Store {
-	return cuckooStore{core.NewGraph(core.Config{})}
+	return core.NewGraph(core.Config{})
 }
 
 // NewCuckooGraphWith returns a CuckooGraph with explicit tuning, for the
 // parameter-sweep experiments.
 func NewCuckooGraphWith(cfg core.Config) graphstore.Store {
-	return cuckooStore{core.NewGraph(cfg)}
+	return core.NewGraph(cfg)
 }
 
 // NewShardedCuckooGraph returns the concurrent sharded engine as a

@@ -8,8 +8,8 @@ package wal
 // shapes (plain truncation and zero-torn extension) — and recovery is
 // run against each reconstructed disk. The invariant, per fsync
 // policy: recovery yields exactly some prefix of the workload, at
-// least the durable floor (acked batches for SyncAlways/SyncNone,
-// synced batches for SyncAsync), or fails with a typed core.ErrCorrupt.
+// least the durable floor (every acked batch), or fails with a typed
+// core.ErrCorrupt.
 // Never a hole, never a partially applied batch, never a panic.
 
 import (
@@ -60,7 +60,6 @@ func ccMapSig(edges map[[2]uint64]bool) string {
 
 func TestCrashConsistencySyncAlways(t *testing.T) { runCrashHarness(t, SyncAlways) }
 func TestCrashConsistencySyncNone(t *testing.T)   { runCrashHarness(t, SyncNone) }
-func TestCrashConsistencySyncAsync(t *testing.T)  { runCrashHarness(t, SyncAsync) }
 
 func runCrashHarness(t *testing.T, policy SyncPolicy) {
 	const batches = 96
@@ -135,11 +134,10 @@ func runCrashHarness(t *testing.T, policy SyncPolicy) {
 	events := ffs.Trace()
 
 	// floor(cutEvents) is how many leading batches any crash at that
-	// cut must preserve. Sync barriers bound it for every policy; acks
-	// additionally bound it where the ack implies the bytes were
-	// written before it (SyncAlways synced them; SyncNone wrote them —
-	// the ordered-disk model makes written bytes durable). SyncAsync
-	// acks promise nothing: only barriers count.
+	// cut must preserve. Sync barriers and acks both bound it: an ack
+	// implies the bytes were written before it (SyncAlways synced them;
+	// SyncNone wrote them — the ordered-disk model makes written bytes
+	// durable).
 	floor := func(cutEvents int) int {
 		fl := 0
 		for _, b := range barriers {
@@ -147,11 +145,9 @@ func runCrashHarness(t *testing.T, policy SyncPolicy) {
 				fl = b.batches
 			}
 		}
-		if policy != SyncAsync {
-			for i, ev := range ackEvents {
-				if ev <= cutEvents && i+1 > fl {
-					fl = i + 1
-				}
+		for i, ev := range ackEvents {
+			if ev <= cutEvents && i+1 > fl {
+				fl = i + 1
 			}
 		}
 		return fl
@@ -181,9 +177,8 @@ func runCrashHarness(t *testing.T, policy SyncPolicy) {
 		if ev.Op != vfs.OpWrite || len(ev.Data) < 2 {
 			continue
 		}
-		// Cut at both edges and at eighths of the write: group commits
-		// under SyncAsync coalesce many batches into one large write, so
-		// interior offsets are where the interesting tears live.
+		// Cut at both edges and at eighths of the write, so a tear
+		// inside a large write (a checkpoint's snapshot) is covered.
 		var offs []int
 		if testing.Short() {
 			offs = []int{len(ev.Data) / 2}

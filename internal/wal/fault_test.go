@@ -50,6 +50,36 @@ func TestAppendENOSPCPoisons(t *testing.T) {
 	}
 }
 
+// TestCloseAfterENOSPCReturnsStickyError: Close of a poisoned WAL returns
+// the sticky error yet still releases the directory lock, and a second
+// Close returns nil.
+func TestCloseAfterENOSPCReturnsStickyError(t *testing.T) {
+	dir := t.TempDir()
+	ffs := vfs.NewFaultFS(nil)
+	w, err := Open(dir, Options{Sync: SyncNone, FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs.SetFault(vfs.Fault{Kinds: vfs.OpWrite.Mask(), Err: syscall.ENOSPC})
+	if err := w.Append(core.OpInsert, 1, 2); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("append on full disk: want ENOSPC, got %v", err)
+	}
+	ffs.ClearFault()
+	if err := w.Close(); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Close of a poisoned wal: want the sticky ENOSPC, got %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	w2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after closing a poisoned wal (LOCK still held?): %v", err)
+	}
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFsyncFailureFailsGroupCommitFollowers: when the leader's fsync
 // fails, every concurrent appender in that group commit must see the
 // error — none of their records were made durable, so none may ack.

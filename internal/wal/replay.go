@@ -36,14 +36,8 @@ type ReplayStats struct {
 // whole directory, or a checkpoint's cut segment to replay only the
 // records the snapshot does not cover.
 func Replay(dir string, fromSeg uint64, fn func(core.Op) error) (ReplayStats, error) {
-	return ReplayFS(vfs.OS, dir, fromSeg, fn)
-}
-
-// ReplayFS is Replay on an arbitrary filesystem — the entry point for
-// crash-simulation harnesses that reconstruct a directory elsewhere.
-func ReplayFS(fsys vfs.FS, dir string, fromSeg uint64, fn func(core.Op) error) (ReplayStats, error) {
 	var stats ReplayStats
-	segs, err := listSegments(fsys, dir)
+	segs, err := listSegments(vfs.OS, dir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return stats, nil
@@ -55,7 +49,7 @@ func ReplayFS(fsys vfs.FS, dir string, fromSeg uint64, fn func(core.Op) error) (
 			continue
 		}
 		last := i == len(segs)-1
-		valid, n, batches, err := scanSegment(fsys, s, last, fn)
+		valid, n, batches, err := scanSegment(vfs.OS, s, last, fn)
 		if err != nil {
 			return stats, err
 		}
@@ -63,7 +57,7 @@ func ReplayFS(fsys vfs.FS, dir string, fromSeg uint64, fn func(core.Op) error) (
 		stats.Records += n
 		stats.BatchRecords += batches
 		if last {
-			if fi, err := fsys.Stat(s.path); err == nil && fi.Size() > valid {
+			if fi, err := vfs.OS.Stat(s.path); err == nil && fi.Size() > valid {
 				stats.TornBytes = fi.Size() - valid
 			}
 		}
@@ -320,22 +314,17 @@ type RecoverStats struct {
 // returned graph has no WAL attached; callers typically Open the same
 // directory next and SetWAL it.
 func Recover(dir string, cfg sharded.Config) (*sharded.Graph, RecoverStats, error) {
-	return RecoverFS(vfs.OS, dir, cfg)
-}
-
-// RecoverFS is Recover on an arbitrary filesystem.
-func RecoverFS(fsys vfs.FS, dir string, cfg sharded.Config) (*sharded.Graph, RecoverStats, error) {
 	var stats RecoverStats
 	start := time.Now()
 	cfg.WAL = nil
 
-	snap, seg, err := newestCheckpoint(fsys, dir)
+	snap, seg, err := newestCheckpoint(vfs.OS, dir)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, stats, err
 	}
 	var g *sharded.Graph
 	if snap != "" {
-		f, err := fsys.OpenFile(snap, os.O_RDONLY, 0)
+		f, err := vfs.OS.OpenFile(snap, os.O_RDONLY, 0)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -353,7 +342,7 @@ func RecoverFS(fsys vfs.FS, dir string, cfg sharded.Config) (*sharded.Graph, Rec
 	// source node (the order that matters) while amortizing shard locks
 	// — recovery is itself a bulk ingest.
 	c := core.NewChunker(sharded.LoadBatchSize, func(b core.Batch) { g.ApplyBatch(b) })
-	stats.Replay, err = ReplayFS(fsys, dir, seg, func(o core.Op) error {
+	stats.Replay, err = Replay(dir, seg, func(o core.Op) error {
 		c.Add(o)
 		return nil
 	})

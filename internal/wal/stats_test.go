@@ -73,27 +73,30 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// TestStatsAsyncPending: under SyncAsync the acknowledged-but-unwritten
-// suffix is visible as PendingBytes until a Sync drains it.
+// TestStatsAsyncPending: ops staged but not committed are visible as
+// PendingBytes until a Sync drains them.
 func TestStatsAsyncPending(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{Sync: SyncAsync})
+	w, err := Open(dir, Options{Sync: SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 
 	for i := uint64(0); i < 100; i++ {
-		if err := w.Append(core.OpInsert, i, i+1); err != nil {
+		if err := w.Stage(core.Batch{{Kind: core.OpInsert, U: i, V: i + 1}}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if st := w.Stats(); st.PendingBytes != 100*uint64(opBytes) {
+		t.Fatalf("PendingBytes = %d with 100 ops staged, want %d", st.PendingBytes, 100*opBytes)
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	st := w.Stats()
 	if st.Appends != 100 || st.Ops != 100 {
-		t.Fatalf("async stats = %+v", st)
+		t.Fatalf("stats = %+v", st)
 	}
 	if st.PendingBytes != 0 {
 		t.Fatalf("PendingBytes = %d after Sync", st.PendingBytes)

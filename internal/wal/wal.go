@@ -23,7 +23,10 @@
 // fsync, then wakes the followers. A group therefore grows with every
 // stager that arrives while the device is busy, and fsync latency is
 // amortized across all of them. Append, AppendBatch and LogBatch are
-// the synchronous form, Stage followed by Commit.
+// the synchronous form, Stage followed by Commit. The WAL starts no
+// goroutine: only the group-commit leader, or a holder of the WAL lock
+// with no leader in flight (Sync, Rotate, Close), writes the segment
+// file.
 //
 // Recovery tolerates a torn tail (a crash mid-write leaves a partial or
 // CRC-failing final record, which is dropped) but treats damage
@@ -78,10 +81,8 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 		return SyncAlways, nil
 	case "nosync":
 		return SyncNone, nil
-	case "async":
-		return SyncAsync, nil
 	}
-	return 0, fmt.Errorf("wal: unknown sync policy %q (want always|nosync|async)", s)
+	return 0, fmt.Errorf("wal: unknown sync policy %q (want always|nosync)", s)
 }
 
 // SyncPolicy says when Append fsyncs.
@@ -95,25 +96,14 @@ const (
 	// process crash (they are in the page cache) but a machine crash can
 	// lose the un-synced suffix. Rotation and Close still fsync.
 	SyncNone
-	// SyncAsync acknowledges appends as soon as they are staged and
-	// lets a background flusher write them — the Redis "everysec"
-	// trade: near-in-memory append throughput, but a crash can lose the
-	// not-yet-written suffix. Replay treats that suffix exactly like a
-	// torn tail. Sync, Rotate and Close still drain and fsync, so
-	// checkpoints and sealed segments keep their guarantees.
-	SyncAsync
 )
 
 // String renders the policy in the same names ParseSyncPolicy accepts.
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncNone:
+	if p == SyncNone {
 		return "nosync"
-	case SyncAsync:
-		return "async"
-	default:
-		return "always"
 	}
+	return "always"
 }
 
 // Options tunes a WAL.
@@ -207,11 +197,6 @@ type WAL struct {
 	// without racing checkpoint-driven deletion.
 	pins map[*Pin]struct{}
 
-	// flusherDone is closed when the SyncAsync background flusher
-	// exits; nil under other policies. Close waits on it before closing
-	// the segment file so no write can land after the close.
-	flusherDone chan struct{}
-
 	// Observability counters. Atomics, not mu-guarded fields: the group
 	// commit leader bumps bytes/commits/syncs with mu released, and the
 	// /metrics scraper must be able to read without queueing behind an
@@ -293,7 +278,6 @@ func Open(dir string, opts Options) (*WAL, error) {
 		w.unlockDir()
 		return nil, err
 	}
-	w.startFlusher()
 	return w, nil
 }
 
@@ -365,30 +349,6 @@ func (w *WAL) unlockDir() {
 	}
 }
 
-// startFlusher spawns the background writer behind SyncAsync appends.
-// It writes the staged group whenever woken and exits once the WAL
-// closes or poisons itself.
-func (w *WAL) startFlusher() {
-	if w.opts.Sync != SyncAsync {
-		return
-	}
-	w.flusherDone = make(chan struct{})
-	go func() {
-		defer close(w.flusherDone)
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		for {
-			for len(w.staged) == 0 && !w.closed && w.err == nil {
-				w.cond.Wait()
-			}
-			if w.closed || w.err != nil {
-				return
-			}
-			w.flushStaged(true)
-		}
-	}()
-}
-
 // Dir returns the WAL's directory.
 func (w *WAL) Dir() string { return w.dir }
 
@@ -442,8 +402,8 @@ func (w *WAL) AppendBatch(b core.Batch) error {
 // Stage copies b's ops onto the end of the open group and returns: no
 // encoding, no checksum, no I/O, so it is safe under a caller's own
 // lock, and b is not retained. The ops are durable once a Commit that
-// starts after Stage returns has returned nil (under SyncAsync: once the
-// background flusher has written them). Stage fails, staging nothing,
+// starts after Stage returns has returned nil; ops never committed are
+// written by the next Sync, Rotate or Close. Stage fails, staging nothing,
 // on a poisoned or closed WAL and on an op that is neither an insert
 // nor a delete.
 func (w *WAL) Stage(b core.Batch) error {
@@ -473,30 +433,19 @@ func (w *WAL) Stage(b core.Batch) error {
 	if len(w.staged) > recStart && len(w.staged)-recStart+len(b) > maxBatchOps {
 		w.cuts = append(w.cuts, len(w.staged))
 	}
-	wasEmpty := len(w.staged) == 0
 	w.staged = append(w.staged, b...)
 	w.cAppends.Add(1)
 	w.cOps.Add(uint64(len(b)))
-	// The background flusher only ever parks on an empty group, so just
-	// the empty→non-empty transition needs to wake it — ops staged while
-	// it is writing are picked up when it loops.
-	if wasEmpty && w.opts.Sync == SyncAsync {
-		w.cond.Broadcast()
-	}
 	return nil
 }
 
 // Commit returns once every op staged before the call is durable per
-// the sync policy — SyncNone: written; SyncAlways: written and fsynced;
-// SyncAsync: nothing to wait for, the background flusher owns the
-// write. The first committer to find the file free leads: it takes the
-// whole staged group, its own ops and everyone else's, frames and
-// writes it outside the lock, and wakes the rest. With nothing
-// uncommitted Commit is two atomic loads.
+// the sync policy — SyncNone: written; SyncAlways: written and fsynced.
+// The first committer to find the file free leads: it takes the whole
+// staged group, its own ops and everyone else's, frames and writes it
+// outside the lock, and wakes the rest. With nothing uncommitted Commit
+// is two atomic loads.
 func (w *WAL) Commit() error {
-	if w.opts.Sync == SyncAsync {
-		return nil
-	}
 	seq := w.cAppends.Load()
 	if w.flushed.Load() >= seq {
 		return nil
@@ -735,24 +684,24 @@ func (w *WAL) RemoveSegmentsBefore(seg uint64) error {
 	return syncDir(w.fs, w.dir)
 }
 
-// Close flushes, fsyncs and closes the WAL. Further appends fail with
-// ErrClosed. The final segment fsync is followed by a directory fsync
-// so the sealed tail length survives a machine crash, and under
-// SyncAsync Close does not return until the background flusher has
-// exited — no goroutine outlives the WAL and no write can land on the
-// segment file after it is closed.
+// Close flushes, fsyncs and closes the WAL and releases the directory
+// lock. Further appends fail with ErrClosed. The final segment fsync is
+// followed by a directory fsync so the sealed tail length survives a
+// machine crash. A poisoned WAL writes nothing more: Close still closes
+// the segment file and releases the lock, and returns the sticky error.
+// A second Close returns nil.
 func (w *WAL) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	for w.flushing {
 		w.cond.Wait()
 	}
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
-	var err error
-	if w.err == nil && w.f != nil {
+	err := w.err
+	if err == nil && w.f != nil {
 		err = w.flushStaged(false)
 		if err == nil {
 			if serr := w.f.Sync(); serr != nil {
@@ -762,16 +711,6 @@ func (w *WAL) Close() error {
 			}
 		}
 	}
-	// Wake the flusher (it parks on cond) and anything waiting in
-	// Commit, then wait for the flusher to exit before touching the
-	// file descriptor it might still write to.
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	if w.flusherDone != nil {
-		<-w.flusherDone
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.f != nil {
 		if cerr := w.f.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -779,9 +718,7 @@ func (w *WAL) Close() error {
 		w.f = nil
 	}
 	if err == nil {
-		if derr := syncDir(w.fs, w.dir); derr != nil {
-			err = derr
-		}
+		err = syncDir(w.fs, w.dir)
 	}
 	w.unlockDir()
 	return err

@@ -358,12 +358,14 @@ func TestCorruptionMidLogIsTyped(t *testing.T) {
 	}
 }
 
-func TestSyncAsyncDrainsOnClose(t *testing.T) {
+// TestCloseWritesStagedOps: ops staged and never committed are written
+// by Close, and Replay returns every one of them.
+func TestCloseWritesStagedOps(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{Sync: SyncAsync})
+	w := mustOpen(t, dir, Options{Sync: SyncNone})
 	const n = 10_000
 	for i := uint64(0); i < n; i++ {
-		if err := w.Append(core.OpInsert, i, i+1); err != nil {
+		if err := w.Stage(core.Batch{{Kind: core.OpInsert, U: i, V: i + 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,25 +392,51 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
-func BenchmarkAppend(b *testing.B) {
+// TestParseSyncPolicy: the names wal_enable and -wal-sync accept, and
+// String's round trip through them.
+func TestParseSyncPolicy(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		sync SyncPolicy
-	}{{"nosync", SyncNone}, {"async", SyncAsync}} {
-		b.Run(tc.name, func(b *testing.B) {
-			w, err := Open(b.TempDir(), Options{Sync: tc.sync})
-			if err != nil {
+		in   string
+		want SyncPolicy
+		ok   bool
+	}{
+		{"", SyncAlways, true},
+		{"always", SyncAlways, true},
+		{"ALWAYS", SyncAlways, true},
+		{"nosync", SyncNone, true},
+		{"async", 0, false},
+		{"everysec", 0, false},
+		{"no sync", 0, false},
+	} {
+		got, err := ParseSyncPolicy(tc.in)
+		if !tc.ok {
+			if err == nil || !strings.Contains(err.Error(), "always|nosync)") {
+				t.Errorf("ParseSyncPolicy(%q) = %v, %v; want an error naming always|nosync", tc.in, got, err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseSyncPolicy(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+			continue
+		}
+		if back, err := ParseSyncPolicy(got.String()); err != nil || back != got {
+			t.Errorf("ParseSyncPolicy(%q.String() = %q) = %v, %v", tc.in, got.String(), back, err)
+		}
+	}
+}
+
+func BenchmarkAppend(b *testing.B) {
+	w, err := Open(b.TempDir(), Options{Sync: SyncNone})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	b.RunParallel(func(pb *testing.PB) {
+		r := rng(1)
+		for pb.Next() {
+			if err := w.Append(core.OpInsert, r.next()%1000, r.next()%1000); err != nil {
 				b.Fatal(err)
 			}
-			defer w.Close()
-			b.RunParallel(func(pb *testing.PB) {
-				r := rng(1)
-				for pb.Next() {
-					if err := w.Append(core.OpInsert, r.next()%1000, r.next()%1000); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+		}
+	})
 }
