@@ -153,6 +153,21 @@ func TestForEachSuccessorZeroAlloc(t *testing.T) {
 	}
 }
 
+func TestAppendSuccessorsZeroAlloc(t *testing.T) {
+	g, inline1, inline2R, chained := buildReadGraph(t)
+	dst := make([]uint64, 0, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		for _, u := range [...]uint64{inline1, inline2R, chained} {
+			dst = g.AppendSuccessors(u, dst[:0])
+		}
+	}); n != 0 {
+		t.Fatalf("AppendSuccessors into a reused dst allocates %.1f/run, want 0", n)
+	}
+	if len(dst) != 64 {
+		t.Fatalf("chained scan appended %d, want 64", len(dst))
+	}
+}
+
 func TestWeightedForEachSuccessorZeroAlloc(t *testing.T) {
 	w := NewWeighted(Config{})
 	u := uint64(7)

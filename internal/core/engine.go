@@ -476,12 +476,47 @@ func (e *engine[W]) forEachOf(row []slot[W], u uint64, fn func(v uint64, w *W) b
 			}
 		}
 	}
-	if e.numParked(u) == 0 {
-		return
+	e.forEachParked(u, fn)
+}
+
+// forEachKeyOf is forEachOf for a caller that wants successors only: a
+// chained u's cells are walked by key, one call of fn per successor.
+func (e *engine[W]) forEachKeyOf(row []slot[W], u uint64, fn func(v uint64) bool) {
+	keyOnly := func(v uint64, _ *W) bool { return fn(v) }
+	if row == nil || e.chainOf(row) == nil {
+		e.forEachOf(row, u, keyOnly)
+	} else if e.chainOf(row).ForEachKey(fn) {
+		e.forEachParked(u, keyOnly)
 	}
-	for i := range e.sdl {
-		if e.sdl[i].u == u {
-			if !fn(e.sdl[i].s.v, &e.sdl[i].s.w) {
+}
+
+// appendOf appends u's successors to dst in forEachOf's order, given
+// u's row (nil: u has none), and returns the extended slice. A chained
+// u's keys are copied with no call per successor.
+func (e *engine[W]) appendOf(row []slot[W], u uint64, dst []uint64) []uint64 {
+	if row != nil {
+		if c := e.chainOf(row); c != nil {
+			dst = c.AppendKeys(dst)
+		} else {
+			for _, s := range row[1 : 1+row[0].v] {
+				dst = append(dst, s.v)
+			}
+		}
+	}
+	e.forEachParked(u, func(v uint64, _ *W) bool {
+		dst = append(dst, v)
+		return true
+	})
+	return dst
+}
+
+// forEachParked visits u's S-DL entries in list order until fn returns
+// false. It stops reading the list at the last entry that carries u.
+func (e *engine[W]) forEachParked(u uint64, fn func(v uint64, w *W) bool) {
+	for i, n := 0, e.numParked(u); n != 0; i++ {
+		if p := &e.sdl[i]; p.u == u {
+			n--
+			if !fn(p.s.v, &p.s.w) {
 				return
 			}
 		}
@@ -514,12 +549,7 @@ func (e *engine[W]) degreeOf(row []slot[W], u uint64) int {
 // one.
 func (e *engine[W]) preImage(before func(u uint64, deg int) []uint64, row []slot[W], u uint64) {
 	if dst := before(u, e.degreeOf(row, u)); len(dst) != 0 {
-		i := 0
-		e.forEachOf(row, u, func(v uint64, _ *W) bool {
-			dst[i] = v
-			i++
-			return true
-		})
+		e.appendOf(row, u, dst[:0])
 	}
 }
 

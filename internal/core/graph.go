@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"cuckoograph/internal/hashutil"
+)
 
 // Graph is the basic version of CuckooGraph (§III-A): a directed graph
 // of distinct edges ⟨u,v⟩. Inserting an existing edge is a no-op.
@@ -56,18 +60,14 @@ func (g *Graph) ApplyBatchFunc(b Batch, before func(u uint64, deg int) []uint64,
 // ForEachSuccessor calls fn for every successor of u until fn returns
 // false.
 func (g *Graph) ForEachSuccessor(u uint64, fn func(v uint64) bool) {
-	g.e.forEachSuccessor(u, func(v uint64, _ *struct{}) bool { return fn(v) })
+	g.e.forEachKeyOf(g.e.findPart2(hashutil.Key64(u), u), u, fn)
 }
 
 // AppendSuccessors appends every successor of u to dst and returns the
 // extended slice (nil input stays nil for a node with no edges): the
 // neighbour scan for callers that keep a scratch slice across calls.
 func (g *Graph) AppendSuccessors(u uint64, dst []uint64) []uint64 {
-	g.e.forEachSuccessor(u, func(v uint64, _ *struct{}) bool {
-		dst = append(dst, v)
-		return true
-	})
-	return dst
+	return g.e.appendOf(g.e.findPart2(hashutil.Key64(u), u), u, dst)
 }
 
 // Successors returns u's successors as a fresh slice.

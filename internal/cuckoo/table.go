@@ -405,30 +405,87 @@ func (c *Chain[P]) clearIn(t *table[P], i int) {
 	t.size--
 }
 
-// forEachIn calls fn for every entry stored in t, in bucket order, with
-// a pointer to its payload in place (the first element of its row),
-// until fn returns false. It reports whether the scan ran to
-// completion. It is THE decoder of occupied
-// lanes — lanes whose tag is non-zero, with the unused lanes of a
-// partial tag word masked off — so that masking lives in one place.
+// decode is THE decoder of occupied lanes, the lanes whose tag is not
+// zero; the unused lanes of a partial tag word hold tag 0, so they read
+// as empty with no mask. It reads a run of t's tag words from word w of
+// bucket b on and returns the run's occupancy as one mask, bit 8·j+i
+// set when lane i of the run's j-th word holds a cell, and where the
+// next run starts (b == 3·m2 once the table is done). A run is at most
+// eight words: eight buckets when a bucket has one tag word (d ≤ 8),
+// else words of bucket b alone. No branch depends on a tag, so a scan
+// over the mask's set bits has one hard-to-predict exit per run
+// instead of one per bucket. runGaps says where the cell of a set bit
+// is.
+func (c *Chain[P]) decode(t *table[P], b, w int) (occ uint64, nb, nw int) {
+	f := c.f
+	cells := c.words(t)
+	stride, buckets := int(f.stride), 3*int(t.m2)
+	if f.tw == 1 {
+		for j, at := 0, b*stride; j < 64 && b < buckets; j, at, b = j+8, at+stride, b+1 {
+			occ |= packLanes(cells[at]) << j
+		}
+		return occ, b, 0
+	}
+	tw := int(f.tw)
+	for j := 0; j < 64 && w < tw; j, w = j+8, w+1 {
+		occ |= packLanes(cells[b*stride+w]) << j
+	}
+	if w == tw {
+		b, w = b+1, 0
+	}
+	return occ, b, w
+}
+
+// packLanes packs the occupancy of tag word x into its low byte, lane
+// i into bit i: the multiply gathers the high bit of byte i of the
+// occupied-lane markers into bit 56+i, and no two of its partial
+// products meet.
+func packLanes(x uint64) uint64 {
+	return ((tagMSB &^ zeroBytes(x)) >> 7) * 0x0102040810204080 >> 56
+}
+
+// runGaps returns where the cell of bit k of a run's occupancy is: its
+// key is word k + (k>>3)·keys on from the key of the run's first lane,
+// its cell index k + (k>>3)·cells on from that lane's. Consecutive words
+// of a run are a bucket apart when a bucket has one tag word, eight
+// lanes apart inside a bucket otherwise.
+func (f *Family) runGaps() (keys, cells int) {
+	if f.tw == 1 {
+		return int(f.stride) - 8, int(f.d) - 8
+	}
+	return 0, 0
+}
+
+// forEachIn calls fn for every entry stored in t, in bucket then lane
+// order, with a pointer to its payload in place (the first element of
+// its row), until fn returns false. It reports whether the scan ran to
+// completion.
 func (c *Chain[P]) forEachIn(t *table[P], fn func(key uint64, val *P) bool) bool {
 	cells, vals := c.words(t), c.payloads(t)
 	f := c.f
 	d, tw, stride, width := int(f.d), int(f.tw), int(f.stride), int(f.width)
-	for b, buckets := 0, 3*int(t.m2); b < buckets; b++ {
-		base := b * stride
-		for w := 0; w < tw; w++ {
-			occ := tagMSB &^ zeroBytes(cells[base+w])
-			if rem := d - w*8; rem < 8 {
-				occ &= laneMask(rem)
-			}
-			for occ != 0 {
-				i := w*8 + bits.TrailingZeros64(occ)>>3
-				if !fn(cells[base+tw+i], &vals[(b*d+i)*width]) {
-					return false
-				}
-				occ &= occ - 1
-			}
+	keyGap, cellGap := f.runGaps()
+	for b, w, end := 0, 0, 3*int(t.m2); b < end; {
+		keys, row := cells[b*stride+tw+w*8:], vals[(b*d+w*8)*width:]
+		var occ uint64
+		occ, b, w = c.decode(t, b, w)
+		if !visitRefs(occ, keys, row, keyGap, cellGap, width, fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// visitRefs is visitKeys for forEachIn: fn also gets a pointer to the
+// first element of the cell's payload row, row[0] being the run's first
+// cell's. It is kept out of line for the same reason.
+//
+//go:noinline
+func visitRefs[P any](occ uint64, keys []uint64, row []P, keyGap, cellGap, width int, fn func(key uint64, val *P) bool) bool {
+	for ; occ != 0; occ &= occ - 1 {
+		k := bits.TrailingZeros64(occ)
+		if !fn(keys[k+(k>>3)*keyGap], &row[(k+(k>>3)*cellGap)*width]) {
+			return false
 		}
 	}
 	return true

@@ -544,15 +544,7 @@ func (g *Graph) DeleteEdge(u, v uint64) bool {
 // false. The successors are copied under the shard read lock and fn is
 // invoked after it is released, so fn may re-enter the graph.
 func (g *Graph) ForEachSuccessor(u uint64, fn func(v uint64) bool) {
-	sh := g.shardOf(u)
-	sh.mu.RLock()
-	var succ []uint64
-	sh.g.ForEachSuccessor(u, func(v uint64) bool {
-		succ = append(succ, v)
-		return true
-	})
-	sh.mu.RUnlock()
-	for _, v := range succ {
+	for _, v := range g.AppendSuccessors(u, nil) {
 		if !fn(v) {
 			return
 		}
@@ -572,10 +564,7 @@ func (g *Graph) Successors(u uint64) []uint64 {
 func (g *Graph) AppendSuccessors(u uint64, dst []uint64) []uint64 {
 	sh := g.shardOf(u)
 	sh.mu.RLock()
-	sh.g.ForEachSuccessor(u, func(v uint64) bool {
-		dst = append(dst, v)
-		return true
-	})
+	dst = sh.g.AppendSuccessors(u, dst)
 	sh.mu.RUnlock()
 	return dst
 }
