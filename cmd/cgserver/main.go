@@ -15,11 +15,10 @@
 //	         -wal-sync always -checkpoint-every 5m
 //
 // If the log fails under a write (disk full, I/O error), the failing
-// write is errored and -wal-on-error selects what happens next: the
-// default readonly keeps the process serving reads while writes answer
-// -MISCONF until the operator frees space and runs wal_resume; panic
-// crashes so a supervisor can restart against healthy storage. See
-// README.md § Failure modes & degraded operation for the runbook.
+// write is errored and the server degrades: it keeps serving reads
+// while writes answer -MISCONF until the operator frees space and runs
+// wal_resume. See README.md § Failure modes & degraded operation for
+// the runbook.
 //
 // For production serving, -metrics-addr exposes GET /metrics
 // (Prometheus text format: per-command counters and latency histograms
@@ -78,7 +77,6 @@ func run() int {
 	addr := flag.String("addr", "127.0.0.1:6380", "listen address")
 	walDir := flag.String("wal-dir", "", "durability directory (write-ahead log + checkpoints); empty disables")
 	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always (group commit) or nosync (page cache)")
-	walOnError := flag.String("wal-on-error", "readonly", "what a WAL storage failure does: readonly (degrade to -MISCONF writes until wal_resume) or panic (crash for a supervisor restart)")
 	checkpointEvery := flag.Duration("checkpoint-every", 0, "periodic checkpoint interval, e.g. 5m (0 disables; requires -wal-dir)")
 	replicaOf := flag.String("replica-of", "", "leader host:port to replicate from; the server becomes a read-only follower (conflicts with -wal-dir)")
 	snapshotRing := flag.Int("snapshot-ring", redislike.DefaultSnapshotRing,
@@ -133,12 +131,6 @@ func run() int {
 			logger.Error("bad -wal-sync", "err", err)
 			return 2
 		}
-		policy, err := redislike.ParseWALErrorPolicy(*walOnError)
-		if err != nil {
-			logger.Error("bad -wal-on-error", "err", err)
-			return 2
-		}
-		gm.SetWALErrorPolicy(policy)
 		stats, err := gm.RecoverWAL(*walDir)
 		if err != nil {
 			logger.Error("wal recovery failed", "dir", *walDir, "err", err)

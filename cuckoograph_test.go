@@ -131,7 +131,7 @@ func TestPublicMethodSets(t *testing.T) {
 		want []string
 	}{
 		{(*cuckoograph.Graph)(nil), []string{"AppendSuccessors", "ApplyBatch", "ApplyBatchFunc", "Degree",
-			"DeleteEdge", "EmitEdges", "ForEachNode", "ForEachSuccessor", "HasEdge", "InsertEdge",
+			"DeleteEdge", "ForEachNode", "ForEachSuccessor", "HasEdge", "InsertEdge",
 			"MemoryUsage", "NumEdges", "NumNodes", "Save", "Stats", "Successors"}},
 		{(*cuckoograph.Weighted)(nil), []string{"Add", "ApplyBatch", "Degree", "DeleteAll", "DeleteEdge",
 			"ForEachNode", "ForEachSuccessor", "HasEdge", "InsertEdge", "MemoryUsage", "NumEdges",

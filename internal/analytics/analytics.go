@@ -95,21 +95,13 @@ func TriangleCount(s graphstore.Store, node uint64) int {
 	return count
 }
 
-// NodeLister yields the node set of a store; every store in this
-// repository implements it.
-type NodeLister interface {
-	ForEachNode(fn func(u uint64) bool)
-}
-
 // Nodes collects the distinct source nodes of a store.
 func Nodes(s graphstore.Store) []uint64 {
 	var out []uint64
-	if nl, ok := s.(NodeLister); ok {
-		nl.ForEachNode(func(u uint64) bool {
-			out = append(out, u)
-			return true
-		})
-	}
+	s.ForEachNode(func(u uint64) bool {
+		out = append(out, u)
+		return true
+	})
 	return out
 }
 

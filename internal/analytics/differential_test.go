@@ -53,7 +53,7 @@ func (m *mirrored) oracle() graphstore.Store {
 }
 
 // storeOnly wraps a store, hiding every capability interface except
-// Store, NodeLister and Degreer. Wrapping an Indexed store forces the
+// Store and Degreer. Wrapping an Indexed store forces the
 // kernels onto the map-based fallback path: the differential oracle
 // for the CSR path.
 type storeOnly struct{ S graphstore.Store }
@@ -69,11 +69,7 @@ func (w storeOnly) ForEachSuccessor(u uint64, fn func(v uint64) bool) {
 	w.S.ForEachSuccessor(u, fn)
 }
 
-func (w storeOnly) ForEachNode(fn func(u uint64) bool) {
-	if nl, ok := w.S.(NodeLister); ok {
-		nl.ForEachNode(fn)
-	}
-}
+func (w storeOnly) ForEachNode(fn func(u uint64) bool) { w.S.ForEachNode(fn) }
 
 const floatTol = 1e-9
 

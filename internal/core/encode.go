@@ -81,24 +81,18 @@ func ReadBasicSnapshot(r io.Reader, fn func(u, v uint64) error) error {
 	return nil
 }
 
-// EmitEdges feeds every stored edge to emit, stopping at the first
-// error. It is the shared iteration step of the snapshot writers.
-func (g *Graph) EmitEdges(emit func(u, v uint64) error) error {
-	var err error
-	g.ForEachNode(func(u uint64) bool {
-		g.ForEachSuccessor(u, func(v uint64) bool {
-			err = emit(u, v)
-			return err == nil
-		})
-		return err == nil
-	})
-	return err
-}
-
 // Save writes every edge of the basic graph to w.
 func (g *Graph) Save(w io.Writer) error {
 	return WriteBasicSnapshot(w, g.NumEdges(), func(emit func(u, v uint64) error) error {
-		return g.EmitEdges(emit)
+		var err error
+		g.ForEachNode(func(u uint64) bool {
+			g.ForEachSuccessor(u, func(v uint64) bool {
+				err = emit(u, v)
+				return err == nil
+			})
+			return err == nil
+		})
+		return err
 	})
 }
 

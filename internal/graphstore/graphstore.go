@@ -25,6 +25,10 @@ type Store interface {
 	// returns false. Order is unspecified.
 	ForEachSuccessor(u NodeID, fn func(v NodeID) bool)
 
+	// ForEachNode calls fn for every node with at least one out-edge
+	// until fn returns false. Order is unspecified.
+	ForEachNode(fn func(u NodeID) bool)
+
 	// NumEdges returns the number of distinct edges stored.
 	NumEdges() uint64
 

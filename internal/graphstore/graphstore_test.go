@@ -27,6 +27,13 @@ func (f *fake) ForEachSuccessor(u NodeID, fn func(v NodeID) bool) {
 		}
 	}
 }
+func (f *fake) ForEachNode(fn func(u NodeID) bool) {
+	for u, vs := range f.adj {
+		if len(vs) > 0 && !fn(u) {
+			return
+		}
+	}
+}
 func (f *fake) NumEdges() uint64    { return 0 }
 func (f *fake) MemoryUsage() uint64 { return 0 }
 

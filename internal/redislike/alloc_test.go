@@ -11,29 +11,19 @@ import (
 	"cuckoograph/internal/wal"
 )
 
-// TestMetricsHandlesPreResolved pins the metrics hot path: registration
-// gives each command its meter on the Command, so dispatch records
-// through it — never a lookup by name — into the meter the /metrics
-// scrape reads.
+// TestMetricsHandlesPreResolved pins the metrics hot path: joining the
+// table gives each command its meter on the Command, so dispatch
+// records through it — never a lookup by name — into the meter the
+// /metrics scrape reads.
 func TestMetricsHandlesPreResolved(t *testing.T) {
 	s := NewServer()
-	err := s.Registry().Register(&Command{
-		Name: "T.Pre", Arity: Exactly(0), Summary: "test: pre-resolved meter",
-		Handler: func(ctx *Ctx) error { ctx.ReplySimple("OK"); return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd, ok := s.Registry().Lookup("t.pre")
-	if !ok {
-		t.Fatal("t.pre not registered")
-	}
+	cmd := addCommand(s, "t.pre", func(ctx *Ctx) error { ctx.ReplySimple("OK"); return nil })
 	if cmd.metrics == nil {
-		t.Fatal("metrics handle not resolved at registration")
+		t.Fatal("metrics handle not resolved when the command joined the table")
 	}
 	// Builtins get the same treatment.
-	if c, _ := s.Registry().Lookup("ping"); c.metrics == nil {
-		t.Fatal("builtin registered without a metrics handle")
+	if s.cmds["ping"].metrics == nil {
+		t.Fatal("builtin installed without a metrics handle")
 	}
 	if got := dispatch(s, "t.pre"); got.Str != "OK" {
 		t.Fatalf("dispatch = %+v", got)
@@ -167,6 +157,12 @@ func TestCommandCycleErrorReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	addCommand(s, "t.partial", func(ctx *Ctx) error {
+		ctx.ReplyArrayHeader(3)
+		ctx.ReplyInt(1)
+		return &BadArgError{Cmd: ctx.Name, Detail: "gave up mid-array"}
+	})
+	addCommand(s, "t.mute", func(ctx *Ctx) error { return nil })
 
 	if got := dispatch(s, "g.insert", "1"); got.Str != "ERR wrong number of arguments for 'g.insert' command" {
 		t.Fatalf("arity reply = %q", got.Str)
@@ -179,17 +175,6 @@ func TestCommandCycleErrorReplies(t *testing.T) {
 	}
 	// A handler error mid-reply rewinds: the wire sees one error value,
 	// not a truncated array.
-	err := s.Registry().Register(&Command{
-		Name: "t.partial", Arity: Exactly(0), Summary: "test: error after partial output",
-		Handler: func(ctx *Ctx) error {
-			ctx.ReplyArrayHeader(3)
-			ctx.ReplyInt(1)
-			return &BadArgError{Cmd: ctx.Name, Detail: "gave up mid-array"}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := dispatch(s, "t.partial")
 	if got.Type != '-' || got.Str != "ERR t.partial: gave up mid-array" {
 		t.Fatalf("partial-output reply = %+v", got)
@@ -214,13 +199,6 @@ func TestCommandCycleErrorReplies(t *testing.T) {
 	p.hangup()
 	// A handler returning nil without writing is a server bug surfaced
 	// as an error reply, keeping the pipeline in sync.
-	err = s.Registry().Register(&Command{
-		Name: "t.mute", Arity: Exactly(0), Summary: "test: no reply",
-		Handler: func(ctx *Ctx) error { return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := dispatch(s, "t.mute"); got.Type != '-' {
 		t.Fatalf("mute handler reply = %+v, want error", got)
 	}
@@ -231,8 +209,7 @@ func TestCommandCycleErrorReplies(t *testing.T) {
 func TestDispatchMetersDuration(t *testing.T) {
 	s := NewServer()
 	dispatch(s, "ping")
-	c, _ := s.Registry().Lookup("ping")
-	m := c.metrics
+	m := s.cmds["ping"].metrics
 	if m.calls.Load() != 1 {
 		t.Fatalf("ping calls = %d, want 1", m.calls.Load())
 	}

@@ -1,16 +1,12 @@
 package redislike
 
-import (
-	"strings"
+import "strings"
 
-	"cuckoograph/internal/resp"
-)
-
-// registerBuiltins registers PING and the COMMAND introspection
-// command. Builtins go through the same registry as module commands —
-// there is no hardwired dispatch path.
-func (s *Server) registerBuiltins() {
-	for _, c := range []*Command{
+// builtins are PING and the COMMAND introspection command. They join
+// the same table as the module's commands — there is no hardwired
+// dispatch path.
+func (s *Server) builtins() []*Command {
+	return []*Command{
 		{
 			Name: "ping", Arity: Between(0, 1), Summary: "liveness probe; echoes its argument",
 			Handler: func(ctx *Ctx) error {
@@ -26,43 +22,33 @@ func (s *Server) registerBuiltins() {
 			Name: "command", Arity: AtLeast(0), Summary: "introspect the command registry",
 			Handler: s.commandCmd,
 		},
-	} {
-		// Registration of the built-ins cannot fail: names are unique
-		// literals and every handler is set.
-		if err := s.reg.Register(c); err != nil {
-			panic(err)
-		}
 	}
 }
 
-// commandEntry renders one registration in COMMAND reply shape:
+// replyCommandEntry writes one command in COMMAND reply shape:
 // [name, arity (Redis convention), [flags...], summary]. Everything
-// comes from the registry — the registration is the single source of
-// truth for dispatch and introspection alike.
-func commandEntry(c *Command) resp.Value {
-	flags := make([]resp.Value, 0, 3)
-	for _, f := range c.Flags.Names() {
-		flags = append(flags, resp.Simple(f))
+// comes from the table row — the single source of truth for dispatch
+// and introspection alike.
+func replyCommandEntry(ctx *Ctx, c *Command) {
+	flags := c.Flags.Names()
+	ctx.ReplyArrayHeader(4)
+	ctx.ReplyBulkString(c.Name)
+	ctx.ReplyInt(c.Arity.Redis())
+	ctx.ReplyArrayHeader(len(flags))
+	for _, f := range flags {
+		ctx.ReplySimple(f)
 	}
-	return resp.Array(
-		resp.Bulk(c.Name),
-		resp.Integer(c.Arity.Redis()),
-		resp.Array(flags...),
-		resp.Bulk(c.Summary),
-	)
+	ctx.ReplyBulkString(c.Summary)
 }
 
 // commandCmd is COMMAND [COUNT | LIST | INFO name [name ...]]: the
-// registry-generated introspection surface. A cold path: replies are
-// assembled as boxed Values and bridged through the streaming writer.
+// introspection surface generated from the command table.
 func (s *Server) commandCmd(ctx *Ctx) error {
 	if len(ctx.Args) == 0 {
-		cmds := s.reg.Commands()
-		out := make([]resp.Value, len(cmds))
-		for i, c := range cmds {
-			out[i] = commandEntry(c)
+		ctx.ReplyArrayHeader(len(s.sorted))
+		for _, c := range s.sorted {
+			replyCommandEntry(ctx, c)
 		}
-		ctx.ReplyValue(resp.Array(out...))
 		return nil
 	}
 	switch sub := strings.ToLower(ctx.ArgString(0)); sub {
@@ -70,28 +56,26 @@ func (s *Server) commandCmd(ctx *Ctx) error {
 		if len(ctx.Args) != 1 {
 			return &BadArgError{Cmd: ctx.Name, Detail: "COUNT takes no arguments"}
 		}
-		ctx.ReplyInt(int64(s.reg.Len()))
+		ctx.ReplyInt(int64(len(s.sorted)))
 		return nil
 	case "list":
 		if len(ctx.Args) != 1 {
 			return &BadArgError{Cmd: ctx.Name, Detail: "LIST takes no arguments"}
 		}
-		cmds := s.reg.Commands()
-		ctx.ReplyArrayHeader(len(cmds))
-		for _, c := range cmds {
+		ctx.ReplyArrayHeader(len(s.sorted))
+		for _, c := range s.sorted {
 			ctx.ReplyBulkString(c.Name)
 		}
 		return nil
 	case "info":
-		out := make([]resp.Value, 0, len(ctx.Args)-1)
+		ctx.ReplyArrayHeader(len(ctx.Args) - 1)
 		for _, name := range ctx.Args[1:] {
-			if c, ok := s.reg.Lookup(strings.ToLower(string(name))); ok {
-				out = append(out, commandEntry(c))
+			if c, ok := s.cmds[strings.ToLower(string(name))]; ok {
+				replyCommandEntry(ctx, c)
 			} else {
-				out = append(out, resp.NullBulk())
+				ctx.ReplyNullBulk()
 			}
 		}
-		ctx.ReplyValue(resp.Array(out...))
 		return nil
 	default:
 		return &BadArgError{Cmd: ctx.Name, Detail: "unknown subcommand " + sub + " (want COUNT, LIST or INFO)"}

@@ -10,8 +10,8 @@ import (
 // locks: a restore swaps the contents inside a freeze of every shard,
 // so a shard lock hold (and a multi-shard batch, which excludes the
 // freeze) sees wholly the contents before it or wholly those after.
-// Arity is already validated against the registration, so handlers
-// only check argument *content*. These are the serving plane's hot
+// Arity is already validated against the command's table row, so
+// handlers only check argument *content*. These are the serving plane's hot
 // commands: arguments are parsed straight from the connection's
 // read-buffer views and replies are streamed, so a warm command cycle
 // allocates nothing.

@@ -10,7 +10,7 @@ import (
 )
 
 // Introspection: the G.INFO command and the module's /metrics series.
-// Both are generated from live state — registry, engine Stats, snapshot
+// Both are generated from live state — command table, engine Stats, snapshot
 // ring, WAL counters — so there is no second bookkeeping surface to
 // drift out of sync.
 
@@ -63,7 +63,6 @@ func (gm *GraphModule) info(ctx *Ctx) error {
 			writeInfo(&b, walRows(w))
 			if w != nil {
 				fmt.Fprintf(&b, "dir:%s\n", w.Dir())
-				fmt.Fprintf(&b, "on_error_policy:%s\n", gm.WALErrorPolicyValue())
 			}
 		case "replication":
 			gm.infoReplication(&b)
@@ -75,8 +74,8 @@ func (gm *GraphModule) info(ctx *Ctx) error {
 
 func (gm *GraphModule) infoCommands(ctx *Ctx, b *strings.Builder) {
 	s := ctx.Server()
-	fmt.Fprintf(b, "commands_registered:%d\n", s.Registry().Len())
-	for _, c := range s.Registry().Commands() {
+	fmt.Fprintf(b, "commands_registered:%d\n", len(s.sorted))
+	for _, c := range s.sorted {
 		cm := c.metrics
 		fmt.Fprintf(b, "cmdstat_%s:calls=%d,errors=%d,usec=%d\n",
 			c.Name, cm.calls.Load(), cm.errs.Load(), cm.sumNS.Load()/1e3)

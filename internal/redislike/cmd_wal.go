@@ -3,7 +3,6 @@ package redislike
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"cuckoograph/internal/sharded"
 	"cuckoograph/internal/wal"
@@ -17,77 +16,22 @@ import (
 // leader's log, and the stream is the only writer of its graph.
 var errReplicaLog = errors.New("a replica keeps no log of its own (it follows the leader's)")
 
-// WALErrorPolicy selects what a WAL storage failure does to the server
-// (cgserver -wal-on-error). The default, read-only, keeps the process
-// up: the failing write is errored, the server degrades to -MISCONF on
-// writes while reads keep serving, and wal_resume restores service once
-// the operator fixes the storage. Panic crashes instead — for
-// deployments where a supervisor restart against a healthy disk beats
-// running without durability.
-type WALErrorPolicy int32
-
-const (
-	WALOnErrorReadOnly WALErrorPolicy = iota
-	WALOnErrorPanic
-)
-
-func (p WALErrorPolicy) String() string {
-	if p == WALOnErrorPanic {
-		return "panic"
-	}
-	return "readonly"
-}
-
-// ParseWALErrorPolicy parses a -wal-on-error flag value. The empty
-// string means the default read-only policy.
-func ParseWALErrorPolicy(s string) (WALErrorPolicy, error) {
-	switch strings.ToLower(s) {
-	case "", "readonly":
-		return WALOnErrorReadOnly, nil
-	case "panic":
-		return WALOnErrorPanic, nil
-	}
-	return 0, fmt.Errorf("unknown wal error policy %q (want readonly|panic)", s)
-}
-
-// SetWALErrorPolicy selects the storage-failure policy.
-func (gm *GraphModule) SetWALErrorPolicy(p WALErrorPolicy) { gm.walPolicy.Store(int32(p)) }
-
-// WALErrorPolicyValue returns the configured storage-failure policy.
-func (gm *GraphModule) WALErrorPolicyValue() WALErrorPolicy {
-	return WALErrorPolicy(gm.walPolicy.Load())
-}
-
 // commit is run by the serve loop before every reply flush, on every
 // connection: it waits out the log's group commit for everything
 // staged so far — two atomic loads when that is nothing — and reads the
 // graph's sticky log error, once per drain. A failure means mutations
-// are in memory that the log cannot back: the configured storage-
-// failure policy fires, and the caller takes back the drain's write
-// acknowledgements.
+// are in memory that the log cannot back: the host server degrades to
+// read-only serving (writes answer -MISCONF until wal_resume, reads
+// keep serving), and the caller takes back the drain's write
+// acknowledgements. Every later drain observes the same sticky error,
+// so the degrade edge (log line included) fires exactly once.
 func (gm *GraphModule) commit() error {
 	err := gm.g.Commit()
-	if err != nil {
-		gm.walFailed(err)
+	if s := gm.srv; err != nil && s != nil && !s.Degraded() && s.SetDegraded("wal: "+err.Error()) {
+		gm.log.Error("wal failure; degrading to read-only serving (run wal_resume after fixing storage)",
+			"err", err)
 	}
 	return err
-}
-
-// walFailed reacts to an observed WAL failure per the configured
-// policy: panic, or degrade the host server to read-only serving. It is
-// called by every drain whose commit observes the sticky log error, so
-// the degrade edge (log line included) fires exactly once.
-func (gm *GraphModule) walFailed(err error) {
-	if WALErrorPolicy(gm.walPolicy.Load()) == WALOnErrorPanic {
-		gm.log.Error("wal failure with -wal-on-error=panic", "err", err)
-		panic(fmt.Sprintf("wal failure (-wal-on-error=panic): %v", err))
-	}
-	if s := gm.srv; s != nil && !s.Degraded() {
-		if s.SetDegraded("wal: " + err.Error()) {
-			gm.log.Error("wal failure; degrading to read-only serving (run wal_resume after fixing storage)",
-				"err", err)
-		}
-	}
 }
 
 // EnableWAL opens (creating if needed) the write-ahead log in dir and

@@ -8,47 +8,44 @@ import (
 	"cuckoograph/internal/wal"
 )
 
-func TestRegistryRegister(t *testing.T) {
-	r := NewRegistry()
-	ok := &Command{Name: "G.Test", Arity: Exactly(1),
-		Handler: func(ctx *Ctx) error { ctx.ReplySimple("OK"); return nil }}
-	if err := r.Register(ok); err != nil {
+// TestCommandTable pins the served table: names lowercase and unique,
+// a handler and a meter on every row, the map and the name-sorted list
+// holding the same rows, a second module refused before anything joins,
+// and COMMAND COUNT and LIST reporting the table in name order.
+func TestCommandTable(t *testing.T) {
+	s := NewServer()
+	_, mod := NewGraphModule()
+	if err := s.LoadModule(mod); err != nil {
 		t.Fatal(err)
 	}
-	// Names are stored lowercased and looked up lowercased.
-	if _, found := r.Lookup("g.test"); !found {
-		t.Fatal("lowercased lookup failed")
+	_, again := NewGraphModule()
+	if err := s.LoadModule(again); err == nil {
+		t.Fatal("a second graph module was loaded")
 	}
-	if err := r.Register(ok); err == nil {
-		t.Fatal("duplicate registration accepted")
+	if len(s.cmds) != len(s.sorted) {
+		t.Fatalf("table maps %d names, lists %d rows", len(s.cmds), len(s.sorted))
 	}
-	if err := r.Register(&Command{Name: "nohandler", Arity: Exactly(0)}); err == nil {
-		t.Fatal("nil handler accepted")
-	}
-	if err := r.Register(nil); err == nil {
-		t.Fatal("nil command accepted")
-	}
-	if err := r.Register(&Command{Name: "", Arity: Exactly(0),
-		Handler: func(*Ctx) error { return nil }}); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if got := r.Len(); got != 1 {
-		t.Fatalf("Len = %d, want 1", got)
-	}
-}
-
-func TestRegistryCommandsSorted(t *testing.T) {
-	r := NewRegistry()
-	h := func(*Ctx) error { return nil }
-	for _, name := range []string{"zz", "aa", "mm"} {
-		if err := r.Register(&Command{Name: name, Handler: h}); err != nil {
-			t.Fatal(err)
+	for i, c := range s.sorted {
+		if c.Name == "" || c.Name != strings.ToLower(c.Name) {
+			t.Fatalf("row %d is named %q, want a lowercase name", i, c.Name)
+		}
+		if i > 0 && s.sorted[i-1].Name >= c.Name {
+			t.Fatalf("%q listed before %q: not unique in name order", s.sorted[i-1].Name, c.Name)
+		}
+		if s.cmds[c.Name] != c || c.Handler == nil || c.metrics == nil {
+			t.Fatalf("row %q: mapped %v, handler %v, meter %v", c.Name, s.cmds[c.Name] == c, c.Handler != nil, c.metrics != nil)
 		}
 	}
-	cmds := r.Commands()
-	for i := 1; i < len(cmds); i++ {
-		if cmds[i-1].Name >= cmds[i].Name {
-			t.Fatalf("Commands not sorted: %q before %q", cmds[i-1].Name, cmds[i].Name)
+	if got := dispatch(s, "COMMAND", "COUNT"); got.Int != int64(len(s.sorted)) {
+		t.Fatalf("COMMAND COUNT = %+v, want %d", got, len(s.sorted))
+	}
+	list := dispatch(s, "COMMAND", "LIST")
+	if len(list.Array) != len(s.sorted) {
+		t.Fatalf("COMMAND LIST has %d names, want %d", len(list.Array), len(s.sorted))
+	}
+	for i, v := range list.Array {
+		if v.Str != s.sorted[i].Name {
+			t.Fatalf("COMMAND LIST[%d] = %q, want %q", i, v.Str, s.sorted[i].Name)
 		}
 	}
 }
@@ -87,9 +84,9 @@ func TestFlagNames(t *testing.T) {
 	}
 }
 
-// TestCommandIntrospection pins the satellite requirement: COMMAND is
-// generated from the registry, so every registered command — built-in
-// and module alike — appears with its live arity and flags.
+// TestCommandIntrospection: COMMAND is generated from the command
+// table, so every served command — built-in and module alike — appears
+// with its live arity and flags.
 func TestCommandIntrospection(t *testing.T) {
 	s := NewServer()
 	_, mod := NewGraphModule()
@@ -97,9 +94,6 @@ func TestCommandIntrospection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := dispatch(s, "COMMAND", "COUNT"); got.Int != int64(s.Registry().Len()) {
-		t.Fatalf("COMMAND COUNT = %+v, want %d", got, s.Registry().Len())
-	}
 	// The server speaks exactly the two built-ins and the graph module's
 	// commands, in name order.
 	list := dispatch(s, "COMMAND", "LIST")
@@ -134,9 +128,9 @@ func TestCommandIntrospection(t *testing.T) {
 		t.Fatalf("unknown command entry = %+v, want null", info.Array[1])
 	}
 
-	// The full listing matches the registry size.
-	if full := dispatch(s, "COMMAND"); len(full.Array) != s.Registry().Len() {
-		t.Fatalf("COMMAND listed %d entries, want %d", len(full.Array), s.Registry().Len())
+	// The full listing has one entry per row.
+	if full := dispatch(s, "COMMAND"); len(full.Array) != len(s.sorted) {
+		t.Fatalf("COMMAND listed %d entries, want %d", len(full.Array), len(s.sorted))
 	}
 	if got := dispatch(s, "COMMAND", "BOGUS"); got.Type != '-' || !strings.HasPrefix(got.Str, "ERR ") {
 		t.Fatalf("COMMAND BOGUS = %+v", got)

@@ -10,7 +10,7 @@ import (
 
 // Ctx carries one command invocation to its handler: the resolved name,
 // the arguments (name excluded, arity already validated against the
-// registration) and the reply writer. One Ctx lives
+// command's table row) and the reply writer. One Ctx lives
 // per connection and is reused across every command it serves — the
 // scratch fields below are what make the hot data-plane commands
 // allocation-free.
@@ -119,10 +119,8 @@ func (c *Ctx) ReplyBulkUint(n uint64) { c.w.AppendBulkUint(n) }
 // follow it with exactly n replies.
 func (c *Ctx) ReplyArrayHeader(n int) { c.w.AppendArrayHeader(n) }
 
-// ReplyValue writes a boxed Value tree — the bridge for cold
-// introspection replies (COMMAND, G.INFO) that are assembled rather
-// than streamed.
-func (c *Ctx) ReplyValue(v resp.Value) { c.w.AppendValue(v) }
+// ReplyNullBulk writes the null bulk reply ("$-1").
+func (c *Ctx) ReplyNullBulk() { c.w.AppendNullBulk() }
 
 // parseUint64 decodes a decimal uint64 from bytes without the string
 // copy strconv.ParseUint would force on the hot path. It accepts

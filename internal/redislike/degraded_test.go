@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -210,8 +209,7 @@ func TestDegradedModeDepthOne(t *testing.T) {
 	if !srv.Degraded() {
 		t.Fatal("server not degraded")
 	}
-	c, _ := srv.Registry().Lookup("g.insert")
-	if n := c.metrics.errs.Load(); n != 1 {
+	if n := srv.cmds["g.insert"].metrics.errs.Load(); n != 1 {
 		t.Fatalf("g.insert error count = %d, want 1 (the taken-back reply is metered as an error)", n)
 	}
 	ffs.ClearFault()
@@ -256,71 +254,6 @@ func TestDegradedModeHighWaterCommit(t *testing.T) {
 		t.Fatal("server not degraded")
 	}
 	ffs.ClearFault()
-}
-
-// TestWALOnErrorPanicFiresAtCommit: under -wal-on-error=panic the write
-// handlers of a drain return normally — they only stage — and the panic
-// comes from the drain's commit, before any reply could be flushed.
-func TestWALOnErrorPanicFiresAtCommit(t *testing.T) {
-	srv, gm, _ := startGraphServer(t, Config{})
-	gm.SetWALErrorPolicy(WALOnErrorPanic)
-	ffs := vfs.NewFaultFS(nil)
-	if err := gm.EnableWAL(t.TempDir(), wal.Options{Sync: wal.SyncAlways, FS: ffs}); err != nil {
-		t.Fatal(err)
-	}
-	ffs.SetFault(vfs.Fault{Kinds: vfs.OpWrite.Mask() | vfs.OpSync.Mask(), Err: syscall.EIO})
-	var w resp.Writer
-	ctx := &Ctx{srv: srv, w: &w}
-	srv.serveRequest(ctx, byteArgs("g.insert", "1", "2"))
-	srv.serveRequest(ctx, byteArgs("g.minsert", "3", "4", "5", "6"))
-	if string(w.Bytes()) != ":1\r\n:2\r\n" || len(ctx.uncommitted) != 2 {
-		t.Fatalf("staged replies = %q, %d tracked", w.Bytes(), len(ctx.uncommitted))
-	}
-	defer func() {
-		r := recover()
-		if r == nil || !strings.Contains(fmt.Sprint(r), "-wal-on-error=panic") {
-			t.Fatalf("commit on a failed WAL: recovered %v, want the policy's panic", r)
-		}
-		ffs.ClearFault()
-		gm.Graph().SetWAL(nil)
-		srv.Close()
-	}()
-	srv.commit(ctx)
-}
-
-// TestWALOnErrorPanicPolicy: with -wal-on-error=panic a WAL failure
-// crashes the write path instead of degrading.
-func TestWALOnErrorPanicPolicy(t *testing.T) {
-	srv, gm, _ := startGraphServer(t, Config{})
-	gm.SetWALErrorPolicy(WALOnErrorPanic)
-	ffs := vfs.NewFaultFS(nil)
-	if err := gm.EnableWAL(t.TempDir(), wal.Options{Sync: wal.SyncAlways, FS: ffs}); err != nil {
-		t.Fatal(err)
-	}
-	ffs.SetFault(vfs.Fault{Kinds: vfs.OpWrite.Mask() | vfs.OpSync.Mask(), Err: syscall.EIO})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("write on failed WAL did not panic under the panic policy")
-		}
-		if !strings.Contains(fmt.Sprint(r), "-wal-on-error=panic") {
-			t.Fatalf("panic message %q does not name the policy", r)
-		}
-		// Disarm the fault so module teardown can close the WAL.
-		ffs.ClearFault()
-		gm.Graph().SetWAL(nil)
-		srv.Close()
-	}()
-	// The loop runs on this goroutine, so its panic is the test's to
-	// recover; the client's write returns once the loop has read it.
-	cli, conn := net.Pipe()
-	defer cli.Close()
-	go func() {
-		w := bufio.NewWriter(cli)
-		resp.Write(w, resp.Command("g.insert", "1", "2"))
-		w.Flush()
-	}()
-	srv.serve(conn)
 }
 
 // TestReadyzReplicaBootstrapGate: a replica that has not reached

@@ -35,7 +35,7 @@ func (e *ArityError) Error() string {
 	return fmt.Sprintf("wrong number of arguments for '%s' command", e.Cmd)
 }
 
-// UnknownCommandError reports a name with no registry entry.
+// UnknownCommandError reports a name with no command table row.
 type UnknownCommandError struct {
 	Cmd string
 }

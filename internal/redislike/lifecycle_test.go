@@ -114,21 +114,20 @@ func TestShutdownDrains(t *testing.T) {
 // Shutdown begins still gets its reply flushed before the connection
 // closes — the drain waits for it instead of cutting it off.
 func TestShutdownFinishesInFlightCommand(t *testing.T) {
-	s, _, addr := startGraphServer(t, Config{})
+	s := NewServer()
 	started := make(chan struct{})
 	release := make(chan struct{})
-	err := s.Registry().Register(&Command{
-		Name: "t.slow", Arity: Exactly(0), Summary: "test: block until released",
-		Handler: func(ctx *Ctx) error {
-			close(started)
-			<-release
-			ctx.ReplySimple("SLOW-OK")
-			return nil
-		},
+	addCommand(s, "t.slow", func(ctx *Ctx) error {
+		close(started)
+		<-release
+		ctx.ReplySimple("SLOW-OK")
+		return nil
 	})
+	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
 
 	p := dialPipe(t, addr)
 	p.push("t.slow")

@@ -140,13 +140,13 @@ func (mw *MetricsWriter) Flush() error {
 }
 
 // writeCommandMetrics emits the per-command counters and histograms.
-func (m *Metrics) writeCommandMetrics(mw *MetricsWriter, reg *Registry) {
+func (m *Metrics) writeCommandMetrics(mw *MetricsWriter, cmds []*Command) {
 	mw.header("cg_commands_total", "counter", "Commands dispatched, by command name.")
 	mw.header("cg_command_errors_total", "counter", "Commands that returned an error reply, by command name.")
 	mw.header("cg_command_seconds", "histogram", "Command service time in seconds, by command name.")
-	// The registry in sorted order, then the pooled "unknown" meter, so
+	// The table in name order, then the pooled "unknown" meter, so
 	// scrapes are deterministic.
-	for _, c := range reg.Commands() {
+	for _, c := range cmds {
 		writeCommandMeter(mw, c.Name, c.metrics)
 	}
 	writeCommandMeter(mw, "unknown", &m.unknown)
@@ -174,8 +174,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	mw := newMetricsWriter(w)
 	mw.Gauge("cg_uptime_seconds", "Seconds since the server started.", time.Since(s.metrics.start).Seconds())
 	writeMetrics(mw, "cg_", s.serverRows())
-	mw.Gauge("cg_commands_registered", "Commands in the registry.", float64(s.reg.Len()))
-	s.metrics.writeCommandMetrics(mw, s.reg)
+	mw.Gauge("cg_commands_registered", "Commands in the registry.", float64(len(s.sorted)))
+	s.metrics.writeCommandMetrics(mw, s.sorted)
 	if s.gm != nil {
 		s.gm.collectMetrics(mw)
 	}

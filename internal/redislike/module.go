@@ -22,9 +22,9 @@ import (
 // different source nodes run in parallel, each taking only the owning
 // shard's lock; a restore freezes every shard to replace the contents.
 //
-// Commands are registered through the Command registry (see
-// moduleCommands); the registrations carry the arity and flag metadata
-// the server enforces and introspects.
+// Its commands join the server's command table (see moduleCommands);
+// the rows carry the arity and flag metadata the server enforces and
+// introspects.
 type GraphModule struct {
 	// g is assigned once, by NewGraphModule; a restore replaces its
 	// contents, never the handle.
@@ -50,10 +50,6 @@ type GraphModule struct {
 	// poisoned WAL. Guarded by walMu.
 	walOpts wal.Options
 	walDir  string
-	// walPolicy is the WALErrorPolicy (readonly|panic) applied when the
-	// data plane observes a log failure; atomic because the hot write
-	// path reads it.
-	walPolicy atomic.Int32
 	// recovered remembers the last RecoverWAL so EnableWAL on the same
 	// directory can skip its initial checkpoint: the directory already
 	// describes that exact graph. muts is the graph's monotonic applied-
@@ -99,9 +95,9 @@ func NewGraphModule() (*GraphModule, *Module) {
 	return gm, &Module{gm: gm}
 }
 
-// moduleCommands is the module's registry contribution: one Command per
-// served name, with the arity and flags dispatch enforces and COMMAND /
-// G.INFO report.
+// moduleCommands is the module's share of the command table: one
+// Command per served name, with the arity and flags dispatch enforces
+// and COMMAND / G.INFO report.
 func (gm *GraphModule) moduleCommands() []*Command {
 	return []*Command{
 		{Name: "g.insert", Arity: Exactly(2), Flags: FlagWrite,

@@ -1,27 +1,28 @@
 // Package redislike is a small in-process Redis-like server: a TCP
-// RESP2 front end with a command registry, hosting the graph module of
-// the paper's Redis integration (§V-F). PING and COMMAND are its only
-// built-ins; the module provides G.INSERT, G.DEL, the batched
+// RESP2 front end with a fixed command table, hosting the graph module
+// of the paper's Redis integration (§V-F). PING and COMMAND are its
+// only built-ins; the module provides G.INSERT, G.DEL, the batched
 // G.MINSERT/G.MDEL, G.QUERY, G.GETNEIGHBORS, G.DEGREE, G.NODES,
 // snapshots, analytics, WAL control and log-shipping replication.
 //
-// Every command is a Command registration — name, arity spec, flags,
-// handler — and dispatch is entirely registry-driven: arity is enforced
-// before the handler runs, write-flagged commands are rejected while a
-// recovery is loading, and the COMMAND/G.INFO introspection output
-// is generated from the same registrations. Handlers return typed
-// errors (see errors.go) that dispatch maps onto RESP error classes, so
-// a failure is always a well-formed reply in pipeline order.
+// Every command is a row of one table — name, arity spec, flags,
+// handler — built before the server listens and read without a lock
+// after: arity is enforced before the handler runs, write-flagged
+// commands are rejected while a recovery is loading, and the
+// COMMAND/G.INFO introspection output is generated from the same rows.
+// Handlers return typed errors (see errors.go) that dispatch maps onto
+// RESP error classes, so a failure is always a well-formed reply in
+// pipeline order.
 //
 // The serving plane is allocation-free for warm hot commands: requests
 // are parsed into byte-slice views of the connection's read buffer,
 // each connection reuses one Ctx (with name/batch/ids scratch) and one
 // streaming resp.Writer that handlers append replies into, and
-// per-command metrics are resolved once at registration instead of per
-// call. The read loop pipelines: replies accumulate in the writer and
-// are flushed when the input buffer drains or the buffered replies
-// pass the flush high-water mark, so a burst of commands pays one
-// write(2) for all its replies. Connections are admission-controlled
+// per-command metrics hang off the table row instead of being looked
+// up per call. The read loop pipelines: replies accumulate in the
+// writer and are flushed when the input buffer drains or the buffered
+// replies pass the flush high-water mark, so a burst of commands pays
+// one write(2) for all its replies. Connections are admission-controlled
 // (MaxConns rejects with -MAXCLIENTS rather than hanging the dial),
 // commands run under per-command read/write deadlines, and Shutdown
 // drains: in-flight commands finish and flush, then the graph module
@@ -85,8 +86,12 @@ type Module struct{ gm *GraphModule }
 type Server struct {
 	cfg     Config
 	log     *slog.Logger
-	reg     *Registry
 	metrics *Metrics
+
+	// cmds is the command table and sorted its rows in name order (see
+	// install): filled before Listen, read-only after.
+	cmds   map[string]*Command
+	sorted []*Command
 
 	// gm is the loaded graph module (nil until LoadModule), written
 	// before Listen. The server calls it directly: commit before every
@@ -146,18 +151,15 @@ func NewServerWith(cfg Config) *Server {
 	s := &Server{
 		cfg:          cfg,
 		log:          log,
-		reg:          NewRegistry(),
+		cmds:         make(map[string]*Command),
 		metrics:      &Metrics{start: time.Now()},
 		closed:       make(chan struct{}),
 		shutdownDone: make(chan struct{}),
 		conns:        make(map[*resp.Conn]struct{}),
 	}
-	s.registerBuiltins()
+	s.install(s.builtins())
 	return s
 }
-
-// Registry exposes the command registry (introspection, tests).
-func (s *Server) Registry() *Registry { return s.reg }
 
 // SetLoading flips the recovery-in-progress flag; while set, dispatch
 // rejects write-flagged commands with -LOADING.
@@ -225,9 +227,9 @@ func (s *Server) Ready() error {
 }
 
 // LoadModule loads the graph module (--loadmodule equivalent): its
-// commands join the registry, and the module reaches the server's
+// commands join the table, and the module reaches the server's
 // loading, read-only and degraded flags and its logger. A server hosts
-// one graph module; a second is refused before anything is registered.
+// one graph module; a second is refused before anything is installed.
 // Call it before Listen.
 func (s *Server) LoadModule(m *Module) error {
 	if s.gm != nil {
@@ -235,11 +237,7 @@ func (s *Server) LoadModule(m *Module) error {
 	}
 	gm := m.gm
 	cmds := gm.moduleCommands()
-	for _, c := range cmds {
-		if err := s.reg.Register(c); err != nil {
-			return err
-		}
-	}
+	s.install(cmds)
 	s.gm, gm.srv = gm, s
 	gm.log = s.log.With("module", "cuckoograph")
 	s.log.Info("module loaded", "module", "cuckoograph", "commands", len(cmds))
@@ -255,7 +253,7 @@ func (s *Server) Listen(addr string) (string, error) {
 	}
 	s.ln = ln
 	go s.acceptLoop()
-	s.log.Info("listening", "addr", ln.Addr().String(), "commands", s.reg.Len(),
+	s.log.Info("listening", "addr", ln.Addr().String(), "commands", len(s.sorted),
 		"max_conns", s.cfg.MaxConns)
 	return ln.Addr().String(), nil
 }
@@ -511,7 +509,7 @@ func (s *Server) commit(ctx *Ctx) {
 	ctx.uncommitted = ctx.uncommitted[:0]
 }
 
-// serveRequest is the registry-driven command path: resolve, enforce
+// serveRequest is the one command path: resolve in the table, enforce
 // arity, apply flag policy, run the handler, map typed errors to RESP
 // classes, meter everything. Exactly one well-formed reply lands in the
 // ctx's writer — a handler error rewinds any partial output first, so
@@ -530,7 +528,7 @@ func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 	if start.IsZero() {
 		start = time.Now()
 	}
-	cmd, ok := s.reg.LookupBytes(ctx.nameBuf)
+	cmd, ok := s.cmds[string(ctx.nameBuf)]
 	if !ok {
 		e := &UnknownCommandError{Cmd: string(ctx.nameBuf)}
 		w.AppendError(errorClass(e) + " " + e.Error())

@@ -72,6 +72,15 @@ func dialPipe(t *testing.T, addr string) *pipeClient {
 	return &pipeClient{t: t, c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}
 }
 
+// addCommand installs a test-only command that takes no arguments into
+// s's table and returns its row. Call it before s serves: the table is
+// read without a lock.
+func addCommand(s *Server, name string, h HandlerFunc) *Command {
+	c := &Command{Name: name, Arity: Exactly(0), Summary: "test: " + name, Handler: h}
+	s.install([]*Command{c})
+	return c
+}
+
 // dispatch sends one command on a serveConn connection of its own and
 // returns the decoded reply. It returns after the loop has, so the
 // connection's last commit is done and its count given back.
@@ -132,6 +141,25 @@ func startGraphServer(t *testing.T, cfg Config) (*Server, *GraphModule, string) 
 	}
 	t.Cleanup(func() { s.Close() })
 	return s, gm, addr
+}
+
+// TestErrorReplyCannotForgeTheNext: an error that echoes client bytes
+// carrying CRLF — an unknown command name, a COMMAND subcommand — stays
+// one reply, so the reply after it is the next command's and not bytes
+// the client smuggled in.
+func TestErrorReplyCannotForgeTheNext(t *testing.T) {
+	p := servePipe(t, NewServer())
+	p.push("a\r\n+OK")
+	p.push("PING")
+	p.push("COMMAND", "x\r\n+OK")
+	p.push("PING")
+	p.flush()
+	for _, want := range []string{"-ERR unknown command 'a  +ok'", "+PONG",
+		"-ERR command: unknown subcommand x  +ok (want COUNT, LIST or INFO)", "+PONG"} {
+		if got := p.read(); string(got.Type)+got.Str != want {
+			t.Fatalf("reply %c%s, want %s", got.Type, got.Str, want)
+		}
+	}
 }
 
 // TestErrorTaxonomyPipelined is the satellite pin: a pipelined burst

@@ -9,9 +9,8 @@ import (
 // directly into a reusable buffer instead of being built as boxed Value
 // trees and encoded afterwards. It is the serving plane's hot-path
 // encoder — one Writer lives per connection, every Append* method is
-// allocation-free once the buffer has warmed up, and Value survives
-// only for cold introspection replies (COMMAND, G.INFO) via
-// AppendValue. Every payload is copied into the buffer, so pending
+// allocation-free once the buffer has warmed up, and a boxed Value is
+// encoded through AppendValue only on behalf of Write. Every payload is copied into the buffer, so pending
 // output never aliases memory the caller goes on to reuse.
 //
 // Mark/Rewind give dispatch transactional replies: a handler that
@@ -39,11 +38,25 @@ func (w *Writer) AppendSimple(s string) {
 	w.crlf()
 }
 
-// AppendError appends an error reply ("-msg\r\n").
+// AppendError appends an error reply ("-msg\r\n"). CR and LF in msg
+// become spaces, as in Redis: an error can echo client bytes (a command
+// name, a path), and a raw line break would end the reply early and
+// pass the rest off as the next reply in the pipeline.
 func (w *Writer) AppendError(msg string) {
-	w.buf = append(w.buf, '-')
-	w.buf = append(w.buf, msg...)
+	w.buf = appendLine(append(w.buf, '-'), msg)
 	w.crlf()
+}
+
+// appendLine appends s to buf with every CR and LF replaced by a space.
+func appendLine(buf []byte, s string) []byte {
+	n := len(buf)
+	buf = append(buf, s...)
+	for i := n; i < len(buf); i++ {
+		if buf[i] == '\r' || buf[i] == '\n' {
+			buf[i] = ' '
+		}
+	}
+	return buf
 }
 
 // AppendInt appends an integer reply (":n\r\n").
@@ -100,8 +113,7 @@ func (w *Writer) AppendBulkUint(n uint64) {
 	w.crlf()
 }
 
-// AppendValue encodes a boxed Value — the bridge for cold introspection
-// handlers that still build reply trees. An invalid Value (unknown
+// AppendValue encodes a boxed Value, Write's encoder. An invalid Value (unknown
 // Type, the zero Value included) encodes as an error reply rather than
 // desyncing the stream.
 func (w *Writer) AppendValue(v Value) {
@@ -140,12 +152,12 @@ func (w *Writer) Rewind(m Mark) { w.buf = w.buf[:m] }
 
 // SpliceError replaces everything appended between from and to — two
 // marks taken in that order — with one error reply, shifting the output
-// after it. The serving plane uses it to take back a reply it had
-// already buffered; it copies the tail, so it is for cold paths.
+// after it; msg is cleaned as in AppendError. The serving plane uses it
+// to take back a reply it had already buffered; it copies the tail, so
+// it is for cold paths.
 func (w *Writer) SpliceError(from, to Mark, msg string) {
-	repl := make([]byte, 0, len(msg)+3)
-	repl = append(append(append(repl, '-'), msg...), '\r', '\n')
-	w.buf = slices.Replace(w.buf, int(from), int(to), repl...)
+	repl := appendLine(append(make([]byte, 0, len(msg)+3), '-'), msg)
+	w.buf = slices.Replace(w.buf, int(from), int(to), append(repl, '\r', '\n')...)
 }
 
 // Reset discards pending output, keeping the buffer for reuse unless it

@@ -153,6 +153,23 @@ func TestWriterSpliceError(t *testing.T) {
 	}
 }
 
+// TestWriterErrorKeepsOneLine: CR and LF in an error message become
+// spaces in AppendError and SpliceError alike, so a message that echoes
+// client bytes stays one reply and cannot forge the next.
+func TestWriterErrorKeepsOneLine(t *testing.T) {
+	var w Writer
+	w.AppendError("ERR unknown command 'a\r\n+OK'")
+	from := w.Mark()
+	w.AppendInt(2)
+	w.SpliceError(from, w.Mark(), "WALERR bad\npath\r")
+	w.AppendSimple("PONG")
+	got := decodeAll(t, &w)
+	if len(got) != 3 || got[0].Str != "ERR unknown command 'a  +OK'" ||
+		got[1].Str != "WALERR bad path " || got[2].Str != "PONG" {
+		t.Fatalf("decoded %+v", got)
+	}
+}
+
 // TestWriterBulkCopies: a bulk payload of any size is copied at append
 // time, so the caller may reuse its buffer before the flush.
 func TestWriterBulkCopies(t *testing.T) {
@@ -194,6 +211,7 @@ func TestWriterAppendAllocs(t *testing.T) {
 		w.AppendBulkUint(987654321)
 		w.AppendArrayHeader(2)
 		w.AppendNullBulk()
+		w.AppendError("ERR bad\r\nline")
 		w.Reset()
 	})
 	if allocs != 0 {

@@ -113,26 +113,19 @@ func TestConformanceSkewedDegrees(t *testing.T) {
 	}
 }
 
-// TestForEachNodeCoverage checks node iteration for stores that offer it.
+// TestForEachNodeCoverage checks node iteration on every store.
 func TestForEachNodeCoverage(t *testing.T) {
-	type nodeIter interface {
-		ForEachNode(fn func(u uint64) bool)
-	}
 	for _, f := range All() {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			s := f.New()
-			ni, ok := s.(nodeIter)
-			if !ok {
-				t.Skipf("%s does not iterate nodes", f.Name)
-			}
 			want := map[uint64]bool{}
 			for u := uint64(10); u < 40; u++ {
 				s.InsertEdge(u, u*2)
 				want[u] = true
 			}
 			got := map[uint64]bool{}
-			ni.ForEachNode(func(u uint64) bool {
+			s.ForEachNode(func(u uint64) bool {
 				got[u] = true
 				return true
 			})
