@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
+	"cuckoograph/internal/core"
 	"cuckoograph/internal/resp"
 	"cuckoograph/internal/wal"
 )
@@ -222,5 +224,58 @@ func TestDispatchMetersDuration(t *testing.T) {
 	}
 	if m.sumNS.Load() == 0 && time.Since(s.metrics.start) > 0 {
 		t.Fatal("latency sum not recorded")
+	}
+}
+
+// TestConnScratchShrinks: a command whose per-connection scratch grew
+// past retainedScratchBytes — a G.MINSERT of 10 000 pairs, a G.NODES
+// of 10 000 ids, an unknown command with a 100 KB name — leaves none
+// of it pinned on the connection, while the small scratch of an
+// ordinary command stays for reuse.
+func TestConnScratchShrinks(t *testing.T) {
+	s := NewServer()
+	_, mod := NewGraphModule()
+	if err := s.LoadModule(mod); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var w resp.Writer
+	ctx := &Ctx{srv: s, w: &w}
+	serve := func(args [][]byte) {
+		t.Helper()
+		s.serveRequest(ctx, args)
+		if bytes.HasPrefix(w.Bytes(), []byte("-")) && !bytes.Contains(w.Bytes(), []byte("unknown command")) {
+			t.Fatalf("%s answered %q", args[0], w.Bytes()[:min(80, w.Len())])
+		}
+		w.Reset()
+	}
+	check := func(after string) {
+		t.Helper()
+		if b := cap(ctx.nameBuf); b > retainedScratchBytes {
+			t.Fatalf("after %s the name buffer keeps %d bytes", after, b)
+		}
+		if b := cap(ctx.batch) * int(unsafe.Sizeof(core.Op{})); b > retainedScratchBytes {
+			t.Fatalf("after %s the batch scratch keeps %d bytes", after, b)
+		}
+		if b := cap(ctx.ids) * 8; b > retainedScratchBytes {
+			t.Fatalf("after %s the id scratch keeps %d bytes", after, b)
+		}
+	}
+
+	minsert := []string{"g.minsert"}
+	for u := 0; u < 10000; u++ {
+		minsert = append(minsert, strconv.Itoa(u), "1")
+	}
+	serve(byteArgs(minsert...))
+	check("a 10 000-pair G.MINSERT")
+	serve(byteArgs("g.nodes"))
+	check("a 10 000-node G.NODES")
+	serve([][]byte{bytes.Repeat([]byte("x"), 100<<10)})
+	check("a 100 KB unknown command name")
+
+	serve(byteArgs("g.minsert", "1", "2", "3", "4"))
+	serve(byteArgs("g.getneighbors", "1"))
+	if cap(ctx.nameBuf) == 0 || cap(ctx.batch) == 0 || cap(ctx.ids) == 0 {
+		t.Fatalf("small scratch not kept: name %d, batch %d, ids %d", cap(ctx.nameBuf), cap(ctx.batch), cap(ctx.ids))
 	}
 }

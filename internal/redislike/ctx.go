@@ -3,6 +3,7 @@ package redislike
 import (
 	"math"
 	"time"
+	"unsafe"
 
 	"cuckoograph/internal/core"
 	"cuckoograph/internal/resp"
@@ -42,10 +43,35 @@ type Ctx struct {
 	staged      bool
 	uncommitted []stagedReply
 
-	// Per-connection scratch, reused across commands:
+	// Per-connection scratch, reused across commands up to
+	// retainedScratchBytes each (see trimScratch):
 	nameBuf []byte     // lowercased command name
 	batch   core.Batch // decoded G.MINSERT/G.MDEL pairs
 	ids     []uint64   // collected node ids (G.GETNEIGHBORS, G.NODES)
+}
+
+// retainedScratchBytes caps the capacity each per-connection scratch
+// keeps between commands (grow-then-shrink, as resp.Writer.Reset): one
+// G.NODES on a large graph must not pin its id list for the life of the
+// connection.
+const retainedScratchBytes = 64 << 10
+
+// trimScratch drops every scratch buffer that grew past
+// retainedScratchBytes; serveRequest runs it after each command.
+func (c *Ctx) trimScratch() {
+	c.nameBuf = retained(c.nameBuf)
+	c.batch = retained(c.batch)
+	c.ids = retained(c.ids)
+}
+
+// retained returns s, or nil if its capacity is past
+// retainedScratchBytes.
+func retained[T any](s []T) []T {
+	var zero T
+	if uintptr(cap(s))*unsafe.Sizeof(zero) > retainedScratchBytes {
+		return nil
+	}
+	return s
 }
 
 // stagedReply locates one buffered write reply whose mutation is

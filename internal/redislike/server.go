@@ -515,8 +515,10 @@ func (s *Server) commit(ctx *Ctx) {
 // ctx's writer — a handler error rewinds any partial output first, so
 // pipelined replies never desync. The clock is read once per command:
 // ctx.stamp, when set, is the end of the previous command and this
-// one's start, and is left as this one's end.
+// one's start, and is left as this one's end. Scratch the command grew
+// past its bound is dropped after it (see Ctx.trimScratch).
 func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
+	defer ctx.trimScratch()
 	w := ctx.w
 	if len(args) == 0 {
 		e := &BadArgError{Cmd: "protocol", Detail: "expected command array"}

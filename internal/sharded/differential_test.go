@@ -3,6 +3,7 @@ package sharded
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -118,7 +119,8 @@ func verifyView(t *testing.T, v *View, model map[uint64][]uint64, edges uint64, 
 // verified continuously — by concurrent goroutines, while the mutation
 // stream keeps running — to stay bit-identical to the model state at
 // its epoch. At steady state six views are live at once (≥4, per the
-// acceptance criterion). Run it with -race: the verifiers' reads of
+// acceptance criterion), and the one released to make room is drawn at
+// random. Run it with -race: the verifiers' reads of
 // live shards and frozen overlays race against writers by design, and
 // the locking discipline has to hold.
 func TestDifferentialSnapshotsUnderMutation(t *testing.T) {
@@ -209,8 +211,12 @@ func TestDifferentialSnapshotsUnderMutation(t *testing.T) {
 		if r%20 == 0 || rng.Intn(40) == 0 {
 			live = append(live, spawn())
 			if len(live) > maxLive {
-				release(live[0])
-				live = live[1:]
+				// Any view, not just the oldest: a middle or the newest
+				// one released while older ones still share its
+				// pre-images must leave them exact.
+				j := rng.Intn(len(live))
+				release(live[j])
+				live = slices.Delete(live, j, j+1)
 			}
 		}
 	}

@@ -32,8 +32,10 @@ func liveEdgeCount(g *Graph) uint64 {
 
 // TestReplaceKeepsFrozenViews: a view taken before a Replace still
 // reads the contents of its epoch afterwards — through Save and a CSR
-// compiled after the swap — while the live graph answers from src,
-// epochs keep growing, and a shard-count mismatch changes nothing.
+// compiled after the swap, and while views opened after it come and go
+// and their writes reuse whatever the shards recycle — while the live
+// graph answers from src, epochs keep growing, and a shard-count
+// mismatch changes nothing.
 func TestReplaceKeepsFrozenViews(t *testing.T) {
 	g := New(Config{Shards: 4})
 	for u := uint64(0); u < 40; u++ {
@@ -86,6 +88,21 @@ func TestReplaceKeepsFrozenViews(t *testing.T) {
 		t.Fatalf("live graph has %d nodes, want %d", got, want)
 	}
 
+	// Views after the Replace: each release recycles what the shards
+	// hold, and the writes after it reuse that memory.
+	for round := uint64(0); round < 3; round++ {
+		w := g.Snapshot()
+		for u := uint64(0); u < 40; u++ {
+			g.InsertEdge(u, 600+round)
+		}
+		w.Release()
+		for u := uint64(0); u < 40; u++ {
+			g.InsertEdge(u, 700+round)
+		}
+		if got := saveBytes(t, v); !bytes.Equal(got, before) {
+			t.Fatalf("view's Save bytes changed after %d views opened and released since the Replace", round+1)
+		}
+	}
 	w := g.Snapshot()
 	if w.Epoch() <= v.Epoch() {
 		t.Fatalf("epoch %d after Replace does not exceed %d before it", w.Epoch(), v.Epoch())

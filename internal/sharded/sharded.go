@@ -123,9 +123,9 @@ type shard struct {
 type Graph struct {
 	shards []shard
 	mask   uint64
-	// cow[i] is shard i's copy-on-write hook (see cowHook), built once:
-	// a closure per write would allocate, and a shard has no room for it.
-	cow []func(u uint64, deg int) []uint64
+	// cow[i] is shard i's copy-on-write store (see cowStore), which
+	// outlives views; a shard has no room for it.
+	cow []*cowStore
 
 	edges atomic.Uint64
 	nodes atomic.Uint64
@@ -180,10 +180,11 @@ func ShardCount(n int) int {
 // New returns an empty sharded graph.
 func New(cfg Config) *Graph {
 	p := ShardCount(cfg.Shards)
-	g := &Graph{shards: make([]shard, p), mask: uint64(p - 1), cow: make([]func(uint64, int) []uint64, p)}
+	g := &Graph{shards: make([]shard, p), mask: uint64(p - 1), cow: make([]*cowStore, p)}
 	base := cfg.Core.Defaults()
 	for i := range g.shards {
-		g.cow[i] = g.cowHook(i)
+		g.cow[i] = &cowStore{}
+		g.cow[i].hook = g.cowHook(i)
 		sc := base
 		// Distinct per-shard seeds keep hash layouts independent while
 		// staying deterministic for a given Config.
@@ -347,7 +348,7 @@ const maxAppliedScratch = 64
 func (g *Graph) applyLocked(si int, sh *shard, part core.Batch) (core.BatchResult, *logHook) {
 	var before func(u uint64, deg int) []uint64
 	if len(sh.views) > 0 {
-		before = g.cow[si]
+		before = g.cow[si].hook
 	}
 	n0 := sh.g.NumNodes()
 	var res core.BatchResult

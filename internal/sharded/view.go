@@ -28,14 +28,20 @@ import (
 // absent edge copies nothing, and nothing a write stream never changes
 // is ever copied. One preserved pre-image is shared by every live view
 // that needs it, so N views cost one copy per changed node, not N.
+// Pre-images are cut from the shard's copy-on-write store (cowStore),
+// which outlives views: its chunks are recycled when the shard's last
+// live view is released, and a released view's overlay map is kept for
+// the next view, so a steady snapshot → write → release cycle allocates
+// nothing but the view itself.
 //
 // Reads resolve the overlay first and fall through to the engine the
 // shard held at the epoch (under the shard's read lock) for untouched
 // nodes, so a view is always bit-identical to the graph as it stood at
 // the view's epoch while writers proceed at full speed — a Replace
-// included. Release drops the view from every shard's registry;
-// everything it pinned becomes collectable immediately. Using a view
-// after Release panics.
+// included. Release drops the view from every shard's registry and
+// hands back what it pinned: its overlay maps go back to the shards for
+// reuse, and so do the pre-image chunks of every shard it was the last
+// live view on. Using a view after Release panics.
 //
 // View implements graphstore.Store so the whole analytics suite runs on
 // frozen views; its mutating methods panic.
@@ -105,7 +111,9 @@ func (g *Graph) LiveViews() int { return int(g.liveViews.Load()) }
 // copy-on-write cost of the snapshot subsystem. Each preserved node
 // costs 16 bytes of overlay entry plus 8 per frozen successor (16 + 8·d
 // for a node of degree d), regardless of how many views share the
-// pre-image; a mutation that changes nothing costs 0.
+// pre-image; a mutation that changes nothing costs 0. The count says
+// what was copied, not what was allocated: the copies land in chunks
+// the shards recycle (see cowStore).
 func (g *Graph) CoWBytes() uint64 { return g.cowBytes.Load() }
 
 // ViewStats groups the snapshot-subsystem counters into one read — the
@@ -159,7 +167,7 @@ func (g *Graph) SnapshotCut(cut func() error) (v *View, err error) {
 		v.refs.Store(1)
 		for i := range g.shards {
 			v.engines[i] = g.shards[i].g
-			v.overlays[i] = make(map[uint64][]uint64)
+			v.overlays[i] = g.cow[i].takeMap()
 			g.shards[i].views = append(g.shards[i].views, v)
 			g.shards[i].viewGen++
 		}
@@ -193,7 +201,10 @@ func (g *Graph) frozen(f func()) {
 // so it stays exact. Mutations moves by src's count plus one, so even
 // an empty src shows as a change. Replace logs nothing. src is
 // consumed: it must have no live views and no other user. A src with a
-// different shard count is refused and nothing changes.
+// different shard count is refused and nothing changes. Every shard's
+// store drops its chunks: the views it unregisters keep their
+// pre-images through their own overlay maps, which the garbage
+// collector then owns, and no later release may recycle them.
 func (g *Graph) Replace(src *Graph) error {
 	if len(src.shards) != len(g.shards) {
 		return fmt.Errorf("sharded: replace a %d-shard graph with a %d-shard one", len(g.shards), len(src.shards))
@@ -204,6 +215,7 @@ func (g *Graph) Replace(src *Graph) error {
 			sh.g, src.shards[i].g = src.shards[i].g, nil
 			sh.views = nil
 			sh.viewGen++
+			g.cow[i].chunks = nil
 		}
 		g.edges.Store(src.edges.Load())
 		g.nodes.Store(src.nodes.Load())
@@ -216,12 +228,13 @@ func (g *Graph) Replace(src *Graph) error {
 // core.Graph.ApplyBatchFunc while the shard has live views. The engine
 // calls it under the shard's write lock, ahead of each op that changes
 // node u and for no other, and fills the slice it returns with u's deg
-// successors. One pre-image is shared by every view that lacks u —
+// successors. One pre-image, cut from the shard's store, is shared by
+// every view that lacks u —
 // correct for each, because a node changed since a view's epoch would
 // already be in its overlay; that lookup is also the only dedupe. A node
 // that did not exist (deg 0) is recorded as a nil pre-image.
 func (g *Graph) cowHook(si int) func(u uint64, deg int) []uint64 {
-	sh := &g.shards[si]
+	sh, st := &g.shards[si], g.cow[si]
 	return func(u uint64, deg int) []uint64 {
 		// Memo hit: this exact node was already preserved into every
 		// current view (viewGen pins "current"), which real streams'
@@ -239,7 +252,7 @@ func (g *Graph) cowHook(si int) func(u uint64, deg int) []uint64 {
 			}
 			if !copied {
 				if deg > 0 {
-					pre = make([]uint64, deg)
+					pre = st.alloc(deg)
 				}
 				g.cowBytes.Add(16 + 8*uint64(deg))
 				copied = true
@@ -251,21 +264,112 @@ func (g *Graph) cowHook(si int) func(u uint64, deg int) []uint64 {
 }
 
 // dropView unregisters v from every shard. Pre-image capture stops as
-// soon as each shard's registry entry is gone.
+// soon as each shard's registry entry is gone, and under the same lock
+// the shard's store takes back v's overlay map. It recycles its chunks
+// only once no view is live on the shard; while one is, the chunks may
+// hold pre-images that view needs, so the store hands them to the
+// garbage collector and starts a new list. A view a Replace already
+// unregistered is left to the garbage collector.
 func (g *Graph) dropView(v *View) {
 	for i := range g.shards {
-		sh := &g.shards[i]
+		sh, st := &g.shards[i], g.cow[i]
 		sh.mu.Lock()
-		for j, w := range sh.views {
-			if w == v {
-				sh.views = append(sh.views[:j], sh.views[j+1:]...)
-				sh.viewGen++
-				break
+		if j := slices.Index(sh.views, v); j >= 0 {
+			sh.views = slices.Delete(sh.views, j, j+1)
+			sh.viewGen++
+			st.keepMap(v.overlays[i])
+			v.overlays[i] = nil
+			if len(sh.views) == 0 {
+				st.recycle()
+			} else {
+				st.chunks = nil
 			}
 		}
 		sh.mu.Unlock()
 	}
 	g.liveViews.Add(-1)
+}
+
+// chunkWords is the size of a copy-on-write chunk (4 KiB); a pre-image
+// larger than that gets a chunk of its own size.
+const chunkWords = 512
+
+// maxFreeChunks bounds the recycled chunks a shard keeps (128 KiB): a
+// burst of copies past it leaves the excess to the garbage collector.
+const maxFreeChunks = 32
+
+// maxSpareEntries bounds the overlay map a shard keeps for its next
+// view (grow-then-shrink, as resp.Writer.Reset does): a view that
+// outlived a large write burst must not pin its map forever.
+const maxSpareEntries = 1 << 12
+
+// cowStore is one shard's copy-on-write memory, kept across views and
+// touched only under the shard's write lock. Pre-images are cut from
+// the tail of a list of chunks. Every view that references a chunk was
+// live on the shard when the chunk was written, so once no view is
+// live the whole list is recycled.
+type cowStore struct {
+	hook   func(u uint64, deg int) []uint64 // cowHook, built once: a closure per write would allocate
+	chunks [][]uint64                       // len of each: the words handed out; the last is being filled
+	free   [][]uint64                       // recycled chunks, at most maxFreeChunks
+	spare  map[uint64][]uint64              // a released view's cleared overlay map
+}
+
+// alloc cuts an n-word pre-image from the tail chunk, starting a chunk
+// (a recycled one if there is one) when the tail has no room. The
+// result's capacity is exactly n.
+func (st *cowStore) alloc(n int) []uint64 {
+	k := len(st.chunks)
+	if k == 0 || cap(st.chunks[k-1])-len(st.chunks[k-1]) < n {
+		var w []uint64
+		switch f := len(st.free); {
+		case n > chunkWords:
+			w = make([]uint64, 0, n)
+		case f > 0:
+			w, st.free = st.free[f-1], st.free[:f-1]
+		default:
+			w = make([]uint64, 0, chunkWords)
+		}
+		st.chunks = append(st.chunks, w)
+	}
+	c := &st.chunks[len(st.chunks)-1]
+	m := len(*c)
+	*c = (*c)[:m+n]
+	return (*c)[m : m+n : m+n]
+}
+
+// recycle moves the chunk list into the free list, up to its bound; the
+// caller guarantees no live view references any of it.
+func (st *cowStore) recycle() {
+	for _, w := range st.chunks {
+		if cap(w) == chunkWords && len(st.free) < maxFreeChunks {
+			st.free = append(st.free, w[:0])
+		}
+	}
+	if cap(st.chunks) > maxFreeChunks {
+		st.chunks = nil // a burst's long list is not kept either
+		return
+	}
+	clear(st.chunks)
+	st.chunks = st.chunks[:0]
+}
+
+// takeMap returns the spare overlay map, or a new one.
+func (st *cowStore) takeMap() map[uint64][]uint64 {
+	if m := st.spare; m != nil {
+		st.spare = nil
+		return m
+	}
+	return make(map[uint64][]uint64)
+}
+
+// keepMap clears a released view's overlay map and keeps it as the
+// spare, unless it grew past maxSpareEntries.
+func (st *cowStore) keepMap(m map[uint64][]uint64) {
+	if len(m) <= maxSpareEntries {
+		clear(m)
+		st.spare = m
+	}
 }
 
 // Epoch returns the snapshot epoch the view was stamped with.
@@ -288,10 +392,11 @@ func (v *View) Retain() {
 }
 
 // Release drops one reference. When the last holder releases, the
-// shards stop preserving pre-images for the view and the overlay maps
-// (plus every pre-image only this view pinned) become collectable the
-// moment the holders let go of v. Extra Releases beyond the reference
-// count are ignored; any read of a fully released view panics.
+// shards stop preserving pre-images for the view and take back what it
+// pinned: each overlay map, cleared, becomes its shard's spare for the
+// next view, and a shard with no live view left recycles its pre-image
+// chunks (one with views left hands them to the garbage collector). Extra Releases beyond the reference count are ignored; any
+// read of a fully released view panics.
 func (v *View) Release() {
 	for {
 		n := v.refs.Load()
