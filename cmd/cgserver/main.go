@@ -7,9 +7,10 @@
 //	cgcli -addr 127.0.0.1:6380 g.getneighbors 1
 //
 // With -wal-dir the graph is durable: on startup the newest checkpoint
-// snapshot is loaded and the write-ahead-log tail replayed, and every
-// acknowledged mutation is group-committed to the log. -checkpoint-every
-// takes periodic snapshots that truncate the replayed log prefix:
+// snapshot is loaded and the write-ahead-log tail replayed (the paper's
+// rdb_load, which runs at boot only), and every acknowledged mutation
+// is group-committed to the log. -checkpoint-every takes periodic
+// snapshots that truncate the replayed log prefix:
 //
 //	cgserver -addr 127.0.0.1:6380 -wal-dir /var/lib/cgserver \
 //	         -wal-sync always -checkpoint-every 5m
@@ -23,7 +24,7 @@
 // For production serving, -metrics-addr exposes GET /metrics
 // (Prometheus text format: per-command counters and latency histograms
 // plus engine, snapshot and WAL state), GET /healthz (liveness) and
-// GET /readyz (readiness: 503 while loading, degraded, or a replica is
+// GET /readyz (readiness: 503 while draining, degraded, or a replica is
 // still bootstrapping), and -pprof additionally mounts /debug/pprof/
 // on the same listener; -max-conns, -read-timeout and -write-timeout
 // bound misbehaving clients; and SIGTERM/SIGINT trigger a graceful
@@ -53,6 +54,9 @@
 // protocol and README.md § Replication for the consistency contract:
 //
 //	cgserver -addr 127.0.0.1:6381 -replica-of 127.0.0.1:6380
+//
+// Every flag is checked before any work: a bad value or a conflicting
+// pair exits 2 before recovery runs or a port is bound.
 package main
 
 import (
@@ -96,6 +100,26 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "cgserver:", err)
 		return 2
 	}
+	sync, err := wal.ParseSyncPolicy(*walSync)
+	usage := ""
+	switch {
+	case err != nil:
+		usage = "bad -wal-sync: " + err.Error()
+	case *replicaOf != "" && *walDir != "":
+		// A replica's durability is the leader's log; local logging or
+		// checkpointing would fork the history the stream replays onto.
+		usage = "-replica-of conflicts with -wal-dir (replicas follow the leader's log; they keep none of their own)"
+	case *replicaOf != "" && *checkpointEvery > 0:
+		usage = "-replica-of conflicts with -checkpoint-every (checkpoints belong to the leader)"
+	case *walDir == "" && *checkpointEvery > 0:
+		usage = "-checkpoint-every requires -wal-dir"
+	case *pprofOn && *metricsListen == "":
+		usage = "-pprof requires -metrics-addr (profiles are served on the metrics listener)"
+	}
+	if usage != "" {
+		logger.Error(usage)
+		return 2
+	}
 
 	srv := redislike.NewServerWith(redislike.Config{
 		MaxConns:     *maxConns,
@@ -111,43 +135,16 @@ func run() int {
 	gm.SetSnapshotRing(*snapshotRing)
 
 	if *replicaOf != "" {
-		// A replica's durability is the leader's log; local logging or
-		// checkpointing would fork the history the stream replays onto.
-		if *walDir != "" {
-			logger.Error("-replica-of conflicts with -wal-dir (replicas follow the leader's log; they keep none of their own)")
-			return 2
-		}
-		if *checkpointEvery > 0 {
-			logger.Error("-replica-of conflicts with -checkpoint-every (checkpoints belong to the leader)")
-			return 2
-		}
 		repl := redislike.StartReplica(gm, *replicaOf)
 		logger.Info("replica mode", "leader", repl.Leader())
 	}
-
+	// EnableWAL recovers the graph from the directory (logging what it
+	// recovered) and then opens the log there.
 	if *walDir != "" {
-		sync, err := wal.ParseSyncPolicy(*walSync)
-		if err != nil {
-			logger.Error("bad -wal-sync", "err", err)
-			return 2
-		}
-		stats, err := gm.RecoverWAL(*walDir)
-		if err != nil {
-			logger.Error("wal recovery failed", "dir", *walDir, "err", err)
-			return 1
-		}
-		logger.Info("recovered", "dir", *walDir,
-			"edges", gm.Graph().NumEdges(), "snapshot", stats.Snapshot,
-			"records", stats.Replay.Records, "segments", stats.Replay.Segments,
-			"torn_bytes", stats.Replay.TornBytes,
-			"elapsed", stats.Elapsed.Round(time.Millisecond).String())
 		if err := gm.EnableWAL(*walDir, wal.Options{Sync: sync}); err != nil {
 			logger.Error("wal enable failed", "dir", *walDir, "err", err)
 			return 1
 		}
-	} else if *checkpointEvery > 0 {
-		logger.Error("-checkpoint-every requires -wal-dir")
-		return 2
 	}
 
 	// Shutdown begins on the first SIGINT/SIGTERM; a second signal
@@ -172,10 +169,6 @@ func run() int {
 		}()
 	}
 
-	if *pprofOn && *metricsListen == "" {
-		logger.Error("-pprof requires -metrics-addr (profiles are served on the metrics listener)")
-		return 1
-	}
 	if *metricsListen != "" {
 		if *pprofOn {
 			srv.EnablePprof()

@@ -165,7 +165,6 @@ func (s *Server) serverRows() []infoRow {
 		{"connections_active", "Connections currently tracked by the server.", false, float64(m.connsActive.Load())},
 		{"connections_accepted", "Connections admitted by the server.", true, float64(m.connsAccepted.Load())},
 		{"connections_rejected", "Connections refused by admission control (limit or shutdown).", true, float64(m.connsRejected.Load())},
-		{"loading", "1 while a recovery (wal_replay) is rejecting write commands.", false, boolGauge(s.loading.Load())},
 		{"degraded", "1 while a WAL failure has writes rejected with -MISCONF (reads keep serving).", false, boolGauge(s.degraded.Load())},
 		{"shutting_down", "1 once the server has begun draining.", false, boolGauge(s.draining())},
 	}

@@ -34,31 +34,48 @@ func (gm *GraphModule) commit() error {
 	return err
 }
 
-// EnableWAL opens (creating if needed) the write-ahead log in dir and
-// attaches it to the graph, making every subsequent acknowledged
-// mutation durable. If the graph already holds edges, an initial
-// checkpoint captures them so recovery of dir is complete on its own —
-// unless the graph is exactly the one RecoverWAL just rebuilt from this
-// same directory, in which case the directory already describes it and
-// the (full-snapshot-sized) checkpoint is skipped. A replica refuses:
-// its log is the leader's.
+// EnableWAL is the durability boot step — cgserver's -wal-dir, the
+// paper's rdb_load: it makes dir describe the module's graph and
+// attaches the write-ahead log there, so every later acknowledged
+// mutation is durable. A graph nothing has written to is rebuilt from
+// dir (newest checkpoint snapshot plus log tail; an empty or missing
+// directory gives an empty graph) and no checkpoint is cut, because dir
+// already describes it. Any other graph is checkpointed into dir once
+// the log is open, so nothing stale in dir comes back on recovery. It is
+// refused once the server listens, on a replica (its log is the
+// leader's) and while a log is attached.
 func (gm *GraphModule) EnableWAL(dir string, opts wal.Options) error {
 	gm.walMu.Lock()
 	defer gm.walMu.Unlock()
-	if gm.replica.Load() != nil {
+	switch {
+	case gm.srv != nil && gm.srv.listening.Load():
+		return errors.New("wal is enabled at boot, before the server listens")
+	case gm.replica.Load() != nil:
 		return errReplicaLog
-	}
-	if gm.wal != nil {
+	case gm.wal != nil:
 		return fmt.Errorf("wal already enabled in %s", gm.wal.Dir())
+	}
+	g := gm.g
+	boot := g.Mutations() == 0
+	if boot {
+		rg, stats, err := wal.Recover(dir, sharded.Config{Shards: g.Shards()})
+		if err == nil {
+			err = gm.installGraph(rg)
+		}
+		if err != nil {
+			return fmt.Errorf("recover %s: %w", dir, err)
+		}
+		gm.log.Info("wal recovered", "dir", dir,
+			"edges", g.NumEdges(), "records", stats.Replay.Records,
+			"segments", stats.Replay.Segments, "torn_bytes", stats.Replay.TornBytes,
+			"snapshot", stats.Snapshot, "elapsed", stats.Elapsed)
 	}
 	w, err := wal.Open(dir, opts)
 	if err != nil {
 		return err
 	}
-	g := gm.g
 	g.SetWAL(w)
-	coveredByDir := gm.recovered.dir == dir && g.Mutations() == gm.recovered.muts
-	if g.NumEdges() > 0 && !coveredByDir {
+	if !boot {
 		if _, err := wal.Checkpoint(g, w); err != nil {
 			g.SetWAL(nil)
 			w.Close()
@@ -121,42 +138,6 @@ func (gm *GraphModule) ResumeWAL() error {
 	return nil
 }
 
-// RecoverWAL rebuilds the graph from dir — newest checkpoint snapshot
-// plus log tail — and installs it. It must run before EnableWAL; the
-// usual boot sequence is RecoverWAL then EnableWAL on the same dir.
-// While the rebuild and restore are in flight the host server's loading
-// flag is up, so dispatch rejects write commands with -LOADING instead
-// of acknowledging writes the restore would wipe. A replica refuses:
-// its graph is the leader's.
-func (gm *GraphModule) RecoverWAL(dir string) (wal.RecoverStats, error) {
-	gm.walMu.Lock()
-	defer gm.walMu.Unlock()
-	if gm.replica.Load() != nil {
-		return wal.RecoverStats{}, errReplicaLog
-	}
-	if gm.wal != nil {
-		return wal.RecoverStats{}, fmt.Errorf("wal enabled in %s; replay must happen before wal_enable", gm.wal.Dir())
-	}
-	if s := gm.srv; s != nil {
-		s.SetLoading(true)
-		defer s.SetLoading(false)
-	}
-	g, stats, err := wal.Recover(dir, sharded.Config{Shards: gm.g.Shards()})
-	if err == nil {
-		err = gm.installGraph(g)
-	}
-	if err != nil {
-		gm.log.Error("wal recovery failed", "dir", dir, "err", err)
-		return stats, err
-	}
-	gm.recovered.dir, gm.recovered.muts = dir, gm.g.Mutations()
-	gm.log.Info("wal recovered", "dir", dir,
-		"edges", gm.g.NumEdges(), "records", stats.Replay.Records,
-		"segments", stats.Replay.Segments, "torn_bytes", stats.Replay.TornBytes,
-		"snapshot", stats.Snapshot)
-	return stats, nil
-}
-
 // Checkpoint snapshots the graph into the WAL directory and truncates
 // the log segments the snapshot supersedes.
 func (gm *GraphModule) Checkpoint() (string, error) {
@@ -199,33 +180,6 @@ func (gm *GraphModule) CloseWAL() error {
 		gm.log.Info("wal closed")
 	}
 	return err
-}
-
-func (gm *GraphModule) walEnable(ctx *Ctx) error {
-	mode := ""
-	if len(ctx.Args) == 2 {
-		mode = ctx.ArgString(1)
-	}
-	sync, err := wal.ParseSyncPolicy(mode)
-	if err != nil {
-		return &BadArgError{Cmd: ctx.Name, Detail: err.Error()}
-	}
-	if err := gm.EnableWAL(ctx.ArgString(0), wal.Options{Sync: sync}); err != nil {
-		return &WALError{Cmd: ctx.Name, Err: err}
-	}
-	ctx.ReplySimple("OK")
-	return nil
-}
-
-func (gm *GraphModule) walReplay(ctx *Ctx) error {
-	stats, err := gm.RecoverWAL(ctx.ArgString(0))
-	if err != nil {
-		return &WALError{Cmd: ctx.Name, Err: err}
-	}
-	ctx.ReplyBulkString(fmt.Sprintf("edges=%d records=%d segments=%d torn_bytes=%d snapshot=%s",
-		gm.g.NumEdges(), stats.Replay.Records, stats.Replay.Segments,
-		stats.Replay.TornBytes, stats.Snapshot))
-	return nil
 }
 
 func (gm *GraphModule) checkpoint(ctx *Ctx) error {

@@ -10,7 +10,8 @@ type Flags uint32
 
 const (
 	// FlagWrite marks a command that mutates the dataset. Write commands
-	// are rejected with -LOADING while a recovery is in progress.
+	// are rejected with -READONLY on a replica and -MISCONF in degraded
+	// mode.
 	FlagWrite Flags = 1 << iota
 	// FlagRead marks a command that reads the dataset.
 	FlagRead
@@ -72,7 +73,7 @@ type HandlerFunc func(*Ctx) error
 // Command is one row of the server's command table: everything the
 // server needs to admit, dispatch, meter and introspect one command.
 // The row is the single source of truth — arity is enforced before the
-// handler runs, flags drive dispatch policy (write-vs-loading) and the
+// handler runs, flags drive dispatch policy (write-vs-read-only) and the
 // COMMAND/G.INFO introspection output is generated from it.
 type Command struct {
 	Name    string // lowercase; the table's key

@@ -104,7 +104,7 @@ func TestCommandIntrospection(t *testing.T) {
 	want := []string{"checkpoint", "command",
 		"g.degree", "g.del", "g.getneighbors", "g.info", "g.insert", "g.mdel", "g.minsert", "g.nodes",
 		"g.query", "g.release", "g.replack", "g.replicate", "g.snapshot", "g.snapshots",
-		"graph.bfs", "graph.pagerank", "ping", "wal_enable", "wal_replay", "wal_resume"}
+		"graph.bfs", "graph.pagerank", "ping", "wal_resume"}
 	if strings.Join(names, " ") != strings.Join(want, " ") {
 		t.Fatalf("COMMAND LIST = %v, want the %d names %v", names, len(want), want)
 	}
@@ -216,7 +216,7 @@ func TestInfoCommand(t *testing.T) {
 		prefix string
 		keys   int
 	}{
-		"server": {"cg_", 7}, "commands": {"cg_", 1}, "wal": {"cg_wal_", 11}, "replication": {"cg_repl_", 3},
+		"server": {"cg_", 6}, "commands": {"cg_", 1}, "wal": {"cg_wal_", 11}, "replication": {"cg_repl_", 3},
 	} {
 		if n := checkInfoSeries(t, s, section, want.prefix, nil); n < want.keys {
 			t.Fatalf("G.INFO %s has %d numeric keys, want at least %d", section, n, want.keys)

@@ -64,12 +64,9 @@ func expectInt(t *testing.T, p *pipeClient, n int64, what string) {
 // should be, and wal_resume restores write service with a recovery
 // directory that describes the whole graph.
 func TestDegradedModeENOSPCPipelined(t *testing.T) {
-	srv, gm, addr := startGraphServer(t, Config{})
 	dir := t.TempDir()
 	ffs := vfs.NewFaultFS(nil)
-	if err := gm.EnableWAL(dir, wal.Options{Sync: wal.SyncAlways, FS: ffs}); err != nil {
-		t.Fatal(err)
-	}
+	srv, gm, addr := startWALServer(t, Config{}, dir, wal.Options{Sync: wal.SyncAlways, FS: ffs})
 	maddr, err := srv.ListenMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -187,11 +184,8 @@ func TestDegradedModeENOSPCPipelined(t *testing.T) {
 // the old per-command rule — the write whose commit fails answers
 // -WALERR, the next one -MISCONF.
 func TestDegradedModeDepthOne(t *testing.T) {
-	srv, gm, addr := startGraphServer(t, Config{})
 	ffs := vfs.NewFaultFS(nil)
-	if err := gm.EnableWAL(t.TempDir(), wal.Options{Sync: wal.SyncNone, FS: ffs}); err != nil {
-		t.Fatal(err)
-	}
+	srv, _, addr := startWALServer(t, Config{}, t.TempDir(), wal.Options{Sync: wal.SyncNone, FS: ffs})
 	p := dialPipe(t, addr)
 	roundTrip := func(args ...string) {
 		p.push(args...)
@@ -224,11 +218,8 @@ func TestDegradedModeDepthOne(t *testing.T) {
 // the big read goes out whole, and the write after it — same burst,
 // but past the failed commit — is already refused.
 func TestDegradedModeHighWaterCommit(t *testing.T) {
-	srv, gm, addr := startGraphServer(t, Config{})
 	ffs := vfs.NewFaultFS(nil)
-	if err := gm.EnableWAL(t.TempDir(), wal.Options{Sync: wal.SyncNone, FS: ffs}); err != nil {
-		t.Fatal(err)
-	}
+	srv, gm, addr := startWALServer(t, Config{}, t.TempDir(), wal.Options{Sync: wal.SyncNone, FS: ffs})
 	// A node whose neighbour list alone overflows the reply high-water mark.
 	const fanout = 12000
 	b := make(core.Batch, 0, fanout)
@@ -277,11 +268,8 @@ func TestReadyzReplicaBootstrapGate(t *testing.T) {
 // fails under stream setup emits the terminal ["err", msg] frame
 // instead of silently dropping the connection.
 func TestReplicationTerminalErrFrame(t *testing.T) {
-	srv, gm, addr := startGraphServer(t, Config{})
 	ffs := vfs.NewFaultFS(nil)
-	if err := gm.EnableWAL(t.TempDir(), wal.Options{FS: ffs}); err != nil {
-		t.Fatal(err)
-	}
+	srv, _, addr := startWALServer(t, Config{}, t.TempDir(), wal.Options{FS: ffs})
 	defer srv.Close()
 	if v := dispatch(srv, "g.insert", "1", "2"); v.Type == '-' {
 		t.Fatalf("insert: %s", v.Str)

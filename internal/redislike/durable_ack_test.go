@@ -184,11 +184,8 @@ func TestAckedIsDurableInPipelineOrder(t *testing.T) {
 	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncNone} {
 		for _, depth := range []int{1, 2, 16, 64} {
 			t.Run(fmt.Sprintf("%s/d%d", policy, depth), func(t *testing.T) {
-				_, gm, addr := startGraphServer(t, Config{})
 				dir := t.TempDir()
-				if err := gm.EnableWAL(dir, wal.Options{Sync: policy, SegmentBytes: 2 << 10}); err != nil {
-					t.Fatal(err)
-				}
+				_, _, addr := startWALServer(t, Config{}, dir, wal.Options{Sync: policy, SegmentBytes: 2 << 10})
 				rng := rand.New(rand.NewSource(int64(depth)*31 + int64(policy)))
 				o := ackOracle{}
 				p := dialPipe(t, addr)
@@ -250,11 +247,8 @@ func (f slowFile) Write(p []byte) (int, error) {
 func TestObservedImpliesDurable(t *testing.T) {
 	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncNone} {
 		t.Run(policy.String(), func(t *testing.T) {
-			_, gm, addr := startGraphServer(t, Config{})
 			dir := t.TempDir()
-			if err := gm.EnableWAL(dir, wal.Options{Sync: policy, FS: slowFS{vfs.OS}}); err != nil {
-				t.Fatal(err)
-			}
+			_, _, addr := startWALServer(t, Config{}, dir, wal.Options{Sync: policy, FS: slowFS{vfs.OS}})
 			const edges, depth = 320, 16
 			wc, err := net.Dial("tcp", addr)
 			if err != nil {

@@ -10,16 +10,15 @@ import (
 // onto a RESP error class (the leading word of the error reply, which
 // Redis clients switch on) exactly once. The taxonomy is what keeps a
 // pipelined connection in sync: every failure mode — bad arity, unknown
-// command, malformed argument, durability failure, recovery in
-// progress, admission control — produces a well-formed error reply in
+// command, malformed argument, durability failure, read-only or
+// degraded serving, admission control — produces a well-formed error reply in
 // command order, never a closed socket mid-pipeline.
 
 // RESP error classes. Clients see them as the first word of an error
-// reply ("-LOADING ...", "-MAXCLIENTS ...").
+// reply ("-READONLY ...", "-MAXCLIENTS ...").
 const (
 	ClassErr        = "ERR"        // generic command failure (bad arguments, state)
 	ClassWALErr     = "WALERR"     // acknowledged-write durability failure
-	ClassLoading    = "LOADING"    // write rejected while recovery rebuilds the graph
 	ClassMaxClients = "MAXCLIENTS" // connection admission rejected
 	ClassShutdown   = "SHUTDOWN"   // server is draining
 	ClassReadOnly   = "READONLY"   // write rejected on a replica
@@ -65,14 +64,6 @@ type WALError struct {
 
 func (e *WALError) Error() string { return e.Cmd + ": wal: " + e.Err.Error() }
 func (e *WALError) Unwrap() error { return e.Err }
-
-// LoadingError rejects a write-flagged command while a recovery
-// (wal_replay) is rebuilding and restoring the graph.
-type LoadingError struct{}
-
-func (e *LoadingError) Error() string {
-	return "recovery in progress; write commands are rejected until it completes"
-}
 
 // MaxClientsError rejects a connection over the configured limit. It is
 // written to the excess connection before it is closed — admission
@@ -131,7 +122,6 @@ func (e *DegradedError) Error() string {
 func errorClass(err error) string {
 	var (
 		walErr   *WALError
-		loading  *LoadingError
 		maxc     *MaxClientsError
 		down     *ShutdownError
 		readonly *ReadOnlyError
@@ -140,8 +130,6 @@ func errorClass(err error) string {
 	switch {
 	case errors.As(err, &walErr):
 		return ClassWALErr
-	case errors.As(err, &loading):
-		return ClassLoading
 	case errors.As(err, &maxc):
 		return ClassMaxClients
 	case errors.As(err, &down):

@@ -25,10 +25,7 @@ import (
 // pending records flushed).
 func TestShutdownReleasesViewsAndWAL(t *testing.T) {
 	dir := t.TempDir()
-	s, gm, _ := startGraphServer(t, Config{})
-	if err := gm.EnableWAL(dir, wal.Options{Sync: wal.SyncAlways}); err != nil {
-		t.Fatal(err)
-	}
+	s, gm, _ := startWALServer(t, Config{}, dir, wal.Options{Sync: wal.SyncAlways})
 	for i := 1; i <= 8; i++ {
 		if got := dispatch(s, "g.insert", "1", string(rune('0'+i))); got.Type == '-' {
 			t.Fatalf("insert = %+v", got)
@@ -163,10 +160,7 @@ func TestShutdownFinishesInFlightCommand(t *testing.T) {
 // graph module's engine/snapshot/WAL series.
 func TestMetricsEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	s, gm, addr := startGraphServer(t, Config{})
-	if err := gm.EnableWAL(dir, wal.Options{}); err != nil {
-		t.Fatal(err)
-	}
+	s, _, addr := startWALServer(t, Config{}, dir, wal.Options{})
 	maddr, err := s.ListenMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +211,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cg_snapshot_live_views 1",
 		"cg_wal_enabled 1",
 		"cg_wal_ops_total 2",
-		"cg_loading 0",
 		"cg_shutting_down 0",
 	} {
 		if !strings.Contains(text, want) {

@@ -209,7 +209,7 @@ func (s *Server) EnablePprof() { s.pprofOn.Store(true) }
 // GET /metrics (Prometheus text format), GET /healthz (liveness: 200
 // while the process serves, 503 once draining — a degraded server is
 // alive and says so in the body), GET /readyz (readiness: 503 while
-// loading, degraded, or a replica is still bootstrapping — the signal a
+// draining, degraded, or a replica is still bootstrapping — the signal a
 // load balancer should route on) and — after EnablePprof — the
 // /debug/pprof/ profile endpoints. It returns the bound address; the
 // listener is closed during Shutdown.

@@ -17,10 +17,12 @@ import (
 // §V-F's RDB, the replication bootstrap the same bytes on a socket) and
 // a graph sharded.Load or wal.Recover built from it comes back in
 // through installGraph alone, which replaces the contents of the one
-// graph the module ever has. The graph is the sharded concurrent
-// engine, so handlers need no per-command mutual exclusion: commands on
-// different source nodes run in parallel, each taking only the owning
-// shard's lock; a restore freezes every shard to replace the contents.
+// graph the module ever has: at boot, when EnableWAL rebuilds the graph
+// from its directory (§V-F's rdb_load), and when a replica bootstraps
+// from its leader. The graph is the sharded concurrent engine, so
+// handlers need no per-command mutual exclusion: commands on different
+// source nodes run in parallel, each taking only the owning shard's
+// lock; a restore freezes every shard to replace the contents.
 //
 // Its commands join the server's command table (see moduleCommands);
 // the rows carry the arity and flag metadata the server enforces and
@@ -32,13 +34,13 @@ type GraphModule struct {
 
 	// srv is the server this module is loaded into (nil until
 	// LoadModule, which runs before Listen): the path to the server's
-	// loading, read-only and degraded flags.
+	// listening, read-only and degraded flags.
 	srv *Server
 	log *slog.Logger
 
-	// walMu serialises the durability control plane — enable, replay,
-	// checkpoint, close — against itself. The data plane (insert/del/
-	// query) never takes it.
+	// walMu serialises the durability control plane — enable,
+	// checkpoint, resume, close — against itself. The data plane
+	// (insert/del/query) never takes it.
 	walMu sync.Mutex
 	wal   *wal.WAL
 	// walPtr mirrors wal for lock-free readers (/metrics, g.info): a
@@ -50,16 +52,6 @@ type GraphModule struct {
 	// poisoned WAL. Guarded by walMu.
 	walOpts wal.Options
 	walDir  string
-	// recovered remembers the last RecoverWAL so EnableWAL on the same
-	// directory can skip its initial checkpoint: the directory already
-	// describes that exact graph. muts is the graph's monotonic applied-
-	// mutation counter at recovery time — comparing it (rather than
-	// edge/node counts, which an insert/delete pair can leave unchanged)
-	// is what proves nothing was written — or installed — in between.
-	recovered struct {
-		dir  string
-		muts uint64
-	}
 
 	// Replication state. links is the leader side: one entry per
 	// connected follower's replication stream, each holding a WAL
@@ -142,12 +134,6 @@ func (gm *GraphModule) moduleCommands() []*Command {
 		{Name: "graph.pagerank", Arity: Between(1, 2), Flags: FlagRead,
 			Summary: "PageRank with <iters> iterations on a frozen view [epoch]",
 			Handler: gm.graphPageRank},
-		{Name: "wal_enable", Arity: Between(1, 2), Flags: FlagAdmin,
-			Summary: "enable the write-ahead log in <dir> [always|nosync]",
-			Handler: gm.walEnable},
-		{Name: "wal_replay", Arity: Exactly(1), Flags: FlagAdmin,
-			Summary: "rebuild the graph from <dir> (checkpoint + log tail)",
-			Handler: gm.walReplay},
 		{Name: "checkpoint", Arity: Exactly(0), Flags: FlagAdmin,
 			Summary: "snapshot the graph into the wal dir and truncate the log",
 			Handler: gm.checkpoint},
@@ -231,10 +217,10 @@ func (gm *GraphModule) viewAt(epoch uint64) *sharded.View {
 }
 
 // installGraph makes g's contents the module's graph — the one restore
-// routine, behind the follower's bootstrap and RecoverWAL; g is
-// consumed. Replace freezes every shard, so no in-flight command
-// straddles it, and keeps the epoch counter, so no epoch names two
-// graphs. The ring is emptied in the same viewMu hold: time travel does
+// routine, behind the follower's bootstrap and EnableWAL's boot-time
+// recovery; g is consumed. Replace freezes every shard, so no in-flight
+// command straddles it, and keeps the epoch counter, so no epoch names
+// two graphs. The ring is emptied in the same viewMu hold: time travel does
 // not survive a restore. installGraph never touches the WAL: a replica
 // has none, and recovery runs before the log is enabled.
 func (gm *GraphModule) installGraph(g *sharded.Graph) error {

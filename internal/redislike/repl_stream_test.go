@@ -147,10 +147,7 @@ func TestBootstrapDoesNotBufferSnapshot(t *testing.T) {
 // the view with it.
 func TestSlowFollowerNeverBlocksWriters(t *testing.T) {
 	const srcs, fan = 512, 2050 // a 16 MB snapshot: more than loopback buffers absorb
-	s, gm, addr := startGraphServer(t, Config{WriteTimeout: 500 * time.Millisecond})
-	if err := gm.EnableWAL(t.TempDir(), wal.Options{Sync: wal.SyncNone}); err != nil {
-		t.Fatal(err)
-	}
+	s, gm, addr := startWALServer(t, Config{WriteTimeout: 500 * time.Millisecond}, t.TempDir(), wal.Options{Sync: wal.SyncNone})
 	t.Cleanup(func() { gm.CloseWAL() })
 	g := gm.Graph()
 	seedDense(g, srcs, fan)

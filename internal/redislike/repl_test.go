@@ -25,11 +25,8 @@ import (
 // startLeader boots a WAL-backed graph server on loopback.
 func startLeader(t *testing.T) (*Server, *GraphModule, string, string) {
 	t.Helper()
-	s, gm, addr := startGraphServer(t, Config{})
 	dir := t.TempDir()
-	if err := gm.EnableWAL(dir, wal.Options{Sync: wal.SyncNone}); err != nil {
-		t.Fatal(err)
-	}
+	s, gm, addr := startWALServer(t, Config{}, dir, wal.Options{Sync: wal.SyncNone})
 	t.Cleanup(func() { gm.CloseWAL() })
 	return s, gm, addr, dir
 }
@@ -388,12 +385,13 @@ func TestCompactionHonorsReplicaAck(t *testing.T) {
 }
 
 // TestWALInfoScrapeDuringSwap is the observability pin for the WAL
-// enable/disable window: concurrent G.INFO wal scrapes, /metrics
-// scrapes and a pipelined TCP client must stay well-formed and in sync
-// while the WAL is repeatedly enabled, checkpointed and closed under
+// swap window: concurrent G.INFO wal scrapes, /metrics scrapes and a
+// pipelined TCP client must stay well-formed and in sync while the log
+// is repeatedly checkpointed, torn down and reopened (wal_resume) under
 // them. Run with -race this doubles as the lock-free walPtr audit.
 func TestWALInfoScrapeDuringSwap(t *testing.T) {
-	s, gm, addr := startGraphServer(t, Config{})
+	s, gm, addr := startWALServer(t, Config{}, t.TempDir(), wal.Options{Sync: wal.SyncNone})
+	t.Cleanup(func() { gm.CloseWAL() })
 	gm.Graph().InsertEdge(1, 2)
 
 	stop := make(chan struct{})
@@ -448,19 +446,14 @@ func TestWALInfoScrapeDuringSwap(t *testing.T) {
 		}
 	}()
 
-	// The swap loop: enable → write → checkpoint → close, twice over
-	// two directories so enable-time checkpoints fire too.
-	dirs := []string{t.TempDir(), t.TempDir()}
+	// The swap loop: write → checkpoint → resume, which closes the log
+	// and reopens it with a checkpoint of its own.
 	for i := 0; i < 30; i++ {
-		dir := dirs[i%2]
-		if err := gm.EnableWAL(dir, wal.Options{Sync: wal.SyncNone}); err != nil {
-			t.Fatal(err)
-		}
 		gm.Graph().InsertEdge(uint64(i)+10, uint64(i)+11)
 		if _, err := gm.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if err := gm.CloseWAL(); err != nil {
+		if err := gm.ResumeWAL(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,11 +4,15 @@
 // only built-ins; the module provides G.INSERT, G.DEL, the batched
 // G.MINSERT/G.MDEL, G.QUERY, G.GETNEIGHBORS, G.DEGREE, G.NODES,
 // snapshots, analytics, WAL control and log-shipping replication.
+// Durability is fixed at boot: GraphModule.EnableWAL recovers the graph
+// from its directory and opens the log before Listen, and at run time
+// the log is only checkpointed (CHECKPOINT) or reopened after a storage
+// failure (WAL_RESUME).
 //
 // Every command is a row of one table — name, arity spec, flags,
 // handler — built before the server listens and read without a lock
 // after: arity is enforced before the handler runs, write-flagged
-// commands are rejected while a recovery is loading, and the
+// commands are rejected on a replica and in degraded mode, and the
 // COMMAND/G.INFO introspection output is generated from the same rows.
 // Handlers return typed errors (see errors.go) that dispatch maps onto
 // RESP error classes, so a failure is always a well-formed reply in
@@ -98,10 +102,9 @@ type Server struct {
 	// reply flush, collectMetrics on every scrape, Close at Shutdown.
 	gm *GraphModule
 
-	// loading is set while a recovery (wal_replay) rebuilds and restores
-	// the graph; dispatch rejects write-flagged commands with -LOADING
-	// for its duration.
-	loading atomic.Bool
+	// listening is set by Listen. Durability is fixed at boot:
+	// EnableWAL is refused once it is set.
+	listening atomic.Bool
 
 	// readOnly marks a replica: dispatch rejects write-flagged commands
 	// with -READONLY. The replication apply path bypasses dispatch
@@ -161,10 +164,6 @@ func NewServerWith(cfg Config) *Server {
 	return s
 }
 
-// SetLoading flips the recovery-in-progress flag; while set, dispatch
-// rejects write-flagged commands with -LOADING.
-func (s *Server) SetLoading(on bool) { s.loading.Store(on) }
-
 // SetReadOnly flips replica mode: while set, write-flagged commands
 // are rejected with -READONLY.
 func (s *Server) SetReadOnly(on bool) { s.readOnly.Store(on) }
@@ -206,14 +205,11 @@ func (s *Server) DegradedReason() string {
 
 // Ready reports whether the server should receive traffic: nil when
 // ready, otherwise the first failing condition. Distinct from liveness
-// (/healthz): a degraded or loading server is alive but not ready, and
+// (/healthz): a degraded server is alive but not ready, and
 // so is a replica that has not finished bootstrapping from its leader.
 func (s *Server) Ready() error {
 	if s.draining() {
 		return &ShutdownError{}
-	}
-	if s.loading.Load() {
-		return &LoadingError{}
 	}
 	if s.degraded.Load() {
 		return &DegradedError{Reason: s.DegradedReason()}
@@ -228,7 +224,7 @@ func (s *Server) Ready() error {
 
 // LoadModule loads the graph module (--loadmodule equivalent): its
 // commands join the table, and the module reaches the server's
-// loading, read-only and degraded flags and its logger. A server hosts
+// listening, read-only and degraded flags and its logger. A server hosts
 // one graph module; a second is refused before anything is installed.
 // Call it before Listen.
 func (s *Server) LoadModule(m *Module) error {
@@ -252,6 +248,7 @@ func (s *Server) Listen(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
+	s.listening.Store(true)
 	go s.acceptLoop()
 	s.log.Info("listening", "addr", ln.Addr().String(), "commands", len(s.sorted),
 		"max_conns", s.cfg.MaxConns)
@@ -542,8 +539,6 @@ func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 	switch {
 	case !cmd.Arity.Check(len(args) - 1):
 		err = &ArityError{Cmd: cmd.Name}
-	case cmd.Flags&FlagWrite != 0 && s.loading.Load():
-		err = &LoadingError{}
 	case cmd.Flags&FlagWrite != 0 && s.readOnly.Load():
 		err = &ReadOnlyError{Cmd: cmd.Name}
 	case cmd.Flags&FlagWrite != 0 && s.degraded.Load():

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cuckoograph/internal/resp"
+	"cuckoograph/internal/wal"
 )
 
 // pipeClient is a raw RESP client for taxonomy tests: it writes whole
@@ -130,10 +131,22 @@ func (p *pipeClient) read() resp.Value {
 
 func startGraphServer(t *testing.T, cfg Config) (*Server, *GraphModule, string) {
 	t.Helper()
+	return startWALServer(t, cfg, "", wal.Options{})
+}
+
+// startWALServer boots a graph server the way cgserver boots with
+// -wal-dir: EnableWAL on dir (none when dir is "") before Listen.
+func startWALServer(t *testing.T, cfg Config, dir string, opts wal.Options) (*Server, *GraphModule, string) {
+	t.Helper()
 	s := NewServerWith(cfg)
 	gm, mod := NewGraphModule()
 	if err := s.LoadModule(mod); err != nil {
 		t.Fatal(err)
+	}
+	if dir != "" {
+		if err := gm.EnableWAL(dir, opts); err != nil {
+			t.Fatal(err)
+		}
 	}
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
@@ -202,42 +215,6 @@ func TestErrorTaxonomyPipelined(t *testing.T) {
 	p.flush()
 	if got := p.read(); got.Str != "PONG" {
 		t.Fatalf("post-burst PING = %+v", got)
-	}
-}
-
-// TestLoadingRejectsWrites pins the -LOADING policy: while a recovery
-// swap is in flight, write-flagged commands are rejected with the
-// LOADING class and reads keep flowing, all in pipeline order.
-func TestLoadingRejectsWrites(t *testing.T) {
-	s, _, addr := startGraphServer(t, Config{})
-	p := dialPipe(t, addr)
-
-	p.push("g.insert", "1", "2")
-	p.flush()
-	if got := p.read(); got.Int != 1 {
-		t.Fatalf("pre-loading insert = %+v", got)
-	}
-
-	s.SetLoading(true)
-	p.push("g.insert", "3", "4") // write: rejected
-	p.push("g.query", "1", "2")  // read: served
-	p.push("g.info", "server")   // admin: served, reports loading:1
-	p.flush()
-	if got := p.read(); got.Type != '-' || !strings.HasPrefix(got.Str, "LOADING ") {
-		t.Fatalf("write during loading = %+v", got)
-	}
-	if got := p.read(); got.Int != 1 {
-		t.Fatalf("read during loading = %+v", got)
-	}
-	if got := p.read(); !strings.Contains(got.Str, "loading:1") {
-		t.Fatalf("g.info during loading = %+v", got)
-	}
-
-	s.SetLoading(false)
-	p.push("g.insert", "3", "4")
-	p.flush()
-	if got := p.read(); got.Int != 1 {
-		t.Fatalf("write after loading = %+v", got)
 	}
 }
 

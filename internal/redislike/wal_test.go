@@ -1,28 +1,38 @@
 package redislike
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"cuckoograph/internal/sharded"
 	"cuckoograph/internal/wal"
 )
 
-// TestWALCommandsRoundTrip drives the durability control plane over the
-// command surface: enable logging, write, checkpoint, write more, then
-// boot a second server and wal_replay the directory into it.
-func TestWALCommandsRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-
-	s := NewServer()
-	gm, mod := NewGraphModule()
-	if err := s.LoadModule(mod); err != nil {
+// restart boots a second module over dir, the way cgserver restarts
+// with -wal-dir: EnableWAL on a graph nothing has written to.
+func restart(t *testing.T, dir string) (*Server, *GraphModule) {
+	t.Helper()
+	s, gm := newGraphServer(t)
+	if err := gm.EnableWAL(dir, wal.Options{Sync: wal.SyncNone}); err != nil {
 		t.Fatal(err)
 	}
-	if got := dispatch(s, "wal_enable", dir, "nosync"); got.Str != "OK" {
-		t.Fatalf("wal_enable = %+v", got)
+	t.Cleanup(func() { gm.CloseWAL() })
+	return s, gm
+}
+
+// TestWALCommandsRoundTrip drives the durability control plane: enable
+// logging, write over the command surface, checkpoint, write more, then
+// restart a second module over the directory.
+func TestWALCommandsRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	s, gm := newGraphServer(t)
+	if err := gm.EnableWAL(dir, wal.Options{Sync: wal.SyncNone}); err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
 		u, v := strconv.Itoa(i%50), strconv.Itoa(i)
@@ -42,108 +52,74 @@ func TestWALCommandsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := NewServer()
-	gm2, mod2 := NewGraphModule()
-	if err := s2.LoadModule(mod2); err != nil {
-		t.Fatal(err)
-	}
-	got := dispatch(s2, "wal_replay", dir)
-	if got.Type != '$' {
-		t.Fatalf("wal_replay = %+v", got)
-	}
+	s2, gm2 := restart(t, dir)
 	if gm2.Graph().NumEdges() != wantEdges {
-		t.Fatalf("replayed %d edges, want %d (reply %q)", gm2.Graph().NumEdges(), wantEdges, got.Str)
+		t.Fatalf("restart recovered %d edges, want %d", gm2.Graph().NumEdges(), wantEdges)
 	}
 	if v := dispatch(s2, "g.query", "1", "1"); v.Int != 1 {
-		t.Fatalf("g.query 1 1 after replay = %+v", v)
+		t.Fatalf("g.query 1 1 after restart = %+v", v)
 	}
 	if v := dispatch(s2, "g.query", "0", "0"); v.Int != 0 {
-		t.Fatalf("g.query 0 0 after replay = %+v (delete not replayed)", v)
+		t.Fatalf("g.query 0 0 after restart = %+v (delete not replayed)", v)
 	}
-
-	// Replay must refuse to run once a WAL is attached.
-	if got := dispatch(s2, "wal_enable", dir, "nosync"); got.Str != "OK" {
-		t.Fatalf("wal_enable on replayed server = %+v", got)
-	}
-	if got := dispatch(s2, "wal_replay", dir); got.Type != '-' {
-		t.Fatalf("wal_replay with WAL enabled = %+v, want error", got)
-	}
-	if err := gm2.CloseWAL(); err != nil {
-		t.Fatal(err)
+	// One log at a time: a second enable is refused.
+	if err := gm2.EnableWAL(t.TempDir(), wal.Options{Sync: wal.SyncNone}); err == nil {
+		t.Fatal("EnableWAL with a log attached succeeded")
 	}
 }
 
-// TestWALEnableCapturesExistingEdges checks wal_enable on a non-empty
-// graph checkpoints first, so recovery is complete without the caller
-// remembering to snapshot.
+// TestWALEnableCapturesExistingEdges checks EnableWAL on a non-empty
+// graph checkpoints first, so a restart over the directory is complete
+// without the caller remembering to snapshot.
 func TestWALEnableCapturesExistingEdges(t *testing.T) {
 	dir := t.TempDir()
-	s := NewServer()
-	gm, mod := NewGraphModule()
-	if err := s.LoadModule(mod); err != nil {
-		t.Fatal(err)
-	}
+	s, gm := newGraphServer(t)
 	dispatch(s, "g.insert", "7", "8")
-	if got := dispatch(s, "wal_enable", dir); got.Str != "OK" {
-		t.Fatalf("wal_enable = %+v", got)
+	if err := gm.EnableWAL(dir, wal.Options{}); err != nil {
+		t.Fatal(err)
 	}
 	dispatch(s, "g.insert", "9", "10")
 	if err := gm.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
 
-	gm2, mod2 := NewGraphModule()
-	s2 := NewServer()
-	if err := s2.LoadModule(mod2); err != nil {
-		t.Fatal(err)
-	}
-	if got := dispatch(s2, "wal_replay", dir); got.Type == '-' {
-		t.Fatalf("wal_replay = %+v", got)
-	}
+	s2, _ := restart(t, dir)
 	for _, e := range [][2]string{{"7", "8"}, {"9", "10"}} {
 		if v := dispatch(s2, "g.query", e[0], e[1]); v.Int != 1 {
 			t.Fatalf("edge %v lost across enable-time checkpoint", e)
 		}
 	}
-	_ = gm2
 }
 
-// TestWALCommandErrors covers the argument validation surface.
+// TestWALCommandErrors covers the argument validation surface, and
+// that durability is no runtime command: wal_enable and wal_replay are
+// unknown.
 func TestWALCommandErrors(t *testing.T) {
-	s := NewServer()
-	_, mod := NewGraphModule()
-	if err := s.LoadModule(mod); err != nil {
-		t.Fatal(err)
-	}
+	s, _ := newGraphServer(t)
 	for _, args := range [][]string{
-		{"wal_enable"},
-		{"wal_enable", t.TempDir(), "sometimes"},
-		{"wal_replay"},
 		{"checkpoint", "extra"},
 		{"checkpoint"}, // WAL not enabled
+		{"wal_resume"}, // WAL not enabled
 	} {
 		if got := dispatch(s, args...); got.Type != '-' {
 			t.Fatalf("%v = %+v, want error", args, got)
 		}
 	}
-	// async has no alias: a config asking for it fails loudly.
-	if got := dispatch(s, "wal_enable", t.TempDir(), "async"); got.Type != '-' || !strings.Contains(got.Str, "always|nosync)") {
-		t.Fatalf("wal_enable async = %+v, want an error naming always|nosync", got)
+	for _, name := range []string{"wal_enable", "wal_replay"} {
+		if got := dispatch(s, name, t.TempDir()); got.Type != '-' || !strings.HasPrefix(got.Str, "ERR unknown command") {
+			t.Fatalf("%s = %+v, want unknown command", name, got)
+		}
 	}
 }
 
-// TestEnableAfterRecoverSkipsCheckpoint: the RecoverWAL → EnableWAL
-// boot sequence must not rewrite a full snapshot the directory already
-// has.
-func TestEnableAfterRecoverSkipsCheckpoint(t *testing.T) {
+// TestBootOverDirectoryWritesNoCheckpoint: booting over a directory
+// must not rewrite a full snapshot the directory already has — but
+// enabling a graph the directory does not describe must checkpoint.
+func TestBootOverDirectoryWritesNoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	s := NewServer()
-	gm, mod := NewGraphModule()
-	if err := s.LoadModule(mod); err != nil {
+	s, gm := newGraphServer(t)
+	if err := gm.EnableWAL(dir, wal.Options{Sync: wal.SyncNone}); err != nil {
 		t.Fatal(err)
-	}
-	if got := dispatch(s, "wal_enable", dir, "nosync"); got.Str != "OK" {
-		t.Fatalf("wal_enable = %+v", got)
 	}
 	for i := 0; i < 100; i++ {
 		dispatch(s, "g.insert", strconv.Itoa(i), strconv.Itoa(i+1))
@@ -154,31 +130,22 @@ func TestEnableAfterRecoverSkipsCheckpoint(t *testing.T) {
 	if err := gm.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	checkpoints := func() []string {
+	checkpoints := func(dir string) []string {
 		names, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.snap"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return names
 	}
-	before := checkpoints()
+	before := checkpoints(dir)
 
-	gm2, mod2 := NewGraphModule()
-	s2 := NewServer()
-	if err := s2.LoadModule(mod2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gm2.RecoverWAL(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := gm2.EnableWAL(dir, wal.Options{Sync: wal.SyncNone}); err != nil {
-		t.Fatal(err)
-	}
-	if after := checkpoints(); !reflect.DeepEqual(before, after) {
+	_, gm2 := restart(t, dir)
+	if after := checkpoints(dir); !reflect.DeepEqual(before, after) {
 		t.Fatalf("boot rewrote checkpoints: %v -> %v", before, after)
 	}
-	// But enabling on a graph the directory does NOT describe must
-	// still checkpoint: mutate first, then re-enable elsewhere.
+	if n := gm2.Graph().NumEdges(); n != 100 {
+		t.Fatalf("boot recovered %d edges, want 100", n)
+	}
 	if err := gm2.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -187,88 +154,106 @@ func TestEnableAfterRecoverSkipsCheckpoint(t *testing.T) {
 	if err := gm2.EnableWAL(dir2, wal.Options{Sync: wal.SyncNone}); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := filepath.Glob(filepath.Join(dir2, "checkpoint-*.snap")); err != nil || len(n) != 1 {
-		t.Fatalf("fresh dir checkpoints = %v (err %v), want exactly one", n, err)
-	}
-	if err := gm2.CloseWAL(); err != nil {
-		t.Fatal(err)
+	if n := checkpoints(dir2); len(n) != 1 {
+		t.Fatalf("fresh dir checkpoints = %v, want exactly one", n)
 	}
 }
 
-// TestCountNeutralMutationsBetweenRecoverAndEnable pins the durability
-// hand-off: mutations applied between wal_replay and wal_enable that
-// happen to leave NumEdges/NumNodes unchanged (an insert/delete pair)
-// must still force the initial checkpoint — otherwise they are neither
-// in the log nor in a snapshot and a crash silently undoes them.
-func TestCountNeutralMutationsBetweenRecoverAndEnable(t *testing.T) {
-	dir := t.TempDir()
-	s := NewServer()
-	gm, mod := NewGraphModule()
-	if err := s.LoadModule(mod); err != nil {
-		t.Fatal(err)
+// TestEnableWALOverStaleDirectory: after EnableWAL the directory
+// describes exactly the live graph, whatever it held before. A graph
+// nothing has written to takes the directory's edges; one that was
+// written to — even by writes that cancel out — replaces them.
+func TestEnableWALOverStaleDirectory(t *testing.T) {
+	seed := func(t *testing.T, edges ...[2]uint64) string {
+		t.Helper()
+		dir := t.TempDir()
+		_, gm := newGraphServer(t)
+		if err := gm.EnableWAL(dir, wal.Options{Sync: wal.SyncNone}); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range edges {
+			gm.Graph().InsertEdge(e[0], e[1])
+		}
+		if _, err := gm.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := gm.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
 	}
-	if got := dispatch(s, "wal_enable", dir, "nosync"); got.Str != "OK" {
-		t.Fatalf("wal_enable = %+v", got)
-	}
-	dispatch(s, "g.insert", "1", "2")
-	dispatch(s, "g.insert", "1", "3")
-	dispatch(s, "g.insert", "2", "5")
-	if err := gm.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-
-	gm2, mod2 := NewGraphModule()
-	s2 := NewServer()
-	if err := s2.LoadModule(mod2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gm2.RecoverWAL(dir); err != nil {
-		t.Fatal(err)
-	}
-	// Count-neutral window: one insert (existing source node), one
-	// delete (node keeps another edge). Edges 3→3, nodes 2→2.
-	g := gm2.Graph()
-	g.InsertEdge(1, 4)
-	g.DeleteEdge(1, 2)
-	if err := gm2.EnableWAL(dir, wal.Options{Sync: wal.SyncNone}); err != nil {
-		t.Fatal(err)
-	}
-	if err := gm2.CloseWAL(); err != nil {
-		t.Fatal(err)
+	recovered := func(t *testing.T, dir string) map[replEdge]bool {
+		t.Helper()
+		g, _, err := wal.Recover(dir, sharded.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return graphEdges(g)
 	}
 
-	gm3, mod3 := NewGraphModule()
-	s3 := NewServer()
-	if err := s3.LoadModule(mod3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gm3.RecoverWAL(dir); err != nil {
-		t.Fatal(err)
-	}
-	rec := gm3.Graph()
-	if !rec.HasEdge(1, 4) {
-		t.Fatal("edge (1,4) inserted between recover and enable was lost")
-	}
-	if rec.HasEdge(1, 2) {
-		t.Fatal("edge (1,2) deleted between recover and enable resurrected")
-	}
+	t.Run("fresh graph takes the directory", func(t *testing.T) {
+		dir := seed(t, [2]uint64{1, 2}, [2]uint64{3, 4})
+		_, gm := newGraphServer(t)
+		if err := gm.EnableWAL(dir, wal.Options{Sync: wal.SyncNone}); err != nil {
+			t.Fatal(err)
+		}
+		gm.Graph().InsertEdge(5, 6)
+		if err := gm.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		live, rec := graphEdges(gm.Graph()), recovered(t, dir)
+		want := map[replEdge]bool{{1, 2}: true, {3, 4}: true, {5, 6}: true}
+		if !reflect.DeepEqual(live, want) || !reflect.DeepEqual(rec, want) {
+			t.Fatalf("live %v, recovered %v; want both %v", live, rec, want)
+		}
+	})
+	t.Run("written graph replaces the directory", func(t *testing.T) {
+		dir := seed(t, [2]uint64{1, 2})
+		_, gm := newGraphServer(t)
+		gm.Graph().InsertEdge(1, 2)
+		gm.Graph().DeleteEdge(1, 2)
+		if err := gm.EnableWAL(dir, wal.Options{Sync: wal.SyncNone}); err != nil {
+			t.Fatal(err)
+		}
+		if err := gm.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		if rec := recovered(t, dir); len(rec) != 0 {
+			t.Fatalf("recovered %v from a graph with no edges", rec)
+		}
+	})
 }
 
-// TestReplicaRefusesLocalWAL: a replica's log is the leader's, so the
-// command surface refuses a local one just as cgserver's flags do —
-// and a restore on it (wal_replay) with it.
-func TestReplicaRefusesLocalWAL(t *testing.T) {
-	s, gm, _ := startGraphServer(t, Config{})
-	r := StartReplica(gm, "127.0.0.1:1")
-	t.Cleanup(r.Stop)
-	dir := t.TempDir()
-	if got := dispatch(s, "wal_enable", dir, "nosync"); got.Type != '-' {
-		t.Fatalf("wal_enable on a replica = %+v, want an error", got)
+// TestEnableWALAfterListenRefused: durability is fixed at boot, so
+// EnableWAL on a listening server fails and attaches nothing.
+func TestEnableWALAfterListenRefused(t *testing.T) {
+	_, gm, _ := startGraphServer(t, Config{})
+	dir := filepath.Join(t.TempDir(), "wal")
+	if err := gm.EnableWAL(dir, wal.Options{Sync: wal.SyncNone}); err == nil {
+		t.Fatal("EnableWAL after Listen succeeded")
 	}
 	if gm.walPtr.Load() != nil {
-		t.Fatal("a refused wal_enable left a WAL attached")
+		t.Fatal("a refused EnableWAL left a WAL attached")
 	}
-	if got := dispatch(s, "wal_replay", dir); got.Type != '-' {
-		t.Fatalf("wal_replay on a replica = %+v, want an error", got)
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a refused EnableWAL touched its directory (stat err %v)", err)
+	}
+}
+
+// TestReplicaRefusesLocalWAL: a replica's log is the leader's, so
+// EnableWAL refuses a local one just as cgserver's flags do.
+func TestReplicaRefusesLocalWAL(t *testing.T) {
+	_, gm := newGraphServer(t)
+	r := StartReplica(gm, "127.0.0.1:1")
+	t.Cleanup(r.Stop)
+	dir := filepath.Join(t.TempDir(), "wal")
+	if err := gm.EnableWAL(dir, wal.Options{Sync: wal.SyncNone}); !errors.Is(err, errReplicaLog) {
+		t.Fatalf("EnableWAL on a replica = %v, want %v", err, errReplicaLog)
+	}
+	if gm.walPtr.Load() != nil {
+		t.Fatal("a refused EnableWAL left a WAL attached")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a refused EnableWAL touched its directory (stat err %v)", err)
 	}
 }

@@ -72,9 +72,8 @@ import (
 // one of those instead is a single-op record of an earlier build.
 const recBatch = 3
 
-// ParseSyncPolicy maps the user-facing policy names — the wal_enable
-// command argument and the cgserver -wal-sync flag share it. The empty
-// string means the default, SyncAlways.
+// ParseSyncPolicy maps the user-facing policy names of the cgserver
+// -wal-sync flag. The empty string means the default, SyncAlways.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch strings.ToLower(s) {
 	case "", "always":

@@ -392,7 +392,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
-// TestParseSyncPolicy: the names wal_enable and -wal-sync accept, and
+// TestParseSyncPolicy: the names -wal-sync accepts, and
 // String's round trip through them.
 func TestParseSyncPolicy(t *testing.T) {
 	for _, tc := range []struct {

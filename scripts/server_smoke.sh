@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the production serving path: build cgserver
-# and cgcli, boot the server with WAL durability and the metrics
-# listener, drive it over RESP, scrape /metrics, then SIGTERM it and
+# and cgcli, check that usage errors exit 2 before any work, boot the
+# server with WAL durability and the metrics listener, drive it over RESP, scrape /metrics, then SIGTERM it and
 # assert a clean drain — and that a restart recovers every acknowledged
 # write from the WAL.
 #
@@ -38,6 +38,19 @@ start_server() {
   fail "server never answered PING"
 }
 
+echo "== usage errors exit 2 before any work"
+usage_exit() { # want-in-log, cgserver flags...
+  local want=$1 rc=0
+  shift
+  timeout 10 "$work/cgserver" -addr "$addr" "$@" >"$work/usage.log" 2>&1 || rc=$?
+  [ "$rc" = 2 ] || { sed 's/^/  usage: /' "$work/usage.log" >&2; fail "cgserver $* exited $rc, want 2"; }
+  grep -q -- "$want" "$work/usage.log" || fail "cgserver $* did not say $want"
+  if grep -q "recovered" "$work/usage.log"; then fail "cgserver $* recovered before rejecting its flags"; fi
+}
+usage_exit "-pprof requires -metrics-addr" -wal-dir "$waldir" -pprof
+usage_exit "bad -wal-sync" -wal-sync sometimes
+usage_exit "bad -wal-sync" -wal-dir "$waldir" -wal-sync async
+
 echo "== boot with wal + metrics"
 start_server
 
@@ -49,9 +62,12 @@ echo "== drive commands"
 [ "$(cli g.degree 1)" = "(integer) 2" ] || fail "g.degree 1"
 cli graph.bfs 1 | grep -q "4" || fail "graph.bfs 1 did not reach node 4"
 cli g.info graph | grep -q "edges:3" || fail "g.info graph edges:3"
-# ping, command and the graph module's twenty commands; nothing else.
-[ "$(cli command count)" = "(integer) 22" ] || fail "command count != 22"
+# ping, command and the graph module's eighteen commands; nothing else.
+[ "$(cli command count)" = "(integer) 20" ] || fail "command count != 20"
 cli set k v 2>&1 | grep -q "ERR unknown command" || fail "set answered as a command"
+# Durability is fixed at boot: no runtime enable or replay.
+cli wal_enable "$work/other" 2>&1 | grep -q "ERR unknown command" || fail "wal_enable answered as a command"
+cli wal_replay "$waldir" 2>&1 | grep -q "ERR unknown command" || fail "wal_replay answered as a command"
 # Error taxonomy over the wire: arity and unknown-command classes.
 cli g.insert 1 2>&1 | grep -q "ERR wrong number of arguments" || fail "arity error class"
 cli nosuchcmd 2>&1 | grep -q "ERR unknown command" || fail "unknown command class"
