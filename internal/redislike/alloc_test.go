@@ -19,7 +19,7 @@ import (
 // /metrics scrape reads.
 func TestMetricsHandlesPreResolved(t *testing.T) {
 	s := NewServer()
-	cmd := addCommand(s, "t.pre", func(ctx *Ctx) error { ctx.ReplySimple("OK"); return nil })
+	cmd := addCommand(s, "t.pre", func(ctx *Ctx) error { ctx.w.AppendSimple("OK"); return nil })
 	if cmd.metrics == nil {
 		t.Fatal("metrics handle not resolved when the command joined the table")
 	}
@@ -67,7 +67,7 @@ func TestCommandCycleAllocs(t *testing.T) {
 	_ = gm
 
 	var w resp.Writer
-	ctx := &Ctx{srv: s, w: &w}
+	ctx := &Ctx{w: &w}
 	cases := []struct {
 		name string
 		args [][]byte
@@ -124,7 +124,7 @@ func TestPipelineDrainAllocsWithWAL(t *testing.T) {
 		want = append(want, ":1\r\n:1\r\n:2\r\n:1\r\n"...)
 	}
 	var w resp.Writer
-	ctx := &Ctx{srv: s, w: &w}
+	ctx := &Ctx{w: &w}
 	run := func() {
 		for _, args := range drain {
 			s.serveRequest(ctx, args)
@@ -160,8 +160,8 @@ func TestCommandCycleErrorReplies(t *testing.T) {
 	}
 	defer s.Close()
 	addCommand(s, "t.partial", func(ctx *Ctx) error {
-		ctx.ReplyArrayHeader(3)
-		ctx.ReplyInt(1)
+		ctx.w.AppendArrayHeader(3)
+		ctx.w.AppendInt(1)
 		return &BadArgError{Cmd: ctx.Name, Detail: "gave up mid-array"}
 	})
 	addCommand(s, "t.mute", func(ctx *Ctx) error { return nil })
@@ -240,7 +240,7 @@ func TestConnScratchShrinks(t *testing.T) {
 	}
 	defer s.Close()
 	var w resp.Writer
-	ctx := &Ctx{srv: s, w: &w}
+	ctx := &Ctx{w: &w}
 	serve := func(args [][]byte) {
 		t.Helper()
 		s.serveRequest(ctx, args)

@@ -11,9 +11,9 @@ func (s *Server) builtins() []*Command {
 			Name: "ping", Arity: Between(0, 1), Summary: "liveness probe; echoes its argument",
 			Handler: func(ctx *Ctx) error {
 				if len(ctx.Args) == 1 {
-					ctx.ReplyBulk(ctx.Args[0])
+					ctx.w.AppendBulk(ctx.Args[0])
 				} else {
-					ctx.ReplySimple("PONG")
+					ctx.w.AppendSimple("PONG")
 				}
 				return nil
 			},
@@ -31,49 +31,49 @@ func (s *Server) builtins() []*Command {
 // and introspection alike.
 func replyCommandEntry(ctx *Ctx, c *Command) {
 	flags := c.Flags.Names()
-	ctx.ReplyArrayHeader(4)
-	ctx.ReplyBulkString(c.Name)
-	ctx.ReplyInt(c.Arity.Redis())
-	ctx.ReplyArrayHeader(len(flags))
+	ctx.w.AppendArrayHeader(4)
+	ctx.w.AppendBulkString(c.Name)
+	ctx.w.AppendInt(c.Arity.Redis())
+	ctx.w.AppendArrayHeader(len(flags))
 	for _, f := range flags {
-		ctx.ReplySimple(f)
+		ctx.w.AppendSimple(f)
 	}
-	ctx.ReplyBulkString(c.Summary)
+	ctx.w.AppendBulkString(c.Summary)
 }
 
 // commandCmd is COMMAND [COUNT | LIST | INFO name [name ...]]: the
 // introspection surface generated from the command table.
 func (s *Server) commandCmd(ctx *Ctx) error {
 	if len(ctx.Args) == 0 {
-		ctx.ReplyArrayHeader(len(s.sorted))
+		ctx.w.AppendArrayHeader(len(s.sorted))
 		for _, c := range s.sorted {
 			replyCommandEntry(ctx, c)
 		}
 		return nil
 	}
-	switch sub := strings.ToLower(ctx.ArgString(0)); sub {
+	switch sub := strings.ToLower(string(ctx.Args[0])); sub {
 	case "count":
 		if len(ctx.Args) != 1 {
 			return &BadArgError{Cmd: ctx.Name, Detail: "COUNT takes no arguments"}
 		}
-		ctx.ReplyInt(int64(len(s.sorted)))
+		ctx.w.AppendInt(int64(len(s.sorted)))
 		return nil
 	case "list":
 		if len(ctx.Args) != 1 {
 			return &BadArgError{Cmd: ctx.Name, Detail: "LIST takes no arguments"}
 		}
-		ctx.ReplyArrayHeader(len(s.sorted))
+		ctx.w.AppendArrayHeader(len(s.sorted))
 		for _, c := range s.sorted {
-			ctx.ReplyBulkString(c.Name)
+			ctx.w.AppendBulkString(c.Name)
 		}
 		return nil
 	case "info":
-		ctx.ReplyArrayHeader(len(ctx.Args) - 1)
+		ctx.w.AppendArrayHeader(len(ctx.Args) - 1)
 		for _, name := range ctx.Args[1:] {
 			if c, ok := s.cmds[strings.ToLower(string(name))]; ok {
 				replyCommandEntry(ctx, c)
 			} else {
-				ctx.ReplyNullBulk()
+				ctx.w.AppendNullBulk()
 			}
 		}
 		return nil

@@ -37,39 +37,9 @@ func parseEdgeArgs(ctx *Ctx) (u, v uint64, err error) {
 	return u, v, nil
 }
 
-// The four write handlers apply their mutation and stage it in the log
-// — Graph.Stage, no I/O — and answer with ReplyStaged: the serve loop
-// commits the whole drain at once before the reply leaves (see
-// Server.commit), which is where a log failure surfaces.
-
-// stageOne applies one single-edge op through the connection's batch
-// scratch.
-func (gm *GraphModule) stageOne(ctx *Ctx, op core.Op) core.BatchResult {
-	ctx.batch = append(ctx.batch[:0], op)
-	return gm.g.Stage(ctx.batch)
-}
-
-func (gm *GraphModule) insert(ctx *Ctx) error {
-	u, v, err := parseEdgeArgs(ctx)
-	if err != nil {
-		return err
-	}
-	ctx.ReplyStaged(int64(gm.stageOne(ctx, core.InsertOp(u, v)).Inserted))
-	return nil
-}
-
-func (gm *GraphModule) del(ctx *Ctx) error {
-	u, v, err := parseEdgeArgs(ctx)
-	if err != nil {
-		return err
-	}
-	ctx.ReplyStaged(int64(gm.stageOne(ctx, core.DeleteOp(u, v)).Deleted))
-	return nil
-}
-
-// parseBatchArgs decodes ⟨u,v⟩ pairs from a variadic command's
-// arguments into a mutation batch of the given kind, reusing the
-// connection's batch scratch.
+// parseBatchArgs decodes ⟨u,v⟩ pairs from a write command's arguments
+// into a mutation batch of the given kind, reusing the connection's
+// batch scratch.
 func parseBatchArgs(ctx *Ctx, kind core.OpKind) (core.Batch, error) {
 	if len(ctx.Args) == 0 || len(ctx.Args)%2 != 0 {
 		return nil, &BadArgError{Cmd: ctx.Name, Detail: "expected <u> <v> [<u> <v> ...]"}
@@ -90,27 +60,27 @@ func parseBatchArgs(ctx *Ctx, kind core.OpKind) (core.Batch, error) {
 	return b, nil
 }
 
-// minsert is the batched insert: G.MINSERT u1 v1 [u2 v2 ...] applies
-// every pair through the shard-parallel batch path and replies with the
-// number of newly inserted edges.
-func (gm *GraphModule) minsert(ctx *Ctx) error {
-	b, err := parseBatchArgs(ctx, core.OpInsert)
-	if err != nil {
-		return err
+// write builds the one handler behind G.INSERT, G.DEL, G.MINSERT and
+// G.MDEL (their arity rows tell the single-edge commands from the
+// batched ones): the ⟨u,v⟩ pairs become a batch of kind, applied and
+// staged in the log — Graph.Stage, no I/O — and answered with
+// ReplyStaged, the number of edges inserted or removed. The serve loop
+// commits the whole drain before the reply leaves (see Server.commit),
+// which is where a log failure surfaces.
+func (gm *GraphModule) write(kind core.OpKind) HandlerFunc {
+	return func(ctx *Ctx) error {
+		b, err := parseBatchArgs(ctx, kind)
+		if err != nil {
+			return err
+		}
+		r := gm.g.Stage(b)
+		n := r.Inserted
+		if kind == core.OpDelete {
+			n = r.Deleted
+		}
+		ctx.ReplyStaged(int64(n))
+		return nil
 	}
-	ctx.ReplyStaged(int64(gm.g.Stage(b).Inserted))
-	return nil
-}
-
-// mdel is the batched delete: G.MDEL u1 v1 [u2 v2 ...] replies with the
-// number of edges actually removed.
-func (gm *GraphModule) mdel(ctx *Ctx) error {
-	b, err := parseBatchArgs(ctx, core.OpDelete)
-	if err != nil {
-		return err
-	}
-	ctx.ReplyStaged(int64(gm.g.Stage(b).Deleted))
-	return nil
 }
 
 func (gm *GraphModule) query(ctx *Ctx) error {
@@ -118,7 +88,11 @@ func (gm *GraphModule) query(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	ctx.ReplyBool(gm.g.HasEdge(u, v))
+	var hit int64
+	if gm.g.HasEdge(u, v) {
+		hit = 1
+	}
+	ctx.w.AppendInt(hit)
 	return nil
 }
 
@@ -130,9 +104,9 @@ func (gm *GraphModule) getNeighbors(ctx *Ctx) error {
 	// Collect before writing the array header: Degree and the scan can
 	// disagree under concurrent writers, and a header is a promise.
 	ctx.ids = gm.g.AppendSuccessors(u, ctx.ids[:0])
-	ctx.ReplyArrayHeader(len(ctx.ids))
+	ctx.w.AppendArrayHeader(len(ctx.ids))
 	for _, v := range ctx.ids {
-		ctx.ReplyBulkUint(v)
+		ctx.w.AppendBulkUint(v)
 	}
 	return nil
 }
@@ -144,16 +118,16 @@ func (gm *GraphModule) degree(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	ctx.ReplyInt(int64(gm.g.Degree(u)))
+	ctx.w.AppendInt(int64(gm.g.Degree(u)))
 	return nil
 }
 
 // nodes replies with every source node (nodes with ≥1 out-edge).
 func (gm *GraphModule) nodes(ctx *Ctx) error {
 	ctx.ids = gm.g.AppendNodes(ctx.ids[:0])
-	ctx.ReplyArrayHeader(len(ctx.ids))
+	ctx.w.AppendArrayHeader(len(ctx.ids))
 	for _, u := range ctx.ids {
-		ctx.ReplyBulkUint(u)
+		ctx.w.AppendBulkUint(u)
 	}
 	return nil
 }

@@ -22,7 +22,7 @@ var infoSections = []string{"server", "commands", "graph", "snapshots", "wal", "
 func (gm *GraphModule) info(ctx *Ctx) error {
 	want := ""
 	if len(ctx.Args) == 1 {
-		want = strings.ToLower(ctx.ArgString(0))
+		want = strings.ToLower(string(ctx.Args[0]))
 		ok := false
 		for _, s := range infoSections {
 			if s == want {
@@ -46,14 +46,14 @@ func (gm *GraphModule) info(ctx *Ctx) error {
 		fmt.Fprintf(&b, "# %s\n", s)
 		switch s {
 		case "server":
-			s := ctx.Server()
+			s := gm.srv
 			fmt.Fprintf(&b, "uptime_seconds:%d\n", int64(time.Since(s.metrics.start).Seconds()))
 			writeInfo(&b, s.serverRows())
-			if reason := s.DegradedReason(); reason != "" {
-				fmt.Fprintf(&b, "degraded_reason:%s\n", reason)
+			if reason := s.degraded.Load(); reason != nil {
+				fmt.Fprintf(&b, "degraded_reason:%s\n", *reason)
 			}
 		case "commands":
-			gm.infoCommands(ctx, &b)
+			gm.infoCommands(&b)
 		case "graph":
 			writeInfo(&b, gm.graphRows())
 		case "snapshots":
@@ -68,12 +68,12 @@ func (gm *GraphModule) info(ctx *Ctx) error {
 			gm.infoReplication(&b)
 		}
 	}
-	ctx.ReplyBulkString(b.String())
+	ctx.w.AppendBulkString(b.String())
 	return nil
 }
 
-func (gm *GraphModule) infoCommands(ctx *Ctx, b *strings.Builder) {
-	s := ctx.Server()
+func (gm *GraphModule) infoCommands(b *strings.Builder) {
+	s := gm.srv
 	fmt.Fprintf(b, "commands_registered:%d\n", len(s.sorted))
 	for _, c := range s.sorted {
 		cm := c.metrics
@@ -165,7 +165,7 @@ func (s *Server) serverRows() []infoRow {
 		{"connections_active", "Connections currently tracked by the server.", false, float64(m.connsActive.Load())},
 		{"connections_accepted", "Connections admitted by the server.", true, float64(m.connsAccepted.Load())},
 		{"connections_rejected", "Connections refused by admission control (limit or shutdown).", true, float64(m.connsRejected.Load())},
-		{"degraded", "1 while a WAL failure has writes rejected with -MISCONF (reads keep serving).", false, boolGauge(s.degraded.Load())},
+		{"degraded", "1 while a WAL failure has writes rejected with -MISCONF (reads keep serving).", false, boolGauge(s.Degraded())},
 		{"shutting_down", "1 once the server has begun draining.", false, boolGauge(s.draining())},
 	}
 }
@@ -220,7 +220,7 @@ func (gm *GraphModule) replicaRows(r *Replica) []infoRow {
 		{"ops_applied", "Edge mutations applied from the stream.", true, float64(r.ops.Load())},
 		{"snapshots_installed", "Bootstrap snapshots installed.", true, float64(r.snapshots.Load())},
 		{"reconnects", "Replication link losses.", true, float64(r.reconnects.Load())},
-		{"read_only", "1 while client writes are rejected with -READONLY.", false, boolGauge(gm.srv.ReadOnly())},
+		{"read_only", "1 while client writes are rejected with -READONLY.", false, 1}, // these rows exist only on a replica
 	}
 }
 

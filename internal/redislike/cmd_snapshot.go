@@ -29,7 +29,7 @@ func (gm *GraphModule) snapshot(ctx *Ctx) error {
 		gm.views = gm.views[1:]
 	}
 	gm.viewMu.Unlock()
-	ctx.ReplyInt(int64(v.Epoch()))
+	ctx.w.AppendInt(int64(v.Epoch()))
 	return nil
 }
 
@@ -37,9 +37,9 @@ func (gm *GraphModule) snapshot(ctx *Ctx) error {
 func (gm *GraphModule) snapshots(ctx *Ctx) error {
 	gm.viewMu.Lock()
 	defer gm.viewMu.Unlock()
-	ctx.ReplyArrayHeader(len(gm.views))
+	ctx.w.AppendArrayHeader(len(gm.views))
 	for _, v := range gm.views {
-		ctx.ReplyInt(int64(v.Epoch()))
+		ctx.w.AppendInt(int64(v.Epoch()))
 	}
 	return nil
 }
@@ -49,7 +49,7 @@ func (gm *GraphModule) snapshots(ctx *Ctx) error {
 func (gm *GraphModule) release(ctx *Ctx) error {
 	epoch, ok := parseUint64(ctx.Args[0])
 	if !ok {
-		return &BadArgError{Cmd: ctx.Name, Detail: "bad epoch " + strconv.Quote(ctx.ArgString(0))}
+		return &BadArgError{Cmd: ctx.Name, Detail: "bad epoch " + strconv.Quote(string(ctx.Args[0]))}
 	}
 	gm.viewMu.Lock()
 	defer gm.viewMu.Unlock()
@@ -57,11 +57,11 @@ func (gm *GraphModule) release(ctx *Ctx) error {
 		if v.Epoch() == epoch {
 			v.Release()
 			gm.views = append(gm.views[:i], gm.views[i+1:]...)
-			ctx.ReplyInt(1)
+			ctx.w.AppendInt(1)
 			return nil
 		}
 	}
-	ctx.ReplyInt(0)
+	ctx.w.AppendInt(0)
 	return nil
 }
 
@@ -96,11 +96,11 @@ func (gm *GraphModule) analyticsStore(epochArg string) (graphstore.Store, func()
 func (gm *GraphModule) graphBFS(ctx *Ctx) error {
 	root, ok := parseUint64(ctx.Args[0])
 	if !ok {
-		return &BadArgError{Cmd: ctx.Name, Detail: "bad node id " + strconv.Quote(ctx.ArgString(0))}
+		return &BadArgError{Cmd: ctx.Name, Detail: "bad node id " + strconv.Quote(string(ctx.Args[0]))}
 	}
 	epochArg := ""
 	if len(ctx.Args) == 2 {
-		epochArg = ctx.ArgString(1)
+		epochArg = string(ctx.Args[1])
 	}
 	s, cleanup, err := gm.analyticsStore(epochArg)
 	if err != nil {
@@ -108,9 +108,9 @@ func (gm *GraphModule) graphBFS(ctx *Ctx) error {
 	}
 	defer cleanup()
 	order := analytics.BFS(s, root)
-	ctx.ReplyArrayHeader(len(order))
+	ctx.w.AppendArrayHeader(len(order))
 	for _, u := range order {
-		ctx.ReplyBulkUint(u)
+		ctx.w.AppendBulkUint(u)
 	}
 	return nil
 }
@@ -124,14 +124,14 @@ const maxPageRankIters = 1000
 // over a frozen view, replying with a flat array of node, rank pairs
 // sorted by node id.
 func (gm *GraphModule) graphPageRank(ctx *Ctx) error {
-	iters, err := strconv.Atoi(ctx.ArgString(0))
+	iters, err := strconv.Atoi(string(ctx.Args[0]))
 	if err != nil || iters < 1 || iters > maxPageRankIters {
 		return &BadArgError{Cmd: ctx.Name,
-			Detail: fmt.Sprintf("bad iteration count %q (want 1 to %d)", ctx.ArgString(0), maxPageRankIters)}
+			Detail: fmt.Sprintf("bad iteration count %q (want 1 to %d)", string(ctx.Args[0]), maxPageRankIters)}
 	}
 	epochArg := ""
 	if len(ctx.Args) == 2 {
-		epochArg = ctx.ArgString(1)
+		epochArg = string(ctx.Args[1])
 	}
 	s, cleanup, err := gm.analyticsStore(epochArg)
 	if err != nil {
@@ -144,10 +144,10 @@ func (gm *GraphModule) graphPageRank(ctx *Ctx) error {
 		nodes = append(nodes, u)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	ctx.ReplyArrayHeader(2 * len(nodes))
+	ctx.w.AppendArrayHeader(2 * len(nodes))
 	for _, u := range nodes {
-		ctx.ReplyBulkUint(u)
-		ctx.ReplyBulkString(strconv.FormatFloat(rank[u], 'g', 10, 64))
+		ctx.w.AppendBulkUint(u)
+		ctx.w.AppendBulkString(strconv.FormatFloat(rank[u], 'g', 10, 64))
 	}
 	return nil
 }

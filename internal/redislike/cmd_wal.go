@@ -27,7 +27,7 @@ var errReplicaLog = errors.New("a replica keeps no log of its own (it follows th
 // so the degrade edge (log line included) fires exactly once.
 func (gm *GraphModule) commit() error {
 	err := gm.g.Commit()
-	if s := gm.srv; err != nil && s != nil && !s.Degraded() && s.SetDegraded("wal: "+err.Error()) {
+	if s := gm.srv; err != nil && !s.Degraded() && s.setDegraded("wal: "+err.Error()) {
 		gm.log.Error("wal failure; degrading to read-only serving (run wal_resume after fixing storage)",
 			"err", err)
 	}
@@ -47,13 +47,13 @@ func (gm *GraphModule) commit() error {
 func (gm *GraphModule) EnableWAL(dir string, opts wal.Options) error {
 	gm.walMu.Lock()
 	defer gm.walMu.Unlock()
-	switch {
+	switch w := gm.walPtr.Load(); {
 	case gm.srv != nil && gm.srv.listening.Load():
 		return errors.New("wal is enabled at boot, before the server listens")
 	case gm.replica.Load() != nil:
 		return errReplicaLog
-	case gm.wal != nil:
-		return fmt.Errorf("wal already enabled in %s", gm.wal.Dir())
+	case w != nil:
+		return fmt.Errorf("wal already enabled in %s", w.Dir())
 	}
 	g := gm.g
 	boot := g.Mutations() == 0
@@ -70,26 +70,56 @@ func (gm *GraphModule) EnableWAL(dir string, opts wal.Options) error {
 			"segments", stats.Replay.Segments, "torn_bytes", stats.Replay.TornBytes,
 			"snapshot", stats.Snapshot, "elapsed", stats.Elapsed)
 	}
+	if err := gm.attachWAL(dir, opts, !boot); err != nil {
+		return err
+	}
+	gm.log.Info("wal enabled", "dir", dir, "sync", opts.Sync.String())
+	return nil
+}
+
+// attachWAL is the attach step of EnableWAL and ResumeWAL: open the log
+// in dir, attach it to the graph and, if checkpoint is set, checkpoint
+// so dir describes the live graph; on failure nothing stays attached.
+// On success it publishes the log and remembers dir and opts for
+// ResumeWAL's reopen. The caller holds walMu.
+func (gm *GraphModule) attachWAL(dir string, opts wal.Options, checkpoint bool) error {
 	w, err := wal.Open(dir, opts)
 	if err != nil {
 		return err
 	}
-	g.SetWAL(w)
-	if !boot {
-		if _, err := wal.Checkpoint(g, w); err != nil {
-			g.SetWAL(nil)
+	gm.g.SetWAL(w)
+	if checkpoint {
+		if _, err := wal.Checkpoint(gm.g, w); err != nil {
+			gm.g.SetWAL(nil)
 			w.Close()
 			return err
 		}
 	}
-	gm.wal = w
 	gm.walPtr.Store(w)
-	// Remembered so ResumeWAL can reopen the same log with the same
-	// policy after a storage failure.
 	gm.walOpts, gm.walDir = opts, dir
-	gm.log.Info("wal enabled", "dir", dir, "sync", opts.Sync.String())
 	return nil
 }
+
+// detachWAL detaches and closes the attached log, if any. The pointer
+// is cleared before the close, so a scrape that loads it never observes
+// a log Close is tearing down (one that loaded it just before reads
+// final counters: Stats on a closed WAL is well-defined). The caller
+// holds walMu.
+func (gm *GraphModule) detachWAL() error {
+	w := gm.walPtr.Load()
+	if w == nil {
+		return nil
+	}
+	gm.g.SetWAL(nil)
+	gm.walPtr.Store(nil)
+	return w.Close()
+}
+
+// errNotDegraded refuses wal_resume on a healthy server: resuming
+// detaches the log before it reopens it, and a write served in that
+// window would be acknowledged with no log to back it. A degraded
+// server refuses writes (-MISCONF), so there the window is safe.
+var errNotDegraded = errors.New("the server is not degraded; wal_resume only reopens a log after a storage failure")
 
 // ResumeWAL recovers from a WAL storage failure: it detaches and closes
 // the poisoned log, reopens the directory (truncating any torn tail),
@@ -97,43 +127,30 @@ func (gm *GraphModule) EnableWAL(dir string, opts wal.Options) error {
 // correctness keystone — mutations that were applied in memory but
 // whose append failed exist nowhere on disk, so the reopened directory
 // must be made to describe the live graph before any new write is acked
-// against it. On success the host server leaves degraded mode.
+// against it. It is refused unless the host server is degraded, and on
+// success the server leaves degraded mode.
 func (gm *GraphModule) ResumeWAL() error {
 	gm.walMu.Lock()
 	defer gm.walMu.Unlock()
-	if gm.walDir == "" {
-		return fmt.Errorf("wal not enabled")
-	}
 	dir := gm.walDir
-	g := gm.g
-	// gm.wal is nil when a previous resume attempt already tore the
-	// poisoned log down but could not reopen it (disk still full) — the
-	// retry just goes straight to the reopen.
-	if gm.wal != nil {
-		g.SetWAL(nil)
-		gm.walPtr.Store(nil)
-		// The close of a poisoned WAL reports the sticky error; that
-		// failure is exactly why we are here, so it is logged and dropped.
-		if err := gm.wal.Close(); err != nil {
-			gm.log.Warn("wal resume: closing failed log", "err", err)
-		}
-		gm.wal = nil
+	switch {
+	case dir == "":
+		return fmt.Errorf("wal not enabled")
+	case gm.srv == nil || !gm.srv.Degraded():
+		return errNotDegraded
 	}
-	w, err := wal.Open(dir, gm.walOpts)
-	if err != nil {
-		return fmt.Errorf("reopen wal in %s: %w", dir, err)
+	// No log is attached when a previous resume attempt already tore the
+	// poisoned one down but could not reopen it (disk still full) — the
+	// retry just goes straight to the reopen. The close of a poisoned
+	// log reports the sticky error; that failure is exactly why we are
+	// here, so it is logged and dropped.
+	if err := gm.detachWAL(); err != nil {
+		gm.log.Warn("wal resume: closing failed log", "err", err)
 	}
-	g.SetWAL(w)
-	if _, err := wal.Checkpoint(g, w); err != nil {
-		g.SetWAL(nil)
-		w.Close()
-		return fmt.Errorf("checkpoint after reopen (storage still failing?): %w", err)
+	if err := gm.attachWAL(dir, gm.walOpts, true); err != nil {
+		return fmt.Errorf("reopen wal in %s (storage still failing?): %w", dir, err)
 	}
-	gm.wal = w
-	gm.walPtr.Store(w)
-	if gm.srv != nil {
-		gm.srv.ClearDegraded()
-	}
+	gm.srv.clearDegraded()
 	gm.log.Info("wal resumed", "dir", dir)
 	return nil
 }
@@ -143,10 +160,11 @@ func (gm *GraphModule) ResumeWAL() error {
 func (gm *GraphModule) Checkpoint() (string, error) {
 	gm.walMu.Lock()
 	defer gm.walMu.Unlock()
-	if gm.wal == nil {
+	w := gm.walPtr.Load()
+	if w == nil {
 		return "", fmt.Errorf("wal not enabled")
 	}
-	path, err := wal.Checkpoint(gm.g, gm.wal)
+	path, err := wal.Checkpoint(gm.g, w)
 	if err != nil {
 		gm.log.Error("checkpoint failed", "err", err)
 		return "", err
@@ -162,24 +180,15 @@ func (gm *GraphModule) CloseWAL() error {
 	// A deliberate close forgets the directory: wal_resume must not
 	// resurrect a log the operator shut down on purpose.
 	gm.walDir = ""
-	if gm.wal == nil {
+	if gm.walPtr.Load() == nil {
 		return nil
 	}
-	gm.g.SetWAL(nil)
-	// Clear the lock-free mirror BEFORE closing: a /metrics or G.INFO
-	// scrape that loads the pointer must never observe a WAL that Close
-	// is tearing down. (Stats on a closed WAL is also well-defined —
-	// counters are final and Closed is set — so a scrape that loaded
-	// the pointer just before this store stays safe too.)
-	gm.walPtr.Store(nil)
-	err := gm.wal.Close()
-	gm.wal = nil
-	if err != nil {
+	if err := gm.detachWAL(); err != nil {
 		gm.log.Error("wal close failed", "err", err)
-	} else {
-		gm.log.Info("wal closed")
+		return err
 	}
-	return err
+	gm.log.Info("wal closed")
+	return nil
 }
 
 func (gm *GraphModule) checkpoint(ctx *Ctx) error {
@@ -187,14 +196,21 @@ func (gm *GraphModule) checkpoint(ctx *Ctx) error {
 	if err != nil {
 		return &WALError{Cmd: ctx.Name, Err: err}
 	}
-	ctx.ReplyBulkString(path)
+	ctx.w.AppendBulkString(path)
 	return nil
 }
 
+// walResume answers a refusal on a healthy server as a plain ERR — the
+// log is fine, the request is not — and any failure to reopen the log
+// as -WALERR.
 func (gm *GraphModule) walResume(ctx *Ctx) error {
-	if err := gm.ResumeWAL(); err != nil {
+	err := gm.ResumeWAL()
+	switch {
+	case errors.Is(err, errNotDegraded):
+		return fmt.Errorf("%s: %w", ctx.Name, err)
+	case err != nil:
 		return &WALError{Cmd: ctx.Name, Err: err}
 	}
-	ctx.ReplySimple("OK")
+	ctx.w.AppendSimple("OK")
 	return nil
 }

@@ -64,10 +64,14 @@ func (a Arity) Redis() int64 {
 	return -int64(a.Min + 1)
 }
 
-// HandlerFunc serves one command, streaming its reply through the Ctx
-// (see the Reply methods). Returning a non-nil error discards anything
-// the handler already wrote and sends one typed error reply instead —
-// so a failure is always a single well-formed reply in pipeline order.
+// HandlerFunc serves one command: it reads ctx.Args and appends its
+// reply to the connection's writer, ctx.w. It must either write exactly
+// one reply — an array header plus its elements counts as one; a staged
+// write answers through ReplyStaged — or return an error. A non-nil
+// error discards anything the handler already wrote and sends one typed
+// error reply instead, and a handler that writes nothing answers an
+// error too, so the wire always sees a single well-formed reply in
+// pipeline order.
 type HandlerFunc func(*Ctx) error
 
 // Command is one row of the server's command table: everything the

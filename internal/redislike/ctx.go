@@ -11,10 +11,12 @@ import (
 
 // Ctx carries one command invocation to its handler: the resolved name,
 // the arguments (name excluded, arity already validated against the
-// command's table row) and the reply writer. One Ctx lives
-// per connection and is reused across every command it serves — the
-// scratch fields below are what make the hot data-plane commands
-// allocation-free.
+// command's table row) and the connection's reply writer. A handler
+// reads ctx.Args and appends its reply to ctx.w with the resp.Writer
+// Append methods (ReplyStaged for a staged write); it reaches its
+// server through the module (gm.srv). One Ctx lives per connection and
+// is reused across every command it serves — the scratch fields below
+// are what make the hot data-plane commands allocation-free.
 type Ctx struct {
 	// Name is the resolved (lowercased) command name.
 	Name string
@@ -23,8 +25,7 @@ type Ctx struct {
 	// Handlers that retain an argument must copy it.
 	Args [][]byte
 
-	srv *Server
-	w   *resp.Writer
+	w *resp.Writer
 
 	// rc is the originating resp connection; hijacked marks that the
 	// handler took it over (see Hijack) and the serve loop must not
@@ -46,7 +47,7 @@ type Ctx struct {
 	// Per-connection scratch, reused across commands up to
 	// retainedScratchBytes each (see trimScratch):
 	nameBuf []byte     // lowercased command name
-	batch   core.Batch // decoded G.MINSERT/G.MDEL pairs
+	batch   core.Batch // decoded write-command pairs
 	ids     []uint64   // collected node ids (G.GETNEIGHBORS, G.NODES)
 }
 
@@ -81,9 +82,6 @@ type stagedReply struct {
 	from, to resp.Mark
 }
 
-// Server returns the server dispatching the command.
-func (c *Ctx) Server() *Server { return c.srv }
-
 // Hijack hands the raw connection to the handler for the rest of its
 // life — the replication stream's entry point. After Hijack the serve
 // loop neither reads nor writes the connection again: the handler owns
@@ -91,34 +89,6 @@ func (c *Ctx) Server() *Server { return c.srv }
 func (c *Ctx) Hijack() *resp.Conn {
 	c.hijacked = true
 	return c.rc
-}
-
-// Arg returns argument i as a byte view (see Args for its lifetime).
-func (c *Ctx) Arg(i int) []byte { return c.Args[i] }
-
-// ArgString returns argument i as a string copy — for cold paths that
-// need one; the hot path works on the byte views directly.
-func (c *Ctx) ArgString(i int) string { return string(c.Args[i]) }
-
-// The Reply methods stream the handler's reply into the connection's
-// writer. A handler must either write exactly one reply (an array
-// header plus its elements counts as one) or return an error; dispatch
-// rewinds partial output on error so the wire sees a single reply
-// either way.
-
-// ReplySimple writes a "+" simple-string reply.
-func (c *Ctx) ReplySimple(s string) { c.w.AppendSimple(s) }
-
-// ReplyInt writes a ":" integer reply.
-func (c *Ctx) ReplyInt(n int64) { c.w.AppendInt(n) }
-
-// ReplyBool writes the conventional :1 / :0 integer reply.
-func (c *Ctx) ReplyBool(b bool) {
-	if b {
-		c.w.AppendInt(1)
-	} else {
-		c.w.AppendInt(0)
-	}
 }
 
 // ReplyStaged writes the ":" integer reply of a mutation that has been
@@ -130,23 +100,6 @@ func (c *Ctx) ReplyStaged(n int64) {
 	c.staged = true
 	c.w.AppendInt(n)
 }
-
-// ReplyBulk writes a "$" bulk reply from bytes.
-func (c *Ctx) ReplyBulk(b []byte) { c.w.AppendBulk(b) }
-
-// ReplyBulkString writes a "$" bulk reply from a string.
-func (c *Ctx) ReplyBulkString(s string) { c.w.AppendBulkString(s) }
-
-// ReplyBulkUint writes an unsigned integer as a decimal bulk reply —
-// the shape node-id lists use on the wire.
-func (c *Ctx) ReplyBulkUint(n uint64) { c.w.AppendBulkUint(n) }
-
-// ReplyArrayHeader opens an n-element array reply; the handler must
-// follow it with exactly n replies.
-func (c *Ctx) ReplyArrayHeader(n int) { c.w.AppendArrayHeader(n) }
-
-// ReplyNullBulk writes the null bulk reply ("$-1").
-func (c *Ctx) ReplyNullBulk() { c.w.AppendNullBulk() }
 
 // parseUint64 decodes a decimal uint64 from bytes without the string
 // copy strconv.ParseUint would force on the hot path. It accepts

@@ -117,7 +117,7 @@ func TestShutdownFinishesInFlightCommand(t *testing.T) {
 	addCommand(s, "t.slow", func(ctx *Ctx) error {
 		close(started)
 		<-release
-		ctx.ReplySimple("SLOW-OK")
+		ctx.w.AppendSimple("SLOW-OK")
 		return nil
 	})
 	addr, err := s.Listen("127.0.0.1:0")

@@ -225,8 +225,8 @@ func (s *Server) ListenMetrics(addr string) (string, error) {
 			http.Error(w, "shutting down", http.StatusServiceUnavailable)
 			return
 		}
-		if s.Degraded() {
-			fmt.Fprintln(w, "ok (degraded: "+s.DegradedReason()+")")
+		if reason := s.degraded.Load(); reason != nil {
+			fmt.Fprintln(w, "ok (degraded: "+*reason+")")
 			return
 		}
 		fmt.Fprintln(w, "ok")

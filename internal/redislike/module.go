@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cuckoograph/internal/core"
 	"cuckoograph/internal/sharded"
 	"cuckoograph/internal/wal"
 )
@@ -34,7 +35,7 @@ type GraphModule struct {
 
 	// srv is the server this module is loaded into (nil until
 	// LoadModule, which runs before Listen): the path to the server's
-	// listening, read-only and degraded flags.
+	// listening and degraded state.
 	srv *Server
 	log *slog.Logger
 
@@ -42,9 +43,9 @@ type GraphModule struct {
 	// checkpoint, resume, close — against itself. The data plane
 	// (insert/del/query) never takes it.
 	walMu sync.Mutex
-	wal   *wal.WAL
-	// walPtr mirrors wal for lock-free readers (/metrics, g.info): a
-	// scrape must not queue behind a checkpoint holding walMu.
+	// walPtr is the attached log (nil: none), written only under walMu.
+	// Readers outside it (/metrics, g.info, g.replicate) load it without
+	// the lock: a scrape must not queue behind a checkpoint holding walMu.
 	walPtr atomic.Pointer[wal.WAL]
 	// walOpts/walDir remember what EnableWAL opened, so ResumeWAL can
 	// reopen the same log under the same policy after a storage failure
@@ -94,16 +95,16 @@ func (gm *GraphModule) moduleCommands() []*Command {
 	return []*Command{
 		{Name: "g.insert", Arity: Exactly(2), Flags: FlagWrite,
 			Summary: "insert edge <u> <v>; replies 1 if newly added",
-			Handler: gm.insert},
+			Handler: gm.write(core.OpInsert)},
 		{Name: "g.del", Arity: Exactly(2), Flags: FlagWrite,
 			Summary: "delete edge <u> <v>; replies 1 if removed",
-			Handler: gm.del},
+			Handler: gm.write(core.OpDelete)},
 		{Name: "g.minsert", Arity: AtLeast(2), Flags: FlagWrite,
 			Summary: "batched insert of <u> <v> pairs; replies with edges added",
-			Handler: gm.minsert},
+			Handler: gm.write(core.OpInsert)},
 		{Name: "g.mdel", Arity: AtLeast(2), Flags: FlagWrite,
 			Summary: "batched delete of <u> <v> pairs; replies with edges removed",
-			Handler: gm.mdel},
+			Handler: gm.write(core.OpDelete)},
 		{Name: "g.query", Arity: Exactly(2), Flags: FlagRead,
 			Summary: "edge membership of <u> <v>",
 			Handler: gm.query},

@@ -91,13 +91,13 @@ func (gm *GraphModule) replack(ctx *Ctx) error {
 // command errors; after it the connection belongs to the stream and
 // terminates with it.
 func (gm *GraphModule) replicate(ctx *Ctx) error {
-	seg, ok := parseUint64(ctx.Arg(0))
+	seg, ok := parseUint64(ctx.Args[0])
 	if !ok {
-		return &BadArgError{Cmd: ctx.Name, Detail: "bad segment " + strconv.Quote(string(ctx.Arg(0)))}
+		return &BadArgError{Cmd: ctx.Name, Detail: "bad segment " + strconv.Quote(string(ctx.Args[0]))}
 	}
-	off, ok := parseUint64(ctx.Arg(1))
+	off, ok := parseUint64(ctx.Args[1])
 	if !ok {
-		return &BadArgError{Cmd: ctx.Name, Detail: "bad offset " + strconv.Quote(string(ctx.Arg(1)))}
+		return &BadArgError{Cmd: ctx.Name, Detail: "bad offset " + strconv.Quote(string(ctx.Args[1]))}
 	}
 	w := gm.walPtr.Load()
 	if w == nil {
@@ -114,10 +114,10 @@ func (gm *GraphModule) replicate(ctx *Ctx) error {
 	}
 	// Replies to commands pipelined ahead of this one leave here, so
 	// they are committed here.
-	if err := ctx.Server().flush(ctx); err != nil {
+	if err := gm.srv.flush(ctx); err != nil {
 		return nil
 	}
-	gm.streamTo(ctx.Server(), rc, w, wal.Position{Seg: seg, Off: int64(off)})
+	gm.streamTo(gm.srv, rc, w, wal.Position{Seg: seg, Off: int64(off)})
 	return nil
 }
 

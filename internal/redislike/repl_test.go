@@ -359,7 +359,7 @@ func TestCompactionHonorsReplicaAck(t *testing.T) {
 	if got := r.reconnects.Load(); got != 0 {
 		t.Fatalf("stream broke %d times during compaction, want 0", got)
 	}
-	if _, held := gmL.wal.RetentionFloor(); !held {
+	if _, held := gmL.walPtr.Load().RetentionFloor(); !held {
 		t.Fatal("no retention pin held with a connected follower")
 	}
 
@@ -446,13 +446,16 @@ func TestWALInfoScrapeDuringSwap(t *testing.T) {
 		}
 	}()
 
-	// The swap loop: write → checkpoint → resume, which closes the log
-	// and reopens it with a checkpoint of its own.
+	// The swap loop: write → checkpoint → degrade → resume, which closes
+	// the log and reopens it with a checkpoint of its own. Only a degraded
+	// server may resume, so each round marks it degraded first, as a
+	// failed commit would.
 	for i := 0; i < 30; i++ {
 		gm.Graph().InsertEdge(uint64(i)+10, uint64(i)+11)
 		if _, err := gm.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
+		s.setDegraded("test: forced before resume")
 		if err := gm.ResumeWAL(); err != nil {
 			t.Fatal(err)
 		}

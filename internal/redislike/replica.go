@@ -94,7 +94,6 @@ func StartReplica(gm *GraphModule, leader string) *Replica {
 	r.state.Store(replicaConnecting)
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
-	gm.srv.SetReadOnly(true)
 	gm.replica.Store(r)
 	go r.run(ctx)
 	return r

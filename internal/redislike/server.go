@@ -12,8 +12,9 @@
 // Every command is a row of one table — name, arity spec, flags,
 // handler — built before the server listens and read without a lock
 // after: arity is enforced before the handler runs, write-flagged
-// commands are rejected on a replica and in degraded mode, and the
-// COMMAND/G.INFO introspection output is generated from the same rows.
+// commands are rejected on a replica (a server is one exactly when its
+// module follows a leader) and in degraded mode, and the COMMAND/G.INFO
+// introspection output is generated from the same rows.
 // Handlers return typed errors (see errors.go) that dispatch maps onto
 // RESP error classes, so a failure is always a well-formed reply in
 // pipeline order.
@@ -32,17 +33,19 @@
 // drains: in-flight commands finish and flush, then the graph module
 // tears down.
 //
-// Durability follows the same rhythm. A write command applies its
-// mutation and stages it in the log's memory; the serve loop commits —
+// Durability follows the same rhythm. The four write commands share one
+// handler: it decodes their ⟨u,v⟩ pairs into a batch of one op kind,
+// applies it and stages it in the log's memory; the serve loop commits —
 // one log write for everything staged, by this connection and any
 // other — before every reply flush, on every connection, so no reply,
 // read or write, leaves the server reflecting a mutation that is not
 // yet durable per the sync policy. When that commit fails the server
 // degrades rather than lies: every write reply buffered since the last
 // good commit is rewritten to -WALERR (reads keep their answers), later
-// writes answer -MISCONF while reads keep serving, and wal_resume
-// restores write service once the storage is fixed. See README.md
-// § Failure modes & degraded operation for the policy knobs and runbook.
+// writes answer -MISCONF while reads keep serving, and wal_resume —
+// refused on a healthy server — restores write service once the
+// storage is fixed. See README.md § Failure modes & degraded operation
+// for the policy knobs and runbook.
 package redislike
 
 import (
@@ -106,19 +109,12 @@ type Server struct {
 	// EnableWAL is refused once it is set.
 	listening atomic.Bool
 
-	// readOnly marks a replica: dispatch rejects write-flagged commands
-	// with -READONLY. The replication apply path bypasses dispatch
-	// (ApplyBatch straight into the engine), so the flag only gates
-	// clients.
-	readOnly atomic.Bool
-
-	// degraded marks the WAL-failed serving mode: dispatch rejects
-	// write-flagged commands with -MISCONF while reads keep serving.
-	// degradedReason (guarded by degradedMu, read rarely) says why, for
-	// error replies, G.INFO and /readyz.
-	degraded       atomic.Bool
-	degradedMu     sync.Mutex
-	degradedReason string
+	// degraded is the WAL-failed serving mode, nil while healthy: the
+	// reason, for error replies, G.INFO and /readyz. While it is set
+	// dispatch rejects write-flagged commands with -MISCONF and reads
+	// keep serving. Each reader loads it once, so the flag and its
+	// reason can never disagree.
+	degraded atomic.Pointer[string]
 
 	ln     net.Listener
 	closed chan struct{} // closed when Shutdown begins
@@ -164,44 +160,22 @@ func NewServerWith(cfg Config) *Server {
 	return s
 }
 
-// SetReadOnly flips replica mode: while set, write-flagged commands
-// are rejected with -READONLY.
-func (s *Server) SetReadOnly(on bool) { s.readOnly.Store(on) }
-
-// ReadOnly reports whether the server rejects writes (replica mode).
-func (s *Server) ReadOnly() bool { return s.readOnly.Load() }
-
-// SetDegraded transitions the server into degraded read-only mode:
+// setDegraded moves the server into degraded read-only mode:
 // write-flagged commands are rejected with -MISCONF until
-// ClearDegraded, while reads keep serving. It reports whether this call
-// made the transition (false if already degraded), so callers on the
-// hot error path can log and count the edge exactly once.
-func (s *Server) SetDegraded(reason string) bool {
-	s.degradedMu.Lock()
-	s.degradedReason = reason
-	s.degradedMu.Unlock()
-	return s.degraded.CompareAndSwap(false, true)
+// clearDegraded, while reads keep serving. It reports whether this call
+// made the transition (false if already degraded, the first reason
+// kept), so the caller on the hot error path logs the edge exactly once.
+func (s *Server) setDegraded(reason string) bool {
+	return s.degraded.CompareAndSwap(nil, &reason)
 }
 
-// ClearDegraded leaves degraded mode — the wal_resume path, after the
+// clearDegraded leaves degraded mode — the wal_resume path, after the
 // log is writable again.
-func (s *Server) ClearDegraded() {
-	s.degraded.Store(false)
-	s.degradedMu.Lock()
-	s.degradedReason = ""
-	s.degradedMu.Unlock()
-}
+func (s *Server) clearDegraded() { s.degraded.Store(nil) }
 
 // Degraded reports whether the server is rejecting writes after a WAL
 // failure.
-func (s *Server) Degraded() bool { return s.degraded.Load() }
-
-// DegradedReason returns why the server is degraded ("" when it isn't).
-func (s *Server) DegradedReason() string {
-	s.degradedMu.Lock()
-	defer s.degradedMu.Unlock()
-	return s.degradedReason
-}
+func (s *Server) Degraded() bool { return s.degraded.Load() != nil }
 
 // Ready reports whether the server should receive traffic: nil when
 // ready, otherwise the first failing condition. Distinct from liveness
@@ -211,8 +185,8 @@ func (s *Server) Ready() error {
 	if s.draining() {
 		return &ShutdownError{}
 	}
-	if s.degraded.Load() {
-		return &DegradedError{Reason: s.DegradedReason()}
+	if r := s.degraded.Load(); r != nil {
+		return &DegradedError{Reason: *r}
 	}
 	if s.gm != nil {
 		if r := s.gm.replica.Load(); r != nil && !r.Bootstrapped() {
@@ -224,7 +198,7 @@ func (s *Server) Ready() error {
 
 // LoadModule loads the graph module (--loadmodule equivalent): its
 // commands join the table, and the module reaches the server's
-// listening, read-only and degraded flags and its logger. A server hosts
+// listening and degraded state and its logger. A server hosts
 // one graph module; a second is refused before anything is installed.
 // Call it before Listen.
 func (s *Server) LoadModule(m *Module) error {
@@ -416,7 +390,7 @@ func (s *Server) serve(nc net.Conn) {
 	// One Ctx per connection, reused across every command it serves:
 	// its scratch buffers are what keep the command cycle allocation-
 	// free once warm.
-	ctx := &Ctx{srv: s, w: &c.W, rc: c}
+	ctx := &Ctx{w: &c.W, rc: c}
 	s.log.Debug("connection accepted", "remote", remote)
 	defer func() {
 		s.log.Debug("connection closed", "remote", remote, "commands", commands)
@@ -536,24 +510,21 @@ func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 		return
 	}
 	var err error
-	switch {
-	case !cmd.Arity.Check(len(args) - 1):
+	if !cmd.Arity.Check(len(args) - 1) {
 		err = &ArityError{Cmd: cmd.Name}
-	case cmd.Flags&FlagWrite != 0 && s.readOnly.Load():
-		err = &ReadOnlyError{Cmd: cmd.Name}
-	case cmd.Flags&FlagWrite != 0 && s.degraded.Load():
-		err = &DegradedError{Cmd: cmd.Name, Reason: s.DegradedReason()}
-	default:
+	} else if cmd.Flags&FlagWrite != 0 {
+		err = s.refuseWrite(cmd.Name)
+	}
+	if err == nil {
 		ctx.Name = cmd.Name
 		ctx.Args = args[1:]
 		ctx.hijacked, ctx.staged = false, false
 		mark := w.Mark()
-		before := w.Len()
 		if err = cmd.Handler(ctx); err != nil {
 			w.Rewind(mark)
 		} else if ctx.staged {
 			ctx.uncommitted = append(ctx.uncommitted, stagedReply{cmd: cmd, from: mark, to: w.Mark()})
-		} else if !ctx.hijacked && w.Len() == before {
+		} else if !ctx.hijacked && w.Mark() == mark {
 			err = fmt.Errorf("command %q produced no reply", cmd.Name)
 		}
 	}
@@ -562,4 +533,18 @@ func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 	}
 	ctx.stamp = time.Now()
 	cmd.metrics.observe(ctx.stamp.Sub(start), err != nil)
+}
+
+// refuseWrite says why a write-flagged command may not run now: the
+// server is a replica (its graph has one writer, the replication
+// stream) or degraded; nil lets it run. Only the graph module
+// registers write commands, so s.gm is set here.
+func (s *Server) refuseWrite(name string) error {
+	if s.gm.replica.Load() != nil {
+		return &ReadOnlyError{Cmd: name}
+	}
+	if r := s.degraded.Load(); r != nil {
+		return &DegradedError{Cmd: name, Reason: *r}
+	}
+	return nil
 }

@@ -112,6 +112,45 @@ func TestWALCommandErrors(t *testing.T) {
 	}
 }
 
+// checkpointFiles lists the checkpoint snapshots in dir.
+func checkpointFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// TestWALResumeRefusedWhenHealthy: wal_resume leaves degraded mode and
+// does nothing else. Resuming detaches the log before it reopens it, and
+// on a healthy server a write served in that window would be acked with
+// no log behind it; so a healthy server refuses with ERR, keeps the same
+// log attached and cuts no checkpoint.
+func TestWALResumeRefusedWhenHealthy(t *testing.T) {
+	dir := t.TempDir()
+	s, gm, _ := startWALServer(t, Config{}, dir, wal.Options{Sync: wal.SyncNone})
+	if got := dispatch(s, "g.insert", "1", "2"); got.Int != 1 {
+		t.Fatalf("g.insert = %+v", got)
+	}
+	w, before := gm.walPtr.Load(), checkpointFiles(t, dir)
+	if got := dispatch(s, "wal_resume"); got.Type != '-' || !strings.HasPrefix(got.Str, ClassErr+" ") {
+		t.Fatalf("wal_resume on a healthy server = %+v, want an ERR reply", got)
+	}
+	if err := gm.ResumeWAL(); err == nil {
+		t.Fatal("ResumeWAL on a healthy server succeeded")
+	}
+	if gm.walPtr.Load() != w {
+		t.Fatal("a refused resume swapped the attached log")
+	}
+	if after := checkpointFiles(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("a refused resume cut a checkpoint: %v -> %v", before, after)
+	}
+	if got := dispatch(s, "g.insert", "3", "4"); got.Int != 1 {
+		t.Fatalf("g.insert after a refused resume = %+v", got)
+	}
+}
+
 // TestBootOverDirectoryWritesNoCheckpoint: booting over a directory
 // must not rewrite a full snapshot the directory already has — but
 // enabling a graph the directory does not describe must checkpoint.
@@ -130,17 +169,10 @@ func TestBootOverDirectoryWritesNoCheckpoint(t *testing.T) {
 	if err := gm.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	checkpoints := func(dir string) []string {
-		names, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.snap"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return names
-	}
-	before := checkpoints(dir)
+	before := checkpointFiles(t, dir)
 
 	_, gm2 := restart(t, dir)
-	if after := checkpoints(dir); !reflect.DeepEqual(before, after) {
+	if after := checkpointFiles(t, dir); !reflect.DeepEqual(before, after) {
 		t.Fatalf("boot rewrote checkpoints: %v -> %v", before, after)
 	}
 	if n := gm2.Graph().NumEdges(); n != 100 {
@@ -154,7 +186,7 @@ func TestBootOverDirectoryWritesNoCheckpoint(t *testing.T) {
 	if err := gm2.EnableWAL(dir2, wal.Options{Sync: wal.SyncNone}); err != nil {
 		t.Fatal(err)
 	}
-	if n := checkpoints(dir2); len(n) != 1 {
+	if n := checkpointFiles(t, dir2); len(n) != 1 {
 		t.Fatalf("fresh dir checkpoints = %v, want exactly one", n)
 	}
 }

@@ -3,14 +3,14 @@
 // for the paper's Redis integration experiment (§V-F).
 //
 // The package has two encoding surfaces. The boxed Value tree with
-// Read/Write is the general-purpose side: the client, fuzz corpus and
-// cold introspection replies (COMMAND, G.INFO) build and decode whole
-// values. The serving plane instead uses the streaming side — Writer
-// appends replies directly into a reusable per-connection buffer
-// (AppendInt, AppendBulk, ...), Conn parses pipelined requests into
-// byte-slice views of its read buffer, and Flush writes the
-// accumulated replies with one write(2) — so a warm command cycle
-// allocates nothing.
+// Read/Write is the general-purpose side: cgcli, cgbench's fig17, the
+// replication stream's requests and acks, and the fuzz corpus build and
+// decode whole values. Every command reply, introspection (COMMAND,
+// G.INFO) included, uses the streaming side — Writer appends replies
+// directly into a reusable per-connection buffer (AppendInt,
+// AppendBulk, ...), Conn parses pipelined requests into byte-slice
+// views of its read buffer, and Flush writes the accumulated replies
+// with one write(2) — so a warm command cycle allocates nothing.
 package resp
 
 import (

@@ -71,6 +71,8 @@ cli wal_replay "$waldir" 2>&1 | grep -q "ERR unknown command" || fail "wal_repla
 # Error taxonomy over the wire: arity and unknown-command classes.
 cli g.insert 1 2>&1 | grep -q "ERR wrong number of arguments" || fail "arity error class"
 cli nosuchcmd 2>&1 | grep -q "ERR unknown command" || fail "unknown command class"
+# wal_resume only leaves degraded mode: a healthy server refuses it.
+cli wal_resume 2>&1 | grep -q "^(error) ERR " || fail "wal_resume on a healthy server was not refused"
 
 echo "== scrape /metrics"
 metrics=$(curl -fsS "http://$maddr/metrics") || fail "metrics scrape"
