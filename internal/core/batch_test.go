@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"cuckoograph/internal/hashutil"
@@ -136,7 +137,7 @@ func TestBatchEquivalenceBasic(t *testing.T) {
 					if gotRes != wantRes {
 						t.Fatalf("BatchResult = %+v, single-op path applied %+v", gotRes, wantRes)
 					}
-					if got, want := batched.Stats(), single.Stats(); got != want {
+					if got, want := batched.Stats(), single.Stats(); !reflect.DeepEqual(got, want) {
 						t.Fatalf("Stats diverge:\nbatched: %+v\nsingle:  %+v", got, want)
 					}
 					sameEdges(t, single, batched)
@@ -192,7 +193,7 @@ func TestBatchEquivalenceWeighted(t *testing.T) {
 						batched.ApplyBatch(chunk)
 					}
 
-					if got, want := batched.Stats(), single.Stats(); got != want {
+					if got, want := batched.Stats(), single.Stats(); !reflect.DeepEqual(got, want) {
 						t.Fatalf("Stats diverge:\nbatched: %+v\nsingle:  %+v", got, want)
 					}
 					single.ForEachNode(func(u uint64) bool {

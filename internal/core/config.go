@@ -26,7 +26,9 @@ type Config struct {
 	// LCHTBase is the initial length of the L-CHT (buckets in its larger
 	// array). The structure grows from here without prior knowledge.
 	LCHTBase int
-	// SCHTBase is n, the length of the 1st S-CHT of a chain.
+	// SCHTBase is n, the length of the 1st S-CHT of a chain (even, at
+	// least 2). At n = 2, the default, a chain opens at n/2, one bucket
+	// per array, and its first Grow rebuilds that table in place at n.
 	SCHTBase int
 	// LDLCap and SDLCap bound the two denylists. When a denylist is full
 	// a transformation is forced instead (the paper's fallback).

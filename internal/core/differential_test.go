@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cuckoograph/internal/hashutil"
@@ -398,5 +399,86 @@ func TestDifferentialEveryRAndVariant(t *testing.T) {
 		if ldlChained == 0 && !t.Failed() {
 			t.Fatalf("%s: no chained cell sat in the L-DL at any R", variant.name)
 		}
+	}
+}
+
+// TestChainWalksOpeningAndTableII drives one node's S-CHT chain through
+// every state its opening table adds: inline slots → the opening
+// 16-cell table → that table rebuilt in place at n → Table II through
+// two merges → deletions down to the 16-cell table → inline → gone. The
+// whole engine is checked against the oracle after every op, and the
+// weighted run gives each edge a weight of its own, so a payload that a
+// rebuild or contraction drops or moves to another key fails.
+func TestChainWalksOpeningAndTableII(t *testing.T) {
+	up := []string{"inline", "[1]", "[2]", "[2 1]", "[2 1 1]", "[4 2]", "[4 2 2]", "[8 4]", "[8 4 4]"}
+	down := []string{"[2]", "[1]", "inline", "removed"}
+	t.Run("basic", func(t *testing.T) {
+		g := NewGraph(Config{})
+		walkChainStates(t, g, g.e, false, func(*struct{}) uint64 { return 1 }, up, down)
+	})
+	t.Run("weighted", func(t *testing.T) {
+		g := NewWeighted(Config{})
+		walkChainStates(t, g, g.e, true, func(w *uint64) uint64 { return *w }, up, down)
+	})
+}
+
+// walkChainStates inserts the edges ⟨1,v⟩ of a single node, then
+// deletes them all, checking the engine after every op and recording
+// the lengths of the node's chain each time they change. The states the
+// insertions pass must be up, and the last the deletions pass must be
+// down. A weighted graph gets edge v inserted v%3+1 times.
+func walkChainStates[W any](t *testing.T, g diffGraph, e *engine[W], weighted bool, weightOf func(*W) uint64, up, down []string) {
+	t.Helper()
+	const u, edges = 1, 160
+	want := oracle{u: {}}
+	var seen []string
+	step := func() {
+		t.Helper()
+		if len(want[u]) == 0 {
+			delete(want, u)
+		}
+		walkEngine(t, e, want, weightOf, &coverage{})
+		state := "removed"
+		if row := e.findPart2(hashutil.Key64(u), u); row != nil {
+			state = "inline"
+			if c := e.chainOf(row); c != nil {
+				state = fmt.Sprint(c.Lengths())
+			}
+		}
+		if len(seen) == 0 || seen[len(seen)-1] != state {
+			seen = append(seen, state)
+		}
+	}
+	times := func(v uint64) uint64 {
+		if weighted {
+			return v%3 + 1
+		}
+		return 1
+	}
+	for v := uint64(1); v <= edges; v++ {
+		for i := uint64(0); i < times(v); i++ {
+			g.InsertEdge(u, v)
+			want[u][v]++
+			step()
+		}
+	}
+	if !slices.Equal(seen, up) {
+		t.Fatalf("insertions passed the states %v, want %v", seen, up)
+	}
+	seen = seen[len(seen)-1:]
+	for v := uint64(1); v <= edges; v++ {
+		for i := uint64(0); i < times(v); i++ {
+			if !g.DeleteEdge(u, v) {
+				t.Fatalf("DeleteEdge(%d,%d) found nothing", u, v)
+			}
+			if want[u][v]--; want[u][v] == 0 {
+				delete(want[u], v)
+			}
+			step()
+		}
+	}
+	t.Logf("deletions passed the states %v", seen)
+	if len(seen) < len(down) || !slices.Equal(seen[len(seen)-len(down):], down) {
+		t.Fatalf("deletions passed the states %v, want them to end with %v", seen, down)
 	}
 }

@@ -608,7 +608,14 @@ type Stats struct {
 	SCHTPlacements  uint64
 	LDLLen, SDLLen  int
 	Transformations uint64
+	// SCHTByTable breaks SCHTTables, ChainCells and ChainEntries down by
+	// table position: element i sums the (i+1)-th S-CHT of every chain
+	// that has one, so Entries/Cells is the load of that position.
+	SCHTByTable []TableLoad
 }
+
+// TableLoad sums the S-CHTs at one position in their chains.
+type TableLoad struct{ Tables, Cells, Entries int }
 
 func (e *engine[W]) stats() Stats {
 	st := Stats{
@@ -633,6 +640,14 @@ func (e *engine[W]) stats() Stats {
 		st.SCHTTables += c.Tables()
 		st.ChainCells += c.Cells()
 		st.ChainEntries += c.Size()
+		for i := range c.Tables() {
+			if i == len(st.SCHTByTable) {
+				st.SCHTByTable = append(st.SCHTByTable, TableLoad{})
+			}
+			cells, entries := c.TableLoad(i)
+			p := &st.SCHTByTable[i]
+			p.Tables, p.Cells, p.Entries = p.Tables+1, p.Cells+cells, p.Entries+entries
+		}
 	}
 	return st
 }

@@ -51,7 +51,7 @@ type Family struct {
 	maxKicks      uint16 // T
 	r             uint8  // the most tables a chain may hold
 	restLen       uint8  // records behind rest, max(r, 2)-1: a merge leaves two tables whatever R is
-	base          uint32 // n: the length of the 1st S-CHT at state 0
+	base          uint32 // n, even: Table II's first length (see opening)
 	g, lambda     float64
 
 	kicks      uint64 // relocation attempts, for the §IV measurement
@@ -60,8 +60,9 @@ type Family struct {
 }
 
 // NewFamily returns the family of chains whose first table has length
-// base and whose cells each carry a row of width P (1 ≤ width ≤ 65535).
-// cfg.Seed is not the family's: each chain takes its own.
+// base (rounded up to even, at least 2) and whose cells each carry a
+// row of width P (1 ≤ width ≤ 65535). cfg.Seed is not the family's:
+// each chain takes its own.
 func NewFamily(base, width int, cfg Config) *Family {
 	cfg = cfg.Defaults()
 	if cfg.D < 1 || cfg.D > 1<<15 || cfg.R < 1 || cfg.R > 255 || cfg.MaxKicks < 0 || cfg.MaxKicks > 1<<16-1 ||
@@ -72,8 +73,18 @@ func NewFamily(base, width int, cfg Config) *Family {
 	return &Family{
 		d: uint16(cfg.D), tw: uint16(tw), stride: uint16(tw + cfg.D),
 		width: uint16(width), maxKicks: uint16(cfg.MaxKicks), r: uint8(cfg.R), restLen: uint8(max(cfg.R, 2) - 1),
-		base: uint32(tableLength(base)), g: cfg.G, lambda: cfg.Lambda,
+		base: uint32(tableLength(max(base, 2))), g: cfg.G, lambda: cfg.Lambda,
 	}
+}
+
+// opening returns the length a chain of f opens at: its base n, but
+// n/2 = 1, one bucket per array, for n = 2 (a node's S-CHT starts with
+// 7 entries, load 0.29 at n); Grow rebuilds it in place at n.
+func (f *Family) opening() int {
+	if f.base == 2 {
+		return 1
+	}
+	return int(f.base)
 }
 
 // Kicks, Placements and Transformations are the Chain counters of those
@@ -82,27 +93,27 @@ func (f *Family) Kicks() uint64           { return f.kicks }
 func (f *Family) Placements() uint64      { return f.placements }
 func (f *Family) Transformations() uint64 { return f.transforms }
 
-// NewChain returns a chain holding a single table of length base, each
-// cell carrying one P, in a family of its own.
+// NewChain returns a chain of base length base, each cell carrying one
+// P, in a family of its own.
 func NewChain[P any](base int, cfg Config) *Chain[P] { return NewRowChain[P](base, 1, cfg) }
 
-// NewRowChain returns a chain holding a single table of length base
-// whose cells each carry a row of width P (1 ≤ width ≤ 65535), in a
-// family of its own. Rows go in through InsertRow and are read through
-// RowHashed; At and ForEachRef see a row's first element.
+// NewRowChain returns a chain of base length base whose cells each
+// carry a row of width P (1 ≤ width ≤ 65535), in a family of its own.
+// Rows go in through InsertRow and are read through RowHashed; At and
+// ForEachRef see a row's first element.
 func NewRowChain[P any](base, width int, cfg Config) *Chain[P] {
 	return NewChainIn[P](NewFamily(base, width, cfg), cfg.Seed)
 }
 
-// NewChainIn returns a chain of family f holding a single table of the
-// family's base length. seed starts the sequence its table seeds are
+// NewChainIn returns a chain of family f holding a single table of
+// length f.opening(). seed starts the sequence its table seeds are
 // drawn from; 0 stands for Config's default, as it does there.
 func NewChainIn[P any](f *Family, seed uint64) *Chain[P] {
 	if seed == 0 {
 		seed = Config{}.Defaults().Seed
 	}
 	c := &Chain[P]{f: f, seed: seed}
-	c.first = c.newTable(int(f.base))
+	c.first = c.newTable(f.opening())
 	return c
 }
 
@@ -160,11 +171,18 @@ func (c *Chain[P]) Size() int {
 
 // Cells returns the total cells across the chain.
 func (c *Chain[P]) Cells() int {
-	m2, s := int(c.first.m2), c.slots()
+	b, s := c.first.buckets(), c.slots()
 	for i := range s {
-		m2 += int(s[i].m2)
+		b += s[i].buckets()
 	}
-	return 3 * m2 * int(c.f.d)
+	return b * int(c.f.d)
+}
+
+// TableLoad returns the cells and the entries of the i-th table of the
+// chain, 0 ≤ i < Tables().
+func (c *Chain[P]) TableLoad(i int) (cells, entries int) {
+	t := c.tab(i)
+	return c.cellsOf(t), int(t.size)
 }
 
 // OverallLoadRate is the chain-wide LR used by reverse transformation.
@@ -255,6 +273,9 @@ func (c *Chain[P]) atG(t *table[P]) bool {
 
 // Grow applies one step of the transformation rule:
 //
+//   - a lone table shorter than the base length (the opening table of a
+//     base-2 chain): rebuild it in place at the base length, re-homing
+//     its entries with the usual T kicks.
 //   - fewer than R tables: enable the next table. Its length is half the
 //     first table's length when only one table exists, otherwise it
 //     matches the most recently enabled table (Table II: n → n,n/2 →
@@ -265,11 +286,16 @@ func (c *Chain[P]) atG(t *table[P]) bool {
 //
 // A merge puts each entry in the emptier of its two buckets in the
 // merged table, kicking nothing; an entry whose buckets are both full
-// goes to the fresh second table with the usual T kicks. What that
+// goes to the fresh second table with the usual T kicks. What either
 // leaves homeless is returned as leftovers for the caller's denylist.
 func (c *Chain[P]) Grow() (leftovers []Entry[P]) {
 	c.f.transforms++
 	n := c.Tables()
+	if n == 1 && c.first.length() < int(c.f.base) {
+		old := c.first
+		c.first = c.newTable(int(c.f.base))
+		return c.rehomeAll(&old)
+	}
 	if n < int(c.f.r) {
 		length := c.first.length() / 2
 		if n > 1 {
@@ -373,8 +399,9 @@ func (c *Chain[P]) Delete(key uint64) (leftovers []Entry[P], deleted bool) {
 // reverse transformation (§III-A1) when the overall LR drops below Λ:
 // with two or more tables the table that held the entry is removed and
 // its residents transferred to the others; with a single table longer
-// than the base length, the table is rebuilt at half length. Leftovers
-// that cannot be re-homed are returned for the caller's denylist.
+// than the length the chain opened at, the table is rebuilt at half
+// length. Leftovers that cannot be re-homed are returned for the
+// caller's denylist.
 func (c *Chain[P]) DeleteAt(p Pos) (leftovers []Entry[P]) {
 	held := p.table()
 	c.clearIn(c.tab(held), p.cell())
@@ -405,14 +432,21 @@ func (c *Chain[P]) DeleteAt(p Pos) (leftovers []Entry[P]) {
 		}
 	} else {
 		// Same guard: the halved table must hold everything below G.
-		if c.first.length() <= int(c.f.base) || float64(size) > float64(cells)/2*c.f.g {
+		if c.first.length() <= c.f.opening() || float64(size) > float64(cells)/2*c.f.g {
 			return nil
 		}
 		victim = c.first
 		c.first = c.newTable(victim.length() / 2)
 	}
 	c.f.transforms++
-	c.forEachIn(&victim, func(key uint64, val *P) bool {
+	return c.rehomeAll(&victim)
+}
+
+// rehomeAll re-homes every resident of victim, a table that has left
+// the chain, and returns what finds no home. Each resident's row in
+// victim is its insertion's scratch: victim is garbage afterwards.
+func (c *Chain[P]) rehomeAll(victim *table[P]) (leftovers []Entry[P]) {
+	c.forEachIn(victim, func(key uint64, val *P) bool {
 		row := unsafe.Slice(val, c.f.width)
 		if lo, ok := c.rehome(key, row); !ok {
 			leftovers = appendRow(leftovers, lo, row)
@@ -467,7 +501,7 @@ func (c *Chain[P]) ForEachKey(fn func(key uint64) bool) bool {
 	for i, n := 0, c.Tables(); i < n; i++ {
 		t := c.tab(i)
 		cells := c.words(t)
-		for b, w, end := 0, 0, 3*int(t.m2); b < end; {
+		for b, w, end := 0, 0, t.buckets(); b < end; {
 			keys := cells[b*stride+tw+w*8:]
 			var occ uint64
 			occ, b, w = c.decode(t, b, w)
@@ -508,7 +542,7 @@ func (c *Chain[P]) AppendKeys(dst []uint64) []uint64 {
 	for i, n := 0, c.Tables(); i < n; i++ {
 		t := c.tab(i)
 		cells := c.words(t)
-		for b, w, end := 0, 0, 3*int(t.m2); b < end; {
+		for b, w, end := 0, 0, t.buckets(); b < end; {
 			keys := cells[b*stride+tw+w*8:]
 			var occ uint64
 			occ, b, w = c.decode(t, b, w)

@@ -13,30 +13,35 @@ import (
 // TestChainTransformationRule verifies Table II of the paper: with R=3
 // and base length n, successive Grow transformations walk the length
 // sequence [n] → [n,n/2] → [n,n/2,n/2] → [2n,n] → [2n,n,n] → [4n,2n] →
-// [4n,2n,2n] → [8n,4n] → …
+// [4n,2n,2n] → [8n,4n] → … A chain of base 2 opens one step earlier, at
+// [n/2] = [1], and its first Grow rebuilds that table in place at [n].
 func TestChainTransformationRule(t *testing.T) {
-	const n = 8
-	c := NewChain[struct{}](n, Config{R: 3})
-	want := [][]int{
-		{n},                   // state 0
-		{n, n / 2},            // state 1
-		{n, n / 2, n / 2},     // state 2
-		{2 * n, n},            // state 3
-		{2 * n, n, n},         // state 4
-		{4 * n, 2 * n},        // state 5
-		{4 * n, 2 * n, 2 * n}, // state 6
-		{8 * n, 4 * n},        // state 7
-		{8 * n, 4 * n, 4 * n}, // state 8
-		{16 * n, 8 * n},       // state 9
-	}
-	for state, lens := range want {
-		if got := c.Lengths(); !reflect.DeepEqual(got, lens) {
-			t.Fatalf("state %d: lengths %v, want %v", state, got, lens)
+	for _, n := range []int{8, 2} {
+		c := NewChain[struct{}](n, Config{R: 3})
+		want := [][]int{
+			{n},                   // state 0
+			{n, n / 2},            // state 1
+			{n, n / 2, n / 2},     // state 2
+			{2 * n, n},            // state 3
+			{2 * n, n, n},         // state 4
+			{4 * n, 2 * n},        // state 5
+			{4 * n, 2 * n, 2 * n}, // state 6
+			{8 * n, 4 * n},        // state 7
+			{8 * n, 4 * n, 4 * n}, // state 8
+			{16 * n, 8 * n},       // state 9
 		}
-		if c.Transformations() != uint64(state) {
-			t.Fatalf("state %d: Transformations() = %d", state, c.Transformations())
+		if n == 2 {
+			want = append([][]int{{1}}, want...)
 		}
-		c.Grow()
+		for state, lens := range want {
+			if got := c.Lengths(); !reflect.DeepEqual(got, lens) {
+				t.Fatalf("n=%d, state %d: lengths %v, want %v", n, state, got, lens)
+			}
+			if c.Transformations() != uint64(state) {
+				t.Fatalf("n=%d, state %d: Transformations() = %d", n, state, c.Transformations())
+			}
+			c.Grow()
+		}
 	}
 }
 

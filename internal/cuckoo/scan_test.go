@@ -63,7 +63,7 @@ func slowKeys[P any](c *Chain[P]) []uint64 {
 	for i := 0; i < c.Tables(); i++ {
 		t := c.tab(i)
 		cells := c.words(t)
-		for b := 0; b < 3*int(t.m2); b++ {
+		for b := 0; b < t.buckets(); b++ {
 			for cell := 0; cell < int(c.f.d); cell++ {
 				if c.tagAt(cells, b, cell) != 0 {
 					keys = append(keys, cells[b*int(c.f.stride)+int(c.f.tw)+cell])

@@ -103,12 +103,14 @@ type Entry[P any] struct {
 	Key uint64
 }
 
-// table is the per-table record of a chain: two bucket arrays with a
-// 2:1 bucket count ratio, each bucket holding d cells. The table's
-// "length" in the paper's sense is the bucket count of the larger
-// array, 2·m2. Everything the tables of a chain share lives in its
-// Family, reached through the Chain, so every operation on a table is a
-// Chain method.
+// table is the per-table record of a chain: two bucket arrays, each
+// bucket holding d cells, array 1 of a1 buckets and array 2 of
+// ⌈a1/2⌉. The table's "length" in the paper's sense is a1, the bucket
+// count of the larger array: for an even length the arrays have the
+// paper's 2:1 ratio, and length 1 is the 1+1-bucket table a chain of
+// base 2 opens with (see Family.opening). Everything the tables of a
+// chain share lives in its Family, reached through the Chain, so every
+// operation on a table is a Chain method.
 type table[P any] struct {
 	// cells is the interleaved bucket storage, arrays 1 and 2
 	// concatenated: bucket b occupies words [b*stride, (b+1)*stride) —
@@ -123,16 +125,20 @@ type table[P any] struct {
 
 	seed uint64       // per-table mix for deriving bucket indexes from Key64
 	rng  hashutil.RNG // picks the resident a full bucket evicts
-	m2   uint32       // bucket count of array 2; array 1 has twice as many
+	a1   uint32       // bucket count of array 1; array 2 has (a1+1)>>1
 	size uint32       // occupied cells
 }
 
 // length returns the paper's table length (buckets in the larger array).
-func (t *table[P]) length() int { return 2 * int(t.m2) }
+func (t *table[P]) length() int { return int(t.a1) }
+
+// buckets returns the bucket count of both arrays of t; 0 for a spare
+// record.
+func (t *table[P]) buckets() int { return int(t.a1 + (t.a1+1)>>1) }
 
 // words returns t's cell storage.
 func (c *Chain[P]) words(t *table[P]) []uint64 {
-	return unsafe.Slice(t.cells, 3*int(t.m2)*int(c.f.stride))
+	return unsafe.Slice(t.cells, t.buckets()*int(c.f.stride))
 }
 
 // payloads returns t's payload storage.
@@ -147,27 +153,26 @@ func (c *Chain[P]) rowIn(t *table[P], i int) []P {
 }
 
 // cellsOf returns the total number of cells of t.
-func (c *Chain[P]) cellsOf(t *table[P]) int { return 3 * int(t.m2) * int(c.f.d) }
+func (c *Chain[P]) cellsOf(t *table[P]) int { return t.buckets() * int(c.f.d) }
 
-// newTable returns a table of the given length (minimum 2, rounded up
-// to even so array 2 has length/2 ≥ 1 buckets). Every table gets a
-// distinct deterministic seed so merged tables re-randomise their hash
-// functions, as cuckoo rebuilds require.
+// newTable returns a table of the given length (see tableLength). Every
+// table gets a distinct deterministic seed so merged tables re-randomise
+// their hash functions, as cuckoo rebuilds require.
 func (c *Chain[P]) newTable(length int) table[P] {
-	length = tableLength(length)
 	c.seed = c.seed*6364136223846793005 + 1442695040888963407
-	t := table[P]{m2: uint32(length / 2), rng: *hashutil.NewRNG(c.seed)}
+	t := table[P]{a1: uint32(tableLength(length)), rng: *hashutil.NewRNG(c.seed)}
 	t.seed = t.rng.Next()
-	buckets := 3 * (length / 2)
-	t.cells = unsafe.SliceData(make([]uint64, buckets*int(c.f.stride)))
-	t.vals = unsafe.SliceData(make([]P, buckets*int(c.f.d)*int(c.f.width)))
+	t.cells = unsafe.SliceData(make([]uint64, t.buckets()*int(c.f.stride)))
+	t.vals = unsafe.SliceData(make([]P, t.buckets()*int(c.f.d)*int(c.f.width)))
 	return t
 }
 
 // tableLength rounds a requested table length to one a table can have:
-// at least 2, and even.
+// 1, or even so that the arrays keep the 2:1 ratio.
 func tableLength(length int) int {
-	length = max(length, 2)
+	if length <= 1 {
+		return 1
+	}
 	return length + length%2
 }
 
@@ -216,11 +221,11 @@ func remix(h, seed uint64) uint64 {
 }
 
 // bucketPair derives the key's two candidate buckets (as global bucket
-// indexes: array 2 starts at 2·m2) from the remixed hash halves.
+// indexes: array 2 starts at a1) from the remixed hash halves.
 func (t *table[P]) bucketPair(x uint64) (b1, b2 int) {
-	m2 := uint64(t.m2)
-	b1 = int(uint64(uint32(x)) * (2 * m2) >> 32)
-	b2 = int(2*m2 + uint64(uint32(x>>32))*m2>>32)
+	a1 := uint64(t.a1)
+	b1 = int(uint64(uint32(x)) * a1 >> 32)
+	b2 = int(a1 + uint64(uint32(x>>32))*((a1+1)>>1)>>32)
 	return b1, b2
 }
 
@@ -247,8 +252,8 @@ func (c *Chain[P]) findIn(t *table[P], h, key uint64) int {
 	x := remix(h, t.seed)
 	cells := c.words(t)
 	if c.f.d == 8 {
-		m2 := uint64(t.m2)
-		b := int(uint64(uint32(x)) * (2 * m2) >> 32)
+		a1 := uint64(t.a1)
+		b := int(uint64(uint32(x)) * a1 >> 32)
 		base := b * 9
 		m := zeroBytes(cells[base] ^ pat)
 		for m != 0 {
@@ -258,7 +263,7 @@ func (c *Chain[P]) findIn(t *table[P], h, key uint64) int {
 			}
 			m &= m - 1
 		}
-		b = int(2*m2 + uint64(uint32(x>>32))*m2>>32)
+		b = int(a1 + uint64(uint32(x>>32))*((a1+1)>>1)>>32)
 		base = b * 9
 		m = zeroBytes(cells[base] ^ pat)
 		for m != 0 {
@@ -410,16 +415,16 @@ func (c *Chain[P]) clearIn(t *table[P], i int) {
 // as empty with no mask. It reads a run of t's tag words from word w of
 // bucket b on and returns the run's occupancy as one mask, bit 8·j+i
 // set when lane i of the run's j-th word holds a cell, and where the
-// next run starts (b == 3·m2 once the table is done). A run is at most
-// eight words: eight buckets when a bucket has one tag word (d ≤ 8),
-// else words of bucket b alone. No branch depends on a tag, so a scan
+// next run starts (b == t.buckets() once the table is done). A run is
+// at most eight words: eight buckets when a bucket has one tag word
+// (d ≤ 8), else words of bucket b alone. No branch depends on a tag, so a scan
 // over the mask's set bits has one hard-to-predict exit per run
 // instead of one per bucket. runGaps says where the cell of a set bit
 // is.
 func (c *Chain[P]) decode(t *table[P], b, w int) (occ uint64, nb, nw int) {
 	f := c.f
 	cells := c.words(t)
-	stride, buckets := int(f.stride), 3*int(t.m2)
+	stride, buckets := int(f.stride), t.buckets()
 	if f.tw == 1 {
 		for j, at := 0, b*stride; j < 64 && b < buckets; j, at, b = j+8, at+stride, b+1 {
 			occ |= packLanes(cells[at]) << j
@@ -465,7 +470,7 @@ func (c *Chain[P]) forEachIn(t *table[P], fn func(key uint64, val *P) bool) bool
 	f := c.f
 	d, tw, stride, width := int(f.d), int(f.tw), int(f.stride), int(f.width)
 	keyGap, cellGap := f.runGaps()
-	for b, w, end := 0, 0, 3*int(t.m2); b < end; {
+	for b, w, end := 0, 0, t.buckets(); b < end; {
 		keys, row := cells[b*stride+tw+w*8:], vals[(b*d+w*8)*width:]
 		var occ uint64
 		occ, b, w = c.decode(t, b, w)

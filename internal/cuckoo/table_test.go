@@ -211,12 +211,18 @@ func TestTableForEach(t *testing.T) {
 	}
 }
 
+// TestTableMinimumLength pins the lengths a table can have: 1, the
+// 1+1-bucket table a base-2 chain opens with, or even. A family's base
+// is even and at least 2, and only base 2 opens below it.
 func TestTableMinimumLength(t *testing.T) {
-	if got := NewChain[uint64](0, Config{}).first.length(); got < 2 || got%2 != 0 {
-		t.Fatalf("length %d, want even ≥ 2", got)
+	for _, c := range []struct{ base, opens int }{{0, 1}, {1, 1}, {2, 1}, {3, 4}, {4, 4}, {8, 8}} {
+		ch := NewChain[uint64](c.base, Config{})
+		if got := ch.first.length(); got != c.opens || int(ch.f.base) < 2 || ch.f.base%2 != 0 {
+			t.Fatalf("base %d: opens at length %d (family base %d), want %d", c.base, got, ch.f.base, c.opens)
+		}
 	}
-	if got := NewChain[uint64](3, Config{}).first.length(); got%2 != 0 {
-		t.Fatalf("odd requested length not rounded: %d", got)
+	if got := NewChain[uint64](2, Config{}).Cells(); got != 16 {
+		t.Fatalf("a base-2 chain opens with %d cells, want 16 (one bucket of 8 per array)", got)
 	}
 }
 

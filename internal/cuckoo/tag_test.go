@@ -53,7 +53,7 @@ func TestTagOfNeverZero(t *testing.T) {
 // (tag != 0) and the stored key.
 func slowFind[P any](c *Chain[P], t *table[P], key uint64) int {
 	cells, d := c.words(t), int(c.f.d)
-	for b := 0; b < 3*int(t.m2); b++ {
+	for b := 0; b < t.buckets(); b++ {
 		for i := 0; i < d; i++ {
 			if c.tagAt(cells, b, i) != 0 && cells[b*int(c.f.stride)+int(c.f.tw)+i] == key {
 				return b*d + i
@@ -134,36 +134,44 @@ func TestTagFindAgreesWithFullScan(t *testing.T) {
 	}
 }
 
-// TestTagFindAgreesAcrossTableIIStates pins the agreement on every
-// forward-transformation state reachable in two merge cycles,
-// including immediately after each Grow (the restructure that re-homes
-// every entry and must preserve tags).
+// TestTagFindAgreesAcrossTableIIStates pins the agreement on a base-2
+// chain from its opening 1+1-bucket table through every state Grow
+// leads to from there in two merge cycles, each checked filled to G and
+// again immediately after its Grow (the restructure that re-homes every
+// entry and must preserve tags).
 func TestTagFindAgreesAcrossTableIIStates(t *testing.T) {
 	c := NewChain[struct{}](2, Config{R: 3, Seed: 99})
+	if got := c.Lengths(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("opening lengths %v, want [1]", got)
+	}
 	next := uint64(1)
-	for state := 0; state < 9; state++ {
-		// Fill until the next transformation would trigger, then Grow.
-		for !c.atG(c.active()) {
-			c.Insert(next, struct{}{})
-			next++
-		}
-		c.Grow()
+	check := func(state int) {
+		t.Helper()
 		for key := uint64(1); key < next+8; key++ {
 			h := hashutil.Key64(key)
 			found := false
 			for i := 0; i < c.Tables(); i++ {
 				got := c.findIn(c.tab(i), h, key)
 				if want := slowFind(c, c.tab(i), key); got != want {
-					t.Fatalf("state %d: find(%d) = %d, scan = %d", state, key, got, want)
+					t.Fatalf("state %d (lengths %v): find(%d) = %d, scan = %d", state, c.Lengths(), key, got, want)
 				}
 				if got >= 0 {
 					found = true
 				}
 			}
 			if found != c.Contains(key) {
-				t.Fatalf("state %d: Contains(%d) disagrees with per-table find", state, key)
+				t.Fatalf("state %d (lengths %v): Contains(%d) disagrees with per-table find", state, c.Lengths(), key)
 			}
 		}
+	}
+	for state := 0; state < 10; state++ {
+		for !c.atG(c.active()) {
+			c.Insert(next, struct{}{})
+			next++
+		}
+		check(state)
+		c.Grow()
+		check(state + 1)
 	}
 }
 
@@ -181,7 +189,7 @@ func TestKickPreservesTags(t *testing.T) {
 	}
 	checked := 0
 	cells := tb.c.words(&tb.c.first)
-	for b := 0; b < 3*int(tb.c.first.m2); b++ {
+	for b := 0; b < tb.c.first.buckets(); b++ {
 		for c := 0; c < int(tb.c.f.d); c++ {
 			if tag := tb.c.tagAt(cells, b, c); tag != 0 {
 				key := cells[b*int(tb.c.f.stride)+int(tb.c.f.tw)+c]

@@ -105,30 +105,16 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Counter emits one counter sample. labels alternate key, value.
-func (mw *MetricsWriter) Counter(name, help string, v float64, labels ...string) {
+// Counter emits one counter sample.
+func (mw *MetricsWriter) Counter(name, help string, v float64) {
 	mw.header(name, "counter", help)
-	mw.sample(name, formatLabels(labels), v)
+	mw.sample(name, "", v)
 }
 
-// Gauge emits one gauge sample. labels alternate key, value.
-func (mw *MetricsWriter) Gauge(name, help string, v float64, labels ...string) {
+// Gauge emits one gauge sample.
+func (mw *MetricsWriter) Gauge(name, help string, v float64) {
 	mw.header(name, "gauge", help)
-	mw.sample(name, formatLabels(labels), v)
-}
-
-func formatLabels(kv []string) string {
-	if len(kv) == 0 {
-		return ""
-	}
-	out := ""
-	for i := 0; i+1 < len(kv); i += 2 {
-		if out != "" {
-			out += ","
-		}
-		out += kv[i] + `="` + kv[i+1] + `"`
-	}
-	return out
+	mw.sample(name, "", v)
 }
 
 // Flush drains the buffered output, reporting the first write error.

@@ -663,6 +663,13 @@ func (g *Graph) Stats() core.Stats {
 		merged.LDLLen += st.LDLLen
 		merged.SDLLen += st.SDLLen
 		merged.Transformations += st.Transformations
+		for j, p := range st.SCHTByTable {
+			if j == len(merged.SCHTByTable) {
+				merged.SCHTByTable = append(merged.SCHTByTable, core.TableLoad{})
+			}
+			m := &merged.SCHTByTable[j]
+			m.Tables, m.Cells, m.Entries = m.Tables+p.Tables, m.Cells+p.Cells, m.Entries+p.Entries
+		}
 	}
 	if merged.LCHTCells > 0 {
 		merged.LCHTLoadRate = weightedLoad / float64(merged.LCHTCells)
