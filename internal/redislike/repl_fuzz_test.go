@@ -29,7 +29,7 @@ func pushSeeds(f *testing.F) [][]byte {
 	}
 	defer w.Close()
 	start := w.TailPosition()
-	if err := w.AppendBatch(core.Batch{}.Insert(1, 2).Delete(1, 2).Insert(3, 4)); err != nil {
+	if err := w.LogBatch(core.Batch{}.Insert(1, 2).Delete(1, 2).Insert(3, 4)); err != nil {
 		f.Fatal(err)
 	}
 	rd, err := w.OpenReader(start)

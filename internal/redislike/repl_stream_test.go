@@ -74,10 +74,10 @@ func TestReplicationBootstrapPastOldBulkCap(t *testing.T) {
 	}
 }
 
-// replicateStub dials a leader, sends g.replicate 0 0 and returns the
-// connection with the snap header frame consumed: the cut segment, the
-// announced payload length, and a reader positioned at the payload.
-func replicateStub(t *testing.T, addr string) (net.Conn, *bufio.Reader, uint64, int64) {
+// replicateStub dials a leader, sends g.replicate seg off and returns
+// the connection with the snap header frame consumed: the cut segment,
+// the announced payload length, and a reader positioned at the payload.
+func replicateStub(t *testing.T, addr, seg, off string) (net.Conn, *bufio.Reader, uint64, int64) {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -85,7 +85,7 @@ func replicateStub(t *testing.T, addr string) (net.Conn, *bufio.Reader, uint64, 
 	}
 	t.Cleanup(func() { c.Close() })
 	bw := bufio.NewWriter(c)
-	if err := resp.Write(bw, resp.Command("g.replicate", "0", "0")); err != nil {
+	if err := resp.Write(bw, resp.Command("g.replicate", seg, off)); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -108,6 +108,22 @@ func replicateStub(t *testing.T, addr string) (net.Conn, *bufio.Reader, uint64, 
 	return c, br, cut, size
 }
 
+// TestReplicateMidFrameGetsSnapshot: a position inside a frame of the
+// leader's log names bytes no follower of this leader could have acked,
+// so the leader bootstraps it with a snapshot — not an err frame the
+// follower would answer by reconnecting from the same position forever.
+func TestReplicateMidFrameGetsSnapshot(t *testing.T) {
+	_, gm, addr, _ := startLeader(t)
+	gm.Graph().ApplyBatch(core.Batch{}.Insert(1, 2).Insert(3, 4))
+	if tail := gm.walPtr.Load().TailPosition(); tail.Off <= wal.SegmentDataStart+1 {
+		t.Fatalf("leader log tail %+v holds no frame to point inside", tail)
+	}
+	_, _, cut, size := replicateStub(t, addr, "1", strconv.Itoa(wal.SegmentDataStart+1))
+	if cut < 2 || size != core.BasicSnapshotSize(2) {
+		t.Fatalf("snap frame: cut %d, %d bytes; want a cut past segment 1 and %d bytes", cut, size, core.BasicSnapshotSize(2))
+	}
+}
+
 // TestBootstrapDoesNotBufferSnapshot: across a whole bootstrap of a
 // 1 M-edge graph to a follower that discards what it receives, the
 // process allocates less than a quarter of the snapshot's size — the
@@ -121,7 +137,7 @@ func TestBootstrapDoesNotBufferSnapshot(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c, br, _, size := replicateStub(t, addr)
+	c, br, _, size := replicateStub(t, addr, "0", "0")
 	if size != want {
 		t.Fatalf("snap frame announces %d bytes, want %d", size, want)
 	}
@@ -153,7 +169,7 @@ func TestSlowFollowerNeverBlocksWriters(t *testing.T) {
 	seedDense(g, srcs, fan)
 	views := g.LiveViews()
 
-	replicateStub(t, addr) // reads the header frame, then nothing more
+	replicateStub(t, addr, "0", "0") // reads the header frame, then nothing more
 	if got := g.LiveViews(); got != views+1 {
 		t.Fatalf("LiveViews = %d during the transfer, want %d", got, views+1)
 	}

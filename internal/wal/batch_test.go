@@ -15,14 +15,14 @@ import (
 func TestAppendBatchRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
-	if err := w.Append(core.OpInsert, 100, 200); err != nil {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 100, V: 200}}); err != nil {
 		t.Fatal(err)
 	}
 	batch := core.Batch{}.Insert(1, 2).Delete(3, 4).Insert(5, 6).Delete(1, 2)
-	if err := w.AppendBatch(batch); err != nil {
+	if err := w.LogBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(core.OpDelete, 100, 200); err != nil {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpDelete, U: 100, V: 200}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -60,10 +60,10 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 func TestAppendBatchEdgeSizes(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
-	if err := w.AppendBatch(nil); err != nil {
+	if err := w.LogBatch(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBatch(core.Batch{}.Insert(7, 8)); err != nil {
+	if err := w.LogBatch(core.Batch{}.Insert(7, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -95,7 +95,7 @@ func TestAppendBatchChunksHugeBatches(t *testing.T) {
 	for i := 0; i < n; i++ {
 		b = b.Insert(uint64(i), uint64(i)+1)
 	}
-	if err := w.AppendBatch(b); err != nil {
+	if err := w.LogBatch(b); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -126,14 +126,14 @@ func TestAppendBatchChunksHugeBatches(t *testing.T) {
 func TestReplayFrameLargerThanReadChunk(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
-	if err := w.Append(core.OpInsert, 1, 2); err != nil {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 1, V: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	big := make(core.Batch, maxBatchOps)
 	for i := range big {
 		big[i] = core.InsertOp(^uint64(i), ^uint64(0)-1)
 	}
-	if err := w.AppendBatch(big); err != nil {
+	if err := w.LogBatch(big); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -159,7 +159,7 @@ func TestAppendBatchRejectsUnknownKind(t *testing.T) {
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
 	defer w.Close()
 	bad := core.Batch{core.InsertOp(1, 2), {Kind: 77, U: 3, V: 4}}
-	if err := w.AppendBatch(bad); err == nil {
+	if err := w.LogBatch(bad); err == nil {
 		t.Fatal("AppendBatch accepted an unknown op kind")
 	}
 	var n int
@@ -178,13 +178,13 @@ func TestTornBatchTailDroppedWhole(t *testing.T) {
 	build := func(t *testing.T, dir string, withBatch bool) int64 {
 		w := mustOpen(t, dir, Options{Sync: SyncNone})
 		for i := uint64(0); i < 10; i++ {
-			if err := w.Append(core.OpInsert, i, i+1); err != nil {
+			if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: i, V: i + 1}}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if withBatch {
 			batch := core.Batch{}.Insert(1000, 1001).Insert(1002, 1003).Delete(1000, 1001).Insert(1004, 1005)
-			if err := w.AppendBatch(batch); err != nil {
+			if err := w.LogBatch(batch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -241,11 +241,11 @@ func TestCorruptBatchBeforeIntactDataFails(t *testing.T) {
 	for i := uint64(0); i < 200; i++ {
 		big = big.Insert(i, i+1)
 	}
-	if err := w.AppendBatch(big); err != nil {
+	if err := w.LogBatch(big); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 40; i++ {
-		if err := w.Append(core.OpInsert, 5000+i, 5000+i); err != nil {
+		if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 5000 + i, V: 5000 + i}}); err != nil {
 			t.Fatal(err)
 		}
 	}

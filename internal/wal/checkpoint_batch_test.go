@@ -98,7 +98,7 @@ func TestZeroFilledTailAfterBatchIsTorn(t *testing.T) {
 	for i := uint64(0); i < 1000; i++ {
 		b = b.Insert(i, i+1)
 	}
-	if err := w.AppendBatch(b); err != nil {
+	if err := w.LogBatch(b); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -130,7 +130,7 @@ func TestZeroFilledTailAfterBatchIsTorn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open over zero tail: %v", err)
 	}
-	if err := w2.Append(core.OpInsert, 7, 8); err != nil {
+	if err := w2.LogBatch(core.Batch{{Kind: core.OpInsert, U: 7, V: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.Close(); err != nil {
@@ -169,7 +169,7 @@ func TestCRCValidMalformedFrameBeforeZeroTailIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(core.OpInsert, 1, 2); err != nil {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 1, V: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -62,7 +62,7 @@ func TestReplaysLogsOfEarlierBuilds(t *testing.T) {
 			w := mustOpen(t, dir, Options{Sync: SyncNone})
 			want := append(slices.Clone(tc.want), ins(11, 12), del(3, 4))
 			for _, o := range want[len(tc.want):] {
-				if err := w.Append(o.Kind, o.U, o.V); err != nil {
+				if err := w.LogBatch(core.Batch{{Kind: o.Kind, U: o.U, V: o.V}}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -50,7 +50,7 @@ func TestTornFinalRecordIsDropped(t *testing.T) {
 		w := mustOpen(t, dir, Options{Sync: SyncNone})
 		const n = 100
 		for i := uint64(0); i < n; i++ {
-			if err := w.Append(core.OpInsert, i, i+1); err != nil {
+			if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: i, V: i + 1}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -80,7 +80,7 @@ func TestGarbageTailIsDropped(t *testing.T) {
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
 	const n = 50
 	for i := uint64(0); i < n; i++ {
-		if err := w.Append(core.OpInsert, i, i+1); err != nil {
+		if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: i, V: i + 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,7 +115,7 @@ func TestLoneOpTearWindow(t *testing.T) {
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
 	const n = 10
 	for i := uint64(0); i < n; i++ {
-		if err := w.Append(core.OpInsert, i, i+1); err != nil {
+		if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: i, V: i + 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestLoneOpTearWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(core.OpInsert, ^uint64(0), ^uint64(0)); err != nil {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: ^uint64(0), V: ^uint64(0)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -164,7 +164,7 @@ func TestReopenAfterTornTailTruncates(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
 	for i := uint64(0); i < 10; i++ {
-		if err := w.Append(core.OpInsert, i, i); err != nil {
+		if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: i, V: i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,7 +174,7 @@ func TestReopenAfterTornTailTruncates(t *testing.T) {
 	truncateBy(t, lastSegment(t, dir), 2)
 
 	w = mustOpen(t, dir, Options{Sync: SyncNone})
-	if err := w.Append(core.OpInsert, 100, 100); err != nil {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 100, V: 100}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -299,7 +299,7 @@ func TestReopenAfterTornSegmentHeader(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
 	for i := uint64(0); i < 5; i++ {
-		if err := w.Append(core.OpInsert, i, i); err != nil {
+		if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: i, V: i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,7 +312,7 @@ func TestReopenAfterTornSegmentHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	w = mustOpen(t, dir, Options{Sync: SyncNone})
-	if err := w.Append(core.OpInsert, 100, 100); err != nil {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 100, V: 100}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -338,7 +338,7 @@ func TestCorruptionDeepInLastSegmentFails(t *testing.T) {
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
 	const n = 200
 	for i := uint64(0); i < n; i++ {
-		if err := w.Append(core.OpInsert, i, i+1); err != nil {
+		if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: i, V: i + 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -101,7 +101,7 @@ func runCrashHarness(t *testing.T, policy SyncPolicy) {
 		}
 		mirror.ApplyBatch(b)
 		sigs = append(sigs, ccMapSig(edges))
-		if err := w.AppendBatch(b); err != nil {
+		if err := w.LogBatch(b); err != nil {
 			t.Fatalf("AppendBatch %d: %v", i, err)
 		}
 		ackEvents = append(ackEvents, ffs.TraceLen())
@@ -259,7 +259,7 @@ func runCrashHarness(t *testing.T, policy SyncPolicy) {
 				if err != nil {
 					t.Fatalf("%s: reopen for append: %v", c.name, err)
 				}
-				if err := w2.Append(core.OpInsert, 999, 999); err != nil {
+				if err := w2.LogBatch(core.Batch{{Kind: core.OpInsert, U: 999, V: 999}}); err != nil {
 					t.Fatalf("%s: append after reopen: %v", c.name, err)
 				}
 				if err := w2.Close(); err != nil {

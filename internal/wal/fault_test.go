@@ -29,11 +29,11 @@ func TestAppendENOSPCPoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.Append(core.OpInsert, 1, 2); err != nil {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 1, V: 2}}); err != nil {
 		t.Fatalf("append before fault: %v", err)
 	}
 	ffs.SetFault(vfs.Fault{Kinds: vfs.OpWrite.Mask(), Err: syscall.ENOSPC})
-	if err := w.Append(core.OpInsert, 3, 4); !errors.Is(err, syscall.ENOSPC) {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 3, V: 4}}); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("append on full disk: want ENOSPC, got %v", err)
 	}
 	if !w.Stats().Failed {
@@ -42,7 +42,7 @@ func TestAppendENOSPCPoisons(t *testing.T) {
 	// Sticky: the WAL refuses further appends even after the disk
 	// recovers — the log may have lost bytes and must be reopened.
 	ffs.ClearFault()
-	if err := w.Append(core.OpInsert, 5, 6); !errors.Is(err, syscall.ENOSPC) {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 5, V: 6}}); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("append after poisoning: want sticky ENOSPC, got %v", err)
 	}
 	if err := w.Err(); !errors.Is(err, syscall.ENOSPC) {
@@ -61,7 +61,7 @@ func TestCloseAfterENOSPCReturnsStickyError(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs.SetFault(vfs.Fault{Kinds: vfs.OpWrite.Mask(), Err: syscall.ENOSPC})
-	if err := w.Append(core.OpInsert, 1, 2); !errors.Is(err, syscall.ENOSPC) {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 1, V: 2}}); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("append on full disk: want ENOSPC, got %v", err)
 	}
 	ffs.ClearFault()
@@ -90,7 +90,7 @@ func TestFsyncFailureFailsGroupCommitFollowers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.Append(core.OpInsert, 0, 0); err != nil {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 0, V: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	ffs.SetFault(vfs.Fault{Kinds: vfs.OpSync.Mask(), Err: syscall.EIO})
@@ -102,7 +102,7 @@ func TestFsyncFailureFailsGroupCommitFollowers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = w.Append(core.OpInsert, uint64(i), uint64(i))
+			errs[i] = w.LogBatch(core.Batch{{Kind: core.OpInsert, U: uint64(i), V: uint64(i)}})
 		}(i)
 	}
 	wg.Wait()
@@ -124,12 +124,12 @@ func TestShortWriteTornTailRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 5; i++ {
-		if err := w.Append(core.OpInsert, i, i+100); err != nil {
+		if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: i, V: i + 100}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ffs.SetFault(vfs.Fault{Kinds: vfs.OpWrite.Mask(), Err: syscall.ENOSPC, Short: 3})
-	if err := w.Append(core.OpInsert, 6, 106); !errors.Is(err, syscall.ENOSPC) {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 6, V: 106}}); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("short write: want ENOSPC, got %v", err)
 	}
 	w.Close() // poisoned close; flock released regardless
@@ -150,7 +150,7 @@ func TestShortWriteTornTailRecovers(t *testing.T) {
 		t.Fatalf("reopen after torn tail: %v", err)
 	}
 	defer w2.Close()
-	if err := w2.Append(core.OpInsert, 7, 107); err != nil {
+	if err := w2.LogBatch(core.Batch{{Kind: core.OpInsert, U: 7, V: 107}}); err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
 }
@@ -169,7 +169,7 @@ func TestCheckpointENOSPCLeavesPreviousCheckpoint(t *testing.T) {
 	g := sharded.New(sharded.Config{})
 	apply := func(u, v uint64) {
 		g.ApplyBatch(core.Batch{{Kind: core.OpInsert, U: u, V: v}})
-		if err := w.Append(core.OpInsert, u, v); err != nil {
+		if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: u, V: v}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,7 +247,7 @@ func TestCheckpointRenameFailureKeepsRecoverySource(t *testing.T) {
 	defer w.Close()
 	g := sharded.New(sharded.Config{})
 	g.ApplyBatch(core.Batch{{Kind: core.OpInsert, U: 1, V: 2}})
-	if err := w.Append(core.OpInsert, 1, 2); err != nil {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 1, V: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	first, err := Checkpoint(g, w)

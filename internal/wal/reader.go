@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 
 	"cuckoograph/internal/core"
 	"cuckoograph/internal/vfs"
@@ -108,10 +109,10 @@ func (w *WAL) RetentionFloor() (uint64, bool) {
 }
 
 // TailPosition returns the durable tail: the position one past the
-// last byte a group commit has written. Like Segment it waits out an
-// in-flight commit, so the bytes below the returned position are fully
-// on the file (no frame ever straddles the tail — a group commit
-// advances the size only after its whole write lands).
+// last byte a group commit has written. It waits out an in-flight
+// commit, so the bytes below the returned position are fully on the
+// file (no frame ever straddles the tail — a group commit advances the
+// size only after its whole write lands).
 func (w *WAL) TailPosition() Position {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -121,9 +122,89 @@ func (w *WAL) TailPosition() Position {
 	return Position{Seg: w.seg, Off: w.size}
 }
 
-// readerChunkBytes bounds one Reader.Next chunk; a single frame larger
-// than this is still returned whole.
+// readerChunkBytes is how much a segment cursor reads at a time; a
+// single frame larger than this is read whole.
 const readerChunkBytes = 256 << 10
+
+// segCursor is the package's one segment reader. It yields the
+// CRC-valid frame bodies of one segment file in order, from off up to
+// limit, reading a chunk at a time — or one whole frame, when that is
+// larger. scanSegment runs it to end-of-file, the shipping Reader to
+// the durable tail.
+type segCursor struct {
+	f      vfs.File
+	name   string // the file's base name, for errors
+	off    int64  // the next frame's offset
+	limit  int64  // no frame may end past it
+	buf    []byte // the file's bytes from bufOff; off lies within or at its end
+	bufOff int64
+}
+
+// frameFault is a frame the cursor could not yield: where the frame
+// ends (where it starts, when not even its length could be read),
+// whether its checksum failed — the one failure that says the frame's
+// bytes lie rather than its length — and why.
+type frameFault struct {
+	end    int64
+	crc    bool
+	detail string
+}
+
+func (e *frameFault) Error() string { return e.detail }
+
+// next returns the body of the frame at off and advances past it, or
+// nil at limit. With read false it reads nothing from the file, and a
+// frame not already buffered reads as the end. A frame that is not
+// whole and valid is a *frameFault and leaves off where it is. The
+// body aliases the cursor's buffer until the next read.
+func (c *segCursor) next(read bool) ([]byte, error) {
+	for c.off < c.limit {
+		win := c.buf[c.off-c.bufOff:]
+		body, total, err := frameAt(win)
+		if body != nil {
+			c.off += int64(total)
+			return body, nil
+		}
+		n := min(int64(max(total, readerChunkBytes)), c.limit-c.off)
+		if err != nil || int64(len(win)) >= n {
+			fault := &frameFault{end: c.off + int64(total), crc: err != nil && total > 0, detail: "record truncated"}
+			if err != nil {
+				fault.detail = err.Error()
+			}
+			return nil, fault
+		}
+		if !read {
+			return nil, nil
+		}
+		// Read a chunk from off, or the whole frame when its length
+		// prefix says it is larger.
+		if int64(cap(c.buf)) < n {
+			c.buf = make([]byte, n)
+		}
+		c.buf, c.bufOff = c.buf[:n], c.off
+		if m, err := c.f.ReadAt(c.buf, c.off); int64(m) < n {
+			c.buf = c.buf[:0]
+			return nil, fmt.Errorf("wal: read %s: %w", c.name, err)
+		}
+	}
+	return nil, nil
+}
+
+// frames returns the bytes of the whole frames from off — the first
+// read in if need be, then every one buffered behind it — and advances
+// past them; it returns nothing at limit. A fault in the first frame is
+// the error; one further on ends the run and is the next call's error.
+func (c *segCursor) frames() ([]byte, error) {
+	start := c.off
+	body, err := c.next(true)
+	for body != nil {
+		body, _ = c.next(false)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c.buf[start-c.bufOff : c.off-c.bufOff], nil
+}
 
 // Reader streams raw framed records from the WAL's directory, starting
 // at a Position and advancing across sealed segments up to the durable
@@ -134,33 +215,43 @@ const readerChunkBytes = 256 << 10
 // concurrent checkpoints (replication does) hold a Pin at or below the
 // reader's segment. A Reader is not safe for concurrent use.
 type Reader struct {
-	w    *WAL
-	pos  Position
-	f    vfs.File
-	fSeg uint64
-	buf  []byte
+	w   *WAL
+	seg uint64    // the segment c reads
+	c   segCursor // c.f is nil once closed
 }
 
 // OpenReader positions a reader at pos. It returns ErrCompacted when
-// the position's segment has been deleted by compaction, when the
-// position is the zero position (a bootstrap request), or when the
-// position does not address real log bytes — in every such case the
-// caller should ship a snapshot instead.
+// pos cannot be served from the log, so that the caller ships a
+// snapshot instead: the zero position (a bootstrap request), a segment
+// compaction deleted, a position past the durable tail or past its
+// sealed segment's end, and a position that is not a frame start (a
+// follower of another leader names such). A bad header or an I/O
+// failure is an error.
 func (w *WAL) OpenReader(pos Position) (*Reader, error) {
 	if pos.IsZero() {
 		return nil, ErrCompacted
 	}
-	if pos.Off < SegmentDataStart {
-		pos.Off = SegmentDataStart
-	}
+	pos.Off = max(pos.Off, SegmentDataStart)
 	tail := w.TailPosition()
 	if tail.Less(pos) {
-		// Claims bytes this log never wrote (a follower of some other
-		// leader, or a log reset): not servable incrementally.
 		return nil, ErrCompacted
 	}
-	r := &Reader{w: w, pos: pos}
-	if err := r.open(); err != nil {
+	r := &Reader{w: w}
+	err := r.open(pos)
+	if err == nil {
+		err = r.bound(tail)
+	}
+	if err == nil {
+		// The first frame at pos must read whole and valid; it stays
+		// buffered for the first Next.
+		var fault *frameFault
+		if _, err = r.c.next(true); pos.Off > r.c.limit || errors.As(err, &fault) {
+			err = ErrCompacted
+		}
+		r.c.off = pos.Off
+	}
+	if err != nil {
+		r.Close()
 		return nil, err
 	}
 	return r, nil
@@ -168,44 +259,54 @@ func (w *WAL) OpenReader(pos Position) (*Reader, error) {
 
 // Pos returns the reader's current position: the first byte Next would
 // return.
-func (r *Reader) Pos() Position { return r.pos }
+func (r *Reader) Pos() Position { return Position{Seg: r.seg, Off: r.c.off} }
 
 // Close releases the reader's file handle.
 func (r *Reader) Close() error {
-	if r.f == nil {
+	if r.c.f == nil {
 		return nil
 	}
-	err := r.f.Close()
-	r.f = nil
+	err := r.c.f.Close()
+	r.c.f = nil
 	return err
 }
 
-// open ensures r.f is the file for r.pos.Seg, validating its header.
-func (r *Reader) open() error {
-	if r.f != nil && r.fSeg == r.pos.Seg {
-		return nil
+// open points the reader at pos, opening pos's segment and checking its
+// header. A segment that is gone was compacted away.
+func (r *Reader) open(pos Position) error {
+	r.Close()
+	path := segmentPath(r.w.dir, pos.Seg)
+	f, err := r.w.fs.OpenFile(path, os.O_RDONLY, 0)
+	if os.IsNotExist(err) {
+		return ErrCompacted
 	}
-	if r.f != nil {
-		r.f.Close()
-		r.f = nil
-	}
-	f, err := r.w.fs.OpenFile(segmentPath(r.w.dir, r.pos.Seg), os.O_RDONLY, 0)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return ErrCompacted
-		}
 		return err
 	}
+	r.seg = pos.Seg
+	r.c = segCursor{f: f, name: filepath.Base(path), off: pos.Off, buf: r.c.buf[:0], bufOff: pos.Off}
 	var hdr [segHeaderSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: read header of segment %d: %w", r.pos.Seg, err)
+	if n, err := f.ReadAt(hdr[:], 0); n < segHeaderSize {
+		return &core.CorruptError{Source: r.c.name, Detail: "segment header truncated", Err: err}
 	}
-	if _, _, detail := checkHeader(hdr, r.pos.Seg); detail != "" {
-		f.Close()
-		return fmt.Errorf("wal: segment %d: bad header: %s", r.pos.Seg, detail)
+	if _, off, detail := checkHeader(hdr, pos.Seg); detail != "" {
+		return &core.CorruptError{Source: r.c.name, Offset: off, Detail: detail}
 	}
-	r.f, r.fSeg = f, r.pos.Seg
+	return nil
+}
+
+// bound sets the cursor's limit: the durable tail in the tail segment,
+// the file's size in a sealed one.
+func (r *Reader) bound(tail Position) error {
+	if r.seg == tail.Seg {
+		r.c.limit = tail.Off
+		return nil
+	}
+	fi, err := r.c.f.Stat()
+	if err != nil {
+		return err
+	}
+	r.c.limit = fi.Size()
 	return nil
 }
 
@@ -213,99 +314,45 @@ func (r *Reader) open() error {
 // the position of its first byte, advancing the reader past it. The
 // chunk aliases the reader's internal buffer and is valid until the
 // next call. It returns ErrNoData when caught up with the durable
-// tail and ErrCompacted when the log prefix under the reader has been
-// deleted (possible only for unpinned readers).
+// tail, ErrCompacted when the log prefix under the reader has been
+// deleted (possible only for unpinned readers), and an error matching
+// core.ErrCorrupt, with the segment file and byte offset, on a bad
+// frame.
 func (r *Reader) Next() ([]byte, Position, error) {
 	for {
 		tail := r.w.TailPosition()
-		if tail.Seg < r.pos.Seg {
-			return nil, Position{}, fmt.Errorf("wal: reader at segment %d past tail segment %d", r.pos.Seg, tail.Seg)
+		if tail.Seg < r.seg {
+			return nil, Position{}, fmt.Errorf("wal: reader at segment %d past tail segment %d", r.seg, tail.Seg)
 		}
-		if err := r.open(); err != nil {
+		if err := r.bound(tail); err != nil {
 			return nil, Position{}, err
 		}
-		sealed := r.pos.Seg < tail.Seg
-		var limit int64
-		if sealed {
-			fi, err := r.f.Stat()
-			if err != nil {
-				return nil, Position{}, err
-			}
-			limit = fi.Size()
-		} else {
-			limit = tail.Off
+		start := r.Pos()
+		chunk, err := r.c.frames()
+		var fault *frameFault
+		switch {
+		case errors.As(err, &fault):
+			return nil, Position{}, &core.CorruptError{Source: r.c.name, Offset: start.Off, Detail: fault.detail}
+		case err != nil:
+			return nil, Position{}, err
+		case len(chunk) > 0:
+			return chunk, start, nil
+		case r.seg == tail.Seg:
+			return nil, Position{}, ErrNoData
 		}
-		if r.pos.Off >= limit {
-			if !sealed {
-				return nil, Position{}, ErrNoData
-			}
-			if err := r.nextSegment(); err != nil {
-				return nil, Position{}, err
-			}
-			continue
-		}
-		return r.read(limit - r.pos.Off)
-	}
-}
-
-// read returns up to readerChunkBytes of whole frames from the current
-// segment, where avail bytes of durable data remain past r.pos.Off.
-func (r *Reader) read(avail int64) ([]byte, Position, error) {
-	n := int(min(avail, readerChunkBytes))
-	if cap(r.buf) < n {
-		r.buf = make([]byte, n)
-	}
-	b := r.buf[:n]
-	if _, err := r.f.ReadAt(b, r.pos.Off); err != nil {
-		return nil, Position{}, fmt.Errorf("wal: read segment %d: %w", r.pos.Seg, err)
-	}
-	valid, nextFrame, err := frameSpan(b)
-	if err != nil {
-		return nil, Position{}, fmt.Errorf("wal: segment %d offset %d: %w", r.pos.Seg, r.pos.Off, err)
-	}
-	if valid == 0 {
-		// The first frame is larger than the chunk. Its size is known
-		// from the length prefix; a frame reaching past the durable
-		// limit cannot happen (commits advance the tail only after the
-		// whole write), so that reads as damage.
-		if nextFrame == 0 || int64(nextFrame) > avail {
-			return nil, Position{}, fmt.Errorf("wal: segment %d offset %d: frame straddles durable tail", r.pos.Seg, r.pos.Off)
-		}
-		if cap(r.buf) < nextFrame {
-			r.buf = make([]byte, nextFrame)
-		}
-		b = r.buf[:nextFrame]
-		if _, err := r.f.ReadAt(b, r.pos.Off); err != nil {
-			return nil, Position{}, fmt.Errorf("wal: read segment %d: %w", r.pos.Seg, err)
-		}
-		if valid, _, err = frameSpan(b); err != nil || valid != nextFrame {
-			return nil, Position{}, fmt.Errorf("wal: segment %d offset %d: oversized frame failed validation: %v", r.pos.Seg, r.pos.Off, err)
+		// Segment indexes are contiguous, so a missing successor means
+		// compaction removed it: an unpinned reader fell below the
+		// retention floor.
+		if err := r.open(Position{Seg: r.seg + 1, Off: SegmentDataStart}); err != nil {
+			return nil, Position{}, err
 		}
 	}
-	start := r.pos
-	r.pos.Off += int64(valid)
-	return b[:valid], start, nil
-}
-
-// nextSegment advances past an exhausted sealed segment. Segment
-// indexes are contiguous, so a missing successor means compaction
-// removed it — an unpinned reader fell below the retention floor.
-func (r *Reader) nextSegment() error {
-	next := r.pos.Seg + 1
-	if _, err := r.w.fs.Stat(segmentPath(r.w.dir, next)); err != nil {
-		if os.IsNotExist(err) {
-			return ErrCompacted
-		}
-		return err
-	}
-	r.pos = Position{Seg: next, Off: SegmentDataStart}
-	return nil
 }
 
 // frameAt validates the frame at the head of data, returning its
 // CRC-checked record body and its encoded size. It is the log's one
-// frame parser: replay, the shipping Reader and the follower's
-// AppendChunkOps all read frames through it. A frame that reaches past
+// frame parser: the segment cursor and the follower's AppendChunkOps
+// read frames through it. A frame that reaches past
 // the end of data is not an error: the body is nil and total is the
 // frame's size (0 when even the length prefix is incomplete). A
 // checksum mismatch returns the frame's size with the error — the one
@@ -330,26 +377,6 @@ func frameAt(data []byte) (body []byte, total int, err error) {
 		return nil, total, errors.New("checksum mismatch")
 	}
 	return body, total, nil
-}
-
-// frameSpan walks data and returns the byte length of its longest
-// prefix of whole, CRC-valid frames. A complete frame that fails
-// validation is an error. A trailing partial frame is not an error:
-// its total encoded size is returned (0 when even the length prefix is
-// incomplete) so the caller can fetch enough bytes for it.
-func frameSpan(data []byte) (valid, nextFrame int, err error) {
-	off := 0
-	for off < len(data) {
-		body, total, err := frameAt(data[off:])
-		if err != nil {
-			return 0, 0, err
-		}
-		if body == nil {
-			return off, total, nil
-		}
-		off += total
-	}
-	return off, 0, nil
 }
 
 // AppendChunkOps decodes every record in a chunk of whole frames — the

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,7 +45,7 @@ func TestReaderStreamsLiveTail(t *testing.T) {
 
 	var want []core.Op
 	append1 := func(kind core.OpKind, u, v uint64) {
-		if err := w.Append(kind, u, v); err != nil {
+		if err := w.LogBatch(core.Batch{{Kind: kind, U: u, V: v}}); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, core.Op{Kind: kind, U: u, V: v})
@@ -55,7 +57,7 @@ func TestReaderStreamsLiveTail(t *testing.T) {
 	for i := range batch {
 		batch[i] = core.Op{Kind: core.OpInsert, U: uint64(i) + 1000, V: uint64(i) + 2000}
 	}
-	if err := w.AppendBatch(batch); err != nil {
+	if err := w.LogBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, batch...)
@@ -91,8 +93,9 @@ func TestReaderStreamsLiveTail(t *testing.T) {
 }
 
 // TestOpenReaderUnservable pins the snapshot-fallback signals: the zero
-// position, a compacted segment, and a position past the tail all
-// report ErrCompacted.
+// position, a compacted segment, a position past the tail or past a
+// sealed segment's end, and a position inside a frame all report
+// ErrCompacted.
 func TestOpenReaderUnservable(t *testing.T) {
 	w, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -102,7 +105,7 @@ func TestOpenReaderUnservable(t *testing.T) {
 	if _, err := w.OpenReader(Position{}); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("zero position: %v, want ErrCompacted", err)
 	}
-	if err := w.Append(core.OpInsert, 1, 2); err != nil {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 1, V: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	cut, err := w.Rotate()
@@ -118,6 +121,104 @@ func TestOpenReaderUnservable(t *testing.T) {
 	if _, err := w.OpenReader(Position{Seg: cut, Off: 1 << 30}); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("past tail: %v, want ErrCompacted", err)
 	}
+
+	// Segment cut sealed with one frame, the tail segment holding one.
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 3, V: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	sealedEnd := w.TailPosition()
+	if _, err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 5, V: 6}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		pos  Position
+	}{
+		{"inside a sealed segment's frame", Position{Seg: cut, Off: SegmentDataStart + 1}},
+		{"past a sealed segment's end", Position{Seg: cut, Off: 5000}},
+		{"inside a tail segment's frame", Position{Seg: cut + 1, Off: SegmentDataStart + 1}},
+	} {
+		if _, err := w.OpenReader(tc.pos); !errors.Is(err, ErrCompacted) {
+			t.Errorf("%s: %v, want ErrCompacted", tc.name, err)
+		}
+	}
+	for _, pos := range []Position{{Seg: cut, Off: SegmentDataStart}, sealedEnd, w.TailPosition()} {
+		r, err := w.OpenReader(pos)
+		if err != nil {
+			t.Fatalf("frame start %+v: %v", pos, err)
+		}
+		r.Close()
+	}
+}
+
+// TestReaderDamageIsCorrupt: a bad frame or header in a sealed segment
+// ahead of a reader fails Next with core.ErrCorrupt naming the segment
+// file and the bad byte's offset, as replay reports it.
+func TestReaderDamageIsCorrupt(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		inFrame bool // flip a payload byte of segment 2's second frame, else its magic
+	}{
+		{"second frame's payload", true},
+		{"header magic", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w := mustOpen(t, dir, Options{})
+			defer w.Close()
+			if err := w.LogBatch(core.Batch{}.Insert(1, 2)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.LogBatch(core.Batch{}.Insert(3, 4)); err != nil {
+				t.Fatal(err)
+			}
+			second := w.TailPosition().Off
+			if err := w.LogBatch(core.Batch{}.Insert(5, 6)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+			flip, wantOff := int64(0), int64(0)
+			if tc.inFrame {
+				flip, wantOff = second+2, second
+			}
+			path := segmentPath(dir, 2)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[flip] ^= 0x40
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			r, err := w.OpenReader(Position{Seg: 1, Off: SegmentDataStart})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			for {
+				_, _, err = r.Next()
+				if err != nil {
+					break
+				}
+			}
+			var ce *core.CorruptError
+			if !errors.Is(err, core.ErrCorrupt) || !errors.As(err, &ce) {
+				t.Fatalf("Next: %v, want core.ErrCorrupt", err)
+			}
+			if ce.Source != filepath.Base(path) || ce.Offset != wantOff {
+				t.Fatalf("corruption at %s offset %d, want %s offset %d", ce.Source, ce.Offset, filepath.Base(path), wantOff)
+			}
+		})
+	}
 }
 
 // TestPinBlocksCompaction pins the retention-floor contract:
@@ -130,7 +231,7 @@ func TestPinBlocksCompaction(t *testing.T) {
 	}
 	defer w.Close()
 	for i := 0; i < 4; i++ {
-		if err := w.Append(core.OpInsert, uint64(i), uint64(i+1)); err != nil {
+		if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: uint64(i), V: uint64(i + 1)}}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := w.Rotate(); err != nil {
@@ -152,7 +253,7 @@ func TestPinBlocksCompaction(t *testing.T) {
 	if floor, held := w.RetentionFloor(); !held || floor != 1 {
 		t.Fatalf("floor = %d,%v, want 1,true", floor, held)
 	}
-	cur := w.Segment()
+	cur := w.TailPosition().Seg
 	if err := w.RemoveSegmentsBefore(cur); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +317,7 @@ func TestRemoveSegmentsBeforeRace(t *testing.T) {
 				return
 			default:
 			}
-			if err := w.Append(core.OpInsert, i, i+1); err != nil {
+			if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: i, V: i + 1}}); err != nil {
 				appendErr.Store(err)
 				return
 			}
@@ -230,7 +331,7 @@ func TestRemoveSegmentsBeforeRace(t *testing.T) {
 				return
 			default:
 			}
-			if err := w.RemoveSegmentsBefore(w.Segment()); err != nil {
+			if err := w.RemoveSegmentsBefore(w.TailPosition().Seg); err != nil {
 				compactErr.Store(err)
 				return
 			}
@@ -275,7 +376,7 @@ func TestCloseStopsFlusher(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := uint64(0); j < 64; j++ {
-			if err := w.Append(core.OpInsert, j, j+1); err != nil {
+			if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: j, V: j + 1}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -305,7 +406,7 @@ func TestCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(core.OpInsert, 1, 2); err != nil {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 1, V: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -314,7 +415,7 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if err := w.Append(core.OpInsert, 3, 4); !errors.Is(err, ErrClosed) {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 3, V: 4}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
 	}
 	if err := w.RemoveSegmentsBefore(99); !errors.Is(err, ErrClosed) {
@@ -334,7 +435,7 @@ func TestReaderChunkOversizedFrame(t *testing.T) {
 	for i := range big {
 		big[i] = core.Op{Kind: core.OpInsert, U: uint64(i), V: uint64(i) * 3}
 	}
-	if err := w.AppendBatch(big); err != nil {
+	if err := w.LogBatch(big); err != nil {
 		t.Fatal(err)
 	}
 	r, err := w.OpenReader(Position{Seg: 1, Off: SegmentDataStart})
@@ -371,6 +472,84 @@ func TestAppendChunkOpsRejectsDamage(t *testing.T) {
 		b := tc.mut(append([]byte(nil), frame...))
 		if _, err := AppendChunkOps(b, nil); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestReaderMatchesReplay is the differential test of the two paths
+// that read a log: a Reader drained from the first record while a
+// seeded op stream is logged ships, decoded with AppendChunkOps, the
+// ops Replay reads back from the same directory, and both equal the
+// ops logged. The stream has frames that straddle replay's first chunk
+// boundary, one frame wider than a chunk, size-driven and explicit
+// rotations, and a record-free segment.
+func TestReaderMatchesReplay(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{Sync: SyncNone, SegmentBytes: 1 << 20})
+	defer w.Close()
+	r, err := w.OpenReader(Position{Seg: 1, Off: SegmentDataStart})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	rnd := rng(42)
+	var logged, shipped core.Batch
+	straddled, wide := false, false
+	for i := 0; i < 400; i++ {
+		n := 1 + int(rnd.next()%1500)
+		if i == 150 {
+			n = maxBatchOps // one record wider than a chunk
+		}
+		b := make(core.Batch, n)
+		for j := range b {
+			// Widths from one to ten varint bytes vary the frame sizes.
+			b[j] = core.Op{Kind: core.OpKind(1 + rnd.next()%2), U: rnd.next() >> (rnd.next() % 64), V: rnd.next() >> (rnd.next() % 64)}
+		}
+		start := w.TailPosition()
+		if err := w.LogBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		logged = append(logged, b...)
+		if end := w.TailPosition(); end.Seg == start.Seg {
+			straddled = straddled || (start.Off < SegmentDataStart+readerChunkBytes && end.Off > SegmentDataStart+readerChunkBytes)
+			wide = wide || end.Off-start.Off > readerChunkBytes
+		}
+		switch rnd.next() % 16 {
+		case 0:
+			if _, err := w.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		case 1: // two rotations leave a segment with no record
+			for k := 0; k < 2; k++ {
+				if _, err := w.Rotate(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if rnd.next()%3 == 0 {
+			shipped = append(shipped, drainReader(t, r)...)
+		}
+	}
+	shipped = append(shipped, drainReader(t, r)...)
+	if !straddled || !wide {
+		t.Fatalf("stream exercised straddle=%v wide=%v, want both", straddled, wide)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed, stats := replayOps(t, dir)
+	if stats.TornBytes != 0 || stats.Segments < 4 {
+		t.Fatalf("replay read %d segments with %d torn bytes, want several and none", stats.Segments, stats.TornBytes)
+	}
+	for name, got := range map[string]core.Batch{"reader": shipped, "replay": replayed} {
+		if len(got) != len(logged) {
+			t.Fatalf("%s delivered %d ops, %d were logged", name, len(got), len(logged))
+		}
+		for i := range logged {
+			if got[i] != logged[i] {
+				t.Fatalf("%s op %d = %+v, logged %+v", name, i, got[i], logged[i])
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -48,26 +49,17 @@ func Replay(dir string, fromSeg uint64, fn func(core.Op) error) (ReplayStats, er
 		if s.index < fromSeg {
 			continue
 		}
-		last := i == len(segs)-1
-		valid, n, batches, err := scanSegment(vfs.OS, s, last, fn)
-		if err != nil {
+		if _, err := scanSegment(vfs.OS, s, i == len(segs)-1, fn, &stats); err != nil {
 			return stats, err
 		}
 		stats.Segments++
-		stats.Records += n
-		stats.BatchRecords += batches
-		if last {
-			if fi, err := vfs.OS.Stat(s.path); err == nil && fi.Size() > valid {
-				stats.TornBytes = fi.Size() - valid
-			}
-		}
 	}
 	return stats, nil
 }
 
 // scanSegment reads one segment, delivering ops to fn (which may be
-// nil to just validate). It returns the byte length of the intact
-// prefix, the delivered op count and the batch-record count. With
+// nil to just validate) and adding its records, batch records and torn
+// bytes to st. It returns the byte length of the intact prefix. With
 // tolerateTail set — correct only for the newest segment — damage that
 // looks like a crash mid-write is a torn tail and ends the scan cleanly
 // at the last intact record. A tear is recognised when the bad record
@@ -84,17 +76,17 @@ func Replay(dir string, fromSeg uint64, fn func(core.Op) error) (ReplayStats, er
 // acknowledged records after it. Batch ops are validated whole before
 // any of them is delivered: a record never applies partially.
 //
-// The segment is read in readerChunkBytes chunks and each chunk walked
-// with frameAt, the parser the shipping Reader uses.
-func scanSegment(fsys vfs.FS, seg numberedFile, tolerateTail bool, fn func(core.Op) error) (int64, uint64, uint64, error) {
+// The frames come from a segCursor run to end-of-file, the reader the
+// shipping Reader uses; the tear rules are what scanSegment adds.
+func scanSegment(fsys vfs.FS, seg numberedFile, tolerateTail bool, fn func(core.Op) error, st *ReplayStats) (int64, error) {
 	f, err := fsys.OpenFile(seg.path, os.O_RDONLY, 0)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, err
 	}
 	fileSize := fi.Size()
 	name := filepath.Base(seg.path)
@@ -102,14 +94,18 @@ func scanSegment(fsys vfs.FS, seg numberedFile, tolerateTail bool, fn func(core.
 	corrupt := func(off int64, detail string, cause error) error {
 		return &core.CorruptError{Source: name, Offset: off, Detail: detail, Err: cause}
 	}
+	tear := func(valid int64) (int64, error) {
+		st.TornBytes = fileSize - valid
+		return valid, nil
+	}
 
 	var hdr [segHeaderSize]byte
 	if n, err := f.ReadAt(hdr[:], 0); n < segHeaderSize {
 		if tolerateTail {
 			// A crash can even tear the header write of a fresh segment.
-			return 0, 0, 0, nil
+			return tear(0)
 		}
-		return 0, 0, 0, corrupt(0, "segment header truncated", err)
+		return 0, corrupt(0, "segment header truncated", err)
 	}
 	if match, off, detail := checkHeader(hdr, seg.index); detail != "" {
 		// On the newest segment, a file that is a prefix of the expected
@@ -121,25 +117,25 @@ func scanSegment(fsys vfs.FS, seg numberedFile, tolerateTail bool, fn func(core.
 		if tolerateTail {
 			torn, err := zeroToEOF(f, int64(match), fileSize)
 			if err != nil {
-				return 0, 0, 0, fmt.Errorf("wal: classify header of %s: %w", name, err)
+				return 0, fmt.Errorf("wal: classify header of %s: %w", name, err)
 			}
 			if torn {
-				return 0, 0, 0, nil
+				return tear(0)
 			}
 		}
-		return 0, 0, 0, corrupt(off, detail, nil)
+		return 0, corrupt(off, detail, nil)
 	}
 
-	valid := int64(segHeaderSize)
-	var records, batches uint64
+	c := segCursor{f: f, name: name, off: segHeaderSize, limit: fileSize, bufOff: segHeaderSize}
+	valid := c.off
 	// bad classifies the failed frame at valid. frameEnd is where the
 	// frame ends (valid itself when not even its length could be read);
 	// crcFailed marks the one failure mode that proves the frame's bytes
 	// never landed as written.
-	bad := func(frameEnd int64, crcFailed bool, detail string) (int64, uint64, uint64, error) {
+	bad := func(frameEnd int64, crcFailed bool, detail string) (int64, error) {
 		if tolerateTail {
 			if frameEnd >= fileSize || fileSize-valid <= maxLoneFrame {
-				return valid, records, batches, nil
+				return tear(valid)
 			}
 			// Large writes (batch records, group commits) tear big:
 			// when the filesystem extended the file but the data
@@ -158,62 +154,45 @@ func scanSegment(fsys vfs.FS, seg numberedFile, tolerateTail bool, fn func(core.
 			}
 			allZero, err := zeroToEOF(f, from, fileSize)
 			if err != nil {
-				return 0, 0, 0, fmt.Errorf("wal: classify tail of %s: %w", name, err)
+				return 0, fmt.Errorf("wal: classify tail of %s: %w", name, err)
 			}
 			if allZero {
-				return valid, records, batches, nil
+				return tear(valid)
 			}
 		}
-		return 0, 0, 0, corrupt(valid, detail, nil)
+		return 0, corrupt(valid, detail, nil)
 	}
 
-	var buf []byte // the current chunk; grows to the largest frame seen
 	var ops []core.Op
-	for need := int64(readerChunkBytes); valid < fileSize; {
-		n := min(fileSize-valid, need)
-		if int64(cap(buf)) < n {
-			buf = make([]byte, n)
+	for {
+		body, err := c.next(true)
+		var fault *frameFault
+		if errors.As(err, &fault) {
+			return bad(fault.end, fault.crc, fault.detail)
 		}
-		chunk := buf[:n]
-		if m, err := f.ReadAt(chunk, valid); int64(m) < n {
-			return 0, 0, 0, fmt.Errorf("wal: read %s: %w", name, err)
+		if err != nil {
+			return 0, err
 		}
-		need = readerChunkBytes
-		for len(chunk) > 0 {
-			body, total, err := frameAt(chunk)
-			frameEnd := valid + int64(total)
-			if err != nil {
-				return bad(frameEnd, total > 0, err.Error())
-			}
-			if body == nil {
-				// The frame runs past the chunk. Past end-of-file it is
-				// truncated; otherwise the next chunk starts at its head
-				// and holds all of it.
-				if frameEnd > fileSize || valid+int64(len(chunk)) == fileSize {
-					return bad(frameEnd, false, "record truncated")
-				}
-				need = max(int64(total), readerChunkBytes)
-				break
-			}
-			var detail string
-			if ops, detail = decodeRecord(body, ops[:0]); detail != "" {
-				return bad(frameEnd, false, detail)
-			}
-			if fn != nil {
-				for _, o := range ops {
-					if err := fn(o); err != nil {
-						return 0, 0, 0, err
-					}
+		if body == nil {
+			return valid, nil
+		}
+		var detail string
+		if ops, detail = decodeRecord(body, ops[:0]); detail != "" {
+			return bad(c.off, false, detail)
+		}
+		if fn != nil {
+			for _, o := range ops {
+				if err := fn(o); err != nil {
+					return 0, err
 				}
 			}
-			records += uint64(len(ops))
-			if body[0] == recBatch {
-				batches++
-			}
-			valid, chunk = frameEnd, chunk[total:]
 		}
+		st.Records += uint64(len(ops))
+		if body[0] == recBatch {
+			st.BatchRecords++
+		}
+		valid = c.off
 	}
-	return valid, records, batches, nil
 }
 
 // zeroToEOF reports whether every byte of f in [from, end) is zero.

@@ -165,7 +165,7 @@ func TestStageCommitZeroAlloc(t *testing.T) {
 		if err := w.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		w.Append(core.OpInsert, 5, 6)
+		w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 5, V: 6}})
 	}
 	cycle()
 	cycle() // both buffers of the swap have now grown
@@ -337,12 +337,12 @@ func TestCheckpointCutCoversStagedRecords(t *testing.T) {
 	}
 	g := sharded.New(sharded.Config{Shards: 2, WAL: w})
 	g.Stage(core.Batch{}.Insert(1, 2).Insert(2, 3)) // staged, never committed by its writer
-	before := w.Segment()
+	before := w.TailPosition().Seg
 	if _, err := Checkpoint(g, w); err != nil {
 		t.Fatal(err)
 	}
-	if w.Segment() != before+1 {
-		t.Fatalf("segment %d after checkpoint, want %d", w.Segment(), before+1)
+	if w.TailPosition().Seg != before+1 {
+		t.Fatalf("segment %d after checkpoint, want %d", w.TailPosition().Seg, before+1)
 	}
 	if st := w.Stats(); st.PendingBytes != 0 || st.Records == 0 {
 		t.Fatalf("staged ops were not written ahead of the rotation: %+v", st)

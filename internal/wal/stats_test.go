@@ -22,7 +22,7 @@ func TestStatsCounters(t *testing.T) {
 	}
 
 	for i := uint64(0); i < 10; i++ {
-		if err := w.Append(core.OpInsert, i, i+1); err != nil {
+		if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: i, V: i + 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -30,7 +30,7 @@ func TestStatsCounters(t *testing.T) {
 	for i := range batch {
 		batch[i] = core.Op{Kind: core.OpInsert, U: 100, V: uint64(200 + i)}
 	}
-	if err := w.AppendBatch(batch); err != nil {
+	if err := w.LogBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 

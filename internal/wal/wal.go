@@ -22,24 +22,25 @@
 // (one CRC), writes it with one write(2) and, under SyncAlways, one
 // fsync, then wakes the followers. A group therefore grows with every
 // stager that arrives while the device is busy, and fsync latency is
-// amortized across all of them. Append, AppendBatch and LogBatch are
-// the synchronous form, Stage followed by Commit. The WAL starts no
-// goroutine: only the group-commit leader, or a holder of the WAL lock
-// with no leader in flight (Sync, Rotate, Close), writes the segment
-// file.
+// amortized across all of them. LogBatch is the synchronous form,
+// Stage followed by Commit. The WAL starts no goroutine: only the
+// group-commit leader, or a holder of the WAL lock with no leader in
+// flight (Sync, Rotate, Close), writes the segment file.
 //
-// Recovery tolerates a torn tail (a crash mid-write leaves a partial or
-// CRC-failing final record, which is dropped) but treats damage
-// anywhere else as core.ErrCorrupt. Checkpoint writes a consistent
-// snapshot cut against a segment rotation and deletes the log prefix
-// the snapshot supersedes, bounding replay work.
+// One segment cursor reads every segment: it yields the CRC-valid
+// frames of one file from an offset up to a limit, a chunk at a time.
+// Recovery runs it to end-of-file and adds the torn-tail rules: a crash
+// mid-write leaves a partial or CRC-failing final record, which is
+// dropped, while damage anywhere else is core.ErrCorrupt. Checkpoint
+// writes a consistent snapshot cut against a segment rotation and
+// deletes the log prefix the snapshot supersedes, bounding replay work.
 //
-// The log is also readable while open: Reader streams CRC-validated
-// frame chunks from any Position up to the durable tail (the
-// replication shipping path), and Pin holds a retention floor so
-// RemoveSegmentsBefore — which now scans and deletes entirely under
-// the WAL lock; see its contract note — can never unlink a segment a
-// reader still needs.
+// The log is also readable while open: Reader runs the same cursor up
+// to the durable tail, streaming frame chunks from any Position that
+// starts a frame (the replication shipping path), and Pin holds a
+// retention floor so RemoveSegmentsBefore — which scans and deletes
+// entirely under the WAL lock; see its contract note — can never
+// unlink a segment a reader still needs.
 //
 // All file access goes through the internal/vfs seam (Options.FS), so
 // tests inject deterministic storage faults and record write traces
@@ -84,7 +85,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return 0, fmt.Errorf("wal: unknown sync policy %q (want always|nosync)", s)
 }
 
-// SyncPolicy says when Append fsyncs.
+// SyncPolicy says when a group commit fsyncs.
 type SyncPolicy int
 
 const (
@@ -212,7 +213,7 @@ type WAL struct {
 // Stats is a point-in-time snapshot of the WAL's observability
 // counters — the export hook behind the server's /metrics endpoint.
 type Stats struct {
-	Appends      uint64 // accepted Stage calls (Append, AppendBatch and LogBatch are one each)
+	Appends      uint64 // accepted Stage calls (LogBatch is one)
 	Records      uint64 // framed records handed to write(2)
 	Ops          uint64 // edge mutations staged
 	Bytes        uint64 // frame bytes handed to write(2)
@@ -225,7 +226,7 @@ type Stats struct {
 	Closed       bool   // Close has run; the counters are final
 }
 
-// Stats returns the current counters. Like Segment it waits out an
+// Stats returns the current counters. Like TailPosition it waits out an
 // in-flight group commit before reading the mu-guarded segment state;
 // the counters themselves are atomic.
 func (w *WAL) Stats() Stats {
@@ -291,7 +292,8 @@ func (w *WAL) openForAppend() error {
 		return w.openSegment(1)
 	}
 	last := segs[len(segs)-1]
-	valid, _, _, err := scanSegment(w.fs, last, true, nil)
+	var st ReplayStats
+	valid, err := scanSegment(w.fs, last, true, nil, &st)
 	if err != nil {
 		return err
 	}
@@ -308,9 +310,7 @@ func (w *WAL) openForAppend() error {
 		return err
 	}
 	w.f = f
-	if fi, err := f.Stat(); err != nil {
-		return err
-	} else if fi.Size() > valid {
+	if st.TornBytes > 0 {
 		if err := f.Truncate(valid); err != nil {
 			return err
 		}
@@ -354,19 +354,6 @@ func (w *WAL) Dir() string { return w.dir }
 // FS returns the filesystem the WAL operates on.
 func (w *WAL) FS() vfs.FS { return w.fs }
 
-// Segment returns the index of the segment currently appended to. It
-// waits out any in-flight group commit: the leader mutates the segment
-// state with mu released (only the flushing flag held), so reading
-// before the flush settles would race.
-func (w *WAL) Segment() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.flushing {
-		w.cond.Wait()
-	}
-	return w.seg
-}
-
 // Err returns the sticky error, if the WAL has failed.
 func (w *WAL) Err() error {
 	w.mu.Lock()
@@ -374,24 +361,14 @@ func (w *WAL) Err() error {
 	return w.err
 }
 
-// LogBatch implements sharded.Logger: Stage followed by Commit.
-func (w *WAL) LogBatch(b core.Batch) error { return w.AppendBatch(b) }
-
-// Append durably logs one op and returns once it (and, for free, every
-// op staged alongside it) is written — the group commit.
-func (w *WAL) Append(kind core.OpKind, u, v uint64) error {
-	b := [1]core.Op{{Kind: kind, U: u, V: v}}
-	return w.AppendBatch(b[:])
-}
-
-// AppendBatch durably logs a whole mutation batch: Stage, then Commit.
-// Alone in its group the batch becomes one record — one length prefix,
-// one CRC32C — even when it has one op; with concurrent appenders the
-// group's batches share a record. Either way a batch of at most
-// maxBatchOps ops never straddles two records, so replay applies it
-// whole or not at all; larger batches are chunked. Replay delivers the
-// ops back in order. An empty batch is a no-op.
-func (w *WAL) AppendBatch(b core.Batch) error {
+// LogBatch implements sharded.Logger: it durably logs a whole mutation
+// batch, Stage then Commit. Alone in its group the batch becomes one
+// record — one length prefix, one CRC32C — even when it has one op;
+// with concurrent appenders the group's batches share a record. Either
+// way a batch of at most maxBatchOps ops never straddles two records,
+// so replay applies it whole or not at all; larger batches are chunked.
+// Replay delivers the ops back in order. An empty batch is a no-op.
+func (w *WAL) LogBatch(b core.Batch) error {
 	if err := w.Stage(b); err != nil {
 		return err
 	}

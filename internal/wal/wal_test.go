@@ -84,7 +84,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		{Kind: core.OpInsert, U: 0, V: 0}, {Kind: core.OpInsert, U: ^uint64(0), V: 1 << 40},
 	}
 	for _, r := range want {
-		if err := w.Append(r.Kind, r.U, r.V); err != nil {
+		if err := w.LogBatch(core.Batch{{Kind: r.Kind, U: r.U, V: r.V}}); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -110,14 +110,14 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 func TestReopenContinuesLog(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{Sync: SyncNone})
-	if err := w.Append(core.OpInsert, 1, 2); err != nil {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 1, V: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	w = mustOpen(t, dir, Options{Sync: SyncNone})
-	if err := w.Append(core.OpInsert, 3, 4); err != nil {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 3, V: 4}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -139,7 +139,7 @@ func TestSegmentRotationAndReplay(t *testing.T) {
 	w := mustOpen(t, dir, Options{Sync: SyncNone, SegmentBytes: 256})
 	const n = 1000
 	for i := uint64(0); i < n; i++ {
-		if err := w.Append(core.OpInsert, i, i+1); err != nil {
+		if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: i, V: i + 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,7 +317,7 @@ func TestCorruptionMidLogIsTyped(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{Sync: SyncNone, SegmentBytes: 512})
 	for i := uint64(0); i < 500; i++ {
-		if err := w.Append(core.OpInsert, i, i); err != nil {
+		if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: i, V: i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -387,7 +387,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(core.OpInsert, 1, 2); !errors.Is(err, ErrClosed) {
+	if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: 1, V: 2}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
@@ -434,7 +434,7 @@ func BenchmarkAppend(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		r := rng(1)
 		for pb.Next() {
-			if err := w.Append(core.OpInsert, r.next()%1000, r.next()%1000); err != nil {
+			if err := w.LogBatch(core.Batch{{Kind: core.OpInsert, U: r.next() % 1000, V: r.next() % 1000}}); err != nil {
 				b.Fatal(err)
 			}
 		}
