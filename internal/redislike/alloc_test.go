@@ -162,7 +162,7 @@ func TestCommandCycleErrorReplies(t *testing.T) {
 	addCommand(s, "t.partial", func(ctx *Ctx) error {
 		ctx.w.AppendArrayHeader(3)
 		ctx.w.AppendInt(1)
-		return &BadArgError{Cmd: ctx.Name, Detail: "gave up mid-array"}
+		return badArg(ctx.Name, "gave up mid-array")
 	})
 	addCommand(s, "t.mute", func(ctx *Ctx) error { return nil })
 

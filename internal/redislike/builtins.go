@@ -54,13 +54,13 @@ func (s *Server) commandCmd(ctx *Ctx) error {
 	switch sub := strings.ToLower(string(ctx.Args[0])); sub {
 	case "count":
 		if len(ctx.Args) != 1 {
-			return &BadArgError{Cmd: ctx.Name, Detail: "COUNT takes no arguments"}
+			return badArg(ctx.Name, "COUNT takes no arguments")
 		}
 		ctx.w.AppendInt(int64(len(s.sorted)))
 		return nil
 	case "list":
 		if len(ctx.Args) != 1 {
-			return &BadArgError{Cmd: ctx.Name, Detail: "LIST takes no arguments"}
+			return badArg(ctx.Name, "LIST takes no arguments")
 		}
 		ctx.w.AppendArrayHeader(len(s.sorted))
 		for _, c := range s.sorted {
@@ -78,6 +78,6 @@ func (s *Server) commandCmd(ctx *Ctx) error {
 		}
 		return nil
 	default:
-		return &BadArgError{Cmd: ctx.Name, Detail: "unknown subcommand " + sub + " (want COUNT, LIST or INFO)"}
+		return badArg(ctx.Name, "unknown subcommand "+sub+" (want COUNT, LIST or INFO)")
 	}
 }

@@ -1,10 +1,6 @@
 package redislike
 
-import (
-	"strconv"
-
-	"cuckoograph/internal/core"
-)
+import "cuckoograph/internal/core"
 
 // Data-plane command handlers. Each works on gm.g and takes only shard
 // locks: a restore swaps the contents inside a freeze of every shard,
@@ -16,41 +12,20 @@ import (
 // read-buffer views and replies are streamed, so a warm command cycle
 // allocates nothing.
 
-// parseNode decodes one node-id argument, wrapping failures in the
-// command's typed bad-argument error.
-func parseNode(ctx *Ctx, arg []byte) (uint64, error) {
-	n, ok := parseUint64(arg)
-	if !ok {
-		return 0, &BadArgError{Cmd: ctx.Name, Detail: "bad node id " + strconv.Quote(string(arg))}
-	}
-	return n, nil
-}
-
-// parseEdgeArgs decodes the ⟨u,v⟩ pair of a two-argument edge command.
-func parseEdgeArgs(ctx *Ctx) (u, v uint64, err error) {
-	if u, err = parseNode(ctx, ctx.Args[0]); err != nil {
-		return 0, 0, err
-	}
-	if v, err = parseNode(ctx, ctx.Args[1]); err != nil {
-		return 0, 0, err
-	}
-	return u, v, nil
-}
-
 // parseBatchArgs decodes ⟨u,v⟩ pairs from a write command's arguments
 // into a mutation batch of the given kind, reusing the connection's
 // batch scratch.
 func parseBatchArgs(ctx *Ctx, kind core.OpKind) (core.Batch, error) {
 	if len(ctx.Args) == 0 || len(ctx.Args)%2 != 0 {
-		return nil, &BadArgError{Cmd: ctx.Name, Detail: "expected <u> <v> [<u> <v> ...]"}
+		return nil, badArg(ctx.Name, "expected <u> <v> [<u> <v> ...]")
 	}
 	b := ctx.batch[:0]
 	for i := 0; i < len(ctx.Args); i += 2 {
-		u, err := parseNode(ctx, ctx.Args[i])
+		u, err := argUint(ctx, i, "node id")
 		if err != nil {
 			return nil, err
 		}
-		v, err := parseNode(ctx, ctx.Args[i+1])
+		v, err := argUint(ctx, i+1, "node id")
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +59,11 @@ func (gm *GraphModule) write(kind core.OpKind) HandlerFunc {
 }
 
 func (gm *GraphModule) query(ctx *Ctx) error {
-	u, v, err := parseEdgeArgs(ctx)
+	u, err := argUint(ctx, 0, "node id")
+	if err != nil {
+		return err
+	}
+	v, err := argUint(ctx, 1, "node id")
 	if err != nil {
 		return err
 	}
@@ -97,7 +76,7 @@ func (gm *GraphModule) query(ctx *Ctx) error {
 }
 
 func (gm *GraphModule) getNeighbors(ctx *Ctx) error {
-	u, err := parseNode(ctx, ctx.Args[0])
+	u, err := argUint(ctx, 0, "node id")
 	if err != nil {
 		return err
 	}
@@ -114,7 +93,7 @@ func (gm *GraphModule) getNeighbors(ctx *Ctx) error {
 // degree replies with u's out-degree — the engine has always known it,
 // the wire protocol just never asked.
 func (gm *GraphModule) degree(ctx *Ctx) error {
-	u, err := parseNode(ctx, ctx.Args[0])
+	u, err := argUint(ctx, 0, "node id")
 	if err != nil {
 		return err
 	}

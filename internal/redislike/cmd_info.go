@@ -31,8 +31,7 @@ func (gm *GraphModule) info(ctx *Ctx) error {
 			}
 		}
 		if !ok {
-			return &BadArgError{Cmd: ctx.Name,
-				Detail: "unknown section " + strconv.Quote(want) + " (want " + strings.Join(infoSections, "|") + ")"}
+			return badArg(ctx.Name, "unknown section "+strconv.Quote(want)+" (want "+strings.Join(infoSections, "|")+")")
 		}
 	}
 	var b strings.Builder

@@ -47,9 +47,9 @@ func (gm *GraphModule) snapshots(ctx *Ctx) error {
 // release drops the retained view with the given epoch, replying 1 if
 // it existed.
 func (gm *GraphModule) release(ctx *Ctx) error {
-	epoch, ok := parseUint64(ctx.Args[0])
-	if !ok {
-		return &BadArgError{Cmd: ctx.Name, Detail: "bad epoch " + strconv.Quote(string(ctx.Args[0]))}
+	epoch, err := argUint(ctx, 0, "epoch")
+	if err != nil {
+		return err
 	}
 	gm.viewMu.Lock()
 	defer gm.viewMu.Unlock()
@@ -94,9 +94,9 @@ func (gm *GraphModule) analyticsStore(epochArg string) (graphstore.Store, func()
 // graphBFS is GRAPH.BFS <root> [epoch]: breadth-first traversal over a
 // frozen view, replying with the visited nodes in traversal order.
 func (gm *GraphModule) graphBFS(ctx *Ctx) error {
-	root, ok := parseUint64(ctx.Args[0])
-	if !ok {
-		return &BadArgError{Cmd: ctx.Name, Detail: "bad node id " + strconv.Quote(string(ctx.Args[0]))}
+	root, err := argUint(ctx, 0, "node id")
+	if err != nil {
+		return err
 	}
 	epochArg := ""
 	if len(ctx.Args) == 2 {
@@ -104,7 +104,7 @@ func (gm *GraphModule) graphBFS(ctx *Ctx) error {
 	}
 	s, cleanup, err := gm.analyticsStore(epochArg)
 	if err != nil {
-		return &BadArgError{Cmd: ctx.Name, Detail: err.Error()}
+		return badArg(ctx.Name, err.Error())
 	}
 	defer cleanup()
 	order := analytics.BFS(s, root)
@@ -126,8 +126,7 @@ const maxPageRankIters = 1000
 func (gm *GraphModule) graphPageRank(ctx *Ctx) error {
 	iters, err := strconv.Atoi(string(ctx.Args[0]))
 	if err != nil || iters < 1 || iters > maxPageRankIters {
-		return &BadArgError{Cmd: ctx.Name,
-			Detail: fmt.Sprintf("bad iteration count %q (want 1 to %d)", string(ctx.Args[0]), maxPageRankIters)}
+		return badArg(ctx.Name, fmt.Sprintf("bad iteration count %q (want 1 to %d)", string(ctx.Args[0]), maxPageRankIters))
 	}
 	epochArg := ""
 	if len(ctx.Args) == 2 {
@@ -135,7 +134,7 @@ func (gm *GraphModule) graphPageRank(ctx *Ctx) error {
 	}
 	s, cleanup, err := gm.analyticsStore(epochArg)
 	if err != nil {
-		return &BadArgError{Cmd: ctx.Name, Detail: err.Error()}
+		return badArg(ctx.Name, err.Error())
 	}
 	defer cleanup()
 	rank := analytics.PageRank(s, iters)

@@ -194,7 +194,7 @@ func (gm *GraphModule) CloseWAL() error {
 func (gm *GraphModule) checkpoint(ctx *Ctx) error {
 	path, err := gm.Checkpoint()
 	if err != nil {
-		return &WALError{Cmd: ctx.Name, Err: err}
+		return walError(ctx.Name, err)
 	}
 	ctx.w.AppendBulkString(path)
 	return nil
@@ -209,7 +209,7 @@ func (gm *GraphModule) walResume(ctx *Ctx) error {
 	case errors.Is(err, errNotDegraded):
 		return fmt.Errorf("%s: %w", ctx.Name, err)
 	case err != nil:
-		return &WALError{Cmd: ctx.Name, Err: err}
+		return walError(ctx.Name, err)
 	}
 	ctx.w.AppendSimple("OK")
 	return nil

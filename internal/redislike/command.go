@@ -68,10 +68,10 @@ func (a Arity) Redis() int64 {
 // reply to the connection's writer, ctx.w. It must either write exactly
 // one reply — an array header plus its elements counts as one; a staged
 // write answers through ReplyStaged — or return an error. A non-nil
-// error discards anything the handler already wrote and sends one typed
-// error reply instead, and a handler that writes nothing answers an
-// error too, so the wire always sees a single well-formed reply in
-// pipeline order.
+// error discards anything the handler already wrote and sends one
+// error reply of its class instead, and a handler that writes nothing
+// answers an error too, so the wire always sees a single well-formed
+// reply in pipeline order.
 type HandlerFunc func(*Ctx) error
 
 // Command is one row of the server's command table: everything the

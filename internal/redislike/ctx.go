@@ -2,6 +2,7 @@ package redislike
 
 import (
 	"math"
+	"strconv"
 	"time"
 	"unsafe"
 
@@ -99,6 +100,16 @@ func (c *Ctx) Hijack() *resp.Conn {
 func (c *Ctx) ReplyStaged(n int64) {
 	c.staged = true
 	c.w.AppendInt(n)
+}
+
+// argUint decodes argument i as a decimal uint64, answering a bad one
+// with `<cmd>: bad <what> "<arg>"`.
+func argUint(ctx *Ctx, i int, what string) (uint64, error) {
+	n, ok := parseUint64(ctx.Args[i])
+	if !ok {
+		return 0, badArg(ctx.Name, "bad "+what+" "+strconv.Quote(string(ctx.Args[i])))
+	}
+	return n, nil
 }
 
 // parseUint64 decodes a decimal uint64 from bytes without the string

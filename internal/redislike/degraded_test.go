@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -45,6 +46,15 @@ func expectClass(t *testing.T, p *pipeClient, class, what string) {
 	t.Helper()
 	if v := p.read(); v.Type != '-' || !strings.HasPrefix(v.Str, class+" ") {
 		t.Fatalf("%s: want -%s, got %+v", what, class, v)
+	}
+}
+
+// expectError reads one reply and requires exactly the error text want,
+// class word included.
+func expectError(t *testing.T, p *pipeClient, want, what string) {
+	t.Helper()
+	if v := p.read(); v.Type != '-' || v.Str != want {
+		t.Fatalf("%s: want -%s, got %+v", what, want, v)
 	}
 }
 
@@ -185,7 +195,8 @@ func TestDegradedModeENOSPCPipelined(t *testing.T) {
 // -WALERR, the next one -MISCONF.
 func TestDegradedModeDepthOne(t *testing.T) {
 	ffs := vfs.NewFaultFS(nil)
-	srv, _, addr := startWALServer(t, Config{}, t.TempDir(), wal.Options{Sync: wal.SyncNone, FS: ffs})
+	dir := t.TempDir()
+	srv, _, addr := startWALServer(t, Config{}, dir, wal.Options{Sync: wal.SyncNone, FS: ffs})
 	p := dialPipe(t, addr)
 	roundTrip := func(args ...string) {
 		p.push(args...)
@@ -194,10 +205,14 @@ func TestDegradedModeDepthOne(t *testing.T) {
 	roundTrip("g.insert", "1", "2")
 	expectInt(t, p, 1, "healthy insert")
 	ffs.SetFault(vfs.Fault{Kinds: vfs.OpWrite.Mask(), Err: syscall.EIO})
+	// The full text of both replies, the log's failure and the degraded
+	// reason that quotes it included.
+	cause := "wal: append segment 1: write " + filepath.Join(dir, "wal-0000000000000001.seg") + ": input/output error"
 	roundTrip("g.insert", "3", "4")
-	expectClass(t, p, ClassWALErr, "write on a failing disk")
+	expectError(t, p, "WALERR g.insert: wal: "+cause, "write on a failing disk")
 	roundTrip("g.del", "1", "2")
-	expectClass(t, p, ClassMisconf, "write after the failure")
+	expectError(t, p, "MISCONF cannot execute 'g.del': write commands are rejected: degraded mode after a wal failure (wal: "+cause+"); fix the storage and run wal_resume",
+		"write after the failure")
 	roundTrip("g.query", "3", "4")
 	expectInt(t, p, 1, "read while degraded")
 	if !srv.Degraded() {

@@ -1,18 +1,16 @@
 package redislike
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
-// The error taxonomy. Handlers return typed errors instead of
-// hand-formatting "-ERR ..." strings; the dispatch layer maps each type
-// onto a RESP error class (the leading word of the error reply, which
-// Redis clients switch on) exactly once. The taxonomy is what keeps a
-// pipelined connection in sync: every failure mode — bad arity, unknown
-// command, malformed argument, durability failure, read-only or
-// degraded serving, admission control — produces a well-formed error reply in
-// command order, never a closed socket mid-pipeline.
+// The error taxonomy. A handler, the dispatch layer and admission
+// control report a failure as an *Error whose RESP error class (the
+// leading word of the error reply, which Redis clients switch on) is
+// chosen where the error is made; errorReply renders every error reply
+// from it. The taxonomy is what keeps a pipelined connection in sync:
+// every failure mode — bad arity, unknown command, malformed argument,
+// durability failure, read-only or degraded serving, admission control
+// — produces a well-formed error reply in command order, never a closed
+// socket mid-pipeline.
 
 // RESP error classes. Clients see them as the first word of an error
 // reply ("-READONLY ...", "-MAXCLIENTS ...").
@@ -25,119 +23,62 @@ const (
 	ClassMisconf    = "MISCONF"    // write rejected in degraded (WAL-failed) mode
 )
 
-// ArityError reports a call violating the command's registered arity.
-type ArityError struct {
-	Cmd string
+// Error is a command-layer failure: Class is its RESP error class, Msg
+// the text after the class word, and Err the cause it wraps, if any.
+type Error struct {
+	Class string
+	Msg   string
+	Err   error
 }
 
-func (e *ArityError) Error() string {
-	return fmt.Sprintf("wrong number of arguments for '%s' command", e.Cmd)
+func (e *Error) Error() string { return e.Msg }
+func (e *Error) Unwrap() error { return e.Err }
+
+// errorReply renders err as the text of its error reply: the class, a
+// space, the message. An error that carries no class is answered as
+// ERR.
+func errorReply(err error) string {
+	var e *Error
+	if errors.As(err, &e) {
+		return e.Class + " " + err.Error()
+	}
+	return ClassErr + " " + err.Error()
 }
 
-// UnknownCommandError reports a name with no command table row.
-type UnknownCommandError struct {
-	Cmd string
+// badArg reports an argument that parsed at the protocol level but is
+// malformed for the command — a non-numeric node id, an odd-length
+// batch, an unknown section.
+func badArg(cmd, detail string) error {
+	return &Error{Class: ClassErr, Msg: cmd + ": " + detail}
 }
 
-func (e *UnknownCommandError) Error() string {
-	return fmt.Sprintf("unknown command '%s'", e.Cmd)
-}
-
-// BadArgError reports an argument that parsed at the protocol level but
-// is malformed for the command — a non-numeric node id, an odd-length
-// batch, an unparseable epoch.
-type BadArgError struct {
-	Cmd    string
-	Detail string
-}
-
-func (e *BadArgError) Error() string { return e.Cmd + ": " + e.Detail }
-
-// WALError reports that a mutation was applied in memory but its log
+// walError reports that a mutation was applied in memory but its log
 // append failed: the write is NOT durable and the client must not
-// assume it survives a crash. It maps to its own RESP class so clients
-// can distinguish "rejected" from "applied but at risk".
-type WALError struct {
-	Cmd string
-	Err error
+// assume it survives a crash. Its own class lets clients tell
+// "rejected" from "applied but at risk".
+func walError(cmd string, err error) error {
+	return &Error{Class: ClassWALErr, Msg: cmd + ": wal: " + err.Error(), Err: err}
 }
 
-func (e *WALError) Error() string { return e.Cmd + ": wal: " + e.Err.Error() }
-func (e *WALError) Unwrap() error { return e.Err }
-
-// MaxClientsError rejects a connection over the configured limit. It is
-// written to the excess connection before it is closed — admission
-// control answers, it does not hang.
-type MaxClientsError struct {
-	Limit int
-}
-
-func (e *MaxClientsError) Error() string {
-	return fmt.Sprintf("connection limit of %d reached", e.Limit)
-}
-
-// ShutdownError rejects new connections and new commands once the
-// server has begun draining.
-type ShutdownError struct{}
-
-func (e *ShutdownError) Error() string { return "server is shutting down" }
-
-// ReadOnlyError rejects a write-flagged command on a replica. Replicas
-// apply leader mutations through the replication stream, never through
-// client dispatch, so every client write is rejected — matching the
-// Redis "-READONLY You can't write against a read only replica" shape
-// clients already know how to handle.
-type ReadOnlyError struct {
-	Cmd string
-}
-
-func (e *ReadOnlyError) Error() string {
-	return fmt.Sprintf("cannot execute '%s' against a read-only replica; send writes to the leader", e.Cmd)
-}
-
-// DegradedError rejects a write-flagged command while the server is in
-// degraded read-only mode: the WAL failed under an earlier write (disk
-// full, I/O error), so new mutations can no longer be made durable.
-// Unlike -READONLY this is an operational condition, not a role — reads
-// keep serving, and the operator exits it with wal_resume once the
-// storage problem is fixed. The MISCONF class matches the Redis
-// convention for "persistence is broken, writes refused".
-type DegradedError struct {
-	Cmd    string
-	Reason string
-}
-
-func (e *DegradedError) Error() string {
+// degradedError rejects a write while the server is in degraded
+// read-only mode: the WAL failed under an earlier write (disk full, I/O
+// error), so new mutations can no longer be made durable. Unlike
+// -READONLY this is an operational condition, not a role — reads keep
+// serving, and the operator exits it with wal_resume once the storage
+// problem is fixed. The MISCONF class matches the Redis convention for
+// "persistence is broken, writes refused". cmd is empty when no command
+// is being refused (Server.Ready).
+func degradedError(cmd, reason string) error {
 	msg := "write commands are rejected: degraded mode after a wal failure"
-	if e.Cmd != "" {
-		msg = fmt.Sprintf("cannot execute '%s': %s", e.Cmd, msg)
+	if cmd != "" {
+		msg = "cannot execute '" + cmd + "': " + msg
 	}
-	if e.Reason != "" {
-		msg += " (" + e.Reason + ")"
+	if reason != "" {
+		msg += " (" + reason + ")"
 	}
-	return msg + "; fix the storage and run wal_resume"
+	return &Error{Class: ClassMisconf, Msg: msg + "; fix the storage and run wal_resume"}
 }
 
-// errorClass maps a handler error onto its RESP class.
-func errorClass(err error) string {
-	var (
-		walErr   *WALError
-		maxc     *MaxClientsError
-		down     *ShutdownError
-		readonly *ReadOnlyError
-		degraded *DegradedError
-	)
-	switch {
-	case errors.As(err, &walErr):
-		return ClassWALErr
-	case errors.As(err, &maxc):
-		return ClassMaxClients
-	case errors.As(err, &down):
-		return ClassShutdown
-	case errors.As(err, &readonly):
-		return ClassReadOnly
-	case errors.As(err, &degraded):
-		return ClassMisconf
-	}
-	return ClassErr
-}
+// errShutdown rejects new connections and new commands once the server
+// has begun draining.
+var errShutdown = &Error{Class: ClassShutdown, Msg: "server is shutting down"}

@@ -95,6 +95,12 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatal("shutdown hung on an idle connection")
 	}
 
+	// A drained server is not ready, and says why. (No test reaches the
+	// -SHUTDOWN reply itself: it needs a connection admitted just as the
+	// drain starts.)
+	if err := s.Ready(); err == nil || err.Error() != "server is shutting down" {
+		t.Fatalf("Ready() after shutdown = %v, want \"server is shutting down\"", err)
+	}
 	// The drained connection is closed.
 	p.c.SetReadDeadline(time.Now().Add(time.Second))
 	if _, err := resp.Read(p.r); err == nil {

@@ -83,7 +83,7 @@ type replLink struct {
 // stream, where the stream's ack goroutine consumes it; reaching
 // dispatch means it was sent on a plain connection.
 func (gm *GraphModule) replack(ctx *Ctx) error {
-	return &BadArgError{Cmd: ctx.Name, Detail: "only valid on a replication stream (see g.replicate)"}
+	return badArg(ctx.Name, "only valid on a replication stream (see g.replicate)")
 }
 
 // replicate validates the requested position and hands the connection
@@ -91,17 +91,17 @@ func (gm *GraphModule) replack(ctx *Ctx) error {
 // command errors; after it the connection belongs to the stream and
 // terminates with it.
 func (gm *GraphModule) replicate(ctx *Ctx) error {
-	seg, ok := parseUint64(ctx.Args[0])
-	if !ok {
-		return &BadArgError{Cmd: ctx.Name, Detail: "bad segment " + strconv.Quote(string(ctx.Args[0]))}
+	seg, err := argUint(ctx, 0, "segment")
+	if err != nil {
+		return err
 	}
-	off, ok := parseUint64(ctx.Args[1])
-	if !ok {
-		return &BadArgError{Cmd: ctx.Name, Detail: "bad offset " + strconv.Quote(string(ctx.Args[1]))}
+	off, err := argUint(ctx, 1, "offset")
+	if err != nil {
+		return err
 	}
 	w := gm.walPtr.Load()
 	if w == nil {
-		return &WALError{Cmd: ctx.Name, Err: errors.New("replication requires an enabled wal (start the leader with -wal-dir)")}
+		return walError(ctx.Name, errors.New("replication requires an enabled wal (start the leader with -wal-dir)"))
 	}
 	rc := ctx.Hijack()
 	if rc.Buffered() > 0 {

@@ -15,9 +15,9 @@
 // commands are rejected on a replica (a server is one exactly when its
 // module follows a leader) and in degraded mode, and the COMMAND/G.INFO
 // introspection output is generated from the same rows.
-// Handlers return typed errors (see errors.go) that dispatch maps onto
-// RESP error classes, so a failure is always a well-formed reply in
-// pipeline order.
+// Handlers return errors that carry their RESP error class (see
+// errors.go), so a failure is always a well-formed reply in pipeline
+// order.
 //
 // The serving plane is allocation-free for warm hot commands: requests
 // are parsed into byte-slice views of the connection's read buffer,
@@ -183,10 +183,10 @@ func (s *Server) Degraded() bool { return s.degraded.Load() != nil }
 // so is a replica that has not finished bootstrapping from its leader.
 func (s *Server) Ready() error {
 	if s.draining() {
-		return &ShutdownError{}
+		return errShutdown
 	}
 	if r := s.degraded.Load(); r != nil {
-		return &DegradedError{Reason: *r}
+		return degradedError("", *r)
 	}
 	if s.gm != nil {
 		if r := s.gm.replica.Load(); r != nil && !r.Bootstrapped() {
@@ -305,16 +305,16 @@ func (s *Server) Close() error {
 }
 
 // admit decides whether a new connection may be served, tracking it if
-// so. The returned error (taxonomy-typed) is written to rejected
+// so. The returned error (it carries its class) is written to rejected
 // connections before closing — admission control answers, never hangs.
 func (s *Server) admit(c *resp.Conn) error {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
 	if s.draining() {
-		return &ShutdownError{}
+		return errShutdown
 	}
 	if s.cfg.MaxConns > 0 && len(s.conns) >= s.cfg.MaxConns {
-		return &MaxClientsError{Limit: s.cfg.MaxConns}
+		return &Error{Class: ClassMaxClients, Msg: fmt.Sprintf("connection limit of %d reached", s.cfg.MaxConns)}
 	}
 	s.conns[c] = struct{}{}
 	s.connWG.Add(1)
@@ -375,11 +375,11 @@ func (s *Server) serve(nc net.Conn) {
 	c.ReadTimeout = s.cfg.ReadTimeout
 	c.WriteTimeout = s.cfg.WriteTimeout
 	if err := s.admit(c); err != nil {
-		// Reject with a typed error reply, then close: the client learns
+		// Reject with an error reply, then close: the client learns
 		// why instead of watching a hang or a bare RST.
 		s.metrics.connsRejected.Add(1)
 		s.log.Debug("connection rejected", "remote", c.RemoteAddr(), "reason", err.Error())
-		c.W.AppendError(errorClass(err) + " " + err.Error())
+		c.W.AppendError(errorReply(err))
 		c.Flush()
 		c.Close()
 		return
@@ -400,9 +400,8 @@ func (s *Server) serve(nc net.Conn) {
 		if err != nil {
 			if errors.Is(err, resp.ErrProtocol) {
 				// The stream is desynced beyond this point; answer with a
-				// typed error so the client knows why, then drop it.
-				perr := &BadArgError{Cmd: "protocol", Detail: err.Error()}
-				c.W.AppendError(errorClass(perr) + " " + perr.Error())
+				// error so the client knows why, then drop it.
+				c.W.AppendError(errorReply(badArg("protocol", err.Error())))
 				s.flush(ctx)
 				s.log.Debug("protocol error", "remote", remote, "err", err)
 			} else if !errors.Is(err, io.EOF) && !errors.Is(err, resp.ErrAborted) {
@@ -471,8 +470,7 @@ func (s *Server) commit(ctx *Ctx) {
 			// stay valid.
 			for i := len(ctx.uncommitted) - 1; i >= 0; i-- {
 				r := ctx.uncommitted[i]
-				e := &WALError{Cmd: r.cmd.Name, Err: err}
-				ctx.w.SpliceError(r.from, r.to, errorClass(e)+" "+e.Error())
+				ctx.w.SpliceError(r.from, r.to, errorReply(walError(r.cmd.Name, err)))
 				r.cmd.metrics.errs.Add(1)
 			}
 		}
@@ -481,19 +479,19 @@ func (s *Server) commit(ctx *Ctx) {
 }
 
 // serveRequest is the one command path: resolve in the table, enforce
-// arity, apply flag policy, run the handler, map typed errors to RESP
-// classes, meter everything. Exactly one well-formed reply lands in the
-// ctx's writer — a handler error rewinds any partial output first, so
-// pipelined replies never desync. The clock is read once per command:
-// ctx.stamp, when set, is the end of the previous command and this
-// one's start, and is left as this one's end. Scratch the command grew
-// past its bound is dropped after it (see Ctx.trimScratch).
+// arity, apply flag policy, run the handler, render an error as its
+// class and message, meter everything. Exactly one well-formed reply
+// lands in the ctx's writer — a handler error rewinds any partial
+// output first, so pipelined replies never desync. The clock is read
+// once per command: ctx.stamp, when set, is the end of the previous
+// command and this one's start, and is left as this one's end. Scratch
+// the command grew past its bound is dropped after it (see
+// Ctx.trimScratch).
 func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 	defer ctx.trimScratch()
 	w := ctx.w
 	if len(args) == 0 {
-		e := &BadArgError{Cmd: "protocol", Detail: "expected command array"}
-		w.AppendError(errorClass(e) + " " + e.Error())
+		w.AppendError(errorReply(badArg("protocol", "expected command array")))
 		return
 	}
 	ctx.nameBuf = appendLower(ctx.nameBuf[:0], args[0])
@@ -503,15 +501,14 @@ func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 	}
 	cmd, ok := s.cmds[string(ctx.nameBuf)]
 	if !ok {
-		e := &UnknownCommandError{Cmd: string(ctx.nameBuf)}
-		w.AppendError(errorClass(e) + " " + e.Error())
+		w.AppendError(errorReply(&Error{Class: ClassErr, Msg: "unknown command '" + string(ctx.nameBuf) + "'"}))
 		ctx.stamp = time.Now()
 		s.metrics.unknown.observe(ctx.stamp.Sub(start), true)
 		return
 	}
 	var err error
 	if !cmd.Arity.Check(len(args) - 1) {
-		err = &ArityError{Cmd: cmd.Name}
+		err = &Error{Class: ClassErr, Msg: "wrong number of arguments for '" + cmd.Name + "' command"}
 	} else if cmd.Flags&FlagWrite != 0 {
 		err = s.refuseWrite(cmd.Name)
 	}
@@ -529,7 +526,7 @@ func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 		}
 	}
 	if err != nil {
-		w.AppendError(errorClass(err) + " " + err.Error())
+		w.AppendError(errorReply(err))
 	}
 	ctx.stamp = time.Now()
 	cmd.metrics.observe(ctx.stamp.Sub(start), err != nil)
@@ -541,10 +538,10 @@ func (s *Server) serveRequest(ctx *Ctx, args [][]byte) {
 // registers write commands, so s.gm is set here.
 func (s *Server) refuseWrite(name string) error {
 	if s.gm.replica.Load() != nil {
-		return &ReadOnlyError{Cmd: name}
+		return &Error{Class: ClassReadOnly, Msg: "cannot execute '" + name + "' against a read-only replica; send writes to the leader"}
 	}
 	if r := s.degraded.Load(); r != nil {
-		return &DegradedError{Cmd: name, Reason: *r}
+		return degradedError(name, *r)
 	}
 	return nil
 }

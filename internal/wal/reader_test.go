@@ -431,12 +431,17 @@ func TestReaderChunkOversizedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	// Wide ids (about 19 encoded bytes an op) make the one frame of
+	// maxBatchOps ops wider than a chunk; small ids would not.
 	big := make(core.Batch, maxBatchOps)
 	for i := range big {
-		big[i] = core.Op{Kind: core.OpInsert, U: uint64(i), V: uint64(i) * 3}
+		big[i] = core.Op{Kind: core.OpInsert, U: 1<<62 | uint64(i), V: 1<<63 | uint64(i)*3}
 	}
 	if err := w.LogBatch(big); err != nil {
 		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Bytes <= readerChunkBytes {
+		t.Fatalf("logged frame is %d bytes, want more than a %d-byte chunk", st.Bytes, readerChunkBytes)
 	}
 	r, err := w.OpenReader(Position{Seg: 1, Off: SegmentDataStart})
 	if err != nil {
