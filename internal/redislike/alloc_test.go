@@ -279,3 +279,72 @@ func TestConnScratchShrinks(t *testing.T) {
 		t.Fatalf("small scratch not kept: name %d, batch %d, ids %d", cap(ctx.nameBuf), cap(ctx.batch), cap(ctx.ids))
 	}
 }
+
+// TestFramesPushAllocs pins the follower's apply path: a warm frames
+// push — its chunk decoded where it lies in the read buffer, its ops
+// applied to one shard, its ack written — allocates nothing. This
+// holds while a push fits the 64 KiB the read buffer keeps between
+// commands; a larger one grows the buffer, as a client command that
+// size does.
+func TestFramesPushAllocs(t *testing.T) {
+	w, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	const fan = 2048
+	start := w.TailPosition()
+	b := make(core.Batch, 0, fan)
+	for v := uint64(0); v < fan; v++ {
+		b = b.Insert(7, v)
+	}
+	if err := w.LogBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := w.OpenReader(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	chunk, pos, err := rd.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chunk) > 60<<10 {
+		t.Fatalf("chunk of %d bytes: a push must fit 64 KiB", len(chunk))
+	}
+
+	// One push to warm, AllocsPerRun's warm-up run, and the measured ones:
+	// the same chunk at consecutive positions.
+	const runs = 100
+	var stream resp.Writer
+	for i := 0; i < runs+2; i++ {
+		stream.AppendArrayHeader(4)
+		stream.AppendBulkString(replKindFrames)
+		stream.AppendBulkUint(pos.Seg)
+		stream.AppendBulkUint(uint64(pos.Off) + uint64(i*len(chunk)))
+		stream.AppendBulk(chunk)
+	}
+	gm, _ := NewGraphModule()
+	r := &Replica{gm: gm, log: gm.log}
+	r.posSeg.Store(pos.Seg)
+	r.posOff.Store(uint64(pos.Off))
+	rc := resp.NewConn(byteConn{src: bytes.NewReader(stream.Bytes())})
+	var batch core.Batch
+	push := func() {
+		var err error
+		if batch, _, err = r.applyPush(rc, batch[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.sendPos(rc, "g.replack"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	push()
+	if allocs := testing.AllocsPerRun(runs, push); allocs != 0 {
+		t.Fatalf("a warm frames push of %d bytes allocates %.1f/run, want 0", len(chunk), allocs)
+	}
+	if got, edges := r.frames.Load(), gm.Graph().NumEdges(); got != runs+2 || edges != fan {
+		t.Fatalf("%d pushes applied, %d edges; want %d and %d", got, edges, runs+2, fan)
+	}
+}

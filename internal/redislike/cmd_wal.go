@@ -27,7 +27,7 @@ var errReplicaLog = errors.New("a replica keeps no log of its own (it follows th
 // so the degrade edge (log line included) fires exactly once.
 func (gm *GraphModule) commit() error {
 	err := gm.g.Commit()
-	if s := gm.srv; err != nil && !s.Degraded() && s.setDegraded("wal: "+err.Error()) {
+	if s := gm.srv; err != nil && !s.Degraded() && s.setDegraded(err.Error()) {
 		gm.log.Error("wal failure; degrading to read-only serving (run wal_resume after fixing storage)",
 			"err", err)
 	}
@@ -119,7 +119,11 @@ func (gm *GraphModule) detachWAL() error {
 // detaches the log before it reopens it, and a write served in that
 // window would be acknowledged with no log to back it. A degraded
 // server refuses writes (-MISCONF), so there the window is safe.
-var errNotDegraded = errors.New("the server is not degraded; wal_resume only reopens a log after a storage failure")
+var errNotDegraded = &Error{Class: ClassErr, Msg: "the server is not degraded; wal_resume only reopens a log after a storage failure"}
+
+// errNoWAL refuses a log command on a server started without a log:
+// nothing was applied and no log failed.
+var errNoWAL = &Error{Class: ClassErr, Msg: "wal not enabled"}
 
 // ResumeWAL recovers from a WAL storage failure: it detaches and closes
 // the poisoned log, reopens the directory (truncating any torn tail),
@@ -135,7 +139,7 @@ func (gm *GraphModule) ResumeWAL() error {
 	dir := gm.walDir
 	switch {
 	case dir == "":
-		return fmt.Errorf("wal not enabled")
+		return errNoWAL
 	case gm.srv == nil || !gm.srv.Degraded():
 		return errNotDegraded
 	}
@@ -162,7 +166,7 @@ func (gm *GraphModule) Checkpoint() (string, error) {
 	defer gm.walMu.Unlock()
 	w := gm.walPtr.Load()
 	if w == nil {
-		return "", fmt.Errorf("wal not enabled")
+		return "", errNoWAL
 	}
 	path, err := wal.Checkpoint(gm.g, w)
 	if err != nil {
@@ -200,15 +204,11 @@ func (gm *GraphModule) checkpoint(ctx *Ctx) error {
 	return nil
 }
 
-// walResume answers a refusal on a healthy server as a plain ERR — the
-// log is fine, the request is not — and any failure to reopen the log
-// as -WALERR.
+// walResume answers a refusal — no log, or a healthy server — as a
+// plain ERR: the log is fine, the request is not. A failure to reopen
+// the log is -WALERR.
 func (gm *GraphModule) walResume(ctx *Ctx) error {
-	err := gm.ResumeWAL()
-	switch {
-	case errors.Is(err, errNotDegraded):
-		return fmt.Errorf("%s: %w", ctx.Name, err)
-	case err != nil:
+	if err := gm.ResumeWAL(); err != nil {
 		return walError(ctx.Name, err)
 	}
 	ctx.w.AppendSimple("OK")

@@ -209,9 +209,9 @@ func TestDegradedModeDepthOne(t *testing.T) {
 	// reason that quotes it included.
 	cause := "wal: append segment 1: write " + filepath.Join(dir, "wal-0000000000000001.seg") + ": input/output error"
 	roundTrip("g.insert", "3", "4")
-	expectError(t, p, "WALERR g.insert: wal: "+cause, "write on a failing disk")
+	expectError(t, p, "WALERR g.insert: "+cause, "write on a failing disk")
 	roundTrip("g.del", "1", "2")
-	expectError(t, p, "MISCONF cannot execute 'g.del': write commands are rejected: degraded mode after a wal failure (wal: "+cause+"); fix the storage and run wal_resume",
+	expectError(t, p, "MISCONF cannot execute 'g.del': write commands are rejected: degraded mode after a wal failure ("+cause+"); fix the storage and run wal_resume",
 		"write after the failure")
 	roundTrip("g.query", "3", "4")
 	expectInt(t, p, 1, "read while degraded")
@@ -342,6 +342,21 @@ func TestReplicaHandlesErrFrame(t *testing.T) {
 	_, serr := r.stream(ctx)
 	if serr == nil || !strings.Contains(serr.Error(), "leader ended stream: log read failed") {
 		t.Fatalf("want typed leader-ended error, got %v", serr)
+	}
+}
+
+// TestFollowerOfWALLessLeader: a leader with no log refuses g.replicate
+// with an error reply, which is no push; the follower reports its text.
+func TestFollowerOfWALLessLeader(t *testing.T) {
+	_, _, leader := startGraphServer(t, Config{})
+	_, gm, _ := startGraphServer(t, Config{})
+	r := &Replica{gm: gm, leader: leader, log: gm.log}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := r.stream(ctx)
+	want := "leader rejected stream: ERR g.replicate: replication requires an enabled wal (start the leader with -wal-dir)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("stream from a leader with no log = %v, want %q", err, want)
 	}
 }
 

@@ -55,9 +55,14 @@ func badArg(cmd, detail string) error {
 // walError reports that a mutation was applied in memory but its log
 // append failed: the write is NOT durable and the client must not
 // assume it survives a crash. Its own class lets clients tell
-// "rejected" from "applied but at risk".
+// "rejected" from "applied but at risk". A refusal of a log command,
+// an error that carries its own class, keeps it.
 func walError(cmd string, err error) error {
-	return &Error{Class: ClassWALErr, Msg: cmd + ": wal: " + err.Error(), Err: err}
+	class, e := ClassWALErr, (*Error)(nil)
+	if errors.As(err, &e) {
+		class = e.Class
+	}
+	return &Error{Class: class, Msg: cmd + ": " + err.Error(), Err: err}
 }
 
 // degradedError rejects a write while the server is in degraded

@@ -22,18 +22,17 @@ package redislike
 //
 // The follower acknowledges applied positions by writing
 // `g.replack <segment> <offset>` command arrays back on the same
-// connection; a dedicated goroutine reads them (on its own buffered
-// reader — the serving-plane Conn must not be shared across
-// goroutines) and advances the link's retention Pin, which is what
-// stops checkpoints from deleting any segment at or above a connected
-// follower's acked offset.
+// connection. A dedicated goroutine reads them with the hijacked
+// Conn's ReadRequest — the serve loop reads that Conn no more, and the
+// stream goroutine only writes it — and advances the link's retention
+// Pin, which is what stops checkpoints from deleting any segment at or
+// above a connected follower's acked offset.
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"net"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -53,6 +52,9 @@ const (
 	// network drop.
 	replKindErr = "err"
 )
+
+// crlf ends a frames push after its chunk, and a leader's error reply.
+var crlf = []byte("\r\n")
 
 const (
 	// replPollInterval is how long a caught-up stream sleeps before
@@ -101,17 +103,9 @@ func (gm *GraphModule) replicate(ctx *Ctx) error {
 	}
 	w := gm.walPtr.Load()
 	if w == nil {
-		return walError(ctx.Name, errors.New("replication requires an enabled wal (start the leader with -wal-dir)"))
+		return badArg(ctx.Name, "replication requires an enabled wal (start the leader with -wal-dir)")
 	}
 	rc := ctx.Hijack()
-	if rc.Buffered() > 0 {
-		// A replication stream owns the whole connection; pipelined
-		// bytes behind the command would be silently eaten. Hijacked is
-		// already set, so the serve loop drops the connection — exactly
-		// right for a protocol violation mid-stream setup.
-		gm.log.Warn("replication rejected: pipelined bytes after g.replicate", "remote", rc.RemoteAddr())
-		return nil
-	}
 	// Replies to commands pipelined ahead of this one leave here, so
 	// they are committed here.
 	if err := gm.srv.flush(ctx); err != nil {
@@ -142,21 +136,19 @@ func (gm *GraphModule) streamTo(srv *Server, rc *resp.Conn, w *wal.WAL, pos wal.
 	defer gm.log.Info("replica disconnected", "remote", link.addr)
 
 	// Ack reader: g.replack frames arrive on the same connection, read
-	// here on a private bufio.Reader (never rc — its serving-plane
-	// state is not goroutine-safe). Any read error or protocol
+	// here through rc's request parser; Abort and ReadTimeout bound it
+	// as they bound a client's command. Any read error or protocol
 	// violation ends the stream.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		nc.SetReadDeadline(time.Time{}) // clear any armed command deadline
-		br := bufio.NewReader(nc)
 		for {
-			v, err := resp.Read(br)
+			req, err := rc.ReadRequest()
 			if err != nil {
 				return
 			}
-			aseg, aoff, ok := parseReplack(v)
-			if !ok {
+			aseg, aoff, ok := replPos(req.Args, 3)
+			if !ok || !bytes.EqualFold(req.Args[0], []byte("g.replack")) {
 				gm.log.Warn("replication stream: unexpected frame from follower", "remote", link.addr)
 				return
 			}
@@ -173,7 +165,7 @@ func (gm *GraphModule) streamTo(srv *Server, rc *resp.Conn, w *wal.WAL, pos wal.
 	// header of its chunk bulk — then the chunk from the wal.Reader's
 	// buffer and the bulk's closing CRLF, as one vectored write whatever
 	// the chunk's length.
-	rw, crlf := &rc.W, []byte("\r\n")
+	rw := &rc.W
 	var vecs net.Buffers
 	sendFrames := func(chunk []byte) error {
 		if rc.WriteTimeout > 0 {
@@ -298,20 +290,15 @@ func (gm *GraphModule) streamTo(srv *Server, rc *resp.Conn, w *wal.WAL, pos wal.
 	}
 }
 
-// parseReplack decodes a follower's ack command array.
-func parseReplack(v resp.Value) (seg, off uint64, ok bool) {
-	if v.Type != '*' || len(v.Array) != 3 || !strings.EqualFold(v.Array[0].Str, "g.replack") {
+// replPos decodes args[1] and args[2], the two numbers of an n-element
+// push or ack: a log position, or a snapshot's cut and length.
+func replPos(args [][]byte, n int) (a, b uint64, ok bool) {
+	if len(args) != n {
 		return 0, 0, false
 	}
-	seg, err := strconv.ParseUint(v.Array[1].Str, 10, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	off, err = strconv.ParseUint(v.Array[2].Str, 10, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	return seg, off, true
+	a, ok = parseUint64(args[1])
+	b, ok2 := parseUint64(args[2])
+	return a, b, ok && ok2
 }
 
 func (gm *GraphModule) addLink(l *replLink) {

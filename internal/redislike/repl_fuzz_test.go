@@ -1,16 +1,30 @@
 package redislike
 
 import (
-	"bufio"
 	"bytes"
+	"net"
 	"runtime"
 	"testing"
+	"time"
 
 	"cuckoograph/internal/core"
 	"cuckoograph/internal/resp"
 	"cuckoograph/internal/sharded"
 	"cuckoograph/internal/wal"
 )
+
+// byteConn is a net.Conn whose peer sent src and closed: what a
+// follower's Conn reads from a leader, pinned to given bytes. Writes
+// are discarded and deadlines ignored.
+type byteConn struct {
+	net.Conn
+	src *bytes.Reader
+}
+
+func (c byteConn) Read(p []byte) (int, error)       { return c.src.Read(p) }
+func (c byteConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (c byteConn) SetReadDeadline(time.Time) error  { return nil }
+func (c byteConn) SetWriteDeadline(time.Time) error { return nil }
 
 // pushSeeds returns one valid push of each kind, as the leader writes
 // them: a snap frame with its raw payload, a frames push carrying a real
@@ -73,6 +87,13 @@ func FuzzReplicaPush(f *testing.F) {
 	}
 	f.Add([]byte("*3\r\n$4\r\nsnap\r\n$1\r\n7\r\n$19\r\n1099511627776000014\r\n")) // a length that is only claimed
 	f.Add([]byte("*4\r\n$6\r\nframes\r\n$1\r\n1\r\n$2\r\n16\r\n$67108864\r\nxx"))
+	// Pushes whose element count is not their kind's (no element past the
+	// last one sent may be read), an empty one, and an error reply.
+	f.Add([]byte("*1\r\n$6\r\nframes\r\n"))
+	f.Add([]byte("*2\r\n$4\r\nsnap\r\n$1\r\n7\r\n"))
+	f.Add([]byte("*4\r\n$4\r\nping\r\n$1\r\n3\r\n$4\r\n4096\r\n$0\r\n\r\n"))
+	f.Add([]byte("*0\r\n"))
+	f.Add([]byte("-ERR g.replicate: replication requires an enabled wal\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		gm, _ := NewGraphModule()
 		r := &Replica{gm: gm, log: gm.log}
@@ -81,10 +102,11 @@ func FuzzReplicaPush(f *testing.F) {
 		g := gm.Graph()
 		m0 := g.Mutations()
 
+		src := bytes.NewReader(data)
+		rc := resp.NewConn(byteConn{src: src})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		br := bufio.NewReader(bytes.NewReader(data))
-		_, applied, err := r.applyPush(br, nil)
+		_, applied, err := r.applyPush(rc, nil)
 		runtime.ReadMemStats(&after)
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(data)); got > limit {
 			t.Fatalf("handling %d bytes allocated %d, want <= %d", len(data), got, limit)
@@ -109,7 +131,7 @@ func FuzzReplicaPush(f *testing.F) {
 		// The payload is the last r.bytes bytes consumed: they must exist,
 		// parse as a snapshot of exactly that length, and hold every edge
 		// of the graph installed.
-		size, end := r.bytes.Load(), len(data)-br.Buffered()
+		size, end := r.bytes.Load(), len(data)-src.Len()-rc.Buffered()
 		if size > uint64(end) {
 			t.Fatalf("snap push accepted with %d announced bytes, %d consumed in all", size, end)
 		}

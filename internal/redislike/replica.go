@@ -10,15 +10,14 @@ package redislike
 // -READONLY mode: the stream is the only writer.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"math/rand/v2"
 	"net"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -170,80 +169,82 @@ func (r *Replica) stream(ctx context.Context) (progressed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	defer nc.Close()
+	rc := resp.NewConn(nc)
+	defer rc.Close()
 	// Kill the connection when the replica stops, so a read parked on
 	// an idle link returns instead of outliving Stop.
-	unhook := context.AfterFunc(ctx, func() { nc.Close() })
+	unhook := context.AfterFunc(ctx, func() { rc.Close() })
 	defer unhook()
 
-	bw := bufio.NewWriter(nc)
-	req := resp.Command("g.replicate",
-		strconv.FormatUint(r.posSeg.Load(), 10),
-		strconv.FormatUint(r.posOff.Load(), 10))
-	if err := resp.Write(bw, req); err != nil {
-		return false, err
-	}
-	if err := bw.Flush(); err != nil {
+	if err := r.sendPos(rc, "g.replicate"); err != nil {
 		return false, err
 	}
 	r.state.Store(replicaSyncing)
-
-	br := bufio.NewReaderSize(nc, 256<<10)
 	var batch core.Batch
 	for {
 		var applied bool
-		if batch, applied, err = r.applyPush(br, batch[:0]); err != nil {
+		if batch, applied, err = r.applyPush(rc, batch[:0]); err != nil {
 			return progressed, err
 		}
 		progressed = progressed || applied
 		// Acknowledge the applied position. On a ping this re-sends the
 		// current position, keeping the leader's lag view (and its
 		// retention pin) fresh even on an idle link.
-		ack := resp.Command("g.replack",
-			strconv.FormatUint(r.posSeg.Load(), 10),
-			strconv.FormatUint(r.posOff.Load(), 10))
-		if err := resp.Write(bw, ack); err != nil {
-			return progressed, err
-		}
-		if err := bw.Flush(); err != nil {
+		if err := r.sendPos(rc, "g.replack"); err != nil {
 			return progressed, err
 		}
 	}
 }
 
-// applyPush reads one push from br and applies it, reporting whether it
+// sendPos sends cmd with the position to apply next: the stream request
+// and every ack carry the same two numbers.
+func (r *Replica) sendPos(rc *resp.Conn, cmd string) error {
+	rc.W.AppendArrayHeader(3)
+	rc.W.AppendBulkString(cmd)
+	rc.W.AppendBulkUint(r.posSeg.Load())
+	rc.W.AppendBulkUint(r.posOff.Load())
+	return rc.Flush()
+}
+
+// applyPush reads one push from rc and applies it, reporting whether it
 // changed the graph (a ping only refreshes the leader tail); batch is
-// scratch for a chunk's ops, returned for reuse. A snapshot payload is
-// not buffered: once its announced length agrees with the edge count in
-// its own header it streams through sharded.Load, which must consume
+// scratch for a chunk's ops, returned for reuse. A frames chunk is
+// decoded where it lies in rc's read buffer. A snapshot payload is not
+// buffered: once its announced length agrees with the edge count in its
+// own header it streams through sharded.Load, which must consume
 // exactly that length, and only then is the graph installed — so memory
 // follows the bytes that arrive, never a length a frame merely claims,
 // and a bad frame leaves graph, position and counters as they were.
-func (r *Replica) applyPush(br *bufio.Reader, batch core.Batch) (core.Batch, bool, error) {
-	v, err := resp.Read(br)
+func (r *Replica) applyPush(rc *resp.Conn, batch core.Batch) (core.Batch, bool, error) {
+	req, err := rc.ReadRequest()
+	if errors.Is(err, resp.ErrProtocol) {
+		// A leader refusing g.replicate answers with an error reply, one
+		// write that ReadRequest buffered whole and left unread: no push.
+		var buf [512]byte
+		n, _ := rc.Read(buf[:])
+		if line, _, ok := bytes.Cut(buf[:n], crlf); ok && len(line) > 0 && line[0] == '-' {
+			return batch, false, fmt.Errorf("leader rejected stream: %s", line[1:])
+		}
+	}
 	if err != nil {
 		return batch, false, err
 	}
-	if v.Type == '-' {
-		return batch, false, fmt.Errorf("leader rejected stream: %s", v.Str)
-	}
-	if v.Type != '*' || len(v.Array) == 0 {
-		return batch, false, fmt.Errorf("unexpected push frame type %q", v.Type)
+	args := req.Args
+	if len(args) == 0 {
+		return batch, false, errors.New("empty push frame")
 	}
 	applied := true
-	switch kind := v.Array[0].Str; kind {
+	switch string(args[0]) {
 	case replKindSnap:
-		if len(v.Array) != 3 {
-			return batch, false, fmt.Errorf("malformed snap frame (%d elements)", len(v.Array))
+		cut, size, ok := replPos(args, 3)
+		if !ok {
+			return batch, false, errors.New("malformed snap frame")
 		}
-		cut, e1 := strconv.ParseUint(v.Array[1].Str, 10, 64)
-		size, e2 := strconv.ParseUint(v.Array[2].Str, 10, 64)
-		if e1 != nil || e2 != nil {
-			return batch, false, fmt.Errorf("malformed snap cut or length")
-		}
-		// A short header fails the decode below.
-		hdr, _ := br.Peek(core.SnapshotHeaderSize)
-		edges, err := core.BasicSnapshotEdges(bytes.NewReader(hdr))
+		// The header is read through the payload's limit and replayed
+		// ahead of the rest of it; a short one fails the decode.
+		lr := &io.LimitedReader{R: rc, N: int64(size)}
+		var hdr bytes.Buffer
+		edges, err := core.BasicSnapshotEdges(io.TeeReader(lr, &hdr))
 		if err != nil {
 			return batch, false, fmt.Errorf("bootstrap snapshot: %w", err)
 		}
@@ -251,8 +252,7 @@ func (r *Replica) applyPush(br *bufio.Reader, batch core.Batch) (core.Batch, boo
 			return batch, false, fmt.Errorf("bootstrap snapshot: frame announces %d bytes, its header's %d edges make %d",
 				size, edges, want)
 		}
-		lr := &io.LimitedReader{R: br, N: int64(size)}
-		g, err := sharded.Load(lr, sharded.Config{Shards: r.gm.g.Shards()})
+		g, err := sharded.Load(io.MultiReader(&hdr, lr), sharded.Config{Shards: r.gm.g.Shards()})
 		if err != nil {
 			return batch, false, fmt.Errorf("bootstrap snapshot: %w", err)
 		}
@@ -272,13 +272,9 @@ func (r *Replica) applyPush(br *bufio.Reader, batch core.Batch) (core.Batch, boo
 		r.log.Info("bootstrap snapshot installed",
 			"bytes", size, "edges", r.gm.g.NumEdges(), "cut_segment", cut)
 	case replKindFrames:
-		if len(v.Array) != 4 {
-			return batch, false, fmt.Errorf("malformed frames frame (%d elements)", len(v.Array))
-		}
-		fseg, e1 := strconv.ParseUint(v.Array[1].Str, 10, 64)
-		foff, e2 := strconv.ParseUint(v.Array[2].Str, 10, 64)
-		if e1 != nil || e2 != nil {
-			return batch, false, fmt.Errorf("malformed frames position")
+		fseg, foff, ok := replPos(args, 4)
+		if !ok {
+			return batch, false, errors.New("malformed frames frame")
 		}
 		// The leader streams contiguously from the requested
 		// position; the only legitimate jump is to the data start
@@ -292,8 +288,8 @@ func (r *Replica) applyPush(br *bufio.Reader, batch core.Batch) (core.Batch, boo
 			return batch, false, fmt.Errorf("position break: got %d/%d, expected %d/%d",
 				fseg, foff, expSeg, expOff)
 		}
-		data := v.Array[3].Str
-		if batch, err = wal.AppendChunkOps([]byte(data), batch); err != nil {
+		data := args[3]
+		if batch, err = wal.AppendChunkOps(data, batch); err != nil {
 			return batch, false, fmt.Errorf("chunk rejected: %w", err)
 		}
 		r.bytes.Add(uint64(len(data)))
@@ -303,13 +299,9 @@ func (r *Replica) applyPush(br *bufio.Reader, batch core.Batch) (core.Batch, boo
 		r.posSeg.Store(fseg)
 		r.posOff.Store(foff + uint64(len(data)))
 	case replKindPing:
-		if len(v.Array) != 3 {
-			return batch, false, fmt.Errorf("malformed ping frame (%d elements)", len(v.Array))
-		}
-		tseg, e1 := strconv.ParseUint(v.Array[1].Str, 10, 64)
-		toff, e2 := strconv.ParseUint(v.Array[2].Str, 10, 64)
-		if e1 != nil || e2 != nil {
-			return batch, false, fmt.Errorf("malformed ping position")
+		tseg, toff, ok := replPos(args, 3)
+		if !ok {
+			return batch, false, errors.New("malformed ping frame")
 		}
 		r.leaderSeg.Store(tseg)
 		r.leaderOff.Store(toff)
@@ -318,12 +310,12 @@ func (r *Replica) applyPush(br *bufio.Reader, batch core.Batch) (core.Batch, boo
 		// The leader ended the stream deliberately and said why —
 		// leader-side log failure or shutdown, not a network drop.
 		msg := "unspecified"
-		if len(v.Array) >= 2 {
-			msg = v.Array[1].Str
+		if len(args) >= 2 {
+			msg = string(args[1])
 		}
 		return batch, false, fmt.Errorf("leader ended stream: %s", msg)
 	default:
-		return batch, false, fmt.Errorf("unknown push kind %q", kind)
+		return batch, false, fmt.Errorf("unknown push kind %q", args[0])
 	}
 	r.markStreaming()
 	return batch, applied, nil

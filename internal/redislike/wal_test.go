@@ -91,18 +91,23 @@ func TestWALEnableCapturesExistingEdges(t *testing.T) {
 	}
 }
 
-// TestWALCommandErrors covers the argument validation surface, and
-// that durability is no runtime command: wal_enable and wal_replay are
+// TestWALCommandErrors covers the argument validation surface, the
+// exact refusals of the log commands on a server with no log, and that
+// durability is no runtime command: wal_enable and wal_replay are
 // unknown.
 func TestWALCommandErrors(t *testing.T) {
 	s, _ := newGraphServer(t)
-	for _, args := range [][]string{
-		{"checkpoint", "extra"},
-		{"checkpoint"}, // WAL not enabled
-		{"wal_resume"}, // WAL not enabled
+	if got := dispatch(s, "checkpoint", "extra"); got.Type != '-' {
+		t.Fatalf("checkpoint extra = %+v, want error", got)
+	}
+	// With no log, nothing is applied and no log fails: ERR, not WALERR.
+	for _, c := range []struct{ args, want string }{
+		{"checkpoint", "ERR checkpoint: wal not enabled"},
+		{"wal_resume", "ERR wal_resume: wal not enabled"},
+		{"g.replicate 0 0", "ERR g.replicate: replication requires an enabled wal (start the leader with -wal-dir)"},
 	} {
-		if got := dispatch(s, args...); got.Type != '-' {
-			t.Fatalf("%v = %+v, want error", args, got)
+		if got := dispatch(s, strings.Fields(c.args)...); got.Type != '-' || got.Str != c.want {
+			t.Fatalf("%s = %+v, want -%s", c.args, got, c.want)
 		}
 	}
 	for _, name := range []string{"wal_enable", "wal_replay"} {

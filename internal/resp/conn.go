@@ -33,11 +33,12 @@ const (
 	maxRequestBytes = MaxBulkBytes + 32*MaxArrayLen
 )
 
-// Conn is one server-side connection: a zero-allocation RESP request
-// reader and a streaming reply Writer over the same socket. Requests
-// are parsed in place — Args are views into the read buffer, valid
-// until the next ReadRequest — and replies accumulate in W until Flush
-// pushes them with one write.
+// Conn is one connection of the serving plane (a client's on the
+// server, or either end of a replication link): a zero-allocation RESP
+// request reader and a streaming reply Writer over the same socket.
+// Requests are parsed in place — Args are views into the read buffer,
+// valid until the next ReadRequest — and replies accumulate in W until
+// Flush pushes them with one write.
 //
 // A connection spends most of its life idle waiting for the next
 // command, and that wait must be unbounded — but once a command starts
@@ -78,12 +79,12 @@ func (c *Conn) RemoteAddr() string { return c.nc.RemoteAddr().String() }
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.nc.Close() }
 
-// NetConn exposes the underlying connection for handlers that take the
-// stream over entirely (the replication shipper). A takeover is only
-// sound when the Conn's read buffer is empty (Buffered() == 0) and its
-// Writer has been flushed; after it, the taker owns all reads and
-// writes and must not call ReadRequest again (it may keep writing
-// through W, Flush and Write as well as the net.Conn itself).
+// NetConn exposes the underlying connection for a handler that writes
+// past W (the replication shipper's vectored chunk writes and their
+// deadlines). Reads never go to it: the read buffer may hold bytes the
+// peer already sent, so every read goes through ReadRequest or Read.
+// One goroutine may read (ReadRequest, Read) while another writes (W,
+// Flush, Write, NetConn): the read and write state are disjoint.
 func (c *Conn) NetConn() net.Conn { return c.nc }
 
 // Abort marks the connection as draining and interrupts a reader parked
@@ -189,6 +190,20 @@ func (c *Conn) fill() error {
 		return err
 	}
 	return nil
+}
+
+// Read reads what the peer sent past the last request ReadRequest
+// returned: the buffered bytes first, then the socket. It arms no
+// deadline. It lets a caller stream a raw payload that a request
+// announced (a replication snapshot), or read the bytes ReadRequest
+// refused as no request, which it leaves unread.
+func (c *Conn) Read(p []byte) (int, error) {
+	if c.rpos < len(c.rbuf) {
+		n := copy(p, c.rbuf[c.rpos:])
+		c.rpos += n
+		return n, nil
+	}
+	return c.nc.Read(p)
 }
 
 // Flush pushes buffered replies to the socket with one write, under

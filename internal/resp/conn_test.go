@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -287,6 +288,39 @@ func TestProtocolErrorSurfaces(t *testing.T) {
 	_, err := c.ReadRequest()
 	if !errors.Is(err, ErrProtocol) {
 		t.Fatalf("garbage read error = %v, want ErrProtocol", err)
+	}
+	// The refused bytes are left for Read.
+	got := make([]byte, len("!garbage\r\n"))
+	if _, err := io.ReadFull(c, got); err != nil || string(got) != "!garbage\r\n" {
+		t.Fatalf("Read after the refusal = %q, %v; want the refused bytes", got, err)
+	}
+}
+
+// TestReadStreamsPayloadAfterRequest: Read hands over the bytes that
+// arrived behind a request, then reads the socket — the raw payload a
+// request announces, as a replication snapshot follows its push.
+func TestReadStreamsPayloadAfterRequest(t *testing.T) {
+	client, server := tcpPair(t)
+	c := NewConn(server)
+	if _, err := client.Write([]byte("*2\r\n$4\r\nsnap\r\n$1\r\n8\r\nabc")); err != nil {
+		t.Fatal(err)
+	}
+	req, err := c.ReadRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(argStrings(req)); got != "[snap 8]" {
+		t.Fatalf("ReadRequest = %s, want [snap 8]", got)
+	}
+	if _, err := client.Write([]byte("defgh")); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 8)
+	if _, err := io.ReadFull(c, payload); err != nil || string(payload) != "abcdefgh" {
+		t.Fatalf("payload = %q, %v; want \"abcdefgh\"", payload, err)
+	}
+	if c.Buffered() != 0 {
+		t.Fatalf("%d bytes still buffered after the payload", c.Buffered())
 	}
 }
 

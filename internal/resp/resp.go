@@ -2,15 +2,15 @@
 // format: the encoding spoken by the redislike server and client used
 // for the paper's Redis integration experiment (§V-F).
 //
-// The package has two encoding surfaces. The boxed Value tree with
-// Read/Write is the general-purpose side: cgcli, cgbench's fig17, the
-// replication stream's requests and acks, and the fuzz corpus build and
-// decode whole values. Every command reply, introspection (COMMAND,
-// G.INFO) included, uses the streaming side — Writer appends replies
-// directly into a reusable per-connection buffer (AppendInt,
-// AppendBulk, ...), Conn parses pipelined requests into byte-slice
-// views of its read buffer, and Flush writes the accumulated replies
-// with one write(2) — so a warm command cycle allocates nothing.
+// The package has two sides. The server speaks through Conn: it parses
+// pipelined requests into byte-slice views of its read buffer, its
+// Writer appends replies directly into a reusable per-connection buffer
+// (AppendInt, AppendBulk, ...), and Flush writes the accumulated
+// replies with one write(2), so a warm command cycle allocates nothing.
+// Both ends of the replication link use Conn too: a push and an ack are
+// arrays of bulk strings, read with ReadRequest. The boxed Value tree
+// with Read, Write and Command is the client side: cgcli, cgbench's
+// fig17 and the tests build and decode whole replies with it.
 package resp
 
 import (

@@ -6,7 +6,8 @@
 # follower rejects writes with -READONLY, checkpoint the leader (log
 # compaction) and converge again, start a SECOND follower whose
 # bootstrap the compaction forces through the streamed snapshot, then
-# SIGTERM all three and assert clean drains.
+# SIGTERM all three and assert clean drains. Last, a follower of a
+# cgserver with no -wal-dir must log the leader's refusal.
 #
 # Usage: scripts/repl_smoke.sh [workdir]
 set -euo pipefail
@@ -18,15 +19,23 @@ waldir="$work/wal"
 llog="$work/leader.log"
 flog="$work/replica.log"
 f2log="$work/replica2.log"
+nlog="$work/nowal.log"
+n2log="$work/nowal-replica.log"
 laddr="127.0.0.1:16390"
 faddr="127.0.0.1:16391"
 f2addr="127.0.0.1:16392"
 maddr="127.0.0.1:19190"
+naddr="127.0.0.1:16393"
+n2addr="127.0.0.1:16394"
 
 leader_pid=""
 replica_pid=""
 replica2_pid=""
+nowal_pid=""
+nowal_replica_pid=""
 cleanup() {
+  [ -n "$nowal_replica_pid" ] && kill "$nowal_replica_pid" 2>/dev/null || true
+  [ -n "$nowal_pid" ] && kill "$nowal_pid" 2>/dev/null || true
   [ -n "$replica2_pid" ] && kill "$replica2_pid" 2>/dev/null || true
   [ -n "$replica_pid" ] && kill "$replica_pid" 2>/dev/null || true
   [ -n "$leader_pid" ] && kill "$leader_pid" 2>/dev/null || true
@@ -38,6 +47,8 @@ fail() {
   [ -f "$llog" ] && sed 's/^/  leader:  /' "$llog" >&2
   [ -f "$flog" ] && sed 's/^/  replica: /' "$flog" >&2
   [ -f "$f2log" ] && sed 's/^/  replica2: /' "$f2log" >&2
+  [ -f "$nlog" ] && sed 's/^/  nowal:   /' "$nlog" >&2
+  [ -f "$n2log" ] && sed 's/^/  nowal-replica: /' "$n2log" >&2
   exit 1
 }
 
@@ -161,5 +172,23 @@ wait "$leader_pid" || fail "leader exited non-zero on SIGTERM"
 leader_pid=""
 grep -q "shutdown complete" "$llog" || fail "no leader shutdown-complete line"
 grep -q "replica disconnected" "$llog" || fail "leader never logged the link teardown"
+
+echo "== a leader with no log refuses its follower"
+"$work/cgserver" -addr "$naddr" >>"$nlog" 2>&1 &
+nowal_pid=$!
+wait_ping "$naddr" "$nowal_pid" "leader without -wal-dir"
+"$work/cgserver" -addr "$n2addr" -replica-of "$naddr" >>"$n2log" 2>&1 &
+nowal_replica_pid=$!
+refused=""
+for _ in $(seq 1 100); do
+  grep -q "leader rejected stream: ERR g.replicate" "$n2log" && { refused=1; break; }
+  kill -0 "$nowal_replica_pid" 2>/dev/null || fail "follower of the leader without a log exited"
+  sleep 0.1
+done
+[ -n "$refused" ] || fail "follower never logged the refusal of a leader without a log"
+kill "$nowal_replica_pid" "$nowal_pid"
+wait "$nowal_replica_pid" "$nowal_pid" || true
+nowal_replica_pid=""
+nowal_pid=""
 
 echo "repl_smoke: OK"
