@@ -78,8 +78,9 @@
 // its own read-write lock. All state for a node u — its L-CHT cell and
 // its S-CHT chain — lives in exactly one shard, so mutations on
 // different shards proceed fully in parallel and queries take only the
-// owning shard's read lock. Aggregate counters are atomics; Stats and
-// MemoryUsage merge across shards; Save serializes a consistent cut
+// owning shard's read lock. A mutation writes nothing outside its
+// shard: NumEdges, NumNodes, Stats and MemoryUsage sum the shards' own
+// counts under their read locks; Save serializes a consistent cut
 // from a frozen view without holding shard locks across the write, and
 // snapshots round-trip across different shard counts (and to/from the
 // single-writer Graph format).

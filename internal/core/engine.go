@@ -617,6 +617,43 @@ type Stats struct {
 // TableLoad sums the S-CHTs at one position in their chains.
 type TableLoad struct{ Tables, Cells, Entries int }
 
+// Add merges o into s, as if one structure held both: counts sum,
+// SCHTByTable sums position by position, and the L-CHT loading rate is
+// the mean of the two weighted by their cells.
+func (s *Stats) Add(o Stats) {
+	if cells := s.LCHTCells + o.LCHTCells; cells > 0 {
+		s.LCHTLoadRate = (s.LCHTLoadRate*float64(s.LCHTCells) + o.LCHTLoadRate*float64(o.LCHTCells)) / float64(cells)
+	}
+	s.Nodes += o.Nodes
+	s.Edges += o.Edges
+	s.LCHTTables += o.LCHTTables
+	s.LCHTCells += o.LCHTCells
+	s.LCHTKicks += o.LCHTKicks
+	s.LCHTPlacements += o.LCHTPlacements
+	s.Chains += o.Chains
+	s.SCHTTables += o.SCHTTables
+	s.ChainCells += o.ChainCells
+	s.ChainEntries += o.ChainEntries
+	s.SCHTKicks += o.SCHTKicks
+	s.SCHTPlacements += o.SCHTPlacements
+	s.LDLLen += o.LDLLen
+	s.SDLLen += o.SDLLen
+	s.Transformations += o.Transformations
+	for i, p := range o.SCHTByTable {
+		s.addTableLoad(i, p)
+	}
+}
+
+// addTableLoad adds p to position i of SCHTByTable, which is at most
+// one element short.
+func (s *Stats) addTableLoad(i int, p TableLoad) {
+	if i == len(s.SCHTByTable) {
+		s.SCHTByTable = append(s.SCHTByTable, TableLoad{})
+	}
+	m := &s.SCHTByTable[i]
+	m.Tables, m.Cells, m.Entries = m.Tables+p.Tables, m.Cells+p.Cells, m.Entries+p.Entries
+}
+
 func (e *engine[W]) stats() Stats {
 	st := Stats{
 		Nodes:           e.nodes,
@@ -641,12 +678,8 @@ func (e *engine[W]) stats() Stats {
 		st.ChainCells += c.Cells()
 		st.ChainEntries += c.Size()
 		for i := range c.Tables() {
-			if i == len(st.SCHTByTable) {
-				st.SCHTByTable = append(st.SCHTByTable, TableLoad{})
-			}
 			cells, entries := c.TableLoad(i)
-			p := &st.SCHTByTable[i]
-			p.Tables, p.Cells, p.Entries = p.Tables+1, p.Cells+cells, p.Entries+entries
+			st.addTableLoad(i, TableLoad{1, cells, entries})
 		}
 	}
 	return st

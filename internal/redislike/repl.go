@@ -194,11 +194,7 @@ func (gm *GraphModule) streamTo(srv *Server, rc *resp.Conn, w *wal.WAL, pos wal.
 		// a rotation, then stream from the cut. The link's pin (which
 		// floors retention at the follower's old position, or 0 on
 		// bootstrap) is moved up only after the cut exists.
-		var cut uint64
-		v, cerr := gm.g.SnapshotCut(func() (rerr error) {
-			cut, rerr = w.Rotate()
-			return rerr
-		})
+		v, cut, cerr := wal.CutView(gm.g, w)
 		if cerr != nil {
 			gm.log.Error("replication snapshot failed", "remote", link.addr, "err", cerr)
 			sendErr("bootstrap snapshot failed: " + cerr.Error())

@@ -57,8 +57,8 @@ func TestApplyBatchMatchesSingleOps(t *testing.T) {
 	}
 }
 
-// TestApplyBatchResultAndCounters pins the result accounting and that
-// aggregate counters settle once per partition.
+// TestApplyBatchResultAndCounters pins the result accounting and the
+// counts it leaves.
 func TestApplyBatchResultAndCounters(t *testing.T) {
 	g := New(Config{Shards: 4})
 	res := g.ApplyBatch(core.Batch{}.
@@ -121,8 +121,8 @@ func TestApplyBatchLogsAppliedSubBatch(t *testing.T) {
 
 // TestConcurrentApplyBatch hammers ApplyBatch from several goroutines
 // (disjoint key ranges so the final state is deterministic) under the
-// race detector, checking the aggregate counters survive concurrent
-// per-partition settlement.
+// race detector, checking the counts summed from the shards survive
+// concurrent partitions.
 func TestConcurrentApplyBatch(t *testing.T) {
 	g := New(Config{Shards: 8})
 	const (
@@ -150,7 +150,7 @@ func TestConcurrentApplyBatch(t *testing.T) {
 	if g.NumEdges() != workers*perW {
 		t.Fatalf("NumEdges = %d, want %d", g.NumEdges(), workers*perW)
 	}
-	// Cross-check the atomic aggregates against the per-shard truth.
+	// Cross-check the summed counts against Stats' merge.
 	st := g.Stats()
 	if st.Edges != g.NumEdges() || st.Nodes != g.NumNodes() {
 		t.Fatalf("aggregate counters (%d edges, %d nodes) disagree with Stats (%d, %d)",

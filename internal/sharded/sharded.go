@@ -5,9 +5,10 @@
 // Sharding by source node is the natural CuckooGraph partition — all
 // state for node u (its L-CHT cell, its S-CHT chain, its denylist
 // entries) lives in exactly one core engine, so shards never share
-// mutable state and mutations on different shards proceed in parallel.
-// Aggregate edge/node counts are kept as atomics; Stats and MemoryUsage
-// merge across shards under their read locks.
+// mutable state and mutations on different shards proceed in parallel:
+// a mutation writes nothing outside its shard. The counts are the
+// shards' own: NumEdges, NumNodes, Stats and MemoryUsage sum the shard
+// engines under their read locks, and Mutations sums per-shard atomics.
 //
 // Traversal callbacks (ForEachSuccessor, ForEachNode) run on a
 // point-in-time copy taken under the shard read lock and invoked after
@@ -26,12 +27,12 @@ import (
 )
 
 // Logger receives every successful mutation for durability. Each call
-// carries the applied sub-batch of one shard partition — a single op
-// for the single-edge methods — and happens while the owning shard's
-// write lock is held, immediately after the in-memory mutations, so for
-// any one shard (and hence for any one source node) the log order
-// equals the application order — which is what makes replay
-// deterministic. The batch is valid only for the duration of the call
+// carries the applied sub-batch of one shard partition and happens
+// while the owning shard's write lock is held, immediately after the
+// in-memory mutations, so for any one shard (and hence for any one
+// source node) the log order equals the application order — which is
+// what makes replay deterministic. The batch is the shard's own memory,
+// never the caller's, and is valid only for the duration of the call
 // (it is a per-shard scratch): a Logger that keeps the ops must copy
 // them, as the WAL does.
 //
@@ -90,9 +91,10 @@ type Config struct {
 	WAL Logger
 }
 
-// shard is one partition: a private core engine behind its own lock.
-// Shards are padded out to their own cache lines so lock traffic on one
-// shard does not false-share with its neighbours.
+// shard is one partition: a private core engine behind its own lock,
+// with everything a mutation on it writes. Shards are padded out to
+// their own cache lines so lock traffic on one shard does not
+// false-share with its neighbours.
 type shard struct {
 	mu sync.RWMutex
 	g  *core.Graph
@@ -106,34 +108,31 @@ type shard struct {
 	// bursts of consecutive same-source ops that real edge streams
 	// produce skip the per-view overlay probes after the first op.
 	// All three are guarded by mu held for writing.
-	//
-	// one is the single-op scratch the edge-at-a-time methods apply
-	// through, applied the scratch a multi-op partition's applied ops are
-	// collected into for the Logger (both under mu held for writing; see
-	// applyOne and applyLocked). With applied the fields fill the two
-	// cache lines exactly: 24 + 8 + 24 + 24 + 24 + 24 = 128.
 	viewGen uint64
 	cowU    uint64
 	cowGen  uint64
-	one     [1]core.Op
+	// muts counts the mutations applied on this shard (not ops
+	// attempted). It is written under mu and read without it: see
+	// Mutations.
+	muts atomic.Uint64
+	// cow is the shard's copy-on-write store (see cowStore), which
+	// outlives views.
+	cow *cowStore
+	// The one free word: with it the fields fill the two cache lines
+	// exactly, 24 + 8 + 24 + 24 + 8 + 8 + 8 + 24 = 128. A new per-shard
+	// value takes its place.
+	_ [8]byte
+	// applied is the scratch a partition's applied ops are collected
+	// into for the Logger (under mu held for writing; see applyToShard).
 	applied core.Batch
 }
 
 // Graph is a concurrency-safe CuckooGraph partitioned by source node.
+// Every count of its contents, and every copy-on-write cost, lives in
+// the shards; the counters here belong to the snapshot subsystem.
 type Graph struct {
 	shards []shard
 	mask   uint64
-	// cow[i] is shard i's copy-on-write store (see cowStore), which
-	// outlives views; a shard has no room for it.
-	cow []*cowStore
-
-	edges atomic.Uint64
-	nodes atomic.Uint64
-	// muts counts applied mutations (not ops attempted) over the
-	// graph's lifetime. Unlike edges/nodes it never goes down, so an
-	// insert/delete pair that nets out to the same counts still moves
-	// it — the property durability hand-off checks rely on.
-	muts atomic.Uint64
 
 	// wal is the attached durability hook; nil disables logging. It is
 	// swapped atomically so SetWAL is safe against in-flight mutations.
@@ -153,12 +152,10 @@ type Graph struct {
 	snapMu sync.RWMutex
 
 	// epoch stamps snapshots; it only ever grows. liveViews counts
-	// unreleased views; cowBytes accumulates pre-image bytes copied on
-	// behalf of views (the snapshot bench's CoW metric); the csr trio
-	// is documented on ViewStats.
+	// unreleased views; the csr trio is documented on ViewStats. None
+	// of them is written by a mutation.
 	epoch         atomic.Uint64
 	liveViews     atomic.Int64
-	cowBytes      atomic.Uint64
 	csrBuilds     atomic.Uint64
 	csrBuildNanos atomic.Uint64
 	csrBytes      atomic.Int64
@@ -180,11 +177,11 @@ func ShardCount(n int) int {
 // New returns an empty sharded graph.
 func New(cfg Config) *Graph {
 	p := ShardCount(cfg.Shards)
-	g := &Graph{shards: make([]shard, p), mask: uint64(p - 1), cow: make([]*cowStore, p)}
+	g := &Graph{shards: make([]shard, p), mask: uint64(p - 1)}
 	base := cfg.Core.Defaults()
 	for i := range g.shards {
-		g.cow[i] = &cowStore{}
-		g.cow[i].hook = g.cowHook(i)
+		g.shards[i].cow = &cowStore{}
+		g.shards[i].cow.hook = g.cowHook(i)
 		sc := base
 		// Distinct per-shard seeds keep hash layouts independent while
 		// staying deterministic for a given Config.
@@ -305,39 +302,6 @@ func (g *Graph) shardIndex(u uint64) int {
 
 func (g *Graph) shardOf(u uint64) *shard { return &g.shards[g.shardIndex(u)] }
 
-// applyToShard is the one mutation path of the sharded engine: it
-// applies a batch whose ops all hash to shard si under a single
-// write-lock acquisition, stages the applied sub-batch with the Logger
-// as one call, and settles the aggregate counters once for the whole
-// partition. When live snapshot views exist, the engine calls the
-// shard's copy-on-write hook ahead of every op that changes a node (see
-// cowHook) — that, and nothing else, is the copy-on-write cost of a
-// view. The Logger's commit is the caller's business, after the unlock.
-func (g *Graph) applyToShard(si int, part core.Batch) core.BatchResult {
-	sh := &g.shards[si]
-	sh.mu.Lock()
-	res, _ := g.applyLocked(si, sh, part)
-	sh.mu.Unlock()
-	return res
-}
-
-// applyOne applies a single op through the shard's scratch slot, so the
-// single-edge methods need no per-call batch allocation: a stack-built
-// one-op slice would escape through the logging path, but the
-// shard-owned slot (written only under the write lock) does not. The
-// Logger's commit, if one is attached, happens after the unlock.
-func (g *Graph) applyOne(si int, op core.Op) core.BatchResult {
-	sh := &g.shards[si]
-	sh.mu.Lock()
-	sh.one[0] = op
-	res, h := g.applyLocked(si, sh, sh.one[:])
-	sh.mu.Unlock()
-	if h != nil {
-		g.commit(h)
-	}
-	return res
-}
-
 // maxAppliedScratch caps, in ops, the per-shard applied-ops scratch a
 // partition leaves behind: it is there for the small batches of the
 // serving path (a G.MINSERT's pairs), and a bulk partition that outgrows
@@ -345,28 +309,29 @@ func (g *Graph) applyOne(si int, op core.Op) core.BatchResult {
 // on every shard.
 const maxAppliedScratch = 64
 
-func (g *Graph) applyLocked(si int, sh *shard, part core.Batch) (core.BatchResult, *logHook) {
+// applyToShard is the one mutation path of the sharded engine: it
+// applies a batch whose ops all hash to shard si under a single
+// write-lock acquisition, stages the applied sub-batch with the Logger
+// as one call, and counts the applied mutations on the shard. When live
+// snapshot views exist, the engine calls the shard's copy-on-write hook
+// ahead of every op that changes a node (see cowHook) — that, and
+// nothing else, is the copy-on-write cost of a view. The Logger's
+// commit is the caller's business, after the unlock.
+func (g *Graph) applyToShard(si int, part core.Batch) core.BatchResult {
+	sh := &g.shards[si]
+	sh.mu.Lock()
 	var before func(u uint64, deg int) []uint64
 	if len(sh.views) > 0 {
-		before = g.cow[si].hook
+		before = sh.cow.hook
 	}
-	n0 := sh.g.NumNodes()
 	var res core.BatchResult
-	h := g.wal.Load()
-	switch {
-	case h == nil:
+	if h := g.wal.Load(); h == nil {
 		res = sh.g.ApplyBatchFunc(part, before, nil)
-	case len(part) == 1:
-		// A size-1 partition that applied IS its applied sub-batch; skip
-		// the collection on the hot single-edge path.
-		res = sh.g.ApplyBatchFunc(part, before, nil)
-		if res.Inserted+res.Deleted == 1 {
-			g.stage(h, part)
-		}
-	default:
-		// Collect into the shard's scratch; a partition too big for it
-		// gets a buffer of its own, lazily — partitions full of duplicate
-		// inserts apply nothing and should not pay for one.
+	} else {
+		// Collect into the shard's scratch, so the Logger never sees the
+		// caller's memory; a partition too big for it gets a buffer of
+		// its own, lazily — partitions full of duplicate inserts apply
+		// nothing and should not pay for one.
 		small := len(part) <= maxAppliedScratch
 		var applied core.Batch
 		if small {
@@ -385,26 +350,26 @@ func (g *Graph) applyLocked(si int, sh *shard, part core.Batch) (core.BatchResul
 			sh.applied = applied
 		}
 	}
-	// The aggregates share one contended line: a partition that applied
-	// nothing leaves it alone, and nodes is written only when it moved.
-	applied := res.Applied()
-	if applied == 0 {
-		return res, h
+	if n := res.Applied(); n > 0 {
+		sh.muts.Add(n)
 	}
-	// Both deltas may be negative; unsigned wraparound plus the modular
-	// atomic Add nets out correctly.
-	g.edges.Add(res.Inserted - res.Deleted)
-	if n := sh.g.NumNodes(); n != n0 {
-		g.nodes.Add(n - n0)
-	}
-	g.muts.Add(applied)
-	return res, h
+	sh.mu.Unlock()
+	return res
 }
 
 // Mutations returns the number of applied mutations over the graph's
 // lifetime. It is monotonic: any write that changed the graph moves it,
-// even when NumEdges/NumNodes end up back where they were.
-func (g *Graph) Mutations() uint64 { return g.muts.Load() }
+// even when NumEdges/NumNodes end up back where they were — the
+// property durability hand-off checks rely on. It sums the shards'
+// counters without a lock; each only grows, so a later call never reads
+// less than an earlier one.
+func (g *Graph) Mutations() uint64 {
+	var n uint64
+	for i := range g.shards {
+		n += g.shards[i].muts.Load()
+	}
+	return n
+}
 
 // ApplyBatch applies the ops of b in order, partitioned by shard: each
 // shard's sub-batch runs under one lock acquisition (in parallel across
@@ -481,8 +446,7 @@ func (g *Graph) Stage(b core.Batch) core.BatchResult {
 	// Fan out across shards only when the parallelism can pay for the
 	// goroutine churn: each partition must carry real work and there
 	// must be more than one processor to run them on. Otherwise apply
-	// partitions sequentially — still one lock acquisition and one
-	// counter settlement per shard.
+	// partitions sequentially — still one lock acquisition per shard.
 	if runtime.GOMAXPROCS(0) == 1 || len(b) < active*minParallelPartition {
 		for i, part := range parts {
 			if len(part) == 0 {
@@ -521,9 +485,11 @@ func (g *Graph) Stage(b core.Batch) core.BatchResult {
 const minParallelPartition = 128
 
 // InsertEdge adds ⟨u,v⟩, reporting whether it is new. It is a size-1
-// batch over the shared mutation path.
+// ApplyBatch: the batch stays on the stack, because the Logger is only
+// ever handed the shard's own copy of what applied.
 func (g *Graph) InsertEdge(u, v uint64) bool {
-	return g.applyOne(g.shardIndex(u), core.InsertOp(u, v)).Inserted == 1
+	b := [1]core.Op{core.InsertOp(u, v)}
+	return g.ApplyBatch(b[:]).Inserted == 1
 }
 
 // HasEdge reports whether ⟨u,v⟩ is stored.
@@ -535,10 +501,11 @@ func (g *Graph) HasEdge(u, v uint64) bool {
 	return ok
 }
 
-// DeleteEdge removes ⟨u,v⟩, reporting whether it existed. It is a
-// size-1 batch over the shared mutation path.
+// DeleteEdge removes ⟨u,v⟩, reporting whether it existed. Like
+// InsertEdge it is a size-1 ApplyBatch.
 func (g *Graph) DeleteEdge(u, v uint64) bool {
-	return g.applyOne(g.shardIndex(u), core.DeleteOp(u, v)).Deleted == 1
+	b := [1]core.Op{core.DeleteOp(u, v)}
+	return g.ApplyBatch(b[:]).Deleted == 1
 }
 
 // ForEachSuccessor calls fn for each successor of u until fn returns
@@ -619,60 +586,39 @@ func (g *Graph) ForEachNode(fn func(u uint64) bool) {
 	}
 }
 
-// NumEdges returns the number of distinct stored edges.
-func (g *Graph) NumEdges() uint64 { return g.edges.Load() }
+// NumEdges returns the number of distinct stored edges: the shard
+// engines' own counts, summed.
+func (g *Graph) NumEdges() uint64 { return g.sum((*core.Graph).NumEdges) }
 
-// NumNodes returns the number of distinct source nodes.
-func (g *Graph) NumNodes() uint64 { return g.nodes.Load() }
+// NumNodes returns the number of distinct source nodes, summed as
+// NumEdges is.
+func (g *Graph) NumNodes() uint64 { return g.sum((*core.Graph).NumNodes) }
 
 // MemoryUsage returns the structural bytes summed across shards.
-func (g *Graph) MemoryUsage() uint64 {
+func (g *Graph) MemoryUsage() uint64 { return g.sum((*core.Graph).MemoryUsage) }
+
+// sum adds f over the shard engines, each read under its shard's read
+// lock.
+func (g *Graph) sum(f func(*core.Graph) uint64) uint64 {
 	var total uint64
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.RLock()
-		total += sh.g.MemoryUsage()
+		total += f(sh.g)
 		sh.mu.RUnlock()
 	}
 	return total
 }
 
-// Stats merges the structural counters of every shard: counts sum, and
-// the L-CHT loading rate is the cell-weighted mean.
+// Stats merges the structural counters of every shard (see
+// core.Stats.Add).
 func (g *Graph) Stats() core.Stats {
 	var merged core.Stats
-	var weightedLoad float64
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.RLock()
-		st := sh.g.Stats()
+		merged.Add(sh.g.Stats())
 		sh.mu.RUnlock()
-		merged.Nodes += st.Nodes
-		merged.Edges += st.Edges
-		merged.LCHTTables += st.LCHTTables
-		merged.LCHTCells += st.LCHTCells
-		weightedLoad += st.LCHTLoadRate * float64(st.LCHTCells)
-		merged.LCHTKicks += st.LCHTKicks
-		merged.LCHTPlacements += st.LCHTPlacements
-		merged.Chains += st.Chains
-		merged.SCHTTables += st.SCHTTables
-		merged.ChainCells += st.ChainCells
-		merged.ChainEntries += st.ChainEntries
-		merged.SCHTKicks += st.SCHTKicks
-		merged.SCHTPlacements += st.SCHTPlacements
-		merged.LDLLen += st.LDLLen
-		merged.SDLLen += st.SDLLen
-		merged.Transformations += st.Transformations
-		for j, p := range st.SCHTByTable {
-			if j == len(merged.SCHTByTable) {
-				merged.SCHTByTable = append(merged.SCHTByTable, core.TableLoad{})
-			}
-			m := &merged.SCHTByTable[j]
-			m.Tables, m.Cells, m.Entries = m.Tables+p.Tables, m.Cells+p.Cells, m.Entries+p.Entries
-		}
-	}
-	if merged.LCHTCells > 0 {
-		merged.LCHTLoadRate = weightedLoad / float64(merged.LCHTCells)
 	}
 	return merged
 }

@@ -538,8 +538,8 @@ func TestCoWStoreBoundedUnderLongView(t *testing.T) {
 			}
 		}
 		v.Release()
-		for i, st := range g.cow {
-			if w := held(st); w > bound {
+		for i := range g.shards {
+			if w := held(g.shards[i].cow); w > bound {
 				t.Fatalf("cycle %d: shard %d's store holds %d words with one long view open, want at most %d", c, i, w, bound)
 			}
 		}

@@ -148,9 +148,9 @@ func TestPlainLoggerStagesThroughLogBatch(t *testing.T) {
 	}
 }
 
-// TestShardIsTwoCacheLines: the shard struct carries no padding field
-// any more; its fields must fill 128 bytes exactly so neighbouring
-// shards' locks never share a line.
+// TestShardIsTwoCacheLines: the shard struct's fields, its one pad
+// word included, must fill 128 bytes exactly so neighbouring shards'
+// locks never share a line.
 func TestShardIsTwoCacheLines(t *testing.T) {
 	if n := unsafe.Sizeof(shard{}); n != 128 {
 		t.Fatalf("sizeof(shard) = %d, want 128", n)

@@ -114,7 +114,13 @@ func (g *Graph) LiveViews() int { return int(g.liveViews.Load()) }
 // pre-image; a mutation that changes nothing costs 0. The count says
 // what was copied, not what was allocated: the copies land in chunks
 // the shards recycle (see cowStore).
-func (g *Graph) CoWBytes() uint64 { return g.cowBytes.Load() }
+func (g *Graph) CoWBytes() uint64 {
+	var n uint64
+	for i := range g.shards {
+		n += g.shards[i].cow.copied.Load()
+	}
+	return n
+}
 
 // ViewStats groups the snapshot-subsystem counters into one read — the
 // export hook behind the server's /metrics endpoint and g.info. Each
@@ -159,17 +165,20 @@ func (g *Graph) SnapshotCut(cut func() error) (v *View, err error) {
 		v = &View{
 			g:        g,
 			epoch:    g.epoch.Add(1),
-			nodes:    g.nodes.Load(),
-			edges:    g.edges.Load(),
 			engines:  make([]*core.Graph, len(g.shards)),
 			overlays: make([]map[uint64][]uint64, len(g.shards)),
 		}
 		v.refs.Store(1)
+		// Every shard lock is held, so the counts summed here are the
+		// epoch's exactly.
 		for i := range g.shards {
-			v.engines[i] = g.shards[i].g
-			v.overlays[i] = g.cow[i].takeMap()
-			g.shards[i].views = append(g.shards[i].views, v)
-			g.shards[i].viewGen++
+			sh := &g.shards[i]
+			v.engines[i] = sh.g
+			v.nodes += sh.g.NumNodes()
+			v.edges += sh.g.NumEdges()
+			v.overlays[i] = sh.cow.takeMap()
+			sh.views = append(sh.views, v)
+			sh.viewGen++
 		}
 		g.liveViews.Add(1)
 	})
@@ -194,17 +203,18 @@ func (g *Graph) frozen(f func()) {
 }
 
 // Replace makes src's contents the graph's, in place: inside the freeze
-// SnapshotCut takes, each shard takes src's engine and the edge and
-// node counts follow, so a shard lock hold or a multi-shard batch sees
-// the old contents or src's, never a mix. The handle keeps its epoch counter, its Logger
-// and its live views; a view reads the engines it froze (View.engines),
-// so it stays exact. Mutations moves by src's count plus one, so even
-// an empty src shows as a change. Replace logs nothing. src is
-// consumed: it must have no live views and no other user. A src with a
-// different shard count is refused and nothing changes. Every shard's
-// store drops its chunks: the views it unregisters keep their
-// pre-images through their own overlay maps, which the garbage
-// collector then owns, and no later release may recycle them.
+// SnapshotCut takes, each shard takes src's engine — and with it the
+// engine's edge and node counts — so a shard lock hold or a multi-shard
+// batch sees the old contents or src's, never a mix. The handle keeps
+// its epoch counter, its Logger and its live views; a view reads the
+// engines it froze (View.engines), so it stays exact. Mutations moves
+// by src's count plus one (on shard 0's counter), so even an empty src
+// shows as a change. Replace logs nothing. src is consumed: it must
+// have no live views and no other user. A src with a different shard
+// count is refused and nothing changes. Every shard's store drops its
+// chunks: the views it unregisters keep their pre-images through their
+// own overlay maps, which the garbage collector then owns, and no later
+// release may recycle them.
 func (g *Graph) Replace(src *Graph) error {
 	if len(src.shards) != len(g.shards) {
 		return fmt.Errorf("sharded: replace a %d-shard graph with a %d-shard one", len(g.shards), len(src.shards))
@@ -215,11 +225,9 @@ func (g *Graph) Replace(src *Graph) error {
 			sh.g, src.shards[i].g = src.shards[i].g, nil
 			sh.views = nil
 			sh.viewGen++
-			g.cow[i].chunks = nil
+			sh.cow.chunks = nil
 		}
-		g.edges.Store(src.edges.Load())
-		g.nodes.Store(src.nodes.Load())
-		g.muts.Add(src.muts.Load() + 1)
+		g.shards[0].muts.Add(src.Mutations() + 1)
 	})
 	return nil
 }
@@ -234,7 +242,8 @@ func (g *Graph) Replace(src *Graph) error {
 // already be in its overlay; that lookup is also the only dedupe. A node
 // that did not exist (deg 0) is recorded as a nil pre-image.
 func (g *Graph) cowHook(si int) func(u uint64, deg int) []uint64 {
-	sh, st := &g.shards[si], g.cow[si]
+	sh := &g.shards[si]
+	st := sh.cow
 	return func(u uint64, deg int) []uint64 {
 		// Memo hit: this exact node was already preserved into every
 		// current view (viewGen pins "current"), which real streams'
@@ -254,7 +263,7 @@ func (g *Graph) cowHook(si int) func(u uint64, deg int) []uint64 {
 				if deg > 0 {
 					pre = st.alloc(deg)
 				}
-				g.cowBytes.Add(16 + 8*uint64(deg))
+				st.copied.Add(16 + 8*uint64(deg))
 				copied = true
 			}
 			ov[u] = pre
@@ -272,17 +281,17 @@ func (g *Graph) cowHook(si int) func(u uint64, deg int) []uint64 {
 // unregistered is left to the garbage collector.
 func (g *Graph) dropView(v *View) {
 	for i := range g.shards {
-		sh, st := &g.shards[i], g.cow[i]
+		sh := &g.shards[i]
 		sh.mu.Lock()
 		if j := slices.Index(sh.views, v); j >= 0 {
 			sh.views = slices.Delete(sh.views, j, j+1)
 			sh.viewGen++
-			st.keepMap(v.overlays[i])
+			sh.cow.keepMap(v.overlays[i])
 			v.overlays[i] = nil
 			if len(sh.views) == 0 {
-				st.recycle()
+				sh.cow.recycle()
 			} else {
-				st.chunks = nil
+				sh.cow.chunks = nil
 			}
 		}
 		sh.mu.Unlock()
@@ -304,7 +313,7 @@ const maxFreeChunks = 32
 const maxSpareEntries = 1 << 12
 
 // cowStore is one shard's copy-on-write memory, kept across views and
-// touched only under the shard's write lock. Pre-images are cut from
+// written only under the shard's write lock. Pre-images are cut from
 // the tail of a list of chunks. Every view that references a chunk was
 // live on the shard when the chunk was written, so once no view is
 // live the whole list is recycled.
@@ -313,6 +322,7 @@ type cowStore struct {
 	chunks [][]uint64                       // len of each: the words handed out; the last is being filled
 	free   [][]uint64                       // recycled chunks, at most maxFreeChunks
 	spare  map[uint64][]uint64              // a released view's cleared overlay map
+	copied atomic.Uint64                    // the shard's share of CoWBytes, read without the lock
 }
 
 // alloc cuts an n-word pre-image from the tail chunk, starting a chunk
@@ -649,7 +659,7 @@ func (v *View) DeleteEdge(u, w uint64) bool { panic("sharded: DeleteEdge on read
 // view's epoch would have produced — without holding any shard lock
 // across the serialization. It is the one way whole-graph state leaves
 // the process: Graph.Save, wal.Checkpoint and the replication bootstrap
-// all take a view (SnapshotCut when a WAL rotation must partition the
+// all take a view (wal.CutView when a WAL rotation must partition the
 // log against it) and stream it from here, to a file or a socket, while
 // writers proceed.
 func (v *View) Save(w io.Writer) error {

@@ -333,13 +333,25 @@ func Recover(dir string, cfg sharded.Config) (*sharded.Graph, RecoverStats, erro
 	return g, stats, nil
 }
 
+// CutView takes a view of g cut against a rotation of w, and returns
+// it with the rotation's new segment: the view holds exactly the
+// records of the segments before it (see sharded.Graph.SnapshotCut for
+// why the cut is exact). Checkpoint and the replication bootstrap both
+// start from it. The caller releases the view.
+func CutView(g *sharded.Graph, w *WAL) (v *sharded.View, cut uint64, err error) {
+	v, err = g.SnapshotCut(func() (rerr error) {
+		cut, rerr = w.Rotate()
+		return rerr
+	})
+	return v, cut, err
+}
+
 // Checkpoint writes a consistent snapshot of g into the WAL directory
 // and compacts the log: the snapshot is cut against a segment rotation
-// (see sharded.Graph.SnapshotCut for why the cut is exact), fsynced and
-// atomically renamed into place, and only then are the superseded
-// segments and older checkpoints deleted — so a crash at any point
-// leaves either the old recovery state or the new one, never neither.
-// It returns the checkpoint file path.
+// (CutView), fsynced and atomically renamed into place, and only then
+// are the superseded segments and older checkpoints deleted — so a
+// crash at any point leaves either the old recovery state or the new
+// one, never neither. It returns the checkpoint file path.
 func Checkpoint(g *sharded.Graph, w *WAL) (string, error) {
 	dir, fsys := w.Dir(), w.FS()
 	tmp, err := vfs.CreateTemp(fsys, dir, "checkpoint-*.tmp")
@@ -348,11 +360,7 @@ func Checkpoint(g *sharded.Graph, w *WAL) (string, error) {
 	}
 	defer fsys.Remove(tmp.Name()) // no-op after the rename succeeds
 
-	var cut uint64
-	v, err := g.SnapshotCut(func() (rerr error) {
-		cut, rerr = w.Rotate()
-		return rerr
-	})
+	v, cut, err := CutView(g, w)
 	if err == nil {
 		err = v.Save(tmp)
 		v.Release()
